@@ -43,57 +43,36 @@ func (ct *Controller) DeployAll(sources []string, atomic bool) ([]DeployOutcome,
 	return ct.DeployAllCtx(context.Background(), sources, atomic)
 }
 
-// DeployAllCtx is DeployAll under the trace carried by ctx: one
-// journal.commit child covers the batch's single group append, and one
-// apply child holds every blob's link spans.
-func (ct *Controller) DeployAllCtx(ctx context.Context, sources []string, atomic bool) ([]DeployOutcome, error) {
+// DeployAllCtx is DeployAll under the trace carried by ctx: one commit
+// child covers the batch's single group append, and one apply child holds
+// every blob's link spans.
+func (ct *Controller) DeployAllCtx(ctx context.Context, sources []string, atomic bool) (outcomes []DeployOutcome, err error) {
 	if len(sources) == 0 {
 		return nil, nil
 	}
-	ctx, sp, owned := ct.opSpan(ctx, "deploy.batch")
-	if owned {
-		defer sp.End()
-	}
-	start := time.Now()
-	outcomes, err := ct.deployAllTraced(ctx, sp, sources, atomic)
-	ct.flightOp(trace.EvDeploy, "batch", strconv.Itoa(len(sources))+" sources", start, err, sp)
+	err = ct.do(ctx, ct.deployBatchOp(sources, atomic, &outcomes))
 	return outcomes, err
 }
 
-func (ct *Controller) deployAllTraced(ctx context.Context, sp *trace.Span, sources []string, atomic bool) ([]DeployOutcome, error) {
-	if ct.jrn == nil {
-		return ct.applyDeployAllSpanned(ctx, sp, sources, atomic, nil)
-	}
-	lstart := time.Now()
-	ct.jrn.mu.Lock()
-	sp.ChildAt("lock.wait", lstart, time.Since(lstart))
-	defer ct.jrn.mu.Unlock()
-	jstart := time.Now()
-	err := ct.jrn.append(journal.Record{Op: journal.OpDeployBatch, Sources: sources, Atomic: atomic})
-	sp.ChildAt("journal.commit", jstart, time.Since(jstart))
-	if err != nil {
-		return nil, err
-	}
-	return ct.applyDeployAllSpanned(ctx, sp, sources, atomic, ct.jrn)
+func (ct *Controller) deployBatchOp(sources []string, atomic bool, out *[]DeployOutcome) *op {
+	return &op{kind: trace.EvDeploy, subject: "batch", detail: strconv.Itoa(len(sources)) + " sources",
+		records: []journal.Record{{Op: journal.OpDeployBatch, Sources: sources, Atomic: atomic}},
+		apply:   func(ctx context.Context) (err error) { *out, err = ct.linkBlobs(ctx, sources, atomic); return err },
+		track: func() {
+			for i, oc := range *out {
+				if oc.Err == nil {
+					ct.jrn.trackDeploy(sources[i], oc.Reports)
+				}
+			}
+		}}
 }
 
-func (ct *Controller) applyDeployAllSpanned(ctx context.Context, sp *trace.Span, sources []string, atomic bool, js *jstate) ([]DeployOutcome, error) {
-	asp := sp.Child("apply")
-	outcomes, err := ct.applyDeployAll(trace.ContextWithSpan(ctx, asp), sources, atomic, js)
-	if err != nil {
-		asp.SetTag("err", err.Error())
-	}
-	asp.End()
-	return outcomes, err
-}
-
-// applyDeployAll runs the batch; js (nil when unjournaled) receives blob
-// tracking for successful links. Caller holds the journal mutation lock
-// when js is non-nil.
-func (ct *Controller) applyDeployAll(ctx context.Context, sources []string, atomic bool, js *jstate) ([]DeployOutcome, error) {
+// linkBlobs links the batch's blobs in order; an atomic batch stops at the
+// first failure and unwinds what it linked.
+func (ct *Controller) linkBlobs(ctx context.Context, sources []string, atomic bool) ([]DeployOutcome, error) {
 	outcomes := make([]DeployOutcome, 0, len(sources))
 	for i, src := range sources {
-		reports, err := ct.applyDeployCtx(ctx, src)
+		reports, err := ct.linkBlob(ctx, src)
 		if err != nil && atomic {
 			// Unwind the blobs this batch already linked, newest first, so
 			// the batch is all-or-nothing like a single blob's programs.
@@ -101,17 +80,12 @@ func (ct *Controller) applyDeployAll(ctx context.Context, sources []string, atom
 			for k := len(outcomes) - 1; k >= 0; k-- {
 				rs := outcomes[k].Reports
 				for p := len(rs) - 1; p >= 0; p-- {
-					if _, rerr := ct.applyRevoke(rs[p].Program); rerr != nil {
+					if _, rerr := ct.unlink(rs[p].Program); rerr != nil {
 						err = errors.Join(err, fmt.Errorf("unwinding %s: %w", rs[p].Program, rerr))
-					} else if js != nil {
-						js.trackRevoke(rs[p].Program)
 					}
 				}
 			}
 			return nil, err
-		}
-		if err == nil && js != nil {
-			js.trackDeploy(src, reports)
 		}
 		outcomes = append(outcomes, DeployOutcome{Reports: reports, Err: err})
 	}
@@ -153,75 +127,66 @@ func (ct *Controller) WriteMemoryBatchCtx(ctx context.Context, program, mem stri
 	if len(writes) == 0 {
 		return 0, nil
 	}
-	_, sp, owned := ct.opSpan(ctx, "mem.writebatch")
-	if owned {
-		defer sp.End()
+	addrs, vals := make([]uint32, len(writes)), make([]uint32, len(writes))
+	for i, w := range writes {
+		addrs[i], vals[i] = w.Addr, w.Value
 	}
-	start := time.Now()
-	defer func() {
-		observeOp(ct.mMemOpNs, ct.cMemOpOK, ct.cMemOpErr, start, err)
-		ct.flightOp(trace.EvMemWrite, program, mem+": "+strconv.Itoa(len(writes))+" writes", start, err, sp)
-	}()
-	if ct.jrn == nil {
-		astart := time.Now()
-		targets, err := ct.validateWrites(program, mem, writes)
-		if err != nil {
-			return 0, err
-		}
-		n, err := applyWrites(targets)
-		sp.ChildAt("apply", astart, time.Since(astart))
-		return n, err
-	}
-	lstart := time.Now()
-	ct.jrn.mu.Lock()
-	sp.ChildAt("lock.wait", lstart, time.Since(lstart))
-	defer ct.jrn.mu.Unlock()
-	// Validate under the mutation lock so a concurrent revoke cannot
-	// invalidate translations between validation and apply.
-	targets, err := ct.validateWrites(program, mem, writes)
-	if err != nil {
-		return 0, err
-	}
-	recs := make([]journal.Record, 0, (len(writes)+MemWriteBatchChunk-1)/MemWriteBatchChunk)
-	for off := 0; off < len(writes); off += MemWriteBatchChunk {
-		end := off + MemWriteBatchChunk
-		if end > len(writes) {
-			end = len(writes)
-		}
-		rec := journal.Record{Op: journal.OpMemWriteBatch, Program: program, Mem: mem,
-			Addrs: make([]uint32, 0, end-off), Vals: make([]uint32, 0, end-off)}
-		for _, w := range writes[off:end] {
-			rec.Addrs = append(rec.Addrs, w.Addr)
-			rec.Vals = append(rec.Vals, w.Value)
-		}
-		recs = append(recs, rec)
-	}
-	jstart := time.Now()
-	if err := ct.jrn.appendBatch(recs); err != nil {
-		sp.ChildAt("journal.commit", jstart, time.Since(jstart))
-		return 0, err
-	}
-	sp.ChildAt("journal.commit", jstart, time.Since(jstart))
-	astart := time.Now()
-	n, err = applyWrites(targets)
-	sp.ChildAt("apply", astart, time.Since(astart))
+	err = ct.do(ctx, ct.memWriteBatchOp(program, mem, addrs, vals, &n))
 	return n, err
 }
 
-// validateWrites translates every virtual address and resolves its
+// memWriteBatchOp takes the batch as the parallel address/value vectors a
+// journal record holds, so the live path's chunk records are sub-slices of
+// them and replay passes a record's vectors straight through.
+func (ct *Controller) memWriteBatchOp(program, mem string, addrs, vals []uint32, out *int) *op {
+	start := time.Now()
+	var targets []pokeTarget
+	o := &op{kind: trace.EvMemWrite, subject: program,
+		detail: mem + ": " + strconv.Itoa(len(addrs)) + " writes"}
+	// At least one record even for an empty batch (only a hand-made
+	// journal can hold one): do names the operation by its first record.
+	for off := 0; ; off += MemWriteBatchChunk {
+		end := off + MemWriteBatchChunk
+		if end > len(addrs) {
+			end = len(addrs)
+		}
+		o.records = append(o.records, journal.Record{Op: journal.OpMemWriteBatch, Program: program, Mem: mem,
+			Addrs: addrs[off:end], Vals: vals[off:end]})
+		if end == len(addrs) {
+			break
+		}
+	}
+	// Translations are resolved under the mutation lock so a concurrent
+	// revoke cannot invalidate them between validation and apply. The
+	// batch counts as one memory operation whichever step ends it.
+	o.validate = func() (err error) {
+		if targets, err = ct.resolveWrites(program, mem, addrs, vals); err != nil {
+			observeOp(ct.mMemOpNs, ct.cMemOpOK, ct.cMemOpErr, start, err)
+		}
+		return err
+	}
+	o.apply = func(context.Context) (err error) {
+		*out, err = applyWrites(targets)
+		observeOp(ct.mMemOpNs, ct.cMemOpOK, ct.cMemOpErr, start, err)
+		return err
+	}
+	return o
+}
+
+// resolveWrites translates every virtual address and resolves its
 // physical array, failing on the first bad write.
-func (ct *Controller) validateWrites(program, mem string, writes []MemWrite) ([]pokeTarget, error) {
-	targets := make([]pokeTarget, 0, len(writes))
-	for i, w := range writes {
-		rpb, paddr, err := ct.Compiler.Mgr.Translate(program, mem, w.Addr)
+func (ct *Controller) resolveWrites(program, mem string, addrs, vals []uint32) ([]pokeTarget, error) {
+	targets := make([]pokeTarget, 0, len(addrs))
+	for i, addr := range addrs {
+		rpb, paddr, err := ct.Compiler.Mgr.Translate(program, mem, addr)
 		if err != nil {
-			return nil, fmt.Errorf("mem.writebatch: write %d (addr %d): %w", i, w.Addr, err)
+			return nil, fmt.Errorf("mem.writebatch: write %d (addr %d): %w", i, addr, err)
 		}
 		arr, err := ct.Plane.Array(rpb)
 		if err != nil {
-			return nil, fmt.Errorf("mem.writebatch: write %d (addr %d): %w", i, w.Addr, err)
+			return nil, fmt.Errorf("mem.writebatch: write %d (addr %d): %w", i, addr, err)
 		}
-		targets = append(targets, pokeTarget{arr: arr, paddr: paddr, value: w.Value})
+		targets = append(targets, pokeTarget{arr: arr, paddr: paddr, value: vals[i]})
 	}
 	return targets, nil
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,63 +145,28 @@ func (ct *Controller) Deploy(src string) ([]DeployReport, error) {
 	return ct.DeployCtx(context.Background(), src)
 }
 
-// DeployCtx is Deploy under the trace carried by ctx: lock wait, the
-// journal commit, and the apply (with the compiler's link phases nested
-// under it) become attributed child spans, and the operation lands in the
-// flight recorder.
-func (ct *Controller) DeployCtx(ctx context.Context, src string) ([]DeployReport, error) {
-	ctx, sp, owned := ct.opSpan(ctx, "deploy")
-	if owned {
-		defer sp.End()
-	}
-	start := time.Now()
-	reports, err := ct.deployTraced(ctx, sp, src)
-	name := ""
-	if len(reports) > 0 {
-		name = reports[0].Program
-	}
-	ct.flightOp(trace.EvDeploy, name, "", start, err, sp)
+// DeployCtx is Deploy under the trace carried by ctx (see do).
+func (ct *Controller) DeployCtx(ctx context.Context, src string) (reports []DeployReport, err error) {
+	err = ct.do(ctx, ct.deployOp(src, &reports))
 	return reports, err
 }
 
-func (ct *Controller) deployTraced(ctx context.Context, sp *trace.Span, src string) ([]DeployReport, error) {
-	if ct.jrn == nil {
-		return ct.applySpanned(ctx, sp, src)
+func (ct *Controller) deployOp(src string, out *[]DeployReport) *op {
+	o := &op{kind: trace.EvDeploy,
+		records: []journal.Record{{Op: journal.OpDeploy, Source: src}},
+		track:   func() { ct.jrn.trackDeploy(src, *out) }}
+	o.apply = func(ctx context.Context) (err error) {
+		*out, err = ct.linkBlob(ctx, src)
+		if len(*out) > 0 {
+			o.subject = (*out)[0].Program
+		}
+		return err
 	}
-	lstart := time.Now()
-	ct.jrn.mu.Lock()
-	sp.ChildAt("lock.wait", lstart, time.Since(lstart))
-	defer ct.jrn.mu.Unlock()
-	jstart := time.Now()
-	err := ct.jrn.append(journal.Record{Op: journal.OpDeploy, Source: src})
-	sp.ChildAt("journal.commit", jstart, time.Since(jstart))
-	if err != nil {
-		return nil, err
-	}
-	reports, err := ct.applySpanned(ctx, sp, src)
-	if err == nil {
-		ct.jrn.trackDeploy(src, reports)
-	}
-	return reports, err
+	return o
 }
 
-// applySpanned runs applyDeployCtx under an "apply" child of sp, so the
-// compiler's link spans nest under the apply rather than the verb root.
-func (ct *Controller) applySpanned(ctx context.Context, sp *trace.Span, src string) ([]DeployReport, error) {
-	asp := sp.Child("apply")
-	reports, err := ct.applyDeployCtx(trace.ContextWithSpan(ctx, asp), src)
-	if err != nil {
-		asp.SetTag("err", err.Error())
-	}
-	asp.End()
-	return reports, err
-}
-
-func (ct *Controller) applyDeploy(src string) ([]DeployReport, error) {
-	return ct.applyDeployCtx(context.Background(), src)
-}
-
-func (ct *Controller) applyDeployCtx(ctx context.Context, src string) ([]DeployReport, error) {
+// linkBlob links one source blob, all of its programs or none.
+func (ct *Controller) linkBlob(ctx context.Context, src string) ([]DeployReport, error) {
 	start := time.Now()
 	lps, err := ct.Compiler.LinkCtx(ctx, src)
 	if err != nil {
@@ -250,52 +216,24 @@ func (ct *Controller) Revoke(name string) (RevokeReport, error) {
 }
 
 // RevokeCtx is Revoke under the trace carried by ctx.
-func (ct *Controller) RevokeCtx(ctx context.Context, name string) (RevokeReport, error) {
-	_, sp, owned := ct.opSpan(ctx, "revoke")
-	if owned {
-		defer sp.End()
-	}
+func (ct *Controller) RevokeCtx(ctx context.Context, name string) (rep RevokeReport, err error) {
+	err = ct.do(ctx, ct.revokeOp(name, &rep))
+	return rep, err
+}
+
+func (ct *Controller) revokeOp(name string, out *RevokeReport) *op {
+	return &op{kind: trace.EvRevoke, subject: name,
+		records: []journal.Record{{Op: journal.OpRevoke, Name: name}},
+		apply:   func(context.Context) (err error) { *out, err = ct.unlink(name); return err },
+		track:   func() { ct.jrn.trackRevoke(name) }}
+}
+
+// unlink removes one linked program from the data plane.
+func (ct *Controller) unlink(name string) (RevokeReport, error) {
 	start := time.Now()
-	rep, err := ct.revokeTraced(sp, name)
-	ct.flightOp(trace.EvRevoke, name, "", start, err, sp)
-	return rep, err
-}
-
-func (ct *Controller) revokeTraced(sp *trace.Span, name string) (RevokeReport, error) {
-	if ct.jrn == nil {
-		return ct.applyRevokeSpanned(sp, name)
-	}
-	lstart := time.Now()
-	ct.jrn.mu.Lock()
-	sp.ChildAt("lock.wait", lstart, time.Since(lstart))
-	defer ct.jrn.mu.Unlock()
-	jstart := time.Now()
-	err := ct.jrn.append(journal.Record{Op: journal.OpRevoke, Name: name})
-	sp.ChildAt("journal.commit", jstart, time.Since(jstart))
-	if err != nil {
-		return RevokeReport{}, err
-	}
-	rep, err := ct.applyRevokeSpanned(sp, name)
-	if err == nil {
-		ct.jrn.trackRevoke(name)
-	}
-	return rep, err
-}
-
-func (ct *Controller) applyRevokeSpanned(sp *trace.Span, name string) (RevokeReport, error) {
-	astart := time.Now()
-	rep, err := ct.applyRevoke(name)
-	var tags []trace.Tag
-	if err != nil {
-		tags = append(tags, trace.Tag{Key: "err", Value: err.Error()})
-	}
-	sp.ChildAt("apply", astart, time.Since(astart), tags...)
-	return rep, err
-}
-
-func (ct *Controller) applyRevoke(name string) (RevokeReport, error) {
-	start := time.Now()
-	if err := ct.upgradeBusy(name); err != nil {
+	// Destructive operations wait for an in-flight upgrade to settle.
+	if st, busy := ct.upgradeInFlight(name); busy {
+		err := fmt.Errorf("controlplane: %q has an upgrade in flight (%s); commit or abort it first", name, st)
 		observeOp(ct.mRevokeNs, ct.cRevokeOK, ct.cRevokeErr, start, err)
 		return RevokeReport{}, err
 	}
@@ -317,25 +255,13 @@ func (ct *Controller) applyRevoke(name string) (RevokeReport, error) {
 // case blocks (incremental update, paper §7), returning modeled update
 // delay alongside the new branch IDs.
 func (ct *Controller) AddCases(program string, branchDepth int, src string) ([]core.AddedCase, time.Duration, error) {
-	if ct.jrn == nil {
-		return ct.applyAddCases(program, branchDepth, src)
-	}
-	ct.jrn.mu.Lock()
-	defer ct.jrn.mu.Unlock()
-	rec := journal.Record{Op: journal.OpAddCases, Program: program, BranchDepth: branchDepth, Source: src}
-	if err := ct.jrn.append(rec); err != nil {
-		return nil, 0, err
-	}
-	added, upd, err := ct.applyAddCases(program, branchDepth, src)
-	if err == nil {
-		ct.jrn.trackCaseOp(program, rec)
-	}
-	return added, upd, err
+	return ct.AddCasesCtx(context.Background(), program, branchDepth, src)
 }
 
-func (ct *Controller) applyAddCases(program string, branchDepth int, src string) ([]core.AddedCase, time.Duration, error) {
-	added, err := ct.Compiler.AddCases(program, branchDepth, src)
-	ct.recompile()
+// AddCasesCtx is AddCases under the trace carried by ctx.
+func (ct *Controller) AddCasesCtx(ctx context.Context, program string, branchDepth int, src string) ([]core.AddedCase, time.Duration, error) {
+	var added []core.AddedCase
+	err := ct.do(ctx, ct.addCasesOp(program, branchDepth, src, &added))
 	entries := 0
 	for _, a := range added {
 		entries += a.Entries
@@ -343,72 +269,86 @@ func (ct *Controller) applyAddCases(program string, branchDepth int, src string)
 	return added, costmodel.LinkUpdateDelay(entries), err
 }
 
+func (ct *Controller) addCasesOp(program string, branchDepth int, src string, out *[]core.AddedCase) *op {
+	rec := journal.Record{Op: journal.OpAddCases, Program: program, BranchDepth: branchDepth, Source: src}
+	return &op{kind: trace.EvCase, subject: program, detail: "add",
+		records: []journal.Record{rec},
+		apply: func(context.Context) (err error) {
+			*out, err = ct.Compiler.AddCases(program, branchDepth, src)
+			ct.recompile()
+			return err
+		},
+		track: func() { ct.jrn.trackCaseOp(program, rec) }}
+}
+
 // RemoveCase deletes a runtime-added case branch from a running program.
 func (ct *Controller) RemoveCase(program string, branchID int) error {
-	if ct.jrn == nil {
-		err := ct.Compiler.RemoveCase(program, branchID)
-		ct.recompile()
-		return err
-	}
-	ct.jrn.mu.Lock()
-	defer ct.jrn.mu.Unlock()
+	return ct.RemoveCaseCtx(context.Background(), program, branchID)
+}
+
+// RemoveCaseCtx is RemoveCase under the trace carried by ctx.
+func (ct *Controller) RemoveCaseCtx(ctx context.Context, program string, branchID int) error {
+	return ct.do(ctx, ct.removeCaseOp(program, branchID))
+}
+
+func (ct *Controller) removeCaseOp(program string, branchID int) *op {
 	rec := journal.Record{Op: journal.OpRemoveCase, Program: program, BranchID: branchID}
-	if err := ct.jrn.append(rec); err != nil {
-		return err
-	}
-	err := ct.Compiler.RemoveCase(program, branchID)
-	ct.recompile()
-	if err == nil {
-		ct.jrn.trackCaseOp(program, rec)
-	}
-	return err
+	return &op{kind: trace.EvCase, subject: program, detail: "remove",
+		records: []journal.Record{rec},
+		apply: func(context.Context) error {
+			err := ct.Compiler.RemoveCase(program, branchID)
+			ct.recompile()
+			return err
+		},
+		track: func() { ct.jrn.trackCaseOp(program, rec) }}
 }
 
 // SetMulticastGroup configures the traffic manager's replication list for
 // the MULTICAST primitive. The only possible failure is a journal append
 // rejection; without a journal it always succeeds.
 func (ct *Controller) SetMulticastGroup(group int, ports []int) error {
-	if ct.jrn == nil {
-		ct.SW.SetMulticastGroup(group, ports)
-		return nil
-	}
-	ct.jrn.mu.Lock()
-	defer ct.jrn.mu.Unlock()
-	if err := ct.jrn.append(journal.Record{Op: journal.OpMcastSet, Group: group, Ports: ports}); err != nil {
-		return err
-	}
-	ct.SW.SetMulticastGroup(group, ports)
-	ct.jrn.trackMcast(group, ports)
-	return nil
+	return ct.SetMulticastGroupCtx(context.Background(), group, ports)
+}
+
+// SetMulticastGroupCtx is SetMulticastGroup under the trace carried by ctx.
+func (ct *Controller) SetMulticastGroupCtx(ctx context.Context, group int, ports []int) error {
+	return ct.do(ctx, ct.mcastSetOp(group, ports))
+}
+
+func (ct *Controller) mcastSetOp(group int, ports []int) *op {
+	return &op{kind: trace.EvMcast, subject: strconv.Itoa(group),
+		records: []journal.Record{{Op: journal.OpMcastSet, Group: group, Ports: ports}},
+		apply:   func(context.Context) error { ct.SW.SetMulticastGroup(group, ports); return nil },
+		track:   func() { ct.jrn.trackMcast(group, ports) }}
 }
 
 // WriteMemory writes one virtual memory bucket of a linked program,
 // translating the virtual address to its physical RPB and offset.
 func (ct *Controller) WriteMemory(program, mem string, vaddr, value uint32) error {
-	if ct.jrn == nil {
-		return ct.applyWriteMemory(program, mem, vaddr, value)
-	}
-	ct.jrn.mu.Lock()
-	defer ct.jrn.mu.Unlock()
-	rec := journal.Record{Op: journal.OpMemWrite, Program: program, Mem: mem, Addr: vaddr, Value: value}
-	if err := ct.jrn.append(rec); err != nil {
-		return err
-	}
-	return ct.applyWriteMemory(program, mem, vaddr, value)
+	return ct.WriteMemoryCtx(context.Background(), program, mem, vaddr, value)
 }
 
-func (ct *Controller) applyWriteMemory(program, mem string, vaddr, value uint32) (err error) {
-	start := time.Now()
-	defer func() { observeOp(ct.mMemOpNs, ct.cMemOpOK, ct.cMemOpErr, start, err) }()
-	rpb, paddr, err := ct.Compiler.Mgr.Translate(program, mem, vaddr)
-	if err != nil {
-		return err
-	}
-	arr, err := ct.Plane.Array(rpb)
-	if err != nil {
-		return err
-	}
-	return arr.Poke(paddr, value)
+// WriteMemoryCtx is WriteMemory under the trace carried by ctx.
+func (ct *Controller) WriteMemoryCtx(ctx context.Context, program, mem string, vaddr, value uint32) error {
+	return ct.do(ctx, ct.memWriteOp(program, mem, vaddr, value))
+}
+
+func (ct *Controller) memWriteOp(program, mem string, vaddr, value uint32) *op {
+	return &op{kind: trace.EvMemWrite, subject: program, detail: mem,
+		records: []journal.Record{{Op: journal.OpMemWrite, Program: program, Mem: mem, Addr: vaddr, Value: value}},
+		apply: func(context.Context) (err error) {
+			start := time.Now()
+			defer func() { observeOp(ct.mMemOpNs, ct.cMemOpOK, ct.cMemOpErr, start, err) }()
+			rpb, paddr, err := ct.Compiler.Mgr.Translate(program, mem, vaddr)
+			if err != nil {
+				return err
+			}
+			arr, err := ct.Plane.Array(rpb)
+			if err != nil {
+				return err
+			}
+			return arr.Poke(paddr, value)
+		}}
 }
 
 // ReadMemory reads one virtual memory bucket of a linked program.

@@ -10,6 +10,7 @@
 package controlplane
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -223,56 +224,15 @@ func recoverJournal(dir string, cfg rmt.Config, copt core.Options, jopt journal.
 	return ct, len(replay), nil
 }
 
-// applyRecord dispatches one journaled mutation through the controller's
-// public operations (which track journaling state but skip the append while
-// replaying).
+// applyRecord runs one journaled mutation through the same operation path
+// the live verbs use (which tracks journaling state but skips the append
+// while replaying).
 func (ct *Controller) applyRecord(rec journal.Record) error {
-	switch rec.Op {
-	case journal.OpDeploy:
-		_, err := ct.Deploy(rec.Source)
-		return err
-	case journal.OpRevoke:
-		_, err := ct.Revoke(rec.Name)
-		return err
-	case journal.OpAddCases:
-		_, _, err := ct.AddCases(rec.Program, rec.BranchDepth, rec.Source)
-		return err
-	case journal.OpRemoveCase:
-		return ct.RemoveCase(rec.Program, rec.BranchID)
-	case journal.OpMemWrite:
-		return ct.WriteMemory(rec.Program, rec.Mem, rec.Addr, rec.Value)
-	case journal.OpMcastSet:
-		return ct.SetMulticastGroup(rec.Group, rec.Ports)
-	case journal.OpUpgradePrepare:
-		_, err := ct.UpgradePrepare(rec.Name, rec.Source)
-		return err
-	case journal.OpUpgradeCutover:
-		_, err := ct.UpgradeCutover(rec.Name, int(rec.Value))
-		return err
-	case journal.OpUpgradeCommit:
-		_, err := ct.UpgradeCommit(rec.Name)
-		return err
-	case journal.OpUpgradeAbort:
-		_, err := ct.UpgradeAbort(rec.Name)
-		return err
-	case journal.OpDeployBatch:
-		// Replay re-runs the whole batch deterministically, including an
-		// atomic batch's unwind — the journaled record is the batch, not
-		// its per-blob effects.
-		_, err := ct.DeployAll(rec.Sources, rec.Atomic)
-		return err
-	case journal.OpMemWriteBatch:
-		if len(rec.Addrs) != len(rec.Vals) {
-			return fmt.Errorf("controlplane: mem.writebatch record with %d addrs, %d vals", len(rec.Addrs), len(rec.Vals))
-		}
-		writes := make([]MemWrite, len(rec.Addrs))
-		for i := range rec.Addrs {
-			writes[i] = MemWrite{Addr: rec.Addrs[i], Value: rec.Vals[i]}
-		}
-		_, err := ct.WriteMemoryBatch(rec.Program, rec.Mem, writes)
+	o, err := ct.opFor(rec)
+	if err != nil {
 		return err
 	}
-	return fmt.Errorf("controlplane: unknown journal op %d", rec.Op)
+	return ct.do(context.Background(), o)
 }
 
 // Snapshot composes records sufficient to rebuild the controller's current

@@ -9,6 +9,7 @@ import (
 
 	"p4runpro/internal/core"
 	"p4runpro/internal/journal"
+	"p4runpro/internal/obs/trace"
 	"p4runpro/internal/rmt"
 )
 
@@ -284,7 +285,10 @@ func TestRecoveryAfterSnapshotCompaction(t *testing.T) {
 }
 
 // TestJournalDisabledPathUnchanged: without a journal every mutating op
-// takes the direct path and never touches disk.
+// takes the direct path and never touches disk — each verb works with no
+// journal bookkeeping behind it and, traced, shows an apply child but
+// neither a lock.wait nor a journal.commit: the unjournaled path takes no
+// lock and appends nothing.
 func TestJournalDisabledPathUnchanged(t *testing.T) {
 	ct := newController(t)
 	if ct.Journal() != nil {
@@ -298,5 +302,28 @@ func TestJournalDisabledPathUnchanged(t *testing.T) {
 	}
 	if err := ct.SetMulticastGroup(1, []int{2}); err != nil {
 		t.Fatalf("unjournaled SetMulticastGroup: %v", err)
+	}
+	for jop, row := range replayRows {
+		t.Run(jop.String(), func(t *testing.T) {
+			ct := newController(t)
+			for i, step := range row.setup {
+				if err := step(ct); err != nil {
+					t.Fatalf("setup step %d: %v", i, err)
+				}
+			}
+			tr := trace.New(trace.Options{})
+			tr.SetEnabled(true)
+			ct.SetTracing(tr, nil)
+			if err := row.live(ct); err != nil {
+				t.Fatalf("live verb: %v", err)
+			}
+			names := spanNames(t, tr)
+			if names["ct."+jop.String()] != 1 || names["apply"] != 1 {
+				t.Errorf("spans = %v, want one ct.%s root with one apply child", names, jop)
+			}
+			if names["lock.wait"] != 0 || names["journal.commit"] != 0 {
+				t.Errorf("unjournaled %s took the journal path: spans = %v", jop, names)
+			}
+		})
 	}
 }

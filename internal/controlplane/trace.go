@@ -1,17 +1,13 @@
 // Tracing hooks for the control plane. Every mutating verb has a Ctx
-// variant that attributes where its latency went — lock wait, journal
-// commit, apply — as child spans of the caller's span (normally the wire
-// server's srv.<verb> span), and records a flight-recorder event. The
-// non-ctx methods delegate here with a background context, so library
-// users and crash replay pay only a few clock reads when tracing is off.
+// variant whose operation (see do) attributes where its latency went —
+// lock wait, journal commit, apply — as child spans of the caller's span
+// (normally the wire server's srv.<verb> span), and records a
+// flight-recorder event. The non-ctx methods delegate with a background
+// context, so library users and crash replay pay only a few clock reads
+// when tracing is off.
 package controlplane
 
-import (
-	"context"
-	"time"
-
-	"p4runpro/internal/obs/trace"
-)
+import "p4runpro/internal/obs/trace"
 
 // SetTracing attaches a tracer and flight recorder to the controller.
 // Either may be nil. Call before serving traffic; the fields are read
@@ -25,34 +21,4 @@ func (ct *Controller) SetTracing(tr *trace.Tracer, fr *trace.FlightRecorder) {
 // be nil), so servers and fleets layered above can share them.
 func (ct *Controller) Tracing() (*trace.Tracer, *trace.FlightRecorder) {
 	return ct.tracer, ct.flight
-}
-
-// opSpan resolves the span an operation's children attach to: the
-// context's current span when the caller is traced (the wire server's
-// srv.<verb> span, or a fleet fan-out span), else a fresh "ct.<verb>"
-// root from the controller's own tracer, else the nop span. owned reports
-// whether this call opened the span and must End it.
-func (ct *Controller) opSpan(ctx context.Context, verb string) (_ context.Context, sp *trace.Span, owned bool) {
-	if sp := trace.SpanFromContext(ctx); sp.Enabled() {
-		return ctx, sp, false
-	}
-	if ct.tracer.Enabled() {
-		ctx, sp := ct.tracer.Start(ctx, "ct."+verb)
-		return ctx, sp, true
-	}
-	return ctx, trace.Nop(), false
-}
-
-// flightOp records one completed mutating operation in the flight
-// recorder. Strings are passed through as-is so recording allocates
-// nothing beyond what the caller already holds.
-func (ct *Controller) flightOp(kind, name, detail string, start time.Time, err error, sp *trace.Span) {
-	if ct.flight == nil {
-		return
-	}
-	ev := trace.Event{Kind: kind, Name: name, Detail: detail, Dur: time.Since(start), Trace: sp.TraceID()}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	ct.flight.Record(ev)
 }

@@ -24,17 +24,17 @@ import (
 // but uncommitted, and recovery lands on a single consistent version.
 var fpUpgradeCommitJournal = faults.Register("upgrade.journal.commit")
 
-// upgradeBusy rejects destructive operations on a program whose upgrade is
-// still in flight; the session must commit or abort first.
-func (ct *Controller) upgradeBusy(name string) error {
+// upgradeInFlight reports the state of name's upgrade session while it is
+// still in flight — prepared or cut over, not yet committed or aborted.
+func (ct *Controller) upgradeInFlight(name string) (upgrade.State, bool) {
 	ct.upMu.Lock()
 	defer ct.upMu.Unlock()
 	if s, ok := ct.upgrades[name]; ok {
 		if st := s.State(); st != upgrade.StateCommitted && st != upgrade.StateAborted {
-			return fmt.Errorf("controlplane: %q has an upgrade in flight (%s); commit or abort it first", name, st)
+			return st, true
 		}
 	}
-	return nil
+	return 0, false
 }
 
 // upgradeSession returns the program's upgrade session (active or terminal).
@@ -56,74 +56,31 @@ func (ct *Controller) UpgradePrepare(name, v2src string) (upgrade.Status, error)
 }
 
 // UpgradePrepareCtx is UpgradePrepare under the trace carried by ctx.
-func (ct *Controller) UpgradePrepareCtx(ctx context.Context, name, v2src string) (upgrade.Status, error) {
-	_, sp, owned := ct.opSpan(ctx, "upgrade.prepare")
-	if owned {
-		defer sp.End()
-	}
-	start := time.Now()
-	st, err := ct.upgradeTraced(sp,
-		journal.Record{Op: journal.OpUpgradePrepare, Name: name, Source: v2src},
-		func() { ct.jrn.trackUpgradePrepare(name, v2src) },
-		func() (upgrade.Status, error) { return ct.applyUpgradePrepare(name, v2src) })
-	ct.flightOp(trace.EvUpgrade, name, "prepare", start, err, sp)
+func (ct *Controller) UpgradePrepareCtx(ctx context.Context, name, v2src string) (st upgrade.Status, err error) {
+	err = ct.do(ctx, ct.upgradePrepareOp(name, v2src, &st))
 	return st, err
 }
 
-// upgradeTraced runs one upgrade transition with lock.wait, journal.commit,
-// and apply attribution on sp — the shared journaled shape of all four
-// transitions. track (nil to skip) runs after a successful journaled apply.
-func (ct *Controller) upgradeTraced(sp *trace.Span, rec journal.Record, track func(), apply func() (upgrade.Status, error)) (upgrade.Status, error) {
-	if ct.jrn == nil {
-		return ct.applyUpgradeSpanned(sp, apply)
-	}
-	lstart := time.Now()
-	ct.jrn.mu.Lock()
-	sp.ChildAt("lock.wait", lstart, time.Since(lstart))
-	defer ct.jrn.mu.Unlock()
-	jstart := time.Now()
-	err := ct.jrn.append(rec)
-	sp.ChildAt("journal.commit", jstart, time.Since(jstart))
-	if err != nil {
-		return upgrade.Status{}, err
-	}
-	st, err := ct.applyUpgradeSpanned(sp, apply)
-	if err == nil && track != nil {
-		track()
-	}
-	return st, err
-}
-
-func (ct *Controller) applyUpgradeSpanned(sp *trace.Span, apply func() (upgrade.Status, error)) (upgrade.Status, error) {
-	astart := time.Now()
-	st, err := apply()
-	var tags []trace.Tag
-	if err != nil {
-		tags = append(tags, trace.Tag{Key: "err", Value: err.Error()})
-	}
-	sp.ChildAt("apply", astart, time.Since(astart), tags...)
-	return st, err
-}
-
-func (ct *Controller) applyUpgradePrepare(name, v2src string) (upgrade.Status, error) {
-	ct.upMu.Lock()
-	if s, ok := ct.upgrades[name]; ok {
-		if st := s.State(); st != upgrade.StateCommitted && st != upgrade.StateAborted {
+func (ct *Controller) upgradePrepareOp(name, v2src string, out *upgrade.Status) *op {
+	return &op{kind: trace.EvUpgrade, subject: name, detail: "prepare",
+		records: []journal.Record{{Op: journal.OpUpgradePrepare, Name: name, Source: v2src}},
+		apply: func(context.Context) error {
+			if st, busy := ct.upgradeInFlight(name); busy {
+				return fmt.Errorf("controlplane: upgrade of %q already in flight (%s)", name, st)
+			}
+			s, err := upgrade.Prepare(ct.Compiler, ct.Plane, name, v2src)
+			ct.recompile()
+			if err != nil {
+				return err
+			}
+			ct.cUpgradeStarted.Inc()
+			ct.upMu.Lock()
+			ct.upgrades[name] = s
 			ct.upMu.Unlock()
-			return upgrade.Status{}, fmt.Errorf("controlplane: upgrade of %q already in flight (%s)", name, st)
-		}
-	}
-	ct.upMu.Unlock()
-	s, err := upgrade.Prepare(ct.Compiler, ct.Plane, name, v2src)
-	ct.recompile()
-	if err != nil {
-		return upgrade.Status{}, err
-	}
-	ct.cUpgradeStarted.Inc()
-	ct.upMu.Lock()
-	ct.upgrades[name] = s
-	ct.upMu.Unlock()
-	return s.Status(), nil
+			*out = s.Status()
+			return nil
+		},
+		track: func() { ct.jrn.trackUpgradePrepare(name, v2src) }}
 }
 
 // UpgradeCutover publishes the epoch assigning new packets to the given
@@ -135,35 +92,26 @@ func (ct *Controller) UpgradeCutover(name string, version int) (upgrade.Status, 
 }
 
 // UpgradeCutoverCtx is UpgradeCutover under the trace carried by ctx.
-func (ct *Controller) UpgradeCutoverCtx(ctx context.Context, name string, version int) (upgrade.Status, error) {
-	_, sp, owned := ct.opSpan(ctx, "upgrade.cutover")
-	if owned {
-		defer sp.End()
-	}
-	start := time.Now()
+func (ct *Controller) UpgradeCutoverCtx(ctx context.Context, name string, version int) (st upgrade.Status, err error) {
+	err = ct.do(ctx, ct.upgradeCutoverOp(name, version, &st))
+	return st, err
+}
+
+func (ct *Controller) upgradeCutoverOp(name string, version int, out *upgrade.Status) *op {
 	detail := "to v2"
 	if version == 1 {
 		detail = "to v1"
 	}
-	st, err := ct.upgradeTraced(sp,
-		journal.Record{Op: journal.OpUpgradeCutover, Name: name, Value: uint32(version)},
-		nil,
-		func() (upgrade.Status, error) { return ct.applyUpgradeCutover(name, version) })
-	ct.flightOp(trace.EvCutover, name, detail, start, err, sp)
-	return st, err
-}
-
-func (ct *Controller) applyUpgradeCutover(name string, version int) (upgrade.Status, error) {
-	s, err := ct.upgradeSession(name)
-	if err != nil {
-		return upgrade.Status{}, err
-	}
-	t0 := time.Now()
-	if err := s.Cutover(version); err != nil {
-		return upgrade.Status{}, err
-	}
-	ct.mUpgradeCutoverNs.ObserveDuration(time.Since(t0))
-	return s.Status(), nil
+	return &op{kind: trace.EvCutover, subject: name, detail: detail,
+		records: []journal.Record{{Op: journal.OpUpgradeCutover, Name: name, Value: uint32(version)}},
+		apply: ct.sessionStep(name, out, func(s *upgrade.Session) error {
+			t0 := time.Now()
+			if err := s.Cutover(version); err != nil {
+				return err
+			}
+			ct.mUpgradeCutoverNs.ObserveDuration(time.Since(t0))
+			return nil
+		})}
 }
 
 // UpgradeCommit finishes the upgrade: v2 takes over the operator-visible
@@ -174,35 +122,29 @@ func (ct *Controller) UpgradeCommit(name string) (upgrade.Status, error) {
 }
 
 // UpgradeCommitCtx is UpgradeCommit under the trace carried by ctx.
-func (ct *Controller) UpgradeCommitCtx(ctx context.Context, name string) (upgrade.Status, error) {
-	if err := fpUpgradeCommitJournal.Check(); err != nil {
-		return upgrade.Status{}, fmt.Errorf("controlplane: upgrade commit journal: %w", err)
-	}
-	_, sp, owned := ct.opSpan(ctx, "upgrade.commit")
-	if owned {
-		defer sp.End()
-	}
-	start := time.Now()
-	st, err := ct.upgradeTraced(sp,
-		journal.Record{Op: journal.OpUpgradeCommit, Name: name},
-		func() { ct.jrn.trackUpgradeCommit(name) },
-		func() (upgrade.Status, error) { return ct.applyUpgradeCommit(name) })
-	ct.flightOp(trace.EvUpgrade, name, "commit", start, err, sp)
+func (ct *Controller) UpgradeCommitCtx(ctx context.Context, name string) (st upgrade.Status, err error) {
+	err = ct.do(ctx, ct.upgradeCommitOp(name, &st))
 	return st, err
 }
 
-func (ct *Controller) applyUpgradeCommit(name string) (upgrade.Status, error) {
-	s, err := ct.upgradeSession(name)
-	if err != nil {
-		return upgrade.Status{}, err
-	}
-	err = s.Commit()
-	ct.recompile()
-	if err != nil {
-		return upgrade.Status{}, err
-	}
-	ct.cUpgradeCommitted.Inc()
-	return s.Status(), nil
+func (ct *Controller) upgradeCommitOp(name string, out *upgrade.Status) *op {
+	return &op{kind: trace.EvUpgrade, subject: name, detail: "commit",
+		records: []journal.Record{{Op: journal.OpUpgradeCommit, Name: name}},
+		validate: func() error {
+			if err := fpUpgradeCommitJournal.Check(); err != nil {
+				return fmt.Errorf("controlplane: upgrade commit journal: %w", err)
+			}
+			return nil
+		},
+		apply: ct.sessionStep(name, out, func(s *upgrade.Session) error {
+			err := s.Commit()
+			ct.recompile()
+			if err == nil {
+				ct.cUpgradeCommitted.Inc()
+			}
+			return err
+		}),
+		track: func() { ct.jrn.trackUpgradeCommit(name) }}
 }
 
 // UpgradeAbort rolls the upgrade back to pure v1 and erases v2.
@@ -211,32 +153,40 @@ func (ct *Controller) UpgradeAbort(name string) (upgrade.Status, error) {
 }
 
 // UpgradeAbortCtx is UpgradeAbort under the trace carried by ctx.
-func (ct *Controller) UpgradeAbortCtx(ctx context.Context, name string) (upgrade.Status, error) {
-	_, sp, owned := ct.opSpan(ctx, "upgrade.abort")
-	if owned {
-		defer sp.End()
-	}
-	start := time.Now()
-	st, err := ct.upgradeTraced(sp,
-		journal.Record{Op: journal.OpUpgradeAbort, Name: name},
-		func() { ct.jrn.trackUpgradeAbort(name) },
-		func() (upgrade.Status, error) { return ct.applyUpgradeAbort(name) })
-	ct.flightOp(trace.EvUpgrade, name, "abort", start, err, sp)
+func (ct *Controller) UpgradeAbortCtx(ctx context.Context, name string) (st upgrade.Status, err error) {
+	err = ct.do(ctx, ct.upgradeAbortOp(name, &st))
 	return st, err
 }
 
-func (ct *Controller) applyUpgradeAbort(name string) (upgrade.Status, error) {
-	s, err := ct.upgradeSession(name)
-	if err != nil {
-		return upgrade.Status{}, err
+func (ct *Controller) upgradeAbortOp(name string, out *upgrade.Status) *op {
+	return &op{kind: trace.EvUpgrade, subject: name, detail: "abort",
+		records: []journal.Record{{Op: journal.OpUpgradeAbort, Name: name}},
+		apply: ct.sessionStep(name, out, func(s *upgrade.Session) error {
+			err := s.Abort()
+			ct.recompile()
+			if err == nil {
+				ct.cUpgradeRolledBack.Inc()
+			}
+			return err
+		}),
+		track: func() { ct.jrn.trackUpgradeAbort(name) }}
+}
+
+// sessionStep is the apply shared by the transitions of an existing
+// session: look the session up, run step, and report the status it
+// reached.
+func (ct *Controller) sessionStep(name string, out *upgrade.Status, step func(*upgrade.Session) error) func(context.Context) error {
+	return func(context.Context) error {
+		s, err := ct.upgradeSession(name)
+		if err != nil {
+			return err
+		}
+		if err := step(s); err != nil {
+			return err
+		}
+		*out = s.Status()
+		return nil
 	}
-	err = s.Abort()
-	ct.recompile()
-	if err != nil {
-		return upgrade.Status{}, err
-	}
-	ct.cUpgradeRolledBack.Inc()
-	return s.Status(), nil
 }
 
 // UpgradeStatus snapshots a program's upgrade session (active or the most

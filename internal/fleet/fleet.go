@@ -117,7 +117,7 @@ func (o Options) withDefaults() Options {
 // member is one managed switch and its health record.
 type member struct {
 	name string
-	b    Backend
+	b    Member
 
 	// Guarded by Fleet.mu.
 	state       State
@@ -184,10 +184,11 @@ func New(opt Options) *Fleet {
 // Deploy/Revoke).
 func (f *Fleet) Store() *Store { return f.store }
 
-// AddMember registers a member backend under a unique name and probes it
-// once synchronously so placement has an initial utilization view. The
-// probe failing doesn't reject the member — it just starts suspect.
-func (f *Fleet) AddMember(name string, b Backend) error {
+// AddMember registers a member (Local or Remote) under a unique name and
+// probes it once synchronously so placement has an initial utilization
+// view. The probe failing doesn't reject the member — it just starts
+// suspect.
+func (f *Fleet) AddMember(name string, b Member) error {
 	if name == "" {
 		return fmt.Errorf("fleet: member name must not be empty")
 	}
@@ -283,9 +284,9 @@ func (f *Fleet) liveViews(skip map[string]bool) []MemberView {
 	return out
 }
 
-// backends returns the named members' backends that are not Down (suspect
+// liveMembers returns the named members that are not Down (suspect
 // members still serve; down ones are excluded).
-func (f *Fleet) liveBackends(names []string) []*member {
+func (f *Fleet) liveMembers(names []string) []*member {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([]*member, 0, len(names))
@@ -402,11 +403,11 @@ func (f *Fleet) DeployCtx(ctx context.Context, source string, reps int) (res []w
 	if err := f.store.Put(u); err != nil {
 		// Roll the placement back; intent stays consistent.
 		for _, name := range placed {
-			f.revokeUnitOn(name, names)
+			f.revokeUnitOn(ctx, name, names)
 		}
 		return nil, err
 	}
-	f.refreshUtil(placed)
+	f.refreshUtil(ctx, placed)
 	f.log.Infof("fleet: placed %s on %v (%d entries, %d words, want %d replicas)",
 		u.Key, placed, fp.Entries, fp.MemWords, reps)
 	return []wire.FleetDeployResult{{
@@ -417,9 +418,8 @@ func (f *Fleet) DeployCtx(ctx context.Context, source string, reps int) (res []w
 
 // deployRanked walks the ranked candidates deploying source until want
 // members hold it, skipping members that reject it. Each attempt gets a
-// fan-out span under ctx's trace, which TracedBackend members carry into
-// their own controller (one stitched trace across the fleet and its
-// members).
+// fan-out span under ctx's trace, which the member carries into its own
+// controller (one stitched trace across the fleet and its members).
 func (f *Fleet) deployRanked(ctx context.Context, source string, programs, ranked []string, want int) []string {
 	var placed []string
 	for _, name := range ranked {
@@ -430,7 +430,13 @@ func (f *Fleet) deployRanked(ctx context.Context, source string, programs, ranke
 		if !ok {
 			continue
 		}
-		if err := deployOn(ctx, m.b, name, source); err != nil {
+		msp := trace.StartChild(ctx, "fanout."+name)
+		_, err := m.b.Deploy(trace.ContextWithSpan(ctx, msp), source)
+		if err != nil {
+			msp.SetTag("err", err.Error())
+		}
+		msp.End()
+		if err != nil {
 			f.log.Errorf("fleet: deploy %s on %s: %v", UnitKey(programs), name, err)
 			continue
 		}
@@ -439,31 +445,14 @@ func (f *Fleet) deployRanked(ctx context.Context, source string, programs, ranke
 	return placed
 }
 
-// deployOn issues one member's deploy under a fan-out span, threading the
-// trace through when the backend supports it.
-func deployOn(ctx context.Context, b Backend, name, source string) error {
-	msp := trace.StartChild(ctx, "fanout."+name)
-	var err error
-	if tb, ok := b.(TracedBackend); ok {
-		_, err = tb.DeployCtx(trace.ContextWithSpan(ctx, msp), source)
-	} else {
-		_, err = b.Deploy(source)
-	}
-	if err != nil {
-		msp.SetTag("err", err.Error())
-	}
-	msp.End()
-	return err
-}
-
 // revokeUnitOn best-effort removes a unit's programs from one member.
-func (f *Fleet) revokeUnitOn(name string, programs []string) {
+func (f *Fleet) revokeUnitOn(ctx context.Context, name string, programs []string) {
 	m, ok := f.member(name)
 	if !ok {
 		return
 	}
 	for _, p := range programs {
-		if _, err := m.b.Revoke(p); err != nil {
+		if _, err := m.b.Revoke(ctx, p); err != nil {
 			f.log.Errorf("fleet: revoke %s on %s: %v", p, name, err)
 		}
 	}
@@ -471,10 +460,10 @@ func (f *Fleet) revokeUnitOn(name string, programs []string) {
 
 // refreshUtil re-probes the named members' utilization so the next
 // placement sees post-deploy headroom without waiting for a probe tick.
-func (f *Fleet) refreshUtil(names []string) {
+func (f *Fleet) refreshUtil(ctx context.Context, names []string) {
 	for _, n := range names {
 		if m, ok := f.member(n); ok {
-			if rows, err := m.b.Utilization(); err == nil {
+			if rows, err := m.b.Utilization(ctx); err == nil {
 				f.mu.Lock()
 				m.util = rows
 				f.mu.Unlock()
@@ -513,11 +502,11 @@ func (f *Fleet) RevokeCtx(ctx context.Context, name string) (wire.FleetRevokeRes
 	f.store.Delete(u.Key)
 	for _, mn := range u.Members {
 		msp := trace.StartChild(ctx, "fanout."+mn)
-		f.revokeUnitOn(mn, u.Programs)
+		f.revokeUnitOn(trace.ContextWithSpan(ctx, msp), mn, u.Programs)
 		msp.End()
 	}
 	f.flightOp(trace.EvRevoke, u.Key, "", start, nil, sp)
-	f.refreshUtil(u.Members)
+	f.refreshUtil(ctx, u.Members)
 	f.m.cRevokeOK.Inc()
 	f.log.Infof("fleet: revoked %s from %v", u.Key, u.Members)
 	return wire.FleetRevokeResult{Unit: u.Key, Programs: u.Programs, Members: u.Members}, nil
@@ -541,7 +530,7 @@ func (f *Fleet) Programs() []wire.FleetProgramInfo {
 		if !ok || f.stateOf(m) == Down {
 			continue
 		}
-		infos, err := m.b.Programs()
+		infos, err := m.b.Programs(context.Background())
 		if err != nil {
 			f.noteFailure(m, err)
 			continue
@@ -576,12 +565,12 @@ func (f *Fleet) Programs() []wire.FleetProgramInfo {
 	return out
 }
 
-// Top fans out to live members that expose telemetry (TelemetryBackend)
-// and fans in one windowed-rate row per program: pps, hits, and footprint
-// summed across replicas, hit ratio recomputed against the fleet-wide
-// injection rate. Members that are Down, fail mid-scrape, or lack a sweep
-// engine are skipped — the answer degrades to the reachable subset instead
-// of failing, which is what keeps `p4rpctl fleet top` usable during an
+// Top fans out to live members and fans in one windowed-rate row per
+// program: pps, hits, and footprint summed across replicas, hit ratio
+// recomputed against the fleet-wide injection rate. Members that are Down
+// or fail mid-scrape are skipped (one without a sweep engine contributes
+// no rows) — the answer degrades to the reachable subset instead of
+// failing, which is what keeps `p4rpctl fleet top` usable during an
 // outage.
 func (f *Fleet) Top() wire.TelemetryProgramsResult {
 	f.mu.Lock()
@@ -595,11 +584,7 @@ func (f *Fleet) Top() wire.TelemetryProgramsResult {
 		if !ok || f.stateOf(m) == Down {
 			continue
 		}
-		tb, ok := m.b.(TelemetryBackend)
-		if !ok {
-			continue
-		}
-		tr, err := tb.TelemetryPrograms()
+		tr, err := m.b.TelemetryPrograms(context.Background())
 		if err != nil {
 			f.noteFailure(m, err)
 			continue
@@ -668,7 +653,7 @@ func (f *Fleet) Utilization() []wire.FleetUtilRow {
 		if !ok || f.stateOf(m) == Down {
 			continue
 		}
-		rows, err := m.b.Utilization()
+		rows, err := m.b.Utilization(context.Background())
 		if err != nil {
 			f.noteFailure(m, err)
 			continue
@@ -702,8 +687,8 @@ func (f *Fleet) MemRead(program, mem string, addr, count uint32, agg string) (wi
 	}
 	res := wire.FleetMemReadResult{Agg: agg}
 	var firstErr error
-	for _, m := range f.liveBackends(u.Members) {
-		vals, err := m.b.ReadMemory(program, mem, addr, count)
+	for _, m := range f.liveMembers(u.Members) {
+		vals, err := m.b.ReadMemory(context.Background(), program, mem, addr, count)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("fleet: read %s/%s on %s: %w", program, mem, m.name, err)
@@ -748,50 +733,41 @@ func (f *Fleet) MemRead(program, mem string, addr, count uint32, agg string) (wi
 // a replica that missed the write and later diverges is re-deployed, not
 // repaired, by reconciliation).
 func (f *Fleet) MemWrite(program, mem string, addr, value uint32) error {
-	u, ok := f.store.Resolve(program)
-	if !ok {
-		return fmt.Errorf("fleet: no unit for %q", program)
-	}
-	var wrote int
-	var firstErr error
-	for _, m := range f.liveBackends(u.Members) {
-		if err := m.b.WriteMemory(program, mem, addr, value); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("fleet: write %s/%s on %s: %w", program, mem, m.name, err)
-			}
-			f.noteFailure(m, err)
-			continue
-		}
-		f.noteSuccess(m, nil)
-		wrote++
-	}
-	if wrote == 0 {
-		if firstErr != nil {
-			return firstErr
-		}
-		return fmt.Errorf("fleet: no live replica for %q", program)
-	}
-	return nil
+	return f.writeReplicas(program, mem, "write", func(m Member) error {
+		return m.WriteMemory(context.Background(), program, mem, addr, value)
+	})
 }
 
 // MemWriteBatch writes many buckets of one program memory on every live
-// replica — one batched mem.writebatch call per replica that exposes the
-// bulk surface, per-bucket writes otherwise. Like MemWrite it succeeds
-// when at least one replica accepts the whole batch.
+// replica — one batched mem.writebatch call per replica. Like MemWrite it
+// succeeds when at least one replica accepts the whole batch.
 func (f *Fleet) MemWriteBatch(program, mem string, writes []wire.MemWriteEntry) error {
 	if len(writes) == 0 {
 		return nil
 	}
+	return f.writeReplicas(program, mem, "batch write", func(m Member) error {
+		n, err := m.WriteMemoryBatch(context.Background(), program, mem, writes)
+		if err == nil && n != len(writes) {
+			err = fmt.Errorf("wrote %d of %d buckets", n, len(writes))
+		}
+		return err
+	})
+}
+
+// writeReplicas runs one memory write against every live replica of
+// program's unit, charging failures to the member that failed; the first
+// failure is reported only when no replica accepted the write.
+func (f *Fleet) writeReplicas(program, mem, what string, write func(Member) error) error {
 	u, ok := f.store.Resolve(program)
 	if !ok {
 		return fmt.Errorf("fleet: no unit for %q", program)
 	}
 	var wrote int
 	var firstErr error
-	for _, m := range f.liveBackends(u.Members) {
-		if err := writeBatchOn(m.b, program, mem, writes); err != nil {
+	for _, m := range f.liveMembers(u.Members) {
+		if err := write(m.b); err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("fleet: batch write %s/%s on %s: %w", program, mem, m.name, err)
+				firstErr = fmt.Errorf("fleet: %s %s/%s on %s: %w", what, program, mem, m.name, err)
 			}
 			f.noteFailure(m, err)
 			continue
@@ -804,24 +780,6 @@ func (f *Fleet) MemWriteBatch(program, mem string, writes []wire.MemWriteEntry) 
 			return firstErr
 		}
 		return fmt.Errorf("fleet: no live replica for %q", program)
-	}
-	return nil
-}
-
-// writeBatchOn issues one replica's writes: one mem.writebatch when the
-// backend supports it, else one WriteMemory per bucket.
-func writeBatchOn(b Backend, program, mem string, writes []wire.MemWriteEntry) error {
-	if bb, ok := b.(BatchBackend); ok {
-		n, err := bb.WriteMemoryBatch(program, mem, writes)
-		if err == nil && n != len(writes) {
-			return fmt.Errorf("wrote %d of %d buckets", n, len(writes))
-		}
-		return err
-	}
-	for _, w := range writes {
-		if err := b.WriteMemory(program, mem, w.Addr, w.Value); err != nil {
-			return err
-		}
 	}
 	return nil
 }

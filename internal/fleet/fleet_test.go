@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -313,9 +314,9 @@ func TestMemReadAggregation(t *testing.T) {
 	}
 }
 
-// flakyBackend wraps a Backend and fails every call while tripped.
+// flakyBackend wraps a Member and fails every call while tripped.
 type flakyBackend struct {
-	Backend
+	Member
 	dead atomic.Bool
 }
 
@@ -328,32 +329,39 @@ func (fb *flakyBackend) check() error {
 	return nil
 }
 
-func (fb *flakyBackend) Deploy(src string) ([]wire.DeployResult, error) {
+func (fb *flakyBackend) Deploy(ctx context.Context, src string) ([]wire.DeployResult, error) {
 	if err := fb.check(); err != nil {
 		return nil, err
 	}
-	return fb.Backend.Deploy(src)
+	return fb.Member.Deploy(ctx, src)
 }
 
-func (fb *flakyBackend) Programs() ([]wire.ProgramInfo, error) {
+func (fb *flakyBackend) DeployBatch(ctx context.Context, sources []string, atomic bool) (wire.DeployBatchResult, error) {
 	if err := fb.check(); err != nil {
-		return nil, err
+		return wire.DeployBatchResult{}, err
 	}
-	return fb.Backend.Programs()
+	return fb.Member.DeployBatch(ctx, sources, atomic)
 }
 
-func (fb *flakyBackend) Utilization() ([]wire.UtilizationRow, error) {
+func (fb *flakyBackend) Programs(ctx context.Context) ([]wire.ProgramInfo, error) {
 	if err := fb.check(); err != nil {
 		return nil, err
 	}
-	return fb.Backend.Utilization()
+	return fb.Member.Programs(ctx)
 }
 
-func (fb *flakyBackend) ReadMemory(p, m string, a, c uint32) ([]uint32, error) {
+func (fb *flakyBackend) Utilization(ctx context.Context) ([]wire.UtilizationRow, error) {
 	if err := fb.check(); err != nil {
 		return nil, err
 	}
-	return fb.Backend.ReadMemory(p, m, a, c)
+	return fb.Member.Utilization(ctx)
+}
+
+func (fb *flakyBackend) ReadMemory(ctx context.Context, p, m string, a, c uint32) ([]uint32, error) {
+	if err := fb.check(); err != nil {
+		return nil, err
+	}
+	return fb.Member.ReadMemory(ctx, p, m, a, c)
 }
 
 func TestHealthStateMachineAndFailover(t *testing.T) {
@@ -368,9 +376,9 @@ func TestHealthStateMachineAndFailover(t *testing.T) {
 	flaky := &flakyBackend{}
 	for i := 0; i < 3; i++ {
 		cts[i] = newLocalMember(t)
-		var b Backend = Local(cts[i])
+		var b Member = Local(cts[i])
 		if i == 0 {
-			flaky.Backend = b
+			flaky.Member = b
 			b = flaky
 		}
 		if err := f.AddMember([]string{"m1", "m2", "m3"}[i], b); err != nil {
@@ -495,7 +503,7 @@ func TestReconcileAdoptsRejoinedMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flaky := &flakyBackend{Backend: Local(ct1)}
+	flaky := &flakyBackend{Member: Local(ct1)}
 	f := New(Options{Policy: ReplicateK{K: 2}, DownAfter: 3})
 	if err := f.AddMember("m1", flaky); err != nil {
 		t.Fatal(err)
@@ -535,7 +543,7 @@ func TestReconcileAdoptsRejoinedMember(t *testing.T) {
 	if n := len(rec.Programs()); n != 1 {
 		t.Fatalf("recovered member has %d programs, want 1", n)
 	}
-	flaky.Backend = Local(rec)
+	flaky.Member = Local(rec)
 	flaky.dead.Store(false)
 	f.probe(m1)
 	if got := f.stateOf(m1); got != Healthy {
@@ -564,15 +572,15 @@ func TestReconcileAdoptsRejoinedMember(t *testing.T) {
 	}
 }
 
-// fakeTel feeds a LocalBackend a canned telemetry scrape.
+// fakeTel feeds a LocalMember a canned telemetry scrape.
 type fakeTel struct{ res wire.TelemetryProgramsResult }
 
 func (f fakeTel) Result() wire.TelemetryProgramsResult { return f.res }
 
 // telFailBackend is a member whose telemetry verb always fails.
-type telFailBackend struct{ Backend }
+type telFailBackend struct{ Member }
 
-func (telFailBackend) TelemetryPrograms() (wire.TelemetryProgramsResult, error) {
+func (telFailBackend) TelemetryPrograms(context.Context) (wire.TelemetryProgramsResult, error) {
 	return wire.TelemetryProgramsResult{}, errFlaky
 }
 
@@ -651,10 +659,10 @@ func TestFleetTop(t *testing.T) {
 	if fails == 0 {
 		t.Fatal("telemetry failure not noted against m3")
 	}
-	// A member without telemetry (plain LocalBackend) reports an empty
+	// A member without telemetry (plain LocalMember) reports an empty
 	// scrape rather than an error.
 	lb := Local(newLocalMember(t))
-	if tr, err := lb.TelemetryPrograms(); err != nil || len(tr.Rows) != 0 {
+	if tr, err := lb.TelemetryPrograms(context.Background()); err != nil || len(tr.Rows) != 0 {
 		t.Fatalf("bare local backend telemetry = %+v, %v", tr, err)
 	}
 }
@@ -694,34 +702,28 @@ func TestFleetTopOverWire(t *testing.T) {
 	}
 }
 
-// batchSpyBackend wraps a Backend that also supports the bulk surface and
-// counts how the fleet reaches it: batched deploys vs. single deploys.
+// batchSpyBackend wraps a Member and counts how the fleet reaches it:
+// batched deploys vs. single deploys.
 type batchSpyBackend struct {
-	Backend
-	bb           BatchBackend
+	Member
 	batchCalls   atomic.Int64
 	batchSources atomic.Int64
 	soloCalls    atomic.Int64
 }
 
 func newBatchSpy(ct *controlplane.Controller) *batchSpyBackend {
-	lb := Local(ct)
-	return &batchSpyBackend{Backend: lb, bb: lb}
+	return &batchSpyBackend{Member: Local(ct)}
 }
 
-func (b *batchSpyBackend) Deploy(src string) ([]wire.DeployResult, error) {
+func (b *batchSpyBackend) Deploy(ctx context.Context, src string) ([]wire.DeployResult, error) {
 	b.soloCalls.Add(1)
-	return b.Backend.Deploy(src)
+	return b.Member.Deploy(ctx, src)
 }
 
-func (b *batchSpyBackend) DeployBatch(sources []string, atomic bool) (wire.DeployBatchResult, error) {
+func (b *batchSpyBackend) DeployBatch(ctx context.Context, sources []string, atomic bool) (wire.DeployBatchResult, error) {
 	b.batchCalls.Add(1)
 	b.batchSources.Add(int64(len(sources)))
-	return b.bb.DeployBatch(sources, atomic)
-}
-
-func (b *batchSpyBackend) WriteMemoryBatch(program, mem string, writes []wire.MemWriteEntry) (int, error) {
-	return b.bb.WriteMemoryBatch(program, mem, writes)
+	return b.Member.DeployBatch(ctx, sources, atomic)
 }
 
 // TestReconcileBatchesDeploys: a member death orphaning several units costs
@@ -729,7 +731,7 @@ func (b *batchSpyBackend) WriteMemoryBatch(program, mem string, writes []wire.Me
 // not one Deploy per unit.
 func TestReconcileBatchesDeploys(t *testing.T) {
 	f := New(Options{Policy: ReplicateK{K: 1}, DownAfter: 1})
-	flaky := &flakyBackend{Backend: Local(newLocalMember(t))}
+	flaky := &flakyBackend{Member: Local(newLocalMember(t))}
 	if err := f.AddMember("m1", flaky); err != nil {
 		t.Fatal(err)
 	}
@@ -775,17 +777,25 @@ func TestReconcileBatchesDeploys(t *testing.T) {
 	}
 }
 
+// batchFailBackend is a member whose bulk write always fails.
+type batchFailBackend struct{ Member }
+
+func (batchFailBackend) WriteMemoryBatch(context.Context, string, string, []wire.MemWriteEntry) (int, error) {
+	return 0, errFlaky
+}
+
 // TestFleetMemWriteBatch: the bulk write fans out to every live replica
-// and every bucket lands; a replica without the bulk surface still gets
-// the writes one by one.
+// and every bucket lands; a replica whose batch fails is charged the
+// failure without failing the call or disturbing the other replica.
 func TestFleetMemWriteBatch(t *testing.T) {
-	f := New(Options{Policy: ReplicateK{K: 2}})
-	cts := []*controlplane.Controller{newLocalMember(t), newLocalMember(t)}
-	if err := f.AddMember("m1", Local(cts[0])); err != nil {
-		t.Fatal(err)
+	f := New(Options{Policy: ReplicateK{K: 3}})
+	cts := []*controlplane.Controller{newLocalMember(t), newLocalMember(t), newLocalMember(t)}
+	for i, ct := range cts[:2] {
+		if err := f.AddMember(memberName(i), Local(ct)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// m2's backend hides the bulk surface: the fan-out must fall back.
-	if err := f.AddMember("m2", struct{ Backend }{Local(cts[1])}); err != nil {
+	if err := f.AddMember("m3", batchFailBackend{Local(cts[2])}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Deploy(counterSrc, 0); err != nil {
@@ -795,12 +805,22 @@ func TestFleetMemWriteBatch(t *testing.T) {
 	if err := f.MemWriteBatch("counter", "m", writes); err != nil {
 		t.Fatal(err)
 	}
-	for i, ct := range cts {
+	for i, ct := range cts[:2] {
 		for _, w := range writes {
 			if v, err := ct.ReadMemory("counter", "m", w.Addr); err != nil || v != w.Value {
 				t.Errorf("member %d bucket %d = %d, %v (want %d)", i+1, w.Addr, v, err, w.Value)
 			}
 		}
+	}
+	if v, err := cts[2].ReadMemory("counter", "m", 1); err != nil || v != 0 {
+		t.Errorf("failing member bucket 1 = %d, %v (want untouched)", v, err)
+	}
+	m3, _ := f.member("m3")
+	f.mu.Lock()
+	fails, lastErr := m3.consecFails, m3.lastErr
+	f.mu.Unlock()
+	if fails != 1 || !errors.Is(lastErr, errFlaky) {
+		t.Errorf("batch failure not charged to m3: fails=%d err=%v", fails, lastErr)
 	}
 	if err := f.MemWriteBatch("ghost", "m", writes); err == nil {
 		t.Error("write to unknown unit accepted")

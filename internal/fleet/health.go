@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"time"
@@ -100,7 +101,7 @@ func (f *Fleet) probe(m *member) {
 	}
 	ch := make(chan res, 1)
 	go func() {
-		rows, err := m.b.Utilization()
+		rows, err := m.b.Utilization(context.Background())
 		ch <- res{rows, err}
 	}()
 	var r res

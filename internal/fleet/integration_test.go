@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -68,7 +69,7 @@ func TestFleetFailoverOverWire(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		srv, c := startWireMember(t)
 		servers[i] = srv
-		if err := f.AddMember(memberName(i), c); err != nil {
+		if err := f.AddMember(memberName(i), Remote(c)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,7 +131,7 @@ func TestFleetFailoverOverWire(t *testing.T) {
 	after, _ := f.store.Resolve("counter")
 	for _, name := range after.Members {
 		m, _ := f.member(name)
-		infos, err := m.b.Programs()
+		infos, err := m.b.Programs(context.Background())
 		if err != nil || len(infos) != 1 || infos[0].Name != "counter" {
 			t.Errorf("survivor %s listing = %+v, %v", name, infos, err)
 		}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"sort"
 	"strconv"
 	"time"
@@ -28,9 +29,9 @@ func (f *Fleet) reconcileLoop() {
 
 // deployIntent is one deferred unit deployment queued against a member
 // during a reconcile pass. All of a member's intents flush as a single
-// batched deploy (deploy.batch on BatchBackend members), so failing over
-// hundreds of units to a survivor costs one round trip, not hundreds. ok
-// is set by flushDeploys when the deploy landed.
+// batched deploy (one deploy.batch), so failing over hundreds of units to
+// a survivor costs one round trip, not hundreds. ok is set by flushDeploys
+// when the deploy landed.
 type deployIntent struct {
 	unitKey  string
 	source   string
@@ -66,6 +67,7 @@ type deployIntent struct {
 func (f *Fleet) Reconcile() {
 	f.intentMu.Lock()
 	defer f.intentMu.Unlock()
+	ctx := context.Background()
 	start := time.Now()
 	f.m.cReconcileRuns.Inc()
 
@@ -83,7 +85,7 @@ func (f *Fleet) Reconcile() {
 		if !ok || f.stateOf(m) != Healthy {
 			continue
 		}
-		infos, err := m.b.Programs()
+		infos, err := m.b.Programs(ctx)
 		if err != nil {
 			f.noteFailure(m, err)
 			continue
@@ -151,7 +153,7 @@ func (f *Fleet) Reconcile() {
 			}
 			for _, p := range u.Programs {
 				if l.programs[p] {
-					f.revokeUnitOn(name, []string{p})
+					f.revokeUnitOn(ctx, name, []string{p})
 					delete(l.programs, p)
 				}
 			}
@@ -235,7 +237,7 @@ func (f *Fleet) Reconcile() {
 	}
 	sort.Strings(flushTo)
 	for _, name := range flushTo {
-		f.flushDeploys(name, intents[name])
+		f.flushDeploys(ctx, name, intents[name])
 	}
 
 	// Record membership from what actually landed.
@@ -262,7 +264,7 @@ func (f *Fleet) Reconcile() {
 		f.store.SetMembers(pl.u.Key, assigned)
 	}
 	if len(placed) > 0 {
-		f.refreshUtil(placed)
+		f.refreshUtil(ctx, placed)
 	}
 
 	// Orphan sweep against the updated assignments.
@@ -272,7 +274,7 @@ func (f *Fleet) Reconcile() {
 			if !ok || u.hasMember(name) {
 				continue
 			}
-			f.revokeUnitOn(name, []string{p})
+			f.revokeUnitOn(ctx, name, []string{p})
 			f.m.cReconcileRevokes.Inc()
 			f.log.Infof("fleet: revoked orphan %s from %s", p, name)
 			f.flightEvent(trace.EvReconcile, p, "revoked orphan from "+name)
@@ -281,43 +283,33 @@ func (f *Fleet) Reconcile() {
 	f.m.hReconcileNs.ObserveDuration(time.Since(start))
 }
 
-// flushDeploys issues one member's queued deploys: a single non-atomic
-// deploy.batch when the backend supports it, else one Deploy per intent.
-// Per-unit failures mark only that intent; a transport-level batch failure
-// leaves every intent unplaced and is charged against the member's health.
-func (f *Fleet) flushDeploys(name string, its []*deployIntent) {
+// flushDeploys issues one member's queued deploys as a single non-atomic
+// deploy.batch. Per-unit failures mark only that intent; a transport-level
+// batch failure leaves every intent unplaced and is charged against the
+// member's health.
+func (f *Fleet) flushDeploys(ctx context.Context, name string, its []*deployIntent) {
 	m, ok := f.member(name)
 	if !ok {
 		return
 	}
-	if bb, ok := m.b.(BatchBackend); ok {
-		sources := make([]string, len(its))
-		for i, it := range its {
-			sources[i] = it.source
-		}
-		res, err := bb.DeployBatch(sources, false)
-		if err != nil {
-			f.log.Errorf("fleet: batch deploy of %d unit(s) on %s: %v", len(its), name, err)
-			f.noteFailure(m, err)
-			return
-		}
-		for i, item := range res.Items {
-			if i >= len(its) {
-				break
-			}
-			if item.Error != "" {
-				f.log.Errorf("fleet: deploy %s on %s: %s", its[i].unitKey, name, item.Error)
-				continue
-			}
-			its[i].ok = true
-		}
+	sources := make([]string, len(its))
+	for i, it := range its {
+		sources[i] = it.source
+	}
+	res, err := m.b.DeployBatch(ctx, sources, false)
+	if err != nil {
+		f.log.Errorf("fleet: batch deploy of %d unit(s) on %s: %v", len(its), name, err)
+		f.noteFailure(m, err)
 		return
 	}
-	for _, it := range its {
-		if _, err := m.b.Deploy(it.source); err != nil {
-			f.log.Errorf("fleet: deploy %s on %s: %v", it.unitKey, name, err)
+	for i, item := range res.Items {
+		if i >= len(its) {
+			break
+		}
+		if item.Error != "" {
+			f.log.Errorf("fleet: deploy %s on %s: %s", its[i].unitKey, name, item.Error)
 			continue
 		}
-		it.ok = true
+		its[i].ok = true
 	}
 }

@@ -58,30 +58,12 @@ func (f *Fleet) flightEvent(kind, name, detail string) {
 	f.flight.Record(trace.Event{Kind: kind, Name: name, Detail: detail})
 }
 
-// OpsBackend is the optional trace-inspection surface of a member:
-// backends whose daemon runs a tracer answer debug.ops, so the fleet can
-// merge the member-side halves of distributed traces into its own view.
-// Checked by type assertion like TelemetryBackend.
-type OpsBackend interface {
-	DebugOps(p wire.OpsParams) (wire.OpsResult, error)
-}
-
-var _ OpsBackend = (*wire.Client)(nil)
-
 // Ops returns the fleet-merged trace listing: the aggregator's own traces
 // with each member's same-ID halves merged in, newest first. Members that
 // are down, fail the call, or run without a tracer contribute nothing —
 // inspection degrades, it never fails.
 func (f *Fleet) Ops(p wire.OpsParams) wire.OpsResult {
-	var own []trace.TraceSnap
-	if p.Slow {
-		own = f.tracer.Slowest(p.Verb)
-		if p.Limit > 0 && len(own) > p.Limit {
-			own = own[:p.Limit]
-		}
-	} else {
-		own = f.tracer.Recent(p.Limit)
-	}
+	own := wire.TraceSnaps(f.tracer, p)
 
 	// Fetch member-side halves once, indexed by trace ID.
 	remote := make(map[trace.TraceID][]trace.TraceSnap)
@@ -93,11 +75,7 @@ func (f *Fleet) Ops(p wire.OpsParams) wire.OpsResult {
 		if !ok || f.stateOf(m) == Down {
 			continue
 		}
-		ob, ok := m.b.(OpsBackend)
-		if !ok {
-			continue
-		}
-		res, err := ob.DebugOps(wire.OpsParams{Limit: p.Limit})
+		res, err := m.b.DebugOps(context.Background(), wire.OpsParams{Limit: p.Limit})
 		if err != nil {
 			continue
 		}

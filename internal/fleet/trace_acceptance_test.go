@@ -53,7 +53,7 @@ func TestDistributedTraceAcrossFleetTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { mc.Close() })
-		if err := f.AddMember(memberName(i), mc); err != nil {
+		if err := f.AddMember(memberName(i), Remote(mc)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,6 @@
 // Health-gated rolling upgrades. Fleet.Upgrade drives one deployment
 // unit's members through the per-switch versioned-upgrade state machine
-// (internal/upgrade, reached through the UpgradeBackend surface): every
+// (internal/upgrade, reached through Member's Upgrade* verbs): every
 // member prepares v2 next to its running v1, canaries cut over first and
 // soak under live traffic, and the remaining members follow in bounded
 // waves only while the health gates hold. A gate regression rolls every
@@ -16,6 +16,7 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"sync"
@@ -70,7 +71,6 @@ func (o UpgradeOptions) withDefaults() UpgradeOptions {
 // upgradeMember is one member's rollout-local record.
 type upgradeMember struct {
 	m        *member
-	ub       UpgradeBackend
 	prepared bool
 	cutover  bool
 	before   wire.UpgradeStatusResult // health-window baseline sample
@@ -104,6 +104,7 @@ func retryUpgradeCall(opt UpgradeOptions, call func() (wire.UpgradeStatusResult,
 // failed.
 func (f *Fleet) Upgrade(name, v2src string, opt UpgradeOptions) (wire.FleetUpgradeResult, error) {
 	opt = opt.withDefaults()
+	ctx := context.Background()
 	f.intentMu.Lock()
 	defer f.intentMu.Unlock()
 
@@ -147,24 +148,19 @@ func (f *Fleet) Upgrade(name, v2src string, opt UpgradeOptions) (wire.FleetUpgra
 				pin(mn)
 				continue
 			}
-			ub, ok := m.b.(UpgradeBackend)
-			if !ok {
-				pin(mn)
-				continue
-			}
 			spawned[i] = true
 			wg.Add(1)
-			go func(i int, mn string, m *member, ub UpgradeBackend) {
+			go func(i int, mn string, m *member) {
 				defer wg.Done()
 				if _, err := retryUpgradeCall(opt, func() (wire.UpgradeStatusResult, error) {
-					return ub.UpgradeStart(program, v2src)
+					return m.b.UpgradeStart(ctx, program, v2src)
 				}); err != nil {
 					f.log.Errorf("fleet: upgrade prepare %s on %s: %v", program, mn, err)
 					f.noteFailure(m, err)
 					return
 				}
-				slots[i] = &upgradeMember{m: m, ub: ub, prepared: true}
-			}(i, mn, m, ub)
+				slots[i] = &upgradeMember{m: m, prepared: true}
+			}(i, mn, m)
 		}
 		wg.Wait()
 		for i, mn := range u.Members {
@@ -186,11 +182,11 @@ func (f *Fleet) Upgrade(name, v2src string, opt UpgradeOptions) (wire.FleetUpgra
 	rollbackAll := func(reason string) wire.FleetUpgradeResult {
 		for _, um := range rollout {
 			if um.cutover {
-				if _, err := um.ub.UpgradeCutover(program, 1); err != nil {
+				if _, err := um.m.b.UpgradeCutover(ctx, program, 1); err != nil {
 					f.log.Errorf("fleet: rollback cutover %s on %s: %v", program, um.m.name, err)
 				}
 			}
-			if _, err := um.ub.UpgradeAbort(program); err != nil {
+			if _, err := um.m.b.UpgradeAbort(ctx, program); err != nil {
 				f.log.Errorf("fleet: rollback abort %s on %s: %v", program, um.m.name, err)
 			}
 		}
@@ -230,15 +226,15 @@ func (f *Fleet) Upgrade(name, v2src string, opt UpgradeOptions) (wire.FleetUpgra
 				go func(i int, um *upgradeMember) {
 					defer wg.Done()
 					st, err := retryUpgradeCall(opt, func() (wire.UpgradeStatusResult, error) {
-						return um.ub.UpgradeCutover(program, 2)
+						return um.m.b.UpgradeCutover(ctx, program, 2)
 					})
 					if err != nil {
 						// The member may or may not have flipped; force it back
 						// to v1 best-effort rather than failing the wave.
 						f.log.Errorf("fleet: cutover %s on %s: %v", program, um.m.name, err)
 						f.noteFailure(um.m, err)
-						um.ub.UpgradeCutover(program, 1) //nolint:errcheck // best-effort
-						um.ub.UpgradeAbort(program)      //nolint:errcheck // best-effort
+						um.m.b.UpgradeCutover(ctx, program, 1) //nolint:errcheck // best-effort
+						um.m.b.UpgradeAbort(ctx, program)      //nolint:errcheck // best-effort
 						um.prepared = false
 						return
 					}
@@ -281,7 +277,7 @@ func (f *Fleet) Upgrade(name, v2src string, opt UpgradeOptions) (wire.FleetUpgra
 			go func(i int, um *upgradeMember) {
 				defer wg.Done()
 				afters[i], errs[i] = retryUpgradeCall(opt, func() (wire.UpgradeStatusResult, error) {
-					return um.ub.UpgradeStatus(program)
+					return um.m.b.UpgradeStatus(ctx, program)
 				})
 			}(i, um)
 		}
@@ -311,11 +307,11 @@ func (f *Fleet) Upgrade(name, v2src string, opt UpgradeOptions) (wire.FleetUpgra
 			go func(i int, um *upgradeMember) {
 				defer wg.Done()
 				if _, err := retryUpgradeCall(opt, func() (wire.UpgradeStatusResult, error) {
-					return um.ub.UpgradeCommit(program)
+					return um.m.b.UpgradeCommit(ctx, program)
 				}); err != nil {
 					f.log.Errorf("fleet: commit %s on %s: %v", program, um.m.name, err)
-					um.ub.UpgradeCutover(program, 1) //nolint:errcheck // best-effort
-					um.ub.UpgradeAbort(program)      //nolint:errcheck // best-effort
+					um.m.b.UpgradeCutover(ctx, program, 1) //nolint:errcheck // best-effort
+					um.m.b.UpgradeAbort(ctx, program)      //nolint:errcheck // best-effort
 					return
 				}
 				committed[i] = true

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"p4runpro/internal/controlplane"
 	"p4runpro/internal/pkt"
+	"p4runpro/internal/wire"
 )
 
 // counterV2Src upgrades counterSrc's semantics: +2 per packet instead of +1.
@@ -156,12 +158,17 @@ func ctMemSum(t *testing.T, ct *controlplane.Controller) uint64 {
 	return s
 }
 
-// noUpgradeBackend hides the upgrade surface of a member — the graceful-
-// degradation case of a fleet mixing upgrade-capable and legacy members.
-type noUpgradeBackend struct{ Backend }
+// noUpgradeBackend is a member that refuses to prepare an upgrade — the
+// graceful-degradation case of a fleet mixing upgrade-capable and legacy
+// members.
+type noUpgradeBackend struct{ Member }
 
-// TestFleetUpgradePinsUnavailableMembers: a down member and a member whose
-// backend cannot upgrade are pinned to v1; the reachable members still
+func (noUpgradeBackend) UpgradeStart(context.Context, string, string) (wire.UpgradeStatusResult, error) {
+	return wire.UpgradeStatusResult{}, errors.New("unknown method \"upgrade.start\"")
+}
+
+// TestFleetUpgradePinsUnavailableMembers: a down member and a member that
+// cannot upgrade are pinned to v1; the reachable members still
 // commit, and the advanced desired source lets reconciliation converge the
 // pinned ones later.
 func TestFleetUpgradePinsUnavailableMembers(t *testing.T) {

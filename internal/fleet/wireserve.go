@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"log"
 	"time"
 
@@ -14,37 +13,25 @@ import (
 // subcommands. Deploy and revoke thread the request context through, so
 // a traced request's span tree extends into the fan-out.
 func RegisterWire(s *wire.Server, f *Fleet) {
-	s.Handle(wire.MethodFleetDeploy, func(ctx context.Context, params json.RawMessage) (any, error) {
-		var p wire.FleetDeployParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
+	wire.Handle(s, wire.MethodFleetDeploy, func(ctx context.Context, p wire.FleetDeployParams) ([]wire.FleetDeployResult, error) {
 		return f.DeployCtx(ctx, p.Source, p.Replicas)
 	})
-	s.Handle(wire.MethodFleetRevoke, func(ctx context.Context, params json.RawMessage) (any, error) {
-		var p wire.FleetRevokeParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
+	wire.Handle(s, wire.MethodFleetRevoke, func(ctx context.Context, p wire.FleetRevokeParams) (wire.FleetRevokeResult, error) {
 		return f.RevokeCtx(ctx, p.Name)
 	})
-	s.Handle(wire.MethodFleetPrograms, func(context.Context, json.RawMessage) (any, error) {
+	wire.Handle(s, wire.MethodFleetPrograms, func(context.Context, struct{}) ([]wire.FleetProgramInfo, error) {
 		return f.Programs(), nil
 	})
-	s.Handle(wire.MethodFleetMembers, func(context.Context, json.RawMessage) (any, error) {
+	wire.Handle(s, wire.MethodFleetMembers, func(context.Context, struct{}) ([]wire.FleetMemberInfo, error) {
 		return f.Members(), nil
 	})
-	s.Handle(wire.MethodFleetUtilization, func(context.Context, json.RawMessage) (any, error) {
+	wire.Handle(s, wire.MethodFleetUtilization, func(context.Context, struct{}) ([]wire.FleetUtilRow, error) {
 		return f.Utilization(), nil
 	})
-	s.Handle(wire.MethodFleetTop, func(context.Context, json.RawMessage) (any, error) {
+	wire.Handle(s, wire.MethodFleetTop, func(context.Context, struct{}) (wire.TelemetryProgramsResult, error) {
 		return f.Top(), nil
 	})
-	s.Handle(wire.MethodFleetUpgrade, func(_ context.Context, params json.RawMessage) (any, error) {
-		var p wire.FleetUpgradeParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
+	wire.Handle(s, wire.MethodFleetUpgrade, func(_ context.Context, p wire.FleetUpgradeParams) (wire.FleetUpgradeResult, error) {
 		return f.Upgrade(p.Name, p.Source, UpgradeOptions{
 			Canaries: p.Canaries, StageSize: p.StageSize,
 			Soak:        time.Duration(p.SoakMs) * time.Millisecond,
@@ -52,23 +39,13 @@ func RegisterWire(s *wire.Server, f *Fleet) {
 			Retries: p.Retries, RetryBackoff: time.Duration(p.RetryBackoffMs) * time.Millisecond,
 		})
 	})
-	s.Handle(wire.MethodFleetMemRead, func(_ context.Context, params json.RawMessage) (any, error) {
-		var p wire.FleetMemReadParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
+	wire.Handle(s, wire.MethodFleetMemRead, func(_ context.Context, p wire.FleetMemReadParams) (wire.FleetMemReadResult, error) {
 		return f.MemRead(p.Program, p.Mem, p.Addr, p.Count, p.Agg)
 	})
-	s.Handle(wire.MethodFleetOps, func(_ context.Context, params json.RawMessage) (any, error) {
-		var p wire.OpsParams
-		if len(params) > 0 {
-			if err := json.Unmarshal(params, &p); err != nil {
-				return nil, err
-			}
-		}
+	wire.Handle(s, wire.MethodFleetOps, func(_ context.Context, p wire.OpsParams) (wire.OpsResult, error) {
 		return f.Ops(p), nil
 	})
-	s.Handle(wire.MethodStatus, func(context.Context, json.RawMessage) (any, error) {
+	wire.Handle(s, wire.MethodStatus, func(context.Context, struct{}) (string, error) {
 		return f.String(), nil
 	})
 }

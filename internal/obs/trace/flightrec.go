@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"strconv"
-	"sync/atomic"
+	"sync"
 	"time"
 )
 
@@ -14,7 +14,7 @@ import (
 // than formatting new ones on the hot path.
 type Event struct {
 	At     int64         // unix nanoseconds; stamped by Record when zero
-	Kind   string        // e.g. "deploy", "revoke", "cutover", "reconcile", "journal.sync", "health", "boot"
+	Kind   string        // one of the Ev* kinds below
 	Name   string        // subject: program, member, unit
 	Detail string        // short free-form qualifier
 	Dur    time.Duration // operation duration, if timed
@@ -33,22 +33,20 @@ const (
 	EvHealth      = "health"
 	EvBoot        = "boot"
 	EvMemWrite    = "memwrite"
+	EvCase        = "case"
+	EvMcast       = "mcast"
 )
 
 // FlightRecorder is a fixed-size ring of recent control-plane events with
-// zero steady-state allocations: slots are preallocated, writers claim a
-// slot with an atomic counter, and a per-slot sequence lock keeps dump-time
-// readers from observing torn writes. A writer that loses the (rare) race
-// for a recycled slot drops its event rather than blocking.
+// zero steady-state allocations: the ring is preallocated and one mutex
+// orders writers against dump-time readers. Control-plane events are rare
+// (one per operation), so the lock is uncontended in practice, and an
+// Event — four string headers — is not something a lock-free copy can
+// publish without a data race.
 type FlightRecorder struct {
-	slots   []eslot
-	head    atomic.Uint64
-	dropped atomic.Uint64
-}
-
-type eslot struct {
-	seq atomic.Uint64 // even = stable, odd = being written
-	ev  Event
+	mu    sync.Mutex
+	slots []Event
+	head  uint64 // events recorded since creation; next slot is head % len(slots)
 }
 
 // NewFlightRecorder returns a recorder holding the last n events
@@ -57,11 +55,11 @@ func NewFlightRecorder(n int) *FlightRecorder {
 	if n <= 0 {
 		n = 512
 	}
-	return &FlightRecorder{slots: make([]eslot, n)}
+	return &FlightRecorder{slots: make([]Event, n)}
 }
 
-// Record appends ev to the ring. Safe for concurrent use; never blocks and
-// never allocates. A nil recorder discards the event.
+// Record appends ev to the ring. Safe for concurrent use; never allocates.
+// A nil recorder discards the event.
 func (r *FlightRecorder) Record(ev Event) {
 	if r == nil {
 		return
@@ -69,53 +67,32 @@ func (r *FlightRecorder) Record(ev Event) {
 	if ev.At == 0 {
 		ev.At = time.Now().UnixNano()
 	}
-	i := r.head.Add(1) - 1
-	s := &r.slots[i%uint64(len(r.slots))]
-	seq := s.seq.Load()
-	if seq%2 != 0 || !s.seq.CompareAndSwap(seq, seq+1) {
-		// Another writer lapped the ring into this slot mid-write.
-		r.dropped.Add(1)
-		return
-	}
-	s.ev = ev
-	s.seq.Store(seq + 2)
+	r.mu.Lock()
+	r.slots[r.head%uint64(len(r.slots))] = ev
+	r.head++
+	r.mu.Unlock()
 }
 
-// Dropped reports how many events were lost to slot contention.
-func (r *FlightRecorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.dropped.Load()
-}
+// Dropped reports how many events were lost before reaching the ring.
+// Record never loses one, so it is always zero; the accessor stays because
+// the dump and the debug.flightrec result carry the field.
+func (r *FlightRecorder) Dropped() uint64 { return 0 }
 
 // Events returns the buffered events, oldest first.
 func (r *FlightRecorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	n := uint64(len(r.slots))
-	head := r.head.Load()
 	start := uint64(0)
-	if head > n {
-		start = head - n
+	if r.head > n {
+		start = r.head - n
 	}
-	out := make([]Event, 0, head-start)
-	for i := start; i < head; i++ {
-		s := &r.slots[i%n]
-		for tries := 0; tries < 4; tries++ {
-			seq := s.seq.Load()
-			if seq%2 != 0 {
-				continue
-			}
-			ev := s.ev
-			if s.seq.Load() == seq {
-				if ev.At != 0 {
-					out = append(out, ev)
-				}
-				break
-			}
-		}
+	out := make([]Event, 0, r.head-start)
+	for i := start; i < r.head; i++ {
+		out = append(out, r.slots[i%n])
 	}
 	return out
 }

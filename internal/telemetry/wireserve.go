@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
 
 	"p4runpro/internal/wire"
 )
@@ -10,18 +9,12 @@ import (
 // RegisterWire attaches the telemetry.* verbs to a wire server, making the
 // sweep engine drivable by wire.Client's Telemetry* methods and
 // cmd/p4rpctl's top/trace subcommands. Mirrors fleet.RegisterWire: the
-// handlers attach through Handle so wire never imports telemetry.
+// handlers attach through wire.Handle so wire never imports telemetry.
 func RegisterWire(s *wire.Server, e *Engine) {
-	s.Handle(wire.MethodTelemetryPrograms, func(context.Context, json.RawMessage) (any, error) {
+	wire.Handle(s, wire.MethodTelemetryPrograms, func(context.Context, struct{}) (wire.TelemetryProgramsResult, error) {
 		return e.Result(), nil
 	})
-	s.Handle(wire.MethodTelemetryPostcards, func(_ context.Context, params json.RawMessage) (any, error) {
-		var p wire.TelemetryPostcardsParams
-		if len(params) > 0 {
-			if err := json.Unmarshal(params, &p); err != nil {
-				return nil, err
-			}
-		}
+	wire.Handle(s, wire.MethodTelemetryPostcards, func(_ context.Context, p wire.TelemetryPostcardsParams) (wire.TelemetryPostcardsResult, error) {
 		return e.Postcards(p.Owner, p.Limit), nil
 	})
 }

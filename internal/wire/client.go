@@ -91,7 +91,7 @@ func WithDialTimeout(d time.Duration) ClientOption {
 // WithTracer records a client-side span per call into tr and stamps the
 // span context into each request's "tr" field, so client and server halves
 // stitch into one distributed trace. Calls whose context already carries a
-// span (the Ctx variants) join that trace instead of starting fresh roots.
+// span join that trace instead of starting fresh roots.
 func WithTracer(tr *trace.Tracer) ClientOption {
 	return func(c *Client) { c.tracer = tr }
 }
@@ -117,7 +117,7 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 }
 
 // connect (re)establishes the TCP session. Caller must not hold c.mu when
-// calling from Dial; call() invokes it with the lock held.
+// calling from Dial; Do invokes it with the lock held.
 func (c *Client) connect() error {
 	conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
 	if err != nil {
@@ -140,29 +140,15 @@ func (c *Client) Close() error {
 	return err
 }
 
-// call performs one RPC round trip, reconnecting and retrying transport
-// failures when a retry policy is set.
-func (c *Client) call(method string, params, result any) error {
-	_, err := c.callFramesCtx(context.Background(), method, params, result, nil)
-	return err
-}
-
-// callCtx is call joining the trace carried by ctx, if any.
-func (c *Client) callCtx(ctx context.Context, method string, params, result any) error {
-	_, err := c.callFramesCtx(ctx, method, params, result, nil)
-	return err
-}
-
-// callFrames is call with binary frames attached to the request and
-// returned from the response (the bulk verbs).
-func (c *Client) callFrames(method string, params, result any, reqFrames [][]byte) ([][]byte, error) {
-	return c.callFramesCtx(context.Background(), method, params, result, reqFrames)
-}
-
-// callFramesCtx performs one RPC with request frames under the trace
-// carried by ctx. Retry semantics: only transport failures reconnect and
-// retry; a server-reported *OpError never does.
-func (c *Client) callFramesCtx(ctx context.Context, method string, params, result any, reqFrames [][]byte) ([][]byte, error) {
+// Do performs one RPC round trip — the single entry every typed method
+// goes through, and the escape hatch for verbs without one. ctx carries
+// the caller's trace, if any; params (nil for none) is marshalled into the
+// request and the response's result unmarshalled into result (nil to
+// discard it); reqFrames travel as binary frames behind the request line,
+// and the frames the response carried are returned. Transport failures
+// reconnect and retry when a retry policy is set; a server-reported
+// *OpError never does.
+func (c *Client) Do(ctx context.Context, method string, params, result any, reqFrames ...[]byte) ([][]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	attempts := 1
@@ -190,6 +176,14 @@ func (c *Client) callFramesCtx(ctx context.Context, method string, params, resul
 		c.conn = nil
 	}
 	return nil, err
+}
+
+// Call is Do for a verb answering with one typed result and no frames —
+// the shape of nearly every verb, so each typed method is one line over it.
+func Call[R any](ctx context.Context, c *Client, method string, params any) (R, error) {
+	var out R
+	_, err := c.Do(ctx, method, params, &out)
+	return out, err
 }
 
 // startCallSpan opens the client-side span for one call attempt: a child
@@ -306,266 +300,176 @@ func (c *Client) Deploy(source string) ([]DeployResult, error) {
 
 // DeployCtx is Deploy under the trace carried by ctx.
 func (c *Client) DeployCtx(ctx context.Context, source string) ([]DeployResult, error) {
-	var out []DeployResult
-	err := c.callCtx(ctx, MethodDeploy, DeployParams{Source: source}, &out)
-	return out, err
+	return Call[[]DeployResult](ctx, c, MethodDeploy, DeployParams{Source: source})
 }
 
 // Revoke unlinks a remote program.
 func (c *Client) Revoke(name string) (RevokeResult, error) {
-	return c.RevokeCtx(context.Background(), name)
-}
-
-// RevokeCtx is Revoke under the trace carried by ctx.
-func (c *Client) RevokeCtx(ctx context.Context, name string) (RevokeResult, error) {
-	var out RevokeResult
-	err := c.callCtx(ctx, MethodRevoke, RevokeParams{Name: name}, &out)
-	return out, err
+	return Call[RevokeResult](context.Background(), c, MethodRevoke, RevokeParams{Name: name})
 }
 
 // Programs lists remote programs.
 func (c *Client) Programs() ([]ProgramInfo, error) {
-	var out []ProgramInfo
-	err := c.call(MethodPrograms, nil, &out)
-	return out, err
+	return Call[[]ProgramInfo](context.Background(), c, MethodPrograms, nil)
 }
 
 // ReadMemory reads a remote virtual memory range.
 func (c *Client) ReadMemory(program, mem string, addr, count uint32) ([]uint32, error) {
-	var out []uint32
-	err := c.call(MethodMemRead, MemReadParams{Program: program, Mem: mem, Addr: addr, Count: count}, &out)
-	return out, err
+	return Call[[]uint32](context.Background(), c, MethodMemRead, MemReadParams{Program: program, Mem: mem, Addr: addr, Count: count})
 }
 
 // WriteMemory writes one remote bucket.
 func (c *Client) WriteMemory(program, mem string, addr, value uint32) error {
-	return c.call(MethodMemWrite, MemWriteParams{Program: program, Mem: mem, Addr: addr, Value: value}, nil)
+	_, err := c.Do(context.Background(), MethodMemWrite, MemWriteParams{Program: program, Mem: mem, Addr: addr, Value: value}, nil)
+	return err
 }
 
 // Utilization fetches per-RPB usage.
 func (c *Client) Utilization() ([]UtilizationRow, error) {
-	var out []UtilizationRow
-	err := c.call(MethodUtilization, nil, &out)
-	return out, err
+	return Call[[]UtilizationRow](context.Background(), c, MethodUtilization, nil)
 }
 
 // Inject sends one frame through the remote switch.
 func (c *Client) Inject(frame []byte, port int) (InjectResult, error) {
-	var out InjectResult
-	err := c.call(MethodInject, InjectParams{FrameHex: hex.EncodeToString(frame), Port: port}, &out)
-	return out, err
+	return Call[InjectResult](context.Background(), c, MethodInject, InjectParams{FrameHex: hex.EncodeToString(frame), Port: port})
 }
 
 // Status fetches the controller status line.
 func (c *Client) Status() (string, error) {
-	var out string
-	err := c.call(MethodStatus, nil, &out)
-	return out, err
+	return Call[string](context.Background(), c, MethodStatus, nil)
 }
 
 // AddCases extends a running remote program's BRANCH with new case blocks.
 func (c *Client) AddCases(program string, branchDepth int, source string) (AddCasesResult, error) {
-	var out AddCasesResult
-	err := c.call(MethodAddCases, AddCasesParams{Program: program, BranchDepth: branchDepth, Source: source}, &out)
-	return out, err
+	return Call[AddCasesResult](context.Background(), c, MethodAddCases, AddCasesParams{Program: program, BranchDepth: branchDepth, Source: source})
 }
 
 // RemoveCase removes a runtime-added case from a remote program.
 func (c *Client) RemoveCase(program string, branchID int) error {
-	return c.call(MethodRemoveCase, RemoveCaseParams{Program: program, BranchID: branchID}, nil)
+	_, err := c.Do(context.Background(), MethodRemoveCase, RemoveCaseParams{Program: program, BranchID: branchID}, nil)
+	return err
 }
 
 // Metrics scrapes the daemon's metrics registry. format is
 // MetricsFormatPrometheus (the default when empty) or MetricsFormatJSON;
 // the returned string is the rendered exposition body.
 func (c *Client) Metrics(format string) (string, error) {
-	var out MetricsResult
-	err := c.call(MethodMetrics, MetricsParams{Format: format}, &out)
+	out, err := Call[MetricsResult](context.Background(), c, MethodMetrics, MetricsParams{Format: format})
 	return out.Body, err
 }
 
 // SetMulticastGroup configures a remote multicast replication group.
 func (c *Client) SetMulticastGroup(group int, ports []int) error {
-	return c.call(MethodMcastSet, McastSetParams{Group: group, Ports: ports}, nil)
+	_, err := c.Do(context.Background(), MethodMcastSet, McastSetParams{Group: group, Ports: ports}, nil)
+	return err
 }
 
 // Snapshot asks the daemon to commit a write-ahead journal snapshot and
 // compact its segments. Fails if the daemon runs without -wal.
 func (c *Client) Snapshot() (SnapshotResult, error) {
-	var out SnapshotResult
-	err := c.call(MethodSnapshot, nil, &out)
-	return out, err
+	return Call[SnapshotResult](context.Background(), c, MethodSnapshot, nil)
 }
 
 // UpgradeStart links program's v2 source alongside the running v1 on the
 // remote switch and installs the version gate (still serving v1).
 func (c *Client) UpgradeStart(program, source string) (UpgradeStatusResult, error) {
-	return c.UpgradeStartCtx(context.Background(), program, source)
-}
-
-// UpgradeStartCtx is UpgradeStart under the trace carried by ctx.
-func (c *Client) UpgradeStartCtx(ctx context.Context, program, source string) (UpgradeStatusResult, error) {
-	var out UpgradeStatusResult
-	err := c.callCtx(ctx, MethodUpgradeStart, UpgradeStartParams{Program: program, Source: source}, &out)
-	return out, err
+	return Call[UpgradeStatusResult](context.Background(), c, MethodUpgradeStart, UpgradeStartParams{Program: program, Source: source})
 }
 
 // UpgradeCutover atomically flips which version new packets run (1 or 2).
 func (c *Client) UpgradeCutover(program string, version int) (UpgradeStatusResult, error) {
-	return c.UpgradeCutoverCtx(context.Background(), program, version)
-}
-
-// UpgradeCutoverCtx is UpgradeCutover under the trace carried by ctx.
-func (c *Client) UpgradeCutoverCtx(ctx context.Context, program string, version int) (UpgradeStatusResult, error) {
-	var out UpgradeStatusResult
-	err := c.callCtx(ctx, MethodUpgradeCutover, UpgradeCutoverParams{Program: program, Version: version}, &out)
-	return out, err
+	return Call[UpgradeStatusResult](context.Background(), c, MethodUpgradeCutover, UpgradeCutoverParams{Program: program, Version: version})
 }
 
 // UpgradeCommit finishes a cut-over upgrade: v2 takes the program name, v1
 // is retired.
 func (c *Client) UpgradeCommit(program string) (UpgradeStatusResult, error) {
-	return c.UpgradeCommitCtx(context.Background(), program)
-}
-
-// UpgradeCommitCtx is UpgradeCommit under the trace carried by ctx.
-func (c *Client) UpgradeCommitCtx(ctx context.Context, program string) (UpgradeStatusResult, error) {
-	var out UpgradeStatusResult
-	err := c.callCtx(ctx, MethodUpgradeCommit, UpgradeNameParams{Program: program}, &out)
-	return out, err
+	return Call[UpgradeStatusResult](context.Background(), c, MethodUpgradeCommit, UpgradeNameParams{Program: program})
 }
 
 // UpgradeAbort rolls an in-flight upgrade back to pure v1.
 func (c *Client) UpgradeAbort(program string) (UpgradeStatusResult, error) {
-	return c.UpgradeAbortCtx(context.Background(), program)
-}
-
-// UpgradeAbortCtx is UpgradeAbort under the trace carried by ctx.
-func (c *Client) UpgradeAbortCtx(ctx context.Context, program string) (UpgradeStatusResult, error) {
-	var out UpgradeStatusResult
-	err := c.callCtx(ctx, MethodUpgradeAbort, UpgradeNameParams{Program: program}, &out)
-	return out, err
+	return Call[UpgradeStatusResult](context.Background(), c, MethodUpgradeAbort, UpgradeNameParams{Program: program})
 }
 
 // UpgradeStatus snapshots a remote upgrade session plus the switch-wide
 // packet/drop counters health gating samples.
 func (c *Client) UpgradeStatus(program string) (UpgradeStatusResult, error) {
-	var out UpgradeStatusResult
-	err := c.call(MethodUpgradeStatus, UpgradeNameParams{Program: program}, &out)
-	return out, err
+	return Call[UpgradeStatusResult](context.Background(), c, MethodUpgradeStatus, UpgradeNameParams{Program: program})
 }
 
 // FleetUpgrade runs a health-gated rolling upgrade on a fleet daemon.
 func (c *Client) FleetUpgrade(p FleetUpgradeParams) (FleetUpgradeResult, error) {
-	var out FleetUpgradeResult
-	err := c.call(MethodFleetUpgrade, p, &out)
-	return out, err
+	return Call[FleetUpgradeResult](context.Background(), c, MethodFleetUpgrade, p)
 }
 
 // FleetDeploy places source on a fleet daemon with the given replica count
 // (0 uses the fleet default).
 func (c *Client) FleetDeploy(source string, replicas int) ([]FleetDeployResult, error) {
-	return c.FleetDeployCtx(context.Background(), source, replicas)
-}
-
-// FleetDeployCtx is FleetDeploy under the trace carried by ctx.
-func (c *Client) FleetDeployCtx(ctx context.Context, source string, replicas int) ([]FleetDeployResult, error) {
-	var out []FleetDeployResult
-	err := c.callCtx(ctx, MethodFleetDeploy, FleetDeployParams{Source: source, Replicas: replicas}, &out)
-	return out, err
+	return Call[[]FleetDeployResult](context.Background(), c, MethodFleetDeploy, FleetDeployParams{Source: source, Replicas: replicas})
 }
 
 // FleetRevoke removes a program's deployment unit fleet-wide.
 func (c *Client) FleetRevoke(name string) (FleetRevokeResult, error) {
-	var out FleetRevokeResult
-	err := c.call(MethodFleetRevoke, FleetRevokeParams{Name: name}, &out)
-	return out, err
+	return Call[FleetRevokeResult](context.Background(), c, MethodFleetRevoke, FleetRevokeParams{Name: name})
 }
 
 // FleetPrograms lists the fleet's fan-in program view.
 func (c *Client) FleetPrograms() ([]FleetProgramInfo, error) {
-	var out []FleetProgramInfo
-	err := c.call(MethodFleetPrograms, nil, &out)
-	return out, err
+	return Call[[]FleetProgramInfo](context.Background(), c, MethodFleetPrograms, nil)
 }
 
 // FleetMembers lists member health and occupancy.
 func (c *Client) FleetMembers() ([]FleetMemberInfo, error) {
-	var out []FleetMemberInfo
-	err := c.call(MethodFleetMembers, nil, &out)
-	return out, err
+	return Call[[]FleetMemberInfo](context.Background(), c, MethodFleetMembers, nil)
 }
 
 // FleetUtilization fetches per-member, per-RPB usage.
 func (c *Client) FleetUtilization() ([]FleetUtilRow, error) {
-	var out []FleetUtilRow
-	err := c.call(MethodFleetUtilization, nil, &out)
-	return out, err
+	return Call[[]FleetUtilRow](context.Background(), c, MethodFleetUtilization, nil)
 }
 
 // TelemetryPrograms fetches one scrape of the daemon's telemetry sweep
 // engine: per-program windowed rates plus switch-wide rates.
 func (c *Client) TelemetryPrograms() (TelemetryProgramsResult, error) {
-	var out TelemetryProgramsResult
-	err := c.call(MethodTelemetryPrograms, nil, &out)
-	return out, err
+	return Call[TelemetryProgramsResult](context.Background(), c, MethodTelemetryPrograms, nil)
 }
 
 // TelemetryPostcards fetches up to limit sampled packet postcards, oldest
 // first, optionally filtered to packets that matched entries of owner.
 func (c *Client) TelemetryPostcards(owner string, limit int) (TelemetryPostcardsResult, error) {
-	var out TelemetryPostcardsResult
-	err := c.call(MethodTelemetryPostcards, TelemetryPostcardsParams{Owner: owner, Limit: limit}, &out)
-	return out, err
+	return Call[TelemetryPostcardsResult](context.Background(), c, MethodTelemetryPostcards, TelemetryPostcardsParams{Owner: owner, Limit: limit})
 }
 
 // FleetTop fetches the fleet-wide fan-in of per-program telemetry, merged
 // across reachable members.
 func (c *Client) FleetTop() (TelemetryProgramsResult, error) {
-	var out TelemetryProgramsResult
-	err := c.call(MethodFleetTop, nil, &out)
-	return out, err
+	return Call[TelemetryProgramsResult](context.Background(), c, MethodFleetTop, nil)
 }
 
 // FleetMemRead reads a program's virtual memory across its replicas,
 // aggregated by agg (FleetAggSum when empty).
 func (c *Client) FleetMemRead(program, mem string, addr, count uint32, agg string) (FleetMemReadResult, error) {
-	var out FleetMemReadResult
-	err := c.call(MethodFleetMemRead, FleetMemReadParams{Program: program, Mem: mem, Addr: addr, Count: count, Agg: agg}, &out)
-	return out, err
-}
-
-// Do performs an arbitrary method call under the trace carried by ctx —
-// the generic escape hatch for extension verbs without a typed wrapper.
-func (c *Client) Do(ctx context.Context, method string, params, result any) error {
-	return c.callCtx(ctx, method, params, result)
+	return Call[FleetMemReadResult](context.Background(), c, MethodFleetMemRead, FleetMemReadParams{Program: program, Mem: mem, Addr: addr, Count: count, Agg: agg})
 }
 
 // DebugOps lists the daemon's recent (or, with p.Slow, slowest) traces.
 func (c *Client) DebugOps(p OpsParams) (OpsResult, error) {
-	var out OpsResult
-	err := c.call(MethodDebugOps, p, &out)
-	return out, err
+	return Call[OpsResult](context.Background(), c, MethodDebugOps, p)
 }
 
 // DebugTrace fetches one trace by its 32-hex ID.
 func (c *Client) DebugTrace(id string) (TraceJSON, error) {
-	var out TraceJSON
-	err := c.call(MethodDebugTrace, TraceGetParams{ID: id}, &out)
-	return out, err
+	return Call[TraceJSON](context.Background(), c, MethodDebugTrace, TraceGetParams{ID: id})
 }
 
 // DebugFlightrec dumps the daemon's flight recorder.
 func (c *Client) DebugFlightrec() (FlightRecResult, error) {
-	var out FlightRecResult
-	err := c.call(MethodDebugFlightrec, nil, &out)
-	return out, err
+	return Call[FlightRecResult](context.Background(), c, MethodDebugFlightrec, nil)
 }
 
 // FleetOps lists traces merged across the fleet: the aggregator's own
 // unioned with every reachable member's, stitched by trace ID.
 func (c *Client) FleetOps(p OpsParams) (OpsResult, error) {
-	var out OpsResult
-	err := c.call(MethodFleetOps, p, &out)
-	return out, err
+	return Call[OpsResult](context.Background(), c, MethodFleetOps, p)
 }

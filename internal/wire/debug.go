@@ -7,8 +7,8 @@
 package wire
 
 import (
+	"context"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"time"
 
@@ -120,34 +120,35 @@ func EventToJSON(ev trace.Event) FlightEventJSON {
 	return j
 }
 
-func (s *Server) debugOps(params json.RawMessage) (OpsResult, error) {
-	var p OpsParams
-	if len(params) > 0 {
-		if err := json.Unmarshal(params, &p); err != nil {
-			return OpsResult{}, err
-		}
+// TraceSnaps selects the traces a debug.ops / fleet.ops listing asks for
+// out of tr: the slowest exemplars (of one verb, or all) or the most
+// recent, bounded by p.Limit.
+func TraceSnaps(tr *trace.Tracer, p OpsParams) []trace.TraceSnap {
+	if !p.Slow {
+		return tr.Recent(p.Limit)
 	}
-	res := OpsResult{Traces: []TraceJSON{}}
-	var snaps []trace.TraceSnap
-	if p.Slow {
-		snaps = s.Tracer.Slowest(p.Verb)
-		if p.Limit > 0 && len(snaps) > p.Limit {
-			snaps = snaps[:p.Limit]
-		}
-	} else {
-		snaps = s.Tracer.Recent(p.Limit)
+	snaps := tr.Slowest(p.Verb)
+	if p.Limit > 0 && len(snaps) > p.Limit {
+		snaps = snaps[:p.Limit]
 	}
-	for _, ts := range snaps {
-		res.Traces = append(res.Traces, SnapToJSON(ts))
-	}
-	return res, nil
+	return snaps
 }
 
-func (s *Server) debugTrace(params json.RawMessage) (TraceJSON, error) {
-	var p TraceGetParams
-	if err := json.Unmarshal(params, &p); err != nil {
-		return TraceJSON{}, err
+// OpsResultOf renders the traces p selects out of tr. A nil tracer lists
+// nothing.
+func OpsResultOf(tr *trace.Tracer, p OpsParams) OpsResult {
+	res := OpsResult{Traces: []TraceJSON{}}
+	for _, ts := range TraceSnaps(tr, p) {
+		res.Traces = append(res.Traces, SnapToJSON(ts))
 	}
+	return res
+}
+
+func (s *Server) debugOps(_ context.Context, p OpsParams) (OpsResult, error) {
+	return OpsResultOf(s.Tracer, p), nil
+}
+
+func (s *Server) debugTrace(_ context.Context, p TraceGetParams) (TraceJSON, error) {
 	id, ok := trace.ParseTraceID(p.ID)
 	if !ok {
 		return TraceJSON{}, errors.New("debug.trace: bad trace id (want 32 hex digits)")
@@ -159,7 +160,7 @@ func (s *Server) debugTrace(params json.RawMessage) (TraceJSON, error) {
 	return SnapToJSON(ts), nil
 }
 
-func (s *Server) debugFlightrec() (FlightRecResult, error) {
+func (s *Server) debugFlightrec(context.Context, struct{}) (FlightRecResult, error) {
 	res := FlightRecResult{Dropped: s.Flight.Dropped(), Events: []FlightEventJSON{}}
 	for _, ev := range s.Flight.Events() {
 		res.Events = append(res.Events, EventToJSON(ev))

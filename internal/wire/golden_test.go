@@ -181,16 +181,20 @@ func TestGoldenClientRequests(t *testing.T) {
 		{"FleetUtilization", func() error { _, err := c.FleetUtilization(); return err }},
 		{"FleetTop", func() error { _, err := c.FleetTop(); return err }},
 		{"FleetMemRead", func() error { _, err := c.FleetMemRead("counter", "m", 0, 8, wire.FleetAggMax); return err }},
-		{"FleetOps", func() error { _, err := c.FleetOps(wire.OpsParams{Slow: true, Verb: "fleet.deploy", Limit: 3}); return err }},
+		{"FleetOps", func() error {
+			_, err := c.FleetOps(wire.OpsParams{Slow: true, Verb: "fleet.deploy", Limit: 3})
+			return err
+		}},
 		{"TelemetryPrograms", func() error { _, err := c.TelemetryPrograms(); return err }},
 		{"TelemetryPostcards", func() error { _, err := c.TelemetryPostcards("counter", 5); return err }},
 		{"DebugOps", func() error { _, err := c.DebugOps(wire.OpsParams{Limit: 2}); return err }},
 		{"DebugTrace", func() error { _, err := c.DebugTrace("0123456789abcdef0123456789abcdef"); return err }},
 		{"DebugFlightrec", func() error { _, err := c.DebugFlightrec(); return err }},
 		{"Do/untraced", func() error {
-			return c.Do(context.Background(), "x.custom", map[string]int{"n": 1}, nil)
+			_, err := c.Do(context.Background(), "x.custom", map[string]int{"n": 1}, nil)
+			return err
 		}},
-		{"Do/remote-parent", func() error { return c.Do(remote, "x.custom", nil, nil) }},
+		{"Do/remote-parent", func() error { _, err := c.Do(remote, "x.custom", nil, nil); return err }},
 		{"DeployBatch", func() error { _, err := c.DeployBatch([]string{goldenCounter, goldenCache}, false); return err }},
 		{"DeployBatch/atomic", func() error { _, err := c.DeployBatch([]string{goldenCounter}, true); return err }},
 		{"WriteMemoryBatch", func() error { _, err := c.WriteMemoryBatch("counter", "m", writes); return err }},
@@ -199,11 +203,11 @@ func TestGoldenClientRequests(t *testing.T) {
 			p := c.Pipeline()
 			p.Call(wire.MethodStatus, nil, nil)
 			p.Call(wire.MethodRevoke, wire.RevokeParams{Name: "counter"}, nil)
-			p.CallFramesCtx(remote, wire.MethodDeploy, wire.DeployParams{Source: goldenCounter}, nil, nil)
-			p.CallFramesCtx(context.Background(), wire.MethodMemWriteBatch,
+			p.Enqueue(remote, wire.MethodDeploy, wire.DeployParams{Source: goldenCounter}, nil, nil)
+			p.Enqueue(context.Background(), wire.MethodMemWriteBatch,
 				wire.MemWriteBatchParams{Program: "counter", Mem: "m", Binary: true}, nil,
 				[][]byte{wire.EncodeWritePairs(writes)})
-			p.CallFramesCtx(remote, wire.MethodMemWriteBatch,
+			p.Enqueue(remote, wire.MethodMemWriteBatch,
 				wire.MemWriteBatchParams{Program: "counter", Mem: "m", Binary: true}, nil,
 				[][]byte{wire.EncodeWritePairs(writes[:1]), {}})
 			return p.Flush()
@@ -232,7 +236,7 @@ func TestGoldenClientRequests(t *testing.T) {
 		{"traced/Pipeline", func() error {
 			p := tc.Pipeline()
 			p.Call(wire.MethodStatus, nil, nil)
-			p.CallFramesCtx(parentCtx, wire.MethodMemWriteBatch,
+			p.Enqueue(parentCtx, wire.MethodMemWriteBatch,
 				wire.MemWriteBatchParams{Program: "counter", Mem: "m", Binary: true}, nil,
 				[][]byte{wire.EncodeWritePairs(writes)})
 			return p.Flush()

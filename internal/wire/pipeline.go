@@ -55,7 +55,7 @@ func (pc *PendingCall) Err() error { return pc.err }
 func (pc *PendingCall) RespFrames() [][]byte { return pc.resp }
 
 // Pipeline batches requests on one client connection. Queue operations
-// with Call/CallFrames, then Flush once; the pipeline is empty and
+// with Call/Enqueue, then Flush once; the pipeline is empty and
 // reusable afterwards. A Pipeline is not safe for concurrent use (use
 // one per goroutine — the underlying Client serializes flushes).
 type Pipeline struct {
@@ -74,25 +74,15 @@ func (p *Pipeline) Len() int { return len(p.calls) }
 // when non-nil, is unmarshalled from the response during Flush. The
 // returned PendingCall carries the operation's outcome after Flush.
 func (p *Pipeline) Call(method string, params, result any) *PendingCall {
-	return p.CallFramesCtx(context.Background(), method, params, result, nil)
+	return p.Enqueue(context.Background(), method, params, result, nil)
 }
 
-// CallCtx is Call under the trace carried by ctx: the operation gets its
-// own span, ended when its (possibly much later) pipelined response is
-// matched — so each response attaches to the right span even though many
-// operations are in flight at once.
-func (p *Pipeline) CallCtx(ctx context.Context, method string, params, result any) *PendingCall {
-	return p.CallFramesCtx(ctx, method, params, result, nil)
-}
-
-// CallFrames queues one operation with trailing binary request frames.
-func (p *Pipeline) CallFrames(method string, params, result any, frames [][]byte) *PendingCall {
-	return p.CallFramesCtx(context.Background(), method, params, result, frames)
-}
-
-// CallFramesCtx queues one operation with frames under the trace carried
-// by ctx.
-func (p *Pipeline) CallFramesCtx(ctx context.Context, method string, params, result any, frames [][]byte) *PendingCall {
+// Enqueue is Call with trailing binary request frames, under the trace
+// carried by ctx: the operation gets its own span, ended when its
+// (possibly much later) pipelined response is matched — so each response
+// attaches to the right span even though many operations are in flight at
+// once.
+func (p *Pipeline) Enqueue(ctx context.Context, method string, params, result any, frames [][]byte) *PendingCall {
 	pc := &PendingCall{Method: method, frames: frames, result: result, ctx: ctx}
 	if params != nil {
 		raw, err := json.Marshal(params)
@@ -252,29 +242,16 @@ func (p *Pipeline) Flush() error {
 // failure unwinds the rest and fails the call); otherwise every blob is
 // attempted and the result carries per-blob outcomes.
 func (c *Client) DeployBatch(sources []string, atomic bool) (DeployBatchResult, error) {
-	return c.DeployBatchCtx(context.Background(), sources, atomic)
-}
-
-// DeployBatchCtx is DeployBatch under the trace carried by ctx.
-func (c *Client) DeployBatchCtx(ctx context.Context, sources []string, atomic bool) (DeployBatchResult, error) {
-	var out DeployBatchResult
-	_, err := c.callFramesCtx(ctx, MethodDeployBatch, DeployBatchParams{Sources: sources, Atomic: atomic}, &out, nil)
-	return out, err
+	return Call[DeployBatchResult](context.Background(), c, MethodDeployBatch, DeployBatchParams{Sources: sources, Atomic: atomic})
 }
 
 // WriteMemoryBatch writes N buckets of one program's memory block under
 // a single journaled group on the server. The (addr, value) pairs travel
 // as one binary frame, so large batches skip per-entry JSON entirely.
 func (c *Client) WriteMemoryBatch(program, mem string, writes []MemWriteEntry) (int, error) {
-	return c.WriteMemoryBatchCtx(context.Background(), program, mem, writes)
-}
-
-// WriteMemoryBatchCtx is WriteMemoryBatch under the trace carried by ctx.
-func (c *Client) WriteMemoryBatchCtx(ctx context.Context, program, mem string, writes []MemWriteEntry) (int, error) {
 	var out MemWriteBatchResult
-	_, err := c.callFramesCtx(ctx, MethodMemWriteBatch,
-		MemWriteBatchParams{Program: program, Mem: mem, Binary: true},
-		&out, [][]byte{EncodeWritePairs(writes)})
+	_, err := c.Do(context.Background(), MethodMemWriteBatch,
+		MemWriteBatchParams{Program: program, Mem: mem, Binary: true}, &out, EncodeWritePairs(writes))
 	return out.Written, err
 }
 
@@ -283,8 +260,8 @@ func (c *Client) WriteMemoryBatchCtx(ctx context.Context, program, mem string, w
 // into one value slice.
 func (c *Client) ReadMemoryBulk(program, mem string, addr, count uint32) ([]uint32, error) {
 	var out MemReadStreamResult
-	frames, err := c.callFrames(MethodMemReadStream,
-		MemReadStreamParams{Program: program, Mem: mem, Addr: addr, Count: count}, &out, nil)
+	frames, err := c.Do(context.Background(), MethodMemReadStream,
+		MemReadStreamParams{Program: program, Mem: mem, Addr: addr, Count: count}, &out)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -388,7 +389,7 @@ func TestConcurrentPipelinedClients(t *testing.T) {
 				p := c.Pipeline()
 				var status string
 				a := p.Call(MethodStatus, nil, &status)
-				b := p.CallFrames(MethodMemWriteBatch,
+				b := p.Enqueue(context.Background(), MethodMemWriteBatch,
 					MemWriteBatchParams{Program: "counter", Mem: "m", Binary: true},
 					nil, [][]byte{EncodeWritePairs([]MemWriteEntry{{Addr: uint32(w), Value: uint32(i)}})})
 				var progs []ProgramInfo

@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,9 +15,6 @@ import (
 	"p4runpro/internal/faults"
 	"p4runpro/internal/obs"
 	"p4runpro/internal/obs/trace"
-	"p4runpro/internal/pkt"
-	"p4runpro/internal/rmt"
-	"p4runpro/internal/upgrade"
 )
 
 // Fault-injection points (see internal/faults): chaos tests arm these to
@@ -43,17 +39,12 @@ const (
 	DefaultReadTimeout     = 30 * time.Second
 )
 
-// Handler serves one extension method (see Server.Handle). ctx carries the
-// request's trace span (trace.SpanFromContext); handlers that don't trace
-// may ignore it.
-type Handler func(ctx context.Context, params json.RawMessage) (any, error)
-
-// Server serves the control protocol over TCP. It fronts either a single
-// Controller (the classic daemon) or, with a nil controller, only the
-// extension handlers registered via Handle plus the metrics verb — the
-// shape used by fleet mode.
+// Server serves the control protocol over TCP from one dispatch table
+// (see verbs.go). NewServer fills it with the single-switch verbs bound to
+// a Controller (the classic daemon); NewBareServer leaves those out, so
+// only what Handle registers — the fleet.* verbs in fleet mode — is served
+// beside the metrics and debug verbs every server shape answers.
 type Server struct {
-	ct  *controlplane.Controller
 	reg *obs.Registry
 	ln  net.Listener
 	log *obs.Logger
@@ -76,7 +67,7 @@ type Server struct {
 	cReqErrs  *obs.Counter
 
 	mu        sync.Mutex
-	handlers  map[string]Handler
+	handlers  map[string]handler
 	conns     map[net.Conn]struct{}
 	done      chan struct{}
 	closeOnce sync.Once
@@ -85,37 +76,40 @@ type Server struct {
 // NewServer wraps a controller. logger may be nil for silence; log volume
 // and request outcomes are still counted in the controller's registry.
 func NewServer(ct *controlplane.Controller, logger *log.Logger) *Server {
-	return newServer(ct, ct.Obs, logger)
+	s := NewBareServer(ct.Obs, logger)
+	for method, bind := range switchVerbs {
+		s.register(method, bind(ct))
+	}
+	return s
 }
 
-// NewBareServer builds a server with no controller: only extension
-// handlers (Handle) and the metrics verb over reg are served. Controller
-// methods answer with an error directing the caller to a single-switch
-// daemon.
+// NewBareServer builds a server with no controller: only the verbs added
+// with Handle, the metrics verb over reg and the debug verbs are served.
+// The single-switch verbs answer with an error directing the caller to a
+// single-switch daemon.
 func NewBareServer(reg *obs.Registry, logger *log.Logger) *Server {
-	return newServer(nil, reg, logger)
-}
-
-func newServer(ct *controlplane.Controller, reg *obs.Registry, logger *log.Logger) *Server {
-	return &Server{
-		ct:        ct,
+	s := &Server{
 		reg:       reg,
 		log:       obs.NewLogger(logger, reg, "wire"),
 		cConns:    reg.Counter("p4runpro_wire_connections_total", "TCP control connections accepted."),
 		gActive:   reg.Gauge("p4runpro_wire_connections_active", "TCP control connections currently open."),
 		cRequests: reg.Counter("p4runpro_wire_requests_total", "Control requests dispatched (all methods)."),
 		cReqErrs:  reg.Counter("p4runpro_wire_request_errors_total", "Control requests answered with an error."),
-		handlers:  make(map[string]Handler),
+		handlers:  make(map[string]handler),
 		conns:     make(map[net.Conn]struct{}),
 		done:      make(chan struct{}),
 	}
+	// Metrics and the debug verbs are served on every server shape — bare,
+	// fleet, or single-switch — so a misbehaving daemon can always be
+	// inspected.
+	Handle(s, MethodMetrics, s.metrics)
+	Handle(s, MethodDebugOps, s.debugOps)
+	Handle(s, MethodDebugTrace, s.debugTrace)
+	Handle(s, MethodDebugFlightrec, s.debugFlightrec)
+	return s
 }
 
-// Handle registers an extension method (e.g. the fleet.* verbs), which
-// dispatch consults before the built-in verbs — an extension may
-// repurpose a built-in name (fleet mode serves its own "status"). It
-// panics on a duplicate registration.
-func (s *Server) Handle(method string, h Handler) {
+func (s *Server) register(method string, h handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.handlers[method]; ok {
@@ -124,11 +118,36 @@ func (s *Server) Handle(method string, h Handler) {
 	s.handlers[method] = h
 }
 
-func (s *Server) handler(method string) (Handler, bool) {
+// dispatch routes one request through the table. A single-switch verb
+// this server does not hold (fleet mode) gets a pointed answer rather
+// than "unknown method".
+func (s *Server) dispatch(ctx context.Context, req Request, frames [][]byte) (any, [][]byte, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.handlers[method]
-	return h, ok
+	h, ok := s.handlers[req.Method]
+	s.mu.Unlock()
+	if ok {
+		return h(ctx, req.Params, frames)
+	}
+	if _, ok := switchVerbs[req.Method]; ok {
+		return nil, nil, fmt.Errorf("method %q needs a single-switch daemon (this one serves a fleet; use the fleet.* verbs)", req.Method)
+	}
+	return nil, nil, fmt.Errorf("unknown method %q", req.Method)
+}
+
+// metrics renders one scrape of the server's registry.
+func (s *Server) metrics(_ context.Context, p MetricsParams) (MetricsResult, error) {
+	switch p.Format {
+	case "", MetricsFormatPrometheus:
+		return MetricsResult{Format: MetricsFormatPrometheus, Body: s.reg.Prometheus()}, nil
+	case MetricsFormatJSON:
+		body, err := s.reg.JSON()
+		if err != nil {
+			return MetricsResult{}, err
+		}
+		return MetricsResult{Format: MetricsFormatJSON, Body: string(body)}, nil
+	default:
+		return MetricsResult{}, fmt.Errorf("unknown metrics format %q", p.Format)
+	}
 }
 
 // Listen binds addr ("host:port"; ":0" for an ephemeral port) and starts
@@ -281,7 +300,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				continue
 			}
 			ctx, sp := s.startRequestSpan(req, fsc, decodeStart)
-			result, rframes, err := s.dispatchFramed(ctx, req, frames)
+			result, rframes, err := s.dispatch(ctx, req, frames)
 			if err != nil {
 				resp.Error = err.Error()
 				sp.SetTag("err", err.Error())
@@ -368,370 +387,3 @@ func (s *Server) readReqFrames(conn net.Conn, br *bufio.Reader, req Request) (fr
 	}
 	return frames, fsc, nil, false
 }
-
-// dispatchFramed routes the bulk verbs (which consume request frames and
-// may answer with response frames) and forwards everything else to the
-// classic JSON dispatch.
-func (s *Server) dispatchFramed(ctx context.Context, req Request, frames [][]byte) (any, [][]byte, error) {
-	switch req.Method {
-	case MethodDeployBatch, MethodMemWriteBatch, MethodMemReadStream:
-		if _, ok := s.handler(req.Method); ok {
-			break // an extension owns the name
-		}
-		if s.ct == nil {
-			return nil, nil, fmt.Errorf("method %q needs a single-switch daemon (this one serves a fleet; use the fleet.* verbs)", req.Method)
-		}
-		switch req.Method {
-		case MethodDeployBatch:
-			res, err := s.deployBatch(ctx, req.Params)
-			return res, nil, err
-		case MethodMemWriteBatch:
-			res, err := s.memWriteBatch(ctx, req.Params, frames)
-			return res, nil, err
-		case MethodMemReadStream:
-			return s.memReadStream(req.Params)
-		}
-	}
-	result, err := s.dispatch(ctx, req)
-	return result, nil, err
-}
-
-// deployBatch links many source blobs under one controller lock and one
-// journal group.
-func (s *Server) deployBatch(ctx context.Context, params json.RawMessage) (DeployBatchResult, error) {
-	var p DeployBatchParams
-	if err := json.Unmarshal(params, &p); err != nil {
-		return DeployBatchResult{}, err
-	}
-	outcomes, err := s.ct.DeployAllCtx(ctx, p.Sources, p.Atomic)
-	if err != nil {
-		return DeployBatchResult{}, err
-	}
-	res := DeployBatchResult{Items: make([]DeployBatchItem, 0, len(outcomes))}
-	for _, oc := range outcomes {
-		item := DeployBatchItem{}
-		if oc.Err != nil {
-			item.Error = oc.Err.Error()
-		} else {
-			res.Deployed++
-			for _, r := range oc.Reports {
-				item.Programs = append(item.Programs, DeployResult{
-					Program: r.Program, ProgramID: r.ProgramID, Entries: r.Entries,
-					AllocTime: r.AllocTime, UpdateDelay: r.UpdateDelay, Total: r.Total,
-				})
-			}
-		}
-		res.Items = append(res.Items, item)
-	}
-	return res, nil
-}
-
-// memWriteBatch writes N buckets from JSON entries or one binary frame.
-func (s *Server) memWriteBatch(ctx context.Context, params json.RawMessage, frames [][]byte) (MemWriteBatchResult, error) {
-	var p MemWriteBatchParams
-	if err := json.Unmarshal(params, &p); err != nil {
-		return MemWriteBatchResult{}, err
-	}
-	entries := p.Writes
-	if p.Binary {
-		if len(frames) != 1 {
-			return MemWriteBatchResult{}, fmt.Errorf("mem.writebatch: binary mode wants 1 frame, got %d", len(frames))
-		}
-		var err error
-		entries, err = DecodeWritePairs(frames[0])
-		if err != nil {
-			return MemWriteBatchResult{}, err
-		}
-	}
-	writes := make([]controlplane.MemWrite, len(entries))
-	for i, e := range entries {
-		writes[i] = controlplane.MemWrite{Addr: e.Addr, Value: e.Value}
-	}
-	n, err := s.ct.WriteMemoryBatchCtx(ctx, p.Program, p.Mem, writes)
-	if err != nil {
-		return MemWriteBatchResult{}, err
-	}
-	return MemWriteBatchResult{Written: n}, nil
-}
-
-// memReadStream snapshots a large memory range and chunks it into binary
-// response frames.
-func (s *Server) memReadStream(params json.RawMessage) (any, [][]byte, error) {
-	var p MemReadStreamParams
-	if err := json.Unmarshal(params, &p); err != nil {
-		return nil, nil, err
-	}
-	if p.Count == 0 {
-		p.Count = 1
-	}
-	chunk := p.ChunkWords
-	if chunk == 0 {
-		chunk = 16384 // 64KB frames
-	}
-	chunks := int((p.Count + chunk - 1) / chunk)
-	if chunks > MaxFramesPerMessage {
-		return nil, nil, fmt.Errorf("%w: range needs %d frames (max %d; raise chunk_words)", ErrBadFrameCount, chunks, MaxFramesPerMessage)
-	}
-	vals, err := s.ct.ReadMemoryRange(p.Program, p.Mem, p.Addr, p.Count)
-	if err != nil {
-		return nil, nil, err
-	}
-	frames := make([][]byte, 0, chunks)
-	for off := 0; off < len(vals); off += int(chunk) {
-		end := off + int(chunk)
-		if end > len(vals) {
-			end = len(vals)
-		}
-		frames = append(frames, EncodeU32s(vals[off:end]))
-	}
-	return MemReadStreamResult{Count: uint32(len(vals)), Chunks: len(frames), ChunkWords: chunk}, frames, nil
-}
-
-func (s *Server) dispatch(ctx context.Context, req Request) (any, error) {
-	if h, ok := s.handler(req.Method); ok {
-		return h(ctx, req.Params)
-	}
-	// The debug verbs are served on every server shape — bare, fleet, or
-	// single-switch — so a misbehaving daemon can always be inspected.
-	switch req.Method {
-	case MethodDebugOps:
-		return s.debugOps(req.Params)
-	case MethodDebugTrace:
-		return s.debugTrace(req.Params)
-	case MethodDebugFlightrec:
-		return s.debugFlightrec()
-	}
-	if req.Method == MethodMetrics {
-		var p MetricsParams
-		if len(req.Params) > 0 {
-			if err := json.Unmarshal(req.Params, &p); err != nil {
-				return nil, err
-			}
-		}
-		switch p.Format {
-		case "", MetricsFormatPrometheus:
-			return MetricsResult{Format: MetricsFormatPrometheus, Body: s.reg.Prometheus()}, nil
-		case MetricsFormatJSON:
-			body, err := s.reg.JSON()
-			if err != nil {
-				return nil, err
-			}
-			return MetricsResult{Format: MetricsFormatJSON, Body: string(body)}, nil
-		default:
-			return nil, fmt.Errorf("unknown metrics format %q", p.Format)
-		}
-	}
-	if s.ct == nil {
-		switch req.Method {
-		case MethodDeploy, MethodRevoke, MethodPrograms, MethodMemRead, MethodMemWrite,
-			MethodUtilization, MethodInject, MethodStatus, MethodAddCases, MethodRemoveCase, MethodMcastSet, MethodSnapshot,
-			MethodUpgradeStart, MethodUpgradeCutover, MethodUpgradeCommit, MethodUpgradeAbort, MethodUpgradeStatus:
-			return nil, fmt.Errorf("method %q needs a single-switch daemon (this one serves a fleet; use the fleet.* verbs)", req.Method)
-		}
-		return nil, fmt.Errorf("unknown method %q", req.Method)
-	}
-	switch req.Method {
-	case MethodDeploy:
-		var p DeployParams
-		if err := json.Unmarshal(req.Params, &p); err != nil {
-			return nil, err
-		}
-		reports, err := s.ct.DeployCtx(ctx, p.Source)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]DeployResult, 0, len(reports))
-		for _, r := range reports {
-			out = append(out, DeployResult{
-				Program: r.Program, ProgramID: r.ProgramID, Entries: r.Entries,
-				AllocTime: r.AllocTime, UpdateDelay: r.UpdateDelay, Total: r.Total,
-			})
-		}
-		return out, nil
-
-	case MethodRevoke:
-		var p RevokeParams
-		if err := json.Unmarshal(req.Params, &p); err != nil {
-			return nil, err
-		}
-		r, err := s.ct.RevokeCtx(ctx, p.Name)
-		if err != nil {
-			return nil, err
-		}
-		return RevokeResult{Entries: r.Entries, MemReset: r.MemReset, UpdateDelay: r.UpdateDelay}, nil
-
-	case MethodPrograms:
-		infos := s.ct.Programs()
-		out := make([]ProgramInfo, 0, len(infos))
-		for _, i := range infos {
-			out = append(out, ProgramInfo{
-				Name: i.Name, ProgramID: i.ProgramID, Depths: i.Depths,
-				Entries: i.Entries, MemWords: i.MemWords, Passes: i.Passes,
-				Hits: i.Hits,
-			})
-		}
-		return out, nil
-
-	case MethodMemRead:
-		var p MemReadParams
-		if err := json.Unmarshal(req.Params, &p); err != nil {
-			return nil, err
-		}
-		if p.Count == 0 {
-			p.Count = 1
-		}
-		return s.ct.ReadMemoryRange(p.Program, p.Mem, p.Addr, p.Count)
-
-	case MethodMemWrite:
-		var p MemWriteParams
-		if err := json.Unmarshal(req.Params, &p); err != nil {
-			return nil, err
-		}
-		return true, s.ct.WriteMemory(p.Program, p.Mem, p.Addr, p.Value)
-
-	case MethodUtilization:
-		var out []UtilizationRow
-		for _, u := range s.ct.Utilization() {
-			out = append(out, UtilizationRow{
-				RPB: int(u.RPB), EntriesUsed: u.EntriesUsed, EntriesCap: u.EntriesCap,
-				MemUsed: u.MemUsed, MemCap: u.MemCap,
-				MemFrac: float64(u.MemUsed) / float64(u.MemCap),
-			})
-		}
-		return out, nil
-
-	case MethodInject:
-		var p InjectParams
-		if err := json.Unmarshal(req.Params, &p); err != nil {
-			return nil, err
-		}
-		frame, err := hex.DecodeString(p.FrameHex)
-		if err != nil {
-			return nil, fmt.Errorf("bad frame hex: %w", err)
-		}
-		res, err := s.ct.SW.InjectBytes(frame, p.Port)
-		if err != nil {
-			return nil, err
-		}
-		out := InjectResult{Verdict: res.Verdict.String(), OutPort: res.OutPort, Passes: res.Passes}
-		if res.Packet != nil {
-			out.FrameHex = hex.EncodeToString(res.Packet.Marshal())
-		}
-		return out, nil
-
-	case MethodStatus:
-		return s.ct.String(), nil
-
-	case MethodAddCases:
-		var p AddCasesParams
-		if err := json.Unmarshal(req.Params, &p); err != nil {
-			return nil, err
-		}
-		added, delay, err := s.ct.AddCases(p.Program, p.BranchDepth, p.Source)
-		if err != nil {
-			return nil, err
-		}
-		out := AddCasesResult{UpdateDelay: delay}
-		for _, a := range added {
-			out.BranchIDs = append(out.BranchIDs, a.BranchID)
-			out.Entries += a.Entries
-		}
-		return out, nil
-
-	case MethodRemoveCase:
-		var p RemoveCaseParams
-		if err := json.Unmarshal(req.Params, &p); err != nil {
-			return nil, err
-		}
-		return true, s.ct.RemoveCase(p.Program, p.BranchID)
-
-	case MethodMcastSet:
-		var p McastSetParams
-		if err := json.Unmarshal(req.Params, &p); err != nil {
-			return nil, err
-		}
-		if err := s.ct.SetMulticastGroup(p.Group, p.Ports); err != nil {
-			return nil, err
-		}
-		return true, nil
-
-	case MethodSnapshot:
-		if err := s.ct.Snapshot(); err != nil {
-			return nil, err
-		}
-		j := s.ct.Journal()
-		return SnapshotResult{WalDir: j.Dir(), SegmentBytes: j.SegmentBytes()}, nil
-
-	case MethodUpgradeStart:
-		var p UpgradeStartParams
-		if err := json.Unmarshal(req.Params, &p); err != nil {
-			return nil, err
-		}
-		st, err := s.ct.UpgradePrepareCtx(ctx, p.Program, p.Source)
-		if err != nil {
-			return nil, err
-		}
-		return s.upgradeStatusResult(st), nil
-
-	case MethodUpgradeCutover:
-		var p UpgradeCutoverParams
-		if err := json.Unmarshal(req.Params, &p); err != nil {
-			return nil, err
-		}
-		st, err := s.ct.UpgradeCutoverCtx(ctx, p.Program, p.Version)
-		if err != nil {
-			return nil, err
-		}
-		return s.upgradeStatusResult(st), nil
-
-	case MethodUpgradeCommit:
-		var p UpgradeNameParams
-		if err := json.Unmarshal(req.Params, &p); err != nil {
-			return nil, err
-		}
-		st, err := s.ct.UpgradeCommitCtx(ctx, p.Program)
-		if err != nil {
-			return nil, err
-		}
-		return s.upgradeStatusResult(st), nil
-
-	case MethodUpgradeAbort:
-		var p UpgradeNameParams
-		if err := json.Unmarshal(req.Params, &p); err != nil {
-			return nil, err
-		}
-		st, err := s.ct.UpgradeAbortCtx(ctx, p.Program)
-		if err != nil {
-			return nil, err
-		}
-		return s.upgradeStatusResult(st), nil
-
-	case MethodUpgradeStatus:
-		var p UpgradeNameParams
-		if err := json.Unmarshal(req.Params, &p); err != nil {
-			return nil, err
-		}
-		st, err := s.ct.UpgradeStatus(p.Program)
-		if err != nil {
-			return nil, err
-		}
-		return s.upgradeStatusResult(st), nil
-	}
-	return nil, fmt.Errorf("unknown method %q", req.Method)
-}
-
-// upgradeStatusResult converts a session status into the wire DTO, stamping
-// in the switch-wide traffic counters the fleet's health gate samples.
-func (s *Server) upgradeStatusResult(st upgrade.Status) UpgradeStatusResult {
-	m := s.ct.SW.Metrics()
-	return UpgradeStatusResult{
-		Program: st.Program, V2Name: st.V2Name, State: st.State,
-		ActiveVersion: st.ActiveVersion, V1PID: st.V1PID, V2PID: st.V2PID,
-		V1Packets: st.V1Packets, V2Packets: st.V2Packets,
-		MigratedWords: st.MigratedWords, CutoverNs: st.CutoverNs,
-		SwitchPackets: m.Packets, SwitchDrops: m.Verdicts[rmt.VerdictDropped],
-	}
-}
-
-// injectable ensures pkt stays linked for the hex path.
-var _ = pkt.MinFrame
