@@ -295,10 +295,11 @@ func BenchmarkFigure13dHHPath(b *testing.B) {
 	ct.SW.DrainCPU()
 }
 
-// BenchmarkPipelineForwardOnly is the baseline per-packet cost of the
-// simulated pipeline with a single forwarding program (compiled plan, the
-// default path; see BenchmarkForwardPath for the side-by-side).
-func BenchmarkPipelineForwardOnly(b *testing.B) {
+// BenchmarkForwardPath is the baseline per-packet cost of the simulated
+// pipeline with a single forwarding program (docs/PERFORMANCE.md). The
+// acceptance bound is <= 1000 ns/op at 0 allocs/op; TestPacketPathZeroAlloc
+// asserts the allocation half.
+func BenchmarkForwardPath(b *testing.B) {
 	ct := mustOpen(b)
 	if _, err := ct.Deploy("program fwd(<hdr.ipv4.dst, 0, 0>) { FORWARD(2); }"); err != nil {
 		b.Fatal(err)
@@ -312,40 +313,9 @@ func BenchmarkPipelineForwardOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardPath measures the forward-only per-packet cost on the
-// interpreted tables and on the compiled pipeline plan — the headline
-// speedup of the link-time lowering (docs/PERFORMANCE.md). The acceptance
-// bound is the compiled case: <= 1000 ns/op at 0 allocs/op, >= 2x the
-// interpreted figure.
-func BenchmarkForwardPath(b *testing.B) {
-	for _, compiled := range []bool{false, true} {
-		name := "interpreted"
-		if compiled {
-			name = "compiled"
-		}
-		b.Run(name, func(b *testing.B) {
-			ct := mustOpen(b)
-			if _, err := ct.Deploy("program fwd(<hdr.ipv4.dst, 0, 0>) { FORWARD(2); }"); err != nil {
-				b.Fatal(err)
-			}
-			ct.SetCompile(compiled)
-			if _, ok := ct.SW.CompiledPlan(); ok != compiled {
-				b.Fatalf("compiled plan published = %v, want %v", ok, compiled)
-			}
-			flow := pkt.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: pkt.ProtoUDP}
-			p := pkt.NewUDP(flow, 512)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ct.SW.Inject(p, 1)
-			}
-		})
-	}
-}
-
 // BenchmarkInjectBatch measures the batched injection API against per-packet
-// Inject on the compiled plan: one PHV checkout and one metrics flush per
-// 64-packet burst instead of per packet.
+// Inject: one PHV checkout and one metrics flush per 64-packet burst instead
+// of per packet.
 func BenchmarkInjectBatch(b *testing.B) {
 	ct := mustOpen(b)
 	if _, err := ct.Deploy("program fwd(<hdr.ipv4.dst, 0, 0>) { FORWARD(2); }"); err != nil {
@@ -370,7 +340,7 @@ func BenchmarkInjectBatch(b *testing.B) {
 
 // BenchmarkInstrumentationOverhead quantifies the cost of the packet-path
 // metrics (internal/obs wiring): the same forward-only workload as
-// BenchmarkPipelineForwardOnly with the switch's atomics enabled and
+// BenchmarkForwardPath with the switch's atomics enabled and
 // disabled. The instrumented path must stay within 5% of the uninstrumented
 // one (the observability layer's acceptance bound) — compare the two
 // sub-benchmark ns/op figures.
@@ -575,7 +545,7 @@ func BenchmarkPostcardSampling(b *testing.B) {
 // 3-switch leaf-spine path (leaf0 -> spine0 -> leaf1): every packet is
 // counted into a CMS at the leaf, routed on destination prefix at the
 // spine, and handed to the edge at the far leaf, with each hop riding the
-// compiled InjectBatch path. ns/op is per end-to-end packet.
+// InjectBatch path. ns/op is per end-to-end packet.
 func BenchmarkFabricReplay(b *testing.B) {
 	cfg := DefaultConfig()
 	f := NewFabric(FabricOptions{})
@@ -639,11 +609,11 @@ program down(
 
 // BenchmarkUpgradeCutover measures the hitless-upgrade cutover: one epoch
 // publication flips every init-table dispatch entry between v1 and v2 with
-// no table churn and the compiled plan kept hot. ns/op is the full
-// controller round trip (journal-less) plus one probe packet; epoch-ns is
-// the epoch publication alone, averaged from the sessions' own timing. The
-// acceptance bound is the stalled metric: a packet injected immediately
-// after every flip must forward — zero packets stalled per cutover.
+// no table churn. ns/op is the full controller round trip (journal-less)
+// plus one probe packet; epoch-ns is the epoch publication alone, averaged
+// from the sessions' own timing. The acceptance bound is the stalled metric:
+// a packet injected immediately after every flip must forward — zero packets
+// stalled per cutover.
 func BenchmarkUpgradeCutover(b *testing.B) {
 	ct := mustOpen(b)
 	v1 := "program upgbench(<hdr.ipv4.src, 10.0.0.0, 0xff000000>) { FORWARD(2); }"

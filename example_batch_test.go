@@ -9,8 +9,7 @@ import (
 
 // Example_injectBatch demonstrates batched injection: a burst of packets runs
 // through the switch in one InjectBatch call, which fills each item's Res in
-// place. The controller compiles the linked programs into a pipeline plan at
-// deploy time, so the burst executes on the compiled packet path.
+// place.
 func Example_injectBatch() {
 	ct, err := p4runpro.Open(p4runpro.DefaultConfig(), p4runpro.DefaultOptions())
 	if err != nil {

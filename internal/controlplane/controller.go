@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"p4runpro/internal/core"
@@ -23,7 +22,6 @@ import (
 	"p4runpro/internal/obs/trace"
 	"p4runpro/internal/resource"
 	"p4runpro/internal/rmt"
-	"p4runpro/internal/rmt/compile"
 	"p4runpro/internal/smt"
 	"p4runpro/internal/upgrade"
 )
@@ -51,7 +49,7 @@ type Controller struct {
 	mDeployNs, mRevokeNs, mMemOpNs             *obs.Histogram
 	cDeployOK, cDeployErr                      *obs.Counter
 	cRevokeOK, cRevokeErr, cMemOpOK, cMemOpErr *obs.Counter
-	cEntries, cRecompiles                      *obs.Counter
+	cEntries                                   *obs.Counter
 
 	// Versioned-upgrade sessions by program name (see upgrade.go): the
 	// active session while an upgrade is in flight, or the most recent
@@ -61,11 +59,6 @@ type Controller struct {
 
 	mUpgradeCutoverNs                                      *obs.Histogram
 	cUpgradeStarted, cUpgradeCommitted, cUpgradeRolledBack *obs.Counter
-
-	// compileOff disables the compiled packet path (SetCompile). The zero
-	// value keeps compilation on: every mutating operation recompiles the
-	// switch's pipeline plan after it lands.
-	compileOff atomic.Bool
 
 	// tracer and flight, when set by SetTracing, record per-operation span
 	// trees (lock wait, journal commit, apply) and flight-recorder events
@@ -88,34 +81,7 @@ func New(cfg rmt.Config, opt core.Options) (*Controller, error) {
 		upgrades: make(map[string]*upgrade.Session),
 	}
 	ct.initMetrics()
-	ct.recompile()
 	return ct, nil
-}
-
-// SetCompile toggles the compiled packet path. It is on by default: the
-// controller recompiles the switch's pipeline plan after every mutating
-// operation (deploy, revoke, case update), so traffic between updates runs
-// on lowered plans. Disabling retires the current plan and leaves the switch
-// interpreted — used by benchmarks and the equivalence test to pin one path.
-func (ct *Controller) SetCompile(enabled bool) {
-	ct.compileOff.Store(!enabled)
-	if enabled {
-		ct.recompile()
-	} else {
-		compile.Invalidate(ct.SW)
-	}
-}
-
-// recompile refreshes the compiled pipeline plan after a mutating operation.
-// Failure is benign — the mutation already invalidated any stale plan, so
-// the switch falls back to the interpreted path until the next recompile.
-func (ct *Controller) recompile() {
-	if ct.compileOff.Load() {
-		return
-	}
-	if _, ok := compile.Recompile(ct.SW); ok {
-		ct.cRecompiles.Add(1)
-	}
 }
 
 // DeployReport quantifies one program deployment (§6.2.1): parsing and
@@ -178,7 +144,6 @@ func (ct *Controller) linkBlob(ctx context.Context, src string) ([]DeployReport,
 			}
 		}
 		observeOp(ct.mDeployNs, ct.cDeployOK, ct.cDeployErr, start, err)
-		ct.recompile()
 		return nil, err
 	}
 	reports := make([]DeployReport, 0, len(lps))
@@ -198,7 +163,6 @@ func (ct *Controller) linkBlob(ctx context.Context, src string) ([]DeployReport,
 		})
 	}
 	observeOp(ct.mDeployNs, ct.cDeployOK, ct.cDeployErr, start, err)
-	ct.recompile()
 	return reports, err
 }
 
@@ -239,7 +203,6 @@ func (ct *Controller) unlink(name string) (RevokeReport, error) {
 	}
 	st, err := ct.Compiler.Revoke(name)
 	observeOp(ct.mRevokeNs, ct.cRevokeOK, ct.cRevokeErr, start, err)
-	ct.recompile()
 	if err != nil {
 		return RevokeReport{}, err
 	}
@@ -275,7 +238,6 @@ func (ct *Controller) addCasesOp(program string, branchDepth int, src string, ou
 		records: []journal.Record{rec},
 		apply: func(context.Context) (err error) {
 			*out, err = ct.Compiler.AddCases(program, branchDepth, src)
-			ct.recompile()
 			return err
 		},
 		track: func() { ct.jrn.trackCaseOp(program, rec) }}
@@ -295,12 +257,8 @@ func (ct *Controller) removeCaseOp(program string, branchID int) *op {
 	rec := journal.Record{Op: journal.OpRemoveCase, Program: program, BranchID: branchID}
 	return &op{kind: trace.EvCase, subject: program, detail: "remove",
 		records: []journal.Record{rec},
-		apply: func(context.Context) error {
-			err := ct.Compiler.RemoveCase(program, branchID)
-			ct.recompile()
-			return err
-		},
-		track: func() { ct.jrn.trackCaseOp(program, rec) }}
+		apply:   func(context.Context) error { return ct.Compiler.RemoveCase(program, branchID) },
+		track:   func() { ct.jrn.trackCaseOp(program, rec) }}
 }
 
 // SetMulticastGroup configures the traffic manager's replication list for

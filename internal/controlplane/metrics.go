@@ -33,8 +33,6 @@ func (ct *Controller) initMetrics() {
 	ct.cMemOpErr = reg.Counter("p4runpro_memops_total", "Memory operations by outcome.", obs.L("outcome", "error"))
 	ct.cEntries = reg.Counter("p4runpro_entries_installed_total",
 		"Table entries installed by successful deploys.")
-	ct.cRecompiles = reg.Counter("p4runpro_plan_recompiles_total",
-		"Pipeline-plan recompilations published after mutating operations.")
 
 	ct.cUpgradeStarted = reg.Counter("p4runpro_upgrades_started_total",
 		"Versioned upgrades prepared (v2 linked alongside v1).")
@@ -44,13 +42,6 @@ func (ct *Controller) initMetrics() {
 		"Versioned upgrades aborted (v2 revoked, v1 kept serving).")
 	ct.mUpgradeCutoverNs = reg.Histogram("p4runpro_upgrade_cutover_ns",
 		"Epoch-publication latency of upgrade cutovers, in nanoseconds.")
-
-	// Compiled-plan occupancy, read from the switch's published plan at
-	// scrape; both report zero while the switch runs interpreted.
-	reg.GaugeFunc("p4runpro_plan_steps", "Lowered table applications in the published pipeline plan.",
-		func() float64 { st, _ := ct.SW.CompiledPlan(); return float64(st.Steps) })
-	reg.GaugeFunc("p4runpro_plan_entries", "Pre-bound table entries in the published pipeline plan.",
-		func() float64 { st, _ := ct.SW.CompiledPlan(); return float64(st.Entries) })
 
 	reg.GaugeFunc("p4runpro_programs_linked", "Programs currently linked.",
 		func() float64 { return float64(len(ct.Compiler.Programs())) })

@@ -69,7 +69,6 @@ func (ct *Controller) upgradePrepareOp(name, v2src string, out *upgrade.Status) 
 				return fmt.Errorf("controlplane: upgrade of %q already in flight (%s)", name, st)
 			}
 			s, err := upgrade.Prepare(ct.Compiler, ct.Plane, name, v2src)
-			ct.recompile()
 			if err != nil {
 				return err
 			}
@@ -85,8 +84,7 @@ func (ct *Controller) upgradePrepareOp(name, v2src string, out *upgrade.Status) 
 
 // UpgradeCutover publishes the epoch assigning new packets to the given
 // version (2 to cut over, 1 to roll the traffic back). The flip is one
-// atomic pointer store — no table entry moves and the compiled plan stays
-// hot, so no recompile follows.
+// atomic pointer store — no table entry moves.
 func (ct *Controller) UpgradeCutover(name string, version int) (upgrade.Status, error) {
 	return ct.UpgradeCutoverCtx(context.Background(), name, version)
 }
@@ -138,7 +136,6 @@ func (ct *Controller) upgradeCommitOp(name string, out *upgrade.Status) *op {
 		},
 		apply: ct.sessionStep(name, out, func(s *upgrade.Session) error {
 			err := s.Commit()
-			ct.recompile()
 			if err == nil {
 				ct.cUpgradeCommitted.Inc()
 			}
@@ -163,7 +160,6 @@ func (ct *Controller) upgradeAbortOp(name string, out *upgrade.Status) *op {
 		records: []journal.Record{{Op: journal.OpUpgradeAbort, Name: name}},
 		apply: ct.sessionStep(name, out, func(s *upgrade.Session) error {
 			err := s.Abort()
-			ct.recompile()
 			if err == nil {
 				ct.cUpgradeRolledBack.Inc()
 			}

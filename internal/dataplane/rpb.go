@@ -79,8 +79,8 @@ func (pl *Plane) provisionRPBs() error {
 		if err != nil {
 			return err
 		}
-		// Declare the key layout so the plan compiler can lower rpbKeyFunc's
-		// six string-keyed Get calls into direct container reads (field order
+		// Declare the key layout so Table.Apply replaces rpbKeyFunc's six
+		// string-keyed Get calls with direct container reads (field order
 		// must match the rk* key indices above).
 		if err := t.SetPHVKeyFields(pl.SW.PHVLayout(), FieldProg, FieldBranch, FieldRecirc, FieldHAR, FieldSAR, FieldMAR); err != nil {
 			return err

@@ -62,9 +62,8 @@ func (pl *Plane) gate(id uint32) *versionGate {
 }
 
 // PublishEpoch atomically publishes the gate's active version. One pointer
-// store flips every init table's dispatch entries at once, on both the
-// interpreted and compiled packet paths, without retiring the pipeline plan
-// — the cutover itself installs and removes nothing.
+// store flips every init table's dispatch entries at once — the cutover
+// itself installs and removes nothing.
 func (pl *Plane) PublishEpoch(id uint32, active uint16) error {
 	g := pl.gate(id)
 	if g == nil {
@@ -81,10 +80,10 @@ func (pl *Plane) PublishEpoch(id uint32, active uint16) error {
 }
 
 // RetireVersionGate pins the gate permanently to the surviving version's
-// program ID. The gate stays registered: a packet mid-pipeline on a stale
-// compiled plan may still execute a dispatch action after the entries are
-// gone, and it must keep resolving to the survivor rather than miss both
-// versions.
+// program ID. The gate stays registered: a packet mid-pipeline that loaded a
+// table snapshot before the dispatch entries were deleted may still execute
+// a dispatch action after they are gone, and it must keep resolving to the
+// survivor rather than miss both versions.
 func (pl *Plane) RetireVersionGate(id uint32, survivor uint16) {
 	g := pl.gate(id)
 	if g == nil {

@@ -18,10 +18,10 @@
 // propagation latency that stitched path traces accumulate.
 //
 // Replay (replay.go) feeds timed traffic into edge ports and batches every
-// hop through Switch.InjectBatch, so the compiled packet path's throughput
-// carries across the fabric. Path telemetry (trace.go) samples one in N
-// edge packets and forces a postcard at every hop, stitching the per-switch
-// records into end-to-end path traces keyed by a fabric-assigned packet ID.
+// hop through Switch.InjectBatch, so the burst path's throughput carries
+// across the fabric. Path telemetry (trace.go) samples one in N edge packets
+// and forces a postcard at every hop, stitching the per-switch records into
+// end-to-end path traces keyed by a fabric-assigned packet ID.
 package fabric
 
 import (

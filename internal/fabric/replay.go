@@ -78,8 +78,8 @@ func (r *ReplayResult) PPS() float64 {
 // firing scheduled control-plane actions at their simulated times. Events
 // name their entry node (traffic.MergeFeeds stamps it); events with an
 // empty Node fall back to opts.DefaultNode. Edge injections are batched
-// (opts.Batch) so the bulk of the traffic rides the compiled InjectBatch
-// path at every hop; scheduled actions are flush barriers — all packets
+// (opts.Batch) so the bulk of the traffic rides the InjectBatch path at
+// every hop; scheduled actions are flush barriers — all packets
 // injected before the action finish their journeys before it runs.
 func (f *Fabric) Replay(tr *traffic.Trace, sched []traffic.Action, opts ReplayOptions) (*ReplayResult, error) {
 	if opts.Batch <= 0 {

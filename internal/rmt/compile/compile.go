@@ -1,159 +1,10 @@
-// Package compile is the link-time lowering pass of the compiled packet
-// path: it turns the runtime-linked table state of a provisioned switch into
-// a published pipeline plan and keeps that plan honest.
-//
-// # The lowering pipeline
-//
-// A P4runpro program travels through three representations before it
-// processes a packet (docs/COMPILATION.md walks one program all the way
-// down):
-//
-//  1. AST → linked tables. internal/lang parses and checks the source;
-//     internal/core allocates resources and installs the program as table
-//     entries in the shared RPB tables (runtime linking, paper §4).
-//  2. Linked tables → stage plans. This pass. Recompile asks the switch to
-//     lower every occupied stage's published table snapshots into a flat
-//     plan: key extraction becomes direct PHV container reads for tables
-//     that declared their key fields (rmt.Table.SetPHVKeyFields), each
-//     entry's action function and parameters are pre-bound, and per-stage
-//     dispatch becomes a dense step array.
-//  3. Stage plans → execution. The switch publishes the plan through an
-//     atomic pointer; every subsequent Inject executes it instead of the
-//     interpreter, with identical verdicts, counters, and postcards.
-//
-// # Invalidation
-//
-// Every table mutation retires the plan before the mutating call returns
-// (rmt's epoch protocol), so the packet path falls back to the interpreter
-// until the control plane recompiles — correctness never waits on the
-// compiler. The control plane calls Recompile after every deploy, revoke,
-// and entry update; journal recovery replays those same operations, so a
-// recovered switch recompiles automatically.
-//
-// # Differential verification
-//
-// The lowering is only trusted because it is checked: VerifyFrames replays
-// identical frames through an interpreted and a compiled switch and diffs
-// every verdict and output port, and DiffMemory compares SALU register words
-// afterwards. The repo-root equivalence test runs both under -race with
-// concurrent deploy/revoke churn.
+// Package compile is a shim for the frozen bench/ module, which times
+// compile.Recompile as a layer of every deploy. Entries are lowered when a
+// table publishes its snapshot (rmt.Table.Insert), so there is no plan to
+// rebuild; the next benchmark PR deletes this package.
 package compile
 
-import (
-	"fmt"
+import "p4runpro/internal/rmt"
 
-	"p4runpro/internal/rmt"
-)
-
-// maxAttempts bounds Recompile's retry loop: each retry only loses to a
-// concurrent table mutation, and mutations themselves re-trigger recompiles,
-// so a handful of attempts is always enough in practice.
-const maxAttempts = 8
-
-// Recompile lowers the switch's current table state into a pipeline plan and
-// publishes it, retrying when a concurrent table mutation invalidates a
-// build mid-flight. It returns the published plan's statistics; ok=false
-// means every attempt raced a mutation and the switch is left interpreted
-// (the next mutation's recompile will try again).
-func Recompile(sw *rmt.Switch) (rmt.PlanStats, bool) {
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if stats, ok := sw.Compile(); ok {
-			return stats, true
-		}
-	}
-	return rmt.PlanStats{}, false
-}
-
-// Invalidate retires any published plan, returning the switch to the
-// interpreted packet path until the next Recompile.
-func Invalidate(sw *rmt.Switch) { sw.ClearPlan() }
-
-// FrameDiff is one divergence found by VerifyFrames: the index of the frame
-// whose disposition differed between the two switches.
-type FrameDiff struct {
-	// Frame is the index into the verified frame slice.
-	Frame int
-	// Field names what diverged: "verdict", "port", or "error".
-	Field string
-	// A and B describe the two switches' dispositions.
-	A, B string
-}
-
-func (d FrameDiff) String() string {
-	return fmt.Sprintf("frame %d: %s differs: %s vs %s", d.Frame, d.Field, d.A, d.B)
-}
-
-// VerifyFrames injects each wire frame into both switches on the given
-// ingress port and diffs the dispositions: final verdict and output port.
-// Frames are re-parsed per switch so action-driven header rewrites on one
-// side can never leak into the other. It returns every divergence found —
-// an empty slice is the equivalence verdict the compiled path must earn.
-func VerifyFrames(a, b *rmt.Switch, frames [][]byte, port int) []FrameDiff {
-	var diffs []FrameDiff
-	for i, f := range frames {
-		ra, errA := a.InjectBytes(f, port)
-		rb, errB := b.InjectBytes(f, port)
-		if (errA == nil) != (errB == nil) {
-			diffs = append(diffs, FrameDiff{Frame: i, Field: "error", A: fmt.Sprint(errA), B: fmt.Sprint(errB)})
-			continue
-		}
-		if errA != nil {
-			continue
-		}
-		if ra.Verdict != rb.Verdict {
-			diffs = append(diffs, FrameDiff{Frame: i, Field: "verdict", A: ra.Verdict.String(), B: rb.Verdict.String()})
-		}
-		if ra.OutPort != rb.OutPort {
-			diffs = append(diffs, FrameDiff{Frame: i, Field: "port", A: fmt.Sprint(ra.OutPort), B: fmt.Sprint(rb.OutPort)})
-		}
-	}
-	return diffs
-}
-
-// MemDiff is one SALU register word that differs between two switches after
-// replaying the same traffic.
-type MemDiff struct {
-	Gress rmt.Gress
-	Stage int
-	Addr  uint32
-	A, B  uint32
-}
-
-func (d MemDiff) String() string {
-	return fmt.Sprintf("%s stage %d word %d: %#x vs %#x", d.Gress, d.Stage, d.Addr, d.A, d.B)
-}
-
-// DiffMemory compares the first n SALU register words of every stage of the
-// two switches and returns the words that differ. After replaying identical
-// traffic through an interpreted and a compiled switch, any difference means
-// the lowering changed a stateful action's behavior.
-func DiffMemory(a, b *rmt.Switch, n uint32) ([]MemDiff, error) {
-	var diffs []MemDiff
-	cfg := a.Config()
-	for g := rmt.Ingress; g <= rmt.Egress; g++ {
-		for st := 0; st < cfg.StageCount(g); st++ {
-			ra, err := a.Array(g, st)
-			if err != nil {
-				return nil, err
-			}
-			rb, err := b.Array(g, st)
-			if err != nil {
-				return nil, err
-			}
-			wa, err := ra.Snapshot(0, n)
-			if err != nil {
-				return nil, err
-			}
-			wb, err := rb.Snapshot(0, n)
-			if err != nil {
-				return nil, err
-			}
-			for i := range wa {
-				if wa[i] != wb[i] {
-					diffs = append(diffs, MemDiff{Gress: g, Stage: st, Addr: uint32(i), A: wa[i], B: wb[i]})
-				}
-			}
-		}
-	}
-	return diffs, nil
-}
+// Recompile reports the always-published state of the packet path.
+func Recompile(sw *rmt.Switch) (rmt.PlanStats, bool) { return sw.CompiledPlan() }

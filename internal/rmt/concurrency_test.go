@@ -10,11 +10,12 @@ import (
 )
 
 // TestConcurrentInjectWithTableChurn is the -race regression test for the
-// packet fast path: goroutines inject traffic (hitting table match logic,
-// hit/miss counters, SALU memory, and port counters) while the control plane
-// churns entries in the same table. Before the lock-free snapshot refactor,
-// Table.Apply bumped t.hits/t.misses under a read lock — a data race this
-// test reproduces deterministically under the race detector.
+// packet fast path: goroutines inject traffic, singly and in bursts (hitting
+// table match logic, hit/miss counters, SALU memory, and port counters) while
+// the control plane churns entries in the same table. Before the lock-free
+// snapshot refactor, Table.Apply bumped t.hits/t.misses under a read lock —
+// a data race this test reproduces deterministically under the race
+// detector.
 func TestConcurrentInjectWithTableChurn(t *testing.T) {
 	cfg := DefaultConfig()
 	sw := New(cfg)
@@ -73,13 +74,32 @@ func TestConcurrentInjectWithTableChurn(t *testing.T) {
 		inj.Add(1)
 		go func(w int) {
 			defer inj.Done()
-			for i := 0; i < 2000; i++ {
-				ft := pkt.FiveTuple{SrcIP: uint32(w), DstIP: uint32(i % flows), SrcPort: 1, DstPort: 2, Proto: pkt.ProtoUDP}
-				r := sw.Inject(pkt.NewUDP(ft, 100), w%4)
+			ft := func(i int) pkt.FiveTuple {
+				return pkt.FiveTuple{SrcIP: uint32(w), DstIP: uint32(i % flows), SrcPort: 1, DstPort: 2, Proto: pkt.ProtoUDP}
+			}
+			batch := make([]BatchItem, 16)
+			for i := 0; i < 2000; {
+				if i%3 == 0 && i+len(batch) <= 2000 { // the InjectBatch leg
+					for j := range batch {
+						batch[j] = BatchItem{Pkt: pkt.NewUDP(ft(i+j), 100), Port: w % 4}
+					}
+					sw.InjectBatch(batch)
+					for j := range batch {
+						if v := batch[j].Res.Verdict; v != VerdictForwarded {
+							t.Errorf("worker %d: batch verdict %v", w, v)
+							return
+						}
+					}
+					i += len(batch)
+					injected.Add(uint64(len(batch)))
+					continue
+				}
+				r := sw.Inject(pkt.NewUDP(ft(i), 100), w%4)
 				if r.Verdict != VerdictForwarded {
 					t.Errorf("worker %d: verdict %v", w, r.Verdict)
 					return
 				}
+				i++
 				injected.Add(1)
 			}
 		}(w)
@@ -121,6 +141,42 @@ func TestConcurrentInjectWithTableChurn(t *testing.T) {
 	if v, _ := arr.Peek(0); uint64(v) != want {
 		t.Errorf("SALU add lost updates: %d, want %d", v, want)
 	}
+}
+
+// TestDeclareKeyFieldsUnderTraffic declares a table's key containers while
+// workers inject through it: the declaration is published with the match
+// state, so a packet extracts its key through keyFunc or by direct container
+// reads — never a half-set index slice — and both give the same verdict.
+func TestDeclareKeyFieldsUnderTraffic(t *testing.T) {
+	sw, tbl := dstSwitch(t)
+	if _, err := tbl.Insert([]TernaryKey{Exact(7)}, 0, "fwd", []uint32{3}, "p"); err != nil {
+		t.Fatal(err)
+	}
+	const perWorker = 4000
+	var wg sync.WaitGroup
+	for w := 0; w < max(2, runtime.GOMAXPROCS(0)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				dst := uint32(7 + i%2)
+				r := sw.Inject(dstPkt(dst), 1)
+				if dst == 7 && (r.Verdict != VerdictForwarded || r.OutPort != 3) || dst == 8 && r.Verdict != VerdictDropped {
+					t.Errorf("dst %d: %v out %d", dst, r.Verdict, r.OutPort)
+					return
+				}
+			}
+		}()
+	}
+	// Declare once traffic is demonstrably flowing, so packets run on both
+	// sides of the publication.
+	for sw.Metrics().Packets < perWorker/4 && !t.Failed() {
+		runtime.Gosched()
+	}
+	if err := tbl.SetPHVKeyFields(sw.PHVLayout(), "dst"); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
 }
 
 // TestPacketSeesWholeEntryVersion is the §5 consistency property test:

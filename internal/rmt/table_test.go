@@ -2,6 +2,7 @@ package rmt
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -285,6 +286,184 @@ func TestLookupMatchesApply(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// oracleEntry is the differential test's model of one installed entry; the
+// slice holding them is kept in insertion order.
+type oracleEntry struct {
+	id    EntryID
+	keys  []TernaryKey
+	prio  int
+	owner string
+	hits  uint64
+}
+
+// oracleMatch is the linear reference matcher: highest priority wins, the
+// earliest insert wins ties, nil means the default action runs.
+func oracleMatch(entries []*oracleEntry, probe []uint32) *oracleEntry {
+	var best *oracleEntry
+next:
+	for _, e := range entries {
+		for i, k := range e.keys {
+			if probe[i]&k.Mask != k.Value&k.Mask {
+				continue next
+			}
+		}
+		if best == nil || e.prio > best.prio {
+			best = e
+		}
+	}
+	return best
+}
+
+// TestApplyMatchesLinearOracle is the differential check on the one matcher:
+// random multi-key ternary rule sets — exact and wildcard first keys mixed,
+// repeated priorities, inserts interleaved with Delete, DeleteOwned and Reown
+// — probed through Apply on two tables holding the same entries, one reading
+// its declared key containers directly and one through the generic keyFunc,
+// and compared with oracleMatch: same entry ID (each entry's parameter is
+// its ID, so the ID is read off the action that ran), same default on a
+// miss, same table and per-entry hit counters.
+func TestApplyMatchesLinearOracle(t *testing.T) {
+	const missMark = 0xFFFFFFFF
+	fields := []string{"k0", "k1", "k2"}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		layout := NewPHVLayout(4096)
+		for _, f := range append([]string{"out"}, fields...) {
+			if err := layout.Define(f, 32); err != nil {
+				t.Fatal(err)
+			}
+		}
+		phv := NewPHV(layout, nil, 0)
+		mk := func(name string) *Table {
+			tbl := NewTable(name, Ingress, 0, 256, len(fields), func(p *PHV) []uint32 {
+				return []uint32{p.Get("k0"), p.Get("k1"), p.Get("k2")}
+			})
+			if err := tbl.RegisterAction("set", 1, func(p *PHV, params []uint32) { p.Set("out", params[0]) }); err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.SetDefault("set", missMark); err != nil {
+				t.Fatal(err)
+			}
+			return tbl
+		}
+		declared, generic := mk("declared"), mk("generic")
+		if err := declared.SetPHVKeyFields(layout, fields...); err != nil {
+			t.Fatal(err)
+		}
+		tables := []*Table{declared, generic}
+
+		var model []*oracleEntry
+		var hits, misses uint64
+		owners := []string{"a", "b", "c"}
+		randKey := func(exactOdds int) TernaryKey {
+			switch v := uint32(rng.Intn(4)); {
+			case rng.Intn(4) < exactOdds:
+				return Exact(v)
+			case rng.Intn(2) == 0:
+				return Wild()
+			default:
+				return TernaryKey{Value: v, Mask: 0x2}
+			}
+		}
+		remove := func(drop func(*oracleEntry) bool) {
+			kept := model[:0]
+			for _, e := range model {
+				if !drop(e) {
+					kept = append(kept, e)
+				}
+			}
+			model = kept
+		}
+		for step := 0; step < 200; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6 || len(model) == 0:
+				e := &oracleEntry{
+					keys: []TernaryKey{randKey(2), randKey(1), randKey(1)},
+					prio: rng.Intn(3), owner: owners[rng.Intn(len(owners))],
+				}
+				for _, tbl := range tables {
+					id, err := tbl.Insert(e.keys, e.prio, "set", []uint32{uint32(tbl.nextID + 1)}, e.owner)
+					if err != nil {
+						t.Fatalf("seed %d step %d: %s insert: %v", seed, step, tbl.Name, err)
+					}
+					e.id = id
+				}
+				model = append(model, e)
+			case op == 6:
+				id := model[rng.Intn(len(model))].id
+				for _, tbl := range tables {
+					if err := tbl.Delete(id); err != nil {
+						t.Fatalf("seed %d step %d: %s delete %d: %v", seed, step, tbl.Name, id, err)
+					}
+				}
+				remove(func(e *oracleEntry) bool { return e.id == id })
+			case op == 7:
+				owner := owners[rng.Intn(len(owners))]
+				want := 0
+				for _, e := range model {
+					if e.owner == owner {
+						want++
+					}
+				}
+				for _, tbl := range tables {
+					if n := tbl.DeleteOwned(owner); n != want {
+						t.Fatalf("seed %d step %d: %s DeleteOwned(%s) = %d, want %d", seed, step, tbl.Name, owner, n, want)
+					}
+				}
+				remove(func(e *oracleEntry) bool { return e.owner == owner })
+			default:
+				from, to := owners[rng.Intn(len(owners))], owners[rng.Intn(len(owners))]
+				for _, tbl := range tables {
+					tbl.Reown(from, to)
+				}
+				for _, e := range model {
+					if e.owner == from {
+						e.owner = to
+					}
+				}
+			}
+			for probe := 0; probe < 4; probe++ {
+				vals := []uint32{uint32(rng.Intn(4)), uint32(rng.Intn(4)), uint32(rng.Intn(4))}
+				want := uint32(missMark)
+				if e := oracleMatch(model, vals); e != nil {
+					want = uint32(e.id)
+					e.hits++
+					hits++
+				} else {
+					misses++
+				}
+				for _, tbl := range tables {
+					for i, f := range fields {
+						phv.Set(f, vals[i])
+					}
+					phv.Set("out", 0)
+					if !tbl.Apply(phv) {
+						t.Fatalf("seed %d step %d: %s executed nothing for %v", seed, step, tbl.Name, vals)
+					}
+					if got := phv.Get("out"); got != want {
+						t.Fatalf("seed %d step %d: %s matched entry %d for %v, oracle %d", seed, step, tbl.Name, got, vals, want)
+					}
+				}
+			}
+		}
+		for _, tbl := range tables {
+			if h, m := tbl.Stats(); h != hits || m != misses {
+				t.Fatalf("seed %d: %s hits=%d misses=%d, oracle %d/%d", seed, tbl.Name, h, m, hits, misses)
+			}
+			installed := tbl.Entries()
+			if len(installed) != len(model) {
+				t.Fatalf("seed %d: %s holds %d entries, oracle %d", seed, tbl.Name, len(installed), len(model))
+			}
+			for i, e := range installed { // both ordered by ID
+				if e.ID != model[i].id || e.Owner != model[i].owner || e.Hits() != model[i].hits {
+					t.Fatalf("seed %d: %s entry %d owner %s hits %d, oracle entry %d owner %s hits %d",
+						seed, tbl.Name, e.ID, e.Owner, e.Hits(), model[i].id, model[i].owner, model[i].hits)
+				}
+			}
+		}
 	}
 }
 

@@ -6,9 +6,9 @@
 // vanishes without a trace) as one journaled state machine.
 //
 // The cutover itself is one atomic epoch publication (dataplane version
-// gate): no table entry moves, the compiled pipeline plan stays hot, and a
-// per-packet latch pins recirculating packets to their first-pass version so
-// no packet ever executes a mix of v1 and v2.
+// gate): no table entry moves, and a per-packet latch pins recirculating
+// packets to their first-pass version so no packet ever executes a mix of v1
+// and v2.
 package upgrade
 
 import (
@@ -240,9 +240,8 @@ func migrateState(comp *core.Compiler, plane *dataplane.Plane, lp1, lp2 *core.Li
 }
 
 // Cutover publishes the epoch assigning newly arriving packets to the given
-// version (1 or 2) — one atomic pointer store, visible to the interpreted
-// and compiled packet paths alike, with no table churn and no plan
-// retirement. Flipping back to 1 is the data plane half of a rollback.
+// version (1 or 2) — one atomic pointer store with no table churn. Flipping
+// back to 1 is the data plane half of a rollback.
 func (s *Session) Cutover(version int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -278,8 +277,7 @@ func (s *Session) Cutover(version int) error {
 // throughout), the dispatch entries are removed (v2's filters beneath take
 // over seamlessly), the gate is retired pinned to v2 for any packet still
 // mid-pipeline, and v2 takes over the operator-visible name. The epoch flip
-// happened earlier, in Cutover; Commit only retires table state — each
-// mutation invalidates the compiled plan once, exactly like any deploy.
+// happened earlier, in Cutover; Commit only retires table state.
 func (s *Session) Commit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

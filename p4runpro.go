@@ -54,9 +54,6 @@ type (
 	// BatchItem is one packet of a Switch.InjectBatch burst; the batched
 	// injection API amortizes per-packet dispatch (see docs/PERFORMANCE.md).
 	BatchItem = rmt.BatchItem
-	// PlanStats summarizes the switch's compiled pipeline plan (see
-	// docs/COMPILATION.md for the lowering pipeline).
-	PlanStats = rmt.PlanStats
 	// Server serves the control protocol over TCP.
 	Server = wire.Server
 	// Client is the typed control-protocol client.
