@@ -242,9 +242,6 @@ func opsCmd(c *wire.Client, args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		if res.Dropped > 0 {
-			fmt.Printf("flight recorder dropped %d events to contention\n", res.Dropped)
-		}
 		for _, ev := range res.Events {
 			line := ev.At + " " + ev.Kind
 			if ev.Name != "" {

@@ -30,11 +30,6 @@ type Chain struct {
 	Switches []*rmt.Switch
 	Planes   []*dataplane.Plane
 	Compiler *core.Compiler
-
-	// Serialize controls whether packets are marshaled to wire bytes and
-	// re-parsed between hops (true, the faithful mode) or handed over
-	// in-memory (false, faster for experiments).
-	Serialize bool
 }
 
 // New provisions a chain of k identical switches and a compiler that places
@@ -43,7 +38,7 @@ func New(k int, cfg rmt.Config, opt core.Options) (*Chain, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("chain: need at least one switch, got %d", k)
 	}
-	ch := &Chain{Serialize: true}
+	ch := &Chain{}
 	var targets []core.PassTarget
 	for i := 0; i < k; i++ {
 		swCfg := cfg
@@ -83,9 +78,9 @@ func (ch *Chain) Revoke(name string) (core.RevokeStats, error) {
 }
 
 // Inject pushes a packet into the first switch and walks it down the path:
-// a VerdictNextHop result is carried to the following switch (serialized
-// through the shim wire format when Serialize is set) until a final verdict
-// emerges. The returned Result's Passes counts traversed switches.
+// a VerdictNextHop result is serialized through the shim wire format and
+// re-parsed by the following switch until a final verdict emerges. The
+// returned Result's Passes counts traversed switches.
 func (ch *Chain) Inject(p *pkt.Packet, inPort int) rmt.Result {
 	hops := 0
 	cur := p
@@ -102,17 +97,12 @@ func (ch *Chain) Inject(p *pkt.Packet, inPort int) rmt.Result {
 			res.Verdict = rmt.VerdictRecircOverflow
 			return res
 		}
-		if ch.Serialize {
-			frame := res.Packet.Marshal()
-			next, err := pkt.Parse(frame)
-			if err != nil {
-				res.Verdict = rmt.VerdictRecircOverflow
-				return res
-			}
-			cur = next
-		} else {
-			cur = res.Packet
+		next, err := pkt.Parse(res.Packet.Marshal())
+		if err != nil {
+			res.Verdict = rmt.VerdictRecircOverflow
+			return res
 		}
+		cur = next
 	}
 	return rmt.Result{Verdict: rmt.VerdictNoDecision, OutPort: -1, Packet: cur, Passes: hops}
 }

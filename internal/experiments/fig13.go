@@ -134,7 +134,7 @@ func Figure13b(durationMs int) CaseStudyB {
 		{AtMs: deployAtMs, Do: ref.BeginReprovision},
 		{AtMs: deployAtMs + reprovisionMs, Do: ref.FinishReprovision},
 	}
-	resRef := traffic.Replay(tr, ref, refSched, bucketMs)
+	resRef := traffic.Replay(tr, traffic.PerPacket(ref.Inject), refSched, bucketMs)
 
 	steadyFrom := float64(deployAtMs + reprovisionMs + 1000)
 	end := float64(durationMs)
@@ -198,7 +198,7 @@ func Figure13c(durationMs int) CaseStudyC {
 		{AtMs: deployAtMs, Do: ref.BeginReprovision},
 		{AtMs: deployAtMs + reprovisionMs, Do: ref.FinishReprovision},
 	}
-	resRef := traffic.Replay(tr, ref, refSched, bucketMs)
+	resRef := traffic.Replay(tr, traffic.PerPacket(ref.Inject), refSched, bucketMs)
 
 	study := CaseStudyC{
 		P4runpro:     imbalance(resOurs, ports[0], ports[1]),
@@ -304,7 +304,7 @@ func Figure13d(durationMs int) CaseStudyD {
 		{AtMs: deployAtMs, Do: ref.BeginReprovision},
 		{AtMs: deployAtMs + reprovisionMs, Do: ref.FinishReprovision},
 	}
-	traffic.Replay(tr, ref, refSched, bucketMs, func(b int) {
+	traffic.Replay(tr, traffic.PerPacket(ref.Inject), refSched, bucketMs, func(b int) {
 		if b < len(refF1.Values) {
 			refF1.Values[b] = traffic.F1(ref.reported, truth)
 		}

@@ -10,7 +10,8 @@ import (
 // equivalent native implementations of the standalone P4 programs, with the
 // conventional workflow's cost modeled as a reprovisioning downtime window
 // (the switch forwards nothing while the new image loads and ports re-
-// enable). Each reference implements traffic.Injector.
+// enable). Each reference injects per packet and replays through
+// traffic.PerPacket.
 
 // refMode is the lifecycle of a conventional switch during a case study.
 type refMode int
@@ -48,7 +49,6 @@ func newRefCache(fwdPort, missPort int, cached []uint64) *refCache {
 	return &refCache{fwdPort: fwdPort, missPort: missPort, keys: keys}
 }
 
-// Inject implements traffic.Injector.
 func (r *refCache) Inject(p *pkt.Packet, inPort int) rmt.Result {
 	switch r.mode {
 	case refDown:
@@ -91,7 +91,6 @@ func newRefLB(fwdPort int, buckets uint32, ports []int, dips []uint32) *refLB {
 	}
 }
 
-// Inject implements traffic.Injector.
 func (r *refLB) Inject(p *pkt.Packet, inPort int) rmt.Result {
 	switch r.mode {
 	case refDown:
@@ -133,7 +132,6 @@ func newRefHH(fwdPort int, rows, threshold uint32) *refHH {
 	return r
 }
 
-// Inject implements traffic.Injector.
 func (r *refHH) Inject(p *pkt.Packet, inPort int) rmt.Result {
 	switch r.mode {
 	case refDown:

@@ -20,8 +20,9 @@
 // Replay (replay.go) feeds timed traffic into edge ports and batches every
 // hop through Switch.InjectBatch, so the burst path's throughput carries
 // across the fabric. Path telemetry (trace.go) samples one in N edge packets
-// and forces a postcard at every hop, stitching the per-switch records into
-// end-to-end path traces keyed by a fabric-assigned packet ID.
+// and forces a postcard at every hop (the packet rides the burst with its
+// trace ID), stitching the per-switch records into end-to-end path traces
+// keyed by a fabric-assigned packet ID.
 package fabric
 
 import (
@@ -325,9 +326,9 @@ func (f *Fabric) Inject(node string, p *pkt.Packet, port int) (Delivery, error) 
 }
 
 // process drains a frontier of pending injections: every wave batches the
-// pending packets per node through InjectBatch (path-sampled packets go
-// per-packet through InjectWith so each hop yields a postcard), routes each
-// result over the links, and repeats until no packet is in flight. scratch,
+// pending packets per node through InjectBatch (path-sampled packets
+// included), routes each result over the links, and repeats until no packet
+// is in flight. scratch,
 // when non-nil, supplies reusable per-wave buffers for the replay loop.
 func (f *Fabric) process(frontier []hop, res *ReplayResult, scratch *engineScratch) {
 	if scratch == nil {
@@ -359,38 +360,31 @@ func (f *Fabric) process(frontier []hop, res *ReplayResult, scratch *engineScrat
 	scratch.cur, scratch.next = cur, next
 }
 
-// flushNode injects one node's pending wave — traced packets one by one,
-// the rest as a single InjectBatch burst — and routes every result,
-// appending follow-on hops to next.
+// flushNode injects one node's pending wave as a single InjectBatch burst,
+// in arrival order — a path-traced packet rides the burst with its trace ID,
+// which forces its postcard — and routes every result, appending follow-on
+// hops to next.
 func (f *Fabric) flushNode(n *Node, pending []hop, next []hop, res *ReplayResult, scratch *engineScratch) []hop {
 	items := scratch.items[:0]
-	batched := scratch.batched[:0]
-	for i := range pending {
-		h := &pending[i]
-		n.injected.Add(1)
-		if res != nil {
-			res.node(n.Name).Injected++
-		}
+	for _, h := range pending {
+		it := rmt.BatchItem{Pkt: h.p, Port: h.port, TTL: uint32(h.ttl)}
 		if h.tr != nil {
-			r, pc := n.SW.InjectWith(h.p, h.port, rmt.InjectCtx{
-				TTL:    uint32(h.ttl),
-				PathID: h.tr.ID,
-				Traced: true,
-			})
-			h.tr.addHop(n.Name, h.port, r, pc)
-			next = f.route(*h, r, next, res)
-			continue
+			it.PathID = h.tr.ID
 		}
-		items = append(items, rmt.BatchItem{Pkt: h.p, Port: h.port, TTL: uint32(h.ttl)})
-		batched = append(batched, i)
+		items = append(items, it)
 	}
-	if len(items) > 0 {
-		n.SW.InjectBatch(items)
-		for bi, pi := range batched {
-			next = f.route(pending[pi], items[bi].Res, next, res)
+	n.injected.Add(uint64(len(pending)))
+	if res != nil {
+		res.node(n.Name).Injected += uint64(len(pending))
+	}
+	n.SW.InjectBatch(items)
+	for i, h := range pending {
+		if h.tr != nil {
+			h.tr.addHop(n.Name, h.port, items[i].Res, items[i].Postcard)
 		}
+		next = f.route(h, items[i].Res, next, res)
 	}
-	scratch.items, scratch.batched = items, batched
+	scratch.items = items
 	return next
 }
 
@@ -525,7 +519,6 @@ type engineScratch struct {
 	cur, next []hop
 	byNode    map[*Node][]hop
 	items     []rmt.BatchItem
-	batched   []int
 	free      [][]hop
 }
 

@@ -9,6 +9,7 @@ import (
 	"p4runpro/internal/faults"
 	"p4runpro/internal/pkt"
 	"p4runpro/internal/rmt"
+	"p4runpro/internal/traffic"
 )
 
 // fwdSwitch builds a raw switch whose single wildcard table forwards every
@@ -263,6 +264,52 @@ func TestPathTraceStitching(t *testing.T) {
 	}
 	if s := tr.String(); !strings.Contains(s, "p0:1 -> p1:") || !strings.Contains(s, "delivered") {
 		t.Errorf("trace string %q", s)
+	}
+}
+
+// TestPathTracedPacketsKeepArrivalOrder: path-traced packets ride their
+// node's burst, so within one wave every switch sees one flow's packets —
+// traced or not — in edge arrival order, and each traced packet still gets
+// a postcard at every hop.
+func TestPathTracedPacketsKeepArrivalOrder(t *testing.T) {
+	f := New(Options{PathSampleEvery: 3})
+	seen := map[string][]*pkt.Packet{}
+	for i, egress := range []int{f.ChainNextPort(), 2} {
+		name := nodeName("o", i)
+		sw := fwdSwitch(t, egress)
+		sw.SetParseHook(func(p *rmt.PHV) { seen[name] = append(seen[name], p.Packet) })
+		if _, err := f.Add(name, sw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.WireChain("o", 2, rmt.DefaultConfig(), 0); err != nil {
+		t.Fatal(err)
+	}
+	tr := &traffic.Trace{}
+	for i := 0; i < 12; i++ {
+		tr.Events = append(tr.Events, traffic.Event{AtMs: float64(i), Pkt: testPacket(), Port: 1})
+	}
+	res, err := f.Replay(tr, nil, ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Delivered != 12 || len(res.Traces) != 4 {
+		t.Fatalf("delivered %d, traced %d; want 12 and 4", res.Delivered, len(res.Traces))
+	}
+	for _, name := range []string{"o0", "o1"} {
+		if len(seen[name]) != len(tr.Events) {
+			t.Fatalf("%s saw %d packets, want %d", name, len(seen[name]), len(tr.Events))
+		}
+		for i, ev := range tr.Events {
+			if seen[name][i] != ev.Pkt {
+				t.Fatalf("%s: packet %d arrived out of edge order", name, i)
+			}
+		}
+	}
+	for _, ptr := range res.Traces {
+		if len(ptr.Hops) != 2 || ptr.Hops[0].Postcard == nil || ptr.Hops[1].Postcard == nil || ptr.Hops[1].Postcard.PathID != ptr.ID {
+			t.Fatalf("trace %s missing per-hop postcards", ptr)
+		}
 	}
 }
 

@@ -73,11 +73,6 @@ func (r *FlightRecorder) Record(ev Event) {
 	r.mu.Unlock()
 }
 
-// Dropped reports how many events were lost before reaching the ring.
-// Record never loses one, so it is always zero; the accessor stays because
-// the dump and the debug.flightrec result carry the field.
-func (r *FlightRecorder) Dropped() uint64 { return 0 }
-
 // Events returns the buffered events, oldest first.
 func (r *FlightRecorder) Events() []Event {
 	if r == nil {
@@ -128,15 +123,13 @@ func (ev Event) toJSON() eventJSON {
 func (r *FlightRecorder) WriteJSON(w io.Writer, reason string) error {
 	evs := r.Events()
 	out := struct {
-		Reason  string      `json:"reason"`
-		Now     string      `json:"now"`
-		Dropped uint64      `json:"dropped,omitempty"`
-		Events  []eventJSON `json:"events"`
+		Reason string      `json:"reason"`
+		Now    string      `json:"now"`
+		Events []eventJSON `json:"events"`
 	}{
-		Reason:  reason,
-		Now:     time.Now().UTC().Format(time.RFC3339Nano),
-		Dropped: r.Dropped(),
-		Events:  make([]eventJSON, 0, len(evs)),
+		Reason: reason,
+		Now:    time.Now().UTC().Format(time.RFC3339Nano),
+		Events: make([]eventJSON, 0, len(evs)),
 	}
 	for _, ev := range evs {
 		out.Events = append(out.Events, ev.toJSON())

@@ -37,7 +37,7 @@ func TestFlightRecorderZeroAlloc(t *testing.T) {
 	}
 	var nilRec *FlightRecorder
 	nilRec.Record(ev) // must not panic
-	if nilRec.Events() != nil || nilRec.Dropped() != 0 {
+	if nilRec.Events() != nil {
 		t.Fatal("nil recorder not inert")
 	}
 }

@@ -9,14 +9,14 @@ import (
 	"p4runpro/internal/pkt"
 )
 
-// TestConcurrentInjectWithTableChurn is the -race regression test for the
+// TestConcurrentInjectUnderTableChurn is the -race regression test for the
 // packet fast path: goroutines inject traffic, singly and in bursts (hitting
 // table match logic, hit/miss counters, SALU memory, and port counters) while
 // the control plane churns entries in the same table. Before the lock-free
 // snapshot refactor, Table.Apply bumped t.hits/t.misses under a read lock —
 // a data race this test reproduces deterministically under the race
 // detector.
-func TestConcurrentInjectWithTableChurn(t *testing.T) {
+func TestConcurrentInjectUnderTableChurn(t *testing.T) {
 	cfg := DefaultConfig()
 	sw := New(cfg)
 	tbl, err := sw.AddTable("churn", Ingress, 0, 64, 1, func(p *PHV) []uint32 {

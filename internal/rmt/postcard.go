@@ -42,7 +42,7 @@ type Postcard struct {
 	Seq    uint64 // monotonically increasing postcard number
 	InPort int
 	// PathID is the fabric-assigned end-to-end path-trace ID for packets
-	// traced across a multi-switch topology (see InjectCtx); zero for
+	// traced across a multi-switch topology (see BatchItem.PathID); zero for
 	// postcards sampled by the switch's own 1-in-N sampler.
 	PathID    uint64
 	Flow      pkt.FiveTuple
@@ -222,16 +222,18 @@ func postcardMatchesOwner(p *Postcard, owner string) bool {
 	return false
 }
 
-// samplePostcard decides whether this injection is sampled and, when it is,
-// returns a recording buffer to attach to the packet's PHV. Called once per
-// Inject; the disabled path is a single atomic load.
-func (s *Switch) samplePostcard() *pathTrace {
-	every := s.post.every.Load()
-	if every == 0 {
-		return nil
-	}
-	if s.post.seq.Add(1)%uint64(every) != 0 {
-		return nil
+// tracePacket decides whether this injection records a postcard and, when it
+// does, returns a recording buffer to attach to the packet's PHV. A
+// path-traced packet (pathID != 0) always records, without advancing the
+// 1-in-N sampler: the fabric decides sampling at the topology edge and forces
+// a postcard at every hop of the chosen packet. Otherwise the disabled path
+// is a single atomic load.
+func (s *Switch) tracePacket(pathID uint64) *pathTrace {
+	if pathID == 0 {
+		every := s.post.every.Load()
+		if every == 0 || s.post.seq.Add(1)%uint64(every) != 0 {
+			return nil
+		}
 	}
 	tr, _ := s.post.pool.Get().(*pathTrace)
 	if tr == nil {
@@ -242,47 +244,26 @@ func (s *Switch) samplePostcard() *pathTrace {
 	return tr
 }
 
-// forceTrace returns a recording buffer unconditionally, bypassing the
-// 1-in-N sampler — the fabric layer's path tracing decides sampling at the
-// topology edge and then forces a postcard at every hop of the chosen
-// packet, so a stitched path trace never has holes.
-func (s *Switch) forceTrace() *pathTrace {
-	tr, _ := s.post.pool.Get().(*pathTrace)
-	if tr == nil {
-		tr = &pathTrace{}
-	}
-	tr.reset()
-	tr.start = time.Now()
-	return tr
-}
-
-// buildPostcard assembles one finished trace buffer into an immutable
-// postcard record. The caller owns publishing it and returning tr to the
-// pool.
-func (s *Switch) buildPostcard(tr *pathTrace, p *pkt.Packet, inPort int, res Result, pathID uint64) *Postcard {
+// recordPostcard assembles a finished trace buffer into an immutable
+// postcard, publishes it to the ring when postcards are enabled, returns the
+// buffer to the pool, and returns the postcard.
+func (s *Switch) recordPostcard(tr *pathTrace, it *BatchItem) *Postcard {
 	pc := &Postcard{
 		Seq:       s.post.count.Add(1),
-		InPort:    inPort,
-		PathID:    pathID,
-		Verdict:   res.Verdict,
-		OutPort:   res.OutPort,
-		Passes:    res.Passes,
+		InPort:    it.Port,
+		PathID:    it.PathID,
+		Flow:      it.Pkt.FiveTuple(),
+		Verdict:   it.Res.Verdict,
+		OutPort:   it.Res.OutPort,
+		Passes:    it.Res.Passes,
 		Recircs:   tr.recircs,
 		Latency:   time.Since(tr.start),
 		Hops:      append([]PostcardHop(nil), tr.hops[:tr.n]...),
 		Truncated: tr.truncated,
 	}
-	if p != nil {
-		pc.Flow = p.FiveTuple()
-	}
-	return pc
-}
-
-// recordPostcard assembles the sampled packet's postcard and publishes it,
-// returning the trace buffer to the pool.
-func (s *Switch) recordPostcard(tr *pathTrace, p *pkt.Packet, inPort int, res Result) {
 	if ring := s.post.ring.Load(); ring != nil {
-		ring.put(s.buildPostcard(tr, p, inPort, res, 0))
+		ring.put(pc)
 	}
 	s.post.pool.Put(tr)
+	return pc
 }

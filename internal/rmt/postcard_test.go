@@ -175,6 +175,52 @@ func TestPostcardOwnerFilter(t *testing.T) {
 	}
 }
 
+// TestInjectBatchPathTracedItem: in a burst whose middle item carries a
+// fabric PathID, only that item gets a Postcard, stamped with the ID; the
+// forced postcard does not advance the 1-in-N sampler; and the ring receives
+// it only when postcards are enabled.
+func TestInjectBatchPathTracedItem(t *testing.T) {
+	for _, every := range []int{0, 2} {
+		sw := testSwitch(t)
+		if every > 0 {
+			sw.EnablePostcards(every, 16)
+		}
+		items := []BatchItem{
+			{Pkt: udpFlow(1), Port: 1},
+			{Pkt: udpFlow(2), Port: 1, PathID: 7},
+			{Pkt: udpFlow(3), Port: 1},
+		}
+		sw.InjectBatch(items)
+		for i, it := range items {
+			if i != 1 {
+				if it.Postcard != nil {
+					t.Fatalf("every=%d: untraced item %d got postcard %+v", every, i, it.Postcard)
+				}
+				continue
+			}
+			pc := it.Postcard
+			if pc == nil || pc.PathID != 7 || pc.Flow.SrcPort != 2 || pc.Verdict != VerdictForwarded || len(pc.Hops) != 1 {
+				t.Fatalf("every=%d: traced item postcard %+v", every, pc)
+			}
+		}
+		pcs := sw.Postcards("", 0)
+		if every == 0 {
+			if pcs != nil || sw.post.seq.Load() != 0 {
+				t.Fatalf("disabled switch: ring %+v, sampler seq %d", pcs, sw.post.seq.Load())
+			}
+			continue
+		}
+		// The sampler counted items 0 and 2 only, so item 2 is its second
+		// arrival and the 1-in-2 sample; the forced postcard sits before it.
+		if got := sw.post.seq.Load(); got != 2 {
+			t.Fatalf("sampler seq %d, want 2 (forced postcard must not advance it)", got)
+		}
+		if len(pcs) != 2 || pcs[0].PathID != 7 || pcs[1].PathID != 0 || pcs[1].Flow.SrcPort != 3 {
+			t.Fatalf("ring %+v, want the forced postcard then item 2's sample", pcs)
+		}
+	}
+}
+
 func TestPostcardHopTruncation(t *testing.T) {
 	tr := &pathTrace{}
 	for i := 0; i < maxPostcardHops+10; i++ {

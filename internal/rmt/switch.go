@@ -145,7 +145,7 @@ func (c *portCounter) snapshot() PortCounters {
 // and hash units. Runtime reconfiguration is restricted to table entries and
 // register values, exactly as on real RMT hardware.
 //
-// The packet path (Inject and everything under it) is safe for concurrent
+// The packet path (InjectBatch and everything under it) is safe for concurrent
 // use and lock-free: stage plans and table match state are immutable
 // snapshots behind atomic pointers, all counters are atomics, register
 // arrays linearize per word, and PHVs are recycled from a pool — modeling a
@@ -394,89 +394,12 @@ func (s *Switch) AccessMemory(p *PHV, op SALUOp, addr, operand uint32) (uint32, 
 	return s.arrays[stageKey{g, st}].Execute(op, addr, operand)
 }
 
-// Inject runs one parsed packet through the switch, honoring recirculation,
-// and returns its final disposition. Forwarding flags set by ingress actions
-// are applied by the traffic manager after the final pass, so deferred
-// verdicts (e.g. DROP followed by MEMWRITE in the paper's cache program)
-// behave as on hardware, where drops are finalized at deparsing.
-//
-// Inject is safe for concurrent use: independent goroutines model the
-// chip's parallel packet-processing engines. Per-flow ordering is the
-// caller's concern (see traffic.ReplayParallel's 5-tuple sharding).
+// Inject runs one parsed packet through the switch: a one-item InjectBatch
+// burst, so it shares every semantic of the burst path.
 func (s *Switch) Inject(p *pkt.Packet, inPort int) Result {
-	tr := s.samplePostcard()
-	res := s.inject(p, inPort, tr)
-	if !s.instrOff {
-		s.met.packets.Add(1)
-		s.met.passes.Add(uint64(res.Passes))
-		s.met.verdicts[res.Verdict].Add(1)
-	}
-	if tr != nil {
-		s.recordPostcard(tr, p, inPort, res)
-	}
-	return res
-}
-
-// InjectCtx carries fabric-level context into one injection: the remaining
-// hop budget (surfaced to programs as the meta.ttl intrinsic) and, for
-// path-sampled packets, forced postcard recording keyed by a fabric-assigned
-// path ID so per-hop postcards can be stitched into end-to-end path traces.
-type InjectCtx struct {
-	TTL    uint32
-	PathID uint64 // stitched path-trace ID stamped into the postcard
-	Traced bool   // force postcard recording regardless of the 1-in-N sampler
-}
-
-// InjectWith is the ingress injection hook used by the fabric layer: it runs
-// one packet exactly like Inject but stamps ctx.TTL into the PHV's intrinsic
-// metadata and, when ctx.Traced is set, records a postcard unconditionally
-// (bypassing the 1-in-N sampler) and returns it with ctx.PathID attached.
-// The returned postcard is nil for untraced injections that the regular
-// sampler also skipped.
-func (s *Switch) InjectWith(p *pkt.Packet, inPort int, ctx InjectCtx) (Result, *Postcard) {
-	var tr *pathTrace
-	if ctx.Traced {
-		tr = s.forceTrace()
-	} else {
-		tr = s.samplePostcard()
-	}
-	if inPort >= 0 && inPort < len(s.rx) {
-		s.rx[inPort].add(p.WireLen)
-	}
-	phv := s.phvPool.Get().(*PHV)
-	phv.reset(s.layout, p, inPort)
-	phv.Meta.TTL = ctx.TTL
-	phv.trace = tr
-	res := s.run(phv, p, inPort)
-	phv.trace = nil
-	s.phvPool.Put(phv)
-	if !s.instrOff {
-		s.met.packets.Add(1)
-		s.met.passes.Add(uint64(res.Passes))
-		s.met.verdicts[res.Verdict].Add(1)
-	}
-	var pc *Postcard
-	if tr != nil {
-		pc = s.buildPostcard(tr, p, inPort, res, ctx.PathID)
-		if ring := s.post.ring.Load(); ring != nil {
-			ring.put(pc)
-		}
-		s.post.pool.Put(tr)
-	}
-	return res, pc
-}
-
-func (s *Switch) inject(p *pkt.Packet, inPort int, tr *pathTrace) Result {
-	if inPort >= 0 && inPort < len(s.rx) {
-		s.rx[inPort].add(p.WireLen)
-	}
-	phv := s.phvPool.Get().(*PHV)
-	phv.reset(s.layout, p, inPort)
-	phv.trace = tr
-	res := s.run(phv, p, inPort)
-	phv.trace = nil
-	s.phvPool.Put(phv)
-	return res
+	items := [1]BatchItem{{Pkt: p, Port: inPort}}
+	s.InjectBatch(items[:])
+	return items[0].Res
 }
 
 // run drives one recycled PHV through the pipeline passes and the traffic
@@ -549,38 +472,49 @@ func (s *Switch) run(phv *PHV, p *pkt.Packet, inPort int) Result {
 	return Result{Verdict: VerdictNoDecision, OutPort: -1, Packet: p, Passes: passes}
 }
 
-// BatchItem is one packet of an InjectBatch burst: the packet and ingress
-// port to inject, and the Result slot InjectBatch fills in place.
+// BatchItem is one packet of an InjectBatch burst: the packet, its ingress
+// port and fabric context in, and the Result (plus, for path-traced packets,
+// the Postcard) InjectBatch fills in place.
 type BatchItem struct {
 	Pkt  *pkt.Packet
 	Port int
 	// TTL is the fabric hop budget stamped into the packet's intrinsic
-	// metadata (see InjectCtx); zero outside a fabric.
+	// metadata (meta.ttl); zero outside a fabric.
 	TTL uint32
-	Res Result
+	// PathID is the fabric-assigned stitched path-trace ID (IDs start at 1).
+	// A non-zero PathID forces a postcard for this packet, bypassing the
+	// switch's own 1-in-N sampler, so a stitched trace has no holes.
+	PathID uint64
+	Res    Result
+	// Postcard is the forced postcard of a path-traced item, nil otherwise.
+	Postcard *Postcard
 }
 
-// InjectBatch runs a burst of packets through the switch, filling each
-// item's Res in place. It is semantically identical to calling Inject per
-// item in order — same verdicts, counters, and postcard sampling — but
-// amortizes the per-packet overheads across the burst: one PHV is checked
-// out of the pool and recycled for the whole batch, and the packet/pass/
-// verdict counters are accumulated locally and flushed once.
+// InjectBatch is the only way a packet enters the pipeline: it runs a burst
+// of packets through the switch in order, filling each item's Res in place.
+// Each parsed packet is walked through the ingress and egress stages
+// (honoring recirculation) and given its final disposition by the traffic
+// manager after the final pass, so deferred verdicts (e.g. DROP followed by
+// MEMWRITE in the paper's cache program) behave as on hardware, where drops
+// are finalized at deparsing. One PHV is checked out of the pool for the
+// whole burst, and the packet/pass/verdict counters are accumulated locally
+// and flushed once.
 //
-// Like Inject it is safe for concurrent use (each call owns its PHV), but a
-// single batch is processed sequentially, so callers that need per-flow
-// ordering should keep a flow's packets in one batch or one goroutine —
+// InjectBatch is safe for concurrent use: each call owns its PHV, and
+// independent goroutines model the chip's parallel packet-processing
+// engines. A single burst is processed sequentially, so callers that need
+// per-flow ordering keep a flow's packets in one burst or one goroutine —
 // traffic.ReplayParallel's 5-tuple sharding does exactly that.
 func (s *Switch) InjectBatch(items []BatchItem) {
 	if len(items) == 0 {
 		return
 	}
 	phv := s.phvPool.Get().(*PHV)
-	var packets, passes uint64
+	var passes uint64
 	var verdicts [VerdictNextHop + 1]uint64
 	for i := range items {
 		it := &items[i]
-		tr := s.samplePostcard()
+		tr := s.tracePacket(it.PathID)
 		if it.Port >= 0 && it.Port < len(s.rx) {
 			s.rx[it.Port].add(it.Pkt.WireLen)
 		}
@@ -589,16 +523,19 @@ func (s *Switch) InjectBatch(items []BatchItem) {
 		phv.trace = tr
 		it.Res = s.run(phv, it.Pkt, it.Port)
 		phv.trace = nil
-		packets++
 		passes += uint64(it.Res.Passes)
 		verdicts[it.Res.Verdict]++
+		it.Postcard = nil
 		if tr != nil {
-			s.recordPostcard(tr, it.Pkt, it.Port, it.Res)
+			pc := s.recordPostcard(tr, it)
+			if it.PathID != 0 {
+				it.Postcard = pc
+			}
 		}
 	}
 	s.phvPool.Put(phv)
 	if !s.instrOff {
-		s.met.packets.Add(packets)
+		s.met.packets.Add(uint64(len(items)))
 		s.met.passes.Add(passes)
 		for v := range verdicts {
 			if verdicts[v] > 0 {
@@ -606,15 +543,6 @@ func (s *Switch) InjectBatch(items []BatchItem) {
 			}
 		}
 	}
-}
-
-// InjectBytes parses a wire frame and injects it.
-func (s *Switch) InjectBytes(frame []byte, inPort int) (Result, error) {
-	p, err := pkt.Parse(frame)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.Inject(p, inPort), nil
 }
 
 func (s *Switch) runGress(phv *PHV, g Gress) {

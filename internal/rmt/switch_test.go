@@ -194,21 +194,6 @@ func TestSwitchForwardDropCounters(t *testing.T) {
 	}
 }
 
-func TestSwitchInjectBytes(t *testing.T) {
-	sw := testSwitch(t)
-	frame := pkt.NewUDP(pkt.FiveTuple{SrcIP: 5, DstIP: 6, SrcPort: 7, DstPort: 8, Proto: pkt.ProtoUDP}, 100).Marshal()
-	r, err := sw.InjectBytes(frame, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Verdict != VerdictForwarded {
-		t.Errorf("verdict %v", r.Verdict)
-	}
-	if _, err := sw.InjectBytes(frame[:10], 2); err == nil {
-		t.Error("truncated frame accepted")
-	}
-}
-
 func TestOneStatefulAccessPerStage(t *testing.T) {
 	cfg := DefaultConfig()
 	sw := New(cfg)

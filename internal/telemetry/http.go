@@ -103,7 +103,7 @@ func HandlerT(reg *obs.Registry, eng *Engine, tr *trace.Tracer, fr *trace.Flight
 	})
 	mux.HandleFunc("/debug/flightrec", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		res := wire.FlightRecResult{Dropped: fr.Dropped(), Events: []wire.FlightEventJSON{}}
+		res := wire.FlightRecResult{Events: []wire.FlightEventJSON{}}
 		for _, ev := range fr.Events() {
 			res.Events = append(res.Events, wire.EventToJSON(ev))
 		}

@@ -14,7 +14,7 @@ func TestReplayMetricsResetBetweenRuns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DurationMs = 500
 	tr := Generate(cfg)
-	inj := newParallelInjector()
+	inj := PerPacket(newParallelInjector().Inject)
 
 	ReplayParallel(tr, inj, nil, 50, 4)
 	if LastReplayWorkers() != 4 {
@@ -28,7 +28,7 @@ func TestReplayMetricsResetBetweenRuns(t *testing.T) {
 		t.Fatalf("shared window last sample = %d,%v", v, ok)
 	}
 
-	// beginReplay must wipe every window: a serial run only populates
+	// beginReplay must wipe every window: a one-worker run only populates
 	// worker 0, so stale worker 1..3 samples would prove no reset happened.
 	Replay(tr, inj, nil, 50)
 	if LastReplayWorkers() != 1 {
@@ -66,7 +66,7 @@ func TestReplayWorkerGauges(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DurationMs = 1000
 	tr := Generate(cfg)
-	ReplayParallel(tr, newParallelInjector(), nil, 50, 4)
+	ReplayParallel(tr, PerPacket(newParallelInjector().Inject), nil, 50, 4)
 	for w := 0; w < 4; w++ {
 		if n := replayWorkerWin[w].Len(); n < 1 {
 			t.Fatalf("worker %d window empty after parallel run", w)

@@ -1,17 +1,26 @@
 package traffic
 
 import (
-	"sort"
-	"time"
-
 	"p4runpro/internal/pkt"
 	"p4runpro/internal/rmt"
 )
 
-// Injector is anything that can process a packet (satisfied by
-// *rmt.Switch).
+// Injector is the replay engine's view of a switch: it processes a burst of
+// packets in order, filling each item's Res in place (satisfied by
+// *rmt.Switch). Per-packet models adapt through PerPacket.
 type Injector interface {
-	Inject(*pkt.Packet, int) rmt.Result
+	InjectBatch(items []rmt.BatchItem)
+}
+
+// PerPacket adapts a per-packet inject function — a reference model, a
+// chain, a test fake — to Injector.
+type PerPacket func(p *pkt.Packet, inPort int) rmt.Result
+
+// InjectBatch implements Injector by injecting each item in order.
+func (f PerPacket) InjectBatch(items []rmt.BatchItem) {
+	for i := range items {
+		items[i].Res = f(items[i].Pkt, items[i].Port)
+	}
 }
 
 // Action is a scheduled control-plane operation during replay (e.g. "deploy
@@ -66,94 +75,14 @@ type Result struct {
 	Packets  int
 }
 
-// Replay pushes the trace through the injector, firing scheduled actions at
-// their simulated times, and bucketing outcomes every bucketMs (50 in the
-// paper). Optional hooks fire once per completed bucket (with its index),
-// letting case studies sample control-plane state — e.g. draining reported
-// heavy hitters — at the measurement cadence.
+// Replay pushes the trace through the injector on one worker, firing
+// scheduled actions at their simulated times, and bucketing outcomes every
+// bucketMs (50 in the paper). Optional hooks fire once per completed bucket
+// (with its index), letting case studies sample control-plane state — e.g.
+// draining reported heavy hitters — at the measurement cadence. It is
+// ReplayParallel with one worker.
 func Replay(tr *Trace, inj Injector, sched []Action, bucketMs float64, hooks ...func(bucket int)) *Result {
-	start := time.Now()
-	beginReplay(1)
-	sort.SliceStable(sched, func(i, j int) bool { return sched[i].AtMs < sched[j].AtMs })
-	durationMs := 0.0
-	if n := len(tr.Events); n > 0 {
-		durationMs = tr.Events[n-1].AtMs
-	}
-	for _, a := range sched {
-		if a.AtMs > durationMs {
-			durationMs = a.AtMs
-		}
-	}
-	buckets := int(durationMs/bucketMs) + 1
-
-	res := &Result{
-		Forwarded: Series{BucketMs: bucketMs, Values: make([]float64, buckets)},
-		Reflected: Series{BucketMs: bucketMs, Values: make([]float64, buckets)},
-		Dropped:   Series{BucketMs: bucketMs, Values: make([]float64, buckets)},
-		ToCPU:     Series{BucketMs: bucketMs, Values: make([]float64, buckets)},
-		PerPort:   make(map[int]*Series),
-		Verdicts:  make(map[rmt.Verdict]int),
-	}
-	next := 0
-	curBucket := 0
-	for _, ev := range tr.Events {
-		for next < len(sched) && sched[next].AtMs <= ev.AtMs {
-			sched[next].Do()
-			next++
-		}
-		r := inj.Inject(ev.Pkt, ev.Port)
-		res.Verdicts[r.Verdict]++
-		res.Packets++
-		if res.Packets%replayTickEvery == 0 {
-			tickReplayWorker(0, res.Packets)
-		}
-		b := int(ev.AtMs / bucketMs)
-		if b >= buckets {
-			b = buckets - 1
-		}
-		for curBucket < b {
-			for _, h := range hooks {
-				h(curBucket)
-			}
-			curBucket++
-		}
-		bytes := float64(ev.Pkt.WireLen)
-		switch r.Verdict {
-		case rmt.VerdictForwarded:
-			res.Forwarded.Values[b] += bytes
-			ps, ok := res.PerPort[r.OutPort]
-			if !ok {
-				ps = &Series{BucketMs: bucketMs, Values: make([]float64, buckets)}
-				res.PerPort[r.OutPort] = ps
-			}
-			ps.Values[b] += bytes
-		case rmt.VerdictReflected:
-			res.Reflected.Values[b] += bytes
-		case rmt.VerdictDropped, rmt.VerdictNoDecision, rmt.VerdictRecircOverflow:
-			res.Dropped.Values[b] += bytes
-		case rmt.VerdictToCPU:
-			res.ToCPU.Values[b] += bytes
-		}
-	}
-	for next < len(sched) {
-		sched[next].Do()
-		next++
-	}
-	for curBucket < buckets {
-		for _, h := range hooks {
-			h(curBucket)
-		}
-		curBucket++
-	}
-	// Convert byte buckets to Mbps.
-	for _, s := range []*Series{&res.Forwarded, &res.Reflected, &res.Dropped, &res.ToCPU} {
-		toMbps(s)
-	}
-	for _, s := range res.PerPort {
-		toMbps(s)
-	}
-	recordReplay(1, res.Packets, time.Since(start))
-	return res
+	return ReplayParallel(tr, inj, sched, bucketMs, 1, hooks...)
 }
 
 func toMbps(s *Series) {

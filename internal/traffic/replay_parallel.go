@@ -77,42 +77,31 @@ func (a *replayAcc) record(ev Event, r rmt.Result, bucketMs float64, buckets int
 	}
 }
 
-// BatchInjector is an Injector that can also process a burst of packets in
-// one call, filling each item's Res in place (rmt.Switch.InjectBatch).
-// ReplayParallel feeds such injectors in bursts of up to replayBatchSize
-// events, amortizing per-packet dispatch and PHV pooling; batching never
-// crosses a time barrier, so scheduled actions and bucket hooks observe
-// exactly the same event ordering as the unbatched loop.
-type BatchInjector interface {
-	Injector
-	InjectBatch(items []rmt.BatchItem)
-}
-
 // replayBatchSize bounds one InjectBatch burst: large enough to amortize the
 // per-call overheads, small enough that worker progress ticks and
 // accumulator updates stay responsive.
 const replayBatchSize = 64
 
-// ReplayParallel replays the trace through the injector with `workers`
-// concurrent goroutines, sharding packets by 5-tuple hash so per-flow packet
-// order is preserved while independent flows proceed in parallel — the
-// software analogue of an RMT chip's parallel packet-processing engines. The
-// merged Result is identical in shape to Replay's (same Series lengths,
-// per-port map, verdict counts); bucket values are exact sums, so for
-// workloads without cross-flow interaction the output matches Replay
-// bucket-for-bucket.
+// ReplayParallel is the replay engine. It replays the trace through the
+// injector with `workers` concurrent goroutines, sharding packets by 5-tuple
+// hash so per-flow packet order is preserved while independent flows proceed
+// in parallel — the software analogue of an RMT chip's parallel
+// packet-processing engines. Each worker feeds its shard to the injector in
+// bursts of up to replayBatchSize events. Bucket values are exact sums, so
+// for workloads without cross-flow interaction the output is
+// bucket-for-bucket identical at any worker count.
 //
 // Scheduled actions and per-bucket hooks act as barriers: all events before
 // an action's time complete on every worker before the action fires, so a
 // table update is consistently ordered against the traffic (the paper's §5
-// consistent-update semantics), and each hook observes a fully processed
-// bucket. A replay with no actions and no hooks runs the whole trace in one
-// unsynchronized sweep.
+// consistent-update semantics), and hook b fires once bucket b's events —
+// and no later ones — are done. Bursts never span a barrier. A replay with
+// no actions and no hooks runs the whole trace in one unsynchronized sweep.
 //
-// workers <= 1 degrades to the serial Replay.
+// workers < 1 means one.
 func ReplayParallel(tr *Trace, inj Injector, sched []Action, bucketMs float64, workers int, hooks ...func(bucket int)) *Result {
-	if workers <= 1 {
-		return Replay(tr, inj, sched, bucketMs, hooks...)
+	if workers < 1 {
+		workers = 1
 	}
 	start := time.Now()
 	beginReplay(workers)
@@ -130,35 +119,30 @@ func ReplayParallel(tr *Trace, inj Injector, sched []Action, bucketMs float64, w
 	buckets := int(durationMs/bucketMs) + 1
 
 	// Shard events by flow, preserving intra-shard (and so per-flow) order.
-	shards := make([][]Event, workers)
-	for i := range shards {
-		shards[i] = make([]Event, 0, len(tr.Events)/workers+1)
-	}
-	for _, ev := range tr.Events {
-		w := flowShard(ev.Pkt, workers)
-		shards[w] = append(shards[w], ev)
-	}
-
-	accs := make([]*replayAcc, workers)
-	for i := range accs {
-		accs[i] = newReplayAcc(buckets)
-	}
-	cursors := make([]int, workers)
-
-	// Batch-capable injectors get fed in bursts: per-flow order still holds
-	// (a shard's events stay in order within and across batches), and
-	// batches never span a time barrier because runUntil bounds them.
-	batchInj, batched := inj.(BatchInjector)
-	var batchBufs [][]rmt.BatchItem
-	if batched {
-		batchBufs = make([][]rmt.BatchItem, workers)
-		for w := range batchBufs {
-			batchBufs[w] = make([]rmt.BatchItem, replayBatchSize)
+	// One worker replays the trace's own event slice.
+	shards := [][]Event{tr.Events}
+	if workers > 1 {
+		shards = make([][]Event, workers)
+		for i := range shards {
+			shards[i] = make([]Event, 0, len(tr.Events)/workers+1)
+		}
+		for _, ev := range tr.Events {
+			w := flowShard(ev.Pkt, workers)
+			shards[w] = append(shards[w], ev)
 		}
 	}
 
+	accs := make([]*replayAcc, workers)
+	bufs := make([][]rmt.BatchItem, workers)
+	for w := range accs {
+		accs[w] = newReplayAcc(buckets)
+		bufs[w] = make([]rmt.BatchItem, replayBatchSize)
+	}
+	cursors := make([]int, workers)
+
 	// runUntil processes, on every worker in parallel, all remaining events
-	// with AtMs < limit, then joins: a time barrier.
+	// with AtMs < limit, then joins: a time barrier. A shard's events stay in
+	// order within and across bursts, so per-flow order holds.
 	runUntil := func(limit float64) {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -168,36 +152,22 @@ func ReplayParallel(tr *Trace, inj Injector, sched []Action, bucketMs float64, w
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				sh, acc := shards[w], accs[w]
+				sh, acc, buf := shards[w], accs[w], bufs[w]
 				i := cursors[w]
-				if batched {
-					buf := batchBufs[w]
-					for i < len(sh) && sh[i].AtMs < limit {
-						n := 0
-						for i+n < len(sh) && sh[i+n].AtMs < limit && n < replayBatchSize {
-							buf[n] = rmt.BatchItem{Pkt: sh[i+n].Pkt, Port: sh[i+n].Port}
-							n++
-						}
-						batchInj.InjectBatch(buf[:n])
-						for k := 0; k < n; k++ {
-							acc.record(sh[i+k], buf[k].Res, bucketMs, buckets)
-							if acc.packets%replayTickEvery == 0 {
-								tickReplayWorker(w, acc.packets)
-							}
-						}
-						i += n
-					}
-					cursors[w] = i
-					return
-				}
 				for i < len(sh) && sh[i].AtMs < limit {
-					ev := sh[i]
-					r := inj.Inject(ev.Pkt, ev.Port)
-					acc.record(ev, r, bucketMs, buckets)
-					if acc.packets%replayTickEvery == 0 {
-						tickReplayWorker(w, acc.packets)
+					n := 0
+					for i+n < len(sh) && sh[i+n].AtMs < limit && n < replayBatchSize {
+						buf[n] = rmt.BatchItem{Pkt: sh[i+n].Pkt, Port: sh[i+n].Port}
+						n++
 					}
-					i++
+					inj.InjectBatch(buf[:n])
+					for k := 0; k < n; k++ {
+						acc.record(sh[i+k], buf[k].Res, bucketMs, buckets)
+						if acc.packets%replayTickEvery == 0 {
+							tickReplayWorker(w, acc.packets)
+						}
+					}
+					i += n
 				}
 				cursors[w] = i
 			}(w)
@@ -207,7 +177,7 @@ func ReplayParallel(tr *Trace, inj Injector, sched []Action, bucketMs float64, w
 
 	// Barrier points: scheduled actions always; bucket boundaries only when
 	// hooks need to observe completed buckets. Sorted by time, actions
-	// before hooks on ties (matching serial Replay's firing order).
+	// before hooks on ties.
 	type barrier struct {
 		at   float64
 		fire func()

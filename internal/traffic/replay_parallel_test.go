@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -50,7 +51,7 @@ func seriesEqual(t *testing.T, name string, a, b Series) {
 }
 
 // TestReplayParallelEquivalence: for a stateless injector, ReplayParallel
-// must produce bit-identical output to serial Replay — same bucket values
+// must produce bit-identical output to one-worker Replay — same bucket values
 // (each is an exact sum of integer byte counts), verdict counts, per-port
 // series, and packet total — at any worker count.
 func TestReplayParallelEquivalence(t *testing.T) {
@@ -58,9 +59,9 @@ func TestReplayParallelEquivalence(t *testing.T) {
 	cfg.DurationMs = 1000
 	tr := Generate(cfg)
 
-	serial := Replay(tr, newParallelInjector(), nil, 50)
+	serial := Replay(tr, PerPacket(newParallelInjector().Inject), nil, 50)
 	for _, workers := range []int{1, 2, 4, 7} {
-		par := ReplayParallel(tr, newParallelInjector(), nil, 50, workers)
+		par := ReplayParallel(tr, PerPacket(newParallelInjector().Inject), nil, 50, workers)
 		if par.Packets != serial.Packets {
 			t.Fatalf("workers=%d: %d packets, want %d", workers, par.Packets, serial.Packets)
 		}
@@ -123,7 +124,7 @@ func TestReplayParallelFlowOrder(t *testing.T) {
 		ft := ev.Pkt.FiveTuple()
 		inj.want[ft] = append(inj.want[ft], ev.Pkt)
 	}
-	res := ReplayParallel(tr, inj, nil, 50, 8)
+	res := ReplayParallel(tr, PerPacket(inj.Inject), nil, 50, 8)
 	if !inj.ordered {
 		t.Fatal("per-flow packet order violated")
 	}
@@ -135,48 +136,68 @@ func TestReplayParallelFlowOrder(t *testing.T) {
 // TestReplayParallelBarriers: scheduled actions are time barriers — every
 // event before the action's time completes on all workers first, and every
 // event at or after it observes the action's effect. Hooks fire once per
-// bucket, in order, after the bucket's events are done.
+// bucket, in order, after exactly the bucket's events are done — at one
+// worker as at four.
 func TestReplayParallelBarriers(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DurationMs = 500
 	tr := Generate(cfg)
 
-	inj := newParallelInjector()
-	fired := []float64{}
-	sched := []Action{
-		{AtMs: 250, Do: func() { fired = append(fired, 250); inj.outPort.Store(3) }},
-		{AtMs: 100, Do: func() { fired = append(fired, 100) }},
-		{AtMs: 9999, Do: func() { fired = append(fired, 9999) }}, // past trace end
-	}
-	var hooks []int
-	res := ReplayParallel(tr, inj, sched, 50, 4, func(b int) { hooks = append(hooks, b) })
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			inj := newParallelInjector()
+			fired := []float64{}
+			sched := []Action{
+				{AtMs: 250, Do: func() { fired = append(fired, 250); inj.outPort.Store(3) }},
+				{AtMs: 100, Do: func() { fired = append(fired, 100) }},
+				{AtMs: 9999, Do: func() { fired = append(fired, 9999) }}, // past trace end
+			}
+			var hooks []int
+			var seen int64 // injector calls when the previous hook fired
+			res := ReplayParallel(tr, PerPacket(inj.Inject), sched, 50, workers, func(b int) {
+				hooks = append(hooks, b)
+				want := 0
+				for _, ev := range tr.Events {
+					if ev.AtMs >= float64(b)*50 && ev.AtMs < float64(b+1)*50 {
+						want++
+					}
+				}
+				calls := inj.calls.Load()
+				if got := int(calls - seen); got != want {
+					t.Errorf("hook %d saw %d new packets, want bucket %d's %d", b, got, b, want)
+				}
+				seen = calls
+			})
 
-	if len(fired) != 3 || fired[0] != 100 || fired[1] != 250 || fired[2] != 9999 {
-		t.Errorf("schedule order = %v", fired)
-	}
-	for i, b := range hooks {
-		if b != i {
-			t.Fatalf("hook sequence %v not consecutive from 0", hooks)
-		}
-	}
-	if len(hooks) != len(res.Forwarded.Values) {
-		t.Errorf("hooks fired %d times for %d buckets", len(hooks), len(res.Forwarded.Values))
-	}
-	// Port swap at 250 ms: buckets 0-4 hold events with AtMs < 250 (port 2
-	// only); buckets 5+ hold events at or after the barrier (port 3 only).
-	p2, p3 := res.PerPort[2], res.PerPort[3]
-	if p2 == nil || p3 == nil {
-		t.Fatal("expected traffic on ports 2 and 3")
-	}
-	for b := 0; b < 5; b++ {
-		if p3.Values[b] != 0 {
-			t.Errorf("port 3 saw traffic in bucket %d, before the swap barrier", b)
-		}
-	}
-	for b := 5; b < len(p2.Values); b++ {
-		if p2.Values[b] != 0 {
-			t.Errorf("port 2 saw traffic in bucket %d, after the swap barrier", b)
-		}
+			if len(fired) != 3 || fired[0] != 100 || fired[1] != 250 || fired[2] != 9999 {
+				t.Errorf("schedule order = %v", fired)
+			}
+			for i, b := range hooks {
+				if b != i {
+					t.Fatalf("hook sequence %v not consecutive from 0", hooks)
+				}
+			}
+			if len(hooks) != len(res.Forwarded.Values) {
+				t.Errorf("hooks fired %d times for %d buckets", len(hooks), len(res.Forwarded.Values))
+			}
+			// Port swap at 250 ms: buckets 0-4 hold events with AtMs < 250
+			// (port 2 only); buckets 5+ hold events at or after the barrier
+			// (port 3 only).
+			p2, p3 := res.PerPort[2], res.PerPort[3]
+			if p2 == nil || p3 == nil {
+				t.Fatal("expected traffic on ports 2 and 3")
+			}
+			for b := 0; b < 5; b++ {
+				if p3.Values[b] != 0 {
+					t.Errorf("port 3 saw traffic in bucket %d, before the swap barrier", b)
+				}
+			}
+			for b := 5; b < len(p2.Values); b++ {
+				if p2.Values[b] != 0 {
+					t.Errorf("port 2 saw traffic in bucket %d, after the swap barrier", b)
+				}
+			}
+		})
 	}
 }
 
@@ -207,7 +228,7 @@ func TestReplayParallelScalingSmoke(t *testing.T) {
 
 	measure := func(workers int) time.Duration {
 		start := time.Now()
-		ReplayParallel(tr, &slowInjector{}, nil, 50, workers)
+		ReplayParallel(tr, PerPacket((&slowInjector{}).Inject), nil, 50, workers)
 		return time.Since(start)
 	}
 	measure(1) // warm up

@@ -69,7 +69,7 @@ func TestTraceFileExactRoundTripAndOrder(t *testing.T) {
 	}
 	// Replaying the loaded trace preserves packet order end to end.
 	inj := &orderInjector{}
-	res := Replay(got, inj, nil, 50)
+	res := Replay(got, PerPacket(inj.Inject), nil, 50)
 	if res.Packets != len(tr.Events) {
 		t.Fatalf("replayed %d packets, want %d", res.Packets, len(tr.Events))
 	}

@@ -162,7 +162,7 @@ func TestReplayBucketsAndVerdicts(t *testing.T) {
 	cfg.DurationMs = 1000
 	tr := Generate(cfg)
 	inj := &fakeInjector{}
-	res := Replay(tr, inj, nil, 50)
+	res := Replay(tr, PerPacket(inj.Inject), nil, 50)
 	if inj.calls != len(tr.Events) || res.Packets != len(tr.Events) {
 		t.Fatalf("calls = %d of %d", inj.calls, len(tr.Events))
 	}
@@ -197,7 +197,7 @@ func TestReplayScheduleAndHooks(t *testing.T) {
 		{AtMs: 9999, Do: func() { fired = append(fired, 9999) }}, // past trace end
 	}
 	buckets := []int{}
-	Replay(tr, &fakeInjector{}, sched, 50, func(b int) { buckets = append(buckets, b) })
+	Replay(tr, PerPacket((&fakeInjector{}).Inject), sched, 50, func(b int) { buckets = append(buckets, b) })
 	if len(fired) != 3 || fired[0] != 100 || fired[1] != 250 {
 		t.Errorf("schedule order = %v", fired)
 	}
@@ -322,8 +322,8 @@ func TestTraceFileReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := Replay(tr, &fakeInjector{}, nil, 50)
-	r2 := Replay(loaded, &fakeInjector{}, nil, 50)
+	r1 := Replay(tr, PerPacket((&fakeInjector{}).Inject), nil, 50)
+	r2 := Replay(loaded, PerPacket((&fakeInjector{}).Inject), nil, 50)
 	if r1.Packets != r2.Packets {
 		t.Fatalf("packets %d vs %d", r1.Packets, r2.Packets)
 	}

@@ -161,7 +161,7 @@ func (s *Server) debugTrace(_ context.Context, p TraceGetParams) (TraceJSON, err
 }
 
 func (s *Server) debugFlightrec(context.Context, struct{}) (FlightRecResult, error) {
-	res := FlightRecResult{Dropped: s.Flight.Dropped(), Events: []FlightEventJSON{}}
+	res := FlightRecResult{Events: []FlightEventJSON{}}
 	for _, ev := range s.Flight.Events() {
 		res.Events = append(res.Events, EventToJSON(ev))
 	}

@@ -655,6 +655,8 @@ type FlightEventJSON struct {
 }
 
 // FlightRecResult dumps the flight recorder, oldest event first.
+// Dropped is never set: the recorder loses no event. The field stays for
+// wire compatibility.
 type FlightRecResult struct {
 	Dropped uint64            `json:"dropped,omitempty"`
 	Events  []FlightEventJSON `json:"events"`

@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"p4runpro/internal/controlplane"
+	"p4runpro/internal/pkt"
 )
 
 // handler serves one verb in the server's dispatch table: raw params and
@@ -86,10 +87,11 @@ var switchVerbs = map[string]func(*controlplane.Controller) handler{
 		if err != nil {
 			return InjectResult{}, fmt.Errorf("bad frame hex: %w", err)
 		}
-		res, err := ct.SW.InjectBytes(frame, p.Port)
+		pk, err := pkt.Parse(frame)
 		if err != nil {
 			return InjectResult{}, err
 		}
+		res := ct.SW.Inject(pk, p.Port)
 		out := InjectResult{Verdict: res.Verdict.String(), OutPort: res.OutPort, Passes: res.Passes}
 		if res.Packet != nil {
 			out.FrameHex = hex.EncodeToString(res.Packet.Marshal())

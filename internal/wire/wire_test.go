@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"context"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -126,6 +129,40 @@ func TestInjectAndMemoryOverWire(t *testing.T) {
 	}
 	if _, err := c.Inject([]byte{1, 2, 3}, 0); err == nil {
 		t.Error("truncated frame accepted")
+	}
+}
+
+// TestInjectVerbTruncatedFrame: the inject verb parses its own frame, so a
+// frame cut anywhere inside its headers must fail with the parser's typed
+// error — never a panic — and reach the client as an *OpError on a
+// connection that stays usable.
+func TestInjectVerbTruncatedFrame(t *testing.T) {
+	_, c, ct := startServer(t)
+	inject := switchVerbs[MethodInject](ct)
+	call := func(frame []byte) error {
+		raw, err := json.Marshal(InjectParams{FrameHex: hex.EncodeToString(frame), Port: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = inject(context.Background(), raw, nil)
+		return err
+	}
+	frame := pkt.NewUDP(pkt.FiveTuple{SrcIP: 5, DstIP: 6, SrcPort: 7, DstPort: 8, Proto: pkt.ProtoUDP}, 100).Marshal()
+	if err := call(frame); err != nil {
+		t.Fatalf("whole frame: %v", err)
+	}
+	const headers = 14 + 20 + 8 // ethernet + ipv4 + udp
+	for n := 0; n < headers; n++ {
+		if err := call(frame[:n]); !errors.Is(err, pkt.ErrTruncated) {
+			t.Fatalf("%d-byte prefix: err = %v, want pkt.ErrTruncated", n, err)
+		}
+	}
+	var opErr *OpError
+	if _, err := c.Inject(frame[:10], 2); !errors.As(err, &opErr) || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("over the wire: err = %v, want a truncated-frame *OpError", err)
+	}
+	if _, err := c.Inject(frame, 2); err != nil {
+		t.Fatalf("connection unusable after the error: %v", err)
 	}
 }
 
