@@ -377,6 +377,7 @@ func (c *Compiler) linkOne(ctx context.Context, prog *lang.Program, mems []lang.
 	// initialization block last, each entry installed atomically.
 	istart := time.Now()
 	sort.SliceStable(plan, func(i, j int) bool { return plan[i].kind < plan[j].kind })
+	lp.entries = make([]installedEntry, 0, len(plan)) // room for deferred init entries too
 	for _, pe := range plan {
 		if deferInit && pe.kind == kindInit {
 			lp.deferredInit = append(lp.deferredInit, pe)
@@ -388,7 +389,7 @@ func (c *Compiler) linkOne(ctx context.Context, prog *lang.Program, mems []lang.
 			rollbackGroups()
 			return nil, &AllocError{Program: prog.Name, Reason: "entry installation failed: " + err.Error(), Err: err}
 		}
-		lp.entries = append(lp.entries, installedEntry{kind: pe.kind, table: pe.table, id: id})
+		lp.entries = append(lp.entries, pe.installed(id))
 	}
 	lp.Stats.EntryCount = len(lp.entries)
 	idur := time.Since(istart)

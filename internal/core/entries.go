@@ -31,14 +31,22 @@ type plannedEntry struct {
 	params   []uint32
 }
 
-// installedEntry records an installed entry for later deletion. branch is
-// nonzero only for entries added by an incremental case update, keyed by
-// the runtime-assigned branch ID.
+// installedEntry records an installed entry for later deletion, with the
+// keys and priority it was installed under so no control path has to read
+// them back out of the table. branch is nonzero only for entries added by an
+// incremental case update, keyed by the runtime-assigned branch ID.
 type installedEntry struct {
-	kind   entryKind
-	table  *rmt.Table
-	id     rmt.EntryID
-	branch int
+	kind     entryKind
+	table    *rmt.Table
+	id       rmt.EntryID
+	keys     []rmt.TernaryKey
+	priority int
+	branch   int
+}
+
+// installed records pe as installed under id.
+func (pe plannedEntry) installed(id rmt.EntryID) installedEntry {
+	return installedEntry{kind: pe.kind, table: pe.table, id: id, keys: pe.keys, priority: pe.priority}
 }
 
 var actionName = map[lang.Op]string{

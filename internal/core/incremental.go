@@ -151,7 +151,9 @@ func (c *Compiler) AddCases(name string, branchDepth int, src string) ([]AddedCa
 				rollback()
 				return added, &AllocError{Program: name, Reason: "incremental install failed: " + err.Error(), Err: err}
 			}
-			installed = append(installed, installedEntry{kind: kindRPB, table: pe.table, id: id, branch: newID})
+			ie := pe.installed(id)
+			ie.branch = newID
+			installed = append(installed, ie)
 		}
 		c.mu.Lock()
 		lp.entries = append(lp.entries, installed...)

@@ -32,14 +32,8 @@ func (c *Compiler) InitEntries(name string) ([]InitEntryRef, error) {
 	}
 	var out []InitEntryRef
 	for _, ie := range lp.entries {
-		if ie.kind != kindInit {
-			continue
-		}
-		for _, e := range ie.table.Entries() {
-			if e.ID == ie.id {
-				out = append(out, InitEntryRef{Table: ie.table, ID: e.ID, Keys: e.Keys, Priority: e.Priority})
-				break
-			}
+		if ie.kind == kindInit {
+			out = append(out, InitEntryRef{Table: ie.table, ID: ie.id, Keys: ie.keys, Priority: ie.priority})
 		}
 	}
 	return out, nil
@@ -62,7 +56,7 @@ func (c *Compiler) InstallDeferredInit(name string) (int, error) {
 		if err != nil {
 			return n, err
 		}
-		lp.entries = append(lp.entries, installedEntry{kind: pe.kind, table: pe.table, id: id})
+		lp.entries = append(lp.entries, pe.installed(id))
 		n++
 	}
 	lp.deferredInit = nil

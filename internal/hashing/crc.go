@@ -11,6 +11,8 @@
 // wider outputs.
 package hashing
 
+import "sync"
+
 // CRC16Params describes a CRC-16 algorithm in Rocksoft notation.
 type CRC16Params struct {
 	Name   string
@@ -40,8 +42,15 @@ type CRC16 struct {
 	table  [256]uint16
 }
 
-// NewCRC16 builds the lookup table for the given parameters.
+var crc16Cache sync.Map // CRC16Params -> *CRC16
+
+// NewCRC16 returns the engine for the given parameters, building its lookup
+// table once per parameter set: engines are immutable, so every hash unit
+// running one algorithm shares one.
 func NewCRC16(p CRC16Params) *CRC16 {
+	if c, ok := crc16Cache.Load(p); ok {
+		return c.(*CRC16)
+	}
 	c := &CRC16{params: p}
 	for i := 0; i < 256; i++ {
 		var crc uint16
@@ -66,7 +75,8 @@ func NewCRC16(p CRC16Params) *CRC16 {
 		}
 		c.table[i] = crc
 	}
-	return c
+	actual, _ := crc16Cache.LoadOrStore(p, c)
+	return actual.(*CRC16)
 }
 
 // Params returns the algorithm parameters.

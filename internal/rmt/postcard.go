@@ -152,7 +152,7 @@ type postcardState struct {
 	seq   atomic.Uint64 // arrival counter driving the 1-in-N decision
 	count atomic.Uint64 // postcards recorded since provisioning
 	ring  atomic.Pointer[postcardRing]
-	pool  sync.Pool // *pathTrace
+	pool  *sync.Pool // *pathTrace
 }
 
 // EnablePostcards samples one in every `every` injected packets into a ring

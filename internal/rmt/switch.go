@@ -187,7 +187,11 @@ type Switch struct {
 	recircPackets atomic.Uint64
 	recircBytes   atomic.Uint64
 
-	phvPool sync.Pool
+	// phvPool and post.pool are separate objects, not fields: the runtime
+	// keeps every pool in use reachable until a GC cycle after its last use,
+	// and an embedded pool would keep the whole retired switch (register
+	// arrays and tables) alive with it.
+	phvPool *sync.Pool
 
 	met      switchMetrics
 	instrOff bool // zero value = instrumented (the default)
@@ -221,7 +225,8 @@ func New(cfg Config) *Switch {
 		rx:        make([]portCounter, cfg.Ports+8),
 		cpuKeep:   1 << 16,
 	}
-	s.phvPool.New = func() any { return &PHV{} }
+	s.phvPool = &sync.Pool{New: func() any { return &PHV{} }}
+	s.post.pool = new(sync.Pool)
 	emptyPlan := make([][]*Table, cfg.IngressStages+cfg.EgressStages)
 	s.plan.Store(&emptyPlan)
 	s.met.lookups = make([]atomic.Uint64, cfg.IngressStages+cfg.EgressStages)

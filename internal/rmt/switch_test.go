@@ -1,8 +1,10 @@
 package rmt
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"p4runpro/internal/pkt"
 )
@@ -443,5 +445,25 @@ func TestInjectBatchMatchesInject(t *testing.T) {
 	ma, mb := swA.Metrics(), swB.Metrics()
 	if ma.Packets != mb.Packets || ma.Passes != mb.Passes || ma.Verdicts != mb.Verdicts {
 		t.Fatalf("metrics diverge: %+v vs %+v", ma, mb)
+	}
+}
+
+// TestRetiredSwitchFreedAtFirstGC: a switch that has carried traffic is
+// collectable by the first GC after its last use. The runtime keeps every
+// sync.Pool in use reachable for one more cycle, so a pool embedded in the
+// Switch held the whole retired switch, register arrays included, through
+// that cycle.
+func TestRetiredSwitchFreedAtFirstGC(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		sw := New(DefaultConfig())
+		sw.Inject(pkt.NewUDP(pkt.FiveTuple{Proto: pkt.ProtoUDP}, 100), 0)
+		runtime.SetFinalizer(sw, func(*Switch) { close(freed) })
+	}()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a retired switch survived the first GC cycle")
 	}
 }

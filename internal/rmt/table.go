@@ -59,52 +59,170 @@ type Entry struct {
 // Hits returns the entry's direct counter.
 func (e *Entry) Hits() uint64 { return atomic.LoadUint64(&e.hits) }
 
+// before orders entries by match preference: higher priority first, then the
+// earlier install (lower ID).
+func before(a, b *Entry) bool {
+	return a.Priority > b.Priority || a.Priority == b.Priority && a.ID < b.ID
+}
+
 // tableState is the immutable published match state of a table: the declared
-// key containers, the bucket index, the wildcard list, the action set, and
-// the resolved default action.
+// key containers, the tuple-space match index, and the resolved default
+// action.
 // Every mutation builds a fresh tableState under the writer lock and
 // publishes it with one atomic pointer store, so the packet path reads a
 // consistent snapshot without taking any lock — the simulator's model of the
 // RMT architecture's per-entry update atomicity that P4runpro's consistent
 // update relies on (paper §4.3/§5). A snapshot is never mutated after
-// publication; entries are shared between snapshots (their hit counters are
-// atomics and survive republication).
+// publication. Snapshots share everything a mutation did not touch: an entry
+// insert or delete copies this header, the group slice, the touched group's
+// header, one hash page of it and one chain's links up to the change.
+// Entries are shared too (their hit counters are atomics and survive
+// republication).
 type tableState struct {
 	// keyIdx, when non-nil, declares that the key vector is exactly these
 	// PHV containers in order (SetPHVKeyFields): Apply reads them directly
 	// instead of calling keyFunc.
 	keyIdx []int
 
-	actions map[string]actionDef
-	// exact-first-key index: RPB tables always match the program ID
-	// exactly as their first key, so bucket entries by it; entries whose
-	// first key is not a full mask go to the wildcard list.
-	buckets  map[uint32][]*Entry
-	wildcard []*Entry
-	count    int
+	// groups is the match index: one group per distinct mask vector, in
+	// descending maxPrio order (tuple-space search).
+	groups []*group
+	count  int
 
 	defaultName   string
 	defaultFn     ActionFunc
 	defaultParams []uint32
 }
 
-// clone shallow-copies the state: fresh maps, shared entry slices. Writers
-// replace any slice they modify with a copy before publishing.
-func (st *tableState) clone() *tableState {
-	ns := *st
-	ns.buckets = make(map[uint32][]*Entry, len(st.buckets)+1)
-	for k, v := range st.buckets {
-		ns.buckets[k] = v
+const (
+	// pageBits sizes a hash page at 1<<pageBits chains: the unit of
+	// copy-on-write below a group header.
+	pageBits  = 5
+	pageSlots = 1 << pageBits
+	// maxLoad is the mean chain length at which a group doubles its chains.
+	maxLoad = 2
+)
+
+// group holds every entry of one mask vector — one tuple of tuple-space
+// search (Srinivasan et al., SIGCOMM 1999). An entry lives in the chain its
+// masked key hashes to, the hash taken over the key positions with a non-zero
+// mask only. A chain is sorted by before, so the first entry in it whose
+// masked key equals the packet's is the group's match. Chains are held in
+// fixed-size pages, so a mutation copies the header (its page directory),
+// one page, and the links of one chain up to the change, never the whole
+// group.
+type group struct {
+	gen     uint64   // the Table.gen of the mutation that made this header
+	masks   []uint32 // the mask vector, one word per key
+	fields  []field  // the key positions with a non-zero mask
+	maxPrio int      // upper bound on the group's priorities; a delete may leave it stale high
+	count   int
+	shift   uint // a hash's top 64-shift bits pick the chain
+	pages   []*page
+}
+
+// field is one key position a group hashes and compares.
+type field struct {
+	i    int
+	mask uint32
+}
+
+// page is one copy-on-write unit of a group's chains.
+type page struct {
+	gen    uint64
+	chains [pageSlots]*link
+}
+
+// link is one cell of a chain. Links are immutable, so snapshots share the
+// part of a chain a mutation did not reach.
+type link struct {
+	e    *Entry
+	next *link
+}
+
+// withEntry returns chain c with e in its sorted place.
+func withEntry(c *link, e *Entry) *link {
+	if c == nil || before(e, c.e) {
+		return &link{e, c}
 	}
-	return &ns
+	return &link{c.e, withEntry(c.next, e)}
+}
+
+// without returns chain c with old removed, or with old replaced by e when e
+// is not nil. old must be in c.
+func without(c *link, old, e *Entry) *link {
+	if c.e != old {
+		return &link{c.e, without(c.next, old, e)}
+	}
+	if e == nil {
+		return c.next
+	}
+	return &link{e, c.next}
+}
+
+func newGroup(keys []TernaryKey, gen uint64) *group {
+	g := &group{gen: gen, masks: make([]uint32, len(keys)), shift: 64 - pageBits, pages: []*page{{gen: gen}}}
+	for i, k := range keys {
+		g.masks[i] = k.Mask
+		if k.Mask != 0 {
+			g.fields = append(g.fields, field{i, k.Mask})
+		}
+	}
+	return g
+}
+
+// mix folds one masked key word into a hash (Fibonacci hashing: the product's
+// top bits depend on every input bit, and the top bits pick the chain).
+func mix(h uint64, v uint32) uint64 { return (h ^ uint64(v)) * 0x9e3779b97f4a7c15 }
+
+// holds reports whether keys has g's mask vector.
+func (g *group) holds(keys []TernaryKey) bool {
+	for i, k := range keys {
+		if k.Mask != g.masks[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// chainOf returns the index of the chain an entry with these keys lives in.
+func (g *group) chainOf(keys []TernaryKey) uint64 {
+	var h uint64
+	for _, f := range g.fields {
+		h = mix(h, keys[f.i].Value&f.mask)
+	}
+	return h >> g.shift
+}
+
+// each calls fn for every installed entry, in no particular order.
+func (st *tableState) each(fn func(*Entry)) {
+	for _, g := range st.groups {
+		for _, pg := range g.pages {
+			for _, c := range pg.chains {
+				for ; c != nil; c = c.next {
+					fn(c.e)
+				}
+			}
+		}
+	}
+}
+
+// groupOf returns the index of the group with keys' mask vector, or -1.
+func (st *tableState) groupOf(keys []TernaryKey) int {
+	for i, g := range st.groups {
+		if g.holds(keys) {
+			return i
+		}
+	}
+	return -1
 }
 
 // Table is a stage-resident ternary match-action table. Lookups (Apply,
-// Lookup, and all read accessors) are lock-free against an atomically
-// published snapshot; mutations serialize on a writer mutex, rebuild the
-// snapshot copy-on-write, and publish it in one atomic store. Packets
-// therefore always observe either the pre-update or the post-update entry
-// set, never a torn mix.
+// Lookup, and the entry and counter accessors) are lock-free against an
+// atomically published snapshot; mutations serialize on a writer mutex,
+// rebuild the snapshot copy-on-write, and publish it in one atomic store.
+// Packets therefore always observe either the pre-update or the post-update
+// entry set, never a torn mix.
 type Table struct {
 	Name     string
 	Gress    Gress
@@ -114,9 +232,19 @@ type Table struct {
 	keyFunc func(*PHV) []uint32
 	nkeys   int
 
-	mu     sync.Mutex // serializes writers; readers never take it
+	mu     sync.Mutex // serializes writers; the packet path never takes it
 	nextID EntryID
-	state  atomic.Pointer[tableState]
+	// gen numbers entry-index mutations. A group header or page stamped with
+	// the current gen was made by the mutation in progress, is not published
+	// yet, and is written in place; anything older is copied first.
+	gen uint64
+	// byID locates installed entries for Delete, DeleteOwned and Reown. It is
+	// the writer's own index: never published, read and written under mu.
+	byID map[EntryID]*Entry
+	// actions is the registered action set, also the writer's own: packets
+	// never look an action up (entries carry theirs, bound at Insert).
+	actions map[string]actionDef
+	state   atomic.Pointer[tableState]
 
 	hits, misses atomic.Uint64
 }
@@ -142,9 +270,9 @@ func (t *Table) SetPHVKeyFields(layout *PHVLayout, names ...string) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ns := t.state.Load().clone()
+	ns := *t.state.Load()
 	ns.keyIdx = idx
-	t.state.Store(ns)
+	t.state.Store(&ns)
 	return nil
 }
 
@@ -163,11 +291,10 @@ func NewTable(name string, g Gress, stage, capacity, nkeys int, keyFunc func(*PH
 		capacity: capacity,
 		keyFunc:  keyFunc,
 		nkeys:    nkeys,
+		byID:     make(map[EntryID]*Entry),
+		actions:  make(map[string]actionDef),
 	}
-	t.state.Store(&tableState{
-		actions: make(map[string]actionDef),
-		buckets: make(map[uint32][]*Entry),
-	})
+	t.state.Store(&tableState{})
 	return t
 }
 
@@ -177,17 +304,10 @@ func NewTable(name string, g Gress, stage, capacity, nkeys int, keyFunc func(*PH
 func (t *Table) RegisterAction(name string, vliwSlots int, fn ActionFunc) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := t.state.Load()
-	if _, dup := cur.actions[name]; dup {
+	if _, dup := t.actions[name]; dup {
 		return fmt.Errorf("rmt: table %s: action %q already registered", t.Name, name)
 	}
-	ns := cur.clone()
-	ns.actions = make(map[string]actionDef, len(cur.actions)+1)
-	for k, v := range cur.actions {
-		ns.actions[k] = v
-	}
-	ns.actions[name] = actionDef{fn: fn, vliwSlots: vliwSlots}
-	t.state.Store(ns)
+	t.actions[name] = actionDef{fn: fn, vliwSlots: vliwSlots}
 	return nil
 }
 
@@ -195,21 +315,82 @@ func (t *Table) RegisterAction(name string, vliwSlots int, fn ActionFunc) error 
 func (t *Table) SetDefault(action string, params ...uint32) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := t.state.Load()
 	var fn ActionFunc
 	if action != "" {
-		def, ok := cur.actions[action]
+		def, ok := t.actions[action]
 		if !ok {
 			return fmt.Errorf("rmt: table %s: unknown default action %q", t.Name, action)
 		}
 		fn = def.fn
 	}
-	ns := cur.clone()
+	ns := *t.state.Load()
 	ns.defaultName = action
 	ns.defaultFn = fn
 	ns.defaultParams = params
-	t.state.Store(ns)
+	t.state.Store(&ns)
 	return nil
+}
+
+// edit starts an entry-index mutation under a fresh gen: a copy of the
+// published state with a group slice of its own.
+func (t *Table) edit() *tableState {
+	t.gen++
+	ns := *t.state.Load()
+	ns.groups = append([]*group(nil), ns.groups...)
+	return &ns
+}
+
+// ownGroup returns ns.groups[i] writable by the mutation in progress, copying
+// its header and page directory (not its pages) on first touch.
+func (t *Table) ownGroup(ns *tableState, i int) *group {
+	g := ns.groups[i]
+	if g.gen != t.gen {
+		c := *g
+		c.gen = t.gen
+		c.pages = append([]*page(nil), g.pages...)
+		g = &c
+		ns.groups[i] = g
+	}
+	return g
+}
+
+// chain returns the chain an entry with these keys lives in, on a page of the
+// owned group g that the mutation in progress owns too.
+func (t *Table) chain(g *group, keys []TernaryKey) **link {
+	i := g.chainOf(keys)
+	pg := g.pages[i>>pageBits]
+	if pg.gen != t.gen {
+		c := *pg
+		c.gen = t.gen
+		pg = &c
+		g.pages[i>>pageBits] = pg
+	}
+	return &pg.chains[i&(pageSlots-1)]
+}
+
+// grow doubles the owned group g's chains onto fresh pages. With top-bits
+// chain selection, old chain i splits into new chains 2i and 2i+1 only, so
+// prepending its entries in reverse keeps both sorted, in time linear in the
+// chain even when every entry shares one masked key.
+func (t *Table) grow(g *group) {
+	old := g.pages
+	g.pages = make([]*page, 2*len(old))
+	for j := range g.pages {
+		g.pages[j] = &page{gen: t.gen}
+	}
+	g.shift--
+	var es []*Entry
+	for _, pg := range old {
+		for _, c := range pg.chains {
+			for es = es[:0]; c != nil; c = c.next {
+				es = append(es, c.e)
+			}
+			for j := len(es) - 1; j >= 0; j-- {
+				ch := t.chain(g, es[j].Keys)
+				*ch = &link{es[j], *ch}
+			}
+		}
+	}
 }
 
 // Insert installs an entry atomically. It fails when the table is full, the
@@ -224,7 +405,7 @@ func (t *Table) Insert(keys []TernaryKey, priority int, action string, params []
 	if len(keys) != t.nkeys {
 		return 0, fmt.Errorf("rmt: table %s: entry has %d keys, want %d", t.Name, len(keys), t.nkeys)
 	}
-	def, ok := cur.actions[action]
+	def, ok := t.actions[action]
 	if !ok {
 		return 0, fmt.Errorf("rmt: table %s: unknown action %q", t.Name, action)
 	}
@@ -233,72 +414,61 @@ func (t *Table) Insert(keys []TernaryKey, priority int, action string, params []
 	}
 	t.nextID++
 	e := &Entry{ID: t.nextID, Keys: keys, Priority: priority, Action: action, Params: params, Owner: owner, fn: def.fn}
-	ns := cur.clone()
-	if keys[0].Mask == ^uint32(0) {
-		ns.buckets[keys[0].Value] = insertByPriority(copyEntries(cur.buckets[keys[0].Value]), e)
-	} else {
-		ns.wildcard = insertByPriority(copyEntries(cur.wildcard), e)
+	ns := t.edit()
+	i := ns.groupOf(keys)
+	if i < 0 {
+		i = len(ns.groups)
+		ns.groups = append(ns.groups, newGroup(keys, t.gen))
 	}
+	g := t.ownGroup(ns, i)
+	if g.count >= maxLoad*pageSlots*len(g.pages) {
+		t.grow(g)
+	}
+	ch := t.chain(g, keys)
+	*ch = withEntry(*ch, e)
+	if g.count == 0 || priority > g.maxPrio {
+		// The only reorder: a group's bound rose, so it moves forward.
+		g.maxPrio = priority
+		for ; i > 0 && ns.groups[i-1].maxPrio < priority; i-- {
+			ns.groups[i-1], ns.groups[i] = ns.groups[i], ns.groups[i-1]
+		}
+	}
+	g.count++
 	ns.count++
+	t.byID[e.ID] = e
 	t.state.Store(ns)
 	return e.ID, nil
 }
 
-// copyEntries returns a fresh slice with one spare slot, so insertByPriority
-// never aliases the published snapshot's backing array.
-func copyEntries(list []*Entry) []*Entry {
-	out := make([]*Entry, len(list), len(list)+1)
-	copy(out, list)
-	return out
-}
-
-// insertByPriority places e after all existing entries of priority >=
-// e.Priority (stable: earlier installs win ties), keeping the slice sorted
-// by descending priority without re-sorting.
-func insertByPriority(list []*Entry, e *Entry) []*Entry {
-	idx := sort.Search(len(list), func(i int) bool { return list[i].Priority < e.Priority })
-	list = append(list, nil)
-	copy(list[idx+1:], list[idx:])
-	list[idx] = e
-	return list
+// unlink removes installed entry e from the mutation in progress, dropping
+// its group once empty. The group's maxPrio stays as it was: still an upper
+// bound, so lookup order and early exit remain correct.
+func (t *Table) unlink(ns *tableState, e *Entry) {
+	ns.count--
+	i := ns.groupOf(e.Keys)
+	if ns.groups[i].count == 1 {
+		ns.groups = append(ns.groups[:i], ns.groups[i+1:]...)
+		return
+	}
+	g := t.ownGroup(ns, i)
+	g.count--
+	ch := t.chain(g, e.Keys)
+	*ch = without(*ch, e, nil)
 }
 
 // Delete removes an entry atomically.
 func (t *Table) Delete(id EntryID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := t.state.Load()
-	for k, b := range cur.buckets {
-		for i, e := range b {
-			if e.ID == id {
-				ns := cur.clone()
-				if len(b) == 1 {
-					delete(ns.buckets, k)
-				} else {
-					nb := make([]*Entry, 0, len(b)-1)
-					nb = append(nb, b[:i]...)
-					nb = append(nb, b[i+1:]...)
-					ns.buckets[k] = nb
-				}
-				ns.count--
-				t.state.Store(ns)
-				return nil
-			}
-		}
+	e, ok := t.byID[id]
+	if !ok {
+		return fmt.Errorf("rmt: table %s: entry %d not found", t.Name, id)
 	}
-	for i, e := range cur.wildcard {
-		if e.ID == id {
-			ns := cur.clone()
-			nw := make([]*Entry, 0, len(cur.wildcard)-1)
-			nw = append(nw, cur.wildcard[:i]...)
-			nw = append(nw, cur.wildcard[i+1:]...)
-			ns.wildcard = nw
-			ns.count--
-			t.state.Store(ns)
-			return nil
-		}
-	}
-	return fmt.Errorf("rmt: table %s: entry %d not found", t.Name, id)
+	ns := t.edit()
+	t.unlink(ns, e)
+	delete(t.byID, id)
+	t.state.Store(ns)
+	return nil
 }
 
 // DeleteOwned removes every entry installed under owner and returns how many
@@ -306,35 +476,22 @@ func (t *Table) Delete(id EntryID) error {
 func (t *Table) DeleteOwned(owner string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := t.state.Load()
+	var ns *tableState
 	n := 0
-	ns := cur.clone()
-	for k, b := range cur.buckets {
-		kept := make([]*Entry, 0, len(b))
-		for _, e := range b {
-			if e.Owner == owner {
-				n++
-			} else {
-				kept = append(kept, e)
-			}
+	for id, e := range t.byID {
+		if e.Owner != owner {
+			continue
 		}
-		if len(kept) == 0 {
-			delete(ns.buckets, k)
-		} else {
-			ns.buckets[k] = kept
+		if ns == nil {
+			ns = t.edit()
 		}
+		t.unlink(ns, e)
+		delete(t.byID, id)
+		n++
 	}
-	kept := make([]*Entry, 0, len(cur.wildcard))
-	for _, e := range cur.wildcard {
-		if e.Owner == owner {
-			n++
-		} else {
-			kept = append(kept, e)
-		}
+	if ns != nil {
+		t.state.Store(ns)
 	}
-	ns.wildcard = kept
-	ns.count -= n
-	t.state.Store(ns)
 	return n
 }
 
@@ -349,43 +506,28 @@ func (t *Table) DeleteOwned(owner string) int {
 func (t *Table) Reown(oldOwner, newOwner string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := t.state.Load()
+	var ns *tableState
 	n := 0
-	reown := func(list []*Entry) []*Entry {
-		touched := false
-		for _, e := range list {
-			if e.Owner == oldOwner {
-				touched = true
-				break
-			}
+	for id, e := range t.byID {
+		if e.Owner != oldOwner {
+			continue
 		}
-		if !touched {
-			return list
+		if ns == nil {
+			ns = t.edit()
 		}
-		out := make([]*Entry, len(list))
-		for i, e := range list {
-			if e.Owner != oldOwner {
-				out[i] = e
-				continue
-			}
-			out[i] = &Entry{
-				ID: e.ID, Keys: e.Keys, Priority: e.Priority,
-				Action: e.Action, Params: e.Params, Owner: newOwner,
-				fn: e.fn, hits: e.Hits(),
-			}
-			n++
+		moved := &Entry{
+			ID: e.ID, Keys: e.Keys, Priority: e.Priority,
+			Action: e.Action, Params: e.Params, Owner: newOwner,
+			fn: e.fn, hits: e.Hits(),
 		}
-		return out
+		ch := t.chain(t.ownGroup(ns, ns.groupOf(e.Keys)), e.Keys)
+		*ch = without(*ch, e, moved)
+		t.byID[id] = moved
+		n++
 	}
-	ns := cur.clone()
-	for k, b := range cur.buckets {
-		ns.buckets[k] = reown(b)
+	if ns != nil {
+		t.state.Store(ns)
 	}
-	ns.wildcard = reown(cur.wildcard)
-	if n == 0 {
-		return 0
-	}
-	t.state.Store(ns)
 	return n
 }
 
@@ -439,35 +581,35 @@ func (t *Table) Apply(p *PHV) bool {
 	return true
 }
 
+// lookup probes the groups in descending maxPrio, one hash probe each, and
+// stops at the first group whose bound is below the best match so far; an
+// equal bound is still probed, as it may hold an earlier install. In a group,
+// the first chain entry whose masked key equals the packet's is its match.
 func (st *tableState) lookup(keyVals []uint32) *Entry {
 	var best *Entry
-	if b, ok := st.buckets[keyVals[0]]; ok {
-		for _, e := range b {
-			if matchAll(e.Keys, keyVals) {
-				best = e
-				break // bucket sorted by priority
+	for _, g := range st.groups {
+		if best != nil && g.maxPrio < best.Priority {
+			break
+		}
+		var h uint64
+		for _, f := range g.fields {
+			h = mix(h, keyVals[f.i]&f.mask)
+		}
+		i := h >> g.shift
+	chain:
+		for c := g.pages[i>>pageBits].chains[i&(pageSlots-1)]; c != nil; c = c.next {
+			for _, f := range g.fields {
+				if (keyVals[f.i]^c.e.Keys[f.i].Value)&f.mask != 0 {
+					continue chain
+				}
 			}
-		}
-	}
-	for _, e := range st.wildcard {
-		if best != nil && (e.Priority < best.Priority || e.Priority == best.Priority && e.ID > best.ID) {
-			break // wildcard sorted by priority, then by install order
-		}
-		if matchAll(e.Keys, keyVals) {
-			best = e
+			if best == nil || before(c.e, best) {
+				best = c.e
+			}
 			break
 		}
 	}
 	return best
-}
-
-func matchAll(keys []TernaryKey, vals []uint32) bool {
-	for i, k := range keys {
-		if !k.Matches(vals[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Lookup returns the entry that would match the given key values, without
@@ -496,43 +638,39 @@ func (t *Table) Stats() (hits, misses uint64) {
 // OwnerHits sums the direct counters of every entry a program owns — the
 // control plane's per-program monitoring primitive.
 func (t *Table) OwnerHits(owner string) uint64 {
-	st := t.state.Load()
 	var total uint64
-	for _, b := range st.buckets {
-		for _, e := range b {
-			if e.Owner == owner {
-				total += e.Hits()
-			}
-		}
-	}
-	for _, e := range st.wildcard {
+	t.state.Load().each(func(e *Entry) {
 		if e.Owner == owner {
 			total += e.Hits()
 		}
-	}
+	})
 	return total
 }
 
 // VLIWUsage sums the VLIW slots of all registered actions.
 func (t *Table) VLIWUsage() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	n := 0
-	for _, a := range t.state.Load().actions {
+	for _, a := range t.actions {
 		n += a.vliwSlots
 	}
 	return n
 }
 
 // ActionCount returns the number of registered actions.
-func (t *Table) ActionCount() int { return len(t.state.Load().actions) }
+func (t *Table) ActionCount() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.actions)
+}
 
-// Entries returns a snapshot of installed entries (for tests/inspection).
+// Entries returns a snapshot of installed entries in ID order, for tests and
+// inspection; no control path needs it.
 func (t *Table) Entries() []*Entry {
 	st := t.state.Load()
 	out := make([]*Entry, 0, st.count)
-	for _, b := range st.buckets {
-		out = append(out, b...)
-	}
-	out = append(out, st.wildcard...)
+	st.each(func(e *Entry) { out = append(out, e) })
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -2,7 +2,10 @@ package rmt
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -125,8 +128,8 @@ func TestTableStableTieBreak(t *testing.T) {
 
 func TestWildcardFirstKey(t *testing.T) {
 	tbl := newTestTable(t, 16)
-	// First key not fully masked: goes to the wildcard list but must
-	// still obey priorities against bucketed entries.
+	// First key not fully masked: a different tuple group from the exact
+	// entry, but priorities still order the two groups.
 	if _, err := tbl.Insert([]TernaryKey{{Value: 0, Mask: 0}, Exact(5)}, 9, "set", []uint32{300}, "wild"); err != nil {
 		t.Fatal(err)
 	}
@@ -294,203 +297,467 @@ func TestLookupMatchesApply(t *testing.T) {
 type oracleEntry struct {
 	id    EntryID
 	keys  []TernaryKey
+	tuple string // the mask vector, as text
 	prio  int
 	owner string
 	hits  uint64
+}
+
+func (e *oracleEntry) matches(probe []uint32) bool {
+	for i, k := range e.keys {
+		if probe[i]&k.Mask != k.Value&k.Mask {
+			return false
+		}
+	}
+	return true
 }
 
 // oracleMatch is the linear reference matcher: highest priority wins, the
 // earliest insert wins ties, nil means the default action runs.
 func oracleMatch(entries []*oracleEntry, probe []uint32) *oracleEntry {
 	var best *oracleEntry
-next:
 	for _, e := range entries {
-		for i, k := range e.keys {
-			if probe[i]&k.Mask != k.Value&k.Mask {
-				continue next
-			}
-		}
-		if best == nil || e.prio > best.prio {
+		if e.matches(probe) && (best == nil || e.prio > best.prio) {
 			best = e
 		}
 	}
 	return best
 }
 
-// TestApplyMatchesLinearOracle is the differential check on the one matcher:
-// random multi-key ternary rule sets — exact and wildcard first keys mixed,
-// repeated priorities, inserts interleaved with Delete, DeleteOwned and Reown
-// — probed through Apply on two tables holding the same entries, one reading
-// its declared key containers directly and one through the generic keyFunc,
-// and compared with oracleMatch: same entry ID (each entry's parameter is
-// its ID, so the ID is read off the action that ran), same default on a
-// miss, same table and per-entry hit counters.
-func TestApplyMatchesLinearOracle(t *testing.T) {
+// oracleShape is one family of rule sets for the differential check.
+type oracleShape struct {
+	nkeys  int
+	owners int // distinct owners, for DeleteOwned and Reown
+	fill   int // entries installed before the churn steps
+	steps  int
+	entry  func(*rand.Rand) ([]TernaryKey, int) // keys and priority
+	probe  func(*rand.Rand) []uint32
+}
+
+// oracleCoverage counts the cases a tuple-space index can get wrong, which
+// random rule sets may or may not produce; the test asserts each occurred.
+type oracleCoverage struct {
+	tuples    map[string]bool
+	crossTies int // probes whose winner tied with a matching entry of another mask vector
+	emptied   int // deletes that removed the last entry of a mask vector
+	stale     int // deletes that removed a mask vector's sole top-priority entry, leaving its bound stale
+}
+
+// runOracle drives one seed of a shape: inserts interleaved with Delete,
+// DeleteOwned and Reown, probed through Apply on two tables holding the same
+// entries — one reading its declared key containers directly, one through
+// the generic keyFunc — and compared with oracleMatch: same entry ID (each
+// entry's parameter is its ID, so the ID is read off the action that ran),
+// same default on a miss, same table and per-entry hit counters.
+func runOracle(t *testing.T, seed int64, sh oracleShape, cov *oracleCoverage) {
+	t.Helper()
 	const missMark = 0xFFFFFFFF
-	fields := []string{"k0", "k1", "k2"}
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		layout := NewPHVLayout(4096)
-		for _, f := range append([]string{"out"}, fields...) {
-			if err := layout.Define(f, 32); err != nil {
-				t.Fatal(err)
-			}
-		}
-		phv := NewPHV(layout, nil, 0)
-		mk := func(name string) *Table {
-			tbl := NewTable(name, Ingress, 0, 256, len(fields), func(p *PHV) []uint32 {
-				return []uint32{p.Get("k0"), p.Get("k1"), p.Get("k2")}
-			})
-			if err := tbl.RegisterAction("set", 1, func(p *PHV, params []uint32) { p.Set("out", params[0]) }); err != nil {
-				t.Fatal(err)
-			}
-			if err := tbl.SetDefault("set", missMark); err != nil {
-				t.Fatal(err)
-			}
-			return tbl
-		}
-		declared, generic := mk("declared"), mk("generic")
-		if err := declared.SetPHVKeyFields(layout, fields...); err != nil {
+	rng := rand.New(rand.NewSource(seed))
+	fields := make([]string, sh.nkeys)
+	layout := NewPHVLayout(4096)
+	if err := layout.Define("out", 32); err != nil {
+		t.Fatal(err)
+	}
+	for i := range fields {
+		fields[i] = fmt.Sprintf("k%d", i)
+		if err := layout.Define(fields[i], 32); err != nil {
 			t.Fatal(err)
 		}
-		tables := []*Table{declared, generic}
+	}
+	phv := NewPHV(layout, nil, 0)
+	mk := func(name string) *Table {
+		tbl := NewTable(name, Ingress, 0, 4096, sh.nkeys, func(p *PHV) []uint32 {
+			k := p.KeyScratch(len(fields))
+			for i, f := range fields {
+				k[i] = p.Get(f)
+			}
+			return k
+		})
+		if err := tbl.RegisterAction("set", 1, func(p *PHV, params []uint32) { p.Set("out", params[0]) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.SetDefault("set", missMark); err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
+	declared, generic := mk("declared"), mk("generic")
+	if err := declared.SetPHVKeyFields(layout, fields...); err != nil {
+		t.Fatal(err)
+	}
+	tables := []*Table{declared, generic}
 
-		var model []*oracleEntry
-		var hits, misses uint64
-		owners := []string{"a", "b", "c"}
-		randKey := func(exactOdds int) TernaryKey {
-			switch v := uint32(rng.Intn(4)); {
-			case rng.Intn(4) < exactOdds:
-				return Exact(v)
-			case rng.Intn(2) == 0:
-				return Wild()
-			default:
-				return TernaryKey{Value: v, Mask: 0x2}
+	var model []*oracleEntry
+	var hits, misses uint64
+	owner := func() string { return fmt.Sprintf("o%d", rng.Intn(sh.owners)) }
+	remove := func(drop func(*oracleEntry) bool) {
+		kept := model[:0]
+		for _, e := range model {
+			if !drop(e) {
+				kept = append(kept, e)
 			}
 		}
-		remove := func(drop func(*oracleEntry) bool) {
-			kept := model[:0]
-			for _, e := range model {
-				if !drop(e) {
-					kept = append(kept, e)
-				}
-			}
-			model = kept
-		}
-		for step := 0; step < 200; step++ {
-			switch op := rng.Intn(10); {
-			case op < 6 || len(model) == 0:
-				e := &oracleEntry{
-					keys: []TernaryKey{randKey(2), randKey(1), randKey(1)},
-					prio: rng.Intn(3), owner: owners[rng.Intn(len(owners))],
-				}
-				for _, tbl := range tables {
-					id, err := tbl.Insert(e.keys, e.prio, "set", []uint32{uint32(tbl.nextID + 1)}, e.owner)
-					if err != nil {
-						t.Fatalf("seed %d step %d: %s insert: %v", seed, step, tbl.Name, err)
-					}
-					e.id = id
-				}
-				model = append(model, e)
-			case op == 6:
-				id := model[rng.Intn(len(model))].id
-				for _, tbl := range tables {
-					if err := tbl.Delete(id); err != nil {
-						t.Fatalf("seed %d step %d: %s delete %d: %v", seed, step, tbl.Name, id, err)
-					}
-				}
-				remove(func(e *oracleEntry) bool { return e.id == id })
-			case op == 7:
-				owner := owners[rng.Intn(len(owners))]
-				want := 0
-				for _, e := range model {
-					if e.owner == owner {
-						want++
-					}
-				}
-				for _, tbl := range tables {
-					if n := tbl.DeleteOwned(owner); n != want {
-						t.Fatalf("seed %d step %d: %s DeleteOwned(%s) = %d, want %d", seed, step, tbl.Name, owner, n, want)
-					}
-				}
-				remove(func(e *oracleEntry) bool { return e.owner == owner })
-			default:
-				from, to := owners[rng.Intn(len(owners))], owners[rng.Intn(len(owners))]
-				for _, tbl := range tables {
-					tbl.Reown(from, to)
-				}
-				for _, e := range model {
-					if e.owner == from {
-						e.owner = to
-					}
-				}
-			}
-			for probe := 0; probe < 4; probe++ {
-				vals := []uint32{uint32(rng.Intn(4)), uint32(rng.Intn(4)), uint32(rng.Intn(4))}
-				want := uint32(missMark)
-				if e := oracleMatch(model, vals); e != nil {
-					want = uint32(e.id)
-					e.hits++
-					hits++
-				} else {
-					misses++
-				}
-				for _, tbl := range tables {
-					for i, f := range fields {
-						phv.Set(f, vals[i])
-					}
-					phv.Set("out", 0)
-					if !tbl.Apply(phv) {
-						t.Fatalf("seed %d step %d: %s executed nothing for %v", seed, step, tbl.Name, vals)
-					}
-					if got := phv.Get("out"); got != want {
-						t.Fatalf("seed %d step %d: %s matched entry %d for %v, oracle %d", seed, step, tbl.Name, got, vals, want)
-					}
-				}
-			}
-		}
+		model = kept
+	}
+	insert := func(step int) {
+		keys, prio := sh.entry(rng)
+		e := &oracleEntry{keys: keys, tuple: fmt.Sprint(masksOf(keys)), prio: prio, owner: owner()}
+		cov.tuples[e.tuple] = true
 		for _, tbl := range tables {
-			if h, m := tbl.Stats(); h != hits || m != misses {
-				t.Fatalf("seed %d: %s hits=%d misses=%d, oracle %d/%d", seed, tbl.Name, h, m, hits, misses)
+			id, err := tbl.Insert(e.keys, e.prio, "set", []uint32{uint32(tbl.nextID + 1)}, e.owner)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %s insert: %v", seed, step, tbl.Name, err)
 			}
-			installed := tbl.Entries()
-			if len(installed) != len(model) {
-				t.Fatalf("seed %d: %s holds %d entries, oracle %d", seed, tbl.Name, len(installed), len(model))
+			e.id = id
+		}
+		model = append(model, e)
+	}
+	for i := 0; i < sh.fill; i++ {
+		insert(-1)
+	}
+	for step := 0; step < sh.steps; step++ {
+		switch op := rng.Intn(10); {
+		case op < 5 || len(model) == 0:
+			insert(step)
+		case op < 7:
+			victim := model[rng.Intn(len(model))]
+			top, others := 0, false
+			for _, e := range model {
+				if e != victim && e.tuple == victim.tuple && (!others || e.prio > top) {
+					top, others = e.prio, true
+				}
 			}
-			for i, e := range installed { // both ordered by ID
-				if e.ID != model[i].id || e.Owner != model[i].owner || e.Hits() != model[i].hits {
-					t.Fatalf("seed %d: %s entry %d owner %s hits %d, oracle entry %d owner %s hits %d",
-						seed, tbl.Name, e.ID, e.Owner, e.Hits(), model[i].id, model[i].owner, model[i].hits)
+			switch {
+			case !others:
+				cov.emptied++
+			case victim.prio > top:
+				cov.stale++
+			}
+			for _, tbl := range tables {
+				if err := tbl.Delete(victim.id); err != nil {
+					t.Fatalf("seed %d step %d: %s delete %d: %v", seed, step, tbl.Name, victim.id, err)
+				}
+			}
+			remove(func(e *oracleEntry) bool { return e == victim })
+		case op == 7:
+			owner := owner()
+			want := 0
+			for _, e := range model {
+				if e.owner == owner {
+					want++
+				}
+			}
+			for _, tbl := range tables {
+				if n := tbl.DeleteOwned(owner); n != want {
+					t.Fatalf("seed %d step %d: %s DeleteOwned(%s) = %d, want %d", seed, step, tbl.Name, owner, n, want)
+				}
+			}
+			remove(func(e *oracleEntry) bool { return e.owner == owner })
+		default:
+			from, to := owner(), owner()
+			for _, tbl := range tables {
+				tbl.Reown(from, to)
+			}
+			for _, e := range model {
+				if e.owner == from {
+					e.owner = to
+				}
+			}
+		}
+		for probe := 0; probe < 4; probe++ {
+			vals := sh.probe(rng)
+			want := uint32(missMark)
+			if e := oracleMatch(model, vals); e != nil {
+				want = uint32(e.id)
+				e.hits++
+				hits++
+				for _, o := range model {
+					if o != e && o.prio == e.prio && o.tuple != e.tuple && o.matches(vals) {
+						cov.crossTies++
+						break
+					}
+				}
+			} else {
+				misses++
+			}
+			for _, tbl := range tables {
+				for i, f := range fields {
+					phv.Set(f, vals[i])
+				}
+				phv.Set("out", 0)
+				if !tbl.Apply(phv) {
+					t.Fatalf("seed %d step %d: %s executed nothing for %v", seed, step, tbl.Name, vals)
+				}
+				if got := phv.Get("out"); got != want {
+					t.Fatalf("seed %d step %d: %s matched entry %d for %v, oracle %d", seed, step, tbl.Name, got, vals, want)
 				}
 			}
 		}
 	}
-}
-
-func TestInsertByPriorityOrdering(t *testing.T) {
-	var list []*Entry
-	for i, p := range []int{3, 1, 5, 3, 2, 5} {
-		list = insertByPriority(list, &Entry{ID: EntryID(i + 1), Priority: p})
-	}
-	wantPrio := []int{5, 5, 3, 3, 2, 1}
-	for i, e := range list {
-		if e.Priority != wantPrio[i] {
-			t.Fatalf("position %d priority %d, want %d (%v)", i, e.Priority, wantPrio[i], ids(list))
+	for _, tbl := range tables {
+		if h, m := tbl.Stats(); h != hits || m != misses {
+			t.Fatalf("seed %d: %s hits=%d misses=%d, oracle %d/%d", seed, tbl.Name, h, m, hits, misses)
+		}
+		installed := tbl.Entries()
+		if len(installed) != len(model) || tbl.Len() != len(model) {
+			t.Fatalf("seed %d: %s holds %d entries (Len %d), oracle %d", seed, tbl.Name, len(installed), tbl.Len(), len(model))
+		}
+		for i, e := range installed { // both ordered by ID
+			if e.ID != model[i].id || e.Owner != model[i].owner || e.Hits() != model[i].hits {
+				t.Fatalf("seed %d: %s entry %d owner %s hits %d, oracle entry %d owner %s hits %d",
+					seed, tbl.Name, e.ID, e.Owner, e.Hits(), model[i].id, model[i].owner, model[i].hits)
+			}
 		}
 	}
-	// Stability: among equal priorities, earlier IDs first.
-	if list[0].ID != 3 || list[1].ID != 6 {
-		t.Errorf("unstable ties: %v", ids(list))
+}
+
+func masksOf(keys []TernaryKey) []uint32 {
+	m := make([]uint32, len(keys))
+	for i, k := range keys {
+		m[i] = k.Mask
 	}
-	if list[2].ID != 1 || list[3].ID != 4 {
-		t.Errorf("unstable ties: %v", ids(list))
+	return m
+}
+
+// TestApplyMatchesLinearOracle is the differential check on the one matcher,
+// over two shapes. Random three-key rule sets draw each key exact, wildcard or
+// one-bit masked, so they span up to 27 mask vectors (all-wildcard included)
+// with repeated priorities across them. The init-shaped seed holds 1,200
+// filters like an init_<path> table: a shared exact bitmap key, /24 and /16
+// source prefixes, /24s narrowed by protocol, repeated /24s and all-wildcard
+// filters, each at the compiler's mask-width priority.
+func TestApplyMatchesLinearOracle(t *testing.T) {
+	cov := &oracleCoverage{tuples: map[string]bool{}}
+	randKey := func(rng *rand.Rand, exactOdds int) TernaryKey {
+		switch v := uint32(rng.Intn(4)); {
+		case rng.Intn(4) < exactOdds:
+			return Exact(v)
+		case rng.Intn(2) == 0:
+			return Wild()
+		default:
+			return TernaryKey{Value: v, Mask: 0x2}
+		}
+	}
+	random := oracleShape{
+		nkeys: 3, owners: 3, steps: 200,
+		entry: func(rng *rand.Rand) ([]TernaryKey, int) {
+			return []TernaryKey{randKey(rng, 2), randKey(rng, 1), randKey(rng, 1)}, rng.Intn(3)
+		},
+		probe: func(rng *rand.Rand) []uint32 {
+			return []uint32{uint32(rng.Intn(4)), uint32(rng.Intn(4)), uint32(rng.Intn(4))}
+		},
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		runOracle(t, seed, random, cov)
+	}
+
+	const prefixes = 1300 // /24 slots; the fill draws from them with repeats
+	initShaped := oracleShape{
+		nkeys: initShapeKeys, owners: 400, fill: 1200, steps: 300,
+		entry: func(rng *rand.Rand) ([]TernaryKey, int) {
+			var k []TernaryKey
+			switch r := rng.Intn(100); {
+			case r < 2:
+				k = prefixKeys(0, 0)
+				k[initShapeSrc] = Wild()
+			case r < 8:
+				k = prefixKeys(10<<24|uint32(rng.Intn(6))<<16, 16)
+			case r < 14:
+				k = prefixKeys(background24(rng.Intn(prefixes)), 24)
+				k[4] = Exact(17) // the protocol key
+			default:
+				k = prefixKeys(background24(rng.Intn(prefixes)), 24)
+			}
+			prio := 0
+			for _, key := range k[1:] {
+				prio += bits.OnesCount32(key.Mask)
+			}
+			return k, prio
+		},
+		probe: func(rng *rand.Rand) []uint32 {
+			v := make([]uint32, initShapeKeys)
+			v[0] = initShapeBitmap
+			v[initShapeSrc] = background24(rng.Intn(prefixes)) | uint32(rng.Intn(256))
+			if rng.Intn(4) == 0 {
+				v[initShapeSrc] = 10<<24 | rng.Uint32()&0xffff // 10.0/16
+			}
+			v[4] = []uint32{6, 17}[rng.Intn(2)]
+			return v
+		},
+	}
+	runOracle(t, 1, initShaped, cov)
+
+	t.Logf("%d mask vectors, %d cross-group priority ties, %d group-emptying deletes, %d stale-bound deletes",
+		len(cov.tuples), cov.crossTies, cov.emptied, cov.stale)
+	if len(cov.tuples) < 4 || !cov.tuples[fmt.Sprint(make([]uint32, 3))] {
+		t.Errorf("rule sets spanned %d mask vectors (all-wildcard: %v), want ≥ 4 including it", len(cov.tuples), cov.tuples[fmt.Sprint(make([]uint32, 3))])
+	}
+	if cov.crossTies == 0 || cov.emptied == 0 || cov.stale == 0 {
+		t.Errorf("coverage: %d cross-group priority ties, %d group-emptying deletes, %d stale-bound deletes; want each > 0",
+			cov.crossTies, cov.emptied, cov.stale)
 	}
 }
 
-func ids(list []*Entry) string {
-	s := ""
-	for _, e := range list {
-		s += fmt.Sprintf("%d(p%d) ", e.ID, e.Priority)
+// TestTupleGroupOrdering pins the index's lookup order on a hand-built case:
+// groups are probed in descending max priority, a tie between groups goes to
+// the earlier install even when the later group is probed first, a delete
+// that leaves a group's bound stale changes no result, and an emptied group
+// leaves the index.
+func TestTupleGroupOrdering(t *testing.T) {
+	tbl := newTestTable(t, 16)
+	ins := func(k0, k1 TernaryKey, prio int) EntryID {
+		t.Helper()
+		id, err := tbl.Insert([]TernaryKey{k0, k1}, prio, "set", []uint32{uint32(prio)}, "o")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
 	}
-	return s
+	x := ins(Wild(), Exact(7), 5) // group {0, ff}
+	y := ins(Exact(1), Wild(), 2) // group {ff, 0}
+	w := ins(Exact(2), Wild(), 8) // raises {ff, 0}'s bound to 8: probed first
+	v := ins(Exact(1), Wild(), 5) // ties x, installed later
+	all := ins(Wild(), Wild(), 1) // all-wildcard group
+	check := func(want EntryID, groups int) {
+		t.Helper()
+		st := tbl.state.Load()
+		for i := 1; i < len(st.groups); i++ {
+			if st.groups[i-1].maxPrio < st.groups[i].maxPrio {
+				t.Fatalf("group %d bound %d ahead of bound %d", i-1, st.groups[i-1].maxPrio, st.groups[i].maxPrio)
+			}
+		}
+		if len(st.groups) != groups {
+			t.Fatalf("%d groups, want %d", len(st.groups), groups)
+		}
+		var got EntryID // 0: a miss
+		if e := tbl.Lookup([]uint32{1, 7}); e != nil {
+			got = e.ID
+		}
+		if got != want {
+			t.Fatalf("lookup(1, 7) = entry %d, want %d", got, want)
+		}
+	}
+	check(x, 3)
+	if err := tbl.Delete(w); err != nil { // {ff, 0}'s bound stays 8
+		t.Fatal(err)
+	}
+	check(x, 3)
+	if err := tbl.Delete(x); err != nil { // empties {0, ff}
+		t.Fatal(err)
+	}
+	check(v, 2)
+	if err := tbl.Delete(v); err != nil {
+		t.Fatal(err)
+	}
+	check(y, 2)
+	if n := tbl.DeleteOwned("o"); n != 2 {
+		t.Fatalf("DeleteOwned removed %d, want 2 (entries %d and %d)", n, y, all)
+	}
+	check(0, 0)
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// shapedTable is one of the two 2,000-entry tables the garbage and spread
+// checks use: keys(i) gives entry i's keys and priority.
+type shapedTable struct {
+	name string
+	tbl  *Table
+	keys func(i int) ([]TernaryKey, int)
+}
+
+const shapedFill = 2000
+
+// shapedTables fills an init table (one shared exact first key, /24 and /16
+// tuples) and an RPB table (a distinct exact program ID per entry).
+func shapedTables(t *testing.T) []shapedTable {
+	t.Helper()
+	shapes := []shapedTable{
+		{"init", NewTable("init", Ingress, 0, 2048, initShapeKeys, nil), func(i int) ([]TernaryKey, int) {
+			if i%10 == 0 {
+				return prefixKeys(10<<24|uint32(i/10)<<16, 16), 16
+			}
+			return prefixKeys(background24(i), 24), 24
+		}},
+		{"rpb", NewTable("rpb", Ingress, 0, 2048, 6, nil), func(i int) ([]TernaryKey, int) {
+			return []TernaryKey{Exact(uint32(i)), Exact(0), Exact(0), Wild(), Wild(), Wild()}, 0
+		}},
+	}
+	for _, sh := range shapes {
+		if err := sh.tbl.RegisterAction("set", 1, func(*PHV, []uint32) {}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < shapedFill; i++ {
+			k, prio := sh.keys(i)
+			if _, err := sh.tbl.Insert(k, prio, "set", nil, "bg"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return shapes
+}
+
+// TestTableMutationGarbage bounds the heap one Insert plus one Delete leaves
+// behind on a 2,000-entry table: a mutation copies its group's header and one
+// hash page, never a whole group or a table-wide structure.
+func TestTableMutationGarbage(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const pairs, budget = 1000, 4 << 10
+	for _, sh := range shapedTables(t) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for j := 0; j < pairs; j++ {
+			k, prio := sh.keys(shapedFill + j)
+			id, err := sh.tbl.Insert(k, prio, "set", nil, "churn")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sh.tbl.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / pairs
+		t.Logf("%s: %d B per Insert+Delete", sh.name, per)
+		if per > budget {
+			t.Errorf("%s: one Insert+Delete allocates %d B on a %d-entry table, want ≤ %d", sh.name, per, shapedFill, budget)
+		}
+	}
+}
+
+// TestTupleGroupSpread checks that a group grows with its entries and that
+// the hash spreads the workloads' key patterns over the chains: no chain of a
+// 2,000-entry group is longer than 8. The keys are fixed, so this is
+// deterministic: the longest chain is 4 today, and a group that never grew
+// would have chains of ~125.
+func TestTupleGroupSpread(t *testing.T) {
+	for _, sh := range shapedTables(t) {
+		for _, g := range sh.tbl.state.Load().groups {
+			longest := 0
+			for _, pg := range g.pages {
+				for _, c := range pg.chains {
+					n := 0
+					for ; c != nil; c = c.next {
+						n++
+					}
+					longest = max(longest, n)
+				}
+			}
+			if slots := pageSlots * len(g.pages); g.count > maxLoad*slots || longest > 8 {
+				t.Errorf("%s: group of %d entries over %d chains, longest %d", sh.name, g.count, slots, longest)
+			}
+		}
+	}
 }
