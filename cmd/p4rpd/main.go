@@ -123,23 +123,25 @@ func main() {
 		return ct, err
 	}
 
-	// journals collects every attached journal so shutdown can flush them.
+	// switchServer builds one switch's wire server — the verb table, traced,
+	// with its telemetry sweep engine's verbs. The single-switch daemon
+	// listens on it; in fleet mode it is an in-process member, never
+	// listened on. journals and engines collect every attached journal and
+	// sweep engine so shutdown can flush and stop them.
 	var journals []*journal.Journal
-	track := func(ct *controlplane.Controller) *controlplane.Controller {
+	var engines []*telemetry.Engine
+	switchServer := func(ct *controlplane.Controller) (*wire.Server, *telemetry.Engine) {
 		if j := ct.Journal(); j != nil {
 			journals = append(journals, j)
 		}
-		return ct
-	}
-
-	// engines collects every telemetry sweep engine so shutdown stops them.
-	var engines []*telemetry.Engine
-	startEngine := func(ct *controlplane.Controller) *telemetry.Engine {
 		ct.SW.EnablePostcards(*postcards, 0)
 		eng := telemetry.New(ct, telemetry.Options{Interval: *sweepIvl})
 		eng.Start()
 		engines = append(engines, eng)
-		return eng
+		s := wire.NewServer(ct, logger)
+		s.Tracer, s.Flight = tracer, flight
+		telemetry.RegisterWire(s, eng)
+		return s, eng
 	}
 	serveMetrics := func(reg *obs.Registry, eng *telemetry.Engine) {
 		if *metricsAddr == "" {
@@ -167,9 +169,8 @@ func main() {
 			if err != nil {
 				log.Fatalf("p4rpd: provision member %d: %v", i+1, err)
 			}
-			lb := fleet.Local(track(ct))
-			lb.Tel = startEngine(ct)
-			if err := f.AddMember(name, lb); err != nil {
+			ms, _ := switchServer(ct)
+			if err := f.AddMember(name, ms); err != nil {
 				log.Fatalf("p4rpd: add member %d: %v", i+1, err)
 			}
 			if n := len(ct.Programs()); n > 0 {
@@ -195,11 +196,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("p4rpd: provision: %v", err)
 		}
-		track(ct)
-		eng := startEngine(ct)
-		srv = wire.NewServer(ct, logger)
-		srv.Tracer, srv.Flight = tracer, flight
-		telemetry.RegisterWire(srv, eng)
+		var eng *telemetry.Engine
+		srv, eng = switchServer(ct)
 		serveMetrics(ct.Obs, eng)
 		addr, err := srv.Listen(*listen)
 		if err != nil {

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -63,10 +64,11 @@ func main() {
 	}
 	f.Start()
 	defer f.Stop()
+	ctx := context.Background()
 
 	// Deploy the counter as a 2-replica unit; the spread placement picks
 	// the two emptiest members.
-	units, err := f.Deploy(counterSrc, 0)
+	units, err := f.Deploy(ctx, counterSrc, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func main() {
 			ct.SW.Inject(pkt.NewUDP(flow, 128), 4)
 		}
 	}
-	sum, _ := f.MemRead("counter", "m", 0, 512, wire.FleetAggSum)
+	sum, _ := f.MemRead(ctx, "counter", "m", 0, 512, wire.FleetAggSum)
 	fmt.Printf("fleet-wide packet count (sum over %d replicas): %d\n",
 		sum.Replicas, total(sum.Values))
 
@@ -100,14 +102,14 @@ func main() {
 			break
 		}
 		// Reads keep working against the surviving replica meanwhile.
-		if _, err := f.MemRead("counter", "m", 0, 512, wire.FleetAggSum); err != nil {
+		if _, err := f.MemRead(ctx, "counter", "m", 0, 512, wire.FleetAggSum); err != nil {
 			log.Fatalf("read failed during outage: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	fmt.Printf("health checker marked %s down\n", victim)
 	for {
-		progs := f.Programs()
+		progs := f.Programs(ctx)
 		if len(progs) == 1 && progs[0].Replicas == 2 && !contains(progs[0].Members, victim) {
 			fmt.Printf("reconciler re-placed the unit on %v\n", progs[0].Members)
 			break

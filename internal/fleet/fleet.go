@@ -184,7 +184,7 @@ func New(opt Options) *Fleet {
 // Deploy/Revoke).
 func (f *Fleet) Store() *Store { return f.store }
 
-// AddMember registers a member (Local or Remote) under a unique name and
+// AddMember registers a member (Local or DialMember) under a unique name and
 // probes it once synchronously so placement has an initial utilization
 // view. The probe failing doesn't reject the member — it just starts
 // suspect.
@@ -298,6 +298,14 @@ func (f *Fleet) liveMembers(names []string) []*member {
 	return out
 }
 
+// live returns every member that is not Down, in registration order.
+func (f *Fleet) live() []*member {
+	f.mu.Lock()
+	names := append([]string(nil), f.order...)
+	f.mu.Unlock()
+	return f.liveMembers(names)
+}
+
 func (f *Fleet) member(name string) (*member, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -337,15 +345,11 @@ func (f *Fleet) footprint(source string) (names []string, fp Footprint, err erro
 // the policy's default when 0), and record the unit in the desired-state
 // store. Partial placement (fewer than k but at least one replica)
 // succeeds; the reconcile loop tops it up as capacity appears.
-func (f *Fleet) Deploy(source string, reps int) ([]wire.FleetDeployResult, error) {
-	return f.DeployCtx(context.Background(), source, reps)
-}
-
-// DeployCtx is Deploy under the trace carried by ctx: footprint
-// estimation, lock wait, and each member's deploy become attributed child
-// spans (one fan-out span per member), and the placement lands in the
-// flight recorder.
-func (f *Fleet) DeployCtx(ctx context.Context, source string, reps int) (res []wire.FleetDeployResult, err error) {
+//
+// Under the trace carried by ctx, footprint estimation, lock wait, and
+// each member's deploy become attributed child spans (one fan-out span per
+// member), and the placement lands in the flight recorder.
+func (f *Fleet) Deploy(ctx context.Context, source string, reps int) (res []wire.FleetDeployResult, err error) {
 	ctx, sp, owned := f.opSpan(ctx, "fleet.deploy")
 	if owned {
 		defer sp.End()
@@ -431,7 +435,7 @@ func (f *Fleet) deployRanked(ctx context.Context, source string, programs, ranke
 			continue
 		}
 		msp := trace.StartChild(ctx, "fanout."+name)
-		_, err := m.b.Deploy(trace.ContextWithSpan(ctx, msp), source)
+		_, err := m.b.Do(trace.ContextWithSpan(ctx, msp), wire.MethodDeploy, wire.DeployParams{Source: source}, nil)
 		if err != nil {
 			msp.SetTag("err", err.Error())
 		}
@@ -452,7 +456,7 @@ func (f *Fleet) revokeUnitOn(ctx context.Context, name string, programs []string
 		return
 	}
 	for _, p := range programs {
-		if _, err := m.b.Revoke(ctx, p); err != nil {
+		if _, err := m.b.Do(ctx, wire.MethodRevoke, wire.RevokeParams{Name: p}, nil); err != nil {
 			f.log.Errorf("fleet: revoke %s on %s: %v", p, name, err)
 		}
 	}
@@ -463,7 +467,7 @@ func (f *Fleet) revokeUnitOn(ctx context.Context, name string, programs []string
 func (f *Fleet) refreshUtil(ctx context.Context, names []string) {
 	for _, n := range names {
 		if m, ok := f.member(n); ok {
-			if rows, err := m.b.Utilization(ctx); err == nil {
+			if rows, err := wire.Call[[]wire.UtilizationRow](ctx, m.b, wire.MethodUtilization, nil); err == nil {
 				f.mu.Lock()
 				m.util = rows
 				f.mu.Unlock()
@@ -475,14 +479,9 @@ func (f *Fleet) refreshUtil(ctx context.Context, names []string) {
 // Revoke removes the deployment unit containing name (a program name or a
 // unit key) from every member holding it and deletes its desired state.
 // Member-side failures are tolerated — a down member's copy is cleaned up
-// by the reconcile orphan pass when it returns.
-func (f *Fleet) Revoke(name string) (wire.FleetRevokeResult, error) {
-	return f.RevokeCtx(context.Background(), name)
-}
-
-// RevokeCtx is Revoke under the trace carried by ctx, with one fan-out
-// span per member holding the unit.
-func (f *Fleet) RevokeCtx(ctx context.Context, name string) (wire.FleetRevokeResult, error) {
+// by the reconcile orphan pass when it returns. Under the trace carried by
+// ctx, each member holding the unit gets one fan-out span.
+func (f *Fleet) Revoke(ctx context.Context, name string) (wire.FleetRevokeResult, error) {
 	ctx, sp, owned := f.opSpan(ctx, "fleet.revoke")
 	if owned {
 		defer sp.End()
@@ -516,21 +515,14 @@ func (f *Fleet) RevokeCtx(ctx context.Context, name string) (wire.FleetRevokeRes
 // replica locations, per-replica footprint, and hits summed across
 // replicas. A member failing mid-listing is skipped (and noted against
 // its health) rather than failing the call.
-func (f *Fleet) Programs() []wire.FleetProgramInfo {
+func (f *Fleet) Programs(ctx context.Context) []wire.FleetProgramInfo {
 	type agg struct {
 		info    wire.FleetProgramInfo
 		members []string
 	}
 	rows := make(map[string]*agg)
-	f.mu.Lock()
-	names := append([]string(nil), f.order...)
-	f.mu.Unlock()
-	for _, name := range names {
-		m, ok := f.member(name)
-		if !ok || f.stateOf(m) == Down {
-			continue
-		}
-		infos, err := m.b.Programs(context.Background())
+	for _, m := range f.live() {
+		infos, err := wire.Call[[]wire.ProgramInfo](ctx, m.b, wire.MethodPrograms, nil)
 		if err != nil {
 			f.noteFailure(m, err)
 			continue
@@ -548,7 +540,7 @@ func (f *Fleet) Programs() []wire.FleetProgramInfo {
 				rows[pi.Name] = a
 			}
 			a.info.Hits += pi.Hits
-			a.members = append(a.members, name)
+			a.members = append(a.members, m.name)
 		}
 	}
 	out := make([]wire.FleetProgramInfo, 0, len(rows))
@@ -568,23 +560,15 @@ func (f *Fleet) Programs() []wire.FleetProgramInfo {
 // Top fans out to live members and fans in one windowed-rate row per
 // program: pps, hits, and footprint summed across replicas, hit ratio
 // recomputed against the fleet-wide injection rate. Members that are Down
-// or fail mid-scrape are skipped (one without a sweep engine contributes
-// no rows) — the answer degrades to the reachable subset instead of
-// failing, which is what keeps `p4rpctl fleet top` usable during an
-// outage.
-func (f *Fleet) Top() wire.TelemetryProgramsResult {
-	f.mu.Lock()
-	names := append([]string(nil), f.order...)
-	f.mu.Unlock()
+// or fail mid-scrape are skipped — the answer degrades to the reachable
+// subset instead of failing, which is what keeps `p4rpctl fleet top`
+// usable during an outage.
+func (f *Fleet) Top(ctx context.Context) wire.TelemetryProgramsResult {
 	res := wire.TelemetryProgramsResult{}
 	rows := make(map[string]*wire.TelemetryProgramRow)
 	var order []string
-	for _, name := range names {
-		m, ok := f.member(name)
-		if !ok || f.stateOf(m) == Down {
-			continue
-		}
-		tr, err := m.b.TelemetryPrograms(context.Background())
+	for _, m := range f.live() {
+		tr, err := wire.Call[wire.TelemetryProgramsResult](ctx, m.b, wire.MethodTelemetryPrograms, nil)
 		if err != nil {
 			f.noteFailure(m, err)
 			continue
@@ -622,7 +606,7 @@ func (f *Fleet) Top() wire.TelemetryProgramsResult {
 					a.WindowMs = r.WindowMs
 				}
 			}
-			a.Members = append(a.Members, name)
+			a.Members = append(a.Members, m.name)
 		}
 	}
 	res.Rows = make([]wire.TelemetryProgramRow, 0, len(rows))
@@ -643,23 +627,17 @@ func (f *Fleet) Top() wire.TelemetryProgramsResult {
 }
 
 // Utilization fans out per-member, per-RPB usage from live members.
-func (f *Fleet) Utilization() []wire.FleetUtilRow {
-	f.mu.Lock()
-	names := append([]string(nil), f.order...)
-	f.mu.Unlock()
-	out := make([]wire.FleetUtilRow, 0, len(names))
-	for _, name := range names {
-		m, ok := f.member(name)
-		if !ok || f.stateOf(m) == Down {
-			continue
-		}
-		rows, err := m.b.Utilization(context.Background())
+func (f *Fleet) Utilization(ctx context.Context) []wire.FleetUtilRow {
+	live := f.live()
+	out := make([]wire.FleetUtilRow, 0, len(live))
+	for _, m := range live {
+		rows, err := wire.Call[[]wire.UtilizationRow](ctx, m.b, wire.MethodUtilization, nil)
 		if err != nil {
 			f.noteFailure(m, err)
 			continue
 		}
 		f.noteSuccess(m, rows)
-		out = append(out, wire.FleetUtilRow{Member: name, Rows: rows})
+		out = append(out, wire.FleetUtilRow{Member: m.name, Rows: rows})
 	}
 	return out
 }
@@ -669,7 +647,7 @@ func (f *Fleet) Utilization() []wire.FleetUtilRow {
 // sketches merge by addition), FleetAggMax, or FleetAggFirst (first
 // replica to answer). Individual replica failures are skipped; the call
 // fails only when no replica answers.
-func (f *Fleet) MemRead(program, mem string, addr, count uint32, agg string) (wire.FleetMemReadResult, error) {
+func (f *Fleet) MemRead(ctx context.Context, program, mem string, addr, count uint32, agg string) (wire.FleetMemReadResult, error) {
 	if agg == "" {
 		agg = wire.FleetAggSum
 	}
@@ -688,7 +666,8 @@ func (f *Fleet) MemRead(program, mem string, addr, count uint32, agg string) (wi
 	res := wire.FleetMemReadResult{Agg: agg}
 	var firstErr error
 	for _, m := range f.liveMembers(u.Members) {
-		vals, err := m.b.ReadMemory(context.Background(), program, mem, addr, count)
+		vals, err := wire.Call[[]uint32](ctx, m.b, wire.MethodMemRead,
+			wire.MemReadParams{Program: program, Mem: mem, Addr: addr, Count: count})
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("fleet: read %s/%s on %s: %w", program, mem, m.name, err)
@@ -732,23 +711,28 @@ func (f *Fleet) MemRead(program, mem string, addr, count uint32, agg string) (wi
 // least one replica accepts the write (replicas hold independent state;
 // a replica that missed the write and later diverges is re-deployed, not
 // repaired, by reconciliation).
-func (f *Fleet) MemWrite(program, mem string, addr, value uint32) error {
+func (f *Fleet) MemWrite(ctx context.Context, program, mem string, addr, value uint32) error {
 	return f.writeReplicas(program, mem, "write", func(m Member) error {
-		return m.WriteMemory(context.Background(), program, mem, addr, value)
+		_, err := m.Do(ctx, wire.MethodMemWrite, wire.MemWriteParams{Program: program, Mem: mem, Addr: addr, Value: value}, nil)
+		return err
 	})
 }
 
 // MemWriteBatch writes many buckets of one program memory on every live
-// replica — one batched mem.writebatch call per replica. Like MemWrite it
-// succeeds when at least one replica accepts the whole batch.
-func (f *Fleet) MemWriteBatch(program, mem string, writes []wire.MemWriteEntry) error {
+// replica — one batched mem.writebatch call per replica, its pairs in one
+// binary frame. Like MemWrite it succeeds when at least one replica
+// accepts the whole batch.
+func (f *Fleet) MemWriteBatch(ctx context.Context, program, mem string, writes []wire.MemWriteEntry) error {
 	if len(writes) == 0 {
 		return nil
 	}
+	pairs := wire.EncodeWritePairs(writes)
 	return f.writeReplicas(program, mem, "batch write", func(m Member) error {
-		n, err := m.WriteMemoryBatch(context.Background(), program, mem, writes)
-		if err == nil && n != len(writes) {
-			err = fmt.Errorf("wrote %d of %d buckets", n, len(writes))
+		var out wire.MemWriteBatchResult
+		_, err := m.Do(ctx, wire.MethodMemWriteBatch,
+			wire.MemWriteBatchParams{Program: program, Mem: mem, Binary: true}, &out, pairs)
+		if err == nil && out.Written != len(writes) {
+			err = fmt.Errorf("wrote %d of %d buckets", out.Written, len(writes))
 		}
 		return err
 	})

@@ -32,6 +32,9 @@ program dropper(<hdr.ipv4.src, 11.0.0.0, 0xff000000>) {
 }
 `
 
+// ctx is the untraced context the tests drive the fleet API under.
+var ctx = context.Background()
+
 func newLocalMember(t *testing.T) *controlplane.Controller {
 	t.Helper()
 	ct, err := controlplane.New(rmt.DefaultConfig(), core.DefaultOptions())
@@ -198,7 +201,7 @@ func TestStore(t *testing.T) {
 
 func TestDeployReplicationAndFanIn(t *testing.T) {
 	f, cts := testFleet(t, 3, Options{Policy: ReplicateK{K: 2}})
-	res, err := f.Deploy(counterSrc, 0)
+	res, err := f.Deploy(ctx, counterSrc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,16 +219,16 @@ func TestDeployReplicationAndFanIn(t *testing.T) {
 		t.Fatalf("replicas on %d members, want 2", holding)
 	}
 	// Fan-in program view.
-	progs := f.Programs()
+	progs := f.Programs(ctx)
 	if len(progs) != 1 || progs[0].Replicas != 2 || progs[0].Desired != 2 || progs[0].Unit != "counter" {
 		t.Fatalf("programs = %+v", progs)
 	}
 	// Double deploy is rejected.
-	if _, err := f.Deploy(counterSrc, 0); err == nil {
+	if _, err := f.Deploy(ctx, counterSrc, 0); err == nil {
 		t.Error("duplicate deploy accepted")
 	}
 	// A second unit spreads away from the first (least units first).
-	res2, err := f.Deploy(dropSrc, 1)
+	res2, err := f.Deploy(ctx, dropSrc, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +239,11 @@ func TestDeployReplicationAndFanIn(t *testing.T) {
 		}
 	}
 	// Utilization fans out all three members.
-	if rows := f.Utilization(); len(rows) != 3 {
+	if rows := f.Utilization(ctx); len(rows) != 3 {
 		t.Fatalf("utilization rows = %d", len(rows))
 	}
 	// Revoke clears every replica.
-	rev, err := f.Revoke("counter")
+	rev, err := f.Revoke(ctx, "counter")
 	if err != nil || len(rev.Members) != 2 {
 		t.Fatalf("revoke = %+v, %v", rev, err)
 	}
@@ -251,14 +254,14 @@ func TestDeployReplicationAndFanIn(t *testing.T) {
 			}
 		}
 	}
-	if _, err := f.Revoke("counter"); err == nil {
+	if _, err := f.Revoke(ctx, "counter"); err == nil {
 		t.Error("double revoke accepted")
 	}
 }
 
 func TestMemReadAggregation(t *testing.T) {
 	f, cts := testFleet(t, 2, Options{Policy: ReplicateK{K: 2}})
-	if _, err := f.Deploy(counterSrc, 0); err != nil {
+	if _, err := f.Deploy(ctx, counterSrc, 0); err != nil {
 		t.Fatal(err)
 	}
 	flow := pkt.FiveTuple{SrcIP: pkt.IP(10, 1, 2, 3), DstIP: 9, SrcPort: 1, DstPort: 2, Proto: pkt.ProtoUDP}
@@ -270,7 +273,7 @@ func TestMemReadAggregation(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cts[1].SW.Inject(frame.Clone(), 4)
 	}
-	sum, err := f.MemRead("counter", "m", 0, 256, "")
+	sum, err := f.MemRead(ctx, "counter", "m", 0, 256, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +287,7 @@ func TestMemReadAggregation(t *testing.T) {
 	if total != 5 {
 		t.Errorf("sum total = %d, want 5", total)
 	}
-	max, err := f.MemRead("counter", "m", 0, 256, wire.FleetAggMax)
+	max, err := f.MemRead(ctx, "counter", "m", 0, 256, wire.FleetAggMax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,15 +298,15 @@ func TestMemReadAggregation(t *testing.T) {
 	if maxTotal != 3 { // same bucket on both members; max is the busier one
 		t.Errorf("max total = %d, want 3", maxTotal)
 	}
-	first, err := f.MemRead("counter", "m", 0, 256, wire.FleetAggFirst)
+	first, err := f.MemRead(ctx, "counter", "m", 0, 256, wire.FleetAggFirst)
 	if err != nil || first.Replicas != 1 {
 		t.Fatalf("first = %+v, %v", first, err)
 	}
-	if _, err := f.MemRead("counter", "m", 0, 1, "median"); err == nil {
+	if _, err := f.MemRead(ctx, "counter", "m", 0, 1, "median"); err == nil {
 		t.Error("bad aggregation accepted")
 	}
 	// Writes reach every replica.
-	if err := f.MemWrite("counter", "m", 7, 99); err != nil {
+	if err := f.MemWrite(ctx, "counter", "m", 7, 99); err != nil {
 		t.Fatal(err)
 	}
 	for i, ct := range cts {
@@ -322,46 +325,11 @@ type flakyBackend struct {
 
 var errFlaky = errors.New("simulated member crash")
 
-func (fb *flakyBackend) check() error {
+func (fb *flakyBackend) Do(ctx context.Context, method string, params, result any, frames ...[]byte) ([][]byte, error) {
 	if fb.dead.Load() {
-		return errFlaky
+		return nil, errFlaky
 	}
-	return nil
-}
-
-func (fb *flakyBackend) Deploy(ctx context.Context, src string) ([]wire.DeployResult, error) {
-	if err := fb.check(); err != nil {
-		return nil, err
-	}
-	return fb.Member.Deploy(ctx, src)
-}
-
-func (fb *flakyBackend) DeployBatch(ctx context.Context, sources []string, atomic bool) (wire.DeployBatchResult, error) {
-	if err := fb.check(); err != nil {
-		return wire.DeployBatchResult{}, err
-	}
-	return fb.Member.DeployBatch(ctx, sources, atomic)
-}
-
-func (fb *flakyBackend) Programs(ctx context.Context) ([]wire.ProgramInfo, error) {
-	if err := fb.check(); err != nil {
-		return nil, err
-	}
-	return fb.Member.Programs(ctx)
-}
-
-func (fb *flakyBackend) Utilization(ctx context.Context) ([]wire.UtilizationRow, error) {
-	if err := fb.check(); err != nil {
-		return nil, err
-	}
-	return fb.Member.Utilization(ctx)
-}
-
-func (fb *flakyBackend) ReadMemory(ctx context.Context, p, m string, a, c uint32) ([]uint32, error) {
-	if err := fb.check(); err != nil {
-		return nil, err
-	}
-	return fb.Member.ReadMemory(ctx, p, m, a, c)
+	return fb.Member.Do(ctx, method, params, result, frames...)
 }
 
 func TestHealthStateMachineAndFailover(t *testing.T) {
@@ -385,7 +353,7 @@ func TestHealthStateMachineAndFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := f.Deploy(counterSrc, 0); err != nil {
+	if _, err := f.Deploy(ctx, counterSrc, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Fresh identical members tie-break by name: the unit sits on m1+m2.
@@ -411,7 +379,7 @@ func TestHealthStateMachineAndFailover(t *testing.T) {
 	}
 
 	// Reads skip the down member without failing.
-	if _, err := f.MemRead("counter", "m", 0, 1, ""); err != nil {
+	if _, err := f.MemRead(ctx, "counter", "m", 0, 1, ""); err != nil {
 		t.Fatalf("read failed during outage: %v", err)
 	}
 
@@ -511,7 +479,7 @@ func TestReconcileAdoptsRejoinedMember(t *testing.T) {
 	if err := f.AddMember("m2", Local(newLocalMember(t))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Deploy(counterSrc, 0); err != nil {
+	if _, err := f.Deploy(ctx, counterSrc, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -572,16 +540,23 @@ func TestReconcileAdoptsRejoinedMember(t *testing.T) {
 	}
 }
 
-// fakeTel feeds a LocalMember a canned telemetry scrape.
-type fakeTel struct{ res wire.TelemetryProgramsResult }
-
-func (f fakeTel) Result() wire.TelemetryProgramsResult { return f.res }
+// servesTelemetry has s answer telemetry.programs with a canned scrape, as
+// a member daemon's sweep engine would.
+func servesTelemetry(s *wire.Server, res wire.TelemetryProgramsResult) *wire.Server {
+	wire.Handle(s, wire.MethodTelemetryPrograms, func(context.Context, struct{}) (wire.TelemetryProgramsResult, error) {
+		return res, nil
+	})
+	return s
+}
 
 // telFailBackend is a member whose telemetry verb always fails.
 type telFailBackend struct{ Member }
 
-func (telFailBackend) TelemetryPrograms(context.Context) (wire.TelemetryProgramsResult, error) {
-	return wire.TelemetryProgramsResult{}, errFlaky
+func (b telFailBackend) Do(ctx context.Context, method string, params, result any, frames ...[]byte) ([][]byte, error) {
+	if method == wire.MethodTelemetryPrograms {
+		return nil, errFlaky
+	}
+	return b.Member.Do(ctx, method, params, result, frames...)
 }
 
 func row(program string, pps float64, pkts uint64, samples int, windowMs int64) wire.TelemetryProgramRow {
@@ -597,9 +572,7 @@ func row(program string, pps float64, pkts uint64, samples int, windowMs int64) 
 func TestFleetTop(t *testing.T) {
 	f := New(Options{})
 	add := func(name string, res wire.TelemetryProgramsResult) {
-		lb := Local(newLocalMember(t))
-		lb.Tel = fakeTel{res}
-		if err := f.AddMember(name, lb); err != nil {
+		if err := f.AddMember(name, servesTelemetry(Local(newLocalMember(t)), res)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -624,7 +597,7 @@ func TestFleetTop(t *testing.T) {
 	m4.state = Down
 	f.mu.Unlock()
 
-	res := f.Top()
+	res := f.Top(ctx)
 	if res.SwitchPPS != 70 || res.ForwardedPPS != 55 || res.Sweeps != 16 || res.IntervalMs != 2000 {
 		t.Fatalf("aggregates = %+v", res)
 	}
@@ -659,23 +632,16 @@ func TestFleetTop(t *testing.T) {
 	if fails == 0 {
 		t.Fatal("telemetry failure not noted against m3")
 	}
-	// A member without telemetry (plain LocalMember) reports an empty
-	// scrape rather than an error.
-	lb := Local(newLocalMember(t))
-	if tr, err := lb.TelemetryPrograms(context.Background()); err != nil || len(tr.Rows) != 0 {
-		t.Fatalf("bare local backend telemetry = %+v, %v", tr, err)
-	}
 }
 
 // TestFleetTopOverWire: the fleet.top verb round-trips through the wire
 // server and typed client.
 func TestFleetTopOverWire(t *testing.T) {
 	f := New(Options{})
-	lb := Local(newLocalMember(t))
-	lb.Tel = fakeTel{wire.TelemetryProgramsResult{
+	lb := servesTelemetry(Local(newLocalMember(t)), wire.TelemetryProgramsResult{
 		Rows:      []wire.TelemetryProgramRow{row("a", 12, 6, 2, 500)},
 		SwitchPPS: 12, ForwardedPPS: 12, Sweeps: 2, IntervalMs: 250,
-	}}
+	})
 	if err := f.AddMember("m1", lb); err != nil {
 		t.Fatal(err)
 	}
@@ -715,15 +681,15 @@ func newBatchSpy(ct *controlplane.Controller) *batchSpyBackend {
 	return &batchSpyBackend{Member: Local(ct)}
 }
 
-func (b *batchSpyBackend) Deploy(ctx context.Context, src string) ([]wire.DeployResult, error) {
-	b.soloCalls.Add(1)
-	return b.Member.Deploy(ctx, src)
-}
-
-func (b *batchSpyBackend) DeployBatch(ctx context.Context, sources []string, atomic bool) (wire.DeployBatchResult, error) {
-	b.batchCalls.Add(1)
-	b.batchSources.Add(int64(len(sources)))
-	return b.Member.DeployBatch(ctx, sources, atomic)
+func (b *batchSpyBackend) Do(ctx context.Context, method string, params, result any, frames ...[]byte) ([][]byte, error) {
+	switch method {
+	case wire.MethodDeploy:
+		b.soloCalls.Add(1)
+	case wire.MethodDeployBatch:
+		b.batchCalls.Add(1)
+		b.batchSources.Add(int64(len(params.(wire.DeployBatchParams).Sources)))
+	}
+	return b.Member.Do(ctx, method, params, result, frames...)
 }
 
 // TestReconcileBatchesDeploys: a member death orphaning several units costs
@@ -738,7 +704,7 @@ func TestReconcileBatchesDeploys(t *testing.T) {
 	// Both units land on m1 — the spy joins only afterwards, so every
 	// deploy it ever sees comes from the reconcile pass.
 	for _, src := range []string{counterSrc, dropSrc} {
-		if _, err := f.Deploy(src, 0); err != nil {
+		if _, err := f.Deploy(ctx, src, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -780,8 +746,11 @@ func TestReconcileBatchesDeploys(t *testing.T) {
 // batchFailBackend is a member whose bulk write always fails.
 type batchFailBackend struct{ Member }
 
-func (batchFailBackend) WriteMemoryBatch(context.Context, string, string, []wire.MemWriteEntry) (int, error) {
-	return 0, errFlaky
+func (b batchFailBackend) Do(ctx context.Context, method string, params, result any, frames ...[]byte) ([][]byte, error) {
+	if method == wire.MethodMemWriteBatch {
+		return nil, errFlaky
+	}
+	return b.Member.Do(ctx, method, params, result, frames...)
 }
 
 // TestFleetMemWriteBatch: the bulk write fans out to every live replica
@@ -798,11 +767,11 @@ func TestFleetMemWriteBatch(t *testing.T) {
 	if err := f.AddMember("m3", batchFailBackend{Local(cts[2])}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Deploy(counterSrc, 0); err != nil {
+	if _, err := f.Deploy(ctx, counterSrc, 0); err != nil {
 		t.Fatal(err)
 	}
 	writes := []wire.MemWriteEntry{{Addr: 1, Value: 11}, {Addr: 2, Value: 22}, {Addr: 250, Value: 33}}
-	if err := f.MemWriteBatch("counter", "m", writes); err != nil {
+	if err := f.MemWriteBatch(ctx, "counter", "m", writes); err != nil {
 		t.Fatal(err)
 	}
 	for i, ct := range cts[:2] {
@@ -822,7 +791,7 @@ func TestFleetMemWriteBatch(t *testing.T) {
 	if fails != 1 || !errors.Is(lastErr, errFlaky) {
 		t.Errorf("batch failure not charged to m3: fails=%d err=%v", fails, lastErr)
 	}
-	if err := f.MemWriteBatch("ghost", "m", writes); err == nil {
+	if err := f.MemWriteBatch(ctx, "ghost", "m", writes); err == nil {
 		t.Error("write to unknown unit accepted")
 	}
 }

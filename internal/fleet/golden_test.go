@@ -11,22 +11,26 @@ import (
 
 const goldenTraceHeader = "0123456789abcdef0123456789abcdef-fedcba9876543210"
 
-// goldenFleet is a two-member in-process fleet behind a wire server, with
-// canned member telemetry and no background loops, so every response is a
-// function of the requests alone.
-func goldenFleet(t *testing.T, tr *trace.Tracer, fr *trace.FlightRecorder) (*Fleet, *wiretest.Conn) {
+// goldenFleet is a two-member fleet behind a wire server, with canned
+// member telemetry and no background loops, so every response is a
+// function of the requests alone. Members are in-process servers, or with
+// tcp set the same servers listening on sockets the fleet dials.
+func goldenFleet(t *testing.T, tr *trace.Tracer, fr *trace.FlightRecorder, tcp bool) (*Fleet, *wiretest.Conn) {
 	t.Helper()
 	f := New(Options{Policy: ReplicateK{K: 2}})
 	f.SetTracing(tr, fr)
 	for i := 0; i < 2; i++ {
 		ct := newLocalMember(t)
 		ct.SetTracing(tr, fr)
-		lb := Local(ct)
-		lb.Tel = fakeTel{wire.TelemetryProgramsResult{
+		s := servesTelemetry(Local(ct), wire.TelemetryProgramsResult{
 			Rows:      []wire.TelemetryProgramRow{row("counter", float64(10*(i+1)), uint64(50*(i+1)), 3+i, 2000)},
 			SwitchPPS: 40, ForwardedPPS: 30, Sweeps: 5, IntervalMs: 1000,
-		}}
-		if err := f.AddMember(memberName(i), lb); err != nil {
+		})
+		var m Member = s
+		if tcp {
+			m = listenAndDial(t, s)
+		}
+		if err := f.AddMember(memberName(i), m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,9 +46,15 @@ func goldenFleet(t *testing.T, tr *trace.Tracer, fr *trace.FlightRecorder) (*Fle
 
 // TestGoldenFleetVerbs pins the responses of the verbs this package
 // registers on a wire server (see internal/wire/golden_test.go for the
-// single-switch verbs and the capture format).
+// single-switch verbs and the capture format). Both member shapes must
+// reproduce the same capture.
 func TestGoldenFleetVerbs(t *testing.T) {
-	f, conn := goldenFleet(t, nil, nil)
+	t.Run("in-process", func(t *testing.T) { goldenFleetVerbs(t, false) })
+	t.Run("tcp", func(t *testing.T) { goldenFleetVerbs(t, true) })
+}
+
+func goldenFleetVerbs(t *testing.T, tcp bool) {
+	f, conn := goldenFleet(t, nil, nil, tcp)
 	var cp wiretest.Capture
 	id := 0
 	do := func(name, method, params string) {
@@ -67,7 +77,7 @@ func TestGoldenFleetVerbs(t *testing.T) {
 	do("fleet.programs", wire.MethodFleetPrograms, "")
 	do("fleet.members", wire.MethodFleetMembers, "")
 	do("fleet.utilization", wire.MethodFleetUtilization, "")
-	if err := f.MemWrite("counter", "m", 3, 21); err != nil {
+	if err := f.MemWrite(ctx, "counter", "m", 3, 21); err != nil {
 		t.Fatal(err)
 	}
 	do("fleet.memread/sum", wire.MethodFleetMemRead, `{"program":"counter","mem":"m","addr":2,"count":3}`)
@@ -95,7 +105,7 @@ func TestGoldenFleetVerbs(t *testing.T) {
 func TestGoldenFleetTraced(t *testing.T) {
 	tr := trace.New(trace.Options{})
 	tr.SetEnabled(true)
-	_, conn := goldenFleet(t, tr, trace.NewFlightRecorder(64))
+	_, conn := goldenFleet(t, tr, trace.NewFlightRecorder(64), false)
 	var cp wiretest.Capture
 	cp.Add("fleet.deploy", conn.Do(fmt.Sprintf(`{"id":1,"method":"fleet.deploy","params":{"source":%q},"tr":%q}`, counterSrc, goldenTraceHeader)))
 	cp.Add("fleet.ops", conn.Do(`{"id":2,"method":"fleet.ops"}`))

@@ -101,7 +101,7 @@ func (f *Fleet) probe(m *member) {
 	}
 	ch := make(chan res, 1)
 	go func() {
-		rows, err := m.b.Utilization(context.Background())
+		rows, err := wire.Call[[]wire.UtilizationRow](context.Background(), m.b, wire.MethodUtilization, nil)
 		ch <- res{rows, err}
 	}()
 	var r res

@@ -1,42 +1,41 @@
 package fleet
 
 import (
-	"context"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"p4runpro/internal/controlplane"
-	"p4runpro/internal/core"
-	"p4runpro/internal/rmt"
 	"p4runpro/internal/wire"
 )
 
-// startWireMember runs one member daemon on an ephemeral port and returns
-// its server and a fleet-tuned client.
-func startWireMember(t *testing.T) (*wire.Server, *wire.Client) {
+// listenAndDial serves a member on an ephemeral port and returns a
+// fleet-tuned client to it; both close with t.
+func listenAndDial(t *testing.T, s *wire.Server) *wire.Client {
 	t.Helper()
-	ct, err := controlplane.New(rmt.DefaultConfig(), core.DefaultOptions())
+	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := wire.NewServer(ct, nil)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(func() { s.Close() })
 	c, err := wire.Dial(addr,
 		wire.WithDialTimeout(time.Second),
-		wire.WithCallTimeout(time.Second),
+		wire.WithCallTimeout(5*time.Second),
 		wire.WithRetry(2, 10*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return srv, c
+	return c
+}
+
+// startWireMember runs one member daemon on an ephemeral port and returns
+// its server and a fleet-tuned client.
+func startWireMember(t *testing.T) (*wire.Server, *wire.Client) {
+	t.Helper()
+	s := Local(newLocalMember(t))
+	return s, listenAndDial(t, s)
 }
 
 func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
@@ -69,11 +68,11 @@ func TestFleetFailoverOverWire(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		srv, c := startWireMember(t)
 		servers[i] = srv
-		if err := f.AddMember(memberName(i), Remote(c)); err != nil {
+		if err := f.AddMember(memberName(i), c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := f.Deploy(counterSrc, 0); err != nil {
+	if _, err := f.Deploy(ctx, counterSrc, 0); err != nil {
 		t.Fatal(err)
 	}
 	u, _ := f.store.Resolve("counter")
@@ -97,10 +96,10 @@ func TestFleetFailoverOverWire(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := f.MemRead("counter", "m", 0, 16, ""); err != nil {
+			if _, err := f.MemRead(ctx, "counter", "m", 0, 16, ""); err != nil {
 				apiErrs = append(apiErrs, err)
 			}
-			if got := f.Programs(); len(got) != 1 {
+			if got := f.Programs(ctx); len(got) != 1 {
 				continue // listing converges; emptiness would be caught below
 			}
 			time.Sleep(2 * time.Millisecond)
@@ -131,12 +130,12 @@ func TestFleetFailoverOverWire(t *testing.T) {
 	after, _ := f.store.Resolve("counter")
 	for _, name := range after.Members {
 		m, _ := f.member(name)
-		infos, err := m.b.Programs(context.Background())
+		infos, err := wire.Call[[]wire.ProgramInfo](ctx, m.b, wire.MethodPrograms, nil)
 		if err != nil || len(infos) != 1 || infos[0].Name != "counter" {
 			t.Errorf("survivor %s listing = %+v, %v", name, infos, err)
 		}
 	}
-	res, err := f.MemRead("counter", "m", 0, 16, "")
+	res, err := f.MemRead(ctx, "counter", "m", 0, 16, "")
 	if err != nil || res.Replicas != 2 {
 		t.Errorf("post-failover read = %+v, %v", res, err)
 	}
@@ -159,14 +158,8 @@ func TestFleetFailoverOverWire(t *testing.T) {
 // client deploying, listing, reading aggregated memory, and revoking.
 func TestFleetServedOverWire(t *testing.T) {
 	f := New(Options{Policy: ReplicateK{K: 2}})
-	cts := make([]*controlplane.Controller, 3)
 	for i := 0; i < 3; i++ {
-		ct, err := controlplane.New(rmt.DefaultConfig(), core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cts[i] = ct
-		if err := f.AddMember(memberName(i), Local(ct)); err != nil {
+		if err := f.AddMember(memberName(i), Local(newLocalMember(t))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"p4runpro/internal/obs/trace"
+	"p4runpro/internal/wire"
 )
 
 // reconcileLoop periodically diffs desired vs. actual state, and runs
@@ -85,7 +86,7 @@ func (f *Fleet) Reconcile() {
 		if !ok || f.stateOf(m) != Healthy {
 			continue
 		}
-		infos, err := m.b.Programs(ctx)
+		infos, err := wire.Call[[]wire.ProgramInfo](ctx, m.b, wire.MethodPrograms, nil)
 		if err != nil {
 			f.noteFailure(m, err)
 			continue
@@ -296,7 +297,7 @@ func (f *Fleet) flushDeploys(ctx context.Context, name string, its []*deployInte
 	for i, it := range its {
 		sources[i] = it.source
 	}
-	res, err := m.b.DeployBatch(ctx, sources, false)
+	res, err := wire.Call[wire.DeployBatchResult](ctx, m.b, wire.MethodDeployBatch, wire.DeployBatchParams{Sources: sources})
 	if err != nil {
 		f.log.Errorf("fleet: batch deploy of %d unit(s) on %s: %v", len(its), name, err)
 		f.noteFailure(m, err)

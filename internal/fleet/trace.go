@@ -1,12 +1,13 @@
 // Fleet-side tracing: the aggregator's own operation spans plus the
-// fleet-merged ops view — one listing that stitches the fleet's traces
-// with the per-member halves fetched over the members' debug.ops verb,
-// merged by trace ID so a single deploy reads as one tree from client
-// flush to member apply.
+// fleet-merged ops view — one listing that stitches each of the fleet's
+// traces with the per-member halves fetched by trace ID over the members'
+// debug.trace verb, so a single deploy reads as one tree from client flush
+// to member apply.
 package fleet
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"time"
 
@@ -58,39 +59,35 @@ func (f *Fleet) flightEvent(kind, name, detail string) {
 	f.flight.Record(trace.Event{Kind: kind, Name: name, Detail: detail})
 }
 
-// Ops returns the fleet-merged trace listing: the aggregator's own traces
-// with each member's same-ID halves merged in, newest first. Members that
-// are down, fail the call, or run without a tracer contribute nothing —
-// inspection degrades, it never fails.
-func (f *Fleet) Ops(p wire.OpsParams) wire.OpsResult {
+// Ops returns the fleet-merged trace listing: the traces p selects from
+// the aggregator's own store, newest first, each merged with every live
+// member's half of the same ID. Halves are fetched by ID, so a member's
+// unrelated traffic (health probes, other clients) cannot push them out of
+// the view. A member answering "not found" holds no half; one that cannot
+// be reached is skipped for the rest of the listing — inspection degrades,
+// it never fails.
+func (f *Fleet) Ops(ctx context.Context, p wire.OpsParams) wire.OpsResult {
 	own := wire.TraceSnaps(f.tracer, p)
-
-	// Fetch member-side halves once, indexed by trace ID.
-	remote := make(map[trace.TraceID][]trace.TraceSnap)
-	f.mu.Lock()
-	names := append([]string(nil), f.order...)
-	f.mu.Unlock()
-	for _, name := range names {
-		m, ok := f.member(name)
-		if !ok || f.stateOf(m) == Down {
-			continue
-		}
-		res, err := m.b.DebugOps(context.Background(), wire.OpsParams{Limit: p.Limit})
-		if err != nil {
-			continue
-		}
-		for _, tj := range res.Traces {
-			ts := wire.JSONToSnap(tj)
-			remote[ts.ID] = append(remote[ts.ID], ts)
+	parts := make([][]trace.TraceSnap, len(own))
+	for i, ts := range own {
+		parts[i] = []trace.TraceSnap{ts}
+	}
+	for _, m := range f.live() {
+		for i, ts := range own {
+			tj, err := wire.Call[wire.TraceJSON](ctx, m.b, wire.MethodDebugTrace, wire.TraceGetParams{ID: ts.ID.String()})
+			var opErr *wire.OpError
+			if errors.As(err, &opErr) {
+				continue
+			}
+			if err != nil {
+				break
+			}
+			parts[i] = append(parts[i], wire.JSONToSnap(tj))
 		}
 	}
-
-	out := wire.OpsResult{Traces: []wire.TraceJSON{}}
-	for _, ts := range own {
-		if parts, ok := remote[ts.ID]; ok {
-			ts = trace.MergeSnaps(append([]trace.TraceSnap{ts}, parts...))
-		}
-		out.Traces = append(out.Traces, wire.SnapToJSON(ts))
+	out := wire.OpsResult{Traces: make([]wire.TraceJSON, 0, len(own))}
+	for _, ps := range parts {
+		out.Traces = append(out.Traces, wire.SnapToJSON(trace.MergeSnaps(ps)))
 	}
 	sort.SliceStable(out.Traces, func(i, j int) bool {
 		return out.Traces[i].StartNs > out.Traces[j].StartNs

@@ -33,6 +33,7 @@ func TestDistributedTraceAcrossFleetTCP(t *testing.T) {
 	// tracer — nothing is shared in-process, so every hop below must
 	// travel as a wire trace header or the trace falls apart.
 	memberTrs := make([]*trace.Tracer, 3)
+	memberCs := make([]*wire.Client, 3)
 	for i := 0; i < 3; i++ {
 		mtr := newEnabledTracer()
 		memberTrs[i] = mtr
@@ -41,19 +42,8 @@ func TestDistributedTraceAcrossFleetTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := wire.NewServer(ct, nil)
-		srv.Tracer = mtr
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		mc, err := wire.Dial(addr, wire.WithDialTimeout(time.Second), wire.WithCallTimeout(5*time.Second))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { mc.Close() })
-		if err := f.AddMember(memberName(i), Remote(mc)); err != nil {
+		memberCs[i] = listenAndDial(t, Local(ct))
+		if err := f.AddMember(memberName(i), memberCs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,5 +149,46 @@ func TestDistributedTraceAcrossFleetTCP(t *testing.T) {
 	}
 	if deployEv.Trace != id {
 		t.Fatalf("flight event trace = %s, want %s", deployEv.Trace, id)
+	}
+
+	// The fleet-merged listing fetches member halves by trace ID: an
+	// untraced request that leaves m1's newest trace unrelated to the
+	// deploy must not cost the deploy m1's half.
+	if _, err := wire.Call[string](ctx, memberCs[0], wire.MethodStatus, nil); err != nil {
+		t.Fatal(err)
+	}
+	ops := f.Ops(ctx, wire.OpsParams{Limit: 1})
+	if len(ops.Traces) != 1 || ops.Traces[0].ID != id.String() {
+		t.Fatalf("fleet ops = %d traces, want the deploy trace %s", len(ops.Traces), id)
+	}
+	count = make(map[string]int)
+	for _, sp := range ops.Traces[0].Spans {
+		count[sp.Name]++
+	}
+	if count["srv.deploy"] != 3 || count["apply"] != 3 {
+		t.Fatalf("fleet ops tree = srv.deploy:%d apply:%d, want 3 each (have %v)",
+			count["srv.deploy"], count["apply"], count)
+	}
+
+	// A traced rollout carries its trace to every member's upgrade verbs.
+	if _, err := c.FleetUpgrade(wire.FleetUpgradeParams{Name: "counter", Source: counterV2Src, SoakMs: 1, StageSize: 3}); err != nil {
+		t.Fatal(err)
+	}
+	upg := cliTr.Recent(1)
+	if len(upg) != 1 || upg[0].Verb != "cli.fleet.upgrade" {
+		t.Fatalf("client traces after upgrade = %+v, want cli.fleet.upgrade", upg)
+	}
+	for i, mtr := range memberTrs {
+		mts, ok := mtr.Lookup(upg[0].ID)
+		if !ok {
+			t.Fatalf("member %s did not join upgrade trace %s", memberName(i), upg[0].ID)
+		}
+		found := false
+		for _, sp := range mts.Spans {
+			found = found || sp.Name == "srv.upgrade.start"
+		}
+		if !found {
+			t.Fatalf("member %s upgrade trace has no srv.upgrade.start span", memberName(i))
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Health-gated rolling upgrades. Fleet.Upgrade drives one deployment
 // unit's members through the per-switch versioned-upgrade state machine
-// (internal/upgrade, reached through Member's Upgrade* verbs): every
+// (internal/upgrade, reached through the members' upgrade.* verbs): every
 // member prepares v2 next to its running v1, canaries cut over first and
 // soak under live traffic, and the remaining members follow in bounded
 // waves only while the health gates hold. A gate regression rolls every
@@ -77,19 +77,32 @@ type upgradeMember struct {
 	beforeAt time.Time
 }
 
-// retryUpgradeCall runs one member-level upgrade RPC with bounded retries.
-func retryUpgradeCall(opt UpgradeOptions, call func() (wire.UpgradeStatusResult, error)) (wire.UpgradeStatusResult, error) {
+// retryUpgradeCall runs one member-level upgrade verb with bounded retries.
+func retryUpgradeCall(ctx context.Context, opt UpgradeOptions, m *member, method string, params any) (wire.UpgradeStatusResult, error) {
 	var st wire.UpgradeStatusResult
 	var err error
 	for i := 0; i < opt.Retries; i++ {
 		if i > 0 {
 			time.Sleep(opt.RetryBackoff)
 		}
-		if st, err = call(); err == nil {
+		if st, err = wire.Call[wire.UpgradeStatusResult](ctx, m.b, method, params); err == nil {
 			return st, nil
 		}
 	}
 	return st, err
+}
+
+// revertMember puts one member back on v1, best-effort: cut back over
+// when it may have flipped, then abort its session. Failures are logged.
+func (f *Fleet) revertMember(ctx context.Context, m *member, program string, cutover bool) {
+	if cutover {
+		if _, err := m.b.Do(ctx, wire.MethodUpgradeCutover, wire.UpgradeCutoverParams{Program: program, Version: 1}, nil); err != nil {
+			f.log.Errorf("fleet: rollback cutover %s on %s: %v", program, m.name, err)
+		}
+	}
+	if _, err := m.b.Do(ctx, wire.MethodUpgradeAbort, wire.UpgradeNameParams{Program: program}, nil); err != nil {
+		f.log.Errorf("fleet: rollback abort %s on %s: %v", program, m.name, err)
+	}
 }
 
 // Upgrade rolls the deployment unit containing name (a program name or
@@ -101,10 +114,10 @@ func retryUpgradeCall(opt UpgradeOptions, call func() (wire.UpgradeStatusResult,
 // committed to v2, pinned to v1 (unreachable or repeatedly failing — the
 // unit's desired source still advances, so reconciliation converges it
 // later), or rolled back to v1 together with the rest when a health gate
-// failed.
-func (f *Fleet) Upgrade(name, v2src string, opt UpgradeOptions) (wire.FleetUpgradeResult, error) {
+// failed. Every member verb runs under ctx, so a traced rollout carries
+// its trace to the members.
+func (f *Fleet) Upgrade(ctx context.Context, name, v2src string, opt UpgradeOptions) (wire.FleetUpgradeResult, error) {
 	opt = opt.withDefaults()
-	ctx := context.Background()
 	f.intentMu.Lock()
 	defer f.intentMu.Unlock()
 
@@ -152,9 +165,8 @@ func (f *Fleet) Upgrade(name, v2src string, opt UpgradeOptions) (wire.FleetUpgra
 			wg.Add(1)
 			go func(i int, mn string, m *member) {
 				defer wg.Done()
-				if _, err := retryUpgradeCall(opt, func() (wire.UpgradeStatusResult, error) {
-					return m.b.UpgradeStart(ctx, program, v2src)
-				}); err != nil {
+				if _, err := retryUpgradeCall(ctx, opt, m, wire.MethodUpgradeStart,
+					wire.UpgradeStartParams{Program: program, Source: v2src}); err != nil {
 					f.log.Errorf("fleet: upgrade prepare %s on %s: %v", program, mn, err)
 					f.noteFailure(m, err)
 					return
@@ -181,14 +193,7 @@ func (f *Fleet) Upgrade(name, v2src string, opt UpgradeOptions) (wire.FleetUpgra
 
 	rollbackAll := func(reason string) wire.FleetUpgradeResult {
 		for _, um := range rollout {
-			if um.cutover {
-				if _, err := um.m.b.UpgradeCutover(ctx, program, 1); err != nil {
-					f.log.Errorf("fleet: rollback cutover %s on %s: %v", program, um.m.name, err)
-				}
-			}
-			if _, err := um.m.b.UpgradeAbort(ctx, program); err != nil {
-				f.log.Errorf("fleet: rollback abort %s on %s: %v", program, um.m.name, err)
-			}
+			f.revertMember(ctx, um.m, program, um.cutover)
 		}
 		f.m.cUpgRolledBack.Inc()
 		f.log.Errorf("fleet: upgrade of %s rolled back: %s", u.Key, reason)
@@ -225,16 +230,14 @@ func (f *Fleet) Upgrade(name, v2src string, opt UpgradeOptions) (wire.FleetUpgra
 				wg.Add(1)
 				go func(i int, um *upgradeMember) {
 					defer wg.Done()
-					st, err := retryUpgradeCall(opt, func() (wire.UpgradeStatusResult, error) {
-						return um.m.b.UpgradeCutover(ctx, program, 2)
-					})
+					st, err := retryUpgradeCall(ctx, opt, um.m, wire.MethodUpgradeCutover,
+						wire.UpgradeCutoverParams{Program: program, Version: 2})
 					if err != nil {
 						// The member may or may not have flipped; force it back
 						// to v1 best-effort rather than failing the wave.
 						f.log.Errorf("fleet: cutover %s on %s: %v", program, um.m.name, err)
 						f.noteFailure(um.m, err)
-						um.m.b.UpgradeCutover(ctx, program, 1) //nolint:errcheck // best-effort
-						um.m.b.UpgradeAbort(ctx, program)      //nolint:errcheck // best-effort
+						f.revertMember(ctx, um.m, program, true)
 						um.prepared = false
 						return
 					}
@@ -276,9 +279,8 @@ func (f *Fleet) Upgrade(name, v2src string, opt UpgradeOptions) (wire.FleetUpgra
 			wg.Add(1)
 			go func(i int, um *upgradeMember) {
 				defer wg.Done()
-				afters[i], errs[i] = retryUpgradeCall(opt, func() (wire.UpgradeStatusResult, error) {
-					return um.m.b.UpgradeStatus(ctx, program)
-				})
+				afters[i], errs[i] = retryUpgradeCall(ctx, opt, um.m, wire.MethodUpgradeStatus,
+					wire.UpgradeNameParams{Program: program})
 			}(i, um)
 		}
 		wg.Wait()
@@ -306,12 +308,10 @@ func (f *Fleet) Upgrade(name, v2src string, opt UpgradeOptions) (wire.FleetUpgra
 			wg.Add(1)
 			go func(i int, um *upgradeMember) {
 				defer wg.Done()
-				if _, err := retryUpgradeCall(opt, func() (wire.UpgradeStatusResult, error) {
-					return um.m.b.UpgradeCommit(ctx, program)
-				}); err != nil {
+				if _, err := retryUpgradeCall(ctx, opt, um.m, wire.MethodUpgradeCommit,
+					wire.UpgradeNameParams{Program: program}); err != nil {
 					f.log.Errorf("fleet: commit %s on %s: %v", program, um.m.name, err)
-					um.m.b.UpgradeCutover(ctx, program, 1) //nolint:errcheck // best-effort
-					um.m.b.UpgradeAbort(ctx, program)      //nolint:errcheck // best-effort
+					f.revertMember(ctx, um.m, program, true)
 					return
 				}
 				committed[i] = true

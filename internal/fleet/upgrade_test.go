@@ -67,11 +67,11 @@ func pumpTraffic(cts []*controlplane.Controller) (stop func()) {
 // source advances to v2.
 func TestFleetUpgradeHealthyCommit(t *testing.T) {
 	f, cts := testFleet(t, 3, Options{Policy: ReplicateK{K: 3}})
-	if _, err := f.Deploy(counterSrc, 0); err != nil {
+	if _, err := f.Deploy(ctx, counterSrc, 0); err != nil {
 		t.Fatal(err)
 	}
 	stop := pumpTraffic(cts)
-	res, err := f.Upgrade("counter", counterV2Src, UpgradeOptions{
+	res, err := f.Upgrade(ctx, "counter", counterV2Src, UpgradeOptions{
 		Soak: 40 * time.Millisecond, MaxDropRate: 0.5, MinV2PPS: 1,
 	})
 	stop()
@@ -104,11 +104,11 @@ func TestFleetUpgradeHealthyCommit(t *testing.T) {
 // or merely prepared — rolls back to v1 together.
 func TestFleetUpgradeRollbackOnDrops(t *testing.T) {
 	f, cts := testFleet(t, 3, Options{Policy: ReplicateK{K: 3}})
-	if _, err := f.Deploy(counterSrc, 0); err != nil {
+	if _, err := f.Deploy(ctx, counterSrc, 0); err != nil {
 		t.Fatal(err)
 	}
 	stop := pumpTraffic(cts)
-	res, err := f.Upgrade("counter", counterV2BadSrc, UpgradeOptions{
+	res, err := f.Upgrade(ctx, "counter", counterV2BadSrc, UpgradeOptions{
 		Soak: 40 * time.Millisecond, MaxDropRate: 0.2,
 	})
 	stop()
@@ -163,8 +163,11 @@ func ctMemSum(t *testing.T, ct *controlplane.Controller) uint64 {
 // members.
 type noUpgradeBackend struct{ Member }
 
-func (noUpgradeBackend) UpgradeStart(context.Context, string, string) (wire.UpgradeStatusResult, error) {
-	return wire.UpgradeStatusResult{}, errors.New("unknown method \"upgrade.start\"")
+func (b noUpgradeBackend) Do(ctx context.Context, method string, params, result any, frames ...[]byte) ([][]byte, error) {
+	if method == wire.MethodUpgradeStart {
+		return nil, &wire.OpError{Method: method, Msg: `unknown method "upgrade.start"`}
+	}
+	return b.Member.Do(ctx, method, params, result, frames...)
 }
 
 // TestFleetUpgradePinsUnavailableMembers: a down member and a member that
@@ -177,7 +180,7 @@ func TestFleetUpgradePinsUnavailableMembers(t *testing.T) {
 	if err := f.AddMember("m4", noUpgradeBackend{Local(legacy)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Deploy(counterSrc, 0); err != nil {
+	if _, err := f.Deploy(ctx, counterSrc, 0); err != nil {
 		t.Fatal(err)
 	}
 	m3, ok := f.member("m3")
@@ -189,7 +192,7 @@ func TestFleetUpgradePinsUnavailableMembers(t *testing.T) {
 		t.Fatal("m3 not down after DownAfter=1 failure")
 	}
 
-	res, err := f.Upgrade("counter", counterV2Src, UpgradeOptions{Soak: 10 * time.Millisecond})
+	res, err := f.Upgrade(ctx, "counter", counterV2Src, UpgradeOptions{Soak: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("Upgrade: %v", err)
 	}

@@ -250,15 +250,6 @@ func ParsePolicy(s string) (Policy, error) {
 type Options struct {
 	Sync         Policy
 	SyncInterval time.Duration // SyncInterval policy cadence; default 100ms
-	// GroupWindow, under SyncAlways, is how long a group-commit leader
-	// waits for concurrent appenders to buffer their records before the
-	// shared fsync. Zero (the default) disables the wait: a lone appender
-	// pays exactly one immediate fsync as before, and coalescing still
-	// happens whenever appenders pile up behind an in-progress window or
-	// arrive through AppendBatch. A small window (tens of microseconds to
-	// ~1ms) trades that much latency for dramatically fewer fsyncs under
-	// concurrent load.
-	GroupWindow time.Duration
 	// Obs, when set, receives the journal's metrics (append/sync/replay
 	// latency histograms, record counters, segment size gauge).
 	Obs *obs.Registry
@@ -484,8 +475,8 @@ type syncGroup struct {
 // Append frames rec and writes it to the active segment, syncing according
 // to policy. The record is durable (per policy) when Append returns — the
 // caller applies the mutation only afterwards (write-ahead discipline).
-// Under SyncAlways, concurrent appends coalesce into shared fsyncs (group
-// commit); see Options.GroupWindow.
+// Under SyncAlways each Append pays one fsync; AppendBatch shares one
+// across its records (see commitLocked).
 func (j *Journal) Append(rec Record) error {
 	frame, err := EncodeRecord(rec)
 	if err != nil {
@@ -556,10 +547,11 @@ func (j *Journal) appendFrames(buf []byte, n int) error {
 // commit: if a group is open (its leader has not started flushing), the
 // caller's frames — already buffered under mu — will be covered by that
 // leader's flush+fsync, so the caller just waits for it. Otherwise the
-// caller leads a new group: it optionally holds enrollment open for
-// GroupWindow (mu released, so concurrent appenders can buffer frames and
-// join), then closes the group and performs one flush+fsync on behalf of
-// every member. Caller must hold j.mu; returns with j.mu held.
+// caller leads a new group: it closes the group and performs one
+// flush+fsync on behalf of every member. The leader holds mu from opening
+// the group through the flush, so today no follower enrolls; the follower
+// path is for a leader that syncs with mu released. Caller must hold j.mu;
+// returns with j.mu held.
 func (j *Journal) commitLocked(n int) error {
 	if g := j.group; g != nil {
 		g.n += n
@@ -570,11 +562,6 @@ func (j *Journal) commitLocked(n int) error {
 	}
 	g := &syncGroup{done: make(chan struct{}), n: n}
 	j.group = g
-	if w := j.opt.GroupWindow; w > 0 {
-		j.mu.Unlock()
-		time.Sleep(w)
-		j.mu.Lock()
-	}
 	j.group = nil // close enrollment; the flush below covers every member
 	start := time.Now()
 	if j.closed {

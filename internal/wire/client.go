@@ -178,9 +178,15 @@ func (c *Client) Do(ctx context.Context, method string, params, result any, reqF
 	return nil, err
 }
 
+// Doer is one round trip through the verb table: *Client over TCP, or
+// *Server in-process (a server that was never told to Listen).
+type Doer interface {
+	Do(ctx context.Context, method string, params, result any, frames ...[]byte) ([][]byte, error)
+}
+
 // Call is Do for a verb answering with one typed result and no frames —
 // the shape of nearly every verb, so each typed method is one line over it.
-func Call[R any](ctx context.Context, c *Client, method string, params any) (R, error) {
+func Call[R any](ctx context.Context, c Doer, method string, params any) (R, error) {
 	var out R
 	_, err := c.Do(ctx, method, params, &out)
 	return out, err

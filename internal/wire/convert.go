@@ -7,12 +7,12 @@ import (
 	"p4runpro/internal/upgrade"
 )
 
-// Controller → DTO conversions. The wire server and the fleet's
-// in-process member both answer in these DTOs, so the field mapping lives
-// here once.
+// Controller → DTO conversions for the single-switch verb table. Every
+// member shape (TCP or in-process) answers through that table, so the
+// field mapping lives here once.
 
-// DeployResults converts a blob's per-program deploy reports.
-func DeployResults(reports []controlplane.DeployReport) []DeployResult {
+// deployResults converts a blob's per-program deploy reports.
+func deployResults(reports []controlplane.DeployReport) []DeployResult {
 	out := make([]DeployResult, 0, len(reports))
 	for _, r := range reports {
 		out = append(out, DeployResult{
@@ -23,9 +23,9 @@ func DeployResults(reports []controlplane.DeployReport) []DeployResult {
 	return out
 }
 
-// DeployBatchResultOf converts a batch's per-blob outcomes, counting the
+// deployBatchResultOf converts a batch's per-blob outcomes, counting the
 // blobs that linked.
-func DeployBatchResultOf(outcomes []controlplane.DeployOutcome) DeployBatchResult {
+func deployBatchResultOf(outcomes []controlplane.DeployOutcome) DeployBatchResult {
 	res := DeployBatchResult{Items: make([]DeployBatchItem, 0, len(outcomes))}
 	for _, oc := range outcomes {
 		item := DeployBatchItem{}
@@ -33,20 +33,20 @@ func DeployBatchResultOf(outcomes []controlplane.DeployOutcome) DeployBatchResul
 			item.Error = oc.Err.Error()
 		} else {
 			res.Deployed++
-			item.Programs = DeployResults(oc.Reports)
+			item.Programs = deployResults(oc.Reports)
 		}
 		res.Items = append(res.Items, item)
 	}
 	return res
 }
 
-// RevokeResultOf converts a revoke report.
-func RevokeResultOf(r controlplane.RevokeReport) RevokeResult {
+// revokeResultOf converts a revoke report.
+func revokeResultOf(r controlplane.RevokeReport) RevokeResult {
 	return RevokeResult{Entries: r.Entries, MemReset: r.MemReset, UpdateDelay: r.UpdateDelay}
 }
 
-// ProgramInfos converts a program listing.
-func ProgramInfos(infos []controlplane.ProgramInfo) []ProgramInfo {
+// programInfos converts a program listing.
+func programInfos(infos []controlplane.ProgramInfo) []ProgramInfo {
 	out := make([]ProgramInfo, 0, len(infos))
 	for _, i := range infos {
 		out = append(out, ProgramInfo{
@@ -58,8 +58,8 @@ func ProgramInfos(infos []controlplane.ProgramInfo) []ProgramInfo {
 	return out
 }
 
-// UtilizationRows converts per-RPB utilization.
-func UtilizationRows(us []resource.Utilization) []UtilizationRow {
+// utilizationRows converts per-RPB utilization.
+func utilizationRows(us []resource.Utilization) []UtilizationRow {
 	var out []UtilizationRow
 	for _, u := range us {
 		out = append(out, UtilizationRow{
@@ -71,9 +71,9 @@ func UtilizationRows(us []resource.Utilization) []UtilizationRow {
 	return out
 }
 
-// UpgradeStatusResultOf converts a session status, stamping in the
+// upgradeStatusResultOf converts a session status, stamping in the
 // switch-wide traffic counters the fleet's health gate samples.
-func UpgradeStatusResultOf(st upgrade.Status, sw *rmt.Switch) UpgradeStatusResult {
+func upgradeStatusResultOf(st upgrade.Status, sw *rmt.Switch) UpgradeStatusResult {
 	m := sw.Metrics()
 	return UpgradeStatusResult{
 		Program: st.Program, V2Name: st.V2Name, State: st.State,
@@ -84,8 +84,8 @@ func UpgradeStatusResultOf(st upgrade.Status, sw *rmt.Switch) UpgradeStatusResul
 	}
 }
 
-// MemWrites converts a memory batch's entries to the controller's form.
-func MemWrites(entries []MemWriteEntry) []controlplane.MemWrite {
+// memWrites converts a memory batch's entries to the controller's form.
+func memWrites(entries []MemWriteEntry) []controlplane.MemWrite {
 	writes := make([]controlplane.MemWrite, len(entries))
 	for i, e := range entries {
 		writes[i] = controlplane.MemWrite{Addr: e.Addr, Value: e.Value}

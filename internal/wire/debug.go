@@ -134,18 +134,13 @@ func TraceSnaps(tr *trace.Tracer, p OpsParams) []trace.TraceSnap {
 	return snaps
 }
 
-// OpsResultOf renders the traces p selects out of tr. A nil tracer lists
-// nothing.
-func OpsResultOf(tr *trace.Tracer, p OpsParams) OpsResult {
+// debugOps renders the traces p selects; a nil tracer lists nothing.
+func (s *Server) debugOps(_ context.Context, p OpsParams) (OpsResult, error) {
 	res := OpsResult{Traces: []TraceJSON{}}
-	for _, ts := range TraceSnaps(tr, p) {
+	for _, ts := range TraceSnaps(s.Tracer, p) {
 		res.Traces = append(res.Traces, SnapToJSON(ts))
 	}
-	return res
-}
-
-func (s *Server) debugOps(_ context.Context, p OpsParams) (OpsResult, error) {
-	return OpsResultOf(s.Tracer, p), nil
+	return res, nil
 }
 
 func (s *Server) debugTrace(_ context.Context, p TraceGetParams) (TraceJSON, error) {

@@ -39,11 +39,13 @@ const (
 	DefaultReadTimeout     = 30 * time.Second
 )
 
-// Server serves the control protocol over TCP from one dispatch table
-// (see verbs.go). NewServer fills it with the single-switch verbs bound to
-// a Controller (the classic daemon); NewBareServer leaves those out, so
-// only what Handle registers — the fleet.* verbs in fleet mode — is served
-// beside the metrics and debug verbs every server shape answers.
+// Server serves the control protocol from one dispatch table (see
+// verbs.go), over TCP once told to Listen and in-process through Do.
+// NewServer fills it with the single-switch verbs bound to a Controller
+// (the classic daemon, or an in-process fleet member); NewBareServer
+// leaves those out, so only what Handle registers — the fleet.* verbs in
+// fleet mode — is served beside the metrics and debug verbs every server
+// shape answers.
 type Server struct {
 	reg *obs.Registry
 	ln  net.Listener
@@ -132,6 +134,38 @@ func (s *Server) dispatch(ctx context.Context, req Request, frames [][]byte) (an
 		return nil, nil, fmt.Errorf("method %q needs a single-switch daemon (this one serves a fleet; use the fleet.* verbs)", req.Method)
 	}
 	return nil, nil, fmt.Errorf("unknown method %q", req.Method)
+}
+
+// Do runs one verb in-process with the codec of a TCP round trip: params
+// are marshalled, dispatched through the same table, and the result is
+// marshalled and decoded into result (nil discards it). Request and
+// response frames pass through unchanged, and a verb's failure comes back
+// as the *OpError a client would see. Nothing of the transport runs: no
+// srv.* span, no request counted. ctx reaches the handler as is, so a
+// caller's span parents the verb's own spans.
+func (s *Server) Do(ctx context.Context, method string, params, result any, frames ...[]byte) ([][]byte, error) {
+	req := Request{Method: method}
+	if params != nil {
+		raw, err := json.Marshal(params)
+		if err != nil {
+			return nil, err
+		}
+		req.Params = raw
+	}
+	out, rframes, err := s.dispatch(ctx, req, frames)
+	if err != nil {
+		return nil, &OpError{Method: method, Msg: err.Error()}
+	}
+	raw, err := json.Marshal(out)
+	if err != nil {
+		return nil, &OpError{Method: method, Msg: "marshal result: " + err.Error()}
+	}
+	if result != nil {
+		if err := json.Unmarshal(raw, result); err != nil {
+			return nil, err
+		}
+	}
+	return rframes, nil
 }
 
 // metrics renders one scrape of the server's registry.

@@ -61,14 +61,14 @@ var switchVerbs = map[string]func(*controlplane.Controller) handler{
 		if err != nil {
 			return nil, err
 		}
-		return DeployResults(reports), nil
+		return deployResults(reports), nil
 	}),
 	MethodRevoke: verb(func(ctx context.Context, ct *controlplane.Controller, p RevokeParams) (RevokeResult, error) {
 		r, err := ct.RevokeCtx(ctx, p.Name)
-		return RevokeResultOf(r), err
+		return revokeResultOf(r), err
 	}),
 	MethodPrograms: verb(func(_ context.Context, ct *controlplane.Controller, _ struct{}) ([]ProgramInfo, error) {
-		return ProgramInfos(ct.Programs()), nil
+		return programInfos(ct.Programs()), nil
 	}),
 	MethodMemRead: verb(func(_ context.Context, ct *controlplane.Controller, p MemReadParams) ([]uint32, error) {
 		if p.Count == 0 {
@@ -80,7 +80,7 @@ var switchVerbs = map[string]func(*controlplane.Controller) handler{
 		return true, ct.WriteMemoryCtx(ctx, p.Program, p.Mem, p.Addr, p.Value)
 	}),
 	MethodUtilization: verb(func(_ context.Context, ct *controlplane.Controller, _ struct{}) ([]UtilizationRow, error) {
-		return UtilizationRows(ct.Utilization()), nil
+		return utilizationRows(ct.Utilization()), nil
 	}),
 	MethodInject: verb(func(_ context.Context, ct *controlplane.Controller, p InjectParams) (InjectResult, error) {
 		frame, err := hex.DecodeString(p.FrameHex)
@@ -125,23 +125,23 @@ var switchVerbs = map[string]func(*controlplane.Controller) handler{
 	}),
 	MethodUpgradeStart: verb(func(ctx context.Context, ct *controlplane.Controller, p UpgradeStartParams) (UpgradeStatusResult, error) {
 		st, err := ct.UpgradePrepareCtx(ctx, p.Program, p.Source)
-		return UpgradeStatusResultOf(st, ct.SW), err
+		return upgradeStatusResultOf(st, ct.SW), err
 	}),
 	MethodUpgradeCutover: verb(func(ctx context.Context, ct *controlplane.Controller, p UpgradeCutoverParams) (UpgradeStatusResult, error) {
 		st, err := ct.UpgradeCutoverCtx(ctx, p.Program, p.Version)
-		return UpgradeStatusResultOf(st, ct.SW), err
+		return upgradeStatusResultOf(st, ct.SW), err
 	}),
 	MethodUpgradeCommit: verb(func(ctx context.Context, ct *controlplane.Controller, p UpgradeNameParams) (UpgradeStatusResult, error) {
 		st, err := ct.UpgradeCommitCtx(ctx, p.Program)
-		return UpgradeStatusResultOf(st, ct.SW), err
+		return upgradeStatusResultOf(st, ct.SW), err
 	}),
 	MethodUpgradeAbort: verb(func(ctx context.Context, ct *controlplane.Controller, p UpgradeNameParams) (UpgradeStatusResult, error) {
 		st, err := ct.UpgradeAbortCtx(ctx, p.Program)
-		return UpgradeStatusResultOf(st, ct.SW), err
+		return upgradeStatusResultOf(st, ct.SW), err
 	}),
 	MethodUpgradeStatus: verb(func(_ context.Context, ct *controlplane.Controller, p UpgradeNameParams) (UpgradeStatusResult, error) {
 		st, err := ct.UpgradeStatus(p.Program)
-		return UpgradeStatusResultOf(st, ct.SW), err
+		return upgradeStatusResultOf(st, ct.SW), err
 	}),
 
 	// The bulk verbs: many programs or many memory words per request,
@@ -151,7 +151,7 @@ var switchVerbs = map[string]func(*controlplane.Controller) handler{
 		if err != nil {
 			return DeployBatchResult{}, err
 		}
-		return DeployBatchResultOf(outcomes), nil
+		return deployBatchResultOf(outcomes), nil
 	}),
 	MethodMemWriteBatch: framedVerb(func(ctx context.Context, ct *controlplane.Controller, p MemWriteBatchParams, frames [][]byte) (MemWriteBatchResult, [][]byte, error) {
 		entries := p.Writes
@@ -164,7 +164,7 @@ var switchVerbs = map[string]func(*controlplane.Controller) handler{
 				return MemWriteBatchResult{}, nil, err
 			}
 		}
-		n, err := ct.WriteMemoryBatchCtx(ctx, p.Program, p.Mem, MemWrites(entries))
+		n, err := ct.WriteMemoryBatchCtx(ctx, p.Program, p.Mem, memWrites(entries))
 		return MemWriteBatchResult{Written: n}, nil, err
 	}),
 	// mem.readstream snapshots a large memory range and chunks it into

@@ -474,3 +474,49 @@ func TestConcurrentMetricsScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestServerDoMatchesClient: an in-process Do answers every verb exactly
+// as the same server does over TCP — results, response frames and
+// server-reported errors — and counts no wire request.
+func TestServerDoMatchesClient(t *testing.T) {
+	srv, c, _ := startServer(t)
+	if _, err := c.Deploy(testProgram); err != nil {
+		t.Fatal(err)
+	}
+	pairs := EncodeWritePairs([]MemWriteEntry{{Addr: 1, Value: 7}, {Addr: 200, Value: 9}})
+	cases := []struct {
+		method string
+		params any
+		frames [][]byte
+	}{
+		{MethodPrograms, nil, nil},
+		{MethodMemWriteBatch, MemWriteBatchParams{Program: "counter", Mem: "m", Binary: true}, [][]byte{pairs}},
+		{MethodMemRead, MemReadParams{Program: "counter", Mem: "m", Addr: 0, Count: 4}, nil},
+		{MethodMemReadStream, MemReadStreamParams{Program: "counter", Mem: "m", Count: 256, ChunkWords: 100}, nil},
+		{MethodUpgradeStatus, UpgradeNameParams{Program: "counter"}, nil},
+		{MethodRevoke, RevokeParams{Name: "ghost"}, nil},
+		{"frobnicate", nil, nil},
+	}
+	requests := srv.cRequests.Value()
+	for _, tc := range cases {
+		var viaTCP, viaDo json.RawMessage
+		tcpFrames, tcpErr := c.Do(context.Background(), tc.method, tc.params, &viaTCP, tc.frames...)
+		doFrames, doErr := srv.Do(context.Background(), tc.method, tc.params, &viaDo, tc.frames...)
+		if fmt.Sprint(tcpErr) != fmt.Sprint(doErr) {
+			t.Fatalf("%s: error over TCP %v, in-process %v", tc.method, tcpErr, doErr)
+		}
+		var opErr *OpError
+		if doErr != nil && !errors.As(doErr, &opErr) {
+			t.Fatalf("%s: in-process error %T, want *OpError", tc.method, doErr)
+		}
+		if string(viaTCP) != string(viaDo) {
+			t.Fatalf("%s: result over TCP %s, in-process %s", tc.method, viaTCP, viaDo)
+		}
+		if fmt.Sprint(tcpFrames) != fmt.Sprint(doFrames) {
+			t.Fatalf("%s: %d response frames over TCP, %d in-process", tc.method, len(tcpFrames), len(doFrames))
+		}
+	}
+	if got := srv.cRequests.Value() - requests; got != uint64(len(cases)) {
+		t.Fatalf("wire requests counted = %d, want %d (TCP calls only)", got, len(cases))
+	}
+}
