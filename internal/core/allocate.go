@@ -171,7 +171,7 @@ func (c *Compiler) Allocate(tp *lang.TProgram) (*AllocResult, error) {
 		}
 	}
 	var excluded []exclusion
-	var agg smt.Stats
+	agg := smt.Stats{Complete: true}
 	maxAttempts := 32
 	if c.Opt.DisableAggregateRepair {
 		maxAttempts = 1
@@ -191,7 +191,7 @@ func (c *Compiler) Allocate(tp *lang.TProgram) (*AllocResult, error) {
 		agg.Backtracks += st.Backtracks
 		agg.Propagations += st.Propagations
 		agg.BoundPrunes += st.BoundPrunes
-		agg.Complete = st.Complete
+		agg.Complete = agg.Complete && st.Complete
 		if err != nil {
 			if errors.Is(err, smt.ErrInfeasible) {
 				agg.Duration = time.Since(start)

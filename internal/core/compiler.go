@@ -12,6 +12,7 @@ import (
 	"p4runpro/internal/obs"
 	"p4runpro/internal/obs/trace"
 	"p4runpro/internal/resource"
+	"p4runpro/internal/rmt"
 	"p4runpro/internal/smt"
 )
 
@@ -372,6 +373,13 @@ func (c *Compiler) linkOne(ctx context.Context, prog *lang.Program, mems []lang.
 			primary.ra.ExtraTE++
 		}
 	}
+	// Allocation checks RPB tables only; the init and recirculation tables
+	// can still be full. Refuse such a plan before installing anything,
+	// rather than failing mid-install and unwinding.
+	if err := checkRoom(plan, deferInit); err != nil {
+		rollbackGroups()
+		return nil, &AllocError{Program: prog.Name, Reason: err.Error(), Err: err}
+	}
 
 	// Consistent update (Figure 6): program components first, the
 	// initialization block last, each entry installed atomically.
@@ -405,6 +413,24 @@ func (c *Compiler) linkOne(ctx context.Context, prog *lang.Program, mems []lang.
 	c.linked[prog.Name] = lp
 	c.mu.Unlock()
 	return lp, nil
+}
+
+// checkRoom reports the first table, in plan order, whose free room is less
+// than the entries the plan installs in it now (deferred init entries wait
+// for InstallDeferredInit).
+func checkRoom(plan []plannedEntry, deferInit bool) error {
+	need := make(map[*rmt.Table]int)
+	for _, pe := range plan {
+		if !deferInit || pe.kind != kindInit {
+			need[pe.table]++
+		}
+	}
+	for _, pe := range plan {
+		if free := pe.table.Free(); need[pe.table] > free {
+			return fmt.Errorf("table %s has room for %d entries, program needs %d", pe.table.Name, free, need[pe.table])
+		}
+	}
+	return nil
 }
 
 func (c *Compiler) rollbackEntries(lp *LinkedProgram) {

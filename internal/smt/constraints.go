@@ -106,7 +106,12 @@ func (s SamePhysical) Feasible(vals []int, set []bool) bool {
 	if !set[s.I] || !set[s.J] {
 		return true
 	}
-	d := vals[s.J] - vals[s.I]
+	return s.admits(vals[s.I], vals[s.J])
+}
+
+// admits reports whether x_j = xj is xi + M*k for some 1 <= k <= R.
+func (s SamePhysical) admits(xi, xj int) bool {
+	d := xj - xi
 	if d <= 0 || d%s.M != 0 {
 		return false
 	}

@@ -10,15 +10,19 @@
 //
 // The solver is deliberately general: models are built from Variables and
 // Constraints, and any Objective implementing an admissible bound can drive
-// the search. Linear objectives yield tight bounds and fast searches;
-// nonlinear ones (the paper's f3 = x_L/x_1) yield weaker bounds and visibly
-// slower searches, reproducing the delay ordering of Figure 12.
+// the search. At every node the chain window is propagated over the
+// unassigned suffix, which cuts subtrees with no completion and hands the
+// bound the exact smallest reachable x_L, so searches finish: the answer is
+// the lexicographically first optimum, never a node-limit incumbent. The
+// objectives still differ in effort — f3 = x_L/x_1 rewards every larger x_1,
+// so it explores the most nodes (Figure 12's ordering).
 package smt
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"p4runpro/internal/obs"
@@ -46,15 +50,17 @@ type Model struct {
 // nodes explored, constraint propagations, bound prunes, and wall time in
 // nanoseconds — into the corresponding histograms, so a running controller
 // exposes the solver-effort distributions behind the paper's Figure 7/12
-// delay curves.
+// delay curves. Truncated counts the calls the node limit stopped, each of
+// which returned an unproven incumbent.
 type Metrics struct {
 	Nodes        *obs.Histogram
 	Propagations *obs.Histogram
 	BoundPrunes  *obs.Histogram
 	DurationNs   *obs.Histogram
+	Truncated    *obs.Counter
 }
 
-// NewMetrics registers the solver histograms on reg under the
+// NewMetrics registers the solver histograms and counter on reg under the
 // p4runpro_solver_* names.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
@@ -62,6 +68,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Propagations: reg.Histogram("p4runpro_solver_propagations", "Constraint feasibility checks per Minimize call."),
 		BoundPrunes:  reg.Histogram("p4runpro_solver_bound_prunes", "Subtrees pruned by the objective bound per Minimize call."),
 		DurationNs:   reg.Histogram("p4runpro_solver_duration_ns", "Wall time per Minimize call in nanoseconds."),
+		Truncated:    reg.Counter("p4runpro_solver_truncated_total", "Minimize calls stopped by the node limit (result not proven optimal)."),
 	}
 }
 
@@ -78,14 +85,17 @@ func (mx *Metrics) observe(st Stats) {
 	mx.Propagations.Observe(uint64(st.Propagations))
 	mx.BoundPrunes.Observe(uint64(st.BoundPrunes))
 	mx.DurationNs.ObserveDuration(st.Duration)
+	if !st.Complete {
+		mx.Truncated.Inc()
+	}
 }
 
 // NewModel creates an empty model.
 func NewModel() *Model { return &Model{} }
 
-// SetNodeLimit bounds the number of search nodes (0 = unlimited). When the
-// limit is hit the best incumbent so far is returned, or ErrInfeasible if
-// none was found.
+// SetNodeLimit bounds the number of search nodes (0 = unlimited), a safety
+// cap. When the limit is hit the best incumbent so far is returned with
+// Stats.Complete false, or ErrInfeasible if none was found.
 func (m *Model) SetNodeLimit(n int64) { m.nodeLimit = n }
 
 // IntVar adds a variable with the inclusive domain [lo, hi].
@@ -150,8 +160,9 @@ type IncrementalConstraint interface {
 type Objective interface {
 	Eval(vals []int) float64
 	// Bound returns a lower bound on Eval over all completions of the
-	// partial assignment. minLast is the smallest value the final chain
-	// variable can still take given the assigned prefix.
+	// partial assignment whose final chain variable is at least minLast.
+	// The search passes the smallest value it can still take, or a cheaper
+	// smaller one first.
 	Bound(vals []int, set []bool, minLast int) float64
 	fmt.Stringer
 }
@@ -178,96 +189,193 @@ type Stats struct {
 }
 
 // Minimize runs branch-and-bound over the model variables in index order
-// (the natural order for the allocation chain) and returns the minimizing
-// assignment. Before searching, unary constraints are folded into the
-// variable domains; during search, only the constraints touching the
-// just-assigned variable are re-checked, via their incremental fast path
-// when available.
+// (the natural order for the allocation chain) and returns the
+// lexicographically first minimizing assignment. Before searching, unary
+// constraints are folded into the variable domains and the Chain becomes a
+// window: x_i's candidates start at x_{i-1}+Gap, so the chain is never
+// re-checked. At each node the constraints touching the just-assigned
+// variable are re-checked, via their incremental fast path when available,
+// and then the chain window is propagated over the unassigned suffix (see
+// window). A suffix with no value cuts the subtree; otherwise the window's
+// last value is the exact smallest x_L of the chain+unary relaxation, and
+// it feeds Objective.Bound. Both cuts only remove subtrees holding no
+// strictly better assignment, so the answer is the one an exhaustive
+// search returns.
 func (m *Model) Minimize(obj Objective) (Solution, Stats, error) {
 	start := time.Now()
 	n := len(m.domains)
-	vals := make([]int, n)
-	set := make([]bool, n)
-	best := Solution{Objective: math.Inf(1)}
-	var st Stats
-	st.Complete = true
+	s := searcher{
+		m: m, obj: obj,
+		vals: make([]int, n),
+		set:  make([]bool, n),
+		best: Solution{Objective: math.Inf(1)},
+	}
+	s.st.Complete = true
 
-	// Pre-restriction: unary constraints become domain filters.
-	var search []Constraint
+	// Pre-restriction: unary constraints become domain filters, the chain
+	// becomes the window; the rest are checked per node.
 	for _, c := range m.cons {
-		if u, ok := c.(UnaryConstraint); ok {
-			m.Restrict(u.Var(), u.Accepts)
+		switch c := c.(type) {
+		case UnaryConstraint:
+			m.Restrict(c.Var(), c.Accepts)
 			continue
+		case Chain:
+			if !s.chained || c.Gap > s.gap {
+				s.gap = c.Gap
+			}
+			s.chained = true
+			continue
+		case SamePhysical:
+			s.links = append(s.links, c)
 		}
-		search = append(search, c)
+		s.cons = append(s.cons, c)
 	}
 	for _, dom := range m.domains {
 		if len(dom) == 0 {
-			st.Duration = time.Since(start)
-			m.metrics.observe(st)
-			return Solution{}, st, ErrInfeasible
+			s.st.Duration = time.Since(start)
+			m.metrics.observe(s.st)
+			return Solution{}, s.st, ErrInfeasible
 		}
 	}
 
-	var dfs func(i int) bool // returns false to abort (node limit)
-	dfs = func(i int) bool {
-		if m.nodeLimit > 0 && st.Nodes > m.nodeLimit {
-			st.Complete = false
-			return false
-		}
-		if i == n {
-			v := obj.Eval(vals)
-			if v < best.Objective {
-				best = Solution{Values: append([]int(nil), vals...), Objective: v}
-			}
-			return true
-		}
-		for _, cand := range m.domains[i] {
-			st.Nodes++
-			vals[i], set[i] = cand, true
-			ok := true
-			for _, c := range search {
-				st.Propagations++
-				if ic, fast := c.(IncrementalConstraint); fast {
-					if !ic.FeasibleAt(i, vals, set) {
-						ok = false
-						break
-					}
-				} else if !c.Feasible(vals, set) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				// Optimistic bound prune: the last variable can be
-				// no smaller than the current one plus the remaining
-				// chain length (valid because every model built by the
-				// compiler includes the strict-increase chain).
-				minLast := vals[i] + (n - 1 - i)
-				if i == n-1 {
-					minLast = vals[i]
-				}
-				if obj.Bound(vals, set, minLast) < best.Objective {
-					if !dfs(i + 1) {
-						set[i] = false
-						return false
-					}
-				} else {
-					st.Backtracks++
-					st.BoundPrunes++
-				}
-			} else {
-				st.Backtracks++
-			}
-			set[i] = false
+	s.dfs(0)
+	s.st.Duration = time.Since(start)
+	m.metrics.observe(s.st)
+	if math.IsInf(s.best.Objective, 1) {
+		return Solution{}, s.st, ErrInfeasible
+	}
+	return s.best, s.st, nil
+}
+
+// searcher is one Minimize call's state. Propagation reads the model's
+// sorted domains in place, so a node allocates nothing.
+type searcher struct {
+	m       *Model
+	obj     Objective
+	cons    []Constraint   // checked per node: everything but Unary and Chain
+	links   []SamePhysical // pins for the window
+	gap     int            // the Chain's gap, when chained
+	chained bool
+	vals    []int
+	set     []bool
+	best    Solution
+	st      Stats
+}
+
+// dfs explores assignments of x_i.. in lexicographic order; it returns
+// false once the node limit aborts the search.
+func (s *searcher) dfs(i int) bool {
+	if i == len(s.vals) {
+		if v := s.obj.Eval(s.vals); v < s.best.Objective {
+			s.best = Solution{Values: append([]int(nil), s.vals...), Objective: v}
 		}
 		return true
 	}
-	dfs(0)
-	st.Duration = time.Since(start)
-	m.metrics.observe(st)
-	if math.IsInf(best.Objective, 1) {
-		return Solution{}, st, ErrInfeasible
+	dom := s.m.domains[i]
+	if i > 0 {
+		dom = dom[s.floorIndex(dom, s.vals[i-1]):]
 	}
-	return best, st, nil
+	for _, cand := range dom {
+		if s.m.nodeLimit > 0 && s.st.Nodes >= s.m.nodeLimit {
+			s.st.Complete = false
+			return false
+		}
+		s.st.Nodes++
+		s.vals[i], s.set[i] = cand, true
+		if !s.feasibleAt(i) {
+			s.st.Backtracks++
+		} else if cut, byBound := s.prune(i); cut {
+			s.st.Backtracks++
+			if byBound {
+				s.st.BoundPrunes++
+			}
+		} else if !s.dfs(i + 1) {
+			s.set[i] = false
+			return false
+		}
+		s.set[i] = false
+	}
+	return true
+}
+
+// feasibleAt checks the per-node constraints after assigning x_i.
+func (s *searcher) feasibleAt(i int) bool {
+	for _, c := range s.cons {
+		s.st.Propagations++
+		if ic, fast := c.(IncrementalConstraint); fast {
+			if !ic.FeasibleAt(i, s.vals, s.set) {
+				return false
+			}
+		} else if !c.Feasible(s.vals, s.set) {
+			return false
+		}
+	}
+	return true
+}
+
+// prune decides whether x_i's subtree can be skipped: cut when it holds no
+// completion or the objective bound cannot beat the incumbent (byBound).
+// The chain's length alone, x_L >= x_i + (n-1-i)·Gap, gives a first bound
+// that costs nothing; only a node that survives it pays for the window.
+func (s *searcher) prune(i int) (cut, byBound bool) {
+	last := len(s.vals) - 1
+	if s.chained && s.obj.Bound(s.vals, s.set, s.vals[i]+(last-i)*s.gap) >= s.best.Objective {
+		return true, true
+	}
+	minLast, ok := s.window(i)
+	if !ok {
+		return true, false
+	}
+	return s.obj.Bound(s.vals, s.set, minLast) >= s.best.Objective, true
+}
+
+// floorIndex is the index of the first value in the sorted domain dom that
+// the chain admits after a predecessor equal to prev.
+func (s *searcher) floorIndex(dom []int, prev int) int {
+	if !s.chained {
+		return 0
+	}
+	// Values are distinct and ascending, so dom[k] >= dom[0]+k: the answer
+	// is at most lo-dom[0], and exactly that when no value below lo is
+	// missing — the common case, answered without a search.
+	lo := prev + s.gap
+	k := min(max(lo-dom[0], 0), len(dom))
+	if k == 0 || dom[k-1] < lo {
+		return k
+	}
+	k, _ = slices.BinarySearch(dom[:k], lo)
+	return k
+}
+
+// window propagates the chain over the unassigned suffix after x_i: each
+// variable greedily takes the smallest domain value the chain admits after
+// its predecessor's, restricted to x_I + M·k (1 <= k <= R) by every
+// SamePhysical link whose first variable x_I is assigned. It returns that
+// walk's value for the last variable — the smallest x_L any completion can
+// reach — or false when some variable has no value, so no completion exists.
+func (s *searcher) window(i int) (int, bool) {
+	v := s.vals[i]
+	for j := i + 1; j < len(s.vals); j++ {
+		dom := s.m.domains[j]
+		k := s.floorIndex(dom, v)
+		for k < len(dom) && !s.pinned(j, dom[k]) {
+			k++
+		}
+		if k == len(dom) {
+			return 0, false
+		}
+		v = dom[k]
+	}
+	return v, true
+}
+
+// pinned reports whether x_j = v agrees with every SamePhysical link into
+// x_j whose first variable is assigned.
+func (s *searcher) pinned(j, v int) bool {
+	for _, l := range s.links {
+		if int(l.J) == j && s.set[l.I] && !l.admits(s.vals[l.I], v) {
+			return false
+		}
+	}
+	return true
 }

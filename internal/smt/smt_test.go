@@ -152,16 +152,28 @@ func TestInfeasible(t *testing.T) {
 	}
 }
 
+// rejectComplete admits every partial assignment and no complete one: the
+// window cannot see it, so only enumeration finds out.
+type rejectComplete struct{}
+
+func (rejectComplete) Feasible(vals []int, set []bool) bool {
+	for _, s := range set {
+		if !s {
+			return true
+		}
+	}
+	return false
+}
+
+func (rejectComplete) String() string { return "reject-complete" }
+
 func TestNodeLimitTruncation(t *testing.T) {
-	model, vars := buildAllocModel(10, 22, 1)
-	// A hostile constraint that rejects complete assignments cheaply but
-	// admits all partial ones, forcing a full enumeration.
-	model.Add(Unary{V: vars[9], Name: "hard", OK: func(v int) bool { return v == 44 }})
-	model.Add(SamePhysical{I: vars[0], J: vars[9], M: 22, R: 1})
+	model, _ := buildAllocModel(10, 22, 1)
+	model.Add(rejectComplete{})
 	model.SetNodeLimit(50)
-	_, st, _ := model.Minimize(Ratio{})
-	if st.Complete {
-		t.Error("search claimed completeness under a 50-node limit")
+	_, st, err := model.Minimize(Ratio{})
+	if st.Complete || st.Nodes != 50 || !errors.Is(err, ErrInfeasible) {
+		t.Errorf("50-node limit: stats %+v, err %v", st, err)
 	}
 }
 
