@@ -338,34 +338,6 @@ func BenchmarkInjectBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkInstrumentationOverhead quantifies the cost of the packet-path
-// metrics (internal/obs wiring): the same forward-only workload as
-// BenchmarkForwardPath with the switch's atomics enabled and
-// disabled. The instrumented path must stay within 5% of the uninstrumented
-// one (the observability layer's acceptance bound) — compare the two
-// sub-benchmark ns/op figures.
-func BenchmarkInstrumentationOverhead(b *testing.B) {
-	for _, on := range []bool{true, false} {
-		name := "instrumented"
-		if !on {
-			name = "bare"
-		}
-		b.Run(name, func(b *testing.B) {
-			ct := mustOpen(b)
-			if _, err := ct.Deploy("program fwd(<hdr.ipv4.dst, 0, 0>) { FORWARD(2); }"); err != nil {
-				b.Fatal(err)
-			}
-			ct.SW.SetInstrumentation(on)
-			flow := pkt.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: pkt.ProtoUDP}
-			p := pkt.NewUDP(flow, 512)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ct.SW.Inject(p, 1)
-			}
-		})
-	}
-}
-
 // BenchmarkParseMarshal measures the packet codec round trip.
 func BenchmarkParseMarshal(b *testing.B) {
 	flow := pkt.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: pkt.PortNetCache, Proto: pkt.ProtoUDP}

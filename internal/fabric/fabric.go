@@ -65,6 +65,7 @@ type Link struct {
 	// loss is the link's fault-injection point: when armed (see
 	// internal/faults), selected traversals drop on the wire.
 	loss *faults.Point
+	to   *Node // To.Node, resolved at wiring
 
 	tx    atomic.Uint64 // packets offered to the link
 	rx    atomic.Uint64 // packets delivered to the peer endpoint
@@ -90,8 +91,12 @@ type Node struct {
 	Name string
 	SW   *rmt.Switch
 
+	// links is the node's outgoing links indexed by port (nil: an edge
+	// port), so a hop resolves its link without hashing.
+	links []*Link
+
 	// Fabric-lifetime counters, exported through the fabric's metrics
-	// registry.
+	// registry and added to once per wave (see wave).
 	injected  atomic.Uint64 // packets entering this node (edge + fabric)
 	forwarded atomic.Uint64 // packets pushed onto an outgoing fabric link
 	delivered atomic.Uint64 // packets that exited the fabric here
@@ -138,10 +143,10 @@ type Fabric struct {
 	// per-link tx/rx/drop counters, and per-node packet accounting.
 	Obs *obs.Registry
 
-	opt   Options
-	nodes map[string]*Node
-	order []string
-	links map[Endpoint]*Link
+	opt    Options
+	nodes  map[string]*Node
+	order  []string
+	nlinks int
 
 	delivered  atomic.Uint64
 	dropped    atomic.Uint64
@@ -151,6 +156,12 @@ type Fabric struct {
 
 	pathSeq atomic.Uint64 // edge injections, drives the 1-in-N path sampler
 	pathID  atomic.Uint64 // assigns stitched trace IDs
+
+	// spare is one forwarding-engine scratch kept between Inject and Replay
+	// calls, so a call does not rebuild its wave buffers; a concurrent call
+	// that finds it taken builds its own. Its buffers are zeroed as they are
+	// emptied, so it keeps no packet of a finished call reachable.
+	spare atomic.Pointer[engineScratch]
 
 	traceMu   sync.Mutex
 	traces    []*PathTrace // ring of the most recent stitched traces
@@ -162,7 +173,6 @@ func New(opt Options) *Fabric {
 	f := &Fabric{
 		opt:   opt.withDefaults(),
 		nodes: make(map[string]*Node),
-		links: make(map[Endpoint]*Link),
 		Obs:   obs.NewRegistry(),
 	}
 	f.registerMetrics()
@@ -204,40 +214,61 @@ func (f *Fabric) Nodes() []string { return append([]string(nil), f.order...) }
 
 // Link returns the directed link leaving (node, port), if wired.
 func (f *Fabric) Link(node string, port int) (*Link, bool) {
-	l, ok := f.links[Endpoint{node, port}]
-	return l, ok
+	n, ok := f.nodes[node]
+	if !ok {
+		return nil, false
+	}
+	l := n.link(port)
+	return l, l != nil
+}
+
+// link returns the link wired at port, nil for an edge port.
+func (n *Node) link(port int) *Link {
+	if port < 0 || port >= len(n.links) {
+		return nil
+	}
+	return n.links[port]
 }
 
 // Links returns every directed link, ordered by source endpoint.
 func (f *Fabric) Links() []*Link {
-	out := make([]*Link, 0, len(f.links))
-	for _, l := range f.links {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From.Node != out[j].From.Node {
-			return out[i].From.Node < out[j].From.Node
+	names := append([]string(nil), f.order...)
+	sort.Strings(names)
+	out := make([]*Link, 0, f.nlinks)
+	for _, name := range names {
+		for _, l := range f.nodes[name].links {
+			if l != nil {
+				out = append(out, l)
+			}
 		}
-		return out[i].From.Port < out[j].From.Port
-	})
+	}
 	return out
 }
 
 // ConnectOneWay wires a directed link from a:ap to b:bp.
 func (f *Fabric) ConnectOneWay(a string, ap int, b string, bp int, latency time.Duration) (*Link, error) {
-	if _, ok := f.nodes[a]; !ok {
+	na, ok := f.nodes[a]
+	if !ok {
 		return nil, fmt.Errorf("fabric: unknown node %q", a)
 	}
-	if _, ok := f.nodes[b]; !ok {
+	nb, ok := f.nodes[b]
+	if !ok {
 		return nil, fmt.Errorf("fabric: unknown node %q", b)
 	}
 	from := Endpoint{a, ap}
-	if l, dup := f.links[from]; dup {
+	if ap < 0 {
+		return nil, fmt.Errorf("fabric: port %s out of range", from)
+	}
+	if l := na.link(ap); l != nil {
 		return nil, fmt.Errorf("fabric: port %s already wired to %s", from, l.To)
 	}
-	l := &Link{From: from, To: Endpoint{b, bp}, Latency: latency}
+	l := &Link{From: from, To: Endpoint{b, bp}, Latency: latency, to: nb}
 	l.loss = faults.Register(l.LossPoint())
-	f.links[from] = l
+	for len(na.links) <= ap {
+		na.links = append(na.links, nil)
+	}
+	na.links[ap] = l
+	f.nlinks++
 	f.registerLinkMetrics(l)
 	return l, nil
 }
@@ -261,7 +292,7 @@ func (f *Fabric) EdgeRx() map[string]uint64 {
 		cfg := n.SW.Config()
 		var sum uint64
 		for port := 0; port < cfg.Ports+8; port++ {
-			if _, wired := f.links[Endpoint{name, port}]; wired {
+			if n.link(port) != nil {
 				continue
 			}
 			sum += n.SW.RxStats(port).TxPackets
@@ -308,7 +339,9 @@ func (f *Fabric) Inject(node string, p *pkt.Packet, port int) (Delivery, error) 
 	}
 	var res ReplayResult
 	tr := f.samplePath(p)
-	f.process([]hop{{n: n, p: p, port: port, ttl: f.opt.TTL, tr: tr}}, &res, nil)
+	scratch := f.takeScratch()
+	f.process([]hop{{n: n, p: p, port: port, ttl: f.opt.TTL, tr: tr}}, &res, scratch)
+	f.spare.Store(scratch)
 	d := Delivery{
 		Delivered:  int(res.Delivered),
 		Dropped:    int(res.Dropped),
@@ -328,16 +361,12 @@ func (f *Fabric) Inject(node string, p *pkt.Packet, port int) (Delivery, error) 
 // process drains a frontier of pending injections: every wave batches the
 // pending packets per node through InjectBatch (path-sampled packets
 // included), routes each result over the links, and repeats until no packet
-// is in flight. scratch,
-// when non-nil, supplies reusable per-wave buffers for the replay loop.
+// is in flight. scratch supplies the reusable per-wave buffers.
 func (f *Fabric) process(frontier []hop, res *ReplayResult, scratch *engineScratch) {
-	if scratch == nil {
-		scratch = newEngineScratch()
-	}
 	cur := append(scratch.cur[:0], frontier...)
 	next := scratch.next[:0]
 	for len(cur) > 0 {
-		next = next[:0]
+		next = emptied(next)
 		// Group the wave per node, preserving arrival order within a node.
 		for _, h := range cur {
 			g, ok := scratch.byNode[h.n]
@@ -355,9 +384,9 @@ func (f *Fabric) process(frontier []hop, res *ReplayResult, scratch *engineScrat
 			next = f.flushNode(h.n, pending, next, res, scratch)
 			scratch.stash(pending)
 		}
-		cur, next = append(scratch.cur[:0], next...), cur
+		cur, next = next, cur
 	}
-	scratch.cur, scratch.next = cur, next
+	scratch.cur, scratch.next = cur, emptied(next)
 }
 
 // flushNode injects one node's pending wave as a single InjectBatch burst,
@@ -373,34 +402,47 @@ func (f *Fabric) flushNode(n *Node, pending []hop, next []hop, res *ReplayResult
 		}
 		items = append(items, it)
 	}
-	n.injected.Add(uint64(len(pending)))
-	if res != nil {
-		res.node(n.Name).Injected += uint64(len(pending))
-	}
 	n.SW.InjectBatch(items)
+	w := wave{res: res}
+	w.Injected = uint64(len(pending))
 	for i, h := range pending {
 		if h.tr != nil {
 			h.tr.addHop(n.Name, h.port, items[i].Res, items[i].Postcard)
 		}
-		next = f.route(h, items[i].Res, next, res)
+		next = w.route(h, items[i].Res, next)
 	}
-	scratch.items = items
+	w.endLinkRun()
+	f.count(n, &w)
+	scratch.items = emptied(items)
 	return next
+}
+
+// wave tallies one node's flush: the outcomes of the packets one InjectBatch
+// burst returned, added to the replay result and to the fabric's, the
+// node's and the links' counters once per flush rather than once per packet.
+type wave struct {
+	res *ReplayResult
+	NodeStats
+	ttlExpired, linkLost uint64 // TTL expiries are in NodeStats.Dropped too
+	// link is the link of the current run of copies sent out of one port:
+	// rx of them crossed it and drops were lost on it.
+	link      *Link
+	rx, drops uint64
 }
 
 // route classifies one injection result and either terminates the packet
 // (delivered, dropped, consumed) or appends its next hops.
-func (f *Fabric) route(h hop, r rmt.Result, next []hop, res *ReplayResult) []hop {
+func (w *wave) route(h hop, r rmt.Result, next []hop) []hop {
 	switch r.Verdict {
 	case rmt.VerdictForwarded:
-		return f.egress(h, r.OutPort, next, res)
+		return w.egress(h, r.OutPort, next)
 	case rmt.VerdictReflected:
-		return f.egress(h, h.port, next, res)
+		return w.egress(h, h.port, next)
 	case rmt.VerdictNextHop:
 		// Chain-mode emission: the shim-carrying packet leaves on the
 		// recirculation port; if that port is wired, the next switch of
 		// the chain picks it up.
-		return f.egress(h, r.OutPort, next, res)
+		return w.egress(h, r.OutPort, next)
 	case rmt.VerdictMulticast:
 		// Replicate over every target port. Copies beyond the first get a
 		// cloned packet so downstream header rewrites stay independent; a
@@ -415,35 +457,20 @@ func (f *Fabric) route(h hop, r rmt.Result, next []hop, res *ReplayResult) []hop
 			if i > 0 {
 				ch.p = h.p.Clone()
 			}
-			next = f.egress(ch, port, next, res)
+			next = w.egress(ch, port, next)
 		}
 		if len(r.OutPorts) == 0 {
-			f.dropped.Add(1)
-			h.n.dropped.Add(1)
-			if res != nil {
-				res.Dropped++
-				res.node(h.n.Name).Dropped++
-			}
+			w.Dropped++
 		}
 		return next
 	case rmt.VerdictToCPU:
-		f.consumed.Add(1)
-		h.n.consumed.Add(1)
-		if res != nil {
-			res.Consumed++
-			res.node(h.n.Name).Consumed++
-		}
+		w.Consumed++
 		if h.tr != nil {
 			h.tr.finish(statusConsumed)
 		}
 		return next
 	default: // Dropped, NoDecision, RecircOverflow
-		f.dropped.Add(1)
-		h.n.dropped.Add(1)
-		if res != nil {
-			res.Dropped++
-			res.node(h.n.Name).Dropped++
-		}
+		w.Dropped++
 		if h.tr != nil {
 			h.tr.finish(statusDropped)
 		}
@@ -453,16 +480,11 @@ func (f *Fabric) route(h hop, r rmt.Result, next []hop, res *ReplayResult) []hop
 
 // egress sends a packet out (node, port): across the link wired there, or
 // off the fabric when the port is an edge.
-func (f *Fabric) egress(h hop, port int, next []hop, res *ReplayResult) []hop {
-	lk, wired := f.links[Endpoint{h.n.Name, port}]
-	if !wired {
-		f.delivered.Add(1)
-		h.n.delivered.Add(1)
-		if res != nil {
-			res.Delivered++
-			res.node(h.n.Name).Delivered++
-			res.countHops(h.hops)
-		}
+func (w *wave) egress(h hop, port int, next []hop) []hop {
+	lk := h.n.link(port)
+	if lk == nil {
+		w.Delivered++
+		w.res.countHops(h.hops)
 		if h.tr != nil {
 			h.tr.setExit(port)
 			h.tr.finish(statusDelivered)
@@ -472,39 +494,32 @@ func (f *Fabric) egress(h hop, port int, next []hop, res *ReplayResult) []hop {
 	if h.ttl <= 0 {
 		// Hop budget exhausted with another link to cross: the packet is
 		// looping — drop it deterministically.
-		f.ttlExpired.Add(1)
-		h.n.dropped.Add(1)
-		if res != nil {
-			res.TTLExpired++
-			res.node(h.n.Name).Dropped++
-		}
+		w.ttlExpired++
+		w.Dropped++
 		if h.tr != nil {
 			h.tr.finish(statusTTLExpired)
 		}
 		return next
 	}
-	lk.tx.Add(1)
-	h.n.forwarded.Add(1)
-	if res != nil {
-		res.node(h.n.Name).Forwarded++
+	if lk != w.link {
+		w.endLinkRun()
+		w.link = lk
 	}
+	w.Forwarded++
 	if err := lk.loss.Check(); err != nil {
-		lk.drops.Add(1)
-		f.linkLost.Add(1)
-		if res != nil {
-			res.LinkLost++
-		}
+		w.drops++
+		w.linkLost++
 		if h.tr != nil {
 			h.tr.finish(statusLinkLost)
 		}
 		return next
 	}
-	lk.rx.Add(1)
+	w.rx++
 	if h.tr != nil {
 		h.tr.addLink(lk)
 	}
 	return append(next, hop{
-		n:    f.nodes[lk.To.Node],
+		n:    lk.to,
 		p:    h.p,
 		port: lk.To.Port,
 		ttl:  h.ttl - 1,
@@ -513,20 +528,86 @@ func (f *Fabric) egress(h hop, port int, next []hop, res *ReplayResult) []hop {
 	})
 }
 
-// engineScratch holds the forwarding engine's reusable wave buffers so a
-// long replay allocates per burst, not per packet.
+// endLinkRun adds the current link run to the link's counters.
+func (w *wave) endLinkRun() {
+	if lk := w.link; lk != nil {
+		lk.tx.Add(w.rx + w.drops)
+		addNonZero(&lk.rx, w.rx)
+		addNonZero(&lk.drops, w.drops)
+		w.link, w.rx, w.drops = nil, 0, 0
+	}
+}
+
+// count adds a finished wave at node n to the replay result and to the
+// fabric's and the node's counters.
+func (f *Fabric) count(n *Node, w *wave) {
+	dropped := w.Dropped - w.ttlExpired // by a switch verdict
+	res := w.res
+	res.Delivered += w.Delivered
+	res.Dropped += dropped
+	res.Consumed += w.Consumed
+	res.TTLExpired += w.ttlExpired
+	res.LinkLost += w.linkLost
+	if res.PerNode != nil {
+		ns := res.PerNode[n.Name]
+		if ns == nil {
+			ns = &NodeStats{}
+			res.PerNode[n.Name] = ns
+		}
+		ns.Injected += w.Injected
+		ns.Forwarded += w.Forwarded
+		ns.Delivered += w.Delivered
+		ns.Dropped += w.Dropped
+		ns.Consumed += w.Consumed
+	}
+	addNonZero(&n.injected, w.Injected)
+	addNonZero(&n.forwarded, w.Forwarded)
+	addNonZero(&n.delivered, w.Delivered)
+	addNonZero(&n.dropped, w.Dropped)
+	addNonZero(&n.consumed, w.Consumed)
+	addNonZero(&f.delivered, w.Delivered)
+	addNonZero(&f.dropped, dropped)
+	addNonZero(&f.consumed, w.Consumed)
+	addNonZero(&f.ttlExpired, w.ttlExpired)
+	addNonZero(&f.linkLost, w.linkLost)
+}
+
+// addNonZero adds v to c, skipping the locked add when there is nothing to
+// add.
+func addNonZero(c *atomic.Uint64, v uint64) {
+	if v > 0 {
+		c.Add(v)
+	}
+}
+
+// engineScratch holds the forwarding engine's reusable wave buffers. Kept
+// in Fabric.spare between calls, they stop allocating once warm.
 type engineScratch struct {
+	edge      []hop // Replay's edge injections awaiting the next flush
 	cur, next []hop
 	byNode    map[*Node][]hop
 	items     []rmt.BatchItem
 	free      [][]hop
 }
 
-func newEngineScratch() *engineScratch {
+// takeScratch returns the fabric's spare engine scratch, or a new one when
+// another call holds it. The caller stores it back in f.spare when done.
+func (f *Fabric) takeScratch() *engineScratch {
+	if s := f.spare.Swap(nil); s != nil {
+		return s
+	}
 	return &engineScratch{byNode: make(map[*Node][]hop)}
 }
 
-func (s *engineScratch) stash(h []hop) { s.free = append(s.free, h[:0]) }
+func (s *engineScratch) stash(h []hop) { s.free = append(s.free, emptied(h)) }
+
+// emptied zeroes a used wave buffer and returns it at length 0, so a scratch
+// kept in Fabric.spare holds no packet, result, postcard or path trace of a
+// finished call.
+func emptied[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
 
 func (s *engineScratch) take() []hop {
 	if n := len(s.free); n > 0 {

@@ -313,12 +313,11 @@ func TestPathTracedPacketsKeepArrivalOrder(t *testing.T) {
 	}
 }
 
-// TestMulticastFanout wires a root to two edge nodes and multicasts across
-// both links: each copy must be delivered independently.
-func TestMulticastFanout(t *testing.T) {
-	f := New(Options{})
-	root := rmt.New(rmt.DefaultConfig())
-	tbl, err := root.AddTable("mc", rmt.Ingress, 0, 8, 1, func(p *rmt.PHV) []uint32 {
+// mcastSwitch builds a raw switch that multicasts every packet to ports.
+func mcastSwitch(t testing.TB, ports ...int) *rmt.Switch {
+	t.Helper()
+	sw := rmt.New(rmt.DefaultConfig())
+	tbl, err := sw.AddTable("mc", rmt.Ingress, 0, 8, 1, func(p *rmt.PHV) []uint32 {
 		return p.KeyScratch(1)
 	})
 	if err != nil {
@@ -332,8 +331,15 @@ func TestMulticastFanout(t *testing.T) {
 	if err := tbl.SetDefault("mcast"); err != nil {
 		t.Fatal(err)
 	}
-	root.SetMulticastGroup(5, []int{48, 49})
-	if _, err := f.Add("root", root); err != nil {
+	sw.SetMulticastGroup(5, ports)
+	return sw
+}
+
+// TestMulticastFanout wires a root to two edge nodes and multicasts across
+// both links: each copy must be delivered independently.
+func TestMulticastFanout(t *testing.T) {
+	f := New(Options{})
+	if _, err := f.Add("root", mcastSwitch(t, 48, 49)); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"e0", "e1"} {
@@ -363,6 +369,81 @@ func TestMulticastFanout(t *testing.T) {
 	}
 }
 
+// TestReusedScratchFlushesEveryNode: the engine's wave buffers are reused
+// across calls (every Replay batch after the first, every Inject after the
+// first). A node early in a wave can emit more hops than the wave holds; the
+// next wave's hops must not overwrite the wave still being flushed, or the
+// nodes after it are never flushed and their packets are lost.
+func TestReusedScratchFlushesEveryNode(t *testing.T) {
+	f := New(Options{})
+	for name, sw := range map[string]*rmt.Switch{
+		"in0": fwdSwitch(t, 48), "in1": fwdSwitch(t, 48),
+		"mc": mcastSwitch(t, 49, 50), "fw": fwdSwitch(t, 2), "out": fwdSwitch(t, 2),
+	} {
+		if _, err := f.Add(name, sw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, l := range []struct {
+		a  string
+		ap int
+		b  string
+		bp int
+	}{{"in0", 48, "mc", 48}, {"in1", 48, "fw", 48}, {"mc", 49, "out", 48}, {"mc", 50, "out", 49}} {
+		if _, err := f.ConnectOneWay(l.a, l.ap, l.b, l.bp, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each batch is one in0 packet (two copies out of mc) and one in1
+	// packet (one out of fw); its second wave is [mc, fw].
+	tr := &traffic.Trace{}
+	for i := 0; i < 8; i++ {
+		tr.Events = append(tr.Events, traffic.Event{AtMs: float64(i), Pkt: testPacket(), Port: 1, Node: nodeName("in", i%2)})
+	}
+	res, err := f.Replay(tr, nil, ReplayOptions{Batch: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Delivered != 12 {
+		t.Fatalf("delivered %d copies, want 12 (8 from mc, 4 from fw)", res.Delivered)
+	}
+	spareHoldsNothing(t, f, "after Replay")
+	if d, err := f.Inject("in0", testPacket(), 1); err != nil || d.Delivered != 2 {
+		t.Fatalf("Inject delivered %d copies (%v), want 2", d.Delivered, err)
+	}
+	spareHoldsNothing(t, f, "after Inject")
+}
+
+// spareHoldsNothing checks that the scratch a finished call left in f.spare
+// references no packet, result or trace, over the whole capacity of every
+// buffer.
+func spareHoldsNothing(t *testing.T, f *Fabric, when string) {
+	t.Helper()
+	s := f.spare.Load()
+	if s == nil {
+		t.Fatalf("%s: no spare scratch", when)
+	}
+	bufs := [][]hop{s.edge, s.cur, s.next}
+	for _, b := range s.free {
+		bufs = append(bufs, b)
+	}
+	for _, b := range bufs {
+		for i, h := range b[:cap(b)] {
+			if h != (hop{}) {
+				t.Fatalf("%s: wave buffer slot %d still holds %+v", when, i, h)
+			}
+		}
+	}
+	for i, it := range s.items[:cap(s.items)] {
+		if it.Pkt != nil || it.Res.Packet != nil || it.Res.OutPorts != nil || it.Postcard != nil {
+			t.Fatalf("%s: burst item %d still holds %+v", when, i, it)
+		}
+	}
+	if len(s.byNode) != 0 {
+		t.Fatalf("%s: %d nodes still pending", when, len(s.byNode))
+	}
+}
+
 // TestWiringErrors covers the topology guard rails.
 func TestWiringErrors(t *testing.T) {
 	f := New(Options{})
@@ -383,6 +464,12 @@ func TestWiringErrors(t *testing.T) {
 	}
 	if err := f.Connect("x", 50, "zz", 48, 0); err == nil {
 		t.Error("link to unknown node accepted")
+	}
+	if _, err := f.ConnectOneWay("x", -1, "y", 51, 0); err == nil {
+		t.Error("negative port accepted")
+	}
+	if l, ok := f.Link("x", 48); !ok || l.To != (Endpoint{"y", 48}) || len(f.Links()) != 2 {
+		t.Errorf("Link(x, 48) = %v, %v; %d links", l, ok, len(f.Links()))
 	}
 	if _, err := f.Inject("zz", testPacket(), 1); err == nil {
 		t.Error("inject at unknown node accepted")

@@ -21,7 +21,7 @@ func (f *Fabric) registerMetrics() {
 	f.Obs.GaugeFunc("p4runpro_fabric_nodes",
 		"Switches registered in the fabric.", func() float64 { return float64(len(f.nodes)) })
 	f.Obs.GaugeFunc("p4runpro_fabric_links",
-		"Directed links wired in the fabric.", func() float64 { return float64(len(f.links)) })
+		"Directed links wired in the fabric.", func() float64 { return float64(f.nlinks) })
 }
 
 func (f *Fabric) registerNodeMetrics(n *Node) {

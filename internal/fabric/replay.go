@@ -46,21 +46,9 @@ type ReplayResult struct {
 	Elapsed time.Duration
 }
 
-func (r *ReplayResult) node(name string) *NodeStats {
-	if r.PerNode == nil {
-		r.PerNode = make(map[string]*NodeStats)
-	}
-	ns, ok := r.PerNode[name]
-	if !ok {
-		ns = &NodeStats{}
-		r.PerNode[name] = ns
-	}
-	return ns
-}
-
 func (r *ReplayResult) countHops(h int) {
-	for len(r.Hops) <= h {
-		r.Hops = append(r.Hops, 0)
+	if h >= len(r.Hops) {
+		r.Hops = append(r.Hops, make([]uint64, h+1-len(r.Hops))...)
 	}
 	r.Hops[h]++
 }
@@ -95,12 +83,16 @@ func (f *Fabric) Replay(tr *traffic.Trace, sched []traffic.Action, opts ReplayOp
 	sort.SliceStable(sched, func(i, j int) bool { return sched[i].AtMs < sched[j].AtMs })
 
 	res := &ReplayResult{PerNode: make(map[string]*NodeStats)}
-	scratch := newEngineScratch()
-	frontier := make([]hop, 0, opts.Batch)
+	scratch := f.takeScratch()
+	frontier := scratch.edge[:0]
+	defer func() {
+		scratch.edge = emptied(frontier)
+		f.spare.Store(scratch)
+	}()
 	flush := func() {
 		if len(frontier) > 0 {
 			f.process(frontier, res, scratch)
-			frontier = frontier[:0]
+			frontier = emptied(frontier)
 		}
 	}
 	next := 0

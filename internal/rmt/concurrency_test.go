@@ -11,11 +11,12 @@ import (
 
 // TestConcurrentInjectUnderTableChurn is the -race regression test for the
 // packet fast path: goroutines inject traffic, singly and in bursts (hitting
-// table match logic, hit/miss counters, SALU memory, and port counters) while
-// the control plane churns entries in the same table. Before the lock-free
-// snapshot refactor, Table.Apply bumped t.hits/t.misses under a read lock —
-// a data race this test reproduces deterministically under the race
-// detector.
+// table match logic, entry hit counters, SALU memory, and port counters)
+// while the control plane churns entries in the same table. Entries forward
+// to port 2 and the default to port 7, so once every burst has returned the
+// hits of every entry ever installed, deleted ones included, must sum to
+// port 2's packets: a burst's tallied hits land on the entries it matched
+// even when they were deleted mid-burst.
 func TestConcurrentInjectUnderTableChurn(t *testing.T) {
 	cfg := DefaultConfig()
 	sw := New(cfg)
@@ -45,7 +46,9 @@ func TestConcurrentInjectUnderTableChurn(t *testing.T) {
 	stop := make(chan struct{})
 	var churn, inj sync.WaitGroup
 
-	// Control-plane churn: insert and delete entries for the live keys.
+	// Control-plane churn: insert and delete entries for the live keys,
+	// keeping every entry ever installed (the newest has the highest ID).
+	var installed []*Entry
 	churn.Add(1)
 	go func() {
 		defer churn.Done()
@@ -56,6 +59,10 @@ func TestConcurrentInjectUnderTableChurn(t *testing.T) {
 			default:
 			}
 			id, err := tbl.Insert([]TernaryKey{Exact(uint32(i % flows))}, i%4, "fwd_count", []uint32{2}, "churn")
+			if err == nil {
+				es := tbl.Entries()
+				installed = append(installed, es[len(es)-1])
+			}
 			if err == nil && i%2 == 0 {
 				_ = tbl.Delete(id)
 			}
@@ -115,7 +122,7 @@ func TestConcurrentInjectUnderTableChurn(t *testing.T) {
 				return
 			default:
 			}
-			tbl.Stats()
+			tbl.OwnerHits("churn")
 			tbl.Len()
 			_ = sw.Metrics()
 			_ = sw.PortStats(2)
@@ -130,9 +137,14 @@ func TestConcurrentInjectUnderTableChurn(t *testing.T) {
 	churn.Wait()
 
 	want := uint64(workers) * 2000
-	hits, misses := tbl.Stats()
-	if hits+misses != want {
-		t.Errorf("hit/miss counters lost updates: hits=%d misses=%d, want sum %d", hits, misses, want)
+	var hits uint64
+	for _, e := range installed {
+		hits += e.Hits()
+	}
+	matched, missed := sw.PortStats(2).TxPackets, sw.PortStats(7).TxPackets
+	if hits != matched || matched+missed != want {
+		t.Errorf("entry hits %d, port 2 (entries) %d, port 7 (default) %d: want hits = port 2 and ports summing to %d",
+			hits, matched, missed, want)
 	}
 	if got := sw.Metrics().Packets; got != want {
 		t.Errorf("packet counter %d, want %d", got, want)

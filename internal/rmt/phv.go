@@ -111,6 +111,12 @@ type PHV struct {
 	// by Switch.inject for the sampled 1-in-N; nil on the fast path, so the
 	// per-hop cost for unsampled packets is one pointer compare.
 	trace *pathTrace
+
+	// tally is the counting scratch of the burst this PHV carries. It
+	// outlives reset (it spans the burst's packets) and is flushed into
+	// the switch when the burst returns; a PHV made by NewPHV is in no
+	// burst, and what it tallies is never counted.
+	tally burstTally
 }
 
 // NewPHV wraps a parsed packet for one pipeline pass. A nil packet yields a
@@ -138,7 +144,10 @@ func (p *PHV) reset(layout *PHVLayout, q *pkt.Packet, ingressPort int) {
 	p.layout = layout
 	n := len(layout.order)
 	if cap(p.vals) < n {
-		p.vals = make([]uint32, n)
+		// The fields and the key scratch share one allocation, so a fresh
+		// PHV costs the pool no more objects for carrying a burst tally.
+		buf := make([]uint32, n+keyWords)
+		p.vals, p.keyBuf = buf[:n:n], buf[n:]
 	} else {
 		p.vals = p.vals[:n]
 		for i := range p.vals {
@@ -150,6 +159,10 @@ func (p *PHV) reset(layout *PHVLayout, q *pkt.Packet, ingressPort int) {
 	}
 	p.gress, p.stage = Ingress, 0
 }
+
+// keyWords is the key scratch reset reserves behind a PHV's fields: room for
+// the widest key the data plane declares. KeyScratch grows past it on demand.
+const keyWords = 16
 
 // keyScratchRaw returns the n-word scratch slice without zeroing it, for
 // Table.Apply's direct key extraction, which overwrites every slot. Same

@@ -64,17 +64,17 @@ type PortCounters struct {
 	TxBytes   uint64
 }
 
-// switchMetrics is the always-on packet-path instrumentation: plain atomic
-// counters updated inline (no locks, no allocation) so the observability
-// layer can expose them without perturbing the pipeline. The <5% overhead
-// budget is enforced by BenchmarkInstrumentationOverhead at the repo root.
+// switchMetrics is the always-on packet-path instrumentation: atomic
+// counters that a burst adds to once, when InjectBatch returns, from the
+// tally it kept in its own PHV (no locks, no allocation, no shared cache line
+// written per packet). Stage lookups are not counted at all: they are derived
+// from the pass counter and the published plan (see planSnapshot).
 type switchMetrics struct {
 	packets  atomic.Uint64 // injected packets
 	passes   atomic.Uint64 // pipeline passes consumed (>= packets)
 	recircs  atomic.Uint64 // internal recirculations through the loopback port
 	saluOps  atomic.Uint64 // stateful-ALU memory accesses on the packet path
 	verdicts [VerdictNextHop + 1]atomic.Uint64
-	lookups  []atomic.Uint64 // table lookups per flat stage (ingress first)
 }
 
 // MetricsSnapshot is a point-in-time copy of the switch's packet-path
@@ -90,8 +90,10 @@ type MetricsSnapshot struct {
 	StageLookups []uint64
 }
 
-// Metrics snapshots the packet-path counters.
+// Metrics snapshots the packet-path counters. They include every burst that
+// has returned; a burst still in flight is not counted yet.
 func (s *Switch) Metrics() MetricsSnapshot {
+	pl := s.plan.Load() // before the pass counter: see planSnapshot.lookups
 	m := MetricsSnapshot{
 		Packets: s.met.packets.Load(),
 		Passes:  s.met.passes.Load(),
@@ -101,9 +103,9 @@ func (s *Switch) Metrics() MetricsSnapshot {
 	for i := range s.met.verdicts {
 		m.Verdicts[i] = s.met.verdicts[i].Load()
 	}
-	m.StageLookups = make([]uint64, len(s.met.lookups))
-	for i := range s.met.lookups {
-		m.StageLookups[i] = s.met.lookups[i].Load()
+	m.StageLookups = make([]uint64, len(pl.base))
+	for i := range m.StageLookups {
+		m.StageLookups[i] = pl.lookups(i, m.Passes)
 	}
 	return m
 }
@@ -112,33 +114,97 @@ func (s *Switch) Metrics() MetricsSnapshot {
 // (ingress stages first, then egress) without snapshotting the whole
 // metrics set — the cheap per-series accessor for scrape-time collectors.
 func (s *Switch) StageLookupCount(flat int) uint64 {
-	if flat < 0 || flat >= len(s.met.lookups) {
+	pl := s.plan.Load()
+	if flat < 0 || flat >= len(pl.base) {
 		return 0
 	}
-	return s.met.lookups[flat].Load()
+	return pl.lookups(flat, s.met.passes.Load())
 }
 
-// SetInstrumentation enables or disables packet-path metric recording.
-// Instrumentation is on by default and costs only atomic adds; disabling it
-// exists for the overhead benchmark and for experiments that want the
-// absolute minimum per-packet cost. Not safe to toggle while traffic is in
-// flight.
-func (s *Switch) SetInstrumentation(enabled bool) { s.instrOff = !enabled }
-
-// portCounter is one port's transmit statistics, updated atomically on the
-// packet path so concurrent injection never tears or drops a count.
+// portCounter is one port's packet and byte statistics. Bursts add to it
+// once per run of packets on the port (see portRun), atomically, so
+// concurrent injection never tears or drops a count.
 type portCounter struct {
 	pkts  atomic.Uint64
 	bytes atomic.Uint64
 }
 
-func (c *portCounter) add(wireLen int) {
-	c.pkts.Add(1)
-	c.bytes.Add(uint64(wireLen))
-}
-
 func (c *portCounter) snapshot() PortCounters {
 	return PortCounters{TxPackets: c.pkts.Load(), TxBytes: c.bytes.Load()}
+}
+
+// burstTally is what one InjectBatch burst counts on the packet path, kept in
+// plain words in the burst's PHV. Nothing shared is written per packet:
+// Switch.flush adds the tally to the switch's atomics when the burst returns,
+// so every reader is exact once the bursts it cares about have returned.
+type burstTally struct {
+	hits                 []hitRun // one run per table, indexed by plan position
+	rx, tx               portRun
+	saluOps              uint64
+	recircs, recircBytes uint64 // the loopback port's traffic
+}
+
+// hitRuns returns the tally's first n hit runs, growing the slice (pending
+// runs kept) when the plan has outgrown it.
+func (t *burstTally) hitRuns(n int) []hitRun {
+	if len(t.hits) < n {
+		grown := make([]hitRun, n)
+		copy(grown, t.hits)
+		t.hits = grown
+	}
+	return t.hits[:n]
+}
+
+// hitRun counts consecutive hits on one entry of one table. A hit on another
+// entry adds the run to the entry's counter and starts a new run, so a burst
+// whose packets share a program costs one add per table, not one per packet.
+type hitRun struct {
+	e *Entry
+	n uint64
+}
+
+func (r *hitRun) add(e *Entry) {
+	if r.e != e {
+		r.flush()
+		r.e = e
+	}
+	r.n++
+}
+
+// flush adds the run to its entry and forgets the entry, so a pooled PHV
+// never keeps a retired table reachable.
+func (r *hitRun) flush() {
+	if r.n > 0 {
+		atomic.AddUint64(&r.e.hits, r.n)
+	}
+	r.e, r.n = nil, 0
+}
+
+// portRun counts consecutive packets on one port of cs; a packet on another
+// port adds the run to the port's counter and starts a new run.
+type portRun struct {
+	port        int
+	pkts, bytes uint64
+}
+
+func (r *portRun) add(cs []portCounter, port, wireLen int) {
+	if port < 0 || port >= len(cs) {
+		return
+	}
+	if port != r.port {
+		r.flush(cs)
+		r.port = port
+	}
+	r.pkts++
+	r.bytes += uint64(wireLen)
+}
+
+func (r *portRun) flush(cs []portCounter) {
+	if r.pkts > 0 {
+		cs[r.port].pkts.Add(r.pkts)
+		cs[r.port].bytes.Add(r.bytes)
+		r.pkts, r.bytes = 0, 0
+	}
 }
 
 // Switch is a provisioned RMT ASIC: fixed stages, tables, register arrays,
@@ -147,21 +213,22 @@ func (c *portCounter) snapshot() PortCounters {
 //
 // The packet path (InjectBatch and everything under it) is safe for concurrent
 // use and lock-free: stage plans and table match state are immutable
-// snapshots behind atomic pointers, all counters are atomics, register
-// arrays linearize per word, and PHVs are recycled from a pool — modeling a
-// Tofino's independent packet-processing engines, which forward at line rate
-// while the control plane updates entries underneath them (paper §5).
+// snapshots behind atomic pointers, register arrays linearize per word, and
+// PHVs are recycled from a pool — modeling a Tofino's independent
+// packet-processing engines, which forward at line rate while the control
+// plane updates entries underneath them (paper §5). Counters are tallied per
+// burst in the burst's own PHV and added to the switch's atomics once, when
+// InjectBatch returns (see burstTally).
 type Switch struct {
 	cfg    Config
 	layout *PHVLayout
 
-	mu        sync.RWMutex
-	tables    map[string]*Table
-	stagePlan map[stageKey][]*Table // application order within a stage
-	// plan is the published flat stage plan (ingress stages first, then
-	// egress), rebuilt copy-on-write under mu by AddTable and read
-	// lock-free by runGress.
-	plan atomic.Pointer[[][]*Table]
+	mu      sync.RWMutex
+	tables  map[string]*Table
+	byStage map[stageKey][]*Table // application order within a stage
+	// plan is the published stage plan, rebuilt copy-on-write under mu by
+	// AddTable and read lock-free once per pipeline pass.
+	plan atomic.Pointer[planSnapshot]
 
 	arrays map[stageKey]*RegisterArray
 	hash   map[stageKey][]*hashing.Unit
@@ -193,8 +260,7 @@ type Switch struct {
 	// arrays and tables) alive with it.
 	phvPool *sync.Pool
 
-	met      switchMetrics
-	instrOff bool // zero value = instrumented (the default)
+	met switchMetrics
 
 	// post holds the packet-postcard sampling state (see postcard.go):
 	// disabled by default, one atomic load per packet when off.
@@ -215,21 +281,19 @@ type stageKey struct {
 // installing tables.
 func New(cfg Config) *Switch {
 	s := &Switch{
-		cfg:       cfg,
-		layout:    NewPHVLayout(cfg.PHVBits),
-		tables:    make(map[string]*Table),
-		stagePlan: make(map[stageKey][]*Table),
-		arrays:    make(map[stageKey]*RegisterArray),
-		hash:      make(map[stageKey][]*hashing.Unit),
-		ports:     make([]portCounter, cfg.Ports+8),
-		rx:        make([]portCounter, cfg.Ports+8),
-		cpuKeep:   1 << 16,
+		cfg:     cfg,
+		layout:  NewPHVLayout(cfg.PHVBits),
+		tables:  make(map[string]*Table),
+		byStage: make(map[stageKey][]*Table),
+		arrays:  make(map[stageKey]*RegisterArray),
+		hash:    make(map[stageKey][]*hashing.Unit),
+		ports:   make([]portCounter, cfg.Ports+8),
+		rx:      make([]portCounter, cfg.Ports+8),
+		cpuKeep: 1 << 16,
 	}
 	s.phvPool = &sync.Pool{New: func() any { return &PHV{} }}
 	s.post.pool = new(sync.Pool)
-	emptyPlan := make([][]*Table, cfg.IngressStages+cfg.EgressStages)
-	s.plan.Store(&emptyPlan)
-	s.met.lookups = make([]atomic.Uint64, cfg.IngressStages+cfg.EgressStages)
+	s.publishPlanLocked()
 	for g := Ingress; g <= Egress; g++ {
 		for st := 0; st < cfg.StageCount(g); st++ {
 			k := stageKey{g, st}
@@ -324,7 +388,7 @@ func (s *Switch) AddTable(name string, g Gress, stage, capacity, nkeys int, keyF
 	t := NewTable(name, g, stage, capacity, nkeys, keyFunc)
 	s.tables[name] = t
 	k := stageKey{g, stage}
-	s.stagePlan[k] = append(s.stagePlan[k], t)
+	s.byStage[k] = append(s.byStage[k], t)
 	s.publishPlanLocked()
 	return t, nil
 }
@@ -338,14 +402,44 @@ func (s *Switch) flatStage(g Gress, stage int) int {
 	return stage
 }
 
-// publishPlanLocked rebuilds the flat stage-plan snapshot from stagePlan and
-// publishes it atomically. Caller holds s.mu.
+// planSnapshot is the published stage plan: every table in application order
+// (ingress stages first, then egress), which is also the order of a burst's
+// hit runs. A pass applies every table once, so a stage's lookup counter is
+// derived rather than counted: the lookups before this plan was published
+// (base) plus the stage's table count for every pass since (passes0).
+type planSnapshot struct {
+	tables   []*Table
+	perStage []int    // tables per flat stage
+	base     []uint64 // lookups per flat stage at publication
+	passes0  uint64   // the pass counter at publication
+}
+
+// lookups derives flat stage i's lookup counter from the pass counter. A
+// reader loads the plan before the pass counter, so passes >= passes0.
+func (pl *planSnapshot) lookups(i int, passes uint64) uint64 {
+	return pl.base[i] + (passes-pl.passes0)*uint64(pl.perStage[i])
+}
+
+// publishPlanLocked rebuilds the plan snapshot from byStage and publishes it
+// atomically, carrying the lookup counters over. Passes of a burst in flight
+// across the publication are counted under the new plan, so the counters are
+// exact when tables are added while no traffic flows. Caller holds s.mu.
 func (s *Switch) publishPlanLocked() {
-	flat := make([][]*Table, s.cfg.IngressStages+s.cfg.EgressStages)
-	for k, plan := range s.stagePlan {
-		flat[s.flatStage(k.g, k.stage)] = append([]*Table(nil), plan...)
+	n := s.cfg.IngressStages + s.cfg.EgressStages
+	next := &planSnapshot{perStage: make([]int, n), base: make([]uint64, n), passes0: s.met.passes.Load()}
+	if old := s.plan.Load(); old != nil {
+		for i := range next.base {
+			next.base[i] = old.lookups(i, next.passes0)
+		}
 	}
-	s.plan.Store(&flat)
+	for g := Ingress; g <= Egress; g++ {
+		for st := 0; st < s.cfg.StageCount(g); st++ {
+			ts := s.byStage[stageKey{g, st}]
+			next.tables = append(next.tables, ts...)
+			next.perStage[s.flatStage(g, st)] = len(ts)
+		}
+	}
+	s.plan.Store(next)
 }
 
 // Table finds a table by name.
@@ -387,15 +481,15 @@ func (s *Switch) HashUnit(g Gress, stage, idx int) (*hashing.Unit, error) {
 
 // AccessMemory performs this packet's single allowed stateful access in the
 // current stage. Actions must call it (rather than touching arrays directly)
-// so the one-access-per-stage hardware rule is enforced.
+// so the one-access-per-stage hardware rule is enforced. The access is
+// tallied in p's burst and reaches the SALU-ops counter when the burst
+// returns.
 func (s *Switch) AccessMemory(p *PHV, op SALUOp, addr, operand uint32) (uint32, error) {
 	g, st := p.CurrentStage()
 	if p.touchMem(s.flatStage(g, st)) {
 		return 0, fmt.Errorf("rmt: second stateful access in %s stage %d (hardware allows one per packet per stage)", g, st)
 	}
-	if !s.instrOff {
-		s.met.saluOps.Add(1)
-	}
+	p.tally.saluOps++
 	return s.arrays[stageKey{g, st}].Execute(op, addr, operand)
 }
 
@@ -417,8 +511,7 @@ func (s *Switch) run(phv *PHV, p *pkt.Packet, inPort int) Result {
 	passes := 0
 	for {
 		passes++
-		s.runGress(phv, Ingress)
-		s.runGress(phv, Egress)
+		s.pass(phv)
 		if !phv.Meta.Recirc {
 			break
 		}
@@ -435,11 +528,8 @@ func (s *Switch) run(phv *PHV, p *pkt.Packet, inPort int) Result {
 		if passes > s.cfg.MaxRecirc {
 			return Result{Verdict: VerdictRecircOverflow, OutPort: -1, Packet: p, Passes: passes}
 		}
-		s.recircPackets.Add(1)
-		s.recircBytes.Add(uint64(p.WireLen))
-		if !s.instrOff {
-			s.met.recircs.Add(1)
-		}
+		phv.tally.recircs++
+		phv.tally.recircBytes += uint64(p.WireLen)
 		if phv.trace != nil {
 			phv.trace.recircs++
 		}
@@ -464,14 +554,14 @@ func (s *Switch) run(phv *PHV, p *pkt.Packet, inPort int) Result {
 	case phv.Meta.McastGroup != 0:
 		ports := s.mcastPorts(phv.Meta.McastGroup)
 		for _, port := range ports {
-			s.tx(port, p)
+			phv.tally.tx.add(s.ports, port, p.WireLen)
 		}
 		return Result{Verdict: VerdictMulticast, OutPort: -1, OutPorts: ports, Packet: p, Passes: passes}
 	case phv.Meta.Reflect:
-		s.tx(inPort, p)
+		phv.tally.tx.add(s.ports, inPort, p.WireLen)
 		return Result{Verdict: VerdictReflected, OutPort: inPort, Packet: p, Passes: passes}
 	case phv.Meta.EgressSpec >= 0:
-		s.tx(phv.Meta.EgressSpec, p)
+		phv.tally.tx.add(s.ports, phv.Meta.EgressSpec, p.WireLen)
 		return Result{Verdict: VerdictForwarded, OutPort: phv.Meta.EgressSpec, Packet: p, Passes: passes}
 	}
 	return Result{Verdict: VerdictNoDecision, OutPort: -1, Packet: p, Passes: passes}
@@ -502,8 +592,9 @@ type BatchItem struct {
 // manager after the final pass, so deferred verdicts (e.g. DROP followed by
 // MEMWRITE in the paper's cache program) behave as on hardware, where drops
 // are finalized at deparsing. One PHV is checked out of the pool for the
-// whole burst, and the packet/pass/verdict counters are accumulated locally
-// and flushed once.
+// whole burst, and every counter the burst moves is tallied in it and
+// flushed once, when the burst returns: readers (Metrics, PortStats, RxStats,
+// Entry.Hits, OwnerHits) include a burst once InjectBatch has returned.
 //
 // InjectBatch is safe for concurrent use: each call owns its PHV, and
 // independent goroutines model the chip's parallel packet-processing
@@ -520,9 +611,7 @@ func (s *Switch) InjectBatch(items []BatchItem) {
 	for i := range items {
 		it := &items[i]
 		tr := s.tracePacket(it.PathID)
-		if it.Port >= 0 && it.Port < len(s.rx) {
-			s.rx[it.Port].add(it.Pkt.WireLen)
-		}
+		phv.tally.rx.add(s.rx, it.Port, it.Pkt.WireLen)
 		phv.reset(s.layout, it.Pkt, it.Port)
 		phv.Meta.TTL = it.TTL
 		phv.trace = tr
@@ -538,34 +627,48 @@ func (s *Switch) InjectBatch(items []BatchItem) {
 			}
 		}
 	}
+	s.flush(&phv.tally)
 	s.phvPool.Put(phv)
-	if !s.instrOff {
-		s.met.packets.Add(uint64(len(items)))
-		s.met.passes.Add(passes)
-		for v := range verdicts {
-			if verdicts[v] > 0 {
-				s.met.verdicts[v].Add(verdicts[v])
-			}
+	s.met.packets.Add(uint64(len(items)))
+	s.met.passes.Add(passes)
+	for v := range verdicts {
+		if verdicts[v] > 0 {
+			s.met.verdicts[v].Add(verdicts[v])
 		}
 	}
 }
 
-func (s *Switch) runGress(phv *PHV, g Gress) {
-	phv.gress = g
-	n := s.cfg.StageCount(g)
-	flatBase := 0
-	if g == Egress {
-		flatBase = s.cfg.IngressStages
+// flush adds a finished burst's tally to the switch's counters and clears it.
+// It runs before the burst's packets, passes and verdicts are counted, so a
+// reader that sees a burst's packets sees its entry hits too.
+func (s *Switch) flush(t *burstTally) {
+	for i := range t.hits {
+		t.hits[i].flush()
 	}
-	plans := *s.plan.Load()
-	for st := 0; st < n; st++ {
-		phv.stage = st
-		plan := plans[flatBase+st]
-		for _, t := range plan {
-			t.Apply(phv)
-		}
-		if !s.instrOff && len(plan) > 0 {
-			s.met.lookups[flatBase+st].Add(uint64(len(plan)))
+	t.rx.flush(s.rx)
+	t.tx.flush(s.ports)
+	if t.saluOps > 0 {
+		s.met.saluOps.Add(t.saluOps)
+		t.saluOps = 0
+	}
+	if t.recircs > 0 {
+		s.met.recircs.Add(t.recircs)
+		s.recircPackets.Add(t.recircs)
+		s.recircBytes.Add(t.recircBytes)
+		t.recircs, t.recircBytes = 0, 0
+	}
+}
+
+// pass runs one pipeline pass: every table of the published plan once, in
+// application order, each hit tallied in the run for the table's plan
+// position.
+func (s *Switch) pass(phv *PHV) {
+	tables := s.plan.Load().tables
+	runs := phv.tally.hitRuns(len(tables))
+	for i, t := range tables {
+		phv.gress, phv.stage = t.Gress, t.Stage
+		if e, _ := t.apply(phv); e != nil {
+			runs[i].add(e)
 		}
 	}
 }
@@ -577,12 +680,6 @@ func (s *Switch) runGress(phv *PHV, g Gress) {
 type PlanStats struct{}
 
 func (s *Switch) CompiledPlan() (PlanStats, bool) { return PlanStats{}, true }
-
-func (s *Switch) tx(port int, p *pkt.Packet) {
-	if port >= 0 && port < len(s.ports) {
-		s.ports[port].add(p.WireLen)
-	}
-}
 
 // PortStats returns the transmit counters of a port.
 func (s *Switch) PortStats(port int) PortCounters {

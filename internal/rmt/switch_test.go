@@ -448,6 +448,68 @@ func TestInjectBatchMatchesInject(t *testing.T) {
 	}
 }
 
+// TestStageLookupsExactAcrossAddTable: stage lookups are derived from the
+// pass counter, and a plan published after traffic carries the earlier
+// lookups over, so tables added between bursts count only the passes that
+// ran through them.
+func TestStageLookupsExactAcrossAddTable(t *testing.T) {
+	sw, _ := dstSwitch(t) // one table, ingress stage 0
+	for i := 0; i < 10; i++ {
+		sw.Inject(dstPkt(2), 1)
+	}
+	noKeys := func(p *PHV) []uint32 { return p.KeyScratch(1) }
+	if _, err := sw.AddTable("t2", Ingress, 0, 4, 1, noKeys); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.AddTable("t3", Egress, 3, 4, 1, noKeys); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]BatchItem, 5)
+	for i := range batch {
+		batch[i] = BatchItem{Pkt: dstPkt(2), Port: 1}
+	}
+	sw.InjectBatch(batch)
+
+	egress3 := sw.Config().IngressStages + 3
+	m := sw.Metrics()
+	for i, got := range m.StageLookups {
+		want := uint64(0)
+		switch i {
+		case 0:
+			want = 10 + 5*2
+		case egress3:
+			want = 5
+		}
+		if got != want || sw.StageLookupCount(i) != want {
+			t.Errorf("stage %d: %d lookups (StageLookupCount %d), want %d", i, got, sw.StageLookupCount(i), want)
+		}
+	}
+}
+
+// TestReownBetweenBurstsLosesNothing: a burst adds its entry hits when it
+// returns, so a Reown between bursts carries every hit to the new owner.
+func TestReownBetweenBurstsLosesNothing(t *testing.T) {
+	sw, tbl := dstSwitch(t)
+	if _, err := tbl.Insert([]TernaryKey{Exact(2)}, 0, "fwd", []uint32{5}, "v1"); err != nil {
+		t.Fatal(err)
+	}
+	burst := func() {
+		items := make([]BatchItem, 8)
+		for i := range items {
+			items[i] = BatchItem{Pkt: dstPkt(2), Port: 1}
+		}
+		sw.InjectBatch(items)
+	}
+	burst()
+	if n := tbl.Reown("v1", "v2"); n != 1 {
+		t.Fatalf("Reown moved %d entries, want 1", n)
+	}
+	burst()
+	if v1, v2 := tbl.OwnerHits("v1"), tbl.OwnerHits("v2"); v1 != 0 || v2 != 16 {
+		t.Errorf("owner hits v1 %d, v2 %d; want 0 and 16", v1, v2)
+	}
+}
+
 // TestRetiredSwitchFreedAtFirstGC: a switch that has carried traffic is
 // collectable by the first GC after its last use. The runtime keeps every
 // sync.Pool in use reachable for one more cycle, so a pool embedded in the

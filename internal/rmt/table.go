@@ -52,7 +52,8 @@ type Entry struct {
 	fn ActionFunc
 
 	// hits counts packets this entry matched (a direct counter, read via
-	// Hits); updated atomically because lookups run lock-free.
+	// Hits), added to atomically because lookups run lock-free: once per
+	// packet by Apply, once per run of hits by a switch burst's flush.
 	hits uint64
 }
 
@@ -245,8 +246,6 @@ type Table struct {
 	// never look an action up (entries carry theirs, bound at Insert).
 	actions map[string]actionDef
 	state   atomic.Pointer[tableState]
-
-	hits, misses atomic.Uint64
 }
 
 // SetPHVKeyFields declares that the table's key extractor reads exactly the
@@ -499,10 +498,12 @@ func (t *Table) DeleteOwned(owner string) int {
 // is read lock-free on the packet path (postcards, OwnerHits), so entries
 // are replaced copy-on-write rather than mutated in place: each moved entry
 // is a fresh Entry with the same ID, keys, priority, action, and parameters,
-// seeded with the old entry's hit count at the moment of the swap. Hits
-// landing on the retiring entry between that read and the snapshot
-// publication are lost — the same bounded in-flight tolerance as any
-// published-snapshot mutation. Returns the number of entries moved.
+// seeded with the old entry's hit count at the moment of the swap. A switch
+// burst tallies hits per entry and adds them when it returns, so the hits a
+// burst in flight at the swap tallied for the retiring entry land on it, not
+// on the moved one, and are lost to OwnerHits: at most one burst's worth per
+// entry. A Reown between bursts loses nothing. Returns the number of entries
+// moved.
 func (t *Table) Reown(oldOwner, newOwner string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -531,11 +532,25 @@ func (t *Table) Reown(oldOwner, newOwner string) int {
 	return n
 }
 
-// Apply performs one match-action lookup for the packet. It returns whether
-// an entry (or the default action) was executed. The match resolves against
-// one immutable snapshot, so concurrent Insert/Delete can never expose a
-// half-updated entry set; hit/miss counters are atomics.
+// Apply performs one match-action lookup for the packet and counts a hit on
+// the matched entry. It returns whether an entry (or the default action) was
+// executed. The match resolves against one immutable snapshot, so concurrent
+// Insert/Delete can never expose a half-updated entry set.
+//
+// Only tests call Apply, on a table outside any switch. Its hit count is one
+// shared atomic add per packet, which the packet path must not pay: the
+// switch calls apply and tallies hits per burst (see burstTally).
 func (t *Table) Apply(p *PHV) bool {
+	e, ran := t.apply(p)
+	if e != nil {
+		atomic.AddUint64(&e.hits, 1)
+	}
+	return ran
+}
+
+// apply is Apply without the hit count: it returns the matched entry (nil on
+// a miss) and whether an action ran, and leaves counting to the caller.
+func (t *Table) apply(p *PHV) (*Entry, bool) {
 	st := t.state.Load()
 	var keyVals []uint32
 	if st.keyIdx != nil {
@@ -548,20 +563,9 @@ func (t *Table) Apply(p *PHV) bool {
 		keyVals = t.keyFunc(p)
 	}
 	e := st.lookup(keyVals)
-	var fn ActionFunc
-	var params []uint32
-	switch {
-	case e != nil:
-		fn = e.fn
-		params = e.Params
-		atomic.AddUint64(&e.hits, 1)
-		t.hits.Add(1)
-	case st.defaultFn != nil:
-		fn = st.defaultFn
-		params = st.defaultParams
-		t.misses.Add(1)
-	default:
-		t.misses.Add(1)
+	fn, params := st.defaultFn, st.defaultParams
+	if e != nil {
+		fn, params = e.fn, e.Params
 	}
 	if p.trace != nil && (e != nil || st.defaultFn != nil) {
 		// Postcard-sampled packet: record the executed hop. Pure misses (no
@@ -575,10 +579,10 @@ func (t *Table) Apply(p *PHV) bool {
 		p.trace.hop(h)
 	}
 	if fn == nil {
-		return false
+		return e, false
 	}
 	fn(p, params)
-	return true
+	return e, true
 }
 
 // lookup probes the groups in descending maxPrio, one hash probe each, and
@@ -629,11 +633,6 @@ func (t *Table) Capacity() int { return t.capacity }
 
 // Free returns the remaining entry capacity.
 func (t *Table) Free() int { return t.capacity - t.state.Load().count }
-
-// Stats returns cumulative hit and miss counters.
-func (t *Table) Stats() (hits, misses uint64) {
-	return t.hits.Load(), t.misses.Load()
-}
 
 // OwnerHits sums the direct counters of every entry a program owns — the
 // control plane's per-program monitoring primitive.

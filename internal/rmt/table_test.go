@@ -70,9 +70,8 @@ func TestTableInsertLookupDelete(t *testing.T) {
 	if phv.Get("out") != 42 {
 		t.Errorf("out = %d", phv.Get("out"))
 	}
-	hits, misses := tbl.Stats()
-	if hits != 1 || misses != 0 {
-		t.Errorf("stats = %d/%d", hits, misses)
+	if es := tbl.Entries(); len(es) != 1 || es[0].Hits() != 1 || tbl.OwnerHits("p1") != 1 {
+		t.Errorf("%d entries, owner hits %d, want one entry with 1 hit", len(es), tbl.OwnerHits("p1"))
 	}
 	if err := tbl.Delete(id); err != nil {
 		t.Fatal(err)
@@ -388,7 +387,6 @@ func runOracle(t *testing.T, seed int64, sh oracleShape, cov *oracleCoverage) {
 	tables := []*Table{declared, generic}
 
 	var model []*oracleEntry
-	var hits, misses uint64
 	owner := func() string { return fmt.Sprintf("o%d", rng.Intn(sh.owners)) }
 	remove := func(drop func(*oracleEntry) bool) {
 		kept := model[:0]
@@ -470,15 +468,12 @@ func runOracle(t *testing.T, seed int64, sh oracleShape, cov *oracleCoverage) {
 			if e := oracleMatch(model, vals); e != nil {
 				want = uint32(e.id)
 				e.hits++
-				hits++
 				for _, o := range model {
 					if o != e && o.prio == e.prio && o.tuple != e.tuple && o.matches(vals) {
 						cov.crossTies++
 						break
 					}
 				}
-			} else {
-				misses++
 			}
 			for _, tbl := range tables {
 				for i, f := range fields {
@@ -495,17 +490,22 @@ func runOracle(t *testing.T, seed int64, sh oracleShape, cov *oracleCoverage) {
 		}
 	}
 	for _, tbl := range tables {
-		if h, m := tbl.Stats(); h != hits || m != misses {
-			t.Fatalf("seed %d: %s hits=%d misses=%d, oracle %d/%d", seed, tbl.Name, h, m, hits, misses)
-		}
 		installed := tbl.Entries()
 		if len(installed) != len(model) || tbl.Len() != len(model) {
 			t.Fatalf("seed %d: %s holds %d entries (Len %d), oracle %d", seed, tbl.Name, len(installed), tbl.Len(), len(model))
 		}
+		ownerHits := make(map[string]uint64)
 		for i, e := range installed { // both ordered by ID
 			if e.ID != model[i].id || e.Owner != model[i].owner || e.Hits() != model[i].hits {
 				t.Fatalf("seed %d: %s entry %d owner %s hits %d, oracle entry %d owner %s hits %d",
 					seed, tbl.Name, e.ID, e.Owner, e.Hits(), model[i].id, model[i].owner, model[i].hits)
+			}
+			ownerHits[e.Owner] += model[i].hits
+		}
+		for o := 0; o < sh.owners; o++ {
+			owner := fmt.Sprintf("o%d", o)
+			if got := tbl.OwnerHits(owner); got != ownerHits[owner] {
+				t.Fatalf("seed %d: %s OwnerHits(%s) = %d, oracle %d", seed, tbl.Name, owner, got, ownerHits[owner])
 			}
 		}
 	}
