@@ -5,11 +5,14 @@
 package main
 
 import (
+	"context"
+	"encoding/hex"
 	"fmt"
 	"log"
 
 	"p4runpro"
 	"p4runpro/internal/pkt"
+	"p4runpro/internal/wire"
 )
 
 const calcSrc = `
@@ -58,20 +61,26 @@ func main() {
 		SrcPort: 1234, DstPort: pkt.PortCalculator, Proto: pkt.ProtoUDP,
 	}
 	frame := pkt.NewCalc(flow, pkt.CalcAdd, 19, 23).Marshal()
-	res, err := client.Inject(frame, 7)
+	ctx := context.Background()
+	res, err := wire.Call[wire.InjectResult](ctx, client, wire.MethodInject,
+		wire.InjectParams{FrameHex: hex.EncodeToString(frame), Port: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("inject: verdict=%s out=%d passes=%d\n", res.Verdict, res.OutPort, res.Passes)
 
 	// Parse the returned frame to read the computed result.
-	reply, err := pkt.Parse(mustHex(res.FrameHex))
+	out, err := hex.DecodeString(res.FrameHex)
+	if err != nil {
+		log.Fatal(err)
+	}
+	reply, err := pkt.Parse(out)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("calculator says 19 + 23 = %d\n", reply.Calc.Result)
 
-	progs, err := client.Programs()
+	progs, err := wire.Call[[]wire.ProgramInfo](ctx, client, wire.MethodPrograms, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,22 +93,4 @@ func main() {
 	}
 	status, _ := client.Status()
 	fmt.Println(status)
-}
-
-func mustHex(s string) []byte {
-	b := make([]byte, len(s)/2)
-	for i := 0; i < len(b); i++ {
-		b[i] = hexVal(s[2*i])<<4 | hexVal(s[2*i+1])
-	}
-	return b
-}
-
-func hexVal(c byte) byte {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0'
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10
-	}
-	return c - 'A' + 10
 }

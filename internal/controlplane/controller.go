@@ -329,9 +329,8 @@ func (ct *Controller) ReadMemory(program, mem string, vaddr uint32) (v uint32, e
 func (ct *Controller) ReadMemoryRange(program, mem string, start, n uint32) (vals []uint32, err error) {
 	t0 := time.Now()
 	defer func() { observeOp(ct.mMemOpNs, ct.cMemOpOK, ct.cMemOpErr, t0, err) }()
-	out := make([]uint32, 0, n)
 	if n == 0 {
-		return out, nil
+		return []uint32{}, nil
 	}
 	rpb, paddr, err := ct.Compiler.Mgr.Translate(program, mem, start)
 	if err != nil {

@@ -11,6 +11,7 @@
 package faults_test
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -177,7 +178,7 @@ func TestChaosEveryPoint(t *testing.T) {
 					t.Fatalf("retry after disarm: %v", err)
 				}
 			}
-			if err := cl.WriteMemory("chaosa", "amem", 3, 77); err != nil {
+			if _, err := cl.Do(context.Background(), wire.MethodMemWrite, wire.MemWriteParams{Program: "chaosa", Mem: "amem", Addr: 3, Value: 77}, nil); err != nil {
 				t.Fatalf("post-fault memwrite: %v", err)
 			}
 

@@ -656,7 +656,7 @@ func TestFleetTopOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	res, err := c.FleetTop()
+	res, err := wire.Call[wire.TelemetryProgramsResult](ctx, c, wire.MethodFleetTop, nil)
 	if err != nil {
 		t.Fatalf("fleet.top: %v", err)
 	}

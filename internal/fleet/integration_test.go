@@ -175,11 +175,11 @@ func TestFleetServedOverWire(t *testing.T) {
 	}
 	t.Cleanup(func() { c.Close() })
 
-	res, err := c.FleetDeploy(counterSrc, 0)
+	res, err := wire.Call[[]wire.FleetDeployResult](ctx, c, wire.MethodFleetDeploy, wire.FleetDeployParams{Source: counterSrc})
 	if err != nil || len(res) != 1 || len(res[0].Members) != 2 {
 		t.Fatalf("fleet deploy over wire = %+v, %v", res, err)
 	}
-	members, err := c.FleetMembers()
+	members, err := wire.Call[[]wire.FleetMemberInfo](ctx, c, wire.MethodFleetMembers, nil)
 	if err != nil || len(members) != 3 {
 		t.Fatalf("fleet members = %+v, %v", members, err)
 	}
@@ -188,15 +188,15 @@ func TestFleetServedOverWire(t *testing.T) {
 			t.Errorf("member %s state = %s", m.Name, m.State)
 		}
 	}
-	progs, err := c.FleetPrograms()
+	progs, err := wire.Call[[]wire.FleetProgramInfo](ctx, c, wire.MethodFleetPrograms, nil)
 	if err != nil || len(progs) != 1 || progs[0].Replicas != 2 {
 		t.Fatalf("fleet programs = %+v, %v", progs, err)
 	}
-	util, err := c.FleetUtilization()
+	util, err := wire.Call[[]wire.FleetUtilRow](ctx, c, wire.MethodFleetUtilization, nil)
 	if err != nil || len(util) != 3 {
 		t.Fatalf("fleet utilization = %d rows, %v", len(util), err)
 	}
-	mem, err := c.FleetMemRead("counter", "m", 0, 8, "")
+	mem, err := wire.Call[wire.FleetMemReadResult](ctx, c, wire.MethodFleetMemRead, wire.FleetMemReadParams{Program: "counter", Mem: "m", Count: 8})
 	if err != nil || mem.Replicas != 2 || len(mem.Values) != 8 {
 		t.Fatalf("fleet memread = %+v, %v", mem, err)
 	}
@@ -209,15 +209,15 @@ func TestFleetServedOverWire(t *testing.T) {
 		t.Errorf("bare server served deploy: %v", err)
 	}
 	// Metrics verb serves the fleet registry.
-	body, err := c.Metrics("")
-	if err != nil || !strings.Contains(body, "p4runpro_fleet_members") {
+	scrape, err := wire.Call[wire.MetricsResult](ctx, c, wire.MethodMetrics, wire.MetricsParams{})
+	if err != nil || !strings.Contains(scrape.Body, "p4runpro_fleet_members") {
 		t.Fatalf("fleet metrics scrape: %v", err)
 	}
-	rev, err := c.FleetRevoke("counter")
+	rev, err := wire.Call[wire.FleetRevokeResult](ctx, c, wire.MethodFleetRevoke, wire.FleetRevokeParams{Name: "counter"})
 	if err != nil || len(rev.Members) != 2 {
 		t.Fatalf("fleet revoke = %+v, %v", rev, err)
 	}
-	if progs, _ := c.FleetPrograms(); len(progs) != 0 {
+	if progs, _ := wire.Call[[]wire.FleetProgramInfo](ctx, c, wire.MethodFleetPrograms, nil); len(progs) != 0 {
 		t.Errorf("programs after revoke = %+v", progs)
 	}
 }

@@ -64,7 +64,7 @@ func TestDistributedTraceAcrossFleetTCP(t *testing.T) {
 	}
 	t.Cleanup(func() { c.Close() })
 
-	res, err := c.FleetDeploy(counterSrc, 3)
+	res, err := wire.Call[[]wire.FleetDeployResult](ctx, c, wire.MethodFleetDeploy, wire.FleetDeployParams{Source: counterSrc, Replicas: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,8 @@ func TestDistributedTraceAcrossFleetTCP(t *testing.T) {
 	}
 
 	// A traced rollout carries its trace to every member's upgrade verbs.
-	if _, err := c.FleetUpgrade(wire.FleetUpgradeParams{Name: "counter", Source: counterV2Src, SoakMs: 1, StageSize: 3}); err != nil {
+	upgrade := wire.FleetUpgradeParams{Name: "counter", Source: counterV2Src, SoakMs: 1, StageSize: 3}
+	if _, err := wire.Call[wire.FleetUpgradeResult](ctx, c, wire.MethodFleetUpgrade, upgrade); err != nil {
 		t.Fatal(err)
 	}
 	upg := cliTr.Recent(1)

@@ -146,9 +146,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // Fault-injection points (see internal/faults): armed by chaos tests to
 // prove append and sync failures surface cleanly and never corrupt state.
 var (
-	fpAppend      = faults.Register("journal.append")
-	fpSync        = faults.Register("journal.sync")
-	fpGroupCommit = faults.Register("journal.groupcommit")
+	fpAppend = faults.Register("journal.append")
+	fpSync   = faults.Register("journal.sync")
 )
 
 // EncodeRecord frames one record: length prefix, CRC32-Castagnoli, JSON
@@ -312,12 +311,6 @@ type Journal struct {
 	size   int64  // bytes in the active segment
 	closed bool
 
-	// group is the open commit group under SyncAlways: a leader that has
-	// not yet started its flush. Appenders whose frames are buffered while
-	// a group is open join it (the leader's fsync covers them) instead of
-	// paying their own. Guarded by mu.
-	group *syncGroup
-
 	tickStop chan struct{}
 	tickDone chan struct{}
 }
@@ -464,14 +457,6 @@ func readSegment(path string, truncateTail bool) (recs []Record, truncated bool,
 // Dir returns the journal's directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// syncGroup is one group commit in flight: every appender whose frame the
-// leader's fsync covers waits on done and shares err.
-type syncGroup struct {
-	done chan struct{}
-	err  error
-	n    int // appends coalesced (metrics)
-}
-
 // Append frames rec and writes it to the active segment, syncing according
 // to policy. The record is durable (per policy) when Append returns — the
 // caller applies the mutation only afterwards (write-ahead discipline).
@@ -525,7 +510,6 @@ func (j *Journal) appendFrames(buf []byte, n int) error {
 	var err error
 	switch j.opt.Sync {
 	case SyncAlways:
-		// commitLocked may release and retake mu; it returns with mu held.
 		err = j.commitLocked(n)
 	case SyncNone:
 		if ferr := j.w.Flush(); ferr != nil {
@@ -543,48 +527,25 @@ func (j *Journal) appendFrames(buf []byte, n int) error {
 	return err
 }
 
-// commitLocked makes the caller's buffered frames durable via group
-// commit: if a group is open (its leader has not started flushing), the
-// caller's frames — already buffered under mu — will be covered by that
-// leader's flush+fsync, so the caller just waits for it. Otherwise the
-// caller leads a new group: it closes the group and performs one
-// flush+fsync on behalf of every member. The leader holds mu from opening
-// the group through the flush, so today no follower enrolls; the follower
-// path is for a leader that syncs with mu released. Caller must hold j.mu;
-// returns with j.mu held.
+// commitLocked makes the n appends buffered under the caller's hold of mu
+// durable as one group commit: one flush+fsync covers them all. Caller must
+// hold j.mu.
 func (j *Journal) commitLocked(n int) error {
-	if g := j.group; g != nil {
-		g.n += n
-		j.mu.Unlock()
-		<-g.done
-		j.mu.Lock()
-		return g.err
-	}
-	g := &syncGroup{done: make(chan struct{}), n: n}
-	j.group = g
-	j.group = nil // close enrollment; the flush below covers every member
 	start := time.Now()
-	if j.closed {
-		g.err = ErrClosed
-	} else if err := fpGroupCommit.Check(); err != nil {
-		g.err = fmt.Errorf("journal: group commit: %w", err)
-	} else {
-		g.err = j.syncLocked()
-	}
-	if g.err == nil && j.met != nil {
+	err := j.syncLocked()
+	if err == nil && j.met != nil {
 		j.met.cGroups.Inc()
-		j.met.hGroupSize.Observe(uint64(g.n))
+		j.met.hGroupSize.Observe(uint64(n))
 	}
 	if fr := j.opt.Flight; fr != nil {
 		ev := trace.Event{Kind: trace.EvJournalSync, Name: "group-commit",
-			Detail: strconv.Itoa(g.n) + " append(s)", Dur: time.Since(start)}
-		if g.err != nil {
-			ev.Err = g.err.Error()
+			Detail: strconv.Itoa(n) + " append(s)", Dur: time.Since(start)}
+		if err != nil {
+			ev.Err = err.Error()
 		}
 		fr.Record(ev)
 	}
-	close(g.done)
-	return g.err
+	return err
 }
 
 // Sync flushes buffered appends and fsyncs the active segment.

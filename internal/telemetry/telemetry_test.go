@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net"
@@ -315,8 +316,8 @@ func startWireServer(t *testing.T, ct *controlplane.Controller, eng *Engine) (st
 	return addr, c
 }
 
-// TestWireRoundTrip: both telemetry verbs survive the wire with their typed
-// client methods, matching the engine's local view.
+// TestWireRoundTrip: both telemetry verbs survive the wire as typed
+// wire.Call results, matching the engine's local view.
 func TestWireRoundTrip(t *testing.T) {
 	ct := newController(t)
 	deploy(t, ct, progA)
@@ -324,6 +325,7 @@ func TestWireRoundTrip(t *testing.T) {
 	eng := New(ct, Options{Interval: time.Hour})
 	_, c := startWireServer(t, ct, eng)
 
+	ctx := context.Background()
 	eng.Sweep()
 	for i := 0; i < 50; i++ {
 		ct.SW.Inject(udpTo(pkt.IP(10, 1, 1, byte(i)), uint16(i)), 2)
@@ -331,7 +333,7 @@ func TestWireRoundTrip(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	eng.Sweep()
 
-	progs, err := c.TelemetryPrograms()
+	progs, err := wire.Call[wire.TelemetryProgramsResult](ctx, c, wire.MethodTelemetryPrograms, nil)
 	if err != nil {
 		t.Fatalf("telemetry.programs: %v", err)
 	}
@@ -345,7 +347,7 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("result metadata: sweeps=%d intervalMs=%d", progs.Sweeps, progs.IntervalMs)
 	}
 
-	pcs, err := c.TelemetryPostcards("", 5)
+	pcs, err := wire.Call[wire.TelemetryPostcardsResult](ctx, c, wire.MethodTelemetryPostcards, wire.TelemetryPostcardsParams{Limit: 5})
 	if err != nil {
 		t.Fatalf("telemetry.postcards: %v", err)
 	}
@@ -356,7 +358,7 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("postcard lost detail over wire: %+v", pcs.Postcards[0])
 	}
 	// Owner filter crosses the wire too.
-	none, err := c.TelemetryPostcards("nosuch", 0)
+	none, err := wire.Call[wire.TelemetryPostcardsResult](ctx, c, wire.MethodTelemetryPostcards, wire.TelemetryPostcardsParams{Owner: "nosuch"})
 	if err != nil {
 		t.Fatalf("filtered postcards: %v", err)
 	}

@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -14,7 +13,9 @@ import (
 	"p4runpro/internal/obs/trace"
 )
 
-// Client is a typed client for the control protocol.
+// Client is a connection to a control-protocol server. Every verb goes
+// through Do, typed with Call; the few named methods left are the calls
+// the benchmark harness makes.
 type Client struct {
 	addr        string
 	dialTimeout time.Duration
@@ -140,14 +141,13 @@ func (c *Client) Close() error {
 	return err
 }
 
-// Do performs one RPC round trip — the single entry every typed method
-// goes through, and the escape hatch for verbs without one. ctx carries
-// the caller's trace, if any; params (nil for none) is marshalled into the
-// request and the response's result unmarshalled into result (nil to
-// discard it); reqFrames travel as binary frames behind the request line,
-// and the frames the response carried are returned. Transport failures
-// reconnect and retry when a retry policy is set; a server-reported
-// *OpError never does.
+// Do performs one RPC round trip — the single entry every verb goes
+// through. ctx carries the caller's trace, if any; params (nil for none)
+// is marshalled into the request and the response's result unmarshalled
+// into result (nil to discard it); reqFrames travel as binary frames
+// behind the request line, and the frames the response carried are
+// returned. Transport failures reconnect and retry when a retry policy is
+// set; a server-reported *OpError never does.
 func (c *Client) Do(ctx context.Context, method string, params, result any, reqFrames ...[]byte) ([][]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -185,7 +185,7 @@ type Doer interface {
 }
 
 // Call is Do for a verb answering with one typed result and no frames —
-// the shape of nearly every verb, so each typed method is one line over it.
+// the shape of nearly every verb.
 func Call[R any](ctx context.Context, c Doer, method string, params any) (R, error) {
 	var out R
 	_, err := c.Do(ctx, method, params, &out)
@@ -301,12 +301,7 @@ func (c *Client) readResponse() (Response, [][]byte, bool, error) {
 
 // Deploy links P4runpro source on the remote switch.
 func (c *Client) Deploy(source string) ([]DeployResult, error) {
-	return c.DeployCtx(context.Background(), source)
-}
-
-// DeployCtx is Deploy under the trace carried by ctx.
-func (c *Client) DeployCtx(ctx context.Context, source string) ([]DeployResult, error) {
-	return Call[[]DeployResult](ctx, c, MethodDeploy, DeployParams{Source: source})
+	return Call[[]DeployResult](context.Background(), c, MethodDeploy, DeployParams{Source: source})
 }
 
 // Revoke unlinks a remote program.
@@ -314,168 +309,7 @@ func (c *Client) Revoke(name string) (RevokeResult, error) {
 	return Call[RevokeResult](context.Background(), c, MethodRevoke, RevokeParams{Name: name})
 }
 
-// Programs lists remote programs.
-func (c *Client) Programs() ([]ProgramInfo, error) {
-	return Call[[]ProgramInfo](context.Background(), c, MethodPrograms, nil)
-}
-
-// ReadMemory reads a remote virtual memory range.
-func (c *Client) ReadMemory(program, mem string, addr, count uint32) ([]uint32, error) {
-	return Call[[]uint32](context.Background(), c, MethodMemRead, MemReadParams{Program: program, Mem: mem, Addr: addr, Count: count})
-}
-
-// WriteMemory writes one remote bucket.
-func (c *Client) WriteMemory(program, mem string, addr, value uint32) error {
-	_, err := c.Do(context.Background(), MethodMemWrite, MemWriteParams{Program: program, Mem: mem, Addr: addr, Value: value}, nil)
-	return err
-}
-
-// Utilization fetches per-RPB usage.
-func (c *Client) Utilization() ([]UtilizationRow, error) {
-	return Call[[]UtilizationRow](context.Background(), c, MethodUtilization, nil)
-}
-
-// Inject sends one frame through the remote switch.
-func (c *Client) Inject(frame []byte, port int) (InjectResult, error) {
-	return Call[InjectResult](context.Background(), c, MethodInject, InjectParams{FrameHex: hex.EncodeToString(frame), Port: port})
-}
-
 // Status fetches the controller status line.
 func (c *Client) Status() (string, error) {
 	return Call[string](context.Background(), c, MethodStatus, nil)
-}
-
-// AddCases extends a running remote program's BRANCH with new case blocks.
-func (c *Client) AddCases(program string, branchDepth int, source string) (AddCasesResult, error) {
-	return Call[AddCasesResult](context.Background(), c, MethodAddCases, AddCasesParams{Program: program, BranchDepth: branchDepth, Source: source})
-}
-
-// RemoveCase removes a runtime-added case from a remote program.
-func (c *Client) RemoveCase(program string, branchID int) error {
-	_, err := c.Do(context.Background(), MethodRemoveCase, RemoveCaseParams{Program: program, BranchID: branchID}, nil)
-	return err
-}
-
-// Metrics scrapes the daemon's metrics registry. format is
-// MetricsFormatPrometheus (the default when empty) or MetricsFormatJSON;
-// the returned string is the rendered exposition body.
-func (c *Client) Metrics(format string) (string, error) {
-	out, err := Call[MetricsResult](context.Background(), c, MethodMetrics, MetricsParams{Format: format})
-	return out.Body, err
-}
-
-// SetMulticastGroup configures a remote multicast replication group.
-func (c *Client) SetMulticastGroup(group int, ports []int) error {
-	_, err := c.Do(context.Background(), MethodMcastSet, McastSetParams{Group: group, Ports: ports}, nil)
-	return err
-}
-
-// Snapshot asks the daemon to commit a write-ahead journal snapshot and
-// compact its segments. Fails if the daemon runs without -wal.
-func (c *Client) Snapshot() (SnapshotResult, error) {
-	return Call[SnapshotResult](context.Background(), c, MethodSnapshot, nil)
-}
-
-// UpgradeStart links program's v2 source alongside the running v1 on the
-// remote switch and installs the version gate (still serving v1).
-func (c *Client) UpgradeStart(program, source string) (UpgradeStatusResult, error) {
-	return Call[UpgradeStatusResult](context.Background(), c, MethodUpgradeStart, UpgradeStartParams{Program: program, Source: source})
-}
-
-// UpgradeCutover atomically flips which version new packets run (1 or 2).
-func (c *Client) UpgradeCutover(program string, version int) (UpgradeStatusResult, error) {
-	return Call[UpgradeStatusResult](context.Background(), c, MethodUpgradeCutover, UpgradeCutoverParams{Program: program, Version: version})
-}
-
-// UpgradeCommit finishes a cut-over upgrade: v2 takes the program name, v1
-// is retired.
-func (c *Client) UpgradeCommit(program string) (UpgradeStatusResult, error) {
-	return Call[UpgradeStatusResult](context.Background(), c, MethodUpgradeCommit, UpgradeNameParams{Program: program})
-}
-
-// UpgradeAbort rolls an in-flight upgrade back to pure v1.
-func (c *Client) UpgradeAbort(program string) (UpgradeStatusResult, error) {
-	return Call[UpgradeStatusResult](context.Background(), c, MethodUpgradeAbort, UpgradeNameParams{Program: program})
-}
-
-// UpgradeStatus snapshots a remote upgrade session plus the switch-wide
-// packet/drop counters health gating samples.
-func (c *Client) UpgradeStatus(program string) (UpgradeStatusResult, error) {
-	return Call[UpgradeStatusResult](context.Background(), c, MethodUpgradeStatus, UpgradeNameParams{Program: program})
-}
-
-// FleetUpgrade runs a health-gated rolling upgrade on a fleet daemon.
-func (c *Client) FleetUpgrade(p FleetUpgradeParams) (FleetUpgradeResult, error) {
-	return Call[FleetUpgradeResult](context.Background(), c, MethodFleetUpgrade, p)
-}
-
-// FleetDeploy places source on a fleet daemon with the given replica count
-// (0 uses the fleet default).
-func (c *Client) FleetDeploy(source string, replicas int) ([]FleetDeployResult, error) {
-	return Call[[]FleetDeployResult](context.Background(), c, MethodFleetDeploy, FleetDeployParams{Source: source, Replicas: replicas})
-}
-
-// FleetRevoke removes a program's deployment unit fleet-wide.
-func (c *Client) FleetRevoke(name string) (FleetRevokeResult, error) {
-	return Call[FleetRevokeResult](context.Background(), c, MethodFleetRevoke, FleetRevokeParams{Name: name})
-}
-
-// FleetPrograms lists the fleet's fan-in program view.
-func (c *Client) FleetPrograms() ([]FleetProgramInfo, error) {
-	return Call[[]FleetProgramInfo](context.Background(), c, MethodFleetPrograms, nil)
-}
-
-// FleetMembers lists member health and occupancy.
-func (c *Client) FleetMembers() ([]FleetMemberInfo, error) {
-	return Call[[]FleetMemberInfo](context.Background(), c, MethodFleetMembers, nil)
-}
-
-// FleetUtilization fetches per-member, per-RPB usage.
-func (c *Client) FleetUtilization() ([]FleetUtilRow, error) {
-	return Call[[]FleetUtilRow](context.Background(), c, MethodFleetUtilization, nil)
-}
-
-// TelemetryPrograms fetches one scrape of the daemon's telemetry sweep
-// engine: per-program windowed rates plus switch-wide rates.
-func (c *Client) TelemetryPrograms() (TelemetryProgramsResult, error) {
-	return Call[TelemetryProgramsResult](context.Background(), c, MethodTelemetryPrograms, nil)
-}
-
-// TelemetryPostcards fetches up to limit sampled packet postcards, oldest
-// first, optionally filtered to packets that matched entries of owner.
-func (c *Client) TelemetryPostcards(owner string, limit int) (TelemetryPostcardsResult, error) {
-	return Call[TelemetryPostcardsResult](context.Background(), c, MethodTelemetryPostcards, TelemetryPostcardsParams{Owner: owner, Limit: limit})
-}
-
-// FleetTop fetches the fleet-wide fan-in of per-program telemetry, merged
-// across reachable members.
-func (c *Client) FleetTop() (TelemetryProgramsResult, error) {
-	return Call[TelemetryProgramsResult](context.Background(), c, MethodFleetTop, nil)
-}
-
-// FleetMemRead reads a program's virtual memory across its replicas,
-// aggregated by agg (FleetAggSum when empty).
-func (c *Client) FleetMemRead(program, mem string, addr, count uint32, agg string) (FleetMemReadResult, error) {
-	return Call[FleetMemReadResult](context.Background(), c, MethodFleetMemRead, FleetMemReadParams{Program: program, Mem: mem, Addr: addr, Count: count, Agg: agg})
-}
-
-// DebugOps lists the daemon's recent (or, with p.Slow, slowest) traces.
-func (c *Client) DebugOps(p OpsParams) (OpsResult, error) {
-	return Call[OpsResult](context.Background(), c, MethodDebugOps, p)
-}
-
-// DebugTrace fetches one trace by its 32-hex ID.
-func (c *Client) DebugTrace(id string) (TraceJSON, error) {
-	return Call[TraceJSON](context.Background(), c, MethodDebugTrace, TraceGetParams{ID: id})
-}
-
-// DebugFlightrec dumps the daemon's flight recorder.
-func (c *Client) DebugFlightrec() (FlightRecResult, error) {
-	return Call[FlightRecResult](context.Background(), c, MethodDebugFlightrec, nil)
-}
-
-// FleetOps lists traces merged across the fleet: the aggregator's own
-// unioned with every reachable member's, stitched by trace ID.
-func (c *Client) FleetOps(p OpsParams) (OpsResult, error) {
-	return Call[OpsResult](context.Background(), c, MethodFleetOps, p)
 }

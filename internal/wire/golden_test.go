@@ -142,54 +142,79 @@ func TestGoldenClientRequests(t *testing.T) {
 	var cp wiretest.Capture
 	rec, c := dialRecorder(t)
 	writes := []wire.MemWriteEntry{{Addr: 1, Value: 10}, {Addr: 2, Value: 0xdeadbeef}, {Addr: 10, Value: 10}}
-	remote := trace.ContextWithRemote(context.Background(), fixedSC)
+	bg := context.Background()
+	remote := trace.ContextWithRemote(bg, fixedSC)
+	// do makes one call whose result only the recorder sees.
+	do := func(ctx context.Context, method string, params any) error {
+		_, err := c.Do(ctx, method, params, nil)
+		return err
+	}
 
 	calls := []struct {
 		name string
 		call func() error
 	}{
 		{"Deploy", func() error { _, err := c.Deploy(goldenCounter); return err }},
-		{"DeployCtx/untraced", func() error { _, err := c.DeployCtx(context.Background(), goldenCounter); return err }},
-		{"DeployCtx/remote-parent", func() error { _, err := c.DeployCtx(remote, goldenCounter); return err }},
+		{"DeployCtx/untraced", func() error { return do(bg, wire.MethodDeploy, wire.DeployParams{Source: goldenCounter}) }},
+		{"DeployCtx/remote-parent", func() error { return do(remote, wire.MethodDeploy, wire.DeployParams{Source: goldenCounter}) }},
 		{"Revoke", func() error { _, err := c.Revoke("counter"); return err }},
-		{"Programs", func() error { _, err := c.Programs(); return err }},
-		{"ReadMemory", func() error { _, err := c.ReadMemory("counter", "m", 4, 16); return err }},
-		{"WriteMemory", func() error { return c.WriteMemory("counter", "m", 5, 42) }},
-		{"Utilization", func() error { _, err := c.Utilization(); return err }},
-		{"Inject", func() error { _, err := c.Inject([]byte{0xde, 0xad, 0xbe, 0xef, 0x0a}, 4); return err }},
+		{"Programs", func() error { return do(bg, wire.MethodPrograms, nil) }},
+		{"ReadMemory", func() error {
+			return do(bg, wire.MethodMemRead, wire.MemReadParams{Program: "counter", Mem: "m", Addr: 4, Count: 16})
+		}},
+		{"WriteMemory", func() error {
+			return do(bg, wire.MethodMemWrite, wire.MemWriteParams{Program: "counter", Mem: "m", Addr: 5, Value: 42})
+		}},
+		{"Utilization", func() error { return do(bg, wire.MethodUtilization, nil) }},
+		{"Inject", func() error { return do(bg, wire.MethodInject, wire.InjectParams{FrameHex: "deadbeef0a", Port: 4}) }},
 		{"Status", func() error { _, err := c.Status(); return err }},
-		{"AddCases", func() error { _, err := c.AddCases("cache", 4, goldenCase); return err }},
-		{"RemoveCase", func() error { return c.RemoveCase("cache", 3) }},
-		{"Metrics/default", func() error { _, err := c.Metrics(""); return err }},
-		{"Metrics/json", func() error { _, err := c.Metrics(wire.MetricsFormatJSON); return err }},
-		{"SetMulticastGroup", func() error { return c.SetMulticastGroup(7, []int{1, 2, 3}) }},
-		{"Snapshot", func() error { _, err := c.Snapshot(); return err }},
-		{"UpgradeStart", func() error { _, err := c.UpgradeStart("fwd", goldenFwdV2); return err }},
-		{"UpgradeCutover", func() error { _, err := c.UpgradeCutover("fwd", 2); return err }},
-		{"UpgradeCommit", func() error { _, err := c.UpgradeCommit("fwd"); return err }},
-		{"UpgradeAbort", func() error { _, err := c.UpgradeAbort("fwd"); return err }},
-		{"UpgradeStatus", func() error { _, err := c.UpgradeStatus("fwd"); return err }},
+		{"AddCases", func() error {
+			return do(bg, wire.MethodAddCases, wire.AddCasesParams{Program: "cache", BranchDepth: 4, Source: goldenCase})
+		}},
+		{"RemoveCase", func() error {
+			return do(bg, wire.MethodRemoveCase, wire.RemoveCaseParams{Program: "cache", BranchID: 3})
+		}},
+		{"Metrics/default", func() error { return do(bg, wire.MethodMetrics, wire.MetricsParams{}) }},
+		{"Metrics/json", func() error { return do(bg, wire.MethodMetrics, wire.MetricsParams{Format: wire.MetricsFormatJSON}) }},
+		{"SetMulticastGroup", func() error { return do(bg, wire.MethodMcastSet, wire.McastSetParams{Group: 7, Ports: []int{1, 2, 3}}) }},
+		{"Snapshot", func() error { return do(bg, wire.MethodSnapshot, nil) }},
+		{"UpgradeStart", func() error {
+			return do(bg, wire.MethodUpgradeStart, wire.UpgradeStartParams{Program: "fwd", Source: goldenFwdV2})
+		}},
+		{"UpgradeCutover", func() error {
+			return do(bg, wire.MethodUpgradeCutover, wire.UpgradeCutoverParams{Program: "fwd", Version: 2})
+		}},
+		{"UpgradeCommit", func() error { return do(bg, wire.MethodUpgradeCommit, wire.UpgradeNameParams{Program: "fwd"}) }},
+		{"UpgradeAbort", func() error { return do(bg, wire.MethodUpgradeAbort, wire.UpgradeNameParams{Program: "fwd"}) }},
+		{"UpgradeStatus", func() error { return do(bg, wire.MethodUpgradeStatus, wire.UpgradeNameParams{Program: "fwd"}) }},
 		{"FleetUpgrade", func() error {
-			_, err := c.FleetUpgrade(wire.FleetUpgradeParams{Name: "fwd", Source: goldenFwdV2, Canaries: 1,
+			return do(bg, wire.MethodFleetUpgrade, wire.FleetUpgradeParams{Name: "fwd", Source: goldenFwdV2, Canaries: 1,
 				StageSize: 2, SoakMs: 50, MaxDropRate: 0.5, MinV2PPS: 1.5, Retries: 2, RetryBackoffMs: 5})
-			return err
 		}},
-		{"FleetDeploy", func() error { _, err := c.FleetDeploy(goldenCounter, 2); return err }},
-		{"FleetRevoke", func() error { _, err := c.FleetRevoke("counter"); return err }},
-		{"FleetPrograms", func() error { _, err := c.FleetPrograms(); return err }},
-		{"FleetMembers", func() error { _, err := c.FleetMembers(); return err }},
-		{"FleetUtilization", func() error { _, err := c.FleetUtilization(); return err }},
-		{"FleetTop", func() error { _, err := c.FleetTop(); return err }},
-		{"FleetMemRead", func() error { _, err := c.FleetMemRead("counter", "m", 0, 8, wire.FleetAggMax); return err }},
+		{"FleetDeploy", func() error {
+			return do(bg, wire.MethodFleetDeploy, wire.FleetDeployParams{Source: goldenCounter, Replicas: 2})
+		}},
+		{"FleetRevoke", func() error { return do(bg, wire.MethodFleetRevoke, wire.FleetRevokeParams{Name: "counter"}) }},
+		{"FleetPrograms", func() error { return do(bg, wire.MethodFleetPrograms, nil) }},
+		{"FleetMembers", func() error { return do(bg, wire.MethodFleetMembers, nil) }},
+		{"FleetUtilization", func() error { return do(bg, wire.MethodFleetUtilization, nil) }},
+		{"FleetTop", func() error { return do(bg, wire.MethodFleetTop, nil) }},
+		{"FleetMemRead", func() error {
+			return do(bg, wire.MethodFleetMemRead,
+				wire.FleetMemReadParams{Program: "counter", Mem: "m", Addr: 0, Count: 8, Agg: wire.FleetAggMax})
+		}},
 		{"FleetOps", func() error {
-			_, err := c.FleetOps(wire.OpsParams{Slow: true, Verb: "fleet.deploy", Limit: 3})
-			return err
+			return do(bg, wire.MethodFleetOps, wire.OpsParams{Slow: true, Verb: "fleet.deploy", Limit: 3})
 		}},
-		{"TelemetryPrograms", func() error { _, err := c.TelemetryPrograms(); return err }},
-		{"TelemetryPostcards", func() error { _, err := c.TelemetryPostcards("counter", 5); return err }},
-		{"DebugOps", func() error { _, err := c.DebugOps(wire.OpsParams{Limit: 2}); return err }},
-		{"DebugTrace", func() error { _, err := c.DebugTrace("0123456789abcdef0123456789abcdef"); return err }},
-		{"DebugFlightrec", func() error { _, err := c.DebugFlightrec(); return err }},
+		{"TelemetryPrograms", func() error { return do(bg, wire.MethodTelemetryPrograms, nil) }},
+		{"TelemetryPostcards", func() error {
+			return do(bg, wire.MethodTelemetryPostcards, wire.TelemetryPostcardsParams{Owner: "counter", Limit: 5})
+		}},
+		{"DebugOps", func() error { return do(bg, wire.MethodDebugOps, wire.OpsParams{Limit: 2}) }},
+		{"DebugTrace", func() error {
+			return do(bg, wire.MethodDebugTrace, wire.TraceGetParams{ID: "0123456789abcdef0123456789abcdef"})
+		}},
+		{"DebugFlightrec", func() error { return do(bg, wire.MethodDebugFlightrec, nil) }},
 		{"Do/untraced", func() error {
 			_, err := c.Do(context.Background(), "x.custom", map[string]int{"n": 1}, nil)
 			return err
@@ -231,7 +256,10 @@ func TestGoldenClientRequests(t *testing.T) {
 		call func() error
 	}{
 		{"traced/Deploy", func() error { _, err := tc.Deploy(goldenCounter); return err }},
-		{"traced/DeployCtx/local-parent", func() error { _, err := tc.DeployCtx(parentCtx, goldenCounter); return err }},
+		{"traced/DeployCtx/local-parent", func() error {
+			_, err := tc.Do(parentCtx, wire.MethodDeploy, wire.DeployParams{Source: goldenCounter}, nil)
+			return err
+		}},
 		{"traced/WriteMemoryBatch", func() error { _, err := tc.WriteMemoryBatch("counter", "m", writes); return err }},
 		{"traced/Pipeline", func() error {
 			p := tc.Pipeline()

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"strings"
@@ -147,6 +149,31 @@ func TestServerErrorsAreNotRetried(t *testing.T) {
 	}
 	if got := srv.cRequests.Value() - before; got != 1 {
 		t.Errorf("server saw %v requests for one failing call, want 1 (no retry)", got)
+	}
+}
+
+// TestHugeMemReadRefused: a memory read whose count covers the whole
+// uint32 space must come back as a verb error, not exhaust the daemon's
+// memory, and the connection must keep serving.
+func TestHugeMemReadRefused(t *testing.T) {
+	_, c, _ := startServer(t)
+	if _, err := c.Deploy(testProgram); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	reads := map[string]any{
+		MethodMemRead:       MemReadParams{Program: "counter", Mem: "m", Addr: 1, Count: 0xFFFFFFFF},
+		MethodMemReadStream: MemReadStreamParams{Program: "counter", Mem: "m", Addr: 1, Count: 0xFFFFFFFF},
+	}
+	for method, params := range reads {
+		_, err := c.Do(ctx, method, params, nil)
+		var oe *OpError
+		if !errors.As(err, &oe) {
+			t.Errorf("%s with count 0xFFFFFFFF: err = %v, want *OpError", method, err)
+		}
+		if _, err := c.Status(); err != nil {
+			t.Fatalf("status after %s: %v", method, err)
+		}
 	}
 }
 

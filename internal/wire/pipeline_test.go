@@ -62,7 +62,7 @@ func TestPipelineMixedOps(t *testing.T) {
 		t.Fatalf("op after failed op: %v", good.Err())
 	}
 	// The connection is still the healthy original: plain calls work.
-	if _, err := c.Programs(); err != nil {
+	if _, err := Call[[]ProgramInfo](bg, c, MethodPrograms, nil); err != nil {
 		t.Fatalf("plain call after pipeline: %v", err)
 	}
 }

@@ -177,7 +177,7 @@ var switchVerbs = map[string]func(*controlplane.Controller) handler{
 		if chunk == 0 {
 			chunk = 16384 // 64KB frames
 		}
-		chunks := int((p.Count + chunk - 1) / chunk)
+		chunks := (uint64(p.Count) + uint64(chunk) - 1) / uint64(chunk)
 		if chunks > MaxFramesPerMessage {
 			return MemReadStreamResult{}, nil, fmt.Errorf("%w: range needs %d frames (max %d; raise chunk_words)", ErrBadFrameCount, chunks, MaxFramesPerMessage)
 		}

@@ -27,6 +27,24 @@ program counter(<hdr.ipv4.src, 10.0.0.0, 0xff000000>) {
 }
 `
 
+var bg = context.Background()
+
+// injectFrame sends one frame through the switch behind c.
+func injectFrame(c Doer, frame []byte, port int) (InjectResult, error) {
+	return Call[InjectResult](bg, c, MethodInject, InjectParams{FrameHex: hex.EncodeToString(frame), Port: port})
+}
+
+// readMemory reads count words of testProgram's memory m from addr.
+func readMemory(c Doer, addr, count uint32) ([]uint32, error) {
+	return Call[[]uint32](bg, c, MethodMemRead, MemReadParams{Program: "counter", Mem: "m", Addr: addr, Count: count})
+}
+
+// scrape renders the metrics registry behind c in format.
+func scrape(c Doer, format string) (string, error) {
+	res, err := Call[MetricsResult](bg, c, MethodMetrics, MetricsParams{Format: format})
+	return res.Body, err
+}
+
 func startServer(t *testing.T) (*Server, *Client, *controlplane.Controller) {
 	t.Helper()
 	ct, err := controlplane.New(rmt.DefaultConfig(), core.DefaultOptions())
@@ -56,7 +74,7 @@ func TestDeployRevokeOverWire(t *testing.T) {
 	if len(results) != 1 || results[0].Program != "counter" || results[0].Entries == 0 {
 		t.Fatalf("results = %+v", results)
 	}
-	progs, err := c.Programs()
+	progs, err := Call[[]ProgramInfo](bg, c, MethodPrograms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +100,7 @@ func TestDeployErrorPropagates(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	// Connection stays usable after an error.
-	if _, err := c.Programs(); err != nil {
+	if _, err := Call[[]ProgramInfo](bg, c, MethodPrograms, nil); err != nil {
 		t.Fatalf("connection broken after error: %v", err)
 	}
 }
@@ -95,7 +113,7 @@ func TestInjectAndMemoryOverWire(t *testing.T) {
 	flow := pkt.FiveTuple{SrcIP: pkt.IP(10, 1, 2, 3), DstIP: 9, SrcPort: 1, DstPort: 2, Proto: pkt.ProtoUDP}
 	frame := pkt.NewUDP(flow, 100).Marshal()
 	for i := 0; i < 3; i++ {
-		res, err := c.Inject(frame, 4)
+		res, err := injectFrame(c, frame, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +121,7 @@ func TestInjectAndMemoryOverWire(t *testing.T) {
 			t.Errorf("verdict = %s", res.Verdict)
 		}
 	}
-	vals, err := c.ReadMemory("counter", "m", 0, 256)
+	vals, err := readMemory(c, 0, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,20 +132,20 @@ func TestInjectAndMemoryOverWire(t *testing.T) {
 	if total != 3 {
 		t.Errorf("counted %d, want 3", total)
 	}
-	if err := c.WriteMemory("counter", "m", 5, 42); err != nil {
+	if _, err := c.Do(bg, MethodMemWrite, MemWriteParams{Program: "counter", Mem: "m", Addr: 5, Value: 42}, nil); err != nil {
 		t.Fatal(err)
 	}
-	one, err := c.ReadMemory("counter", "m", 5, 1)
+	one, err := readMemory(c, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(one) != 1 || one[0] != 42 {
 		t.Errorf("readback = %v", one)
 	}
-	if _, err := c.ReadMemory("counter", "m", 300, 1); err == nil {
+	if _, err := readMemory(c, 300, 1); err == nil {
 		t.Error("out-of-range read accepted over wire")
 	}
-	if _, err := c.Inject([]byte{1, 2, 3}, 0); err == nil {
+	if _, err := injectFrame(c, []byte{1, 2, 3}, 0); err == nil {
 		t.Error("truncated frame accepted")
 	}
 }
@@ -158,10 +176,10 @@ func TestInjectVerbTruncatedFrame(t *testing.T) {
 		}
 	}
 	var opErr *OpError
-	if _, err := c.Inject(frame[:10], 2); !errors.As(err, &opErr) || !strings.Contains(err.Error(), "truncated") {
+	if _, err := injectFrame(c, frame[:10], 2); !errors.As(err, &opErr) || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("over the wire: err = %v, want a truncated-frame *OpError", err)
 	}
-	if _, err := c.Inject(frame, 2); err != nil {
+	if _, err := injectFrame(c, frame, 2); err != nil {
 		t.Fatalf("connection unusable after the error: %v", err)
 	}
 }
@@ -171,7 +189,7 @@ func TestUtilizationAndStatus(t *testing.T) {
 	if _, err := c.Deploy(testProgram); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := c.Utilization()
+	rows, err := Call[[]UtilizationRow](bg, c, MethodUtilization, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,23 +304,24 @@ func TestIncrementalUpdateOverWire(t *testing.T) {
 	if _, err := c.Deploy(cacheWireSrc); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.AddCases("cache", 4, `
+	res, err := Call[AddCasesResult](bg, c, MethodAddCases, AddCasesParams{Program: "cache", BranchDepth: 4, Source: `
 case(<har, 1, 0xffffffff>, <sar, 0x9999, 0xffffffff>, <mar, 0, 0xffffffff>) {
     RETURN;
     LOADI(mar, 600);
     MEMREAD(mem1);
     MODIFY(hdr.nc.value, sar);
-};`)
+};`})
 	if err != nil {
 		t.Fatalf("AddCases: %v", err)
 	}
 	if len(res.BranchIDs) != 1 || res.Entries == 0 || res.UpdateDelay <= 0 {
 		t.Fatalf("result = %+v", res)
 	}
-	if err := c.RemoveCase("cache", res.BranchIDs[0]); err != nil {
+	remove := RemoveCaseParams{Program: "cache", BranchID: res.BranchIDs[0]}
+	if _, err := c.Do(bg, MethodRemoveCase, remove, nil); err != nil {
 		t.Fatalf("RemoveCase: %v", err)
 	}
-	if err := c.RemoveCase("cache", res.BranchIDs[0]); err == nil {
+	if _, err := c.Do(bg, MethodRemoveCase, remove, nil); err == nil {
 		t.Error("double remove accepted over wire")
 	}
 }
@@ -314,11 +333,11 @@ func TestMetricsOverWire(t *testing.T) {
 	}
 	flow := pkt.FiveTuple{SrcIP: pkt.IP(10, 1, 2, 3), DstIP: 9, SrcPort: 1, DstPort: 2, Proto: pkt.ProtoUDP}
 	frame := pkt.NewUDP(flow, 100).Marshal()
-	if _, err := c.Inject(frame, 4); err != nil {
+	if _, err := injectFrame(c, frame, 4); err != nil {
 		t.Fatal(err)
 	}
 
-	body, err := c.Metrics("")
+	body, err := scrape(c, "")
 	if err != nil {
 		t.Fatalf("Metrics: %v", err)
 	}
@@ -336,7 +355,7 @@ func TestMetricsOverWire(t *testing.T) {
 		}
 	}
 
-	jbody, err := c.Metrics(MetricsFormatJSON)
+	jbody, err := scrape(c, MetricsFormatJSON)
 	if err != nil {
 		t.Fatalf("Metrics(json): %v", err)
 	}
@@ -348,7 +367,7 @@ func TestMetricsOverWire(t *testing.T) {
 		t.Fatal("json scrape empty")
 	}
 
-	if _, err := c.Metrics("xml"); err == nil || !strings.Contains(err.Error(), "unknown metrics format") {
+	if _, err := scrape(c, "xml"); err == nil || !strings.Contains(err.Error(), "unknown metrics format") {
 		t.Errorf("bad format err = %v", err)
 	}
 
@@ -360,13 +379,13 @@ func TestMetricsOverWire(t *testing.T) {
 
 func TestMulticastOverWire(t *testing.T) {
 	_, c, ct := startServer(t)
-	if err := c.SetMulticastGroup(5, []int{1, 2, 3}); err != nil {
+	if _, err := c.Do(bg, MethodMcastSet, McastSetParams{Group: 5, Ports: []int{1, 2, 3}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := ct.SW.MulticastGroup(5); len(got) != 3 {
 		t.Errorf("group = %v", got)
 	}
-	if err := c.SetMulticastGroup(5, nil); err != nil {
+	if _, err := c.Do(bg, MethodMcastSet, McastSetParams{Group: 5}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := ct.SW.MulticastGroup(5); len(got) != 0 {
@@ -380,7 +399,7 @@ func TestMulticastOverWire(t *testing.T) {
 func TestSnapshotOverWire(t *testing.T) {
 	// Without a journal the verb reports a clean error.
 	_, c, _ := startServer(t)
-	if _, err := c.Snapshot(); err == nil {
+	if _, err := Call[SnapshotResult](bg, c, MethodSnapshot, nil); err == nil {
 		t.Fatal("snapshot without -wal accepted")
 	}
 
@@ -406,7 +425,7 @@ func TestSnapshotOverWire(t *testing.T) {
 	if _, err := jc.Deploy(testProgram); err != nil {
 		t.Fatal(err)
 	}
-	res, err := jc.Snapshot()
+	res, err := Call[SnapshotResult](bg, jc, MethodSnapshot, nil)
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
@@ -439,7 +458,7 @@ func TestConcurrentMetricsScrape(t *testing.T) {
 		flow := pkt.FiveTuple{SrcIP: pkt.IP(10, 1, 2, 3), DstIP: 9, SrcPort: 1, DstPort: 2, Proto: pkt.ProtoUDP}
 		frame := pkt.NewUDP(flow, 100).Marshal()
 		for i := 0; i < 200; i++ {
-			if _, err := c.Inject(frame, 4); err != nil {
+			if _, err := injectFrame(c, frame, 4); err != nil {
 				errs <- fmt.Errorf("inject: %w", err)
 				return
 			}
@@ -456,7 +475,7 @@ func TestConcurrentMetricsScrape(t *testing.T) {
 			}
 			defer sc.Close()
 			for j := 0; j < 50; j++ {
-				body, err := sc.Metrics("")
+				body, err := scrape(sc, "")
 				if err != nil {
 					errs <- fmt.Errorf("scrape: %w", err)
 					return

@@ -1,12 +1,14 @@
 package p4runpro
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"p4runpro/internal/pkt"
 	"p4runpro/internal/programs"
 	"p4runpro/internal/rmt"
+	"p4runpro/internal/wire"
 )
 
 func TestOpenAndDeployFacade(t *testing.T) {
@@ -75,7 +77,7 @@ func TestServeConnectFacade(t *testing.T) {
 	if _, err := client.Deploy(spec.DefaultSource()); err != nil {
 		t.Fatal(err)
 	}
-	progs, err := client.Programs()
+	progs, err := wire.Call[[]wire.ProgramInfo](context.Background(), client, wire.MethodPrograms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
