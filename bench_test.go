@@ -447,43 +447,6 @@ func BenchmarkChainHop(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRepair measures one allocation on a loaded switch with
-// and without the aggregate-repair loop.
-func BenchmarkAblationRepair(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "repair-on"
-		if disable {
-			name = "repair-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			opt := core.DefaultOptions()
-			opt.DisableAggregateRepair = disable
-			ct, err := Open(DefaultConfig(), opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			spec, _ := programs.Get("nc")
-			params := programs.DefaultParams()
-			for i := 0; i < 100; i++ {
-				_, src := programs.Instantiate(spec, i, params)
-				if _, err := ct.Deploy(src); err != nil {
-					b.Fatalf("preload: %v", err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				name, src := programs.Instantiate(spec, 10000+i, params)
-				if _, err := ct.Deploy(src); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := ct.Revoke(name); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkPostcardSampling quantifies the postcard sampler's tax on the
 // packet path: the forward-only workload with sampling disabled, at the
 // daemon's default 1-in-1024 cadence, and at the pathological 1-in-1

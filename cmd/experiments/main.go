@@ -138,10 +138,6 @@ func main() {
 		for _, r := range experiments.AblationRecirc(maxEpochs12) {
 			fmt.Printf("  %-12s capacity=%d mem=%.1f%% entries=%.1f%%\n", r.Config, r.Capacity, r.MemUtil*100, r.EntryUtil*100)
 		}
-		fmt.Println("aggregate repair (all-mixed capacity):")
-		for _, r := range experiments.AblationRepair(maxEpochs12) {
-			fmt.Printf("  %-12s capacity=%d mem=%.1f%% entries=%.1f%%\n", r.Config, r.Capacity, r.MemUtil*100, r.EntryUtil*100)
-		}
 	})
 
 	section("parallel", func() {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"p4runpro/internal/lang"
@@ -56,16 +57,9 @@ func logicalToPhysical(v, m int) (resource.RPBID, int) {
 	return resource.RPBID((v-1)%m + 1), (v - 1) / m
 }
 
-// exclusion forbids one (depth, logical RPB) assignment; used to repair
-// per-physical-RPB aggregate overcommit across recirculation passes.
-type exclusion struct {
-	depth   int
-	logical int
-}
-
 // buildModel constructs the §4.3 SMT model for one translated program
-// against current resource availability.
-func (c *Compiler) buildModel(tp *lang.TProgram, excluded []exclusion) *smt.Model {
+// against current resource availability, read once per switch.
+func (c *Compiler) buildModel(tp *lang.TProgram) *smt.Model {
 	m := c.Plane.M
 	n := c.Plane.N
 	r := c.Opt.MaxRecirc
@@ -82,50 +76,54 @@ func (c *Compiler) buildModel(tp *lang.TProgram, excluded []exclusion) *smt.Mode
 		vars[i] = model.IntVar(fmt.Sprintf("x%d", i+1), 1, m*(r+1))
 	}
 
+	// A slot is one physical RPB of one switch: in loop mode every pass
+	// shares this switch, in chain mode each pass is its own. slotOf maps
+	// each logical RPB number to its slot, free holds each slot's
+	// resources from one locked Snapshot per switch.
+	var mgrs []*resource.Manager
+	var free []resource.Utilization
+	slotOf := make([]int, m*(r+1)+1)
+	for v := 1; v <= m*(r+1); v++ {
+		rpb, pass := logicalToPhysical(v, m)
+		mgr := c.mgrFor(pass)
+		k := slices.Index(mgrs, mgr)
+		if k < 0 {
+			k = len(mgrs)
+			mgrs = append(mgrs, mgr)
+			free = append(free, mgr.Snapshot()...)
+		}
+		slotOf[v] = k*m + int(rpb) - 1
+	}
+
 	// (1) Primitive dependency: strictly increasing.
 	model.Add(smt.Chain{Gap: 1})
 
+	firstAccess := tp.FirstAccessDepth()
 	memSizes := make(map[string]uint32, len(tp.Memories))
+	sc := &slotCapacity{slotOf: slotOf, free: free, entries: make([]int, L), words: make([]uint32, L)}
+	var words uint32
 	for _, md := range tp.Memories {
 		memSizes[md.Name] = md.Size
+		sc.words[firstAccess[md.Name]-1] += md.Size
+		words += md.Size
 	}
-	firstAccess := tp.FirstAccessDepth()
 
 	for d := 1; d <= L; d++ {
-		d := d
-		// (2) Table entries: te_req(x_i) <= te_free(x_i).
-		if req := tp.EntriesAt(d); req > 0 {
-			model.Add(smt.Unary{
-				V:    vars[d-1],
-				Name: fmt.Sprintf("te_req=%d", req),
-				OK: func(v int) bool {
-					rpb, pass := logicalToPhysical(v, m)
-					return req <= c.mgrFor(pass).FreeEntries(rpb)
-				},
-			})
-		}
-		// (3) Memory: every virtual block first accessed at this depth
-		// must fit contiguously in the RPB's memory.
-		var placed []uint32
+		// (2) Table entries: te_req(x_i) <= te_free(x_i), and (3) memory:
+		// every virtual block first accessed at this depth fits
+		// contiguously in the RPB's memory. Both filter the domain.
+		req := tp.EntriesAt(d)
+		sc.entries[d-1] = req
+		var biggest uint32
 		for _, name := range tp.MemoriesAt(d) {
 			if firstAccess[name] == d {
-				placed = append(placed, memSizes[name])
+				biggest = max(biggest, memSizes[name])
 			}
 		}
-		if len(placed) > 0 {
-			sizes := placed
-			model.Add(smt.Unary{
-				V:    vars[d-1],
-				Name: "mem_req",
-				OK: func(v int) bool {
-					rpb, pass := logicalToPhysical(v, m)
-					for _, sz := range sizes {
-						if !c.mgrFor(pass).CanAlloc(rpb, sz) {
-							return false
-						}
-					}
-					return true
-				},
+		if req > 0 || biggest > 0 {
+			model.Restrict(vars[d-1], func(v int) bool {
+				u := free[slotOf[v]]
+				return req <= u.FreeEntries() && biggest <= u.MaxBlock
 			})
 		}
 		// (4) Forwarding primitives only in ingress RPBs.
@@ -138,24 +136,69 @@ func (c *Compiler) buildModel(tp *lang.TProgram, excluded []exclusion) *smt.Mode
 	for _, link := range tp.MemLinks {
 		model.Add(smt.SamePhysical{I: vars[link[0]-1], J: vars[link[1]-1], M: m, R: r})
 	}
-	for _, ex := range excluded {
-		ex := ex
-		model.Add(smt.Unary{
-			V:    vars[ex.depth-1],
-			Name: "aggregate-repair",
-			OK:   func(v int) bool { return v != ex.logical },
-		})
+
+	// (2) and (3) summed per slot, since depths in different passes can
+	// share one. Only a slot without room for the whole program needs
+	// the sum, and without such a slot the constraint is left out.
+	entries := tp.TotalEntries()
+	sc.roomy = make([]bool, len(free))
+	tight := false
+	for s, u := range free {
+		sc.roomy[s] = entries <= u.FreeEntries() && words <= u.MemFree
+		tight = tight || !sc.roomy[s]
+	}
+	if tight {
+		model.Add(sc)
 	}
 	return model
 }
 
+// slotCapacity is constraints (2) and (3) summed per slot: the entries of
+// every depth assigned to a slot, and the memory blocks first accessed at
+// those depths, fit the slot's free entries and free words. Contiguity of
+// each block stays with the per-depth domain filter.
+type slotCapacity struct {
+	slotOf  []int                  // logical RPB number -> slot
+	free    []resource.Utilization // per slot
+	roomy   []bool                 // per slot: the whole program fits, no sum needed
+	entries []int                  // per depth
+	words   []uint32               // per depth: blocks first accessed there
+}
+
+// FeasibleAt implements smt.IncrementalConstraint: only the slot of the
+// depth just assigned gained demand.
+func (sc *slotCapacity) FeasibleAt(i int, vals []int, set []bool) bool {
+	s := sc.slotOf[vals[i]]
+	if sc.roomy[s] {
+		return true
+	}
+	var entries int
+	var words uint32
+	for j, v := range vals {
+		if set[j] && sc.slotOf[v] == s {
+			entries += sc.entries[j]
+			words += sc.words[j]
+		}
+	}
+	return entries <= sc.free[s].FreeEntries() && words <= sc.free[s].MemFree
+}
+
+// Feasible implements smt.Constraint.
+func (sc *slotCapacity) Feasible(vals []int, set []bool) bool {
+	for i := range vals {
+		if set[i] && !sc.FeasibleAt(i, vals, set) {
+			return false
+		}
+	}
+	return true
+}
+
+func (sc *slotCapacity) String() string { return "slot-capacity" }
+
 // Allocate computes the placement of a translated program without linking
-// it. The returned placements satisfy all five constraint families. The
-// per-depth feasibility constraints (2) and (3) check each depth against
-// current free resources individually — when two depths of one program land
-// in the same physical RPB across recirculation passes, their combined
-// demand can exceed what either saw alone; such solutions are detected here
-// and repaired by re-solving with the offending assignment excluded.
+// it, with one solve. The returned placements satisfy all five constraint
+// families, and the depths sharing a physical RPB across recirculation
+// passes fit its free entries and memory together.
 func (c *Compiler) Allocate(tp *lang.TProgram) (*AllocResult, error) {
 	start := time.Now()
 	if c.passTargets != nil && len(tp.MemLinks) > 0 {
@@ -170,94 +213,34 @@ func (c *Compiler) Allocate(tp *lang.TProgram) (*AllocResult, error) {
 			Err:     smt.ErrInfeasible,
 		}
 	}
-	var excluded []exclusion
-	agg := smt.Stats{Complete: true}
-	maxAttempts := 32
-	if c.Opt.DisableAggregateRepair {
-		maxAttempts = 1
+	model := c.buildModel(tp)
+	var sol smt.Solution
+	var st smt.Stats
+	var err error
+	if c.Opt.Objective == ObjHierarchical {
+		sol, st, err = smt.MinimizeHierarchical(model)
+	} else {
+		sol, st, err = model.Minimize(c.Opt.objective())
 	}
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		model := c.buildModel(tp, excluded)
-
-		var sol smt.Solution
-		var st smt.Stats
-		var err error
-		if c.Opt.Objective == ObjHierarchical {
-			sol, st, err = smt.MinimizeHierarchical(model)
-		} else {
-			sol, st, err = model.Minimize(c.Opt.objective())
+	if err != nil {
+		if errors.Is(err, smt.ErrInfeasible) {
+			return nil, &AllocError{Program: tp.Name, Reason: c.diagnose(tp), Err: err}
 		}
-		agg.Nodes += st.Nodes
-		agg.Backtracks += st.Backtracks
-		agg.Propagations += st.Propagations
-		agg.BoundPrunes += st.BoundPrunes
-		agg.Complete = agg.Complete && st.Complete
-		if err != nil {
-			if errors.Is(err, smt.ErrInfeasible) {
-				agg.Duration = time.Since(start)
-				return nil, &AllocError{Program: tp.Name, Reason: c.diagnose(tp), Err: err}
-			}
-			return nil, err
-		}
-		res := &AllocResult{Stats: agg}
-		for i, v := range sol.Values {
-			rpb, pass := logicalToPhysical(v, c.Plane.M)
-			res.Placements = append(res.Placements, Placement{
-				Depth:   i + 1,
-				Logical: v,
-				RPB:     rpb,
-				Pass:    pass,
-			})
-		}
-		if ex, ok := c.overcommitted(tp, res); ok {
-			if c.Opt.DisableAggregateRepair {
-				return nil, &AllocError{Program: tp.Name, Reason: "solution overcommits a physical RPB (aggregate repair disabled)", Err: smt.ErrInfeasible}
-			}
-			excluded = append(excluded, ex)
-			continue
-		}
-		res.Stats.Duration = time.Since(start)
-		res.Duration = res.Stats.Duration
-		return res, nil
+		return nil, err
 	}
-	return nil, &AllocError{Program: tp.Name, Reason: "aggregate repair did not converge", Err: smt.ErrInfeasible}
-}
-
-// overcommitted validates per-physical-RPB aggregates (entries and memory)
-// of a candidate solution, returning an exclusion that would change it.
-func (c *Compiler) overcommitted(tp *lang.TProgram, res *AllocResult) (exclusion, bool) {
-	// Aggregate per concrete register array: in loop mode, passes share
-	// one switch; in chain mode, each pass is its own switch.
-	type slot struct {
-		mgr *resource.Manager
-		rpb resource.RPBID
+	res := &AllocResult{Stats: st}
+	for i, v := range sol.Values {
+		rpb, pass := logicalToPhysical(v, c.Plane.M)
+		res.Placements = append(res.Placements, Placement{
+			Depth:   i + 1,
+			Logical: v,
+			RPB:     rpb,
+			Pass:    pass,
+		})
 	}
-	entries := make(map[slot]int)
-	mem := make(map[slot]uint32)
-	memSizes := make(map[string]uint32, len(tp.Memories))
-	for _, md := range tp.Memories {
-		memSizes[md.Name] = md.Size
-	}
-	firstAccess := tp.FirstAccessDepth()
-	slotOfDepth := make(map[int]slot, len(res.Placements))
-	for _, pl := range res.Placements {
-		s := slot{mgr: c.mgrFor(pl.Pass), rpb: pl.RPB}
-		slotOfDepth[pl.Depth] = s
-		entries[s] += tp.EntriesAt(pl.Depth)
-	}
-	for name, d := range firstAccess {
-		mem[slotOfDepth[d]] += memSizes[name]
-	}
-	for _, pl := range res.Placements {
-		s := slotOfDepth[pl.Depth]
-		if entries[s] > s.mgr.FreeEntries(s.rpb) && tp.EntriesAt(pl.Depth) > 0 {
-			return exclusion{depth: pl.Depth, logical: pl.Logical}, true
-		}
-		if mem[s] > s.mgr.FreeMemory(s.rpb) && len(tp.MemoriesAt(pl.Depth)) > 0 {
-			return exclusion{depth: pl.Depth, logical: pl.Logical}, true
-		}
-	}
-	return exclusion{}, false
+	res.Stats.Duration = time.Since(start)
+	res.Duration = res.Stats.Duration
+	return res, nil
 }
 
 // diagnose classifies why no allocation exists, mirroring the paper's

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"p4runpro/internal/lang"
 	"p4runpro/internal/obs"
 	"p4runpro/internal/programs"
+	"p4runpro/internal/resource"
 	"p4runpro/internal/rmt"
 )
 
@@ -34,7 +36,10 @@ func mixedDraw(seed int64, n int) []string {
 
 // TestFillNeverTruncates fills a default switch with the mixed draw until
 // the first refusal: every search must prove its answer well inside the node
-// limit, so no placement is a node-limit incumbent.
+// limit, so no placement is a node-limit incumbent. hh_1087 must link: its
+// only placements put two depths on one physical RPB whose entries fit
+// them together, which a per-depth model solved again with one value
+// forbidden refused.
 func TestFillNeverTruncates(t *testing.T) {
 	const maxNodes = 20_000
 	_, c := newStack(t)
@@ -57,6 +62,122 @@ func TestFillNeverTruncates(t *testing.T) {
 	if linked < 1000 {
 		t.Fatalf("fill refused after %d programs, want a full switch (>= 1000)", linked)
 	}
+	if _, ok := c.Linked("hh_1087"); !ok {
+		t.Fatalf("fill refused after %d programs, before hh_1087", linked)
+	}
+}
+
+// TestAllocateSumsSharedSlot: a four-depth program on a nearly full switch
+// where every RPB with room holds one entry. The first pass fits the memory
+// access at RPB 3 only, so the forwarding depth recirculates, and the
+// per-depth optimum (1 3 5 23) puts two depths on RPB 1. Allocate must
+// return the optimum of an enumeration that sums each RPB's depths; solving
+// again with depth 1's value forbidden found no placement at all.
+func TestAllocateSumsSharedSlot(t *testing.T) {
+	_, c := newStack(t)
+	cfg := rmt.DefaultConfig()
+	room := map[resource.RPBID]bool{1: true, 3: true, 5: true, 15: true}
+	filler := &resource.ProgramAlloc{Name: "filler", Entries: map[resource.RPBID]int{}}
+	for rpb := resource.RPBID(1); int(rpb) <= c.Plane.M; rpb++ {
+		filler.Entries[rpb] = cfg.TableCapacity
+		if room[rpb] {
+			filler.Entries[rpb]--
+		}
+		if rpb != 3 {
+			filler.Blocks = append(filler.Blocks, resource.MemBlock{Name: fmt.Sprint(rpb), RPB: rpb, Size: uint32(cfg.MemoryWords)})
+		}
+	}
+	if err := c.Mgr.Commit(filler); err != nil {
+		t.Fatal(err)
+	}
+	f, err := lang.ParseFile(`@ mm 256
+program shared(<hdr.ipv4.src, 10.0.0.0, 0xff000000>) {
+    MEMREAD(mm);
+    LOADI(sar, 1);
+    FORWARD(1);
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := lang.Translate(f.Programs[0], f.Memories)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := enumeratePlacement(c, tp)
+	if fmt.Sprint(want) != "[1 3 15 27]" {
+		t.Fatalf("enumeration found %v, the case is not the one described", want)
+	}
+	res, err := c.Allocate(tp)
+	if err != nil {
+		t.Fatalf("Allocate: %v, want %v", err, want)
+	}
+	var got []int
+	for _, pl := range res.Placements {
+		got = append(got, pl.Logical)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Allocate placed %v, enumeration's optimum is %v", got, want)
+	}
+}
+
+// enumeratePlacement tries every strictly increasing placement of tp on
+// c's switch and returns the lexicographically first f1 optimum under
+// constraints (2)-(5), with the entries and first-accessed memory of the
+// depths sharing a physical RPB summed; nil when none exists.
+func enumeratePlacement(c *Compiler, tp *lang.TProgram) []int {
+	m, n, hi := c.Plane.M, c.Plane.N, c.Plane.M*(c.Opt.MaxRecirc+1)
+	first := tp.FirstAccessDepth()
+	words := make(map[int]uint32) // depth -> words first accessed there
+	for _, md := range tp.Memories {
+		words[first[md.Name]] += md.Size
+	}
+	obj := c.Opt.objective()
+	var best []int
+	bestF := math.Inf(1)
+	vals := make([]int, tp.L())
+	var rec func(i, lo int)
+	rec = func(i, lo int) {
+		if i == len(vals) {
+			entries := make(map[resource.RPBID]int)
+			mem := make(map[resource.RPBID]uint32)
+			for d, v := range vals {
+				rpb, _ := logicalToPhysical(v, m)
+				entries[rpb] += tp.EntriesAt(d + 1)
+				mem[rpb] += words[d+1]
+			}
+			for rpb := range entries {
+				if entries[rpb] > c.Mgr.FreeEntries(rpb) || mem[rpb] > c.Mgr.FreeMemory(rpb) {
+					return
+				}
+			}
+			for _, l := range tp.MemLinks {
+				if d := vals[l[1]-1] - vals[l[0]-1]; d%m != 0 || d/m > c.Opt.MaxRecirc {
+					return
+				}
+			}
+			if f := obj.Eval(vals); f < bestF {
+				best, bestF = slices.Clone(vals), f
+			}
+			return
+		}
+		d := i + 1
+	next:
+		for v := lo; v <= hi; v++ {
+			rpb, _ := logicalToPhysical(v, m)
+			if tp.EntriesAt(d) > c.Mgr.FreeEntries(rpb) || (tp.ForwardingAt(d) && int(rpb) > n) {
+				continue
+			}
+			for _, md := range tp.Memories {
+				if first[md.Name] == d && !c.Mgr.CanAlloc(rpb, md.Size) {
+					continue next
+				}
+			}
+			vals[i] = v
+			rec(i+1, v+1)
+		}
+	}
+	rec(0, 1)
+	return best
 }
 
 // TestAllocateReportsTruncation: a search the node limit stops is flagged in

@@ -51,10 +51,6 @@ type Options struct {
 	Alpha, Beta float64
 	// NodeLimit caps solver search nodes (0 = unlimited).
 	NodeLimit int64
-	// DisableAggregateRepair turns off the re-solve loop that fixes
-	// per-physical-RPB overcommit across recirculation passes (the ablation
-	// in internal/experiments shows the capacity it buys).
-	DisableAggregateRepair bool
 }
 
 // DefaultOptions returns the prototype configuration (§6.2).

@@ -8,9 +8,7 @@ import (
 
 // Ablations of this implementation's design choices, called out in
 // DESIGN.md: the recirculation budget R (the paper's §6.3 discussion of
-// relaxing it for longer programs and looser allocation constraints) and
-// the aggregate-repair loop the allocator adds on top of the paper's
-// per-depth feasibility constraints.
+// relaxing it for longer programs and looser allocation constraints).
 
 // AblationRow is one configuration's capacity under the all-mixed workload.
 type AblationRow struct {
@@ -42,34 +40,6 @@ func AblationRecirc(maxEpochs int) []AblationRow {
 			Config:   "R=" + string(rune('0'+r)),
 			Capacity: n, MemUtil: mem, EntryUtil: ent,
 		})
-	}
-	return out
-}
-
-// AblationRepair compares the allocator with and without the aggregate-
-// repair re-solve loop: without it, a solution placing two passes of one
-// program in the same physical RPB fails as soon as their combined demand
-// exceeds the RPB's remaining entries, ending capacity runs early.
-func AblationRepair(maxEpochs int) []AblationRow {
-	var out []AblationRow
-	for _, disable := range []bool{false, true} {
-		opt := defaultOptions()
-		opt.DisableAggregateRepair = disable
-		ct := newController(opt)
-		rng := rand.New(rand.NewSource(99))
-		params := programs.DefaultParams()
-		n := 0
-		for ; n < maxEpochs; n++ {
-			if _, err := deployEpoch(ct, WorkloadAllMixed, n, rng, params); err != nil {
-				break
-			}
-		}
-		mem, ent := ct.Compiler.Mgr.TotalUtilization()
-		name := "repair=on"
-		if disable {
-			name = "repair=off"
-		}
-		out = append(out, AblationRow{Config: name, Capacity: n, MemUtil: mem, EntryUtil: ent})
 	}
 	return out
 }

@@ -21,14 +21,3 @@ func TestAblationRecirc(t *testing.T) {
 	}
 	t.Logf("capacity: R=0 %d, R=1 %d, R=2 %d", rows[0].Capacity, rows[1].Capacity, rows[2].Capacity)
 }
-
-func TestAblationRepair(t *testing.T) {
-	if testing.Short() {
-		t.Skip("capacity sweep")
-	}
-	rows := AblationRepair(1800)
-	if rows[0].Capacity <= rows[1].Capacity {
-		t.Errorf("repair on %d <= off %d: the repair loop buys nothing", rows[0].Capacity, rows[1].Capacity)
-	}
-	t.Logf("capacity: repair on %d, off %d", rows[0].Capacity, rows[1].Capacity)
-}

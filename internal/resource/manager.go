@@ -464,29 +464,40 @@ func (m *Manager) Translate(program, mem string, vaddr uint32) (RPBID, uint32, e
 	return 0, 0, fmt.Errorf("resource: program %q has no memory %q", program, mem)
 }
 
-// Utilization summarizes dynamic usage for the experiments.
+// Utilization summarizes dynamic usage for the experiments and the free
+// resources the allocator reads.
 type Utilization struct {
 	RPB         RPBID
 	EntriesUsed int
 	EntriesCap  int
 	MemUsed     uint32
 	MemCap      uint32
+	MemFree     uint32 // allocatable words: neither used nor locked
+	MaxBlock    uint32 // largest contiguous run of free words
 }
 
-// Snapshot returns per-RPB utilization.
+// FreeEntries returns the unreserved table entries.
+func (u Utilization) FreeEntries() int { return u.EntriesCap - u.EntriesUsed }
+
+// Snapshot returns per-RPB utilization, read under one lock.
 func (m *Manager) Snapshot() []Utilization {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]Utilization, m.M)
 	for i := 0; i < m.M; i++ {
 		st := m.rpbs[i]
-		out[i] = Utilization{
+		u := Utilization{
 			RPB:         RPBID(i + 1),
 			EntriesUsed: st.entriesUsed,
 			EntriesCap:  m.tableCap,
-			MemUsed:     m.memWords - m.freeWordsLocked(st) - st.lockedWords,
 			MemCap:      m.memWords,
 		}
+		for p := st.freeHead; p != nil; p = p.next {
+			u.MemFree += p.size
+			u.MaxBlock = max(u.MaxBlock, p.size)
+		}
+		u.MemUsed = m.memWords - u.MemFree - st.lockedWords
+		out[i] = u
 	}
 	return out
 }

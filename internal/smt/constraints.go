@@ -35,9 +35,9 @@ func (c Chain) FeasibleAt(i int, vals []int, set []bool) bool {
 
 func (c Chain) String() string { return fmt.Sprintf("chain(gap=%d)", c.Gap) }
 
-// Unary restricts one variable with a feasibility predicate — used for the
-// paper's constraints (2) and (3): te_req(x) <= te_free(x) and
-// mem_req(x) <= mem_free(x).
+// Unary restricts one variable with a feasibility predicate, such as the
+// paper's constraint (2), te_req(x) <= te_free(x), or a pinned objective
+// value.
 type Unary struct {
 	V    Var
 	Name string

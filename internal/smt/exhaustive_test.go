@@ -9,15 +9,62 @@ import (
 )
 
 // randomModel is one seeded allocation-shaped model: n chained variables
-// over [1, M*(R+1)], random unary domains, InWindow on some variables and
-// 0-2 SamePhysical links. build returns a fresh copy, since Minimize folds
-// unary constraints into the domains it is given.
+// over [1, M*(R+1)], random unary domains, InWindow on some variables,
+// 0-2 SamePhysical links and, on some models, a slotSum. build returns a
+// fresh copy, since Minimize folds unary constraints into the domains it is
+// given.
 type randomModel struct {
 	n, m, w, r, gap int
 	keep            [][]bool // keep[i][v]: unary domain of x_i
 	window          []bool   // InWindow on x_i
 	links           [][2]int
+	slots           *slotSum
 }
+
+// slotSum is the shape of the allocator's per-slot capacity: x_i's demand
+// counts against physical slot (x_i-1) mod M, and the demands of the
+// variables sharing a slot, in any passes, must fit its capacity. It is
+// neither unary nor seen by the chain window.
+type slotSum struct {
+	m      int
+	demand []int // per variable
+	cap    []int // per slot
+}
+
+func newSlotSum(rng *rand.Rand, rm randomModel) *slotSum {
+	ss := &slotSum{m: rm.m}
+	for i := 0; i < rm.n; i++ {
+		ss.demand = append(ss.demand, rng.Intn(3))
+	}
+	for s := 0; s < rm.m; s++ {
+		ss.cap = append(ss.cap, 1+rng.Intn(3))
+	}
+	return ss
+}
+
+// FeasibleAt implements IncrementalConstraint.
+func (ss *slotSum) FeasibleAt(i int, vals []int, set []bool) bool {
+	s := (vals[i] - 1) % ss.m
+	total := 0
+	for j, v := range vals {
+		if set[j] && (v-1)%ss.m == s {
+			total += ss.demand[j]
+		}
+	}
+	return total <= ss.cap[s]
+}
+
+// Feasible implements Constraint.
+func (ss *slotSum) Feasible(vals []int, set []bool) bool {
+	for i := range vals {
+		if set[i] && !ss.FeasibleAt(i, vals, set) {
+			return false
+		}
+	}
+	return true
+}
+
+func (ss *slotSum) String() string { return "slotsum" }
 
 func newRandomModel(rng *rand.Rand) randomModel {
 	rm := randomModel{n: 1 + rng.Intn(5), m: 3 + rng.Intn(3), r: 1 + rng.Intn(2), gap: 1 + rng.Intn(4)/3}
@@ -55,6 +102,9 @@ func (rm randomModel) build() *Model {
 	model.Add(Chain{Gap: rm.gap})
 	for _, l := range rm.links {
 		model.Add(SamePhysical{I: Var(l[0]), J: Var(l[1]), M: rm.m, R: rm.r})
+	}
+	if rm.slots != nil {
+		model.Add(rm.slots)
 	}
 	return model
 }
@@ -155,12 +205,15 @@ func hierarchical(m *Model, solve func(*Model, Objective) (Solution, int64, erro
 // TestMinimizeMatchesExhaustive: over seeded random allocation-shaped models
 // and every objective, Minimize returns exactly the lexicographically first
 // optimum an exhaustive enumeration finds, proves it (Complete), and never
-// explores more nodes than the search before chain-window propagation.
+// explores more nodes than the search before chain-window propagation. Odd
+// models carry a slotSum, which the window ignores: its walk stays a
+// relaxation, so the bound it feeds must still never cut the optimum.
 func TestMinimizeMatchesExhaustive(t *testing.T) {
 	const models = 10_000
 	objectives := []Objective{Weighted{Alpha: 0.7, Beta: 0.3}, PureLast{}, Ratio{}, nil} // nil: hierarchical
 	rng := rand.New(rand.NewSource(1))
-	var feasible, linked, r2 int
+	slotRng := rand.New(rand.NewSource(2))
+	var feasible, linked, r2, slotted, reshaped int
 	for k := 0; k < models; k++ {
 		rm := newRandomModel(rng)
 		obj := objectives[k%len(objectives)]
@@ -169,6 +222,10 @@ func TestMinimizeMatchesExhaustive(t *testing.T) {
 		}
 		if rm.r == 2 {
 			r2++
+		}
+		if k%2 == 1 {
+			rm.slots = newSlotSum(slotRng, rm)
+			slotted++
 		}
 
 		oracle := func(m *Model, o Objective) (Solution, int64, error) {
@@ -207,10 +264,18 @@ func TestMinimizeMatchesExhaustive(t *testing.T) {
 		if st.Nodes > ceiling {
 			t.Fatalf("model %d %+v obj %v: %d nodes, legacy search %d", k, rm, obj, st.Nodes, ceiling)
 		}
+		if rm.slots != nil && obj != nil && err == nil {
+			free := rm
+			free.slots = nil
+			if loose, _, _ := free.build().Minimize(obj); fmt.Sprint(loose.Values) != fmt.Sprint(got.Values) {
+				reshaped++
+			}
+		}
 	}
-	// The draw must exercise what the propagation handles.
-	t.Logf("%d models: %d feasible, %d linked, %d with R=2", models, feasible, linked, r2)
-	if feasible < models/2 || linked < models/4 || r2 < models/4 {
-		t.Fatalf("weak draw: %d feasible, %d linked, %d with R=2 of %d", feasible, linked, r2, models)
+	// The draw must exercise what the propagation handles, and the slot
+	// sums must move answers.
+	t.Logf("%d models: %d feasible, %d linked, %d with R=2, %d slotted (%d answers moved)", models, feasible, linked, r2, slotted, reshaped)
+	if feasible < models/2 || linked < models/4 || r2 < models/4 || reshaped < models/50 {
+		t.Fatalf("weak draw: %d feasible, %d linked, %d with R=2, %d slotted answers moved, of %d", feasible, linked, r2, reshaped, models)
 	}
 }

@@ -1,12 +1,12 @@
 // Package smt is a small integer constraint solver used by the P4runpro
 // compiler in place of the paper's Z3. It solves the allocation problem of
 // §4.3 exactly: a vector of integer variables under a strict-increase chain,
-// unary feasibility predicates (table-entry and memory availability per
-// logical RPB), membership constraints (forwarding primitives restricted to
-// ingress RPBs), and modular-equality links (sequential accesses to the same
-// virtual memory must land in the same physical RPB across recirculation
-// passes), minimizing a pluggable objective via branch-and-bound with
-// constraint propagation.
+// filtered domains (table-entry and memory availability per logical RPB),
+// membership constraints (forwarding primitives restricted to ingress
+// RPBs), modular-equality links (sequential accesses to the same virtual
+// memory must land in the same physical RPB across recirculation passes)
+// and any caller-defined constraint, minimizing a pluggable objective via
+// branch-and-bound with constraint propagation.
 //
 // The solver is deliberately general: models are built from Variables and
 // Constraints, and any Objective implementing an admissible bound can drive
@@ -139,8 +139,7 @@ type Constraint interface {
 
 // UnaryConstraint is a constraint over exactly one variable. The solver
 // applies it once, as a domain restriction before search, instead of
-// re-evaluating it at every node (important when the predicate consults
-// live resource state behind a lock).
+// re-evaluating it at every node.
 type UnaryConstraint interface {
 	Constraint
 	Var() Var

@@ -2,7 +2,9 @@ package traffic
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -101,6 +103,46 @@ func TestTraceFileTruncationAtEveryBoundary(t *testing.T) {
 			t.Fatalf("prefix %d: err = %v, want ErrBadTraceFile", n, err)
 		}
 	}
+}
+
+// TestTraceFileHugeCountNoBody: a 16-byte header claiming 2^28 events is
+// refused with the typed error before the reader allocates for them.
+func TestTraceFileHugeCountNoBody(t *testing.T) {
+	data := binary.BigEndian.AppendUint64(append([]byte{}, traceMagic[:]...), 1<<28)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadTrace(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadTraceFile) {
+		t.Fatalf("err = %v, want ErrBadTraceFile", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("reading a bodiless header allocated %d bytes, want < 1 MB", grew)
+	}
+}
+
+// FuzzReadTrace: every input ends in a trace or ErrBadTraceFile, without a
+// panic and without allocating for events the input does not hold.
+func FuzzReadTrace(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, handTrace()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(binary.BigEndian.AppendUint64(append([]byte{}, traceMagic[:]...), 1<<28))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadTraceFile) {
+				t.Fatalf("err = %v, want ErrBadTraceFile", err)
+			}
+			return
+		}
+		if len(tr.Events) > len(data)/12 {
+			t.Fatalf("%d events from %d bytes", len(tr.Events), len(data))
+		}
+	})
 }
 
 func TestTraceFileOutOfOrderRejected(t *testing.T) {

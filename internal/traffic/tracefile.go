@@ -73,8 +73,10 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if n > maxEvents {
 		return nil, fmt.Errorf("%w: %d events exceeds limit", ErrBadTraceFile, n)
 	}
+	// The count is unverified until the events arrive: preallocate for a
+	// small trace and let append grow the rest.
 	tr := &Trace{Counts: make(map[pkt.FiveTuple]int)}
-	tr.Events = make([]Event, 0, n)
+	tr.Events = make([]Event, 0, min(n, 1024))
 	lastAt := -1.0
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(br, scratch[:]); err != nil {

@@ -265,16 +265,22 @@ func (c *Client) ReadMemoryBulk(program, mem string, addr, count uint32) ([]uint
 	if err != nil {
 		return nil, err
 	}
-	vals := make([]uint32, 0, out.Count)
+	// Count the words that arrived before trusting the reply's Count
+	// with an allocation.
+	words := 0
+	for _, f := range frames {
+		words += len(f) / 4
+	}
+	if words != int(out.Count) {
+		return nil, fmt.Errorf("%w: stream delivered %d of %d words", ErrFrameCorrupt, words, out.Count)
+	}
+	vals := make([]uint32, 0, words)
 	for _, f := range frames {
 		vs, err := DecodeU32s(f)
 		if err != nil {
 			return nil, err
 		}
 		vals = append(vals, vs...)
-	}
-	if uint32(len(vals)) != out.Count {
-		return nil, fmt.Errorf("%w: stream delivered %d of %d words", ErrFrameCorrupt, len(vals), out.Count)
 	}
 	return vals, nil
 }

@@ -3,9 +3,12 @@ package wire
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -118,6 +121,47 @@ func fakeIDServer(t *testing.T) string {
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// TestReadMemoryBulkCountsFramesFirst: a mem.readstream reply claiming
+// 2^32-1 words over one three-word frame fails with ErrFrameCorrupt, and
+// the client allocates nothing for the claimed words.
+func TestReadMemoryBulkCountsFramesFirst(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		line, err := bufio.NewReader(conn).ReadBytes('\n')
+		var req Request
+		if err != nil || json.Unmarshal(line, &req) != nil {
+			return
+		}
+		reply := fmt.Appendf(nil, `{"id":%d,"result":{"count":%d,"chunks":1,"chunk_words":3},"frames":1}`+"\n", req.ID, uint32(math.MaxUint32))
+		conn.Write(AppendFrame(reply, EncodeU32s([]uint32{1, 2, 3}))) //nolint:errcheck // the client reports what arrived
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = c.ReadMemoryBulk("counter", "m", 0, math.MaxUint32)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrFrameCorrupt) {
+		t.Fatalf("err = %v, want ErrFrameCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a three-word reply allocated %d bytes, want < 1 MB", grew)
+	}
 }
 
 // TestOutOfOrderResponseIDRejected: a response whose id does not match the
