@@ -476,20 +476,20 @@ func BenchmarkPostcardSampling(b *testing.B) {
 	}
 }
 
-// BenchmarkFabricReplay measures end-to-end packets per second across a
-// 3-switch leaf-spine path (leaf0 -> spine0 -> leaf1): every packet is
-// counted into a CMS at the leaf, routed on destination prefix at the
-// spine, and handed to the edge at the far leaf, with each hop riding the
-// InjectBatch path. ns/op is per end-to-end packet.
-func BenchmarkFabricReplay(b *testing.B) {
+// leafSpinePath builds a 3-switch leaf-spine path (leaf0 -> spine0 ->
+// leaf1): every packet from port 1 of leaf0 is counted into a CMS at the
+// leaf, routed on its 10.101/16 destination at the spine, and handed to the
+// edge at the far leaf, two links end to end.
+func leafSpinePath(tb testing.TB) *Fabric {
+	tb.Helper()
 	cfg := DefaultConfig()
 	f := NewFabric(FabricOptions{})
 	cts, err := OpenFabricNodes(f, cfg, DefaultOptions(), "leaf0", "leaf1", "spine0")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := f.WireLeafSpine(2, 1, cfg, 0); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	leafSrc := fmt.Sprintf(`@ up_cms 1024
 program up(
@@ -511,13 +511,20 @@ program down(
 `, f.SpineDownlinkPort(1))
 	for _, n := range []string{"leaf0", "leaf1"} {
 		if _, err := cts[n].Deploy(leafSrc); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if _, err := cts["spine0"].Deploy(spineSrc); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return f
+}
 
+// BenchmarkFabricReplay measures end-to-end packets per second across
+// leafSpinePath, with each hop riding the InjectBatch path. ns/op is per
+// end-to-end packet.
+func BenchmarkFabricReplay(b *testing.B) {
+	f := leafSpinePath(b)
 	tc := traffic.DefaultConfig()
 	tc.Flows = 256
 	tc.HeavyFlows = 16

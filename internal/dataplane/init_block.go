@@ -80,16 +80,24 @@ func initKeyFunc(p *rmt.PHV) []uint32 {
 	return k
 }
 
+// provisionInitBlock adds one filtering table per parsing path, each gated on
+// its path: a packet applies only its own path's table, as the P4 control
+// flow that switches on the parse bitmap does. FilterKeys puts the path at
+// fkBitmap exactly, and the gate holds every entry to that.
 func (pl *Plane) provisionInitBlock() error {
 	cfg := pl.SW.Config()
+	prog := pl.phv.prog
 	for _, path := range pkt.ParsePaths {
 		name := fmt.Sprintf("init_%s", path)
 		t, err := pl.SW.AddTable(name, rmt.Ingress, 0, cfg.TableCapacity, filterKeyCount, initKeyFunc)
 		if err != nil {
 			return err
 		}
+		if err := t.SetParsePath(fkBitmap, path); err != nil {
+			return err
+		}
 		if err := t.RegisterAction("set_program", 1, func(p *rmt.PHV, params []uint32) {
-			p.Set(FieldProg, params[0])
+			p.Store(prog, params[0])
 		}); err != nil {
 			return err
 		}

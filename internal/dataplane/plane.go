@@ -42,8 +42,10 @@ type Plane struct {
 	rpbs       []*rmt.Table // index 0 = RPB 1
 	recircTbl  *rmt.Table
 
-	fieldNames []string       // field ID -> name
-	fieldIDs   map[string]int // name -> field ID
+	fieldIDs     map[string]int // name -> field ID
+	headerFields []headerField  // field ID -> accessors, for extract and modify
+
+	phv slots
 
 	// Version gates for in-flight program upgrades (version_gate.go). The
 	// map is copy-on-write behind an atomic pointer so the dispatch action
@@ -68,24 +70,27 @@ func Provision(sw *rmt.Switch) (*Plane, error) {
 	}
 
 	// Field ID space: parsed header fields plus readable metadata.
-	pl.fieldNames = append(pl.fieldNames, pkt.FieldNames()...)
-	pl.fieldNames = append(pl.fieldNames, "meta.ingress_port", "meta.qdepth", "meta.pkt_len", "meta.ttl")
-	for i, n := range pl.fieldNames {
+	fieldNames := append(pkt.FieldNames(), "meta.ingress_port", "meta.qdepth", "meta.pkt_len", "meta.ttl")
+	for i, n := range fieldNames {
 		pl.fieldIDs[n] = i
+		pl.headerFields = append(pl.headerFields, resolveHeaderField(n))
 	}
 
 	layout := sw.PHVLayout()
 	for _, f := range []struct {
 		name string
 		bits int
+		slot *rmt.Slot
 	}{
-		{FieldHAR, 32}, {FieldSAR, 32}, {FieldMAR, 32},
-		{FieldBak, 32}, {FieldPhysAddr, 32},
-		{FieldSALUFlag, 8}, {FieldProg, 16}, {FieldBranch, 16}, {FieldRecirc, 8},
+		{FieldHAR, 32, &pl.phv.har}, {FieldSAR, 32, &pl.phv.sar}, {FieldMAR, 32, &pl.phv.mar},
+		{FieldBak, 32, &pl.phv.bak}, {FieldPhysAddr, 32, &pl.phv.physAddr},
+		{FieldSALUFlag, 8, &pl.phv.saluFlag}, {FieldProg, 16, &pl.phv.prog},
+		{FieldBranch, 16, &pl.phv.branch}, {FieldRecirc, 8, &pl.phv.recirc},
 	} {
 		if err := layout.Define(f.name, f.bits); err != nil {
 			return nil, fmt.Errorf("dataplane: %w", err)
 		}
+		*f.slot, _ = layout.Slot(f.name)
 	}
 
 	if err := pl.provisionInitBlock(); err != nil {
@@ -98,6 +103,58 @@ func Provision(sw *rmt.Switch) (*Plane, error) {
 		return nil, err
 	}
 	return pl, nil
+}
+
+// slots are the data plane's PHV fields, resolved once at provisioning:
+// actions and hooks read and write them by container, never by name.
+type slots struct {
+	har, sar, mar, bak, physAddr, saluFlag, prog, branch, recirc rmt.Slot
+}
+
+// reg resolves a register code (lang.Reg) to its field.
+func (s *slots) reg(code uint32) rmt.Slot {
+	switch code {
+	case regHAR:
+		return s.har
+	case regSAR:
+		return s.sar
+	case regMAR:
+		return s.mar
+	}
+	panic(fmt.Sprintf("dataplane: bad register code %d", code))
+}
+
+func (s *slots) regGet(p *rmt.PHV, code uint32) uint32 { return p.Load(s.reg(code)) }
+
+func (s *slots) regSet(p *rmt.PHV, code, v uint32) { p.Store(s.reg(code), v) }
+
+// headerField reads and writes one field of the field ID space, resolved at
+// provisioning. A field whose header the packet lacks reads as zero and
+// drops writes: the hardware would read an invalid container, and the
+// filter tables keep programs off packets without their headers. Metadata
+// fields are read-only.
+type headerField struct {
+	get func(*rmt.PHV) uint32
+	set func(*rmt.PHV, uint32)
+}
+
+func resolveHeaderField(name string) headerField {
+	readOnly := func(*rmt.PHV, uint32) {}
+	switch name {
+	case "meta.ingress_port":
+		return headerField{func(p *rmt.PHV) uint32 { return uint32(p.Meta.IngressPort) }, readOnly}
+	case "meta.qdepth":
+		return headerField{func(p *rmt.PHV) uint32 { return p.Meta.QueueDepth }, readOnly}
+	case "meta.pkt_len":
+		return headerField{func(p *rmt.PHV) uint32 { return p.Meta.PktLen }, readOnly}
+	case "meta.ttl":
+		return headerField{func(p *rmt.PHV) uint32 { return p.Meta.TTL }, readOnly}
+	}
+	acc, _ := pkt.Field(name)
+	return headerField{
+		func(p *rmt.PHV) uint32 { v, _ := acc.Get(p.Packet); return v },
+		func(p *rmt.PHV, v uint32) { acc.Set(p.Packet, v) },
+	}
 }
 
 // FieldID resolves a header/metadata field name to its compact ID used in

@@ -27,42 +27,6 @@ const (
 	regMAR = 3
 )
 
-func rpbKeyFunc(p *rmt.PHV) []uint32 {
-	k := p.KeyScratch(rpbKeyCount)
-	k[rkProg] = p.Get(FieldProg)
-	k[rkBranch] = p.Get(FieldBranch)
-	k[rkRecirc] = p.Get(FieldRecirc)
-	k[rkHAR] = p.Get(FieldHAR)
-	k[rkSAR] = p.Get(FieldSAR)
-	k[rkMAR] = p.Get(FieldMAR)
-	return k
-}
-
-func regGet(p *rmt.PHV, code uint32) uint32 {
-	switch code {
-	case regHAR:
-		return p.Get(FieldHAR)
-	case regSAR:
-		return p.Get(FieldSAR)
-	case regMAR:
-		return p.Get(FieldMAR)
-	}
-	panic(fmt.Sprintf("dataplane: bad register code %d", code))
-}
-
-func regSet(p *rmt.PHV, code, v uint32) {
-	switch code {
-	case regHAR:
-		p.Set(FieldHAR, v)
-	case regSAR:
-		p.Set(FieldSAR, v)
-	case regMAR:
-		p.Set(FieldMAR, v)
-	default:
-		panic(fmt.Sprintf("dataplane: bad register code %d", code))
-	}
-}
-
 func (pl *Plane) provisionRPBs() error {
 	cfg := pl.SW.Config()
 	pl.rpbs = make([]*rmt.Table, pl.M)
@@ -75,13 +39,13 @@ func (pl *Plane) provisionRPBs() error {
 		} else {
 			g, stage = rmt.Egress, id-pl.N-1
 		}
-		t, err := pl.SW.AddTable(fmt.Sprintf("rpb_%02d", id), g, stage, cfg.TableCapacity, rpbKeyCount, rpbKeyFunc)
+		t, err := pl.SW.AddTable(fmt.Sprintf("rpb_%02d", id), g, stage, cfg.TableCapacity, rpbKeyCount, nil)
 		if err != nil {
 			return err
 		}
-		// Declare the key layout so Table.Apply replaces rpbKeyFunc's six
-		// string-keyed Get calls with direct container reads (field order
-		// must match the rk* key indices above).
+		// The key is exactly these PHV containers, in the order of the rk*
+		// key indices above: Table.Apply reads them directly, so the table
+		// needs no key function.
 		if err := t.SetPHVKeyFields(pl.SW.PHVLayout(), FieldProg, FieldBranch, FieldRecirc, FieldHAR, FieldSAR, FieldMAR); err != nil {
 			return err
 		}
@@ -108,42 +72,17 @@ func (pl *Plane) registerActions(t *rmt.Table, g rmt.Gress, stage int) error {
 	if err != nil {
 		return err
 	}
-	fieldNames := pl.fieldNames
-
-	getField := func(p *rmt.PHV, id uint32) uint32 {
-		name := fieldNames[id]
-		switch name {
-		case "meta.ingress_port":
-			return uint32(p.Meta.IngressPort)
-		case "meta.qdepth":
-			return p.Meta.QueueDepth
-		case "meta.pkt_len":
-			return p.Meta.PktLen
-		case "meta.ttl":
-			return p.Meta.TTL
-		}
-		v, err := p.Packet.GetField(name)
-		if err != nil {
-			// Absent header: hardware would read an invalid container;
-			// the filter tables should prevent this, so surface zero.
-			return 0
-		}
-		return v
-	}
-	setField := func(p *rmt.PHV, id, v uint32) {
-		name := fieldNames[id]
-		_ = p.Packet.SetField(name, v) // absent header: write is dropped
-	}
+	f, hdr := &pl.phv, pl.headerFields
 
 	mem := func(op rmt.SALUOp, updateSAR bool) rmt.ActionFunc {
 		return func(p *rmt.PHV, _ []uint32) {
-			addr := p.Get(FieldPhysAddr) & memMask
-			res, err := sw.AccessMemory(p, op, addr, p.Get(FieldSAR))
+			addr := p.Load(f.physAddr) & memMask
+			res, err := sw.AccessMemory(p, op, addr, p.Load(f.sar))
 			if err != nil {
 				panic(fmt.Sprintf("dataplane: memory action: %v", err))
 			}
 			if updateSAR {
-				p.Set(FieldSAR, res)
+				p.Store(f.sar, res)
 			}
 		}
 	}
@@ -155,30 +94,30 @@ func (pl *Plane) registerActions(t *rmt.Table, g rmt.Gress, stage int) error {
 	}
 	actions := []actionSpec{
 		{"nop", 1, func(p *rmt.PHV, _ []uint32) {}},
-		{"set_branch", 1, func(p *rmt.PHV, params []uint32) { p.Set(FieldBranch, params[0]) }},
-		{"extract", 1, func(p *rmt.PHV, params []uint32) { regSet(p, params[1], getField(p, params[0])) }},
-		{"modify", 1, func(p *rmt.PHV, params []uint32) { setField(p, params[0], regGet(p, params[1])) }},
+		{"set_branch", 1, func(p *rmt.PHV, params []uint32) { p.Store(f.branch, params[0]) }},
+		{"extract", 1, func(p *rmt.PHV, params []uint32) { f.regSet(p, params[1], hdr[params[0]].get(p)) }},
+		{"modify", 1, func(p *rmt.PHV, params []uint32) { hdr[params[0]].set(p, f.regGet(p, params[1])) }},
 		{"hash5", 1, func(p *rmt.PHV, _ []uint32) {
-			p.Set(FieldHAR, unit32.Sum(p.Packet.FiveTuple().Bytes()))
+			p.Store(f.har, unit32.Sum(p.Packet.FiveTuple().Bytes()))
 		}},
 		{"hash", 1, func(p *rmt.PHV, _ []uint32) {
-			p.Set(FieldHAR, unit32.SumWord(p.Get(FieldHAR)))
+			p.Store(f.har, unit32.SumWord(p.Load(f.har)))
 		}},
 		// The *_mem hash actions fuse the mask step of address translation
 		// (params[0] is the mask adjusting the output width to the virtual
 		// block size) so overflowed hash bits are invisible to later
 		// primitives (§4.1.2).
 		{"hash5_mem", 1, func(p *rmt.PHV, params []uint32) {
-			p.Set(FieldMAR, unit16.SumMasked(p.Packet.FiveTuple().Bytes(), params[0]))
+			p.Store(f.mar, unit16.SumMasked(p.Packet.FiveTuple().Bytes(), params[0]))
 		}},
 		{"hash_mem", 1, func(p *rmt.PHV, params []uint32) {
-			p.Set(FieldMAR, unit16.SumWord(p.Get(FieldHAR))&params[0])
+			p.Store(f.mar, unit16.SumWord(p.Load(f.har))&params[0])
 		}},
 		// The offset step: physical address into the extra PHV field, SALU
 		// flag set concurrently, mar preserved.
 		{"offset", 2, func(p *rmt.PHV, params []uint32) {
-			p.Set(FieldPhysAddr, p.Get(FieldMAR)+params[0])
-			p.Set(FieldSALUFlag, 1)
+			p.Store(f.physAddr, p.Load(f.mar)+params[0])
+			p.Store(f.saluFlag, 1)
 		}},
 		{"mem_add", 1, mem(rmt.SALUAdd, true)},
 		{"mem_sub", 1, mem(rmt.SALUSub, true)},
@@ -187,31 +126,31 @@ func (pl *Plane) registerActions(t *rmt.Table, g rmt.Gress, stage int) error {
 		{"mem_read", 1, mem(rmt.SALURead, true)},
 		{"mem_write", 1, mem(rmt.SALUWrite, false)},
 		{"mem_max", 1, mem(rmt.SALUMax, false)},
-		{"loadi", 1, func(p *rmt.PHV, params []uint32) { regSet(p, params[0], params[1]) }},
+		{"loadi", 1, func(p *rmt.PHV, params []uint32) { f.regSet(p, params[0], params[1]) }},
 		{"add", 1, func(p *rmt.PHV, params []uint32) {
-			regSet(p, params[0], regGet(p, params[0])+regGet(p, params[1]))
+			f.regSet(p, params[0], f.regGet(p, params[0])+f.regGet(p, params[1]))
 		}},
 		{"and", 1, func(p *rmt.PHV, params []uint32) {
-			regSet(p, params[0], regGet(p, params[0])&regGet(p, params[1]))
+			f.regSet(p, params[0], f.regGet(p, params[0])&f.regGet(p, params[1]))
 		}},
 		{"or", 1, func(p *rmt.PHV, params []uint32) {
-			regSet(p, params[0], regGet(p, params[0])|regGet(p, params[1]))
+			f.regSet(p, params[0], f.regGet(p, params[0])|f.regGet(p, params[1]))
 		}},
 		{"max", 1, func(p *rmt.PHV, params []uint32) {
-			if b := regGet(p, params[1]); b > regGet(p, params[0]) {
-				regSet(p, params[0], b)
+			if b := f.regGet(p, params[1]); b > f.regGet(p, params[0]) {
+				f.regSet(p, params[0], b)
 			}
 		}},
 		{"min", 1, func(p *rmt.PHV, params []uint32) {
-			if b := regGet(p, params[1]); b < regGet(p, params[0]) {
-				regSet(p, params[0], b)
+			if b := f.regGet(p, params[1]); b < f.regGet(p, params[0]) {
+				f.regSet(p, params[0], b)
 			}
 		}},
 		{"xor", 1, func(p *rmt.PHV, params []uint32) {
-			regSet(p, params[0], regGet(p, params[0])^regGet(p, params[1]))
+			f.regSet(p, params[0], f.regGet(p, params[0])^f.regGet(p, params[1]))
 		}},
-		{"backup", 1, func(p *rmt.PHV, params []uint32) { p.Set(FieldBak, regGet(p, params[0])) }},
-		{"restore", 1, func(p *rmt.PHV, params []uint32) { regSet(p, params[0], p.Get(FieldBak)) }},
+		{"backup", 1, func(p *rmt.PHV, params []uint32) { p.Store(f.bak, f.regGet(p, params[0])) }},
+		{"restore", 1, func(p *rmt.PHV, params []uint32) { f.regSet(p, params[0], p.Load(f.bak)) }},
 	}
 	if g == rmt.Ingress {
 		actions = append(actions,
@@ -240,11 +179,7 @@ func (pl *Plane) provisionRecircBlock() error {
 	// The recirculation block occupies the last ingress stage and rewrites
 	// the P4runpro header (registers + flags, carried in the PHV across
 	// passes in the simulator) while flagging the traffic manager.
-	t, err := pl.SW.AddTable("recirc_block", rmt.Ingress, cfg.IngressStages-1, cfg.TableCapacity, 3, func(p *rmt.PHV) []uint32 {
-		k := p.KeyScratch(3)
-		k[0], k[1], k[2] = p.Get(FieldProg), p.Get(FieldBranch), p.Get(FieldRecirc)
-		return k
-	})
+	t, err := pl.SW.AddTable("recirc_block", rmt.Ingress, cfg.IngressStages-1, cfg.TableCapacity, 3, nil)
 	if err != nil {
 		return err
 	}
@@ -261,8 +196,9 @@ func (pl *Plane) provisionRecircBlock() error {
 		return err
 	}
 	pl.recircTbl = t
+	f := &pl.phv
 	pl.SW.SetRecircHook(func(p *rmt.PHV) {
-		p.Set(FieldRecirc, p.Get(FieldRecirc)+1)
+		p.Store(f.recirc, p.Load(f.recirc)+1)
 	})
 	// Chain mode (paper §4.1.3: recirculation replaced by multiple
 	// switches on the path): the emit hook serializes the execution
@@ -270,12 +206,12 @@ func (pl *Plane) provisionRecircBlock() error {
 	// next switch; the parse hook restores it when the shim arrives.
 	pl.SW.SetEmitHook(func(p *rmt.PHV) {
 		shim := &pkt.RecircShim{
-			HAR:       p.Get(FieldHAR),
-			SAR:       p.Get(FieldSAR),
-			MAR:       p.Get(FieldMAR),
-			ProgramID: uint16(p.Get(FieldProg)),
-			BranchID:  uint16(p.Get(FieldBranch)),
-			RecircID:  uint8(p.Get(FieldRecirc)) + 1,
+			HAR:       p.Load(f.har),
+			SAR:       p.Load(f.sar),
+			MAR:       p.Load(f.mar),
+			ProgramID: uint16(p.Load(f.prog)),
+			BranchID:  uint16(p.Load(f.branch)),
+			RecircID:  uint8(p.Load(f.recirc)) + 1,
 		}
 		if p.Meta.Drop {
 			shim.Flags |= pkt.ShimDrop
@@ -300,12 +236,12 @@ func (pl *Plane) provisionRecircBlock() error {
 		if shim == nil {
 			return
 		}
-		p.Set(FieldHAR, shim.HAR)
-		p.Set(FieldSAR, shim.SAR)
-		p.Set(FieldMAR, shim.MAR)
-		p.Set(FieldProg, uint32(shim.ProgramID))
-		p.Set(FieldBranch, uint32(shim.BranchID))
-		p.Set(FieldRecirc, uint32(shim.RecircID))
+		p.Store(f.har, shim.HAR)
+		p.Store(f.sar, shim.SAR)
+		p.Store(f.mar, shim.MAR)
+		p.Store(f.prog, uint32(shim.ProgramID))
+		p.Store(f.branch, uint32(shim.BranchID))
+		p.Store(f.recirc, uint32(shim.RecircID))
 		p.Meta.Drop = shim.Flags&pkt.ShimDrop != 0
 		p.Meta.Reflect = shim.Flags&pkt.ShimReflect != 0
 		p.Meta.ToCPU = shim.Flags&pkt.ShimToCPU != 0

@@ -123,11 +123,11 @@ func (pl *Plane) dispatchVersioned(p *rmt.PHV, params []uint32) {
 		return
 	}
 	ep := g.epoch.Load()
-	cur := p.Get(FieldProg)
+	cur := p.Load(pl.phv.prog)
 	if cur == uint32(ep.V1) || cur == uint32(ep.V2) {
 		return
 	}
-	p.Set(FieldProg, uint32(ep.Active))
+	p.Store(pl.phv.prog, uint32(ep.Active))
 	if ep.Active == ep.V2 && ep.V2 != ep.V1 {
 		g.v2Pkts.Add(1)
 	} else {

@@ -337,11 +337,12 @@ func (f *Fabric) Inject(node string, p *pkt.Packet, port int) (Delivery, error) 
 	if !ok {
 		return Delivery{}, fmt.Errorf("fabric: unknown node %q", node)
 	}
-	var res ReplayResult
 	tr := f.samplePath(p)
 	scratch := f.takeScratch()
+	// The hop histogram lives on the scratch, so a warm Inject allocates
+	// nothing.
+	res := ReplayResult{Hops: scratch.hops[:0]}
 	f.process([]hop{{n: n, p: p, port: port, ttl: f.opt.TTL, tr: tr}}, &res, scratch)
-	f.spare.Store(scratch)
 	d := Delivery{
 		Delivered:  int(res.Delivered),
 		Dropped:    int(res.Dropped),
@@ -355,6 +356,8 @@ func (f *Fabric) Inject(node string, p *pkt.Packet, port int) (Delivery, error) 
 			d.Hops = h
 		}
 	}
+	scratch.hops = emptied(res.Hops)
+	f.spare.Store(scratch)
 	return d, nil
 }
 
@@ -588,6 +591,7 @@ type engineScratch struct {
 	byNode    map[*Node][]hop
 	items     []rmt.BatchItem
 	free      [][]hop
+	hops      []uint64 // Inject's delivery hop histogram
 }
 
 // takeScratch returns the fabric's spare engine scratch, or a new one when

@@ -1,9 +1,6 @@
 package pkt
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // ParseBitmap is the parsing-state bitmap maintained in the PHV (paper
 // §4.1.1). Each bit records that the parser visited the state that extracts
@@ -121,16 +118,31 @@ func (p *Packet) FiveTuple() FiveTuple {
 	return t
 }
 
-// fieldAccessor reads and writes one named 32-bit-addressable header field.
-type fieldAccessor struct {
+// FieldAccessor reads and writes one named 32-bit-addressable header field.
+// Field resolves one by name, so code that touches a field per packet looks
+// its name up once.
+type FieldAccessor struct {
 	get func(*Packet) (uint32, bool)
 	set func(*Packet, uint32) bool
 }
 
+// Field resolves a header field name.
+func Field(name string) (FieldAccessor, bool) {
+	a, ok := fieldRegistry[name]
+	return a, ok
+}
+
+// Get reads the field, reporting false when its header is absent.
+func (a FieldAccessor) Get(p *Packet) (uint32, bool) { return a.get(p) }
+
+// Set writes the field, truncated to its width. It writes nothing and
+// reports false when the field's header is absent.
+func (a FieldAccessor) Set(p *Packet, v uint32) bool { return a.set(p, v) }
+
 // fieldRegistry maps P4runpro field names (the FIELD terminals of the
 // grammar, e.g. "hdr.udp.dst_port") to accessors. Fields wider than 32 bits
 // are exposed as _hi/_lo halves, as the prototype does for PHV registers.
-var fieldRegistry = map[string]fieldAccessor{
+var fieldRegistry = map[string]FieldAccessor{
 	"hdr.eth.dst_hi": {
 		func(p *Packet) (uint32, bool) {
 			if p.Eth == nil {
@@ -333,8 +345,8 @@ var fieldRegistry = map[string]fieldAccessor{
 	"hdr.ipv4.dest": ipv4Field(func(h *IPv4) *uint32 { return &h.Dst }), // alias
 }
 
-func ipv4Field(sel func(*IPv4) *uint32) fieldAccessor {
-	return fieldAccessor{
+func ipv4Field(sel func(*IPv4) *uint32) FieldAccessor {
+	return FieldAccessor{
 		func(p *Packet) (uint32, bool) {
 			if p.IP4 == nil {
 				return 0, false
@@ -351,8 +363,8 @@ func ipv4Field(sel func(*IPv4) *uint32) fieldAccessor {
 	}
 }
 
-func ipv4Field8(sel func(*IPv4) *uint8) fieldAccessor {
-	return fieldAccessor{
+func ipv4Field8(sel func(*IPv4) *uint8) FieldAccessor {
+	return FieldAccessor{
 		func(p *Packet) (uint32, bool) {
 			if p.IP4 == nil {
 				return 0, false
@@ -369,8 +381,8 @@ func ipv4Field8(sel func(*IPv4) *uint8) fieldAccessor {
 	}
 }
 
-func ipv4Field16(sel func(*IPv4) *uint16) fieldAccessor {
-	return fieldAccessor{
+func ipv4Field16(sel func(*IPv4) *uint16) FieldAccessor {
+	return FieldAccessor{
 		func(p *Packet) (uint32, bool) {
 			if p.IP4 == nil {
 				return 0, false
@@ -387,8 +399,8 @@ func ipv4Field16(sel func(*IPv4) *uint16) fieldAccessor {
 	}
 }
 
-func ncField(sel func(*NC) *uint32) fieldAccessor {
-	return fieldAccessor{
+func ncField(sel func(*NC) *uint32) FieldAccessor {
+	return FieldAccessor{
 		func(p *Packet) (uint32, bool) {
 			if p.NC == nil {
 				return 0, false
@@ -405,8 +417,8 @@ func ncField(sel func(*NC) *uint32) fieldAccessor {
 	}
 }
 
-func calcField(sel func(*Calc) *uint32) fieldAccessor {
-	return fieldAccessor{
+func calcField(sel func(*Calc) *uint32) FieldAccessor {
+	return FieldAccessor{
 		func(p *Packet) (uint32, bool) {
 			if p.Calc == nil {
 				return 0, false
@@ -437,32 +449,4 @@ func FieldNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// GetField reads a named header field as a 32-bit value. It returns an
-// error when the field name is unknown or the header is absent from the
-// packet (the hardware would read garbage; we fail loudly instead).
-func (p *Packet) GetField(name string) (uint32, error) {
-	acc, ok := fieldRegistry[name]
-	if !ok {
-		return 0, fmt.Errorf("pkt: unknown field %q", name)
-	}
-	v, ok := acc.get(p)
-	if !ok {
-		return 0, fmt.Errorf("pkt: field %q: header not present (bitmap %s)", name, p.Bitmap)
-	}
-	return v, nil
-}
-
-// SetField writes a named header field from a 32-bit value. Narrower fields
-// are truncated, matching PHV container semantics.
-func (p *Packet) SetField(name string, v uint32) error {
-	acc, ok := fieldRegistry[name]
-	if !ok {
-		return fmt.Errorf("pkt: unknown field %q", name)
-	}
-	if !acc.set(p, v) {
-		return fmt.Errorf("pkt: field %q: header not present (bitmap %s)", name, p.Bitmap)
-	}
-	return nil
 }

@@ -205,32 +205,36 @@ func TestFieldAccess(t *testing.T) {
 		"hdr.nc.key1":      0x8888,
 		"hdr.nc.value":     5,
 	}
-	for field, want := range cases {
-		got, err := p.GetField(field)
-		if err != nil {
-			t.Errorf("GetField(%s): %v", field, err)
-			continue
-		}
-		if got != want {
-			t.Errorf("GetField(%s) = %d, want %d", field, got, want)
+	for name, want := range cases {
+		got, ok := field(t, name).Get(p)
+		if !ok || got != want {
+			t.Errorf("Get(%s) = %d, %t, want %d", name, got, ok, want)
 		}
 	}
-	if err := p.SetField("hdr.nc.value", 123); err != nil {
-		t.Fatal(err)
+	if !field(t, "hdr.nc.value").Set(p, 123) || p.NC.Value != 123 {
+		t.Errorf("Set did not write: %d", p.NC.Value)
 	}
-	if p.NC.Value != 123 {
-		t.Errorf("SetField did not write: %d", p.NC.Value)
+	// Unknown fields do not resolve; an absent header is neither read nor
+	// written.
+	if _, ok := Field("hdr.zzz.q"); ok {
+		t.Error("unknown field resolved")
 	}
-	// Unknown field and absent header both error.
-	if _, err := p.GetField("hdr.zzz.q"); err == nil {
-		t.Error("unknown field accepted")
-	}
-	if _, err := p.GetField("hdr.tcp.seq"); err == nil {
+	if _, ok := field(t, "hdr.tcp.seq").Get(p); ok {
 		t.Error("absent header read accepted")
 	}
-	if err := p.SetField("hdr.tcp.seq", 1); err == nil {
+	if field(t, "hdr.tcp.seq").Set(p, 1) {
 		t.Error("absent header write accepted")
 	}
+}
+
+// field resolves a header field name, failing the test on an unknown one.
+func field(t *testing.T, name string) FieldAccessor {
+	t.Helper()
+	a, ok := Field(name)
+	if !ok {
+		t.Fatalf("unknown field %q", name)
+	}
+	return a
 }
 
 func TestFieldNamesComplete(t *testing.T) {
@@ -245,8 +249,8 @@ func TestFieldNamesComplete(t *testing.T) {
 	}
 	// Narrow fields truncate on write, like PHV containers.
 	p := NewTCP(sampleFlow(), 0, 100)
-	if err := p.SetField("hdr.ipv4.ttl", 0x1FF); err != nil {
-		t.Fatal(err)
+	if !field(t, "hdr.ipv4.ttl").Set(p, 0x1FF) {
+		t.Fatal("ttl not written")
 	}
 	if p.IP4.TTL != 0xFF {
 		t.Errorf("ttl = %d, want truncation to 8 bits", p.IP4.TTL)
@@ -282,19 +286,20 @@ func TestEveryFieldAccessor(t *testing.T) {
 	hosts := []*Packet{nc, tcp, calc, l2}
 	for _, name := range FieldNames() {
 		found := false
+		a := field(t, name)
 		for _, p := range hosts {
-			if _, err := p.GetField(name); err != nil {
+			if _, ok := a.Get(p); !ok {
 				continue
 			}
 			found = true
 			const probe = 0x5A5A5A5A
-			if err := p.SetField(name, probe); err != nil {
-				t.Errorf("%s: set failed on readable host: %v", name, err)
+			if !a.Set(p, probe) {
+				t.Errorf("%s: set failed on readable host", name)
 				continue
 			}
-			got, err := p.GetField(name)
-			if err != nil {
-				t.Errorf("%s: get after set: %v", name, err)
+			got, ok := a.Get(p)
+			if !ok {
+				t.Errorf("%s: get after set failed", name)
 				continue
 			}
 			// The readback must be the probe truncated to some width:
@@ -315,16 +320,16 @@ func TestEveryFieldAccessor(t *testing.T) {
 // TestAliasesShareStorage: documented aliases resolve to the same field.
 func TestAliasesShareStorage(t *testing.T) {
 	p := NewNC(sampleFlow(), NCWrite, 1, 2)
-	if err := p.SetField("hdr.nc.val", 99); err != nil {
-		t.Fatal(err)
+	if !field(t, "hdr.nc.val").Set(p, 99) {
+		t.Fatal("hdr.nc.val not written")
 	}
-	if v, _ := p.GetField("hdr.nc.value"); v != 99 {
+	if v, _ := field(t, "hdr.nc.value").Get(p); v != 99 {
 		t.Errorf("hdr.nc.val alias broken: %d", v)
 	}
-	if err := p.SetField("hdr.ipv4.dest", 0xAABBCCDD); err != nil {
-		t.Fatal(err)
+	if !field(t, "hdr.ipv4.dest").Set(p, 0xAABBCCDD) {
+		t.Fatal("hdr.ipv4.dest not written")
 	}
-	if v, _ := p.GetField("hdr.ipv4.dst"); v != 0xAABBCCDD {
+	if v, _ := field(t, "hdr.ipv4.dst").Get(p); v != 0xAABBCCDD {
 		t.Errorf("hdr.ipv4.dest alias broken: %x", v)
 	}
 }

@@ -48,14 +48,20 @@ func (l *PHVLayout) Define(name string, bits int) error {
 // Bits returns the allocated PHV bits.
 func (l *PHVLayout) Bits() int { return l.bits }
 
-// Index resolves a field name to its container index in the PHV value
-// vector. Tables use pre-resolved indices to extract keys by direct
-// container reads (see Table.SetPHVKeyFields); the layout is immutable after
-// provisioning, so a resolved index stays valid for the lifetime of the
-// switch.
-func (l *PHVLayout) Index(name string) (int, bool) {
+// Slot is a scratch field resolved to its container in the PHV value vector
+// and its width. The layout is immutable after provisioning, so a Slot
+// resolved then stays valid for the lifetime of the switch: per-packet code
+// (actions, hooks, key extraction) reads and writes through Slots with
+// PHV.Load and PHV.Store, never by name.
+type Slot struct {
+	index int
+	mask  uint32
+}
+
+// Slot resolves a field name.
+func (l *PHVLayout) Slot(name string) (Slot, bool) {
 	f, ok := l.fields[name]
-	return f.index, ok
+	return Slot{f.index, widthMask(f.bits)}, ok
 }
 
 // Fields returns the defined field names in a stable order.
@@ -225,6 +231,14 @@ func (p *PHV) Set(name string, v uint32) {
 	}
 	p.vals[f.index] = v & widthMask(f.bits)
 }
+
+// Load reads a resolved field: Get without the name lookup. Writes mask to
+// the field's width, so the container holds the field's value.
+func (p *PHV) Load(s Slot) uint32 { return p.vals[s.index] }
+
+// Store writes a resolved field, truncating to its width: Set without the
+// name lookup.
+func (p *PHV) Store(s Slot, v uint32) { p.vals[s.index] = v & s.mask }
 
 // ResetPass clears per-pass execution state before a recirculation pass.
 // Deferred forwarding verdicts (Drop/Reflect/ToCPU/EgressSpec) persist

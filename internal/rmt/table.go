@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"p4runpro/internal/faults"
+	"p4runpro/internal/pkt"
 )
 
 // fpInsert is the table-entry installation fault point (see internal/faults):
@@ -67,8 +68,8 @@ func before(a, b *Entry) bool {
 }
 
 // tableState is the immutable published match state of a table: the declared
-// key containers, the tuple-space match index, and the resolved default
-// action.
+// key containers, the parse-path gate, the tuple-space match index, and the
+// resolved default action.
 // Every mutation builds a fresh tableState under the writer lock and
 // publishes it with one atomic pointer store, so the packet path reads a
 // consistent snapshot without taking any lock — the simulator's model of the
@@ -76,10 +77,22 @@ func before(a, b *Entry) bool {
 // update relies on (paper §4.3/§5). A snapshot is never mutated after
 // publication. Snapshots share everything a mutation did not touch: an entry
 // insert or delete copies this header, the group slice, the touched group's
-// header, one hash page of it and one chain's links up to the change.
+// header, one hash page of it, one chain's cells up to the change and one
+// path of that cell's run.
 // Entries are shared too (their hit counters are atomics and survive
 // republication).
 type tableState struct {
+	// gate is whether the table can act on a packet, the first thing apply
+	// reads. publish derives it from the fields below.
+	gate gate
+
+	// onPath gates the table on one parsing path (SetParsePath): it applies
+	// only to packets whose parse bitmap is path, and every entry matches
+	// exactly path at key position pathKey.
+	onPath  bool
+	path    pkt.ParseBitmap
+	pathKey int
+
 	// keyIdx, when non-nil, declares that the key vector is exactly these
 	// PHV containers in order (SetPHVKeyFields): Apply reads them directly
 	// instead of calling keyFunc.
@@ -95,6 +108,28 @@ type tableState struct {
 	defaultParams []uint32
 }
 
+// gate says which packets a table snapshot can act on.
+type gate uint8
+
+const (
+	gateOpen  gate = iota // any packet
+	gateInert             // none: no entry and no default action
+	gatePath              // packets of parse path tableState.path only
+)
+
+// publish derives ns's gate and makes ns the table's snapshot.
+func (t *Table) publish(ns *tableState) {
+	switch {
+	case ns.count == 0 && ns.defaultFn == nil:
+		ns.gate = gateInert
+	case ns.onPath:
+		ns.gate = gatePath
+	default:
+		ns.gate = gateOpen
+	}
+	t.state.Store(ns)
+}
+
 const (
 	// pageBits sizes a hash page at 1<<pageBits chains: the unit of
 	// copy-on-write below a group header.
@@ -105,20 +140,22 @@ const (
 )
 
 // group holds every entry of one mask vector — one tuple of tuple-space
-// search (Srinivasan et al., SIGCOMM 1999). An entry lives in the chain its
-// masked key hashes to, the hash taken over the key positions with a non-zero
-// mask only. A chain is sorted by before, so the first entry in it whose
-// masked key equals the packet's is the group's match. Chains are held in
-// fixed-size pages, so a mutation copies the header (its page directory),
-// one page, and the links of one chain up to the change, never the whole
-// group.
+// search (Srinivasan et al., SIGCOMM 1999). Entries with equal masked keys
+// share one cell, and a cell lives in the chain its masked key hashes to, the
+// hash taken over the key positions with a non-zero mask only. A cell's head
+// is the best of its entries by before, so the cell whose masked key equals
+// the packet's is the group's match and its head is the matched entry.
+// Chains are held in fixed-size pages, so a mutation copies the header (its
+// page directory), one page, and the cells of one chain up to the change,
+// never the whole group.
 type group struct {
 	gen     uint64   // the Table.gen of the mutation that made this header
 	masks   []uint32 // the mask vector, one word per key
 	fields  []field  // the key positions with a non-zero mask
 	maxPrio int      // upper bound on the group's priorities; a delete may leave it stale high
-	count   int
-	shift   uint // a hash's top 64-shift bits pick the chain
+	count   int      // entries
+	cells   int      // distinct masked keys: the load a group grows by
+	shift   uint     // a hash's top 64-shift bits pick the chain
 	pages   []*page
 }
 
@@ -134,31 +171,149 @@ type page struct {
 	chains [pageSlots]*link
 }
 
-// link is one cell of a chain. Links are immutable, so snapshots share the
-// part of a chain a mutation did not reach.
+// link is one cell of a chain: the entries of one masked key, e the best of
+// them and run the rest. Links are immutable, so snapshots share the part of
+// a chain a mutation did not reach.
 type link struct {
 	e    *Entry
+	run  *node
 	next *link
 }
 
-// withEntry returns chain c with e in its sorted place.
-func withEntry(c *link, e *Entry) *link {
-	if c == nil || before(e, c.e) {
-		return &link{e, c}
+// same reports whether a and b have the same masked key in g.
+func (g *group) same(a, b *Entry) bool {
+	for _, f := range g.fields {
+		if (a.Keys[f.i].Value^b.Keys[f.i].Value)&f.mask != 0 {
+			return false
+		}
 	}
-	return &link{c.e, withEntry(c.next, e)}
+	return true
+}
+
+// with returns chain c with e added to the cell of its masked key (as the
+// head when e comes before the head, else to the run), or as a new cell at
+// the chain's end when no cell has its key.
+func (g *group) with(c *link, e *Entry) *link {
+	switch {
+	case c == nil:
+		g.cells++
+		return &link{e: e}
+	case !g.same(c.e, e):
+		return &link{c.e, c.run, g.with(c.next, e)}
+	case before(e, c.e):
+		return &link{e, c.run.with(c.e), c.next}
+	}
+	return &link{c.e, c.run.with(e), c.next}
 }
 
 // without returns chain c with old removed, or with old replaced by e when e
-// is not nil. old must be in c.
-func without(c *link, old, e *Entry) *link {
-	if c.e != old {
-		return &link{c.e, without(c.next, old, e)}
-	}
-	if e == nil {
+// is not nil (e then has old's ID, priority and keys). old must be in c. A
+// removed head hands the cell to the best of its run; a cell left empty goes.
+func (g *group) without(c *link, old, e *Entry) *link {
+	switch {
+	case !g.same(c.e, old):
+		return &link{c.e, c.run, g.without(c.next, old, e)}
+	case c.e != old:
+		run := c.run.without(old)
+		if e != nil {
+			run = run.with(e)
+		}
+		return &link{c.e, run, c.next}
+	case e != nil:
+		return &link{e, c.run, c.next}
+	case c.run == nil:
+		g.cells--
 		return c.next
 	}
-	return &link{e, c.next}
+	head := c.run.first()
+	return &link{head, c.run.without(head), c.next}
+}
+
+// node is one entry of a cell's run: a persistent treap, a search tree by
+// before and a heap by weight, so its expected depth is logarithmic in the
+// run whatever order entries come and go in, and a mutation copies one path.
+// Only instances of one program share a masked key, so runs are where a
+// table's entries pile up: every instance's init entry sits in one cell.
+type node struct {
+	e           *Entry
+	left, right *node
+}
+
+// weight is the treap's heap key: a hash of the entry's ID.
+func weight(e *Entry) uint64 {
+	x := uint64(e.ID) * 0x9e3779b97f4a7c15
+	return (x ^ x>>29) * 0xbf58476d1ce4e5b9
+}
+
+// with returns run n with e added.
+func (n *node) with(e *Entry) *node {
+	if n == nil {
+		return &node{e: e}
+	}
+	c := *n
+	if before(e, n.e) {
+		l := n.left.with(e) // fresh, so rotating it up may write it
+		if weight(l.e) > weight(c.e) {
+			c.left, l.right = l.right, &c
+			return l
+		}
+		c.left = l
+	} else {
+		r := n.right.with(e)
+		if weight(r.e) > weight(c.e) {
+			c.right, r.left = r.left, &c
+			return r
+		}
+		c.right = r
+	}
+	return &c
+}
+
+// without returns run n with e, which must be in it, removed.
+func (n *node) without(e *Entry) *node {
+	if n.e == e {
+		return merge(n.left, n.right)
+	}
+	c := *n
+	if before(e, n.e) {
+		c.left = n.left.without(e)
+	} else {
+		c.right = n.right.without(e)
+	}
+	return &c
+}
+
+// merge joins two runs, every entry of a before every entry of b.
+func merge(a, b *node) *node {
+	switch {
+	case a == nil:
+		return b
+	case b == nil:
+		return a
+	case weight(a.e) > weight(b.e):
+		c := *a
+		c.right = merge(a.right, b)
+		return &c
+	}
+	c := *b
+	c.left = merge(a, b.left)
+	return &c
+}
+
+// first returns the run's best entry.
+func (n *node) first() *Entry {
+	for n.left != nil {
+		n = n.left
+	}
+	return n.e
+}
+
+func (n *node) each(fn func(*Entry)) {
+	if n != nil {
+		n.left.each(fn)
+		fn(n.e)
+		n.right.each(fn)
+	}
 }
 
 func newGroup(keys []TernaryKey, gen uint64) *group {
@@ -202,6 +357,7 @@ func (st *tableState) each(fn func(*Entry)) {
 			for _, c := range pg.chains {
 				for ; c != nil; c = c.next {
 					fn(c.e)
+					c.run.each(fn)
 				}
 			}
 		}
@@ -261,17 +417,38 @@ func (t *Table) SetPHVKeyFields(layout *PHVLayout, names ...string) error {
 	}
 	idx := make([]int, len(names))
 	for i, n := range names {
-		j, ok := layout.Index(n)
+		f, ok := layout.Slot(n)
 		if !ok {
 			return fmt.Errorf("rmt: table %s: key field %q not defined in PHV layout", t.Name, n)
 		}
-		idx[i] = j
+		idx[i] = f.index
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ns := *t.state.Load()
 	ns.keyIdx = idx
-	t.state.Store(&ns)
+	t.publish(&ns)
+	return nil
+}
+
+// SetParsePath gates the table on one parsing path, as the P4 control flow
+// that switches on the parse bitmap to pick one filtering table: the table
+// applies only to packets whose parse bitmap is path, and every entry must
+// match exactly path at key position key, where the key extractor puts the
+// bitmap. A packet on another path could match no entry, so the gate changes
+// no verdict; it only skips the extraction and the lookup.
+func (t *Table) SetParsePath(key int, path pkt.ParseBitmap) error {
+	if key < 0 || key >= t.nkeys {
+		return fmt.Errorf("rmt: table %s: parse-path key %d out of range [0,%d)", t.Name, key, t.nkeys)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ns := *t.state.Load()
+	if ns.count > 0 {
+		return fmt.Errorf("rmt: table %s: parse-path gate set with %d entries installed", t.Name, ns.count)
+	}
+	ns.onPath, ns.pathKey, ns.path = true, key, path
+	t.publish(&ns)
 	return nil
 }
 
@@ -281,7 +458,8 @@ type actionDef struct {
 }
 
 // NewTable creates a table bound to a stage. keyFunc extracts nkeys 32-bit
-// key values from the PHV per lookup.
+// key values from the PHV per lookup; it may be nil when the table declares
+// its key containers with SetPHVKeyFields before its first entry.
 func NewTable(name string, g Gress, stage, capacity, nkeys int, keyFunc func(*PHV) []uint32) *Table {
 	t := &Table{
 		Name:     name,
@@ -293,7 +471,7 @@ func NewTable(name string, g Gress, stage, capacity, nkeys int, keyFunc func(*PH
 		byID:     make(map[EntryID]*Entry),
 		actions:  make(map[string]actionDef),
 	}
-	t.state.Store(&tableState{})
+	t.publish(&tableState{})
 	return t
 }
 
@@ -326,7 +504,7 @@ func (t *Table) SetDefault(action string, params ...uint32) error {
 	ns.defaultName = action
 	ns.defaultFn = fn
 	ns.defaultParams = params
-	t.state.Store(&ns)
+	t.publish(&ns)
 	return nil
 }
 
@@ -367,10 +545,9 @@ func (t *Table) chain(g *group, keys []TernaryKey) **link {
 	return &pg.chains[i&(pageSlots-1)]
 }
 
-// grow doubles the owned group g's chains onto fresh pages. With top-bits
-// chain selection, old chain i splits into new chains 2i and 2i+1 only, so
-// prepending its entries in reverse keeps both sorted, in time linear in the
-// chain even when every entry shares one masked key.
+// grow doubles the owned group g's chains onto fresh pages, moving each cell
+// whole (its run included) to the chain its masked key now hashes to. Order
+// within a chain does not matter: no two cells share a masked key.
 func (t *Table) grow(g *group) {
 	old := g.pages
 	g.pages = make([]*page, 2*len(old))
@@ -378,15 +555,11 @@ func (t *Table) grow(g *group) {
 		g.pages[j] = &page{gen: t.gen}
 	}
 	g.shift--
-	var es []*Entry
 	for _, pg := range old {
 		for _, c := range pg.chains {
-			for es = es[:0]; c != nil; c = c.next {
-				es = append(es, c.e)
-			}
-			for j := len(es) - 1; j >= 0; j-- {
-				ch := t.chain(g, es[j].Keys)
-				*ch = &link{es[j], *ch}
+			for ; c != nil; c = c.next {
+				ch := t.chain(g, c.e.Keys)
+				*ch = &link{c.e, c.run, *ch}
 			}
 		}
 	}
@@ -411,6 +584,9 @@ func (t *Table) Insert(keys []TernaryKey, priority int, action string, params []
 	if cur.count >= t.capacity {
 		return 0, fmt.Errorf("rmt: table %s: full (%d entries)", t.Name, t.capacity)
 	}
+	if cur.onPath && keys[cur.pathKey] != Exact(uint32(cur.path)) {
+		return 0, fmt.Errorf("rmt: table %s: entry key %d is %+v, want exactly parse path %s", t.Name, cur.pathKey, keys[cur.pathKey], cur.path)
+	}
 	t.nextID++
 	e := &Entry{ID: t.nextID, Keys: keys, Priority: priority, Action: action, Params: params, Owner: owner, fn: def.fn}
 	ns := t.edit()
@@ -420,11 +596,11 @@ func (t *Table) Insert(keys []TernaryKey, priority int, action string, params []
 		ns.groups = append(ns.groups, newGroup(keys, t.gen))
 	}
 	g := t.ownGroup(ns, i)
-	if g.count >= maxLoad*pageSlots*len(g.pages) {
+	if g.cells >= maxLoad*pageSlots*len(g.pages) {
 		t.grow(g)
 	}
 	ch := t.chain(g, keys)
-	*ch = withEntry(*ch, e)
+	*ch = g.with(*ch, e)
 	if g.count == 0 || priority > g.maxPrio {
 		// The only reorder: a group's bound rose, so it moves forward.
 		g.maxPrio = priority
@@ -435,7 +611,7 @@ func (t *Table) Insert(keys []TernaryKey, priority int, action string, params []
 	g.count++
 	ns.count++
 	t.byID[e.ID] = e
-	t.state.Store(ns)
+	t.publish(ns)
 	return e.ID, nil
 }
 
@@ -452,7 +628,7 @@ func (t *Table) unlink(ns *tableState, e *Entry) {
 	g := t.ownGroup(ns, i)
 	g.count--
 	ch := t.chain(g, e.Keys)
-	*ch = without(*ch, e, nil)
+	*ch = g.without(*ch, e, nil)
 }
 
 // Delete removes an entry atomically.
@@ -466,7 +642,7 @@ func (t *Table) Delete(id EntryID) error {
 	ns := t.edit()
 	t.unlink(ns, e)
 	delete(t.byID, id)
-	t.state.Store(ns)
+	t.publish(ns)
 	return nil
 }
 
@@ -489,7 +665,7 @@ func (t *Table) DeleteOwned(owner string) int {
 		n++
 	}
 	if ns != nil {
-		t.state.Store(ns)
+		t.publish(ns)
 	}
 	return n
 }
@@ -521,13 +697,14 @@ func (t *Table) Reown(oldOwner, newOwner string) int {
 			Action: e.Action, Params: e.Params, Owner: newOwner,
 			fn: e.fn, hits: e.Hits(),
 		}
-		ch := t.chain(t.ownGroup(ns, ns.groupOf(e.Keys)), e.Keys)
-		*ch = without(*ch, e, moved)
+		g := t.ownGroup(ns, ns.groupOf(e.Keys))
+		ch := t.chain(g, e.Keys)
+		*ch = g.without(*ch, e, moved)
 		t.byID[id] = moved
 		n++
 	}
 	if ns != nil {
-		t.state.Store(ns)
+		t.publish(ns)
 	}
 	return n
 }
@@ -550,8 +727,19 @@ func (t *Table) Apply(p *PHV) bool {
 
 // apply is Apply without the hit count: it returns the matched entry (nil on
 // a miss) and whether an action ran, and leaves counting to the caller.
+//
+// A table that cannot act on the packet costs one snapshot load: with no
+// entry and no default action, or gated on another parsing path, it returns
+// before key extraction, lookup and postcard work, exactly as a miss with no
+// default would end. The check reads the snapshot this packet would search,
+// at this table's turn, so an entry published while the packet is between
+// stages is seen by the stages it has yet to reach (§4.3's link order relies
+// on that).
 func (t *Table) apply(p *PHV) (*Entry, bool) {
 	st := t.state.Load()
+	if st.gate != gateOpen && (st.gate == gateInert || p.Packet == nil || p.Packet.Bitmap != st.path) {
+		return nil, false
+	}
 	var keyVals []uint32
 	if st.keyIdx != nil {
 		keyVals = p.keyScratchRaw(len(st.keyIdx))
@@ -588,7 +776,8 @@ func (t *Table) apply(p *PHV) (*Entry, bool) {
 // lookup probes the groups in descending maxPrio, one hash probe each, and
 // stops at the first group whose bound is below the best match so far; an
 // equal bound is still probed, as it may hold an earlier install. In a group,
-// the first chain entry whose masked key equals the packet's is its match.
+// the one cell whose masked key equals the packet's holds its match, the
+// cell's head.
 func (st *tableState) lookup(keyVals []uint32) *Entry {
 	var best *Entry
 	for _, g := range st.groups {

@@ -2,7 +2,6 @@ package rmt
 
 import (
 	"fmt"
-	"strconv"
 	"testing"
 
 	"p4runpro/internal/pkt"
@@ -82,20 +81,29 @@ func BenchmarkTableLookup(b *testing.B) {
 }
 
 // BenchmarkTableInsertDelete installs and deletes one /24 in an init-shaped
-// table that is empty or holds 2,000 /24s (of 2,048 slots).
+// table that is empty or holds 2,000 /24s (of 2,048 slots), and (shared) one
+// /16 into a table holding 2,000 entries with that /16 already: the init
+// table of 2,000 resident instances of one program.
 func BenchmarkTableInsertDelete(b *testing.B) {
 	for _, bc := range []struct {
-		name string
-		fill int
-	}{{"empty", 0}, {"full", 2000}} {
+		name   string
+		fill   int
+		shared bool
+	}{{"empty", 0, false}, {"full", 2000, false}, {"shared", 2000, true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			tbl := newInitShaped(b, 2048)
+			key := func(i int) []TernaryKey {
+				if bc.shared {
+					return prefixKeys(10<<24, 16)
+				}
+				return prefixKeys(background24(i), 24)
+			}
 			for i := 0; i < bc.fill; i++ {
-				if _, err := tbl.Insert(prefixKeys(background24(i), 24), 24, "set", nil, "bg"); err != nil {
+				if _, err := tbl.Insert(key(i), 24, "set", nil, "bg"); err != nil {
 					b.Fatal(err)
 				}
 			}
-			keys := prefixKeys(background24(bc.fill), 24)
+			keys := key(bc.fill)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -165,13 +173,107 @@ func burstSwitch(b *testing.B) *Switch {
 	return sw
 }
 
+// sparseSwitch is a switch shaped like a provisioned data plane with one
+// small program resident, the shape of both packet workloads, where most
+// tables are empty: six init tables at ingress stage 0, one per parsing path
+// and gated on it, whose key extractor reads the packet; 22 RPB tables keyed
+// on the program ID over the stages between; and an empty recirculation
+// table in the last ingress stage. The UDP path's init table admits the
+// probe's 10.0/16 and the first four RPBs hold the program's entries, so a
+// probe packet makes 29 lookups, acts in five tables and is forwarded to
+// port 2.
+func sparseSwitch(b *testing.B) *Switch {
+	b.Helper()
+	sw := New(DefaultConfig())
+	cfg := sw.Config()
+	if err := sw.PHVLayout().Define("prog", 16); err != nil {
+		b.Fatal(err)
+	}
+	prog, _ := sw.PHVLayout().Slot("prog")
+	initKeys := func(p *PHV) []uint32 {
+		k := p.KeyScratch(initShapeKeys)
+		k[0] = uint32(p.Packet.Bitmap)
+		k[1] = uint32(p.Meta.IngressPort)
+		if ip := p.Packet.IP4; ip != nil {
+			k[initShapeSrc], k[3], k[4] = ip.Src, ip.Dst, uint32(ip.Proto)
+		}
+		if u := p.Packet.UDP; u != nil {
+			k[5], k[6] = uint32(u.SrcPort), uint32(u.DstPort)
+		}
+		return k
+	}
+	udp := pkt.BitEthernet | pkt.BitIPv4 | pkt.BitUDP
+	for _, path := range pkt.ParsePaths {
+		tbl, err := sw.AddTable("init_"+path.String(), Ingress, 0, 2048, initShapeKeys, initKeys)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tbl.SetParsePath(0, path); err != nil {
+			b.Fatal(err)
+		}
+		if err := tbl.RegisterAction("set_program", 1, func(p *PHV, params []uint32) { p.Store(prog, params[0]) }); err != nil {
+			b.Fatal(err)
+		}
+		if path == udp {
+			k := prefixKeys(10<<24, 16)
+			k[0] = Exact(uint32(udp))
+			if _, err := tbl.Insert(k, 16, "set_program", []uint32{1}, "probe"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for i := 1; i <= 22; i++ {
+		g, st := Ingress, i
+		if i > cfg.IngressStages-2 {
+			g, st = Egress, i-(cfg.IngressStages-1)
+		}
+		tbl, err := sw.AddTable(fmt.Sprintf("rpb%d", i), g, st, 2048, 1, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tbl.SetPHVKeyFields(sw.PHVLayout(), "prog"); err != nil {
+			b.Fatal(err)
+		}
+		if err := tbl.RegisterAction("nop", 1, func(*PHV, []uint32) {}); err != nil {
+			b.Fatal(err)
+		}
+		if err := tbl.RegisterAction("fwd", 1, func(p *PHV, params []uint32) { p.Meta.EgressSpec = int(params[0]) }); err != nil {
+			b.Fatal(err)
+		}
+		action, params := "nop", []uint32(nil)
+		if i == 4 {
+			action, params = "fwd", []uint32{2}
+		}
+		if i <= 4 {
+			if _, err := tbl.Insert([]TernaryKey{Exact(1)}, 0, action, params, "probe"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	recirc, err := sw.AddTable("recirc", Ingress, cfg.IngressStages-1, 2048, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := recirc.SetPHVKeyFields(sw.PHVLayout(), "prog"); err != nil {
+		b.Fatal(err)
+	}
+	return sw
+}
+
 // BenchmarkInjectBurst injects probe packets into burstSwitch in bursts of 1
 // (what Inject and every fabric hop of a single packet pay) and of 64, so the
-// fixed per-burst cost reads against the amortised one. ns/op is per packet.
+// fixed per-burst cost reads against the amortised one, and into sparseSwitch
+// in bursts of 64, where the fixed per-table cost of the tables that cannot
+// act dominates. ns/op is per packet.
 func BenchmarkInjectBurst(b *testing.B) {
-	for _, size := range []int{1, 64} {
-		b.Run(strconv.Itoa(size), func(b *testing.B) {
-			sw := burstSwitch(b)
+	for _, bc := range []struct {
+		name  string
+		build func(*testing.B) *Switch
+		size  int
+	}{{"1", burstSwitch, 1}, {"64", burstSwitch, 64}, {"sparse", sparseSwitch, 64}} {
+		size := bc.size
+		b.Run(bc.name, func(b *testing.B) {
+			sw := bc.build(b)
 			pkts := make([]*pkt.Packet, 64)
 			for i := range pkts {
 				flow := pkt.FiveTuple{SrcIP: pkt.IP(10, 0, byte(i), 1), DstIP: 2, SrcPort: uint16(i), DstPort: 4, Proto: pkt.ProtoUDP}

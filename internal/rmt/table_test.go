@@ -668,7 +668,7 @@ func raceBuild() bool {
 	return false
 }
 
-// shapedTable is one of the two 2,000-entry tables the garbage and spread
+// shapedTable is one of the 2,000-entry tables the garbage and spread
 // checks use: keys(i) gives entry i's keys and priority.
 type shapedTable struct {
 	name string
@@ -679,7 +679,9 @@ type shapedTable struct {
 const shapedFill = 2000
 
 // shapedTables fills an init table (one shared exact first key, /24 and /16
-// tuples) and an RPB table (a distinct exact program ID per entry).
+// tuples), an RPB table (a distinct exact program ID per entry), and an init
+// table whose entries all share one /16 filter, as the resident instances of
+// one program do.
 func shapedTables(t *testing.T) []shapedTable {
 	t.Helper()
 	shapes := []shapedTable{
@@ -691,6 +693,9 @@ func shapedTables(t *testing.T) []shapedTable {
 		}},
 		{"rpb", NewTable("rpb", Ingress, 0, 2048, 6, nil), func(i int) ([]TernaryKey, int) {
 			return []TernaryKey{Exact(uint32(i)), Exact(0), Exact(0), Wild(), Wild(), Wild()}, 0
+		}},
+		{"shared", NewTable("shared", Ingress, 0, 2048, initShapeKeys, nil), func(int) ([]TernaryKey, int) {
+			return prefixKeys(10<<24, 16), 16
 		}},
 	}
 	for _, sh := range shapes {
@@ -708,8 +713,10 @@ func shapedTables(t *testing.T) []shapedTable {
 }
 
 // TestTableMutationGarbage bounds the heap one Insert plus one Delete leaves
-// behind on a 2,000-entry table: a mutation copies its group's header and one
-// hash page, never a whole group or a table-wide structure.
+// behind on a 2,000-entry table: a mutation copies its group's header, one
+// hash page, a chain's cells up to the change and one path of a cell's run,
+// never a whole group, a whole run or a table-wide structure. In the shared
+// shape the churned entry joins a run of 2,000 entries with its key.
 func TestTableMutationGarbage(t *testing.T) {
 	if raceBuild() {
 		t.Skip("the race detector's instrumentation allocates")
@@ -737,11 +744,12 @@ func TestTableMutationGarbage(t *testing.T) {
 	}
 }
 
-// TestTupleGroupSpread checks that a group grows with its entries and that
-// the hash spreads the workloads' key patterns over the chains: no chain of a
-// 2,000-entry group is longer than 8. The keys are fixed, so this is
-// deterministic: the longest chain is 4 today, and a group that never grew
-// would have chains of ~125.
+// TestTupleGroupSpread checks that a group grows with its distinct masked
+// keys, and only with them, and that the hash spreads the workloads' key
+// patterns over the chains: no chain of a 2,000-entry group is longer than 8.
+// The keys are fixed, so this is deterministic: the longest chain is 4 today,
+// and a group that never grew would have chains of ~125. The shared shape's
+// 2,000 entries are one cell on one page.
 func TestTupleGroupSpread(t *testing.T) {
 	for _, sh := range shapedTables(t) {
 		for _, g := range sh.tbl.state.Load().groups {
@@ -755,8 +763,12 @@ func TestTupleGroupSpread(t *testing.T) {
 					longest = max(longest, n)
 				}
 			}
-			if slots := pageSlots * len(g.pages); g.count > maxLoad*slots || longest > 8 {
-				t.Errorf("%s: group of %d entries over %d chains, longest %d", sh.name, g.count, slots, longest)
+			slots := pageSlots * len(g.pages)
+			if g.cells > maxLoad*slots || longest > 8 {
+				t.Errorf("%s: group of %d cells over %d chains, longest %d", sh.name, g.cells, slots, longest)
+			}
+			if len(g.pages) > 1 && g.cells <= maxLoad*slots/2 {
+				t.Errorf("%s: group of %d cells grew to %d chains", sh.name, g.cells, slots)
 			}
 		}
 	}

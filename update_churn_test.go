@@ -140,7 +140,8 @@ func TestCompiledChurnWithDeploys(t *testing.T) {
 // TestPacketPathZeroAlloc makes "0 allocs/op" a tier-1 assertion: with the
 // standard workload resident and postcards off, neither Inject nor a 64-item
 // InjectBatch allocates — for a forwarded packet or for a calculator request
-// that recirculates.
+// that recirculates — and neither does a warm Fabric.Inject of a packet that
+// crosses two links.
 func TestPacketPathZeroAlloc(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -172,5 +173,17 @@ func TestPacketPathZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, func() { ct.SW.InjectBatch(batch) }); allocs != 0 {
 		t.Errorf("InjectBatch allocates %.1f objects per 64-packet burst, want 0", allocs)
+	}
+
+	f := leafSpinePath(t)
+	far := pkt.NewUDP(pkt.FiveTuple{SrcIP: 1, DstIP: pkt.IP(10, 101, 0, 1), SrcPort: 3, DstPort: 4, Proto: pkt.ProtoUDP}, 128)
+	inject := func() {
+		if d, err := f.Inject("leaf0", far, 1); err != nil || d.Delivered != 1 || d.Hops != 2 {
+			t.Fatalf("Fabric.Inject: %+v, %v; want one copy delivered over 2 hops", d, err)
+		}
+	}
+	inject() // warm the engine scratch
+	if allocs := testing.AllocsPerRun(200, inject); allocs != 0 {
+		t.Errorf("Fabric.Inject allocates %.1f objects per 2-hop packet, want 0", allocs)
 	}
 }
