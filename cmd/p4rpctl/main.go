@@ -47,6 +47,23 @@ var commands = []command{
 					r.Program, r.ProgramID, r.Entries, r.AllocTime, r.UpdateDelay, r.Total)
 			}
 		})},
+	{"plan", "<file.p4rp>", "show where a source's programs would link now, installing nothing", 1, call(wire.MethodDeployPlan,
+		func(a *argv) any { return wire.DeployParams{Source: a.file(0)} },
+		func(w io.Writer, _ *argv, plans []wire.PlanResult) {
+			for _, p := range plans {
+				fmt.Fprintf(w, "program %s: depths=%d entries=%d passes=%d mem-words=%d\n",
+					p.Program, len(p.Placements), p.Entries, p.Passes, p.MemWords)
+				tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+				fmt.Fprintln(tw, "  depth\tlogical\tRPB\tpass\tprimitives")
+				for _, pl := range p.Placements {
+					fmt.Fprintf(tw, "  %d\t%d\t%d\t%d\t%s\n", pl.Depth, pl.Logical, pl.RPB, pl.Pass, strings.Join(pl.Primitives, "; "))
+				}
+				tw.Flush()
+				for _, b := range p.Blocks {
+					fmt.Fprintf(w, "  memory %s: RPB %d words [%d,%d)\n", b.Mem, b.RPB, b.Start, b.Start+b.Size)
+				}
+			}
+		})},
 	{"revoke", "<program>", "unlink a program", 1, call(wire.MethodRevoke,
 		func(a *argv) any { return wire.RevokeParams{Name: a.args[0]} },
 		func(w io.Writer, a *argv, r wire.RevokeResult) {

@@ -132,6 +132,9 @@ func TestCommands(t *testing.T) {
 		return out.String()
 	}
 
+	if got := exec(single, "plan "+v1); !strings.Contains(got, "b0:MEMADD(m)") {
+		t.Errorf("plan printed %q", got)
+	}
 	for _, line := range []string{"deploy " + v1, "deploy " + cache, "list", "status", "util", "memwrite counter m 5 42",
 		"mcast 5 1 2 3", "snapshot", "metrics", "metrics json", "top", "trace", "trace counter 5",
 		"ops", "ops --slow --verb ct.deploy 3", "ops --flightrec"} {

@@ -16,6 +16,7 @@
 package chain
 
 import (
+	"context"
 	"fmt"
 
 	"p4runpro/internal/core"
@@ -69,7 +70,7 @@ func (ch *Chain) Len() int { return len(ch.Switches) }
 
 // Deploy links every program in src across the chain.
 func (ch *Chain) Deploy(src string) ([]*core.LinkedProgram, error) {
-	return ch.Compiler.Link(src)
+	return ch.Compiler.Link(context.Background(), src)
 }
 
 // Revoke unlinks a program from every switch of the chain.

@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"context"
 	"testing"
 
 	"p4runpro/internal/core"
@@ -86,7 +87,7 @@ func TestChainVsRecirculationEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	comp := core.NewCompiler(pl, core.DefaultOptions())
-	if _, err := comp.Link(src); err != nil {
+	if _, err := comp.Link(context.Background(), src); err != nil {
 		t.Fatalf("loop deploy: %v", err)
 	}
 

@@ -134,7 +134,7 @@ func (ct *Controller) deployOp(src string, out *[]DeployReport) *op {
 // linkBlob links one source blob, all of its programs or none.
 func (ct *Controller) linkBlob(ctx context.Context, src string) ([]DeployReport, error) {
 	start := time.Now()
-	lps, err := ct.Compiler.LinkCtx(ctx, src)
+	lps, err := ct.Compiler.Link(ctx, src)
 	if err != nil {
 		// Unwind the blob: unlink whatever part of it already made it onto
 		// the data plane, newest first, so no partial deployment survives.
@@ -164,6 +164,25 @@ func (ct *Controller) linkBlob(ctx context.Context, src string) ([]DeployReport,
 	}
 	observeOp(ct.mDeployNs, ct.cDeployOK, ct.cDeployErr, start, err)
 	return reports, err
+}
+
+// Plan reports how every program of src would link on this switch now:
+// the deploy path's steps short of installing an entry, run in order
+// against the live state under the journal lock, with every reservation
+// released before it returns. It installs nothing and journals nothing,
+// and it refuses src with the error Deploy would return — on a poisoned
+// controller, the poisoning. Without a journal nothing serializes
+// mutations, so a concurrent one may see the plan's short-lived
+// reservations.
+func (ct *Controller) Plan(ctx context.Context, src string) ([]*core.LinkedProgram, error) {
+	if jrn := ct.jrn; jrn != nil {
+		jrn.mu.Lock()
+		defer jrn.mu.Unlock()
+		if jrn.poisoned != nil {
+			return nil, jrn.poisoned
+		}
+	}
+	return ct.Compiler.Plan(ctx, src)
 }
 
 // RevokeReport quantifies one program termination.

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -152,6 +153,9 @@ func TestSyncFailurePoisons(t *testing.T) {
 	}
 	if err := ct.Snapshot(); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("snapshot on a poisoned controller: err = %v, want ErrPoisoned", err)
+	}
+	if _, err := ct.Plan(context.Background(), recCacheSrc); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("plan on a poisoned controller: err = %v, want ErrPoisoned", err)
 	}
 	if _, err := ct.ReadMemory("cache", "mem1", 1); err != nil {
 		t.Fatalf("read on a poisoned controller: %v", err)

@@ -59,7 +59,7 @@ func logicalToPhysical(v, m int) (resource.RPBID, int) {
 
 // buildModel constructs the §4.3 SMT model for one translated program
 // against current resource availability, read once per switch.
-func (c *Compiler) buildModel(tp *lang.TProgram) *smt.Model {
+func (c *Compiler) buildModel(tp *lang.TProgram, observe bool) *smt.Model {
 	m := c.Plane.M
 	n := c.Plane.N
 	r := c.Opt.MaxRecirc
@@ -67,7 +67,7 @@ func (c *Compiler) buildModel(tp *lang.TProgram) *smt.Model {
 	if c.Opt.NodeLimit > 0 {
 		model.SetNodeLimit(c.Opt.NodeLimit)
 	}
-	if c.met != nil {
+	if observe && c.met != nil {
 		model.SetMetrics(c.met.solver)
 	}
 	L := tp.L()
@@ -200,6 +200,12 @@ func (sc *slotCapacity) String() string { return "slot-capacity" }
 // families, and the depths sharing a physical RPB across recirculation
 // passes fit its free entries and memory together.
 func (c *Compiler) Allocate(tp *lang.TProgram) (*AllocResult, error) {
+	return c.allocate(tp, true)
+}
+
+// allocate is Allocate, recording the solve into the solver metrics only
+// when observe is set.
+func (c *Compiler) allocate(tp *lang.TProgram, observe bool) (*AllocResult, error) {
 	start := time.Now()
 	if c.passTargets != nil && len(tp.MemLinks) > 0 {
 		// Constraint (5) requires revisiting one physical register array
@@ -213,7 +219,7 @@ func (c *Compiler) Allocate(tp *lang.TProgram) (*AllocResult, error) {
 			Err:     smt.ErrInfeasible,
 		}
 	}
-	model := c.buildModel(tp)
+	model := c.buildModel(tp, observe)
 	var sol smt.Solution
 	var st smt.Stats
 	var err error

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -45,7 +46,7 @@ func TestFillNeverTruncates(t *testing.T) {
 	_, c := newStack(t)
 	linked := 0
 	for _, src := range mixedDraw(1, 1500) {
-		lps, err := c.Link(src)
+		lps, err := c.Link(context.Background(), src)
 		if err != nil {
 			var refusal *AllocError
 			if !errors.As(err, &refusal) {
@@ -217,7 +218,7 @@ func TestFullTableRefusedBeforeInstall(t *testing.T) {
 		return fmt.Sprintf("program fwd%d(<hdr.udp.dst_port, %d, 0xffff>) { FORWARD(1); }", i, 1000+i)
 	}
 	for i := 0; i < cfg.TableCapacity; i++ {
-		if _, err := c.Link(src(i)); err != nil {
+		if _, err := c.Link(context.Background(), src(i)); err != nil {
 			t.Fatalf("program %d: %v", i, err)
 		}
 	}
@@ -236,7 +237,7 @@ func TestFullTableRefusedBeforeInstall(t *testing.T) {
 	inserts, _ := faults.Lookup("rmt.table.insert")
 	inserts.FailNth(1<<62, nil) // armed only to count hits
 	t.Cleanup(inserts.Disarm)
-	_, err = c.Link(src(cfg.TableCapacity))
+	_, err = c.Link(context.Background(), src(cfg.TableCapacity))
 	var refusal *AllocError
 	if !errors.As(err, &refusal) || !slices.ContainsFunc(full, func(name string) bool { return strings.Contains(err.Error(), name) }) {
 		t.Fatalf("err = %v, want an AllocError naming one of the full tables %q", err, full)
@@ -260,7 +261,7 @@ func residentBackground(b *testing.B, c *Compiler, n int) {
 		if rng.Intn(3) == 0 {
 			src = sketchSource(fmt.Sprintf("bg%d", i), prefix, 64<<rng.Intn(3))
 		}
-		if _, err := c.Link(src); err != nil {
+		if _, err := c.Link(context.Background(), src); err != nil {
 			b.Fatalf("background program %d: %v", i, err)
 		}
 	}

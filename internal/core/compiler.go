@@ -183,28 +183,17 @@ func (lp *LinkedProgram) Blocks() map[string]resource.MemBlock {
 }
 
 // Link parses, checks, translates, allocates, and installs every program in
-// src, in declaration order. On error, programs linked earlier in the same
-// source remain linked (each program is an independent unit, as in the
-// paper's workflow).
-func (c *Compiler) Link(src string) ([]*LinkedProgram, error) {
-	return c.LinkCtx(context.Background(), src)
-}
-
-// LinkCtx is Link under the trace carried by ctx: each program's link
-// becomes a "link" span with parse/translate/allocate/install children
-// under the context's current span.
-func (c *Compiler) LinkCtx(ctx context.Context, src string) ([]*LinkedProgram, error) {
-	t0 := time.Now()
-	file, err := lang.ParseFile(src)
+// src, in declaration order, under the trace carried by ctx: each
+// program's link becomes a "link" span with parse/translate/allocate/install
+// children under the context's current span. On error, programs linked
+// earlier in the same source remain linked (each program is an independent
+// unit, as in the paper's workflow).
+func (c *Compiler) Link(ctx context.Context, src string) ([]*LinkedProgram, error) {
+	file, t0, parseTime, err := parse(src)
 	if err != nil {
 		return nil, err
 	}
-	if err := lang.Check(file); err != nil {
-		return nil, err
-	}
-	parseTime := time.Since(t0)
 	c.observePhase(PhaseParse, parseTime)
-
 	var out []*LinkedProgram
 	for _, prog := range file.Programs {
 		lp, err := c.linkOne(ctx, prog, file.Memories, t0, parseTime, false)
@@ -214,6 +203,49 @@ func (c *Compiler) LinkCtx(ctx context.Context, src string) ([]*LinkedProgram, e
 		out = append(out, lp)
 	}
 	return out, nil
+}
+
+// Plan runs Link's steps short of installing any entry for every program
+// in src, in order, each against the live state plus what the earlier ones
+// reserved, then releases every reservation newest-first. The returned
+// programs carry the placements, memory blocks, entry count and memory
+// words a Link of src would produce now, and its error is the one Link
+// would return; none of them is linked. No phase or solver metric is
+// recorded, so those keep measuring links. The caller keeps concurrent
+// mutations out for the duration.
+func (c *Compiler) Plan(ctx context.Context, src string) ([]*LinkedProgram, error) {
+	file, t0, parseTime, err := parse(src)
+	if err != nil {
+		return nil, err
+	}
+	held := make(map[*rmt.Table]int)
+	out := make([]*LinkedProgram, 0, len(file.Programs))
+	for _, prog := range file.Programs {
+		st, err := c.stage(ctx, prog, file.Memories, t0, parseTime, false, held)
+		if err != nil {
+			return nil, err
+		}
+		st.span.End()
+		defer st.release() // deferred, so newest-first
+		for _, pe := range st.plan {
+			held[pe.table]++
+		}
+		st.lp.Stats.EntryCount = len(st.plan)
+		out = append(out, st.lp)
+	}
+	return out, nil
+}
+
+// parse parses and checks src.
+func parse(src string) (file *lang.File, t0 time.Time, parseTime time.Duration, err error) {
+	t0 = time.Now()
+	if file, err = lang.ParseFile(src); err == nil {
+		err = lang.Check(file)
+	}
+	if err != nil {
+		return nil, t0, 0, err
+	}
+	return file, t0, time.Since(t0), nil
 }
 
 // LinkProgram links a single already-parsed program.
@@ -231,7 +263,73 @@ func (c *Compiler) LinkProgramDeferredInit(prog *lang.Program, mems []lang.MemDe
 	return c.linkOne(context.Background(), prog, mems, time.Time{}, 0, true)
 }
 
+// stagedLink is a program between the two halves of a link: translated,
+// allocated, its resources reserved and its entries planned, nothing
+// installed. span is its open trace span, which the caller ends.
+type stagedLink struct {
+	lp      *LinkedProgram
+	plan    []plannedEntry
+	span    *trace.Span
+	start   time.Time
+	release func() // returns every reservation
+}
+
+// linkOne is stage followed by install: the pre-install half Plan shares,
+// then the entries in consistent-update order and the registration.
 func (c *Compiler) linkOne(ctx context.Context, prog *lang.Program, mems []lang.MemDecl, parseStart time.Time, parseTime time.Duration, deferInit bool) (lp *LinkedProgram, err error) {
+	st, err := c.stage(ctx, prog, mems, parseStart, parseTime, deferInit, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			st.span.SetTag("err", err.Error())
+		}
+		st.span.End()
+	}()
+	lp, span, plan := st.lp, st.span, st.plan
+
+	// Consistent update (Figure 6): program components first, the
+	// initialization block last, each entry installed atomically.
+	istart := time.Now()
+	sort.SliceStable(plan, func(i, j int) bool { return plan[i].kind < plan[j].kind })
+	lp.entries = make([]installedEntry, 0, len(plan)) // room for deferred init entries too
+	for _, pe := range plan {
+		if deferInit && pe.kind == kindInit {
+			lp.deferredInit = append(lp.deferredInit, pe)
+			continue
+		}
+		id, err := pe.table.Insert(pe.keys, pe.priority, pe.action, pe.params, prog.Name)
+		if err != nil {
+			c.rollbackEntries(lp)
+			st.release()
+			return nil, &AllocError{Program: prog.Name, Reason: "entry installation failed: " + err.Error(), Err: err}
+		}
+		lp.entries = append(lp.entries, pe.installed(id))
+	}
+	lp.Stats.EntryCount = len(lp.entries)
+	idur := time.Since(istart)
+	span.ChildAt(PhaseInstall, istart, idur)
+	c.observePhase(PhaseInstall, idur)
+	// The link histogram covers parse through install, so add the shared
+	// parse time measured before this program's span opened.
+	c.observePhase(PhaseLink, time.Since(st.start)+parseTime)
+	span.End()
+	lp.Stats.Trace = span.Tree()
+
+	c.mu.Lock()
+	c.linked[prog.Name] = lp
+	c.mu.Unlock()
+	return lp, nil
+}
+
+// stage is the pre-install half of a link: refuse a linked name, translate,
+// allocate, reserve resources, plan every entry and check table room. held
+// counts entries an enclosing plan has already claimed per table; it is nil
+// when linking and non-nil when planning, which names the span "plan"
+// instead of "link" and records no phase or solver metric. On error the
+// span has ended and nothing stays reserved.
+func (c *Compiler) stage(ctx context.Context, prog *lang.Program, mems []lang.MemDecl, parseStart time.Time, parseTime time.Duration, deferInit bool, held map[*rmt.Table]int) (st *stagedLink, err error) {
 	c.mu.Lock()
 	if _, dup := c.linked[prog.Name]; dup {
 		c.mu.Unlock()
@@ -239,17 +337,21 @@ func (c *Compiler) linkOne(ctx context.Context, prog *lang.Program, mems []lang.
 	}
 	c.mu.Unlock()
 
+	name, observePhase := "plan", func(string, time.Duration) {}
+	if held == nil {
+		name, observePhase = PhaseLink, c.observePhase
+	}
 	lstart := time.Now()
-	span := trace.StartChild(ctx, PhaseLink)
+	span := trace.StartChild(ctx, name)
 	span.SetTag("program", prog.Name)
 	defer func() {
 		if err != nil {
 			span.SetTag("err", err.Error())
+			span.End()
 		}
-		span.End()
 	}()
 	if parseTime > 0 {
-		// Parsing happened in LinkCtx before per-program work; attribute the
+		// Parsing happened in Link or Plan before per-program work; attribute the
 		// shared measurement to this program's trace.
 		span.ChildAt(PhaseParse, parseStart, parseTime)
 	}
@@ -257,19 +359,18 @@ func (c *Compiler) linkOne(ctx context.Context, prog *lang.Program, mems []lang.
 	tp, err := lang.Translate(prog, mems)
 	tdur := time.Since(tstart)
 	span.ChildAt(PhaseTranslate, tstart, tdur)
-	c.observePhase(PhaseTranslate, tdur)
+	observePhase(PhaseTranslate, tdur)
 	if err != nil {
 		return nil, err
 	}
 	astart := time.Now()
-	alloc, err := c.Allocate(tp)
+	alloc, err := c.allocate(tp, held == nil)
 	adur := time.Since(astart)
 	span.ChildAt(PhaseAllocate, astart, adur)
-	c.observePhase(PhaseAllocate, adur)
+	observePhase(PhaseAllocate, adur)
 	if err != nil {
 		return nil, err
 	}
-
 	// Reserve resources atomically: memory blocks placed in the RPB of
 	// their first access, entries aggregated per physical RPB, grouped by
 	// the switch (resource manager) hosting each pass.
@@ -345,7 +446,7 @@ func (c *Compiler) linkOne(ctx context.Context, prog *lang.Program, mems []lang.
 	}
 	primary := order[0]
 
-	lp = &LinkedProgram{
+	lp := &LinkedProgram{
 		Name:      prog.Name,
 		ProgramID: primary.ra.ProgramID,
 		TP:        tp,
@@ -376,50 +477,21 @@ func (c *Compiler) linkOne(ctx context.Context, prog *lang.Program, mems []lang.
 	// Allocation checks RPB tables only; the init and recirculation tables
 	// can still be full. Refuse such a plan before installing anything,
 	// rather than failing mid-install and unwinding.
-	if err := checkRoom(plan, deferInit); err != nil {
+	if err := checkRoom(plan, deferInit, held); err != nil {
 		rollbackGroups()
 		return nil, &AllocError{Program: prog.Name, Reason: err.Error(), Err: err}
 	}
-
-	// Consistent update (Figure 6): program components first, the
-	// initialization block last, each entry installed atomically.
-	istart := time.Now()
-	sort.SliceStable(plan, func(i, j int) bool { return plan[i].kind < plan[j].kind })
-	lp.entries = make([]installedEntry, 0, len(plan)) // room for deferred init entries too
-	for _, pe := range plan {
-		if deferInit && pe.kind == kindInit {
-			lp.deferredInit = append(lp.deferredInit, pe)
-			continue
-		}
-		id, err := pe.table.Insert(pe.keys, pe.priority, pe.action, pe.params, prog.Name)
-		if err != nil {
-			c.rollbackEntries(lp)
-			rollbackGroups()
-			return nil, &AllocError{Program: prog.Name, Reason: "entry installation failed: " + err.Error(), Err: err}
-		}
-		lp.entries = append(lp.entries, pe.installed(id))
-	}
-	lp.Stats.EntryCount = len(lp.entries)
-	idur := time.Since(istart)
-	span.ChildAt(PhaseInstall, istart, idur)
-	c.observePhase(PhaseInstall, idur)
-	// The link histogram covers parse through install, so add the shared
-	// parse time measured before this program's span opened.
-	c.observePhase(PhaseLink, time.Since(lstart)+parseTime)
-	span.End()
-	lp.Stats.Trace = span.Tree()
-
-	c.mu.Lock()
-	c.linked[prog.Name] = lp
-	c.mu.Unlock()
-	return lp, nil
+	return &stagedLink{lp: lp, plan: plan, span: span, start: lstart, release: rollbackGroups}, nil
 }
 
 // checkRoom reports the first table, in plan order, whose free room is less
 // than the entries the plan installs in it now (deferred init entries wait
-// for InstallDeferredInit).
-func checkRoom(plan []plannedEntry, deferInit bool) error {
+// for InstallDeferredInit) plus the entries held for it elsewhere.
+func checkRoom(plan []plannedEntry, deferInit bool, held map[*rmt.Table]int) error {
 	need := make(map[*rmt.Table]int)
+	for t, n := range held {
+		need[t] = n
+	}
 	for _, pe := range plan {
 		if !deferInit || pe.kind != kindInit {
 			need[pe.table]++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"p4runpro/internal/dataplane"
@@ -44,7 +45,7 @@ func newStack(t testing.TB) (*rmt.Switch, *Compiler) {
 
 func linkCache(t testing.TB, c *Compiler) *LinkedProgram {
 	t.Helper()
-	lps, err := c.Link(cacheSrc)
+	lps, err := c.Link(context.Background(), cacheSrc)
 	if err != nil {
 		t.Fatalf("Link(cache): %v", err)
 	}
@@ -172,7 +173,7 @@ func TestLinkRevokeRoundTrip(t *testing.T) {
 	}
 
 	// Relink works and reuses the freed resources.
-	if _, err := c.Link(cacheSrc); err != nil {
+	if _, err := c.Link(context.Background(), cacheSrc); err != nil {
 		t.Fatalf("relink: %v", err)
 	}
 }
@@ -201,7 +202,7 @@ func TestAllocationRespectsConstraints(t *testing.T) {
 func TestDuplicateLinkRejected(t *testing.T) {
 	_, c := newStack(t)
 	linkCache(t, c)
-	if _, err := c.Link(cacheSrc); err == nil {
+	if _, err := c.Link(context.Background(), cacheSrc); err == nil {
 		t.Fatal("duplicate link succeeded")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"p4runpro/internal/pkt"
@@ -25,7 +26,7 @@ program addi(<hdr.udp.dst_port, 9998, 0xffff>) {
     DROP;
 }
 `
-	if _, err := c.Link(src); err != nil {
+	if _, err := c.Link(context.Background(), src); err != nil {
 		t.Fatalf("link: %v", err)
 	}
 	flow := pkt.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: pkt.PortCalculator, Proto: pkt.ProtoUDP}
@@ -61,7 +62,7 @@ program second(<hdr.udp.dst_port, 2222, 0xffff>) {
     MEMADD(shared);
 }
 `
-	lps, err := c.Link(src)
+	lps, err := c.Link(context.Background(), src)
 	if err != nil {
 		t.Fatalf("link: %v", err)
 	}
@@ -146,7 +147,7 @@ program toodeep(<hdr.udp.dst_port, 2222, 0xffff>) {
     FORWARD(5);
 }
 `
-	lps, err := c.Link(src)
+	lps, err := c.Link(context.Background(), src)
 	if err == nil {
 		t.Fatal("34-deep program with forwarding past both ingress windows linked")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"p4runpro/internal/pkt"
@@ -22,7 +23,7 @@ program probe(<hdr.udp.dst_port, 9998, 0xffff>) {
     RETURN;
 }
 `
-	if _, err := c.Link(src); err != nil {
+	if _, err := c.Link(context.Background(), src); err != nil {
 		t.Fatalf("link: %v\n%s", err, src)
 	}
 	flow := pkt.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: pkt.PortCalculator, Proto: pkt.ProtoUDP}
@@ -105,7 +106,7 @@ program probe(<hdr.udp.dst_port, 9998, 0xffff>) {
     RETURN;
 }
 `
-			lps, err := comp.Link(src)
+			lps, err := comp.Link(context.Background(), src)
 			if err != nil {
 				t.Fatalf("link: %v", err)
 			}
@@ -149,7 +150,7 @@ program hashes(<hdr.udp.dst_port, 9998, 0xffff>) {
     RETURN;
 }
 `
-	if _, err := c.Link(src); err != nil {
+	if _, err := c.Link(context.Background(), src); err != nil {
 		t.Fatalf("link: %v", err)
 	}
 	flow := pkt.FiveTuple{SrcIP: 10, DstIP: 20, SrcPort: 30, DstPort: pkt.PortCalculator, Proto: pkt.ProtoUDP}

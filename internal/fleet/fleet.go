@@ -2,35 +2,36 @@
 // member switches. The paper's controller (§5) drives a single Tofino
 // through one bfrt_grpc session; a production deployment runs many
 // switches, and runtime programmability then becomes a placement problem
-// (which member has headroom for a program's compiled footprint), a
-// health problem (members stall, daemons die), and a consistency problem
+// (which member can link a program against its live per-RPB resources),
+// a health problem (members stall, daemons die), and a consistency problem
 // (deployed state must keep matching controller intent — the runtime-
 // verification concern fleet-wide).
 //
-// The Fleet holds a desired-state store of deployment units, places them
-// on members through pluggable policies (best-fit, spread, replicate-k)
-// scored by utilization headroom against a footprint estimated on a
-// scratch compiler, probes member health with timeouts and backoff
-// (healthy → suspect → down), and runs a reconcile loop that re-deploys a
-// down member's units to survivors and reverses divergence between
-// desired and actual state. Reads (programs, utilization, memory)
-// fan out to live members and fan in aggregated, so single-member
-// failures never fail a fleet API call while a replica survives.
+// The Fleet holds a desired-state store of deployment units, ranks
+// members through pluggable policies (best-fit, spread, replicate-k)
+// scored by utilization headroom, and places a unit on the first ranked
+// members whose own deploy.plan says it links there — allocation stays
+// the member's decision, as in the paper (§4.3). It probes member health
+// with timeouts and backoff (healthy → suspect → down), and runs a
+// reconcile loop that re-deploys a down member's units to survivors and
+// reverses divergence between desired and actual state. Reads (programs,
+// utilization, memory) fan out to live members and fan in aggregated, so
+// single-member failures never fail a fleet API call while a replica
+// survives.
 package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"sort"
 	"sync"
 	"time"
 
-	"p4runpro/internal/controlplane"
-	"p4runpro/internal/core"
+	"p4runpro/internal/lang"
 	"p4runpro/internal/obs"
 	"p4runpro/internal/obs/trace"
-	"p4runpro/internal/rmt"
 	"p4runpro/internal/wire"
 )
 
@@ -78,10 +79,6 @@ type Options struct {
 	// ReconcileInterval is the desired-vs-actual diff cadence; a member
 	// going down also kicks an immediate pass.
 	ReconcileInterval time.Duration
-	// ScratchConfig/ScratchOptions configure the private controller used
-	// for footprint estimation; they should match the members' provisioning.
-	ScratchConfig  rmt.Config
-	ScratchOptions core.Options
 	// Logger receives fleet events; nil is silent (still counted).
 	Logger *log.Logger
 }
@@ -104,12 +101,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ReconcileInterval <= 0 {
 		o.ReconcileInterval = 2 * time.Second
-	}
-	if o.ScratchConfig.TableCapacity == 0 {
-		o.ScratchConfig = rmt.DefaultConfig()
-	}
-	if o.ScratchOptions.MaxRecirc == 0 {
-		o.ScratchOptions = core.DefaultOptions()
 	}
 	return o
 }
@@ -141,10 +132,8 @@ type Fleet struct {
 	store *Store
 
 	// intentMu serializes intent mutations (Deploy, Revoke, reconcile)
-	// so the store and members never see interleaved placements. scratch
-	// is only touched under it.
+	// so the store and members never see interleaved placements.
 	intentMu sync.Mutex
-	scratch  *controlplane.Controller
 
 	mu      sync.Mutex
 	members map[string]*member
@@ -251,20 +240,8 @@ func usedFracs(rows []wire.UtilizationRow) (mem, ent float64) {
 	return mem, ent
 }
 
-// view builds a placement candidate from a member's cached utilization.
-func view(m *member, units int) MemberView {
-	v := MemberView{Name: m.name, Units: units}
-	for _, r := range m.util {
-		v.EntriesFree += r.EntriesCap - r.EntriesUsed
-		v.MemFree += r.MemCap - r.MemUsed
-		v.EntriesCap += r.EntriesCap
-		v.MemCap += r.MemCap
-	}
-	return v
-}
-
-// liveViews snapshots placement candidates: healthy members not in skip.
-func (f *Fleet) liveViews(skip map[string]bool) []MemberView {
+// liveViews snapshots placement candidates: the healthy members.
+func (f *Fleet) liveViews() []MemberView {
 	unitCount := make(map[string]int)
 	for _, u := range f.store.List() {
 		for _, m := range u.Members {
@@ -276,10 +253,11 @@ func (f *Fleet) liveViews(skip map[string]bool) []MemberView {
 	out := make([]MemberView, 0, len(f.order))
 	for _, name := range f.order {
 		m := f.members[name]
-		if m.state != Healthy || skip[name] {
+		if m.state != Healthy {
 			continue
 		}
-		out = append(out, view(m, unitCount[name]))
+		mem, ent := usedFracs(m.util)
+		out = append(out, MemberView{Name: name, Headroom: 1 - (mem+ent)/2, Units: unitCount[name]})
 	}
 	return out
 }
@@ -313,42 +291,18 @@ func (f *Fleet) member(name string) (*member, bool) {
 	return m, ok
 }
 
-// footprint estimates a source blob's compiled demand by linking it on
-// the fleet's private scratch controller and immediately revoking it.
-// Called with intentMu held.
-func (f *Fleet) footprint(source string) (names []string, fp Footprint, err error) {
-	if f.scratch == nil {
-		f.scratch, err = controlplane.New(f.opt.ScratchConfig, f.opt.ScratchOptions)
-		if err != nil {
-			return nil, fp, fmt.Errorf("fleet: scratch controller: %w", err)
-		}
-	}
-	lps, err := f.scratch.Compiler.Link(source)
-	if err != nil {
-		return nil, fp, err
-	}
-	for _, lp := range lps {
-		names = append(names, lp.Name)
-		fp.Entries += lp.Stats.EntryCount
-		fp.MemWords += lp.Stats.MemWords
-	}
-	for _, n := range names {
-		if _, err := f.scratch.Compiler.Revoke(n); err != nil {
-			return nil, fp, fmt.Errorf("fleet: scratch revoke %s: %w", n, err)
-		}
-	}
-	return names, fp, nil
-}
-
-// Deploy places source on the fleet: estimate the footprint, rank healthy
-// members by policy, deploy to the first k that accept (k = replicas, or
-// the policy's default when 0), and record the unit in the desired-state
-// store. Partial placement (fewer than k but at least one replica)
-// succeeds; the reconcile loop tops it up as capacity appears.
+// Deploy places source on the fleet: rank healthy members by policy, ask
+// them in that order for a plan of source against their live state, and
+// deploy to the first k that can link it (k = replicas, or the policy's
+// default when 0). A member that still refuses the deploy gives its slot
+// to the next ranked member. The unit is recorded in the desired-state
+// store with the first plan's entries and memory words. Partial placement
+// (fewer than k but at least one replica) succeeds; the reconcile loop
+// tops it up as capacity appears.
 //
-// Under the trace carried by ctx, footprint estimation, lock wait, and
-// each member's deploy become attributed child spans (one fan-out span per
-// member), and the placement lands in the flight recorder.
+// Under the trace carried by ctx, lock wait, each member's plan and each
+// member's deploy become attributed child spans (plan.<member> and
+// fanout.<member>), and the placement lands in the flight recorder.
 func (f *Fleet) Deploy(ctx context.Context, source string, reps int) (res []wire.FleetDeployResult, err error) {
 	ctx, sp, owned := f.opSpan(ctx, "fleet.deploy")
 	if owned {
@@ -368,20 +322,15 @@ func (f *Fleet) Deploy(ctx context.Context, source string, reps int) (res []wire
 		}
 		f.flightOp(trace.EvDeploy, unit, "placement", start, err, sp)
 	}()
+	names, err := programNames(source)
+	if err != nil {
+		return nil, err
+	}
 	lstart := time.Now()
 	f.intentMu.Lock()
 	sp.ChildAt("lock.wait", lstart, time.Since(lstart))
 	defer f.intentMu.Unlock()
 
-	fstart := time.Now()
-	names, fp, err := f.footprint(source)
-	sp.ChildAt("footprint", fstart, time.Since(fstart))
-	if err != nil {
-		return nil, err
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("fleet: source links no programs")
-	}
 	for _, n := range names {
 		if k, ok := f.store.OwnerOf(n); ok {
 			return nil, fmt.Errorf("fleet: program %q already deployed in unit %q", n, k)
@@ -390,19 +339,25 @@ func (f *Fleet) Deploy(ctx context.Context, source string, reps int) (res []wire
 	if reps <= 0 {
 		reps = replicas(f.opt.Policy)
 	}
-
-	ranked, err := f.opt.Policy.Place(f.liveViews(nil), fp)
-	if err != nil {
-		return nil, err
-	}
-	placed := f.deployRanked(ctx, source, names, ranked, reps)
+	key := UnitKey(names)
+	ranked := f.opt.Policy.Place(f.liveViews())
+	placed, plan, refusal := f.place(ctx, source, ranked, nil, reps, func(m *member) error {
+		err := spanned(ctx, "fanout", m, wire.MethodDeploy, wire.DeployParams{Source: source}, nil)
+		if err != nil {
+			f.log.Errorf("fleet: deploy %s on %s: %v", key, m.name, err)
+		}
+		return err
+	})
 	if len(placed) == 0 {
-		return nil, fmt.Errorf("fleet: no member accepted %q (tried %d)", UnitKey(names), len(ranked))
+		return nil, fmt.Errorf("fleet: no member can place %q: %v", key, refusal)
 	}
 	u := &Unit{
-		Key: UnitKey(names), Source: source, Programs: names,
+		Key: key, Source: source, Programs: names,
 		Replicas: reps, Members: placed,
-		Entries: fp.Entries, MemWords: fp.MemWords,
+	}
+	for _, p := range plan {
+		u.Entries += p.Entries
+		u.MemWords += p.MemWords
 	}
 	if err := f.store.Put(u); err != nil {
 		// Roll the placement back; intent stays consistent.
@@ -413,40 +368,82 @@ func (f *Fleet) Deploy(ctx context.Context, source string, reps int) (res []wire
 	}
 	f.refreshUtil(ctx, placed)
 	f.log.Infof("fleet: placed %s on %v (%d entries, %d words, want %d replicas)",
-		u.Key, placed, fp.Entries, fp.MemWords, reps)
+		u.Key, placed, u.Entries, u.MemWords, reps)
 	return []wire.FleetDeployResult{{
 		Unit: u.Key, Programs: names, Members: placed,
-		Entries: fp.Entries, MemWords: fp.MemWords,
+		Entries: u.Entries, MemWords: u.MemWords,
 	}}, nil
 }
 
-// deployRanked walks the ranked candidates deploying source until want
-// members hold it, skipping members that reject it. Each attempt gets a
-// fan-out span under ctx's trace, which the member carries into its own
-// controller (one stitched trace across the fleet and its members).
-func (f *Fleet) deployRanked(ctx context.Context, source string, programs, ranked []string, want int) []string {
-	var placed []string
+// programNames parses and checks source for the names of its programs,
+// the unit's identity; a source the language rejects fails here, before
+// any member is asked.
+func programNames(source string) ([]string, error) {
+	file, err := lang.ParseFile(source)
+	if err == nil {
+		err = lang.Check(file)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(file.Programs) == 0 {
+		return nil, fmt.Errorf("fleet: source links no programs")
+	}
+	names := make([]string, len(file.Programs))
+	for i, p := range file.Programs {
+		names[i] = p.Name
+	}
+	return names, nil
+}
+
+// place walks ranked, the healthy members in policy order, skipping those
+// in skip, and asks each for a deploy.plan of source (one plan.<member>
+// span under ctx) until want of them have accepted it — and, when take is
+// given, have been taken by it too, so a member that refuses the deploy
+// after its plan gives its slot to the next one. It returns those members,
+// the first accepted plan, and, when it found fewer than want, why.
+func (f *Fleet) place(ctx context.Context, source string, ranked []string, skip map[string]bool, want int, take func(*member) error) (fits []string, plan []wire.PlanResult, refusal error) {
 	for _, name := range ranked {
-		if len(placed) >= want {
+		if len(fits) == want {
 			break
 		}
 		m, ok := f.member(name)
-		if !ok {
+		if !ok || skip[name] {
 			continue
 		}
-		msp := trace.StartChild(ctx, "fanout."+name)
-		_, err := m.b.Do(trace.ContextWithSpan(ctx, msp), wire.MethodDeploy, wire.DeployParams{Source: source}, nil)
-		if err != nil {
-			msp.SetTag("err", err.Error())
+		var out any // only the first accepted plan is read
+		if plan == nil {
+			out = &plan
 		}
-		msp.End()
+		err := spanned(ctx, "plan", m, wire.MethodDeployPlan, wire.DeployParams{Source: source}, out)
+		if err == nil && take != nil {
+			err = take(m)
+		}
 		if err != nil {
-			f.log.Errorf("fleet: deploy %s on %s: %v", UnitKey(programs), name, err)
+			if refusal == nil {
+				refusal = fmt.Errorf("%s: %w", name, err)
+			}
 			continue
 		}
-		placed = append(placed, name)
+		fits = append(fits, name)
 	}
-	return placed
+	if len(fits) < want && refusal == nil {
+		refusal = errors.New("no more healthy members to ask")
+	}
+	return fits, plan, refusal
+}
+
+// spanned makes one call to m under a child span of ctx named
+// <prefix>.<member>, which the member carries into its own controller (one
+// stitched trace across the fleet and its members).
+func spanned(ctx context.Context, prefix string, m *member, method string, params, out any) error {
+	sp := trace.StartChild(ctx, prefix+"."+m.name)
+	_, err := m.b.Do(trace.ContextWithSpan(ctx, sp), method, params, out)
+	if err != nil {
+		sp.SetTag("err", err.Error())
+	}
+	sp.End()
+	return err
 }
 
 // revokeUnitOn best-effort removes a unit's programs from one member.

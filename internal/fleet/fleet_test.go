@@ -64,24 +64,17 @@ func memberName(i int) string { return fmt.Sprintf("m%d", i+1) }
 
 func TestPlacementPolicies(t *testing.T) {
 	views := []MemberView{
-		{Name: "a", EntriesFree: 100, EntriesCap: 1000, MemFree: 1000, MemCap: 10000},
-		{Name: "b", EntriesFree: 900, EntriesCap: 1000, MemFree: 9000, MemCap: 10000},
-		{Name: "c", EntriesFree: 500, EntriesCap: 1000, MemFree: 5000, MemCap: 10000},
+		{Name: "a", Headroom: 0.1},
+		{Name: "b", Headroom: 0.9},
+		{Name: "c", Headroom: 0.5},
 	}
-	fp := Footprint{Entries: 50, MemWords: 500}
 
-	got, err := (BestFit{}).Place(views, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := (BestFit{}).Place(views)
 	if got[0] != "a" || got[1] != "c" || got[2] != "b" {
 		t.Errorf("best-fit order = %v", got)
 	}
 
-	got, err = (Spread{}).Place(views, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got = (Spread{}).Place(views)
 	if got[0] != "b" || got[1] != "c" || got[2] != "a" {
 		t.Errorf("spread order = %v", got)
 	}
@@ -89,26 +82,9 @@ func TestPlacementPolicies(t *testing.T) {
 	// Spread prefers fewer assigned units before headroom.
 	views[2].Units = 0
 	views[1].Units = 3
-	got, _ = (Spread{}).Place(views, fp)
+	got = (Spread{}).Place(views)
 	if got[0] != "c" {
 		t.Errorf("spread with units order = %v", got)
-	}
-
-	// Members that cannot fit are excluded.
-	big := Footprint{Entries: 600, MemWords: 100}
-	got, err = (Spread{}).Place(views, big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "b" {
-		t.Errorf("big fit = %v", got)
-	}
-
-	// Nothing fits: typed error.
-	_, err = (BestFit{}).Place(views, Footprint{Entries: 5000})
-	var nc *ErrNoCapacity
-	if !errors.As(err, &nc) {
-		t.Fatalf("err = %v, want ErrNoCapacity", err)
 	}
 
 	// ReplicateK defers to its base and reports its replica count.
@@ -116,47 +92,30 @@ func TestPlacementPolicies(t *testing.T) {
 	if replicas(rk) != 2 || replicas(Spread{}) != 1 {
 		t.Error("replica defaults wrong")
 	}
-	got, err = rk.Place(views, fp)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("replicate-k place = %v, %v", got, err)
+	if got = rk.Place(views); len(got) != 3 {
+		t.Fatalf("replicate-k place = %v", got)
 	}
 }
 
 func TestTopologyAwarePlacement(t *testing.T) {
 	views := []MemberView{
-		{Name: "leaf0", EntriesFree: 900, EntriesCap: 1000, MemFree: 9000, MemCap: 10000},
-		{Name: "leaf1", EntriesFree: 900, EntriesCap: 1000, MemFree: 9000, MemCap: 10000},
-		{Name: "spine0", EntriesFree: 900, EntriesCap: 1000, MemFree: 9000, MemCap: 10000},
+		{Name: "leaf0", Headroom: 0.9},
+		{Name: "leaf1", Headroom: 0.9},
+		{Name: "spine0", Headroom: 0.9},
 	}
-	fp := Footprint{Entries: 50, MemWords: 500}
 
 	// The member seeing the most edge traffic wins, regardless of the base
 	// policy's alphabetical tie break.
 	ta := TopologyAware{Traffic: func() map[string]uint64 {
 		return map[string]uint64{"leaf0": 10, "leaf1": 5000, "spine0": 0}
 	}}
-	got, err := ta.Place(views, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := ta.Place(views)
 	if got[0] != "leaf1" || got[1] != "leaf0" || got[2] != "spine0" {
 		t.Errorf("topology-aware order = %v", got)
 	}
 
-	// Capacity still gates: a member that cannot fit is excluded even when
-	// it carries all the traffic.
-	views[1].EntriesFree = 10
-	got, err = ta.Place(views, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "leaf0" {
-		t.Errorf("topology-aware with full leaf1 = %v", got)
-	}
-	views[1].EntriesFree = 900
-
 	// No signal (nil func or empty map): pure base-policy order.
-	got, _ = TopologyAware{}.Place(views, fp)
+	got = TopologyAware{}.Place(views)
 	if got[0] != "leaf0" || got[1] != "leaf1" || got[2] != "spine0" {
 		t.Errorf("topology-aware without signal = %v", got)
 	}
@@ -421,28 +380,6 @@ func TestHealthStateMachineAndFailover(t *testing.T) {
 	f.Reconcile()
 	if n := len(cts[0].Programs()); n != 0 {
 		t.Errorf("orphan not revoked, member 1 has %d programs", n)
-	}
-}
-
-func TestFootprintEstimate(t *testing.T) {
-	f, _ := testFleet(t, 1, Options{})
-	names, fp, err := f.footprint(counterSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || names[0] != "counter" {
-		t.Fatalf("names = %v", names)
-	}
-	if fp.Entries == 0 || fp.MemWords != 256 {
-		t.Fatalf("footprint = %+v", fp)
-	}
-	// The scratch controller is clean afterwards: estimating twice agrees.
-	_, fp2, err := f.footprint(counterSrc)
-	if err != nil || fp2 != fp {
-		t.Fatalf("second estimate = %+v, %v", fp2, err)
-	}
-	if _, _, err := f.footprint("program broken("); err == nil {
-		t.Error("bad source estimated")
 	}
 }
 

@@ -53,7 +53,7 @@ func (f *Fleet) initMetrics() {
 	f.m.hUpgCutoverNs = reg.Histogram("p4runpro_fleet_upgrade_cutover_ns",
 		"Per-member epoch-publication latency during rolling upgrades, in nanoseconds.")
 	f.m.hPlacementNs = reg.Histogram("p4runpro_fleet_placement_duration_ns",
-		"Fleet deploy latency (footprint estimate through member installs) in nanoseconds.")
+		"Fleet deploy latency (member plans through member installs) in nanoseconds.")
 	f.m.hProbeNs = reg.Histogram("p4runpro_fleet_probe_duration_ns", "Health probe latency in nanoseconds.")
 	f.m.hReconcileNs = reg.Histogram("p4runpro_fleet_reconcile_duration_ns", "Reconcile pass latency in nanoseconds.")
 

@@ -5,99 +5,50 @@ import (
 	"sort"
 )
 
-// Footprint is a program unit's compiled resource demand per replica,
-// estimated by linking the source on the fleet's scratch controller
-// before any member is touched.
-type Footprint struct {
-	Entries  int
-	MemWords uint32
-}
-
 // MemberView is a placement candidate: a healthy member's aggregate
-// headroom from its last utilization probe.
+// headroom from its last utilization probe. Policies rank by it; whether a
+// unit fits is the member's own plan's answer, not the view's.
 type MemberView struct {
-	Name        string
-	EntriesFree int
-	MemFree     uint32
-	EntriesCap  int
-	MemCap      uint32
-	Units       int // fleet units already assigned here
+	Name string
+	// Headroom scores remaining capacity in [0,1]: the mean of the
+	// free-entry and free-memory fractions.
+	Headroom float64
+	Units    int // fleet units already assigned here
 }
 
-// Fits reports whether the member's aggregate headroom covers fp. This is
-// a necessary-but-approximate check (allocation is per-RPB and contiguous
-// on the member); a deploy that still fails there just moves placement to
-// the next candidate.
-func (v MemberView) Fits(fp Footprint) bool {
-	return v.EntriesFree >= fp.Entries && v.MemFree >= fp.MemWords
-}
-
-// headroom scores remaining capacity in [0,1]: the mean of free-entry and
-// free-memory fractions.
-func (v MemberView) headroom() float64 {
-	var e, m float64
-	if v.EntriesCap > 0 {
-		e = float64(v.EntriesFree) / float64(v.EntriesCap)
-	}
-	if v.MemCap > 0 {
-		m = float64(v.MemFree) / float64(v.MemCap)
-	}
-	return (e + m) / 2
-}
-
-// Policy ranks healthy members for one unit placement. It returns
-// candidates in preference order (the fleet takes the first k that accept
-// the deploy) and may exclude members that cannot fit fp.
+// Policy ranks healthy members for one unit placement, in preference
+// order; the fleet asks them for a plan in that order and takes the first
+// that can link the unit.
 type Policy interface {
 	Name() string
-	Place(members []MemberView, fp Footprint) ([]string, error)
+	Place(members []MemberView) []string
 }
 
-// ErrNoCapacity reports that no healthy member can fit a footprint.
-type ErrNoCapacity struct {
-	FP        Footprint
-	Healthy   int
-	PolicyTag string
-}
-
-func (e *ErrNoCapacity) Error() string {
-	return fmt.Sprintf("fleet: no member fits %d entries / %d mem words (%d healthy, policy %s)",
-		e.FP.Entries, e.FP.MemWords, e.Healthy, e.PolicyTag)
-}
-
-func rank(members []MemberView, fp Footprint, less func(a, b MemberView) bool, tag string) ([]string, error) {
-	fit := make([]MemberView, 0, len(members))
-	for _, m := range members {
-		if m.Fits(fp) {
-			fit = append(fit, m)
-		}
-	}
-	if len(fit) == 0 {
-		return nil, &ErrNoCapacity{FP: fp, Healthy: len(members), PolicyTag: tag}
-	}
-	sort.SliceStable(fit, func(i, j int) bool { return less(fit[i], fit[j]) })
-	out := make([]string, len(fit))
-	for i, m := range fit {
+func rank(members []MemberView, less func(a, b MemberView) bool) []string {
+	sorted := append([]MemberView(nil), members...)
+	sort.SliceStable(sorted, func(i, j int) bool { return less(sorted[i], sorted[j]) })
+	out := make([]string, len(sorted))
+	for i, m := range sorted {
 		out[i] = m.Name
 	}
-	return out, nil
+	return out
 }
 
-// BestFit packs: it prefers the member with the least headroom that still
-// fits, keeping other members free for large future programs.
+// BestFit packs: it prefers the member with the least headroom, keeping
+// other members free for large future programs.
 type BestFit struct{}
 
 // Name identifies the policy.
 func (BestFit) Name() string { return "best-fit" }
 
-// Place ranks fitting members by ascending headroom.
-func (BestFit) Place(members []MemberView, fp Footprint) ([]string, error) {
-	return rank(members, fp, func(a, b MemberView) bool {
-		if a.headroom() != b.headroom() {
-			return a.headroom() < b.headroom()
+// Place ranks members by ascending headroom.
+func (BestFit) Place(members []MemberView) []string {
+	return rank(members, func(a, b MemberView) bool {
+		if a.Headroom != b.Headroom {
+			return a.Headroom < b.Headroom
 		}
 		return a.Name < b.Name // deterministic tie break
-	}, "best-fit")
+	})
 }
 
 // Spread balances: it prefers the member with the most headroom, breaking
@@ -107,17 +58,18 @@ type Spread struct{}
 // Name identifies the policy.
 func (Spread) Name() string { return "spread" }
 
-// Place ranks fitting members by descending headroom.
-func (Spread) Place(members []MemberView, fp Footprint) ([]string, error) {
-	return rank(members, fp, func(a, b MemberView) bool {
+// Place ranks members by ascending assigned units, then descending
+// headroom.
+func (Spread) Place(members []MemberView) []string {
+	return rank(members, func(a, b MemberView) bool {
 		if a.Units != b.Units {
 			return a.Units < b.Units
 		}
-		if a.headroom() != b.headroom() {
-			return a.headroom() > b.headroom()
+		if a.Headroom != b.Headroom {
+			return a.Headroom > b.Headroom
 		}
 		return a.Name < b.Name
-	}, "spread")
+	})
 }
 
 // ReplicateK deploys every unit to K members (ranked by the wrapped
@@ -132,23 +84,23 @@ type ReplicateK struct {
 func (r ReplicateK) Name() string { return fmt.Sprintf("replicate-%d", r.K) }
 
 // Place defers ranking to the base policy; the fleet takes K winners.
-func (r ReplicateK) Place(members []MemberView, fp Footprint) ([]string, error) {
+func (r ReplicateK) Place(members []MemberView) []string {
 	base := r.Base
 	if base == nil {
 		base = Spread{}
 	}
-	return base.Place(members, fp)
+	return base.Place(members)
 }
 
 // TopologyAware places programs where their traffic enters the network: it
-// ranks fitting members by descending observed edge traffic (packets
+// ranks members by descending observed edge traffic (packets
 // received on non-fabric ports, from a signal such as fabric.EdgeRx), so a
 // heavy-hitter or cache program lands on the leaf its flows arrive at
 // instead of a random member. Members the signal knows nothing about rank
 // last; ties (including an absent signal) defer to Base (Spread when nil).
 type TopologyAware struct {
 	// Traffic returns packets observed entering the network per member
-	// name. Called once per placement; may be nil.
+	// name. Called once per Deploy and once per reconcile pass; may be nil.
 	Traffic func() map[string]uint64
 	Base    Policy
 }
@@ -156,36 +108,24 @@ type TopologyAware struct {
 // Name identifies the policy.
 func (TopologyAware) Name() string { return "topology-aware" }
 
-// Place ranks fitting members by descending edge traffic, deferring ties
-// to the base policy's order.
-func (t TopologyAware) Place(members []MemberView, fp Footprint) ([]string, error) {
+// Place ranks members by descending edge traffic, deferring ties to the
+// base policy's order.
+func (t TopologyAware) Place(members []MemberView) []string {
 	base := t.Base
 	if base == nil {
 		base = Spread{}
 	}
-	ranked, err := base.Place(members, fp)
-	if err != nil {
-		return nil, err
-	}
+	ranked := base.Place(members)
 	var traffic map[string]uint64
 	if t.Traffic != nil {
 		traffic = t.Traffic()
 	}
 	if len(traffic) == 0 {
-		return ranked, nil
+		return ranked
 	}
-	pos := make(map[string]int, len(ranked))
-	for i, name := range ranked {
-		pos[name] = i
-	}
-	sort.SliceStable(ranked, func(i, j int) bool {
-		ti, tj := traffic[ranked[i]], traffic[ranked[j]]
-		if ti != tj {
-			return ti > tj
-		}
-		return pos[ranked[i]] < pos[ranked[j]]
-	})
-	return ranked, nil
+	// Stable, so members with equal traffic keep the base policy's order.
+	sort.SliceStable(ranked, func(i, j int) bool { return traffic[ranked[i]] > traffic[ranked[j]] })
+	return ranked
 }
 
 // replicas returns how many members a policy wants for one unit.

@@ -49,8 +49,8 @@ type deployIntent struct {
 //  2. repair divergence on live assigned members (a unit partially or
 //     wholly missing is revoked clean and re-deployed from the stored
 //     source);
-//  3. top up units below their replica target on policy-ranked healthy
-//     members;
+//  3. top up units below their replica target on the first policy-ranked
+//     healthy members whose deploy.plan says the unit links there;
 //  4. revoke orphans — fleet-owned programs sitting on members the store
 //     no longer assigns (e.g. a revived member whose units failed over
 //     while it was down). Programs the store has never heard of are left
@@ -114,6 +114,9 @@ func (f *Fleet) Reconcile() {
 		pending   []*deployIntent
 	}
 	var plans []unitPlan
+	// The policy's member order, taken once: nothing before the flush
+	// changes the store or the utilization views it ranks by.
+	ranked := f.opt.Policy.Place(f.liveViews())
 
 	for _, u := range f.store.List() {
 		assigned := make([]string, 0, len(u.Members))
@@ -162,70 +165,57 @@ func (f *Fleet) Reconcile() {
 		}
 		assigned = kept
 
+		// Members holding or about to hold the unit: neither adopted nor
+		// topped up again.
+		inUnit := make(map[string]bool, len(assigned)+len(pending))
+		for _, n := range assigned {
+			inUnit[n] = true
+		}
+		for _, it := range pending {
+			inUnit[it.member] = true
+		}
+
 		// Adopt rejoined members that already hold the whole unit — e.g. a
 		// member that recovered its programs from a write-ahead journal
 		// after a crash. Adopting re-uses the intact copy; without this the
 		// top-up would fill the slot elsewhere and the orphan sweep would
 		// revoke the survivor. Iterate in member order for determinism.
-		if len(assigned)+len(pending) < u.Replicas && len(u.Programs) > 0 {
-			inUnit := make(map[string]bool, len(assigned)+len(pending))
-			for _, n := range assigned {
-				inUnit[n] = true
+		for _, name := range names {
+			if len(assigned)+len(pending) >= u.Replicas || len(u.Programs) == 0 {
+				break
 			}
-			for _, it := range pending {
-				inUnit[it.member] = true
+			l, ok := listings[name]
+			if !ok || inUnit[name] {
+				continue
 			}
-			for _, name := range names {
-				if len(assigned)+len(pending) >= u.Replicas {
+			complete := true
+			for _, p := range u.Programs {
+				if !l.programs[p] {
+					complete = false
 					break
 				}
-				l, ok := listings[name]
-				if !ok || inUnit[name] {
-					continue
-				}
-				complete := true
-				for _, p := range u.Programs {
-					if !l.programs[p] {
-						complete = false
-						break
-					}
-				}
-				if !complete {
-					continue
-				}
-				assigned = append(assigned, name)
-				inUnit[name] = true
-				f.m.cReconcileAdoptions.Inc()
-				f.log.Infof("fleet: unit %s adopted intact copy on rejoined member %s", u.Key, name)
-				f.flightEvent(trace.EvReconcile, u.Key, "adopted intact copy on "+name)
 			}
+			if !complete {
+				continue
+			}
+			assigned = append(assigned, name)
+			inUnit[name] = true
+			f.m.cReconcileAdoptions.Inc()
+			f.log.Infof("fleet: unit %s adopted intact copy on rejoined member %s", u.Key, name)
+			f.flightEvent(trace.EvReconcile, u.Key, "adopted intact copy on "+name)
 		}
 
-		// Top up to the replica target: claim the top-ranked candidates
-		// for the open slots; their deploys ride the members' batches too.
+		// Top up to the replica target: claim the first ranked members
+		// whose plan says the unit links there; their deploys ride the
+		// members' batches too.
 		if open := u.Replicas - len(assigned) - len(pending); open > 0 {
-			skip := make(map[string]bool, len(assigned)+len(pending))
-			for _, n := range assigned {
-				skip[n] = true
-			}
-			for _, it := range pending {
-				skip[it.member] = true
-			}
-			fp := Footprint{Entries: u.Entries, MemWords: u.MemWords}
-			if ranked, err := f.opt.Policy.Place(f.liveViews(skip), fp); err == nil {
-				for _, name := range ranked {
-					if open == 0 {
-						break
-					}
-					if _, ok := f.member(name); !ok {
-						continue
-					}
-					pending = append(pending, queue(name, u, false))
-					open--
-				}
-			} else {
+			fits, _, refusal := f.place(ctx, u.Source, ranked, inUnit, open, nil)
+			if len(fits) < open {
 				f.log.Errorf("fleet: unit %s below target (%d/%d): %v",
-					u.Key, len(assigned)+len(pending), u.Replicas, err)
+					u.Key, u.Replicas-open+len(fits), u.Replicas, refusal)
+			}
+			for _, name := range fits {
+				pending = append(pending, queue(name, u, false))
 			}
 		}
 		plans = append(plans, unitPlan{u: u, confirmed: assigned, pending: pending})

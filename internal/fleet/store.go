@@ -17,8 +17,8 @@ type Unit struct {
 	Programs []string // program names linked from Source
 	Replicas int      // desired replica count
 	Members  []string // members assigned to hold this unit
-	Entries  int      // compiled footprint: table entries per replica
-	MemWords uint32   // compiled footprint: memory words per replica
+	Entries  int      // table entries per replica, from the first member plan
+	MemWords uint32   // memory words per replica, from the first member plan
 }
 
 func (u *Unit) clone() *Unit {

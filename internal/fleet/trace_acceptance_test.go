@@ -113,7 +113,8 @@ func TestDistributedTraceAcrossFleetTCP(t *testing.T) {
 		"wire.flush",       // client burst write
 		"srv.fleet.deploy", // fleet server half
 		"srv.decode",       // fleet server request decode
-		"footprint",        // fleet placement estimate
+		"srv.deploy.plan",  // member plan server half
+		"plan",             // member compiler plan, no install
 		"cli.deploy",       // fleet→member client call
 		"srv.deploy",       // member server half
 		"journal.commit",   // member WAL group commit
@@ -125,8 +126,10 @@ func TestDistributedTraceAcrossFleetTCP(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if n := count["fanout."+memberName(i)]; n != 1 {
-			t.Fatalf("fanout.%s spans = %d, want exactly 1", memberName(i), n)
+		for _, span := range []string{"plan.", "fanout."} {
+			if n := count[span+memberName(i)]; n != 1 {
+				t.Fatalf("%s%s spans = %d, want exactly 1", span, memberName(i), n)
+			}
 		}
 	}
 	// Per-member halves arrived over the wire: one srv.deploy (and one

@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"strconv"
+
 	"p4runpro/internal/controlplane"
+	"p4runpro/internal/core"
 	"p4runpro/internal/resource"
 	"p4runpro/internal/rmt"
 	"p4runpro/internal/upgrade"
@@ -19,6 +22,29 @@ func deployResults(reports []controlplane.DeployReport) []DeployResult {
 			Program: r.Program, ProgramID: r.ProgramID, Entries: r.Entries,
 			AllocTime: r.AllocTime, UpdateDelay: r.UpdateDelay, Total: r.Total,
 		})
+	}
+	return out
+}
+
+// planResults converts a source's planned, unlinked programs.
+func planResults(lps []*core.LinkedProgram) []PlanResult {
+	out := make([]PlanResult, 0, len(lps))
+	for _, lp := range lps {
+		r := PlanResult{Program: lp.Name, Passes: lp.Alloc.MaxPass() + 1,
+			Entries: lp.Stats.EntryCount, MemWords: lp.Stats.MemWords}
+		for _, pl := range lp.Alloc.Placements {
+			row := PlanPlacement{Depth: pl.Depth, Logical: pl.Logical, RPB: int(pl.RPB), Pass: pl.Pass}
+			for _, it := range lp.TP.Depths[pl.Depth-1].Items {
+				row.Primitives = append(row.Primitives, "b"+strconv.Itoa(it.BranchID)+":"+it.Prim.String())
+			}
+			r.Placements = append(r.Placements, row)
+		}
+		blocks := lp.Blocks()
+		for _, md := range lp.TP.Memories {
+			b := blocks[md.Name]
+			r.Blocks = append(r.Blocks, PlanBlock{Mem: b.Name, RPB: int(b.RPB), Start: b.Start, Size: b.Size})
+		}
+		out = append(out, r)
 	}
 	return out
 }

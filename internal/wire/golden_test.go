@@ -78,6 +78,17 @@ program fwd(<hdr.ipv4.src, 12.0.0.0, 0xff000000>) {
 }
 `
 
+// goldenHuge declares more memory than any RPB holds, so no allocation
+// can place it.
+const goldenHuge = `
+@ huge 131072
+program huge(<hdr.ipv4.src, 14.0.0.0, 0xff000000>) {
+    LOADI(sar, 1);
+    HASH_5_TUPLE_MEM(huge);
+    MEMADD(huge);
+}
+`
+
 // fixedSC is the span context the traced captures carry.
 var fixedSC = func() trace.SpanContext {
 	sc, ok := trace.ParseHeader(fixedHeader)
@@ -288,7 +299,7 @@ var singleSwitchVerbs = []string{
 	wire.MethodUtilization, wire.MethodInject, wire.MethodStatus, wire.MethodAddCases, wire.MethodRemoveCase,
 	wire.MethodMcastSet, wire.MethodSnapshot, wire.MethodUpgradeStart, wire.MethodUpgradeCutover,
 	wire.MethodUpgradeCommit, wire.MethodUpgradeAbort, wire.MethodUpgradeStatus,
-	wire.MethodDeployBatch, wire.MethodMemWriteBatch, wire.MethodMemReadStream,
+	wire.MethodDeployBatch, wire.MethodMemWriteBatch, wire.MethodMemReadStream, wire.MethodDeployPlan,
 }
 
 func journaledController(t *testing.T, tr *trace.Tracer, fr *trace.FlightRecorder) *controlplane.Controller {
@@ -405,6 +416,11 @@ func TestGoldenServerResponses(t *testing.T) {
 	do("debug.trace/no-tracer", wire.MethodDebugTrace, wire.TraceGetParams{ID: "0123456789abcdef0123456789abcdef"})
 	do("debug.trace/bad-id", wire.MethodDebugTrace, wire.TraceGetParams{ID: "nope"})
 	do("debug.flightrec/no-recorder", wire.MethodDebugFlightrec, nil)
+	do("deploy.plan", wire.MethodDeployPlan, wire.DeployParams{Source: goldenCounter +
+		"program solo(<hdr.ipv4.src, 13.0.0.0, 0xff000000>) { DROP; }"})
+	do("deploy.plan/parse-error", wire.MethodDeployPlan, wire.DeployParams{Source: "program broken("})
+	do("deploy.plan/duplicate", wire.MethodDeployPlan, wire.DeployParams{Source: goldenFwdV1})
+	do("deploy.plan/infeasible", wire.MethodDeployPlan, wire.DeployParams{Source: goldenHuge})
 	// A frame-count violation is answered, then the connection closes.
 	raw("bad-frame-count", `{"id":9,"method":"mem.writebatch","frames":-1}`)
 	wiretest.Golden(t, "testdata/server_responses.golden", cp.Bytes())

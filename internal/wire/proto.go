@@ -69,6 +69,7 @@ func (e *OpError) Error() string { return "wire: " + e.Msg }
 // Method names.
 const (
 	MethodDeploy      = "deploy"
+	MethodDeployPlan  = "deploy.plan"
 	MethodRevoke      = "revoke"
 	MethodPrograms    = "programs"
 	MethodMemRead     = "mem.read"
@@ -524,6 +525,36 @@ type DeployResult struct {
 	AllocTime   time.Duration `json:"alloc_time"`
 	UpdateDelay time.Duration `json:"update_delay"`
 	Total       time.Duration `json:"total"`
+}
+
+// PlanResult reports how one program of a deploy.plan source (its params
+// are DeployParams) would link on the switch's live state. Nothing was
+// installed.
+type PlanResult struct {
+	Program    string          `json:"program"`
+	Passes     int             `json:"passes"`
+	Entries    int             `json:"entries"`
+	MemWords   uint32          `json:"mem_words"`
+	Placements []PlanPlacement `json:"placements"`
+	Blocks     []PlanBlock     `json:"blocks,omitempty"`
+}
+
+// PlanPlacement is one depth's placement: its logical and physical RPB,
+// its recirculation pass, and its primitives as "b<branch>:<primitive>".
+type PlanPlacement struct {
+	Depth      int      `json:"depth"`
+	Logical    int      `json:"logical"`
+	RPB        int      `json:"rpb"`
+	Pass       int      `json:"pass"`
+	Primitives []string `json:"primitives"`
+}
+
+// PlanBlock is where one declared memory would be carved.
+type PlanBlock struct {
+	Mem   string `json:"mem"`
+	RPB   int    `json:"rpb"`
+	Start uint32 `json:"start"`
+	Size  uint32 `json:"size"`
 }
 
 // RevokeParams names a program.

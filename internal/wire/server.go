@@ -138,7 +138,7 @@ func (s *Server) dispatch(ctx context.Context, req Request, frames [][]byte) (an
 
 // Do runs one verb in-process with the codec of a TCP round trip: params
 // are marshalled, dispatched through the same table, and the result is
-// marshalled and decoded into result (nil discards it). Request and
+// marshalled and decoded into result (nil discards it unmarshalled). Request and
 // response frames pass through unchanged, and a verb's failure comes back
 // as the *OpError a client would see. Nothing of the transport runs: no
 // srv.* span, no request counted. ctx reaches the handler as is, so a
@@ -156,16 +156,14 @@ func (s *Server) Do(ctx context.Context, method string, params, result any, fram
 	if err != nil {
 		return nil, &OpError{Method: method, Msg: err.Error()}
 	}
+	if result == nil {
+		return rframes, nil
+	}
 	raw, err := json.Marshal(out)
 	if err != nil {
 		return nil, &OpError{Method: method, Msg: "marshal result: " + err.Error()}
 	}
-	if result != nil {
-		if err := json.Unmarshal(raw, result); err != nil {
-			return nil, err
-		}
-	}
-	return rframes, nil
+	return rframes, json.Unmarshal(raw, result)
 }
 
 // metrics renders one scrape of the server's registry.

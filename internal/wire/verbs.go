@@ -63,6 +63,13 @@ var switchVerbs = map[string]func(*controlplane.Controller) handler{
 		}
 		return deployResults(reports), nil
 	}),
+	MethodDeployPlan: verb(func(ctx context.Context, ct *controlplane.Controller, p DeployParams) ([]PlanResult, error) {
+		lps, err := ct.Plan(ctx, p.Source)
+		if err != nil {
+			return nil, err
+		}
+		return planResults(lps), nil
+	}),
 	MethodRevoke: verb(func(ctx context.Context, ct *controlplane.Controller, p RevokeParams) (RevokeResult, error) {
 		r, err := ct.RevokeCtx(ctx, p.Name)
 		return revokeResultOf(r), err

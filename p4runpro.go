@@ -26,8 +26,6 @@ import (
 	"p4runpro/internal/controlplane"
 	"p4runpro/internal/core"
 	"p4runpro/internal/fabric"
-	"p4runpro/internal/lang"
-	"p4runpro/internal/obs"
 	"p4runpro/internal/pkt"
 	"p4runpro/internal/rmt"
 	"p4runpro/internal/wire"
@@ -43,14 +41,8 @@ type (
 	Options = core.Options
 	// Controller owns a provisioned switch and the program lifecycle.
 	Controller = controlplane.Controller
-	// DeployReport quantifies one deployment.
-	DeployReport = controlplane.DeployReport
-	// Packet is a parsed packet traversing the switch.
-	Packet = pkt.Packet
 	// FiveTuple identifies a flow.
 	FiveTuple = pkt.FiveTuple
-	// Result is a packet's disposition.
-	Result = rmt.Result
 	// BatchItem is one packet of a Switch.InjectBatch burst; the batched
 	// injection API amortizes per-packet dispatch (see docs/PERFORMANCE.md).
 	BatchItem = rmt.BatchItem
@@ -58,17 +50,13 @@ type (
 	Server = wire.Server
 	// Client is the typed control-protocol client.
 	Client = wire.Client
-	// Registry is the metrics registry behind Controller.Obs; see
-	// docs/ARCHITECTURE.md for the metric inventory.
-	Registry = obs.Registry
 )
 
 // Objective kinds for Options.Objective.
 const (
-	ObjF1           = core.ObjF1
-	ObjF2           = core.ObjF2
-	ObjF3           = core.ObjF3
-	ObjHierarchical = core.ObjHierarchical
+	ObjF1 = core.ObjF1
+	ObjF2 = core.ObjF2
+	ObjF3 = core.ObjF3
 )
 
 // DefaultConfig returns the paper's prototype dimensions: a single Tofino
@@ -85,23 +73,6 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 // later reconfiguration is runtime table-entry work.
 func Open(cfg Config, opt Options) (*Controller, error) {
 	return controlplane.New(cfg, opt)
-}
-
-// ParseProgram parses and checks P4runpro source without deploying it,
-// returning the declared program names.
-func ParseProgram(src string) ([]string, error) {
-	f, err := lang.ParseFile(src)
-	if err != nil {
-		return nil, err
-	}
-	if err := lang.Check(f); err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(f.Programs))
-	for _, p := range f.Programs {
-		names = append(names, p.Name)
-	}
-	return names, nil
 }
 
 // Serve starts a control-protocol server for a controller on addr and

@@ -32,25 +32,6 @@ func TestOpenAndDeployFacade(t *testing.T) {
 	}
 }
 
-func TestParseProgramFacade(t *testing.T) {
-	names, err := ParseProgram(`
-program a(<hdr.ipv4.dst, 1, 0xff>) { DROP; }
-program b(<hdr.ipv4.dst, 2, 0xff>) { DROP; }
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("names = %v", names)
-	}
-	if _, err := ParseProgram("program broken"); err == nil {
-		t.Error("bad source accepted")
-	}
-	if _, err := ParseProgram("program c(<hdr.zzz.q, 1, 0xff>) { DROP; }"); err == nil {
-		t.Error("semantic error not surfaced")
-	}
-}
-
 func TestServeConnectFacade(t *testing.T) {
 	ct, err := Open(DefaultConfig(), DefaultOptions())
 	if err != nil {
