@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -290,22 +291,11 @@ func (c *Compiler) linkOne(ctx context.Context, prog *lang.Program, mems []lang.
 	lp, span, plan := st.lp, st.span, st.plan
 
 	// Consistent update (Figure 6): program components first, the
-	// initialization block last, each entry installed atomically.
+	// initialization block last, each table's entries in one batch.
 	istart := time.Now()
-	sort.SliceStable(plan, func(i, j int) bool { return plan[i].kind < plan[j].kind })
-	lp.entries = make([]installedEntry, 0, len(plan)) // room for deferred init entries too
-	for _, pe := range plan {
-		if deferInit && pe.kind == kindInit {
-			lp.deferredInit = append(lp.deferredInit, pe)
-			continue
-		}
-		id, err := pe.table.Insert(pe.keys, pe.priority, pe.action, pe.params, prog.Name)
-		if err != nil {
-			c.rollbackEntries(lp)
-			st.release()
-			return nil, &AllocError{Program: prog.Name, Reason: "entry installation failed: " + err.Error(), Err: err}
-		}
-		lp.entries = append(lp.entries, pe.installed(id))
+	if lp.entries, err = install(prog.Name, plan); err != nil {
+		st.release()
+		return nil, &AllocError{Program: prog.Name, Reason: "entry installation failed: " + err.Error(), Err: err}
 	}
 	lp.Stats.EntryCount = len(lp.entries)
 	idur := time.Since(istart)
@@ -324,11 +314,12 @@ func (c *Compiler) linkOne(ctx context.Context, prog *lang.Program, mems []lang.
 }
 
 // stage is the pre-install half of a link: refuse a linked name, translate,
-// allocate, reserve resources, plan every entry and check table room. held
-// counts entries an enclosing plan has already claimed per table; it is nil
-// when linking and non-nil when planning, which names the span "plan"
-// instead of "link" and records no phase or solver metric. On error the
-// span has ended and nothing stays reserved.
+// allocate, reserve resources, plan every entry (deferInit moves the init
+// entries to lp.deferredInit) and check table room. held counts entries an
+// enclosing plan has already claimed per table; it is nil when linking and
+// non-nil when planning, which names the span "plan" instead of "link" and
+// records no phase or solver metric. On error the span has ended and nothing
+// stays reserved.
 func (c *Compiler) stage(ctx context.Context, prog *lang.Program, mems []lang.MemDecl, parseStart time.Time, parseTime time.Duration, deferInit bool, held map[*rmt.Table]int) (st *stagedLink, err error) {
 	c.mu.Lock()
 	if _, dup := c.linked[prog.Name]; dup {
@@ -474,10 +465,14 @@ func (c *Compiler) stage(ctx context.Context, prog *lang.Program, mems []lang.Me
 			primary.ra.ExtraTE++
 		}
 	}
+	if deferInit { // planEntries plans the init entries last
+		i := slices.IndexFunc(plan, func(pe plannedEntry) bool { return pe.kind == kindInit })
+		plan, lp.deferredInit = plan[:i], plan[i:]
+	}
 	// Allocation checks RPB tables only; the init and recirculation tables
 	// can still be full. Refuse such a plan before installing anything,
 	// rather than failing mid-install and unwinding.
-	if err := checkRoom(plan, deferInit, held); err != nil {
+	if err := checkRoom(plan, held); err != nil {
 		rollbackGroups()
 		return nil, &AllocError{Program: prog.Name, Reason: err.Error(), Err: err}
 	}
@@ -485,17 +480,15 @@ func (c *Compiler) stage(ctx context.Context, prog *lang.Program, mems []lang.Me
 }
 
 // checkRoom reports the first table, in plan order, whose free room is less
-// than the entries the plan installs in it now (deferred init entries wait
-// for InstallDeferredInit) plus the entries held for it elsewhere.
-func checkRoom(plan []plannedEntry, deferInit bool, held map[*rmt.Table]int) error {
+// than the entries the plan installs in it plus the entries held for it
+// elsewhere.
+func checkRoom(plan []plannedEntry, held map[*rmt.Table]int) error {
 	need := make(map[*rmt.Table]int)
 	for t, n := range held {
 		need[t] = n
 	}
 	for _, pe := range plan {
-		if !deferInit || pe.kind != kindInit {
-			need[pe.table]++
-		}
+		need[pe.table]++
 	}
 	for _, pe := range plan {
 		if free := pe.table.Free(); need[pe.table] > free {
@@ -503,13 +496,6 @@ func checkRoom(plan []plannedEntry, deferInit bool, held map[*rmt.Table]int) err
 		}
 	}
 	return nil
-}
-
-func (c *Compiler) rollbackEntries(lp *LinkedProgram) {
-	for i := len(lp.entries) - 1; i >= 0; i-- {
-		_ = lp.entries[i].table.Delete(lp.entries[i].id)
-	}
-	lp.entries = nil
 }
 
 // RevokeStats quantifies one revoke operation.
@@ -533,24 +519,10 @@ func (c *Compiler) Revoke(name string) (RevokeStats, error) {
 		return RevokeStats{}, fmt.Errorf("core: program %q not linked", name)
 	}
 
-	var st RevokeStats
-	// Initialization block first.
-	for _, e := range lp.entries {
-		if e.kind == kindInit {
-			if err := e.table.Delete(e.id); err != nil {
-				return st, err
-			}
-			st.EntriesDeleted++
-		}
+	if err := retire(lp.entries); err != nil {
+		return RevokeStats{}, err
 	}
-	for _, e := range lp.entries {
-		if e.kind != kindInit {
-			if err := e.table.Delete(e.id); err != nil {
-				return st, err
-			}
-			st.EntriesDeleted++
-		}
-	}
+	st := RevokeStats{EntriesDeleted: len(lp.entries)}
 
 	// Lock, reset, and free memory on every switch holding a share.
 	passAllocs := lp.passAllocs

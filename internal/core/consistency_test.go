@@ -1,10 +1,16 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"regexp"
+	"strings"
 	"testing"
 
+	"p4runpro/internal/faults"
 	"p4runpro/internal/lang"
 	"p4runpro/internal/pkt"
+	"p4runpro/internal/programs"
 	"p4runpro/internal/resource"
 	"p4runpro/internal/rmt"
 )
@@ -19,10 +25,11 @@ const (
 	behaviourMix                   // inconsistent intermediate state
 )
 
-// TestConsistentAddition installs a program entry by entry (replicating the
-// compiler's batch order) and probes the data plane between every step: a
-// cache-hit packet must observe either no program at all or the complete
-// program — never a partial one (paper §4.3, Figure 6).
+// TestConsistentAddition installs a program the way linkOne does, one
+// batch of batches(plan, false) at a time, and probes the data plane between
+// batches: a cache-hit packet must observe either no program at all or the
+// complete program — never a partial one — and the program may appear only
+// with an initialization-block batch (paper §4.3, Figure 6).
 func TestConsistentAddition(t *testing.T) {
 	sw, c := newStack(t)
 
@@ -38,7 +45,7 @@ func TestConsistentAddition(t *testing.T) {
 		return behaviourMix
 	}
 
-	// Replicate linkOne's steps manually so probes can interleave.
+	// Plan as linkOne's stage does, so the batches can be applied one by one.
 	file, err := lang.ParseFile(cacheSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -63,34 +70,46 @@ func TestConsistentAddition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Batch order: program components first, initialization block last.
-	var nonInit, init []plannedEntry
-	for _, pe := range plan {
-		if pe.kind == kindInit {
-			init = append(init, pe)
-		} else {
-			nonInit = append(nonInit, pe)
-		}
-	}
-	for i, pe := range nonInit {
-		if b := probe(); b != behaviourNone {
-			t.Fatalf("after %d/%d component entries: behaviour %d, want none (program ID not yet enabled)", i, len(nonInit), b)
-		}
-		if _, err := pe.table.Insert(pe.keys, pe.priority, pe.action, pe.params, tp.Name); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-	}
 	if b := probe(); b != behaviourNone {
-		t.Fatal("all components installed but init absent: program already visible")
+		t.Fatalf("before install: behaviour %d, want none", b)
 	}
-	for _, pe := range init {
-		if _, err := pe.table.Insert(pe.keys, pe.priority, pe.action, pe.params, tp.Name); err != nil {
-			t.Fatal(err)
+	live := false
+	bs := batches(plan, false)
+	tables := make(map[*rmt.Table]bool)
+	for _, pe := range plan {
+		tables[pe.table] = true
+	}
+	if len(bs) != len(tables) {
+		t.Fatalf("%d batches for %d tables, want one each", len(bs), len(tables))
+	}
+	for i, idx := range bs {
+		b := pick(plan, idx)
+		if _, err := install(tp.Name, b); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		switch got := probe(); {
+		case got == behaviourNone && !live:
+		case got == behaviourNew:
+			if !live && b[0].kind != kindInit {
+				t.Fatalf("batch %d/%d (%s, kind %d) made the program visible; only the init block may", i+1, len(bs), b[0].table.Name, b[0].kind)
+			}
+			live = true
+		default:
+			t.Fatalf("after batch %d/%d (%s, kind %d): behaviour %d (live before: %v)", i+1, len(bs), b[0].table.Name, b[0].kind, got, live)
 		}
 	}
-	if b := probe(); b != behaviourNew {
-		t.Fatalf("after init entries: behaviour %d, want complete program", b)
+	if !live {
+		t.Fatal("every batch installed, program not visible")
 	}
+}
+
+// pick returns the entries at idx, one batch of batches(entries, ...).
+func pick[E any](entries []E, idx []int) []E {
+	out := make([]E, len(idx))
+	for i, j := range idx {
+		out[i] = entries[j]
+	}
+	return out
 }
 
 func buildResourceAlloc(t *testing.T, tp *lang.TProgram, alloc *AllocResult) *resource.ProgramAlloc {
@@ -112,9 +131,11 @@ func buildResourceAlloc(t *testing.T, tp *lang.TProgram, alloc *AllocResult) *re
 	return ra
 }
 
-// TestConsistentDeletion revokes a program while probing: once the
-// initialization entries are gone, every component stops at once, even
-// though the component entries still physically exist.
+// TestConsistentDeletion retires a program the way Revoke does, one batch
+// of batches(entries, true) at a time, probing between batches: the program
+// answers completely until an initialization-block batch disables its ID,
+// after which every component stops at once, though their entries still
+// physically exist.
 func TestConsistentDeletion(t *testing.T) {
 	sw, c := newStack(t)
 	lp := linkCache(t, c)
@@ -125,39 +146,26 @@ func TestConsistentDeletion(t *testing.T) {
 	if read() != rmt.VerdictReflected {
 		t.Fatal("program not active before deletion")
 	}
-	// Step 1 of the paper's Figure 6: delete the init-block filters only.
-	deleted := 0
-	for _, e := range lp.entries {
-		if e.kind == kindInit {
-			if err := e.table.Delete(e.id); err != nil {
-				t.Fatal(err)
+	stopped := false
+	bs := batches(lp.entries, true)
+	for i, idx := range bs {
+		b := pick(lp.entries, idx)
+		if err := retire(b); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		switch v := read(); {
+		case v == rmt.VerdictReflected && !stopped:
+		case v == rmt.VerdictNoDecision:
+			if !stopped && b[0].kind != kindInit {
+				t.Fatalf("batch %d/%d (%s, kind %d) stopped the program; only the init block may", i+1, len(bs), b[0].table.Name, b[0].kind)
 			}
-			deleted++
+			stopped = true
+		default:
+			t.Fatalf("after batch %d/%d (%s, kind %d): verdict %v (stopped before: %v)", i+1, len(bs), b[0].table.Name, b[0].kind, v, stopped)
 		}
 	}
-	if deleted == 0 {
-		t.Fatal("no init entries found")
-	}
-	if v := read(); v != rmt.VerdictNoDecision {
-		t.Fatalf("after init deletion: verdict %v, want no-decision (all components disabled at once)", v)
-	}
-	// The RPB entries still exist but are unreachable without the ID.
-	remaining := 0
-	for _, e := range lp.entries {
-		if e.kind != kindInit {
-			remaining++
-		}
-	}
-	if remaining == 0 {
-		t.Fatal("component entries vanished prematurely")
-	}
-	// Finish deletion through the normal path (idempotent for init).
-	for _, e := range lp.entries {
-		if e.kind != kindInit {
-			if err := e.table.Delete(e.id); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if !stopped {
+		t.Fatal("every batch retired, program still answers")
 	}
 	ra, err := c.Mgr.BeginRevoke("cache")
 	if err != nil {
@@ -165,5 +173,61 @@ func TestConsistentDeletion(t *testing.T) {
 	}
 	if err := c.Mgr.FinishRevoke(ra); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLinkInstallOrder fails the nth table insert of hll's link for every n
+// in turn and reads the failing table off the error: the link reaches the
+// init tables only after every RPB and recirculation entry, and writes each
+// table's entries as one batch, so a table's n values are one run.
+func TestLinkInstallOrder(t *testing.T) {
+	pt, ok := faults.Lookup("rmt.table.insert")
+	if !ok {
+		t.Fatal("rmt.table.insert not registered")
+	}
+	defer faults.DisarmAll()
+	spec, _ := programs.Get("hll")
+	src := spec.DefaultSource()
+	_, c := newStack(t)
+
+	pt.FailNth(1<<62, nil)
+	if _, err := c.Link(context.Background(), src); err != nil {
+		t.Fatal(err)
+	}
+	hits := int(pt.Hits())
+	faults.DisarmAll()
+	if _, err := c.Revoke("hll"); err != nil {
+		t.Fatal(err)
+	}
+
+	failing := regexp.MustCompile(`table (\S+): insert: `)
+	runs := make(map[string][]int)
+	firstInit := 0
+	for n := 1; n <= hits; n++ {
+		pt.FailNth(uint64(n), nil)
+		_, err := c.Link(context.Background(), src)
+		faults.DisarmAll()
+		m := failing.FindStringSubmatch(fmt.Sprint(err))
+		if m == nil {
+			t.Fatalf("n=%d: link error %v names no failing table", n, err)
+		}
+		switch init := strings.HasPrefix(m[1], "init_"); {
+		case init && firstInit == 0:
+			firstInit = n
+		case !init && firstInit != 0:
+			t.Fatalf("n=%d: %s written after the init tables (from n=%d)", n, m[1], firstInit)
+		}
+		runs[m[1]] = append(runs[m[1]], n)
+	}
+	if firstInit == 0 {
+		t.Fatalf("no init table among %d inserts", hits)
+	}
+	for name, ns := range runs {
+		if ns[len(ns)-1]-ns[0]+1 != len(ns) {
+			t.Errorf("%s written at inserts %v, not one run", name, ns)
+		}
+	}
+	if len(c.Programs()) != 0 {
+		t.Fatalf("failed links left %v linked", c.Programs())
 	}
 }

@@ -12,41 +12,121 @@ import (
 // entryKind orders entries for consistent updates: when adding, program
 // components go in before the initialization block enables the program ID;
 // when deleting, the initialization block goes first so every component
-// stops at once (paper §4.3 "Consistent Update", Figure 6).
+// stops at once (paper §4.3 "Consistent Update", Figure 6). A case added at
+// runtime opens its branch with its condition entry, so that entry goes in
+// after the case body and out before it.
 type entryKind int
 
 const (
 	kindRPB entryKind = iota
 	kindRecirc
+	kindCond
 	kindInit
 )
 
 // plannedEntry is one table entry the compiler will install for a program.
+// mgr and rpb name the RPB whose entry budget it reserves one entry of by
+// itself: a runtime-added case's entries do, while a linked program's are
+// reserved in aggregate (resource.ProgramAlloc) and leave them zero.
 type plannedEntry struct {
-	kind     entryKind
-	table    *rmt.Table
-	keys     []rmt.TernaryKey
-	priority int
-	action   string
-	params   []uint32
+	kind  entryKind
+	table *rmt.Table
+	rmt.EntrySpec
+	mgr *resource.Manager
+	rpb resource.RPBID
 }
 
-// installedEntry records an installed entry for later deletion, with the
-// keys and priority it was installed under so no control path has to read
-// them back out of the table. branch is nonzero only for entries added by an
-// incremental case update, keyed by the runtime-assigned branch ID.
+// installedEntry records an installed entry for its later deletion, with the
+// keys and priority it was installed under (dispatch entries copy them) and
+// its planned entry's reservation. branch is nonzero only for entries added
+// by an incremental case update, keyed by the runtime-assigned branch ID.
 type installedEntry struct {
 	kind     entryKind
 	table    *rmt.Table
 	id       rmt.EntryID
 	keys     []rmt.TernaryKey
 	priority int
+	mgr      *resource.Manager
+	rpb      resource.RPBID
 	branch   int
 }
 
-// installed records pe as installed under id.
-func (pe plannedEntry) installed(id rmt.EntryID) installedEntry {
-	return installedEntry{kind: pe.kind, table: pe.table, id: id, keys: pe.keys, priority: pe.priority}
+// slotted is what batches groups entries by: their kind and table.
+type slotted interface {
+	at() (entryKind, *rmt.Table)
+}
+
+func (pe plannedEntry) at() (entryKind, *rmt.Table)   { return pe.kind, pe.table }
+func (ie installedEntry) at() (entryKind, *rmt.Table) { return ie.kind, ie.table }
+
+// batches groups entries into the table writes of a consistent update, as
+// indices into entries: one batch per kind per table, tables in order of
+// first appearance within a kind, each batch in entry order. The kinds go
+// in ascending order to install and descending order to retire, so this is
+// the one place the §4.3 order lives.
+func batches[E slotted](entries []E, retire bool) [][]int {
+	idx := make([]int, 0, len(entries))
+	taken := make([]bool, len(entries))
+	out := make([][]int, 0, len(entries))
+	for k := kindRPB; k <= kindInit; k++ {
+		kind := k
+		if retire {
+			kind = kindInit - k
+		}
+		for i, e := range entries {
+			if ek, table := e.at(); !taken[i] && ek == kind {
+				start := len(idx)
+				for j := i; j < len(entries); j++ {
+					if jk, jt := entries[j].at(); !taken[j] && jk == kind && jt == table {
+						taken[j] = true
+						idx = append(idx, j)
+					}
+				}
+				out = append(out, idx[start:])
+			}
+		}
+	}
+	return out
+}
+
+// install writes plan to the tables under owner, one atomic batch per
+// table per kind in consistent-update order, and returns what it installed.
+// If a batch fails, the batches already published are retired: nothing of
+// plan stays installed.
+func install(owner string, plan []plannedEntry) ([]installedEntry, error) {
+	out := make([]installedEntry, 0, len(plan))
+	specs := make([]rmt.EntrySpec, len(plan))
+	for _, b := range batches(plan, false) {
+		for i, j := range b {
+			specs[i] = plan[j].EntrySpec
+		}
+		first, err := plan[b[0]].table.Update(nil, specs[:len(b)], owner)
+		if err != nil {
+			_ = retire(out)
+			return nil, err
+		}
+		for i, j := range b {
+			pe := plan[j]
+			out = append(out, installedEntry{kind: pe.kind, table: pe.table, id: first + rmt.EntryID(i),
+				keys: pe.Keys, priority: pe.Priority, mgr: pe.mgr, rpb: pe.rpb})
+		}
+	}
+	return out, nil
+}
+
+// retire deletes installed entries, one atomic batch per table per kind in
+// consistent-update order.
+func retire(entries []installedEntry) error {
+	ids := make([]rmt.EntryID, len(entries))
+	for _, b := range batches(entries, true) {
+		for i, j := range b {
+			ids[i] = entries[j].id
+		}
+		if _, err := entries[b[0]].table.Update(ids[:len(b)], nil, ""); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 var actionName = map[lang.Op]string{
@@ -181,14 +261,12 @@ func (c *Compiler) planEntries(tp *lang.TProgram, alloc *AllocResult, pid uint16
 						}
 						keys[idx] = rmt.TernaryKey{Value: cond.Value, Mask: cond.Mask}
 					}
-					out = append(out, plannedEntry{
-						kind:     kindRPB,
-						table:    tbl,
-						keys:     keys,
-						priority: len(prim.Cases) - ci, // source order wins
-						action:   "set_branch",
-						params:   []uint32{uint32(it.CaseIDs[ci])},
-					})
+					out = append(out, plannedEntry{kind: kindRPB, table: tbl, EntrySpec: rmt.EntrySpec{
+						Keys:     keys,
+						Priority: len(prim.Cases) - ci, // source order wins
+						Action:   "set_branch",
+						Params:   []uint32{uint32(it.CaseIDs[ci])},
+					}})
 				}
 				continue
 			}
@@ -196,13 +274,11 @@ func (c *Compiler) planEntries(tp *lang.TProgram, alloc *AllocResult, pid uint16
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, plannedEntry{
-				kind:   kindRPB,
-				table:  tbl,
-				keys:   baseKeys(),
-				action: action,
-				params: params,
-			})
+			out = append(out, plannedEntry{kind: kindRPB, table: tbl, EntrySpec: rmt.EntrySpec{
+				Keys:   baseKeys(),
+				Action: action,
+				Params: params,
+			}})
 		}
 	}
 
@@ -215,7 +291,7 @@ func (c *Compiler) planEntries(tp *lang.TProgram, alloc *AllocResult, pid uint16
 	out = append(out, recircEntries...)
 
 	// Initialization block entries: one per compatible parsing path,
-	// installed last.
+	// planned last.
 	paths, err := dataplane.CompatiblePaths(tp.Filters)
 	if err != nil {
 		return nil, err
@@ -238,14 +314,12 @@ func (c *Compiler) planEntries(tp *lang.TProgram, alloc *AllocResult, pid uint16
 		for _, k := range keys[1:] { // skip the bitmap key, equal per table
 			prio += popcount(k.Mask)
 		}
-		out = append(out, plannedEntry{
-			kind:     kindInit,
-			table:    tbl,
-			keys:     keys,
-			priority: prio,
-			action:   "set_program",
-			params:   []uint32{uint32(pid)},
-		})
+		out = append(out, plannedEntry{kind: kindInit, table: tbl, EntrySpec: rmt.EntrySpec{
+			Keys:     keys,
+			Priority: prio,
+			Action:   "set_program",
+			Params:   []uint32{uint32(pid)},
+		}})
 	}
 	return out, nil
 }
@@ -326,16 +400,14 @@ func (c *Compiler) planRecirc(tp *lang.TProgram, alloc *AllocResult, pid uint16)
 			if subtreeMax[branch] <= (p+1)*m {
 				continue // nothing left beyond this pass
 			}
-			out = append(out, plannedEntry{
-				kind:  kindRecirc,
-				table: tbl,
-				keys: []rmt.TernaryKey{
+			out = append(out, plannedEntry{kind: kindRecirc, table: tbl, EntrySpec: rmt.EntrySpec{
+				Keys: []rmt.TernaryKey{
 					rmt.Exact(uint32(pid)),
 					rmt.Exact(uint32(branch)),
 					rmt.Exact(uint32(p)),
 				},
-				action: "recirculate",
-			})
+				Action: "recirculate",
+			}})
 		}
 	}
 	return out, nil

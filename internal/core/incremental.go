@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"p4runpro/internal/lang"
-	"p4runpro/internal/resource"
 	"p4runpro/internal/rmt"
 )
 
@@ -16,10 +15,10 @@ import (
 // A new case reuses the depth placement of an existing, structurally
 // identical elastic case (the template): its primitives install at the
 // template's RPBs with fresh parameters, under a freshly assigned branch
-// ID, and the case-condition entry goes in last so the update is consistent
-// — until then no packet can enter the new branch. Removing a case deletes
-// its condition entry first, atomically disabling the whole branch, then
-// its body entries.
+// ID, and the case-condition entry (kindCond) goes in last so the update is
+// consistent — until then no packet can enter the new branch. Removing a
+// case deletes its condition entry first, atomically disabling the whole
+// branch, then its body entries.
 
 // AddedCase describes one case added at runtime.
 type AddedCase struct {
@@ -74,13 +73,9 @@ func (c *Compiler) AddCases(name string, branchDepth int, src string) ([]AddedCa
 			return nil, fmt.Errorf("core: %s: branch-ID space exhausted", name)
 		}
 
-		// Plan the body entries at the template's depths, then the
-		// condition entry last (consistent update within the addition).
+		// Plan the body entries at the template's depths and the condition
+		// entry that opens the branch, which install puts in last.
 		var plan []plannedEntry
-		var rpbs []struct {
-			mgr *resource.Manager
-			rpb resource.RPBID
-		}
 		for i, prim := range body {
 			pl := placementOf[tmpl.depths[i]]
 			tbl, err := c.planeFor(pl.Pass).RPBTable(pl.RPB)
@@ -95,11 +90,8 @@ func (c *Compiler) AddCases(name string, branchDepth int, src string) ([]AddedCa
 			keys[rpbKeyProg] = rmt.Exact(uint32(lp.ProgramID))
 			keys[rpbKeyBranch] = rmt.Exact(uint32(newID))
 			keys[rpbKeyRecirc] = rmt.Exact(uint32(pl.Pass))
-			plan = append(plan, plannedEntry{kind: kindRPB, table: tbl, keys: keys, action: action, params: params})
-			rpbs = append(rpbs, struct {
-				mgr *resource.Manager
-				rpb resource.RPBID
-			}{c.mgrFor(pl.Pass), pl.RPB})
+			plan = append(plan, plannedEntry{kind: kindRPB, table: tbl, mgr: c.mgrFor(pl.Pass), rpb: pl.RPB,
+				EntrySpec: rmt.EntrySpec{Keys: keys, Action: action, Params: params}})
 		}
 		condKeys := make([]rmt.TernaryKey, rpbKeyCount)
 		condKeys[rpbKeyProg] = rmt.Exact(uint32(lp.ProgramID))
@@ -118,42 +110,24 @@ func (c *Compiler) AddCases(name string, branchDepth int, src string) ([]AddedCa
 		}
 		// Appended cases rank below the original ones (priority 0, stable
 		// insertion order among themselves).
-		plan = append(plan, plannedEntry{
-			kind: kindRPB, table: branchTbl, keys: condKeys,
-			action: "set_branch", params: []uint32{uint32(newID)},
-		})
-		rpbs = append(rpbs, struct {
-			mgr *resource.Manager
-			rpb resource.RPBID
-		}{c.mgrFor(branchPlacement.Pass), branchPlacement.RPB})
+		plan = append(plan, plannedEntry{kind: kindCond, table: branchTbl, mgr: c.mgrFor(branchPlacement.Pass), rpb: branchPlacement.RPB,
+			EntrySpec: rmt.EntrySpec{Keys: condKeys, Action: "set_branch", Params: []uint32{uint32(newID)}}})
 
-		// Reserve entries, then install; roll back on any failure.
-		var reserved int
-		var installed []installedEntry
-		rollback := func() {
-			for i := len(installed) - 1; i >= 0; i-- {
-				_ = installed[i].table.Delete(installed[i].id)
-			}
-			for i := 0; i < reserved; i++ {
-				_ = rpbs[i].mgr.Release(name, rpbs[i].rpb, 1)
-			}
-		}
-		for i := range plan {
-			if err := rpbs[i].mgr.Reserve(name, rpbs[i].rpb, 1); err != nil {
-				rollback()
+		// Reserve an entry per planned entry, then install; undo both on
+		// any failure.
+		for i, pe := range plan {
+			if err := pe.mgr.Reserve(name, pe.rpb, 1); err != nil {
+				release(name, plan[:i])
 				return added, &AllocError{Program: name, Reason: err.Error(), Err: err}
 			}
-			reserved++
 		}
-		for _, pe := range plan {
-			id, err := pe.table.Insert(pe.keys, pe.priority, pe.action, pe.params, name)
-			if err != nil {
-				rollback()
-				return added, &AllocError{Program: name, Reason: "incremental install failed: " + err.Error(), Err: err}
-			}
-			ie := pe.installed(id)
-			ie.branch = newID
-			installed = append(installed, ie)
+		installed, err := install(name, plan)
+		if err != nil {
+			release(name, plan)
+			return added, &AllocError{Program: name, Reason: "incremental install failed: " + err.Error(), Err: err}
+		}
+		for i := range installed {
+			installed[i].branch = newID
 		}
 		c.mu.Lock()
 		lp.entries = append(lp.entries, installed...)
@@ -171,34 +145,28 @@ func (c *Compiler) AddCases(name string, branchDepth int, src string) ([]AddedCa
 func (c *Compiler) RemoveCase(name string, branchID int) error {
 	c.mu.Lock()
 	lp, ok := c.linked[name]
+	var mine, rest []installedEntry
+	if ok {
+		for _, e := range lp.entries {
+			if e.branch == branchID {
+				mine = append(mine, e)
+			} else {
+				rest = append(rest, e)
+			}
+		}
+	}
 	c.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("core: program %q not linked", name)
 	}
-	c.mu.Lock()
-	var mine, rest []installedEntry
-	for _, e := range lp.entries {
-		if e.branch == branchID {
-			mine = append(mine, e)
-		} else {
-			rest = append(rest, e)
-		}
-	}
-	c.mu.Unlock()
 	if len(mine) == 0 {
 		return fmt.Errorf("core: program %q has no runtime-added case branch %d", name, branchID)
 	}
-	// The condition entry is the last installed; delete it first.
-	for i := len(mine) - 1; i >= 0; i-- {
-		e := mine[i]
-		if err := e.table.Delete(e.id); err != nil {
-			return err
-		}
-		rpb, mgr, err := c.rpbOfTable(e.table)
-		if err != nil {
-			return err
-		}
-		if err := mgr.Release(name, rpb, 1); err != nil {
+	if err := retire(mine); err != nil {
+		return err
+	}
+	for _, e := range mine {
+		if err := e.mgr.Release(name, e.rpb, 1); err != nil {
 			return err
 		}
 	}
@@ -215,25 +183,11 @@ func (c *Compiler) RemoveCase(name string, branchID int) error {
 	return nil
 }
 
-// rpbOfTable locates a table's RPB number and owning manager across passes.
-func (c *Compiler) rpbOfTable(t *rmt.Table) (resource.RPBID, *resource.Manager, error) {
-	passes := 1
-	if c.passTargets != nil {
-		passes = len(c.passTargets)
+// release returns the entry each planned entry reserved.
+func release(owner string, plan []plannedEntry) {
+	for _, pe := range plan {
+		_ = pe.mgr.Release(owner, pe.rpb, 1)
 	}
-	for p := 0; p < passes; p++ {
-		pl := c.planeFor(p)
-		for rpb := resource.RPBID(1); int(rpb) <= pl.M; rpb++ {
-			tbl, err := pl.RPBTable(rpb)
-			if err != nil {
-				return 0, nil, err
-			}
-			if tbl == t {
-				return rpb, c.mgrFor(p), nil
-			}
-		}
-	}
-	return 0, nil, fmt.Errorf("core: table %q is not an RPB", t.Name)
 }
 
 // nextBranchID picks the lowest unused branch ID of a program.

@@ -8,41 +8,53 @@ import (
 )
 
 // This file holds the compiler-side primitives a versioned program upgrade
-// (internal/upgrade) composes: enumerating a program's installed init-table
-// filters (the templates for dispatch entries), enabling the withheld init
+// (internal/upgrade) composes: installing entries above a program's
+// init-table filters (the dispatch entries), enabling the withheld init
 // entries of a deferred-init link, and renaming a linked program when the
 // surviving version takes over the operator-visible name at commit.
 
-// InitEntryRef describes one installed initialization-block entry of a
-// linked program — table, entry identity, and the ternary filter it matches.
-type InitEntryRef struct {
-	Table    *rmt.Table
-	ID       rmt.EntryID
-	Keys     []rmt.TernaryKey
-	Priority int
+// Installed is a set of entries the compiler installed for a caller, held
+// until the caller retires it.
+type Installed struct{ entries []installedEntry }
+
+// Retire deletes the set's entries in consistent-update order; a nil set
+// retires nothing.
+func (in *Installed) Retire() error {
+	if in == nil {
+		return nil
+	}
+	err := retire(in.entries)
+	in.entries = nil
+	return err
 }
 
-// InitEntries returns a linked program's installed init-table entries.
-func (c *Compiler) InitEntries(name string) ([]InitEntryRef, error) {
-	c.mu.Lock()
-	lp, ok := c.linked[name]
-	c.mu.Unlock()
+// InstallAbove installs, one priority above each of a linked program's
+// init-table entries, an entry with the same filter that runs action with
+// params under owner: for any packet the program claims, the new entry
+// wins. A versioned upgrade's dispatch entries are these.
+func (c *Compiler) InstallAbove(name, owner, action string, params []uint32) (*Installed, error) {
+	lp, ok := c.Linked(name)
 	if !ok {
 		return nil, fmt.Errorf("core: program %q not linked", name)
 	}
-	var out []InitEntryRef
+	var plan []plannedEntry
 	for _, ie := range lp.entries {
 		if ie.kind == kindInit {
-			out = append(out, InitEntryRef{Table: ie.table, ID: ie.id, Keys: ie.keys, Priority: ie.priority})
+			spec := rmt.EntrySpec{Keys: ie.keys, Priority: ie.priority + 1, Action: action, Params: params}
+			plan = append(plan, plannedEntry{kind: kindInit, table: ie.table, EntrySpec: spec})
 		}
 	}
-	return out, nil
+	entries, err := install(owner, plan)
+	if err != nil {
+		return nil, err
+	}
+	return &Installed{entries}, nil
 }
 
 // InstallDeferredInit installs the initialization-block entries withheld by
-// LinkProgramDeferredInit, enabling the program's own traffic filters. It
-// returns how many entries were installed; a program with nothing deferred
-// is a no-op.
+// LinkProgramDeferredInit, all or none, enabling the program's own traffic
+// filters. It returns how many entries were installed; a program with
+// nothing deferred is a no-op.
 func (c *Compiler) InstallDeferredInit(name string) (int, error) {
 	c.mu.Lock()
 	lp, ok := c.linked[name]
@@ -50,18 +62,14 @@ func (c *Compiler) InstallDeferredInit(name string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: program %q not linked", name)
 	}
-	n := 0
-	for _, pe := range lp.deferredInit {
-		id, err := pe.table.Insert(pe.keys, pe.priority, pe.action, pe.params, lp.Name)
-		if err != nil {
-			return n, err
-		}
-		lp.entries = append(lp.entries, pe.installed(id))
-		n++
+	installed, err := install(lp.Name, lp.deferredInit)
+	if err != nil {
+		return 0, err
 	}
+	lp.entries = append(lp.entries, installed...)
 	lp.deferredInit = nil
 	lp.Stats.EntryCount = len(lp.entries)
-	return n, nil
+	return len(installed), nil
 }
 
 // Rename re-keys a linked program to a new operator-visible name: the
@@ -99,12 +107,8 @@ func (c *Compiler) Rename(oldName, newName string) error {
 		}
 		done = append(done, pa.mgr)
 	}
-	tables := make(map[*rmt.Table]bool, len(lp.entries))
-	for _, ie := range lp.entries {
-		if !tables[ie.table] {
-			tables[ie.table] = true
-			ie.table.Reown(oldName, newName)
-		}
+	for _, b := range batches(lp.entries, false) { // a table met again moves nothing
+		lp.entries[b[0]].table.Reown(oldName, newName)
 	}
 	lp.Name = newName
 	delete(c.linked, oldName)

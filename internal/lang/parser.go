@@ -1,7 +1,5 @@
 package lang
 
-import "fmt"
-
 // Parser is a recursive-descent parser for the grammar of Appendix B.1,
 // with two practical extensions seen in the paper's own examples: case
 // conditions name their register (`<har, 2, 0xffffffff>` as in Figure 2),
@@ -340,14 +338,4 @@ func (p *Parser) cond() (Cond, error) {
 		return Cond{}, err
 	}
 	return Cond{Reg: reg, Value: uint32(val.Val), Mask: uint32(mask.Val), Pos: lt.Pos}, nil
-}
-
-// MustParse parses src and panics on error — for fixtures and examples
-// whose source is known-valid.
-func MustParse(src string) *File {
-	f, err := ParseFile(src)
-	if err != nil {
-		panic(fmt.Sprintf("lang.MustParse: %v", err))
-	}
-	return f
 }

@@ -125,24 +125,6 @@ func (t *TProgram) FirstAccessDepth() map[string]int {
 	return out
 }
 
-// BranchesAtOrAfter returns the branch IDs that have items at depth >= d
-// (1-based); the recirculation block needs an entry per such branch when d
-// starts a new pass.
-func (t *TProgram) BranchesAtOrAfter(d int) []int {
-	set := map[int]bool{}
-	for i := d - 1; i < len(t.Depths); i++ {
-		for _, it := range t.Depths[i].Items {
-			set[it.BranchID] = true
-		}
-	}
-	out := make([]int, 0, len(set))
-	for b := range set {
-		out = append(out, b)
-	}
-	sort.Ints(out)
-	return out
-}
-
 const regMax = ^uint32(0)
 
 // Translate runs the full pre-allocation pipeline on a checked program:

@@ -1,6 +1,6 @@
 // Package compile is a shim for the frozen bench/ module, which times
 // compile.Recompile as a layer of every deploy. Entries are lowered when a
-// table publishes its snapshot (rmt.Table.Insert), so there is no plan to
+// table publishes its snapshot (rmt.Table.Update), so there is no plan to
 // rebuild; the next benchmark PR deletes this package.
 package compile
 

@@ -12,11 +12,11 @@ import (
 // TestConcurrentInjectUnderTableChurn is the -race regression test for the
 // packet fast path: goroutines inject traffic, singly and in bursts (hitting
 // table match logic, entry hit counters, SALU memory, and port counters)
-// while the control plane churns entries in the same table. Entries forward
-// to port 2 and the default to port 7, so once every burst has returned the
-// hits of every entry ever installed, deleted ones included, must sum to
-// port 2's packets: a burst's tallied hits land on the entries it matched
-// even when they were deleted mid-burst.
+// while the control plane churns batches of entries in the same table.
+// Entries forward to port 2 and the default to port 7, so once every burst
+// has returned the hits of every entry ever installed, deleted ones
+// included, must sum to port 2's packets: a burst's tallied hits land on the
+// entries it matched even when they were deleted mid-burst.
 func TestConcurrentInjectUnderTableChurn(t *testing.T) {
 	cfg := DefaultConfig()
 	sw := New(cfg)
@@ -46,28 +46,39 @@ func TestConcurrentInjectUnderTableChurn(t *testing.T) {
 	stop := make(chan struct{})
 	var churn, inj sync.WaitGroup
 
-	// Control-plane churn: insert and delete entries for the live keys,
-	// keeping every entry ever installed (the newest has the highest ID).
+	// Control-plane churn in batches: each deletes the older half of the
+	// live entries (every third pass of the flows, all of them) and installs
+	// one to four for the live keys, keeping every entry ever installed (IDs
+	// ascend, so a batch's entries are the newest).
 	var installed []*Entry
 	churn.Add(1)
 	go func() {
 		defer churn.Done()
+		var live []EntryID
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			id, err := tbl.Insert([]TernaryKey{Exact(uint32(i % flows))}, i%4, "fwd_count", []uint32{2}, "churn")
-			if err == nil {
-				es := tbl.Entries()
-				installed = append(installed, es[len(es)-1])
+			specs := make([]EntrySpec, 1+i%4)
+			for j := range specs {
+				specs[j] = EntrySpec{Keys: []TernaryKey{Exact(uint32((i + j) % flows))}, Priority: (i + j) % 4, Action: "fwd_count", Params: []uint32{2}}
 			}
-			if err == nil && i%2 == 0 {
-				_ = tbl.Delete(id)
-			}
+			del := live[:len(live)/2]
 			if i%(3*flows) == 0 {
-				_ = tbl.DeleteOwned("churn")
+				del = live
+			}
+			first, err := tbl.Update(del, specs, "churn")
+			if err != nil {
+				t.Errorf("churn batch %d: %v", i, err)
+				return
+			}
+			es := tbl.Entries()
+			installed = append(installed, es[len(es)-len(specs):]...)
+			live = live[len(del):]
+			for j := range specs {
+				live = append(live, first+EntryID(j))
 			}
 		}
 	}()

@@ -47,7 +47,7 @@ type Entry struct {
 	Params   []uint32
 	Owner    string // installing program, for bookkeeping and debugging
 
-	// fn is Action's implementation, bound once when Insert builds the entry
+	// fn is Action's implementation, bound once when Update builds the entry
 	// so a hit costs no action-map lookup. The binding never goes stale: a
 	// table's action set only grows (RegisterAction rejects duplicates).
 	fn ActionFunc
@@ -73,12 +73,12 @@ func before(a, b *Entry) bool {
 // Every mutation builds a fresh tableState under the writer lock and
 // publishes it with one atomic pointer store, so the packet path reads a
 // consistent snapshot without taking any lock — the simulator's model of the
-// RMT architecture's per-entry update atomicity that P4runpro's consistent
-// update relies on (paper §4.3/§5). A snapshot is never mutated after
-// publication. Snapshots share everything a mutation did not touch: an entry
-// insert or delete copies this header, the group slice, the touched group's
-// header, one hash page of it, one chain's cells up to the change and one
-// path of that cell's run.
+// RMT architecture's update atomicity that P4runpro's consistent update
+// relies on (paper §4.3/§5). A snapshot is never mutated after publication.
+// Snapshots share everything a mutation did not touch: an entry insert or
+// delete copies this header, the group slice, the touched group's header,
+// one hash page of it, one chain's cells up to the change and one path of
+// that cell's run; a batch copies each of them at most once.
 // Entries are shared too (their hit counters are atomics and survive
 // republication).
 type tableState struct {
@@ -395,11 +395,11 @@ type Table struct {
 	// the current gen was made by the mutation in progress, is not published
 	// yet, and is written in place; anything older is copied first.
 	gen uint64
-	// byID locates installed entries for Delete, DeleteOwned and Reown. It is
-	// the writer's own index: never published, read and written under mu.
+	// byID locates installed entries for Update and Reown. It is the
+	// writer's own index: never published, read and written under mu.
 	byID map[EntryID]*Entry
 	// actions is the registered action set, also the writer's own: packets
-	// never look an action up (entries carry theirs, bound at Insert).
+	// never look an action up (entries carry theirs, bound at Update).
 	actions map[string]actionDef
 	state   atomic.Pointer[tableState]
 }
@@ -565,54 +565,109 @@ func (t *Table) grow(g *group) {
 	}
 }
 
-// Insert installs an entry atomically. It fails when the table is full, the
-// action is unknown, or the key count is wrong.
+// EntrySpec is an entry to install: its match keys, priority, action and
+// action parameters.
+type EntrySpec struct {
+	Keys     []TernaryKey
+	Priority int
+	Action   string
+	Params   []uint32
+}
+
+// Insert installs one entry atomically: Update with one insert.
 func (t *Table) Insert(keys []TernaryKey, priority int, action string, params []uint32, owner string) (EntryID, error) {
-	if err := fpInsert.Check(); err != nil {
-		return 0, fmt.Errorf("rmt: table %s: insert: %w", t.Name, err)
+	return t.Update(nil, []EntrySpec{{keys, priority, action, params}}, owner)
+}
+
+// Delete removes one entry atomically: Update with one delete.
+func (t *Table) Delete(id EntryID) error {
+	_, err := t.Update([]EntryID{id}, nil, "")
+	return err
+}
+
+// Update applies one batch to the table: it deletes the entries del names,
+// then installs ins under owner, and publishes the result in one atomic
+// store, so a packet sees the table before the batch or after it, never part
+// of it. The new entries take consecutive IDs in ins order, from the one
+// returned, so equal priorities tie-break as if inserted one by one. Every
+// item is checked before the table changes — key count, action, parse-path
+// key, room after the deletes, each deleted ID installed and named once —
+// and any failure leaves the table as it was.
+func (t *Table) Update(del []EntryID, ins []EntrySpec, owner string) (EntryID, error) {
+	for range ins {
+		if err := fpInsert.Check(); err != nil {
+			return 0, fmt.Errorf("rmt: table %s: insert: %w", t.Name, err)
+		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cur := t.state.Load()
-	if len(keys) != t.nkeys {
-		return 0, fmt.Errorf("rmt: table %s: entry has %d keys, want %d", t.Name, len(keys), t.nkeys)
+	for _, s := range ins {
+		if len(s.Keys) != t.nkeys {
+			return 0, fmt.Errorf("rmt: table %s: entry has %d keys, want %d", t.Name, len(s.Keys), t.nkeys)
+		}
+		if _, ok := t.actions[s.Action]; !ok {
+			return 0, fmt.Errorf("rmt: table %s: unknown action %q", t.Name, s.Action)
+		}
+		if cur.onPath && s.Keys[cur.pathKey] != Exact(uint32(cur.path)) {
+			return 0, fmt.Errorf("rmt: table %s: entry key %d is %+v, want exactly parse path %s", t.Name, cur.pathKey, s.Keys[cur.pathKey], cur.path)
+		}
 	}
-	def, ok := t.actions[action]
-	if !ok {
-		return 0, fmt.Errorf("rmt: table %s: unknown action %q", t.Name, action)
-	}
-	if cur.count >= t.capacity {
+	if cur.count-len(del)+len(ins) > t.capacity {
 		return 0, fmt.Errorf("rmt: table %s: full (%d entries)", t.Name, t.capacity)
 	}
-	if cur.onPath && keys[cur.pathKey] != Exact(uint32(cur.path)) {
-		return 0, fmt.Errorf("rmt: table %s: entry key %d is %+v, want exactly parse path %s", t.Name, cur.pathKey, keys[cur.pathKey], cur.path)
+	// Take the deleted entries out of byID as they are found, so a repeated
+	// ID is not found twice; a missing one puts them back. The constant
+	// capacity keeps a small batch's list off the heap.
+	gone := make([]*Entry, 0, 8)
+	for _, id := range del {
+		e, ok := t.byID[id]
+		if !ok {
+			for _, e := range gone {
+				t.byID[e.ID] = e
+			}
+			return 0, fmt.Errorf("rmt: table %s: entry %d not found", t.Name, id)
+		}
+		delete(t.byID, id)
+		gone = append(gone, e)
 	}
-	t.nextID++
-	e := &Entry{ID: t.nextID, Keys: keys, Priority: priority, Action: action, Params: params, Owner: owner, fn: def.fn}
 	ns := t.edit()
-	i := ns.groupOf(keys)
+	for _, e := range gone {
+		t.unlink(ns, e)
+	}
+	first := t.nextID + 1
+	for _, s := range ins {
+		t.nextID++
+		e := &Entry{ID: t.nextID, Keys: s.Keys, Priority: s.Priority, Action: s.Action, Params: s.Params, Owner: owner, fn: t.actions[s.Action].fn}
+		t.link(ns, e)
+		t.byID[e.ID] = e
+	}
+	t.publish(ns)
+	return first, nil
+}
+
+// link adds entry e to the mutation in progress.
+func (t *Table) link(ns *tableState, e *Entry) {
+	i := ns.groupOf(e.Keys)
 	if i < 0 {
 		i = len(ns.groups)
-		ns.groups = append(ns.groups, newGroup(keys, t.gen))
+		ns.groups = append(ns.groups, newGroup(e.Keys, t.gen))
 	}
 	g := t.ownGroup(ns, i)
 	if g.cells >= maxLoad*pageSlots*len(g.pages) {
 		t.grow(g)
 	}
-	ch := t.chain(g, keys)
+	ch := t.chain(g, e.Keys)
 	*ch = g.with(*ch, e)
-	if g.count == 0 || priority > g.maxPrio {
+	if g.count == 0 || e.Priority > g.maxPrio {
 		// The only reorder: a group's bound rose, so it moves forward.
-		g.maxPrio = priority
-		for ; i > 0 && ns.groups[i-1].maxPrio < priority; i-- {
+		g.maxPrio = e.Priority
+		for ; i > 0 && ns.groups[i-1].maxPrio < e.Priority; i-- {
 			ns.groups[i-1], ns.groups[i] = ns.groups[i], ns.groups[i-1]
 		}
 	}
 	g.count++
 	ns.count++
-	t.byID[e.ID] = e
-	t.publish(ns)
-	return e.ID, nil
 }
 
 // unlink removes installed entry e from the mutation in progress, dropping
@@ -629,45 +684,6 @@ func (t *Table) unlink(ns *tableState, e *Entry) {
 	g.count--
 	ch := t.chain(g, e.Keys)
 	*ch = g.without(*ch, e, nil)
-}
-
-// Delete removes an entry atomically.
-func (t *Table) Delete(id EntryID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.byID[id]
-	if !ok {
-		return fmt.Errorf("rmt: table %s: entry %d not found", t.Name, id)
-	}
-	ns := t.edit()
-	t.unlink(ns, e)
-	delete(t.byID, id)
-	t.publish(ns)
-	return nil
-}
-
-// DeleteOwned removes every entry installed under owner and returns how many
-// were deleted.
-func (t *Table) DeleteOwned(owner string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var ns *tableState
-	n := 0
-	for id, e := range t.byID {
-		if e.Owner != owner {
-			continue
-		}
-		if ns == nil {
-			ns = t.edit()
-		}
-		t.unlink(ns, e)
-		delete(t.byID, id)
-		n++
-	}
-	if ns != nil {
-		t.publish(ns)
-	}
-	return n
 }
 
 // Reown transfers every entry installed under oldOwner to newOwner. Owner
@@ -712,7 +728,7 @@ func (t *Table) Reown(oldOwner, newOwner string) int {
 // Apply performs one match-action lookup for the packet and counts a hit on
 // the matched entry. It returns whether an entry (or the default action) was
 // executed. The match resolves against one immutable snapshot, so concurrent
-// Insert/Delete can never expose a half-updated entry set.
+// updates can never expose a half-updated entry set.
 //
 // Only tests call Apply, on a table outside any switch. Its hit count is one
 // shared atomic add per packet, which the packet path must not pay: the

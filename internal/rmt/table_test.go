@@ -165,27 +165,83 @@ func TestTableCapacityAndValidation(t *testing.T) {
 	}
 }
 
-func TestDeleteOwned(t *testing.T) {
-	tbl := newTestTable(t, 32)
-	for i := 0; i < 6; i++ {
-		owner := "a"
-		if i%2 == 1 {
-			owner = "b"
-		}
-		if _, err := tbl.Insert([]TernaryKey{Exact(uint32(i)), Wild()}, 0, "set", []uint32{1}, owner); err != nil {
+// TestUpdateIsOneStore checks that a valid batch of deletes and inserts is
+// one mutation — one gen, one published snapshot whose every copied object
+// that gen made — with IDs in item order, and that a batch failing on its
+// last item publishes nothing and changes no writer state.
+func TestUpdateIsOneStore(t *testing.T) {
+	tbl := newTestTable(t, 8)
+	spec := func(k uint32, action string) EntrySpec {
+		return EntrySpec{Keys: []TernaryKey{Exact(k), Wild()}, Action: action, Params: []uint32{k}}
+	}
+	var ids []EntryID
+	for k := uint32(0); k < 4; k++ {
+		id, err := tbl.Insert(spec(k, "set").Keys, 0, "set", []uint32{k}, "a")
+		if err != nil {
 			t.Fatal(err)
 		}
+		ids = append(ids, id)
 	}
-	if n := tbl.DeleteOwned("a"); n != 3 {
-		t.Errorf("deleted %d, want 3", n)
+
+	gen, old := tbl.gen, tbl.state.Load()
+	first, err := tbl.Update(ids[:2], []EntrySpec{spec(10, "set"), spec(11, "set"), spec(12, "set")}, "b")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tbl.Len() != 3 {
-		t.Errorf("remaining %d", tbl.Len())
+	st := tbl.state.Load()
+	if tbl.gen != gen+1 || st == old {
+		t.Fatalf("batch advanced gen by %d (snapshot replaced: %v), want one mutation", tbl.gen-gen, st != old)
 	}
-	for _, e := range tbl.Entries() {
-		if e.Owner != "b" {
-			t.Errorf("entry of %q survived", e.Owner)
+	for _, g := range st.groups {
+		if g.gen > gen && g.gen != gen+1 {
+			t.Fatalf("group made by gen %d, want %d", g.gen, gen+1)
 		}
+		for _, pg := range g.pages {
+			if pg.gen > gen && pg.gen != gen+1 {
+				t.Fatalf("page made by gen %d, want %d", pg.gen, gen+1)
+			}
+		}
+	}
+	if first != 5 || tbl.Len() != 5 {
+		t.Fatalf("batch IDs from %d and %d entries, want from 5 and 5", first, tbl.Len())
+	}
+	for _, k := range []uint32{0, 1} {
+		if e := tbl.Lookup([]uint32{k, 0}); e != nil {
+			t.Fatalf("deleted key %d still matches entry %d", k, e.ID)
+		}
+	}
+	if e := tbl.Lookup([]uint32{11, 0}); e == nil || e.ID != 6 || e.Owner != "b" {
+		t.Fatalf("inserted key 11 matches %+v, want entry 6 of b", e)
+	}
+
+	ok := []EntrySpec{spec(20, "set"), spec(21, "set")}
+	for _, tc := range []struct {
+		name  string
+		del   []EntryID
+		ins   []EntrySpec
+		fault bool // fpInsert fails the last insert
+	}{
+		{"bad action", ids[2:], append(ok[:2:2], spec(22, "nope")), false},
+		{"over capacity", nil, append(ok[:2:2], spec(22, "set"), spec(23, "set")), false},
+		{"insert fault", ids[2:], append(ok[:2:2], spec(22, "set")), true},
+		{"missing delete", []EntryID{ids[2], 99}, ok, false},
+		{"repeated delete", []EntryID{ids[2], ids[2]}, ok, false},
+	} {
+		if tc.fault {
+			fpInsert.FailNth(uint64(len(tc.ins)), nil)
+		}
+		gen, st, next, n := tbl.gen, tbl.state.Load(), tbl.nextID, len(tbl.byID)
+		_, err := tbl.Update(tc.del, tc.ins, "c")
+		fpInsert.Disarm()
+		if err == nil {
+			t.Fatalf("%s: batch accepted", tc.name)
+		}
+		if tbl.state.Load() != st || tbl.gen != gen || tbl.nextID != next || len(tbl.byID) != n {
+			t.Fatalf("%s: failed batch changed the table (%v)", tc.name, err)
+		}
+	}
+	if tbl.Len() != 5 || tbl.Lookup([]uint32{2, 0}) == nil {
+		t.Fatalf("after failed batches: %d entries, key 2 matched: %v", tbl.Len(), tbl.Lookup([]uint32{2, 0}) != nil)
 	}
 }
 
@@ -326,7 +382,7 @@ func oracleMatch(entries []*oracleEntry, probe []uint32) *oracleEntry {
 // oracleShape is one family of rule sets for the differential check.
 type oracleShape struct {
 	nkeys  int
-	owners int // distinct owners, for DeleteOwned and Reown
+	owners int // distinct owners, for owner-wide batches and Reown
 	fill   int // entries installed before the churn steps
 	steps  int
 	entry  func(*rand.Rand) ([]TernaryKey, int) // keys and priority
@@ -343,7 +399,8 @@ type oracleCoverage struct {
 }
 
 // runOracle drives one seed of a shape: inserts interleaved with Delete,
-// DeleteOwned and Reown, probed through Apply on two tables holding the same
+// batch deletes of one owner's entries, mixed delete+insert batches and
+// Reown, probed through Apply on two tables holding the same
 // entries — one reading its declared key containers directly, one through
 // the generic keyFunc — and compared with oracleMatch: same entry ID (each
 // entry's parameter is its ID, so the ID is read off the action that ran),
@@ -397,26 +454,47 @@ func runOracle(t *testing.T, seed int64, sh oracleShape, cov *oracleCoverage) {
 		}
 		model = kept
 	}
-	insert := func(step int) {
-		keys, prio := sh.entry(rng)
-		e := &oracleEntry{keys: keys, tuple: fmt.Sprint(masksOf(keys)), prio: prio, owner: owner()}
-		cov.tuples[e.tuple] = true
-		for _, tbl := range tables {
-			id, err := tbl.Insert(e.keys, e.prio, "set", []uint32{uint32(tbl.nextID + 1)}, e.owner)
-			if err != nil {
-				t.Fatalf("seed %d step %d: %s insert: %v", seed, step, tbl.Name, err)
-			}
-			e.id = id
+	// batch applies one Update to both tables: del removed, then n fresh
+	// entries of one owner, each carrying its ID as its parameter.
+	batch := func(step int, del []*oracleEntry, n int) {
+		ids := make([]EntryID, len(del))
+		for i, e := range del {
+			ids[i] = e.id
 		}
-		model = append(model, e)
+		owner := owner()
+		add := make([]*oracleEntry, n)
+		for i := range add {
+			keys, prio := sh.entry(rng)
+			add[i] = &oracleEntry{keys: keys, tuple: fmt.Sprint(masksOf(keys)), prio: prio, owner: owner}
+			cov.tuples[add[i].tuple] = true
+		}
+		for _, tbl := range tables {
+			specs := make([]EntrySpec, n)
+			for i, e := range add {
+				specs[i] = EntrySpec{Keys: e.keys, Priority: e.prio, Action: "set", Params: []uint32{uint32(tbl.nextID) + 1 + uint32(i)}}
+			}
+			first, err := tbl.Update(ids, specs, owner)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %s update: %v", seed, step, tbl.Name, err)
+			}
+			for i, e := range add {
+				e.id = first + EntryID(i)
+			}
+		}
+		gone := make(map[*oracleEntry]bool, len(del))
+		for _, e := range del {
+			gone[e] = true
+		}
+		remove(func(e *oracleEntry) bool { return gone[e] })
+		model = append(model, add...)
 	}
 	for i := 0; i < sh.fill; i++ {
-		insert(-1)
+		batch(-1, nil, 1)
 	}
 	for step := 0; step < sh.steps; step++ {
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(11); {
 		case op < 5 || len(model) == 0:
-			insert(step)
+			batch(step, nil, 1)
 		case op < 7:
 			victim := model[rng.Intn(len(model))]
 			top, others := 0, false
@@ -437,20 +515,21 @@ func runOracle(t *testing.T, seed int64, sh oracleShape, cov *oracleCoverage) {
 				}
 			}
 			remove(func(e *oracleEntry) bool { return e == victim })
-		case op == 7:
+		case op == 7: // every entry of one owner
 			owner := owner()
-			want := 0
+			var del []*oracleEntry
 			for _, e := range model {
 				if e.owner == owner {
-					want++
+					del = append(del, e)
 				}
 			}
-			for _, tbl := range tables {
-				if n := tbl.DeleteOwned(owner); n != want {
-					t.Fatalf("seed %d step %d: %s DeleteOwned(%s) = %d, want %d", seed, step, tbl.Name, owner, n, want)
-				}
+			batch(step, del, 0)
+		case op == 8: // a mixed batch: up to three deletes, then inserts
+			var del []*oracleEntry
+			for _, i := range rng.Perm(len(model))[:min(len(model), rng.Intn(4))] {
+				del = append(del, model[i])
 			}
-			remove(func(e *oracleEntry) bool { return e.owner == owner })
+			batch(step, del, 1+rng.Intn(3))
 		default:
 			from, to := owner(), owner()
 			for _, tbl := range tables {
@@ -650,8 +729,8 @@ func TestTupleGroupOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(y, 2)
-	if n := tbl.DeleteOwned("o"); n != 2 {
-		t.Fatalf("DeleteOwned removed %d, want 2 (entries %d and %d)", n, y, all)
+	if _, err := tbl.Update([]EntryID{y, all}, nil, ""); err != nil {
+		t.Fatal(err)
 	}
 	check(0, 0)
 }
@@ -681,20 +760,20 @@ const shapedFill = 2000
 // shapedTables fills an init table (one shared exact first key, /24 and /16
 // tuples), an RPB table (a distinct exact program ID per entry), and an init
 // table whose entries all share one /16 filter, as the resident instances of
-// one program do.
+// one program do. Each has room for a 64-entry batch beside its fill.
 func shapedTables(t *testing.T) []shapedTable {
 	t.Helper()
 	shapes := []shapedTable{
-		{"init", NewTable("init", Ingress, 0, 2048, initShapeKeys, nil), func(i int) ([]TernaryKey, int) {
+		{"init", NewTable("init", Ingress, 0, 4096, initShapeKeys, nil), func(i int) ([]TernaryKey, int) {
 			if i%10 == 0 {
 				return prefixKeys(10<<24|uint32(i/10)<<16, 16), 16
 			}
 			return prefixKeys(background24(i), 24), 24
 		}},
-		{"rpb", NewTable("rpb", Ingress, 0, 2048, 6, nil), func(i int) ([]TernaryKey, int) {
+		{"rpb", NewTable("rpb", Ingress, 0, 4096, 6, nil), func(i int) ([]TernaryKey, int) {
 			return []TernaryKey{Exact(uint32(i)), Exact(0), Exact(0), Wild(), Wild(), Wild()}, 0
 		}},
-		{"shared", NewTable("shared", Ingress, 0, 2048, initShapeKeys, nil), func(int) ([]TernaryKey, int) {
+		{"shared", NewTable("shared", Ingress, 0, 4096, initShapeKeys, nil), func(int) ([]TernaryKey, int) {
 			return prefixKeys(10<<24, 16), 16
 		}},
 	}
@@ -716,30 +795,60 @@ func shapedTables(t *testing.T) []shapedTable {
 // behind on a 2,000-entry table: a mutation copies its group's header, one
 // hash page, a chain's cells up to the change and one path of a cell's run,
 // never a whole group, a whole run or a table-wide structure. In the shared
-// shape the churned entry joins a run of 2,000 entries with its key.
+// shape the churned entry joins a run of 2,000 entries with its key. The same
+// entries installed and deleted as 64-entry batches may leave no more per
+// entry: a batch copies each object once, however many of its entries it
+// touches.
 func TestTableMutationGarbage(t *testing.T) {
 	if raceBuild() {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const pairs, budget = 1000, 4 << 10
-	for _, sh := range shapedTables(t) {
+	const entries, batch, budget = 1024, 64, 4 << 10
+	allocated := func(fn func()) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for j := 0; j < pairs; j++ {
-			k, prio := sh.keys(shapedFill + j)
-			id, err := sh.tbl.Insert(k, prio, "set", nil, "churn")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sh.tbl.Delete(id); err != nil {
-				t.Fatal(err)
-			}
-		}
+		fn()
 		runtime.ReadMemStats(&after)
-		per := (after.TotalAlloc - before.TotalAlloc) / pairs
-		t.Logf("%s: %d B per Insert+Delete", sh.name, per)
-		if per > budget {
-			t.Errorf("%s: one Insert+Delete allocates %d B on a %d-entry table, want ≤ %d", sh.name, per, shapedFill, budget)
+		return (after.TotalAlloc - before.TotalAlloc) / entries
+	}
+	for _, sh := range shapedTables(t) {
+		specs := make([]EntrySpec, entries)
+		for j := range specs {
+			k, prio := sh.keys(shapedFill + j)
+			specs[j] = EntrySpec{Keys: k, Priority: prio, Action: "set"}
+		}
+		single := allocated(func() {
+			for _, s := range specs {
+				id, err := sh.tbl.Insert(s.Keys, s.Priority, s.Action, nil, "churn")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sh.tbl.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		ids := make([]EntryID, batch)
+		batched := allocated(func() {
+			for j := 0; j < entries; j += batch {
+				first, err := sh.tbl.Update(nil, specs[j:j+batch], "churn")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range ids {
+					ids[i] = first + EntryID(i)
+				}
+				if _, err := sh.tbl.Update(ids, nil, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		t.Logf("%s: %d B per Insert+Delete, %d B per entry in %d-entry batches", sh.name, single, batched, batch)
+		if single > budget {
+			t.Errorf("%s: one Insert+Delete allocates %d B on a %d-entry table, want ≤ %d", sh.name, single, shapedFill, budget)
+		}
+		if batched > single {
+			t.Errorf("%s: a %d-entry batch allocates %d B per entry, more than one Insert+Delete's %d B", sh.name, batch, batched, single)
 		}
 	}
 }

@@ -27,7 +27,6 @@ var (
 	replayRuns    obs.Counter // completed replays
 	replayPackets obs.Counter // packets injected across all replays
 	replayWorkers atomic.Int64
-	replayPPS     atomic.Uint64 // math.Float64bits-free: last run's packets/sec
 
 	// replayAllWin tracks total injected packets of the current run;
 	// replayWorkerWin[i] tracks worker i's packets. Observed every
@@ -82,21 +81,14 @@ func tickReplayWorker(w int, done int) {
 	}
 }
 
-func recordReplay(workers, packets int, elapsed time.Duration) {
+func recordReplay(workers, packets int) {
 	replayRuns.Inc()
 	replayPackets.Add(uint64(packets))
 	replayWorkers.Store(int64(workers))
 	// Final sample so the windowed rate covers the run's tail even when the
 	// last tick interval was partial.
 	replayAllWin.Observe(time.Now(), uint64(packets))
-	if s := elapsed.Seconds(); s > 0 {
-		replayPPS.Store(uint64(float64(packets) / s))
-	}
 }
-
-// LastReplayThroughput returns the packets/sec achieved by the most recent
-// completed replay, 0 if none has run.
-func LastReplayThroughput() uint64 { return replayPPS.Load() }
 
 // LastReplayWorkers returns the worker count of the most recent replay.
 func LastReplayWorkers() int { return int(replayWorkers.Load()) }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"p4runpro/internal/pkt"
 	"p4runpro/internal/rmt"
@@ -103,7 +102,6 @@ func ReplayParallel(tr *Trace, inj Injector, sched []Action, bucketMs float64, w
 	if workers < 1 {
 		workers = 1
 	}
-	start := time.Now()
 	beginReplay(workers)
 
 	sort.SliceStable(sched, func(i, j int) bool { return sched[i].AtMs < sched[j].AtMs })
@@ -244,6 +242,6 @@ func ReplayParallel(tr *Trace, inj Injector, sched []Action, bucketMs float64, w
 	for _, s := range res.PerPort {
 		toMbps(s)
 	}
-	recordReplay(workers, res.Packets, time.Since(start))
+	recordReplay(workers, res.Packets)
 	return res
 }

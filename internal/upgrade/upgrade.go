@@ -20,7 +20,6 @@ import (
 	"p4runpro/internal/dataplane"
 	"p4runpro/internal/faults"
 	"p4runpro/internal/lang"
-	"p4runpro/internal/rmt"
 )
 
 // Fault points in the upgrade path (see internal/faults): armed by the
@@ -97,12 +96,7 @@ type Session struct {
 	state    State
 	migrated uint32
 	cutover  time.Duration
-	dispatch []dispatchRef
-}
-
-type dispatchRef struct {
-	table *rmt.Table
-	id    rmt.EntryID
+	dispatch *core.Installed
 }
 
 // Prepare links v2 alongside the live program and arms the version gate,
@@ -161,9 +155,7 @@ func Prepare(comp *core.Compiler, plane *dataplane.Plane, program, v2src string)
 	}
 
 	unwind := func() {
-		for _, d := range s.dispatch {
-			_ = d.table.Delete(d.id)
-		}
+		_ = s.dispatch.Retire()
 		_, _ = comp.Revoke(v2name)
 		if s.gate != 0 {
 			plane.RetireVersionGate(s.gate, s.v1pid)
@@ -178,22 +170,13 @@ func Prepare(comp *core.Compiler, plane *dataplane.Plane, program, v2src string)
 	s.migrated = migrated
 
 	s.gate = plane.NewVersionGate(s.v1pid, s.v2pid)
-	inits, err := comp.InitEntries(program)
+	// One priority above each of v1's own filters: for any packet v1
+	// claims, the dispatch entry wins and the gate decides the version.
+	s.dispatch, err = comp.InstallAbove(program, program+dispatchOwnerSuffix,
+		dataplane.ActionVersionedDispatch, []uint32{s.gate})
 	if err != nil {
 		unwind()
-		return nil, err
-	}
-	owner := program + dispatchOwnerSuffix
-	for _, ie := range inits {
-		// One priority above v1's own filter: for any packet v1 claims, the
-		// dispatch entry wins and the gate decides the version.
-		id, err := ie.Table.Insert(ie.Keys, ie.Priority+1, dataplane.ActionVersionedDispatch,
-			[]uint32{s.gate}, owner)
-		if err != nil {
-			unwind()
-			return nil, fmt.Errorf("upgrade: install dispatch entry: %w", err)
-		}
-		s.dispatch = append(s.dispatch, dispatchRef{table: ie.Table, id: id})
+		return nil, fmt.Errorf("upgrade: install dispatch entry: %w", err)
 	}
 	return s, nil
 }
@@ -290,10 +273,7 @@ func (s *Session) Commit() error {
 	if _, err := s.comp.Revoke(s.program); err != nil {
 		return fmt.Errorf("upgrade: %s: revoke v1: %w", s.program, err)
 	}
-	for _, d := range s.dispatch {
-		_ = d.table.Delete(d.id)
-	}
-	s.dispatch = nil
+	_ = s.dispatch.Retire()
 	s.plane.RetireVersionGate(s.gate, s.v2pid)
 	if err := s.comp.Rename(s.v2name, s.program); err != nil {
 		return fmt.Errorf("upgrade: %s: promote v2: %w", s.program, err)
@@ -315,10 +295,7 @@ func (s *Session) Abort() error {
 	if err := s.plane.PublishEpoch(s.gate, s.v1pid); err != nil {
 		return err
 	}
-	for _, d := range s.dispatch {
-		_ = d.table.Delete(d.id)
-	}
-	s.dispatch = nil
+	_ = s.dispatch.Retire()
 	s.plane.RetireVersionGate(s.gate, s.v1pid)
 	if _, err := s.comp.Revoke(s.v2name); err != nil {
 		return fmt.Errorf("upgrade: %s: revoke v2: %w", s.program, err)

@@ -6,6 +6,7 @@
 package upgrade_test
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 
 	"p4runpro/internal/controlplane"
 	"p4runpro/internal/core"
+	"p4runpro/internal/faults"
 	"p4runpro/internal/pkt"
 	"p4runpro/internal/rmt"
 	"p4runpro/internal/upgrade"
@@ -211,6 +213,56 @@ func TestUpgradeAbort(t *testing.T) {
 	injectN(t, ct, 5)
 	if got := memSum(t, ct, "upg"); got != 15 {
 		t.Fatalf("v1 count after abort = %d, want 15 (v2 window discarded)", got)
+	}
+}
+
+// TestCommitRetryAfterInsertFailure fails the second init-table insert of
+// a commit, then commits again: the failed commit installs none of v2's
+// filters, so the retry installs each once and the init tables hold one
+// entry per parsing path, v2's, as after a clean commit.
+func TestCommitRetryAfterInsertFailure(t *testing.T) {
+	pt, ok := faults.Lookup("rmt.table.insert")
+	if !ok {
+		t.Fatal("rmt.table.insert not registered")
+	}
+	defer faults.DisarmAll()
+	ct := newUpgradeController(t)
+	if _, err := ct.Deploy(upgV1Src); err != nil {
+		t.Fatal(err)
+	}
+	initEntries := func() (n int) {
+		for _, tbl := range ct.Plane.InitTables() {
+			n += tbl.Len()
+		}
+		return n
+	}
+	paths := initEntries()
+	if _, err := ct.UpgradePrepare("upg", upgV2Src); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ct.UpgradeCutover("upg", 2); err != nil {
+		t.Fatal(err)
+	}
+	pt.FailNth(2, nil)
+	_, err := ct.UpgradeCommit("upg")
+	faults.DisarmAll()
+	if !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("commit under fault: %v, want the injected failure", err)
+	}
+	if _, err := ct.UpgradeCommit("upg"); err != nil {
+		t.Fatalf("commit retry: %v", err)
+	}
+	if n := initEntries(); n != paths {
+		t.Fatalf("init tables hold %d entries after the retried commit, want %d", n, paths)
+	}
+	for _, tbl := range ct.Plane.InitTables() {
+		if es := tbl.Entries(); len(es) > 1 {
+			t.Fatalf("%s holds %d entries, want at most 1", tbl.Name, len(es))
+		}
+	}
+	injectN(t, ct, 3)
+	if got := memSum(t, ct, "upg"); got != 6 {
+		t.Fatalf("count after retried commit = %d, want 6 (3 packets at +2)", got)
 	}
 }
 

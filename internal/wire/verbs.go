@@ -24,12 +24,6 @@ func Handle[P, R any](s *Server, method string, h func(context.Context, P) (R, e
 	s.register(method, typed(h))
 }
 
-// HandleFramed is Handle for the bulk verbs, whose requests may carry
-// binary frames and whose responses may answer with them.
-func HandleFramed[P, R any](s *Server, method string, h func(context.Context, P, [][]byte) (R, [][]byte, error)) {
-	s.register(method, typedFramed(h))
-}
-
 func typed[P, R any](h func(context.Context, P) (R, error)) handler {
 	return typedFramed(func(ctx context.Context, p P, _ [][]byte) (R, [][]byte, error) {
 		r, err := h(ctx, p)
