@@ -549,13 +549,13 @@ func BenchmarkFabricReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkUpgradeCutover measures the hitless-upgrade cutover: one epoch
-// publication flips every init-table dispatch entry between v1 and v2 with
-// no table churn. ns/op is the full controller round trip (journal-less)
-// plus one probe packet; epoch-ns is the epoch publication alone, averaged
-// from the sessions' own timing. The acceptance bound is the stalled metric:
-// a packet injected immediately after every flip must forward — zero packets
-// stalled per cutover.
+// BenchmarkUpgradeCutover measures the hitless-upgrade cutover, flipping
+// between v1 and v2: cutting over to v2 installs one dispatch entry batch
+// per init table, cutting back retires them. ns/op is the full controller
+// round trip (journal-less) plus one probe packet; cutover-ns is the entry
+// change alone, averaged from the sessions' own timing. The acceptance
+// bound is the stalled metric: a packet injected immediately after every
+// flip must forward — zero packets stalled per cutover.
 func BenchmarkUpgradeCutover(b *testing.B) {
 	ct := mustOpen(b)
 	v1 := "program upgbench(<hdr.ipv4.src, 10.0.0.0, 0xff000000>) { FORWARD(2); }"
@@ -569,20 +569,20 @@ func BenchmarkUpgradeCutover(b *testing.B) {
 	flow := pkt.FiveTuple{SrcIP: pkt.IP(10, 0, 7, 7), DstIP: 9, SrcPort: 1, DstPort: 2, Proto: pkt.ProtoUDP}
 	p := pkt.NewUDP(flow, 100)
 	stalled := 0
-	var epochNs int64
+	var cutoverNs int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st, err := ct.UpgradeCutover("upgbench", 2-i%2)
 		if err != nil {
 			b.Fatal(err)
 		}
-		epochNs += st.CutoverNs
+		cutoverNs += st.CutoverNs
 		if res := ct.SW.Inject(p, 1); res.Verdict != rmt.VerdictForwarded {
 			stalled++
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(epochNs)/float64(b.N), "epoch-ns")
+	b.ReportMetric(float64(cutoverNs)/float64(b.N), "cutover-ns")
 	b.ReportMetric(float64(stalled)/float64(b.N), "stalled-pkts/cutover")
 	if stalled != 0 {
 		b.Fatalf("%d of %d cutovers stalled the probe packet", stalled, b.N)

@@ -133,7 +133,7 @@ var commands = []command{
 			printPostcards)},
 	{"ops", "[--slow] [--verb v] [--trace <id>] [--flightrec] [--fleet] [limit]",
 		`control-plane operation traces, fleet-merged with --fleet (packet postcards live under "trace")`, 0, ops},
-	{"upgrade start", "<program> <v2-file.p4rp>", "link v2 beside v1, migrate state, gate on v1", 2, call(wire.MethodUpgradeStart,
+	{"upgrade start", "<program> <v2-file.p4rp>", "link v2 beside v1, migrate state; traffic stays on v1", 2, call(wire.MethodUpgradeStart,
 		func(a *argv) any { return wire.UpgradeStartParams{Program: a.args[0], Source: a.file(1)} },
 		printUpgrade)},
 	{"upgrade cutover", "<program> [1|2]", "atomically switch which version new packets run", 1, call(wire.MethodUpgradeCutover,

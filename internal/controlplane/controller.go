@@ -378,30 +378,20 @@ type ProgramInfo struct {
 }
 
 // ProgramHits sums the direct counters of every entry a program owns — how
-// much traffic it has processed since linking (per-filter-table hits count
-// once per matched packet; RPB hits count one per executed primitive).
+// much traffic it has processed since linking (filter-table hits count once
+// per matched packet; RPB hits count one per executed primitive).
 func (ct *Controller) ProgramHits(name string) uint64 {
-	var total uint64
-	for _, t := range ct.SW.Tables() {
-		total += t.OwnerHits(name)
-	}
-	return total
+	all, _ := ct.Compiler.Hits(name)
+	return all
 }
 
-// ProgramPacketHits counts packets attributed to a program: the sum of its
-// entry hits across the dataplane init (filter) tables only. Init entries
-// match once per packet per pass, so — unlike ProgramHits, which also counts
-// every executed RPB primitive — this approximates packets processed, the
-// quantity the telemetry engine turns into a per-program pps rate.
+// ProgramPacketHits counts the packets a program was assigned: the hits of
+// its init (filter) entries, which match a packet once, on its first pass
+// — unlike ProgramHits, which also counts every executed RPB primitive. It
+// is the quantity the telemetry engine turns into a per-program pps rate.
 func (ct *Controller) ProgramPacketHits(name string) uint64 {
-	if ct.Plane == nil {
-		return 0
-	}
-	var total uint64
-	for _, t := range ct.Plane.InitTables() {
-		total += t.OwnerHits(name)
-	}
-	return total
+	_, packets := ct.Compiler.Hits(name)
+	return packets
 }
 
 // Programs lists the linked programs.

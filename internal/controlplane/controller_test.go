@@ -1,6 +1,9 @@
 package controlplane
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"p4runpro/internal/core"
@@ -356,5 +359,115 @@ func TestProgramHits(t *testing.T) {
 	infos := ct.Programs()
 	if infos[0].Hits != h {
 		t.Errorf("ProgramInfo.Hits = %d, want %d", infos[0].Hits, h)
+	}
+}
+
+// TestRecirculatedPassKeepsProgramID: a program that rewrites the field its
+// own filter reads keeps the packet on its second pass. a matches
+// 10.0.0.1, rewrites the destination to 10.0.0.2 and forwards on pass 2;
+// b matches 10.0.0.2. The ID rides the packet across recirculation, so b
+// never sees it and a is charged one packet, not one per pass.
+func TestRecirculatedPassKeepsProgramID(t *testing.T) {
+	ct := newController(t)
+	src := `
+program a(<hdr.ipv4.dst, 10.0.0.1, 0xffffffff>) {
+    LOADI(sar, 0x0a000002);
+    MODIFY(hdr.ipv4.dst, sar);
+` + strings.Repeat("    ADDI(har, 1);\n", 10) + `    FORWARD(3);
+}
+program b(<hdr.ipv4.dst, 10.0.0.2, 0xffffffff>) {
+    FORWARD(4);
+}
+`
+	if _, err := ct.Deploy(src); err != nil {
+		t.Fatal(err)
+	}
+	if infos := ct.Programs(); infos[0].Name != "a" || infos[0].Passes != 2 {
+		t.Fatalf("programs %+v, want a first, in 2 passes", infos)
+	}
+	flow := pkt.FiveTuple{SrcIP: pkt.IP(10, 9, 9, 9), DstIP: pkt.IP(10, 0, 0, 1), SrcPort: 1, DstPort: 2, Proto: pkt.ProtoUDP}
+	p := pkt.NewUDP(flow, 100)
+	res := ct.SW.Inject(p, 1)
+	if res.Verdict != rmt.VerdictForwarded || res.OutPort != 3 {
+		t.Errorf("verdict %v port %d after %d passes, want forwarded on port 3", res.Verdict, res.OutPort, res.Passes)
+	}
+	if p.IP4.Dst != pkt.IP(10, 0, 0, 2) {
+		t.Errorf("dst %#x, want a's rewrite to 10.0.0.2", p.IP4.Dst)
+	}
+	if a, b := ct.ProgramPacketHits("a"), ct.ProgramPacketHits("b"); a != 1 || b != 0 {
+		t.Errorf("packet hits a=%d b=%d, want 1 and 0", a, b)
+	}
+}
+
+// TestProgramPacketHitsUnderChurn reads per-program hits while a program's
+// entries change under it: cases added and removed at runtime and a
+// prepare/cutover/commit upgrade. Run under -race it checks that the
+// readers walk the compiler's entry lists only as the writers publish them.
+func TestProgramPacketHitsUnderChurn(t *testing.T) {
+	ct := newController(t)
+	spec, _ := programs.Get("cache")
+	if _, err := ct.Deploy(spec.DefaultSource()); err != nil {
+		t.Fatal(err)
+	}
+	const upgSrc = `
+program churn(<hdr.ipv4.src, 10.0.0.0, 0xff000000>) {
+    FORWARD(2);
+}
+`
+	if _, err := ct.Deploy(upgSrc); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		flow := pkt.FiveTuple{SrcIP: pkt.IP(10, 0, 0, 1), DstIP: 9, SrcPort: 1, DstPort: 2, Proto: pkt.ProtoUDP}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ct.SW.Inject(pkt.NewUDP(flow, 64), 1)
+			for _, n := range []string{"cache", "churn", "churn@v2"} {
+				ct.ProgramPacketHits(n)
+				ct.ProgramHits(n)
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		added, _, err := ct.AddCases("cache", 4, fmt.Sprintf(`
+case(<har, 1, 0xffffffff>, <sar, %d, 0xffffffff>, <mar, 0, 0xffffffff>) {
+    RETURN;
+    LOADI(mar, 42);
+    MEMREAD(mem1);
+    MODIFY(hdr.nc.value, sar);
+};`, 0x1000+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ct.RemoveCase("cache", added[0].BranchID); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ct.UpgradePrepare("churn", strings.Replace(upgSrc, "FORWARD(2)", "FORWARD(3)", 1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ct.UpgradeCutover("churn", 2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ct.UpgradeCommit("churn"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	before := ct.ProgramPacketHits("churn")
+	flow := pkt.FiveTuple{SrcIP: pkt.IP(10, 0, 0, 1), DstIP: 9, SrcPort: 1, DstPort: 2, Proto: pkt.ProtoUDP}
+	if res := ct.SW.Inject(pkt.NewUDP(flow, 64), 1); res.OutPort != 3 {
+		t.Fatalf("post-churn packet left on port %d, want 3", res.OutPort)
+	}
+	if h := ct.ProgramPacketHits("churn") - before; h != 1 {
+		t.Errorf("one more packet raised churn's count by %d, want 1", h)
 	}
 }

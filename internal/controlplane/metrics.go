@@ -41,7 +41,7 @@ func (ct *Controller) initMetrics() {
 	ct.cUpgradeRolledBack = reg.Counter("p4runpro_upgrades_rolled_back_total",
 		"Versioned upgrades aborted (v2 revoked, v1 kept serving).")
 	ct.mUpgradeCutoverNs = reg.Histogram("p4runpro_upgrade_cutover_ns",
-		"Epoch-publication latency of upgrade cutovers, in nanoseconds.")
+		"Latency of upgrade cutovers (dispatch entries installed or retired), in nanoseconds.")
 
 	reg.GaugeFunc("p4runpro_programs_linked", "Programs currently linked.",
 		func() float64 { return float64(len(ct.Compiler.Programs())) })

@@ -48,8 +48,8 @@ func (ct *Controller) upgradeSession(name string) (*upgrade.Session, error) {
 	return s, nil
 }
 
-// UpgradePrepare links v2 of a live program alongside v1, migrates its
-// SALU state, and installs the version gate pinned to v1 (see
+// UpgradePrepare links v2 of a live program alongside v1 with its filters
+// withheld and migrates its SALU state; traffic stays on v1 (see
 // internal/upgrade). Journaled write-ahead like every mutating operation.
 func (ct *Controller) UpgradePrepare(name, v2src string) (upgrade.Status, error) {
 	return ct.UpgradePrepareCtx(context.Background(), name, v2src)
@@ -82,9 +82,9 @@ func (ct *Controller) upgradePrepareOp(name, v2src string, out *upgrade.Status) 
 		track: func() { ct.jrn.trackUpgradePrepare(name, v2src) }}
 }
 
-// UpgradeCutover publishes the epoch assigning new packets to the given
-// version (2 to cut over, 1 to roll the traffic back). The flip is one
-// atomic pointer store — no table entry moves.
+// UpgradeCutover assigns new packets to the given version (2 to cut over,
+// 1 to roll the traffic back): it installs or retires the dispatch entries
+// above v1's filters, one atomic batch per init table.
 func (ct *Controller) UpgradeCutover(name string, version int) (upgrade.Status, error) {
 	return ct.UpgradeCutoverCtx(context.Background(), name, version)
 }

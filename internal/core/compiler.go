@@ -257,7 +257,7 @@ func (c *Compiler) LinkProgram(prog *lang.Program, mems []lang.MemDecl) (*Linked
 // LinkProgramDeferredInit links a program with its initialization-block
 // entries withheld: every RPB and recirculation entry is installed and every
 // resource committed, but no init-table filter claims traffic for it. A
-// versioned upgrade links v2 this way so the dispatch gate alone decides
+// versioned upgrade links v2 this way so its cutover entries alone decide
 // which packets run it; InstallDeferredInit enables the withheld entries at
 // commit.
 func (c *Compiler) LinkProgramDeferredInit(prog *lang.Program, mems []lang.MemDecl) (*LinkedProgram, error) {

@@ -9,9 +9,10 @@ import (
 
 // This file holds the compiler-side primitives a versioned program upgrade
 // (internal/upgrade) composes: installing entries above a program's
-// init-table filters (the dispatch entries), enabling the withheld init
-// entries of a deferred-init link, and renaming a linked program when the
-// surviving version takes over the operator-visible name at commit.
+// init-table filters (the cutover's dispatch entries), enabling the withheld
+// init entries of a deferred-init link, renaming a linked program when the
+// surviving version takes over the operator-visible name at commit, and
+// reading hit counts through the entries the compiler installed.
 
 // Installed is a set of entries the compiler installed for a caller, held
 // until the caller retires it.
@@ -28,17 +29,26 @@ func (in *Installed) Retire() error {
 	return err
 }
 
+// Hits sums the direct counters of the set's entries; a nil set has none.
+func (in *Installed) Hits() uint64 {
+	if in == nil {
+		return 0
+	}
+	all, _ := hits(in.entries)
+	return all
+}
+
 // InstallAbove installs, one priority above each of a linked program's
 // init-table entries, an entry with the same filter that runs action with
 // params under owner: for any packet the program claims, the new entry
-// wins. A versioned upgrade's dispatch entries are these.
+// wins. A versioned upgrade's cutover installs its dispatch entries so.
 func (c *Compiler) InstallAbove(name, owner, action string, params []uint32) (*Installed, error) {
-	lp, ok := c.Linked(name)
+	entries, ok := c.entriesOf(name)
 	if !ok {
 		return nil, fmt.Errorf("core: program %q not linked", name)
 	}
 	var plan []plannedEntry
-	for _, ie := range lp.entries {
+	for _, ie := range entries {
 		if ie.kind == kindInit {
 			spec := rmt.EntrySpec{Keys: ie.keys, Priority: ie.priority + 1, Action: action, Params: params}
 			plan = append(plan, plannedEntry{kind: kindInit, table: ie.table, EntrySpec: spec})
@@ -66,10 +76,48 @@ func (c *Compiler) InstallDeferredInit(name string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	c.mu.Lock()
 	lp.entries = append(lp.entries, installed...)
 	lp.deferredInit = nil
 	lp.Stats.EntryCount = len(lp.entries)
+	c.mu.Unlock()
 	return len(installed), nil
+}
+
+// Hits returns a linked program's hit counts, read through the entries the
+// compiler installed for it: all sums every entry's direct counter (an RPB
+// entry hits once per executed primitive), packets only its init entries',
+// each of which hits once per packet. An unlinked name reads zero.
+func (c *Compiler) Hits(name string) (all, packets uint64) {
+	entries, _ := c.entriesOf(name)
+	return hits(entries)
+}
+
+// entriesOf returns a linked program's installed entries. Entries are never
+// changed once installed, and a program's list is only appended to or
+// replaced under c.mu, so the slice read here can be walked after the lock
+// is dropped.
+func (c *Compiler) entriesOf(name string) ([]installedEntry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	lp, ok := c.linked[name]
+	if !ok {
+		return nil, false
+	}
+	return lp.entries, true
+}
+
+// hits sums the direct counters of entries: all of them, and the init
+// entries alone.
+func hits(entries []installedEntry) (all, packets uint64) {
+	for _, e := range entries {
+		h := e.table.Hits(e.id)
+		all += h
+		if e.kind == kindInit {
+			packets += h
+		}
+	}
+	return all, packets
 }
 
 // Rename re-keys a linked program to a new operator-visible name: the

@@ -11,7 +11,10 @@ import (
 // The initialization block (paper §4.1.1) sits in the first ingress stage:
 // one filtering table per parsing path. Each table's only action assigns the
 // packet's program ID according to the installed filtering rules; subsequent
-// blocks isolate programs by that ID.
+// blocks isolate programs by that ID. A packet gets its ID once, on its
+// first pass: the ID then rides the P4runpro header across recirculation
+// (§4.1.3), so a pass that rewrote a filtered field cannot hand the packet
+// to another program.
 
 // Filter key positions. Position 0 is the parse bitmap (exact per path);
 // the rest cover the fields programs may filter on, at flow and port
@@ -56,10 +59,16 @@ var filterFieldBits = map[string]pkt.ParseBitmap{
 	"meta.ingress_port": 0,
 }
 
-func initKeyFunc(p *rmt.PHV) []uint32 {
+// initKey extracts an init table's key. On a recirculated pass (and on a
+// chained switch, whose parse hook restores the pass from the shim) it
+// leaves the parse path at 0, which no entry matches: every entry is exact
+// on its path there.
+func (pl *Plane) initKey(p *rmt.PHV) []uint32 {
 	k := p.KeyScratch(filterKeyCount)
 	q := p.Packet
-	k[fkBitmap] = uint32(q.Bitmap)
+	if p.Load(pl.phv.recirc) == 0 {
+		k[fkBitmap] = uint32(q.Bitmap)
+	}
 	if q.Eth != nil {
 		k[fkEthDst] = q.Eth.Dst.Lo32()
 	}
@@ -89,7 +98,7 @@ func (pl *Plane) provisionInitBlock() error {
 	prog := pl.phv.prog
 	for _, path := range pkt.ParsePaths {
 		name := fmt.Sprintf("init_%s", path)
-		t, err := pl.SW.AddTable(name, rmt.Ingress, 0, cfg.TableCapacity, filterKeyCount, initKeyFunc)
+		t, err := pl.SW.AddTable(name, rmt.Ingress, 0, cfg.TableCapacity, filterKeyCount, pl.initKey)
 		if err != nil {
 			return err
 		}
@@ -99,9 +108,6 @@ func (pl *Plane) provisionInitBlock() error {
 		if err := t.RegisterAction("set_program", 1, func(p *rmt.PHV, params []uint32) {
 			p.Store(prog, params[0])
 		}); err != nil {
-			return err
-		}
-		if err := t.RegisterAction(ActionVersionedDispatch, 1, pl.dispatchVersioned); err != nil {
 			return err
 		}
 		pl.initTables[path] = t

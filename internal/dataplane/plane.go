@@ -10,8 +10,6 @@ package dataplane
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"p4runpro/internal/pkt"
 	"p4runpro/internal/resource"
@@ -46,13 +44,6 @@ type Plane struct {
 	headerFields []headerField  // field ID -> accessors, for extract and modify
 
 	phv slots
-
-	// Version gates for in-flight program upgrades (version_gate.go). The
-	// map is copy-on-write behind an atomic pointer so the dispatch action
-	// resolves gates lock-free on the packet path.
-	gateMu   sync.Mutex
-	gates    atomic.Pointer[map[uint32]*versionGate]
-	nextGate uint32
 }
 
 // Provision lays the P4runpro data plane image onto a freshly created
@@ -200,8 +191,7 @@ func (pl *Plane) InitTable(path pkt.ParseBitmap) (*rmt.Table, error) {
 
 // InitTables returns every parsing path's filtering table. Unlike RPB
 // tables, whose entries hit once per executed primitive, an init-table entry
-// hits exactly once per matched packet per pass — which makes their owner
-// counters the right basis for per-program packet rates (telemetry).
+// hits exactly once per matched packet, on its first pass.
 func (pl *Plane) InitTables() []*rmt.Table {
 	out := make([]*rmt.Table, 0, len(pl.initTables))
 	for _, t := range pl.initTables {

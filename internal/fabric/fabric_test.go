@@ -253,14 +253,10 @@ func TestPathTraceStitching(t *testing.T) {
 	if tr.ExitPort != 2 {
 		t.Errorf("exit port %d, want 2", tr.ExitPort)
 	}
-	// The trace ring retains it; the wire form renders all hops.
+	// The trace ring retains it.
 	traces := f.Traces()
 	if len(traces) != 1 || traces[0] != tr {
 		t.Fatalf("trace ring %v, want the one trace", traces)
-	}
-	js := tr.JSON()
-	if len(js.Hops) != 3 || js.Status != "delivered" || js.Hops[1].Node != "p1" {
-		t.Fatalf("wire trace %+v", js)
 	}
 	if s := tr.String(); !strings.Contains(s, "p0:1 -> p1:") || !strings.Contains(s, "delivered") {
 		t.Errorf("trace string %q", s)

@@ -7,8 +7,6 @@ import (
 
 	"p4runpro/internal/pkt"
 	"p4runpro/internal/rmt"
-	"p4runpro/internal/telemetry"
-	"p4runpro/internal/wire"
 )
 
 // PathStatus is the end-to-end outcome of a traced packet.
@@ -99,33 +97,6 @@ func (t *PathTrace) String() string {
 		fmt.Fprintf(&b, " => port %d", t.ExitPort)
 	}
 	return b.String()
-}
-
-// JSON converts the trace to its wire form, reusing the telemetry engine's
-// postcard rendering for each hop.
-func (t *PathTrace) JSON() wire.PathTraceJSON {
-	out := wire.PathTraceJSON{
-		ID:        t.ID,
-		Status:    t.Status.String(),
-		LatencyNs: t.Latency.Nanoseconds(),
-	}
-	if t.Status == statusDelivered {
-		out.ExitPort = &t.ExitPort
-	}
-	for _, h := range t.Hops {
-		hop := wire.PathHopJSON{
-			Node:    h.Node,
-			InPort:  h.InPort,
-			OutPort: h.OutPort,
-			Verdict: h.Verdict.String(),
-		}
-		if h.Postcard != nil {
-			pc := telemetry.PostcardJSON(*h.Postcard)
-			hop.Postcard = &pc
-		}
-		out.Hops = append(out.Hops, hop)
-	}
-	return out
 }
 
 func (t *PathTrace) addHop(node string, inPort int, r rmt.Result, pc *rmt.Postcard) {

@@ -51,7 +51,7 @@ func (f *Fleet) initMetrics() {
 	f.m.cUpgRolledBack = reg.Counter("p4runpro_fleet_upgrades_rolled_back_total",
 		"Rolling upgrades rolled back to v1 (health-gate regression or no member committed).")
 	f.m.hUpgCutoverNs = reg.Histogram("p4runpro_fleet_upgrade_cutover_ns",
-		"Per-member epoch-publication latency during rolling upgrades, in nanoseconds.")
+		"Per-member cutover latency during rolling upgrades, in nanoseconds.")
 	f.m.hPlacementNs = reg.Histogram("p4runpro_fleet_placement_duration_ns",
 		"Fleet deploy latency (member plans through member installs) in nanoseconds.")
 	f.m.hProbeNs = reg.Histogram("p4runpro_fleet_probe_duration_ns", "Health probe latency in nanoseconds.")

@@ -146,8 +146,8 @@ func (f *Fleet) Upgrade(ctx context.Context, name, v2src string, opt UpgradeOpti
 	// Phase 1: prepare v2 on every reachable member, fanned out
 	// concurrently — prepare is the expensive step (link v2 beside v1 on
 	// each member) and members are independent until cutover. Prepare is
-	// invisible to traffic (the gate starts pinned to v1), so a failure
-	// here only pins that member. Results land in per-member slots so the
+	// invisible to traffic (v2's filters are withheld), so a failure here
+	// only pins that member. Results land in per-member slots so the
 	// rollout order stays the unit's member order regardless of which RPC
 	// returns first.
 	var rollout []*upgradeMember

@@ -133,7 +133,9 @@ func TestConcurrentInjectUnderTableChurn(t *testing.T) {
 				return
 			default:
 			}
-			tbl.OwnerHits("churn")
+			for _, e := range tbl.Entries() {
+				tbl.Hits(e.ID)
+			}
 			tbl.Len()
 			_ = sw.Metrics()
 			_ = sw.PortStats(2)

@@ -594,7 +594,7 @@ type BatchItem struct {
 // are finalized at deparsing. One PHV is checked out of the pool for the
 // whole burst, and every counter the burst moves is tallied in it and
 // flushed once, when the burst returns: readers (Metrics, PortStats, RxStats,
-// Entry.Hits, OwnerHits) include a burst once InjectBatch has returned.
+// Entry.Hits, Table.Hits) include a burst once InjectBatch has returned.
 //
 // InjectBatch is safe for concurrent use: each call owns its PHV, and
 // independent goroutines model the chip's parallel packet-processing

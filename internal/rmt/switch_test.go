@@ -490,7 +490,8 @@ func TestStageLookupsExactAcrossAddTable(t *testing.T) {
 // returns, so a Reown between bursts carries every hit to the new owner.
 func TestReownBetweenBurstsLosesNothing(t *testing.T) {
 	sw, tbl := dstSwitch(t)
-	if _, err := tbl.Insert([]TernaryKey{Exact(2)}, 0, "fwd", []uint32{5}, "v1"); err != nil {
+	id, err := tbl.Insert([]TernaryKey{Exact(2)}, 0, "fwd", []uint32{5}, "v1")
+	if err != nil {
 		t.Fatal(err)
 	}
 	burst := func() {
@@ -505,8 +506,8 @@ func TestReownBetweenBurstsLosesNothing(t *testing.T) {
 		t.Fatalf("Reown moved %d entries, want 1", n)
 	}
 	burst()
-	if v1, v2 := tbl.OwnerHits("v1"), tbl.OwnerHits("v2"); v1 != 0 || v2 != 16 {
-		t.Errorf("owner hits v1 %d, v2 %d; want 0 and 16", v1, v2)
+	if es := tbl.Entries(); len(es) != 1 || es[0].Owner != "v2" || es[0].Hits() != 16 || tbl.Hits(id) != 16 {
+		t.Errorf("entries %v, hits %d; want one v2 entry with 16 hits", es, tbl.Hits(id))
 	}
 }
 

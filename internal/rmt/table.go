@@ -687,14 +687,14 @@ func (t *Table) unlink(ns *tableState, e *Entry) {
 }
 
 // Reown transfers every entry installed under oldOwner to newOwner. Owner
-// is read lock-free on the packet path (postcards, OwnerHits), so entries
-// are replaced copy-on-write rather than mutated in place: each moved entry
-// is a fresh Entry with the same ID, keys, priority, action, and parameters,
-// seeded with the old entry's hit count at the moment of the swap. A switch
-// burst tallies hits per entry and adds them when it returns, so the hits a
-// burst in flight at the swap tallied for the retiring entry land on it, not
-// on the moved one, and are lost to OwnerHits: at most one burst's worth per
-// entry. A Reown between bursts loses nothing. Returns the number of entries
+// is read lock-free on the packet path (postcards), so entries are replaced
+// copy-on-write rather than mutated in place: each moved entry is a fresh
+// Entry with the same ID, keys, priority, action, and parameters, seeded
+// with the old entry's hit count at the moment of the swap. A switch burst
+// tallies hits per entry and adds them when it returns, so the hits a burst
+// in flight at the swap tallied for the retiring entry land on it, not on
+// the moved one, and are lost to Hits: at most one burst's worth per entry.
+// A Reown between bursts loses nothing. Returns the number of entries
 // moved.
 func (t *Table) Reown(oldOwner, newOwner string) int {
 	t.mu.Lock()
@@ -839,16 +839,17 @@ func (t *Table) Capacity() int { return t.capacity }
 // Free returns the remaining entry capacity.
 func (t *Table) Free() int { return t.capacity - t.state.Load().count }
 
-// OwnerHits sums the direct counters of every entry a program owns — the
-// control plane's per-program monitoring primitive.
-func (t *Table) OwnerHits(owner string) uint64 {
-	var total uint64
-	t.state.Load().each(func(e *Entry) {
-		if e.Owner == owner {
-			total += e.Hits()
-		}
-	})
-	return total
+// Hits returns the direct counter of the entry installed under id, or 0
+// if none is. The control plane sums a program's counters through the IDs
+// it installed, so no reader scans a table for an owner.
+func (t *Table) Hits(id EntryID) uint64 {
+	t.mu.Lock()
+	e := t.byID[id]
+	t.mu.Unlock()
+	if e == nil {
+		return 0
+	}
+	return e.Hits()
 }
 
 // VLIWUsage sums the VLIW slots of all registered actions.

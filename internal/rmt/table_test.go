@@ -70,11 +70,14 @@ func TestTableInsertLookupDelete(t *testing.T) {
 	if phv.Get("out") != 42 {
 		t.Errorf("out = %d", phv.Get("out"))
 	}
-	if es := tbl.Entries(); len(es) != 1 || es[0].Hits() != 1 || tbl.OwnerHits("p1") != 1 {
-		t.Errorf("%d entries, owner hits %d, want one entry with 1 hit", len(es), tbl.OwnerHits("p1"))
+	if es := tbl.Entries(); len(es) != 1 || es[0].Hits() != 1 || tbl.Hits(id) != 1 {
+		t.Errorf("%d entries, entry %d hits %d, want one entry with 1 hit", len(es), id, tbl.Hits(id))
 	}
 	if err := tbl.Delete(id); err != nil {
 		t.Fatal(err)
+	}
+	if h := tbl.Hits(id); h != 0 {
+		t.Errorf("deleted entry %d reads %d hits, want 0", id, h)
 	}
 	phv.Set("out", 0)
 	if tbl.Apply(phv) {
@@ -573,18 +576,10 @@ func runOracle(t *testing.T, seed int64, sh oracleShape, cov *oracleCoverage) {
 		if len(installed) != len(model) || tbl.Len() != len(model) {
 			t.Fatalf("seed %d: %s holds %d entries (Len %d), oracle %d", seed, tbl.Name, len(installed), tbl.Len(), len(model))
 		}
-		ownerHits := make(map[string]uint64)
 		for i, e := range installed { // both ordered by ID
-			if e.ID != model[i].id || e.Owner != model[i].owner || e.Hits() != model[i].hits {
-				t.Fatalf("seed %d: %s entry %d owner %s hits %d, oracle entry %d owner %s hits %d",
-					seed, tbl.Name, e.ID, e.Owner, e.Hits(), model[i].id, model[i].owner, model[i].hits)
-			}
-			ownerHits[e.Owner] += model[i].hits
-		}
-		for o := 0; o < sh.owners; o++ {
-			owner := fmt.Sprintf("o%d", o)
-			if got := tbl.OwnerHits(owner); got != ownerHits[owner] {
-				t.Fatalf("seed %d: %s OwnerHits(%s) = %d, oracle %d", seed, tbl.Name, owner, got, ownerHits[owner])
+			if e.ID != model[i].id || e.Owner != model[i].owner || e.Hits() != model[i].hits || tbl.Hits(e.ID) != model[i].hits {
+				t.Fatalf("seed %d: %s entry %d owner %s hits %d (Hits %d), oracle entry %d owner %s hits %d",
+					seed, tbl.Name, e.ID, e.Owner, e.Hits(), tbl.Hits(e.ID), model[i].id, model[i].owner, model[i].hits)
 			}
 		}
 	}

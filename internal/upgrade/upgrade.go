@@ -1,14 +1,14 @@
 // Package upgrade implements hitless versioned program replacement on one
-// switch: v2 is linked alongside the live v1, a per-packet version gate at
-// the initialization block decides which version newly arriving packets run,
-// SALU-resident state migrates from v1 to v2 before any packet can reach it,
-// and the whole transition commits (v2 takes over v1's name) or aborts (v2
-// vanishes without a trace) as one journaled state machine.
+// switch: v2 is linked alongside the live v1 with its filters withheld,
+// SALU-resident state migrates from v1 to v2 before any packet can reach
+// it, and the whole transition commits (v2 takes over v1's name) or aborts
+// (v2 vanishes without a trace) as one journaled state machine.
 //
-// The cutover itself is one atomic epoch publication (dataplane version
-// gate): no table entry moves, and a per-packet latch pins recirculating
-// packets to their first-pass version so no packet ever executes a mix of v1
-// and v2.
+// The cutover is plain init-table entries: one batch per table, installed
+// one priority above v1's filters, assigns v2's program ID (and retiring
+// them hands traffic back to v1). A packet gets its ID once, on its first
+// pass, from the one init table it reads, so it runs v1 or v2 whole even if
+// the cutover lands while it recirculates.
 package upgrade
 
 import (
@@ -23,28 +23,29 @@ import (
 )
 
 // Fault points in the upgrade path (see internal/faults): armed by the
-// chaos suite to prove a failed migration or epoch publication leaves the
-// switch serving pure v1.
+// chaos suite to prove a failed migration or cutover leaves the switch
+// serving pure v1.
 var (
-	fpMigrate      = faults.Register("upgrade.migrate")
-	fpEpochPublish = faults.Register("upgrade.epoch.publish")
+	fpMigrate = faults.Register("upgrade.migrate")
+	fpCutover = faults.Register("upgrade.cutover")
 )
 
 // VersionSuffix marks the internal name v2 is linked under until commit.
 const VersionSuffix = "@v2"
 
-// dispatchOwnerSuffix marks the gate's dispatch entries in the init tables.
+// dispatchOwnerSuffix marks the cutover's dispatch entries in the init
+// tables.
 const dispatchOwnerSuffix = "#upgrade"
 
 // State is the session's position in the upgrade state machine.
 type State int
 
 const (
-	// StatePrepared: v2 is resident and state-migrated, the dispatch gate
-	// is installed, and every packet still runs v1.
+	// StatePrepared: v2 is resident and state-migrated, and every packet
+	// still runs v1.
 	StatePrepared State = iota
-	// StateCutover: the published epoch assigns new packets to v2; v1 is
-	// still resident and one epoch publication away.
+	// StateCutover: the dispatch entries assign new packets to v2; v1 is
+	// still resident and one retirement away.
 	StateCutover
 	// StateCommitted: v1 is revoked and v2 owns the operator-visible name.
 	// Terminal.
@@ -75,44 +76,43 @@ type Status struct {
 	State         string
 	ActiveVersion int // 1 or 2: which version new packets run
 	V1PID, V2PID  uint16
-	V1Packets     uint64 // packets the gate assigned to v1
-	V2Packets     uint64 // packets the gate assigned to v2
+	V1Packets     uint64 // packets v1's filters assigned since prepare
+	V2Packets     uint64 // packets the dispatch entries assigned to v2
 	MigratedWords uint32 // SALU words copied v1 -> v2 at prepare
-	CutoverNs     int64  // duration of the last epoch publication
+	CutoverNs     int64  // duration of the last cutover step
 }
 
 // Session is one in-flight (or terminal) versioned upgrade of a single
 // program on a single switch. All methods are safe for concurrent use.
 type Session struct {
-	comp  *core.Compiler
-	plane *dataplane.Plane
+	comp *core.Compiler
 
 	mu       sync.Mutex
 	program  string
 	v2name   string
 	v1pid    uint16
 	v2pid    uint16
-	gate     uint32
 	state    State
 	migrated uint32
 	cutover  time.Duration
+	// dispatch holds the entries assigning v2 while cut over to it.
 	dispatch *core.Installed
+	// v1Base is v1's packet count at prepare. v2Pkts banks the hits of
+	// retired dispatch entries; at a terminal state v1Pkts and v2Pkts are
+	// the final counts.
+	v1Base, v1Pkts, v2Pkts uint64
 }
 
-// Prepare links v2 alongside the live program and arms the version gate,
-// leaving every packet on v1:
+// Prepare links v2 alongside the live program, leaving every packet on v1:
 //
 //  1. v2src is parsed and must declare exactly one program named like the
 //     one being upgraded; it is linked under program+"@v2" with its own
-//     init-table filters withheld (deferred), so the gate alone decides
-//     which packets reach it.
+//     init-table filters withheld (deferred), so no packet reaches it.
 //  2. SALU state migrates: every memory block sharing a name between the
 //     versions is copied word-for-word (up to the smaller size), so v2
 //     resumes v1's sketches instead of starting cold.
-//  3. One versioned dispatch entry is installed above each of v1's
-//     init-table filters; its gate is published pinned to v1.
 //
-// Any failure unwinds completely — dispatch entries removed, v2 revoked —
+// Nothing is installed in the init tables. A failed migration revokes v2,
 // and the switch keeps serving v1 untouched.
 func Prepare(comp *core.Compiler, plane *dataplane.Plane, program, v2src string) (*Session, error) {
 	lp1, ok := comp.Linked(program)
@@ -143,49 +143,29 @@ func Prepare(comp *core.Compiler, plane *dataplane.Plane, program, v2src string)
 	if err != nil {
 		return nil, fmt.Errorf("upgrade: link v2: %w", err)
 	}
-
-	s := &Session{
-		comp:    comp,
-		plane:   plane,
-		program: program,
-		v2name:  v2name,
-		v1pid:   lp1.ProgramID,
-		v2pid:   lp2.ProgramID,
-		state:   StatePrepared,
-	}
-
-	unwind := func() {
-		_ = s.dispatch.Retire()
-		_, _ = comp.Revoke(v2name)
-		if s.gate != 0 {
-			plane.RetireVersionGate(s.gate, s.v1pid)
-		}
-	}
-
-	migrated, err := migrateState(comp, plane, lp1, lp2)
+	migrated, err := migrateState(plane, lp1, lp2)
 	if err != nil {
-		unwind()
+		_, _ = comp.Revoke(v2name)
 		return nil, err
 	}
-	s.migrated = migrated
-
-	s.gate = plane.NewVersionGate(s.v1pid, s.v2pid)
-	// One priority above each of v1's own filters: for any packet v1
-	// claims, the dispatch entry wins and the gate decides the version.
-	s.dispatch, err = comp.InstallAbove(program, program+dispatchOwnerSuffix,
-		dataplane.ActionVersionedDispatch, []uint32{s.gate})
-	if err != nil {
-		unwind()
-		return nil, fmt.Errorf("upgrade: install dispatch entry: %w", err)
-	}
-	return s, nil
+	_, v1Base := comp.Hits(program)
+	return &Session{
+		comp:     comp,
+		program:  program,
+		v2name:   v2name,
+		v1pid:    lp1.ProgramID,
+		v2pid:    lp2.ProgramID,
+		state:    StatePrepared,
+		migrated: migrated,
+		v1Base:   v1Base,
+	}, nil
 }
 
 // migrateState copies v1's SALU words into v2's same-named blocks (shared
 // prefix when sizes differ), reading and writing the physical arrays
-// directly. It runs at prepare, before any packet can be gated to v2, so v2
-// never observes a partially migrated sketch.
-func migrateState(comp *core.Compiler, plane *dataplane.Plane, lp1, lp2 *core.LinkedProgram) (uint32, error) {
+// directly. It runs at prepare, before any packet can reach v2, so v2 never
+// observes a partially migrated sketch.
+func migrateState(plane *dataplane.Plane, lp1, lp2 *core.LinkedProgram) (uint32, error) {
 	if err := fpMigrate.Check(); err != nil {
 		return 0, fmt.Errorf("upgrade: state migration: %w", err)
 	}
@@ -222,45 +202,56 @@ func migrateState(comp *core.Compiler, plane *dataplane.Plane, lp1, lp2 *core.Li
 	return total, nil
 }
 
-// Cutover publishes the epoch assigning newly arriving packets to the given
-// version (1 or 2) — one atomic pointer store with no table churn. Flipping
-// back to 1 is the data plane half of a rollback.
+// Cutover moves newly arriving packets to the given version (1 or 2).
+// Cutting over to 2 installs, one priority above each of v1's filters, an
+// entry assigning v2's program ID: one batch per init table, all or none.
+// Cutting back to 1 retires them, the data plane half of a rollback.
 func (s *Session) Cutover(version int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state != StatePrepared && s.state != StateCutover {
 		return fmt.Errorf("upgrade: %s: cutover in state %s", s.program, s.state)
 	}
-	pid := s.v1pid
-	if version == 2 {
-		pid = s.v2pid
-	} else if version != 1 {
+	if version != 1 && version != 2 {
 		return fmt.Errorf("upgrade: %s: no version %d", s.program, version)
 	}
-	if err := fpEpochPublish.Check(); err != nil {
-		return fmt.Errorf("upgrade: %s: epoch publish: %w", s.program, err)
+	if err := fpCutover.Check(); err != nil {
+		return fmt.Errorf("upgrade: %s: cutover: %w", s.program, err)
 	}
 	t0 := time.Now()
-	if err := s.plane.PublishEpoch(s.gate, pid); err != nil {
-		return err
+	if version == 2 && s.dispatch == nil {
+		d, err := s.comp.InstallAbove(s.program, s.program+dispatchOwnerSuffix, "set_program", []uint32{uint32(s.v2pid)})
+		if err != nil {
+			return fmt.Errorf("upgrade: %s: install dispatch entries: %w", s.program, err)
+		}
+		s.dispatch = d
+	} else if version == 1 {
+		if err := s.retireDispatch(); err != nil {
+			return fmt.Errorf("upgrade: %s: retire dispatch entries: %w", s.program, err)
+		}
 	}
 	s.cutover = time.Since(t0)
+	s.state = StatePrepared
 	if version == 2 {
 		s.state = StateCutover
-	} else {
-		s.state = StatePrepared
 	}
 	return nil
 }
 
-// Commit finishes the upgrade while the epoch points at v2: v2's own
-// init-table filters are enabled (still shadowed by the dispatch entries,
-// so nothing changes yet), v1 is revoked with the paper's consistent
-// deletion order (the dispatch entries above keep every gated packet on v2
-// throughout), the dispatch entries are removed (v2's filters beneath take
-// over seamlessly), the gate is retired pinned to v2 for any packet still
-// mid-pipeline, and v2 takes over the operator-visible name. The epoch flip
-// happened earlier, in Cutover; Commit only retires table state.
+// retireDispatch retires the dispatch entries, banking their hits.
+func (s *Session) retireDispatch() error {
+	s.v2Pkts += s.dispatch.Hits()
+	err := s.dispatch.Retire()
+	s.dispatch = nil
+	return err
+}
+
+// Commit finishes the upgrade while cut over to v2: v2's own init-table
+// filters are enabled (still shadowed by the dispatch entries, so nothing
+// changes yet), v1 is revoked with the paper's consistent deletion order
+// (the dispatch entries above keep every packet on v2 throughout), the
+// dispatch entries are retired (v2's filters beneath take over
+// seamlessly), and v2 takes over the operator-visible name.
 func (s *Session) Commit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -270,11 +261,11 @@ func (s *Session) Commit() error {
 	if _, err := s.comp.InstallDeferredInit(s.v2name); err != nil {
 		return fmt.Errorf("upgrade: %s: enable v2 filters: %w", s.program, err)
 	}
+	s.v1Pkts, _ = s.packets()
 	if _, err := s.comp.Revoke(s.program); err != nil {
 		return fmt.Errorf("upgrade: %s: revoke v1: %w", s.program, err)
 	}
-	_ = s.dispatch.Retire()
-	s.plane.RetireVersionGate(s.gate, s.v2pid)
+	_ = s.retireDispatch()
 	if err := s.comp.Rename(s.v2name, s.program); err != nil {
 		return fmt.Errorf("upgrade: %s: promote v2: %w", s.program, err)
 	}
@@ -283,25 +274,36 @@ func (s *Session) Commit() error {
 }
 
 // Abort rolls the upgrade back to pure v1 from any non-terminal state: the
-// epoch is pinned back to v1 (so the dispatch entries stop assigning v2
-// before anything is deleted), the dispatch entries are removed (v1's own
-// filters beneath take over seamlessly), and v2 is revoked and erased.
+// dispatch entries are retired (v1's own filters beneath take over
+// seamlessly), then v2 is revoked and erased.
 func (s *Session) Abort() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state == StateCommitted || s.state == StateAborted {
 		return fmt.Errorf("upgrade: %s: abort in terminal state %s", s.program, s.state)
 	}
-	if err := s.plane.PublishEpoch(s.gate, s.v1pid); err != nil {
-		return err
+	if err := s.retireDispatch(); err != nil {
+		return fmt.Errorf("upgrade: %s: retire dispatch entries: %w", s.program, err)
 	}
-	_ = s.dispatch.Retire()
-	s.plane.RetireVersionGate(s.gate, s.v1pid)
+	s.v1Pkts, _ = s.packets()
 	if _, err := s.comp.Revoke(s.v2name); err != nil {
 		return fmt.Errorf("upgrade: %s: revoke v2: %w", s.program, err)
 	}
 	s.state = StateAborted
 	return nil
+}
+
+// packets returns the per-version packet counts: v1's as its filters' hits
+// since prepare, v2's as the dispatch entries' hits, live and banked. Once
+// the session is terminal both are final.
+func (s *Session) packets() (v1, v2 uint64) {
+	if s.state == StateCommitted || s.state == StateAborted {
+		return s.v1Pkts, s.v2Pkts
+	}
+	if _, h := s.comp.Hits(s.program); h > s.v1Base {
+		v1 = h - s.v1Base
+	}
+	return v1, s.v2Pkts + s.dispatch.Hits()
 }
 
 // State returns the session's current state.
@@ -314,21 +316,15 @@ func (s *Session) State() State {
 // Program returns the operator-visible program name under upgrade.
 func (s *Session) Program() string { return s.program }
 
-// Status snapshots the session, including the gate's per-version packet
-// counters — the per-member health signal a fleet rollout windows over.
+// Status snapshots the session, including its per-version packet counts —
+// the per-member health signal a fleet rollout windows over.
 func (s *Session) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v1p, v2p := s.plane.GateCounts(s.gate)
+	v1p, v2p := s.packets()
 	active := 1
-	if ep, ok := s.plane.GateEpoch(s.gate); ok && ep.Active == s.v2pid && s.v2pid != s.v1pid {
+	if s.state == StateCutover || s.state == StateCommitted {
 		active = 2
-	}
-	if s.state == StateCommitted {
-		active = 2
-	}
-	if s.state == StateAborted {
-		active = 1
 	}
 	return Status{
 		Program:       s.program,

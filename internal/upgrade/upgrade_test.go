@@ -1,12 +1,13 @@
 // Tests for the hitless versioned-upgrade state machine, driven through the
 // controller the way an operator (or a fleet rollout) drives it. The churn
 // test is the mixed-version property test: under concurrent traffic and
-// repeated epoch flips, no sampled packet may ever traverse entries of both
+// repeated cutovers, no sampled packet may ever traverse entries of both
 // versions — the postcards are the witness.
 package upgrade_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 
 	"p4runpro/internal/controlplane"
 	"p4runpro/internal/core"
+	"p4runpro/internal/dataplane"
 	"p4runpro/internal/faults"
 	"p4runpro/internal/pkt"
 	"p4runpro/internal/rmt"
@@ -43,6 +45,15 @@ program upg(<hdr.ipv4.src, 10.0.0.0, 0xff000000>) {
     FORWARD(3);
 }
 `
+
+// upgTwoPassSrc is a v1/v2 pair whose forward lands on the second pass:
+// ten ADDIs fill the first pass's ingress RPBs, so the packet recirculates
+// before it reaches FORWARD(port).
+func upgTwoPassSrc(port int) string {
+	return `
+program upg(<hdr.ipv4.src, 10.0.0.0, 0xff000000>) {
+` + strings.Repeat("    ADDI(har, 1);\n", 10) + fmt.Sprintf("    FORWARD(%d);\n}\n", port)
+}
 
 func newUpgradeController(t *testing.T) *controlplane.Controller {
 	t.Helper()
@@ -115,17 +126,17 @@ func TestUpgradeLifecycle(t *testing.T) {
 		t.Fatalf("v2 migrated count = %d, want 10", got)
 	}
 
-	// Gated but not cut over: traffic still lands on v1.
+	// Prepared but not cut over: traffic still lands on v1.
 	injectN(t, ct, 5)
 	if got := memSum(t, ct, "upg"); got != 15 {
-		t.Fatalf("v1 count after gated traffic = %d, want 15", got)
+		t.Fatalf("v1 count after prepare = %d, want 15", got)
 	}
 	if got := memSum(t, ct, "upg"+upgrade.VersionSuffix); got != 10 {
 		t.Fatalf("v2 count while v1 active = %d, want 10", got)
 	}
 	st, _ = ct.UpgradeStatus("upg")
 	if st.V1Packets != 5 || st.V2Packets != 0 {
-		t.Fatalf("gate counts v1=%d v2=%d, want 5/0", st.V1Packets, st.V2Packets)
+		t.Fatalf("packet counts v1=%d v2=%d, want 5/0", st.V1Packets, st.V2Packets)
 	}
 
 	// Cut over: new packets run v2 (+2 each), v1 memory freezes.
@@ -145,7 +156,7 @@ func TestUpgradeLifecycle(t *testing.T) {
 	}
 	st, _ = ct.UpgradeStatus("upg")
 	if st.V2Packets != 5 {
-		t.Fatalf("gate v2 count = %d, want 5", st.V2Packets)
+		t.Fatalf("v2 packet count = %d, want 5", st.V2Packets)
 	}
 
 	// Roll traffic back (data plane half of a rollback) and forward again.
@@ -312,14 +323,86 @@ func TestUpgradeStateMachineGuards(t *testing.T) {
 	}
 }
 
+// TestCutoverMidRecirculation lands a cutover, each way, while a packet
+// recirculates between its two passes: the recirculation hook flips the
+// version as the packet re-enters. The packet got its program ID on its
+// first pass and keeps it, so it runs the version it started on whole; the
+// next packet runs the other one.
+func TestCutoverMidRecirculation(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		before, after int // version cut over to before the packet, and mid-flight
+		port, next    int // where the straddling packet and the next one leave
+		foreign       string
+	}{
+		{"to-v2", 1, 2, 2, 3, "upg" + upgrade.VersionSuffix},
+		{"to-v1", 2, 1, 3, 2, "upg"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ct := newUpgradeController(t)
+			if _, err := ct.Deploy(upgTwoPassSrc(2)); err != nil {
+				t.Fatal(err)
+			}
+			if infos := ct.Programs(); infos[0].Passes != 2 {
+				t.Fatalf("v1 runs in %d pass(es), want 2", infos[0].Passes)
+			}
+			if _, err := ct.UpgradePrepare("upg", upgTwoPassSrc(3)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ct.UpgradeCutover("upg", tc.before); err != nil {
+				t.Fatal(err)
+			}
+			ct.SW.EnablePostcards(1, 16)
+			flipped := false
+			ct.SW.SetRecircHook(func(p *rmt.PHV) {
+				p.Set(dataplane.FieldRecirc, p.Get(dataplane.FieldRecirc)+1)
+				if !flipped {
+					flipped = true
+					if _, err := ct.UpgradeCutover("upg", tc.after); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			if r := ct.SW.Inject(pkt.NewUDP(upgFlow(7, 7), 64), 1); r.Verdict != rmt.VerdictForwarded || r.OutPort != tc.port {
+				t.Errorf("straddling packet: verdict %v port %d, want forwarded on port %d", r.Verdict, r.OutPort, tc.port)
+			}
+			if !flipped {
+				t.Fatal("the packet never recirculated")
+			}
+			pcs := ct.SW.Postcards("", 0)
+			if len(pcs) != 1 {
+				t.Fatalf("%d postcards, want 1", len(pcs))
+			}
+			for _, h := range pcs[0].Hops {
+				if h.Owner == tc.foreign {
+					t.Fatalf("straddling packet ran %s entries: owners %v", tc.foreign, pcs[0].Owners())
+				}
+			}
+			if r := ct.SW.Inject(pkt.NewUDP(upgFlow(7, 7), 64), 1); r.Verdict != rmt.VerdictForwarded || r.OutPort != tc.next {
+				t.Fatalf("next packet: verdict %v port %d, want forwarded on port %d", r.Verdict, r.OutPort, tc.next)
+			}
+		})
+	}
+}
+
 // TestUpgradeChurnZeroMixedVersion is the mixed-version property test, and
 // the churn workload CI runs under -race: four writers inject traffic while
-// the epoch flips between versions 25 times, then commits. Every packet is
-// sampled into a postcard; no postcard may record hops owned by both
-// versions, and no packet may be dropped by the churn.
+// the cutover flips between versions 25 times, then commits. Every packet
+// is sampled into a postcard; no postcard may record hops owned by both
+// versions, and no packet may be dropped by the churn. It runs a one-pass
+// pair and a two-pass pair, whose packets recirculate across the flips.
 func TestUpgradeChurnZeroMixedVersion(t *testing.T) {
+	for _, tc := range []struct{ name, v1, v2 string }{
+		{"one-pass", upgV1Src, upgV2Src},
+		{"two-pass", upgTwoPassSrc(2), upgTwoPassSrc(3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) { churnZeroMixedVersion(t, tc.v1, tc.v2) })
+	}
+}
+
+func churnZeroMixedVersion(t *testing.T, v1src, v2src string) {
 	ct := newUpgradeController(t)
-	if _, err := ct.Deploy(upgV1Src); err != nil {
+	if _, err := ct.Deploy(v1src); err != nil {
 		t.Fatal(err)
 	}
 	ct.SW.EnablePostcards(1, 65536)
@@ -346,8 +429,9 @@ func TestUpgradeChurnZeroMixedVersion(t *testing.T) {
 		}(w)
 	}
 
-	// Pace the control plane against the writers: each epoch window carries
-	// at least soakPkts packets, so every flip happens under live traffic.
+	// Pace the control plane against the writers: each version's window
+	// carries at least soakPkts packets, so every flip happens under live
+	// traffic.
 	const soakPkts = 50
 	soak := func() {
 		target := injected.Load() + soakPkts
@@ -357,7 +441,7 @@ func TestUpgradeChurnZeroMixedVersion(t *testing.T) {
 	}
 
 	soak()
-	if _, err := ct.UpgradePrepare("upg", upgV2Src); err != nil {
+	if _, err := ct.UpgradePrepare("upg", v2src); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 25; i++ {
@@ -372,8 +456,8 @@ func TestUpgradeChurnZeroMixedVersion(t *testing.T) {
 	soak()
 	// Quiesce before commit: commit relabels v2's entries to the operator
 	// name, so a packet photographed mid-rename would show both labels for
-	// the same (v2) tables — a false mix. The gated window above is where a
-	// genuine mix could occur.
+	// the same (v2) tables — a false mix. The flipping window above is where
+	// a genuine mix could occur.
 	close(stop)
 	wg.Wait()
 	if _, err := ct.UpgradeCommit("upg"); err != nil {

@@ -161,9 +161,9 @@ type MemReadStreamResult struct {
 }
 
 // Versioned-upgrade method names (single-switch daemon). start links v2
-// alongside v1 and installs the version gate; cutover atomically flips
-// which version new packets run; commit retires v1; abort rolls back to
-// pure v1. status is read-only and also carries switch-wide packet/drop
+// alongside v1 with its filters withheld; cutover flips which version new
+// packets run, one atomic batch of init entries per table; commit retires
+// v1; abort rolls back to pure v1. status is read-only and also carries switch-wide packet/drop
 // totals so a fleet driver can compute health windows from deltas.
 const (
 	MethodUpgradeStart   = "upgrade.start"
@@ -437,25 +437,6 @@ type PostcardJSON struct {
 	LatencyNs int64             `json:"latency_ns"`
 	Hops      []PostcardHopJSON `json:"hops"`
 	Truncated bool              `json:"truncated,omitempty"`
-}
-
-// PathHopJSON is one switch traversal of a stitched fabric path trace.
-type PathHopJSON struct {
-	Node     string        `json:"node"`
-	InPort   int           `json:"in_port"`
-	OutPort  int           `json:"out_port"`
-	Verdict  string        `json:"verdict"`
-	Postcard *PostcardJSON `json:"postcard,omitempty"`
-}
-
-// PathTraceJSON is the wire form of an end-to-end fabric path trace: the
-// per-hop postcards stitched under one fabric-assigned packet ID.
-type PathTraceJSON struct {
-	ID        uint64        `json:"id"`
-	Status    string        `json:"status"`
-	LatencyNs int64         `json:"latency_ns"`
-	ExitPort  *int          `json:"exit_port,omitempty"`
-	Hops      []PathHopJSON `json:"hops"`
 }
 
 // TelemetryPostcardsResult carries the sampling config and the matching
