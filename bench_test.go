@@ -7,6 +7,7 @@ package p4runpro
 // pass stays tractable; cmd/experiments regenerates the full-scale tables.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -264,7 +265,7 @@ func BenchmarkFigure13cLBPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := uint32(0); i < 256; i++ {
-		if err := ct.WriteMemory("lb", "port_pool", i, i%2); err != nil {
+		if err := ct.WriteMemory(context.Background(), "lb", "port_pool", i, i%2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -416,11 +417,11 @@ case(<har, 1, 0xffffffff>, <sar, 0x4242, 0xffffffff>, <mar, 0, 0xffffffff>) {
 };`
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		added, _, err := ct.AddCases("cache", 4, caseSrc)
+		added, _, err := ct.AddCases(context.Background(), "cache", 4, caseSrc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := ct.RemoveCase("cache", added[0].BranchID); err != nil {
+		if err := ct.RemoveCase(context.Background(), "cache", added[0].BranchID); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -760,7 +761,7 @@ program bulkbench(<hdr.ipv4.src, 10.200.0.0, 0xffff0000>) {
 					}
 				} else {
 					for _, w := range writes {
-						if err := ct.WriteMemory("bulkbench", "bulk", w.Addr, w.Value); err != nil {
+						if err := ct.WriteMemory(context.Background(), "bulkbench", "bulk", w.Addr, w.Value); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -130,7 +130,7 @@ func main() {
 	// sweep engine so shutdown can flush and stop them.
 	var journals []*journal.Journal
 	var engines []*telemetry.Engine
-	switchServer := func(ct *controlplane.Controller) (*wire.Server, *telemetry.Engine) {
+	switchServer := func(ct *controlplane.Controller) *wire.Server {
 		if j := ct.Journal(); j != nil {
 			journals = append(journals, j)
 		}
@@ -141,15 +141,15 @@ func main() {
 		s := wire.NewServer(ct, logger)
 		s.Tracer, s.Flight = tracer, flight
 		telemetry.RegisterWire(s, eng)
-		return s, eng
+		return s
 	}
-	serveMetrics := func(reg *obs.Registry, eng *telemetry.Engine) {
+	serveMetrics := func(reg *obs.Registry, srv *wire.Server) {
 		if *metricsAddr == "" {
 			return
 		}
 		go func() {
 			log.Printf("p4rpd: metrics on http://%s/metrics (telemetry: /telemetry, traces: /debug/traces, health: /healthz)", *metricsAddr)
-			if err := http.ListenAndServe(*metricsAddr, telemetry.HandlerT(reg, eng, tracer, flight)); err != nil {
+			if err := http.ListenAndServe(*metricsAddr, telemetry.Handler(reg, srv)); err != nil {
 				log.Printf("p4rpd: metrics listener: %v", err)
 			}
 		}()
@@ -168,7 +168,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("p4rpd: provision member %d: %v", i+1, err)
 			}
-			ms, _ := switchServer(ct)
+			ms := switchServer(ct)
 			if err := f.AddMember(name, ms); err != nil {
 				log.Fatalf("p4rpd: add member %d: %v", i+1, err)
 			}
@@ -182,7 +182,7 @@ func main() {
 		srv.Tracer, srv.Flight = tracer, flight
 		// The fleet daemon's HTTP surface exposes the fleet registry; the
 		// per-program fan-in lives behind `p4rpctl fleet top`.
-		serveMetrics(f.Obs, nil)
+		serveMetrics(f.Obs, srv)
 		addr, err := srv.Listen(*listen)
 		if err != nil {
 			log.Fatalf("p4rpd: listen: %v", err)
@@ -195,9 +195,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("p4rpd: provision: %v", err)
 		}
-		var eng *telemetry.Engine
-		srv, eng = switchServer(ct)
-		serveMetrics(ct.Obs, eng)
+		srv = switchServer(ct)
+		serveMetrics(ct.Obs, srv)
 		addr, err := srv.Listen(*listen)
 		if err != nil {
 			log.Fatalf("p4rpd: listen: %v", err)

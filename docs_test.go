@@ -243,3 +243,117 @@ func typeName(x ast.Expr) string {
 	}
 	return ""
 }
+
+// testOnlyAllowed names exported functions and methods that may lack a
+// non-test caller, each with its reason. Keys are "dir.Name" for functions
+// and "dir.Type.Name" for methods; a bare method name covers every type.
+var testOnlyAllowed = map[string]string{
+	// Methods the standard library calls through its interfaces.
+	"Error":     "error",
+	"Unwrap":    "errors.Unwrap",
+	"String":    "fmt.Stringer",
+	"ServeHTTP": "http.Handler",
+	// Names the README quickstart shows.
+	"internal/controlplane.Controller.ReadMemory": "README quickstart",
+	"internal/fleet.Local":                        "README quickstart",
+	// Names other packages' tests need; an export_test.go reaches only its
+	// own package's tests.
+	"internal/rmt.Switch.MulticastGroup":   "controlplane and wire tests read replication lists back",
+	"internal/rmt.Table.SetDefault":        "fabric and root tests build hand tables with a miss action",
+	"internal/rmt.Switch.SetQueueDepth":    "controlplane tests set the queue occupancy a primitive reads",
+	"internal/obs/trace.ContextWithRemote": "the wire golden pins requests carrying a remote parent",
+	"internal/wire.WithTracer":             "the wire golden and fleet TCP trace tests dial with it",
+}
+
+// testOnlyPkgs are test-infrastructure packages: their exports exist for
+// tests.
+var testOnlyPkgs = map[string]bool{"internal/faults": true, "internal/wire/wiretest": true}
+
+// TestNoTestOnlyExports checks that every exported top-level function or
+// method declared in a non-test file outside bench/ is referenced from
+// some non-test file of the repository or of bench/: a name only tests
+// reach is dead code to the product. References are matched by name (a
+// selector x.Name for methods, pkg.Name or a bare name inside its own
+// directory for functions), so colliding names can still hide one.
+func TestNoTestOnlyExports(t *testing.T) {
+	type fn struct{ dir, recv, name, pos string }
+	var fns []fn
+	selectors := map[string]bool{}       // x.Name anywhere
+	qualified := map[string]bool{}       // pkg.Name, keyed "pkg.Name"
+	bare := map[string]map[string]bool{} // dir -> bare identifiers used
+	pkgOf := map[string]string{}         // dir -> package name
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() && path != "." && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		pkgOf[dir] = f.Name.Name
+		if bare[dir] == nil {
+			bare[dir] = map[string]bool{}
+		}
+		declNames := map[*ast.Ident]bool{}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			declNames[fd.Name] = true
+			if !fd.Name.IsExported() || dir == "bench" || strings.HasPrefix(dir, "bench/") {
+				continue
+			}
+			recv := ""
+			if fd.Recv != nil {
+				recv = typeName(fd.Recv.List[0].Type)
+			}
+			fns = append(fns, fn{dir, recv, fd.Name.Name, fset.Position(fd.Pos()).String()})
+		}
+		sels := map[*ast.Ident]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if s, ok := n.(*ast.SelectorExpr); ok {
+				sels[s.Sel] = true
+				selectors[s.Sel.Name] = true
+				if x, ok := s.X.(*ast.Ident); ok {
+					qualified[x.Name+"."+s.Sel.Name] = true
+				}
+			}
+			return true
+		})
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !sels[id] && !declNames[id] {
+				bare[dir][id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unused []string
+	for _, f := range fns {
+		key := f.dir + "." + f.name
+		used := qualified[pkgOf[f.dir]+"."+f.name] || bare[f.dir][f.name]
+		if f.recv != "" {
+			key = f.dir + "." + f.recv + "." + f.name
+			used = selectors[f.name]
+		}
+		if used || testOnlyPkgs[f.dir] || testOnlyAllowed[key] != "" || (f.recv != "" && testOnlyAllowed[f.name] != "") {
+			continue
+		}
+		unused = append(unused, key+" ("+f.pos+")")
+	}
+	for _, u := range unused {
+		t.Errorf("exported but reached only from tests: %s", u)
+	}
+}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,6 +25,7 @@ const (
 )
 
 func main() {
+	ctx := context.Background()
 	ct, err := p4runpro.Open(p4runpro.DefaultConfig(), p4runpro.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
@@ -34,7 +36,7 @@ func main() {
 	for i := range ports {
 		ports[i] = 10 + i
 	}
-	ct.SetMulticastGroup(mcastGroup, ports)
+	ct.SetMulticastGroup(ctx, mcastGroup, ports)
 
 	src := programs.AggSource("agg", workers, mcastGroup, programs.Params{MemWords: 256})
 	reports, err := ct.Deploy(src)
@@ -86,10 +88,10 @@ func main() {
 
 	// Between rounds the control plane resets the pools.
 	for i := uint32(0); i < chunks; i++ {
-		if err := ct.WriteMemory("agg", "agg_sum", i, 0); err != nil {
+		if err := ct.WriteMemory(ctx, "agg", "agg_sum", i, 0); err != nil {
 			log.Fatal(err)
 		}
-		if err := ct.WriteMemory("agg", "agg_cnt", i, 0); err != nil {
+		if err := ct.WriteMemory(ctx, "agg", "agg_cnt", i, 0); err != nil {
 			log.Fatal(err)
 		}
 	}

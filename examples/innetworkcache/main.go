@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	ct, err := p4runpro.Open(p4runpro.DefaultConfig(), p4runpro.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
@@ -38,7 +40,7 @@ func main() {
 	// The server writes values for the cached keys (through the data path,
 	// as cache-write packets would).
 	for i := uint32(0); i < 8; i++ {
-		if err := ct.WriteMemory("cache", "mem1", i, 1000+i); err != nil {
+		if err := ct.WriteMemory(ctx, "cache", "mem1", i, 1000+i); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	ct, err := p4runpro.Open(p4runpro.DefaultConfig(), p4runpro.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
@@ -29,10 +31,10 @@ func main() {
 	// Two backends: DIP 10.8.0.1 behind port 0, DIP 10.8.0.2 behind port 1.
 	dips := []uint32{pkt.IP(10, 8, 0, 1), pkt.IP(10, 8, 0, 2)}
 	for i := uint32(0); i < buckets; i++ {
-		if err := ct.WriteMemory("lb", "dip_pool", i, dips[i%2]); err != nil {
+		if err := ct.WriteMemory(ctx, "lb", "dip_pool", i, dips[i%2]); err != nil {
 			log.Fatal(err)
 		}
-		if err := ct.WriteMemory("lb", "port_pool", i, i%2); err != nil {
+		if err := ct.WriteMemory(ctx, "lb", "port_pool", i, i%2); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -85,9 +85,6 @@ func New(cfg Config) *Switch {
 	return s
 }
 
-// Programs returns the number of resident programs.
-func (s *Switch) Programs() int { return len(s.allocs) }
-
 // round rounds words up to the allocation granularity.
 func (s *Switch) round(words int) int {
 	g := s.cfg.Granularity
@@ -205,20 +202,6 @@ func (s *Switch) remapAndPlace(req Request, need int) bool {
 	return s.tryPlace(req, need)
 }
 
-// Revoke removes a program by name.
-func (s *Switch) Revoke(name string) error {
-	for i, a := range s.allocs {
-		if a.req.Name == name {
-			for j, st := range a.stages {
-				s.free[st] += a.words[j]
-			}
-			s.allocs = append(s.allocs[:i:i], s.allocs[i+1:]...)
-			return nil
-		}
-	}
-	return fmt.Errorf("activermt: program %q not found", name)
-}
-
 func (s *Switch) stagesByFreeDesc() []int {
 	idx := make([]int, s.cfg.Stages)
 	for i := range idx {
@@ -241,13 +224,6 @@ func (s *Switch) MemoryUtilization() float64 {
 		free += f
 	}
 	return 1 - float64(free)/float64(total)
-}
-
-// CapsuleOverhead returns the goodput fraction lost to the per-packet
-// active header for a given packet size — the end-host/throughput overhead
-// P4runpro avoids by assuming nothing about incoming packets.
-func (s *Switch) CapsuleOverhead(pktBytes int) float64 {
-	return float64(s.cfg.CapsuleBytes) / float64(pktBytes+s.cfg.CapsuleBytes)
 }
 
 // UpdateDelay returns the published update delays for the three programs

@@ -73,11 +73,6 @@ func (ch *Chain) Deploy(src string) ([]*core.LinkedProgram, error) {
 	return ch.Compiler.Link(context.Background(), src)
 }
 
-// Revoke unlinks a program from every switch of the chain.
-func (ch *Chain) Revoke(name string) (core.RevokeStats, error) {
-	return ch.Compiler.Revoke(name)
-}
-
 // Inject pushes a packet into the first switch and walks it down the path:
 // a VerdictNextHop result is serialized through the shim wire format and
 // re-parsed by the following switch until a final verdict emerges. The
@@ -106,13 +101,4 @@ func (ch *Chain) Inject(p *pkt.Packet, inPort int) rmt.Result {
 		cur = next
 	}
 	return rmt.Result{Verdict: rmt.VerdictNoDecision, OutPort: -1, Packet: cur, Passes: hops}
-}
-
-// DrainCPU collects reported packets from every switch of the chain.
-func (ch *Chain) DrainCPU() []*pkt.Packet {
-	var out []*pkt.Packet
-	for _, sw := range ch.Switches {
-		out = append(out, sw.DrainCPU()...)
-	}
-	return out
 }

@@ -96,7 +96,10 @@ func TestChainVsRecirculationEquivalence(t *testing.T) {
 		ch.Inject(pkt.NewTCP(elephant, pkt.TCPAck, 300), 2)
 		loop.Inject(pkt.NewTCP(elephant, pkt.TCPAck, 300), 2)
 	}
-	chainReports := len(ch.DrainCPU())
+	chainReports := 0
+	for _, sw := range ch.Switches {
+		chainReports += len(sw.DrainCPU())
+	}
 	loopReports := len(loop.DrainCPU())
 	if chainReports != 1 || loopReports != 1 {
 		t.Errorf("reports: chain %d, loop %d, want 1 each", chainReports, loopReports)
@@ -139,7 +142,7 @@ func TestChainRevokeFreesAllSwitches(t *testing.T) {
 	if _, err := ch.Deploy(spec.DefaultSource()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ch.Revoke("calc"); err != nil {
+	if _, err := ch.Compiler.Revoke("calc"); err != nil {
 		t.Fatal(err)
 	}
 	for i, sw := range ch.Switches {

@@ -236,12 +236,7 @@ func (ct *Controller) unlink(name string) (RevokeReport, error) {
 // AddCases extends a running program's BRANCH at the given depth with new
 // case blocks (incremental update, paper §7), returning modeled update
 // delay alongside the new branch IDs.
-func (ct *Controller) AddCases(program string, branchDepth int, src string) ([]core.AddedCase, time.Duration, error) {
-	return ct.AddCasesCtx(context.Background(), program, branchDepth, src)
-}
-
-// AddCasesCtx is AddCases under the trace carried by ctx.
-func (ct *Controller) AddCasesCtx(ctx context.Context, program string, branchDepth int, src string) ([]core.AddedCase, time.Duration, error) {
+func (ct *Controller) AddCases(ctx context.Context, program string, branchDepth int, src string) ([]core.AddedCase, time.Duration, error) {
 	var added []core.AddedCase
 	err := ct.do(ctx, ct.addCasesOp(program, branchDepth, src, &added))
 	entries := 0
@@ -263,12 +258,7 @@ func (ct *Controller) addCasesOp(program string, branchDepth int, src string, ou
 }
 
 // RemoveCase deletes a runtime-added case branch from a running program.
-func (ct *Controller) RemoveCase(program string, branchID int) error {
-	return ct.RemoveCaseCtx(context.Background(), program, branchID)
-}
-
-// RemoveCaseCtx is RemoveCase under the trace carried by ctx.
-func (ct *Controller) RemoveCaseCtx(ctx context.Context, program string, branchID int) error {
+func (ct *Controller) RemoveCase(ctx context.Context, program string, branchID int) error {
 	return ct.do(ctx, ct.removeCaseOp(program, branchID))
 }
 
@@ -283,12 +273,7 @@ func (ct *Controller) removeCaseOp(program string, branchID int) *op {
 // SetMulticastGroup configures the traffic manager's replication list for
 // the MULTICAST primitive. The only possible failure is a journal append
 // rejection; without a journal it always succeeds.
-func (ct *Controller) SetMulticastGroup(group int, ports []int) error {
-	return ct.SetMulticastGroupCtx(context.Background(), group, ports)
-}
-
-// SetMulticastGroupCtx is SetMulticastGroup under the trace carried by ctx.
-func (ct *Controller) SetMulticastGroupCtx(ctx context.Context, group int, ports []int) error {
+func (ct *Controller) SetMulticastGroup(ctx context.Context, group int, ports []int) error {
 	return ct.do(ctx, ct.mcastSetOp(group, ports))
 }
 
@@ -301,12 +286,7 @@ func (ct *Controller) mcastSetOp(group int, ports []int) *op {
 
 // WriteMemory writes one virtual memory bucket of a linked program,
 // translating the virtual address to its physical RPB and offset.
-func (ct *Controller) WriteMemory(program, mem string, vaddr, value uint32) error {
-	return ct.WriteMemoryCtx(context.Background(), program, mem, vaddr, value)
-}
-
-// WriteMemoryCtx is WriteMemory under the trace carried by ctx.
-func (ct *Controller) WriteMemoryCtx(ctx context.Context, program, mem string, vaddr, value uint32) error {
+func (ct *Controller) WriteMemory(ctx context.Context, program, mem string, vaddr, value uint32) error {
 	return ct.do(ctx, ct.memWriteOp(program, mem, vaddr, value))
 }
 
@@ -396,21 +376,17 @@ func (ct *Controller) ProgramPacketHits(name string) uint64 {
 
 // Programs lists the linked programs.
 func (ct *Controller) Programs() []ProgramInfo {
-	names := ct.Compiler.Programs()
-	out := make([]ProgramInfo, 0, len(names))
-	for _, n := range names {
-		lp, ok := ct.Compiler.Linked(n)
-		if !ok {
-			continue
-		}
+	rows := ct.Compiler.Summaries()
+	out := make([]ProgramInfo, 0, len(rows))
+	for _, r := range rows {
 		out = append(out, ProgramInfo{
-			Name:      lp.Name,
-			ProgramID: lp.ProgramID,
-			Depths:    lp.TP.L(),
-			Entries:   lp.Stats.EntryCount,
-			MemWords:  lp.Stats.MemWords,
-			Passes:    lp.Alloc.MaxPass() + 1,
-			Hits:      ct.ProgramHits(lp.Name),
+			Name:      r.Name,
+			ProgramID: r.ProgramID,
+			Depths:    r.Depths,
+			Entries:   r.Entries,
+			MemWords:  r.MemWords,
+			Passes:    r.Passes,
+			Hits:      ct.ProgramHits(r.Name),
 		})
 	}
 	return out

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -104,10 +105,10 @@ func TestLoadBalancerFunctional(t *testing.T) {
 	}
 	// DIP pool: bucket i -> 10.8.0.(i%2+1); port pool: bucket i -> i%2.
 	for i := uint32(0); i < 256; i++ {
-		if err := ct.WriteMemory("lb", "dip_pool", i, pkt.IP(10, 8, 0, byte(i%2+1))); err != nil {
+		if err := ct.WriteMemory(context.Background(), "lb", "dip_pool", i, pkt.IP(10, 8, 0, byte(i%2+1))); err != nil {
 			t.Fatalf("write dip: %v", err)
 		}
-		if err := ct.WriteMemory("lb", "port_pool", i, i%2); err != nil {
+		if err := ct.WriteMemory(context.Background(), "lb", "port_pool", i, i%2); err != nil {
 			t.Fatalf("write port: %v", err)
 		}
 	}
@@ -262,7 +263,7 @@ func TestDeployReportShape(t *testing.T) {
 // switch sums per-chunk contributions and multicasts the final packet.
 func TestAggregationFunctional(t *testing.T) {
 	ct := newController(t)
-	ct.SetMulticastGroup(7, []int{10, 11, 12})
+	ct.SetMulticastGroup(context.Background(), 7, []int{10, 11, 12})
 	src := programs.AggSource("agg", 3, 7, programs.Params{MemWords: 64})
 	if _, err := ct.Deploy(src); err != nil {
 		t.Fatalf("deploy agg: %v", err)
@@ -304,7 +305,7 @@ func TestControllerAddCases(t *testing.T) {
 	if _, err := ct.Deploy(spec.DefaultSource()); err != nil {
 		t.Fatal(err)
 	}
-	added, delay, err := ct.AddCases("cache", 4, `
+	added, delay, err := ct.AddCases(context.Background(), "cache", 4, `
 case(<har, 1, 0xffffffff>, <sar, 0xabcd, 0xffffffff>, <mar, 0, 0xffffffff>) {
     RETURN;
     LOADI(mar, 42);
@@ -321,14 +322,14 @@ case(<har, 1, 0xffffffff>, <sar, 0xabcd, 0xffffffff>, <mar, 0, 0xffffffff>) {
 		SrcIP: pkt.IP(10, 0, 0, 1), DstIP: pkt.IP(10, 0, 0, 2),
 		SrcPort: 5555, DstPort: pkt.PortNetCache, Proto: pkt.ProtoUDP,
 	}
-	if err := ct.WriteMemory("cache", "mem1", 42, 555); err != nil {
+	if err := ct.WriteMemory(context.Background(), "cache", "mem1", 42, 555); err != nil {
 		t.Fatal(err)
 	}
 	p := pkt.NewNC(flow, pkt.NCRead, 0xabcd, 0)
 	if res := ct.SW.Inject(p, 1); res.Verdict != rmt.VerdictReflected || p.NC.Value != 555 {
 		t.Fatalf("added key: %v value=%d", res.Verdict, p.NC.Value)
 	}
-	if err := ct.RemoveCase("cache", added[0].BranchID); err != nil {
+	if err := ct.RemoveCase(context.Background(), "cache", added[0].BranchID); err != nil {
 		t.Fatal(err)
 	}
 	if res := ct.SW.Inject(pkt.NewNC(flow, pkt.NCRead, 0xabcd, 0), 1); res.Verdict != rmt.VerdictForwarded {
@@ -399,10 +400,11 @@ program b(<hdr.ipv4.dst, 10.0.0.2, 0xffffffff>) {
 	}
 }
 
-// TestProgramPacketHitsUnderChurn reads per-program hits while a program's
-// entries change under it: cases added and removed at runtime and a
-// prepare/cutover/commit upgrade. Run under -race it checks that the
-// readers walk the compiler's entry lists only as the writers publish them.
+// TestProgramPacketHitsUnderChurn reads per-program hits and the program
+// listing while a program's entries change under it: cases added and
+// removed at runtime and a prepare/cutover/commit upgrade. Run under -race
+// it checks that the readers walk the compiler's entry lists, and copy a
+// listing row's name and entry count, only as the writers publish them.
 func TestProgramPacketHitsUnderChurn(t *testing.T) {
 	ct := newController(t)
 	spec, _ := programs.Get("cache")
@@ -434,10 +436,11 @@ program churn(<hdr.ipv4.src, 10.0.0.0, 0xff000000>) {
 				ct.ProgramPacketHits(n)
 				ct.ProgramHits(n)
 			}
+			ct.Programs()
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		added, _, err := ct.AddCases("cache", 4, fmt.Sprintf(`
+		added, _, err := ct.AddCases(context.Background(), "cache", 4, fmt.Sprintf(`
 case(<har, 1, 0xffffffff>, <sar, %d, 0xffffffff>, <mar, 0, 0xffffffff>) {
     RETURN;
     LOADI(mar, 42);
@@ -447,7 +450,7 @@ case(<har, 1, 0xffffffff>, <sar, %d, 0xffffffff>, <mar, 0, 0xffffffff>) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ct.RemoveCase("cache", added[0].BranchID); err != nil {
+		if err := ct.RemoveCase(context.Background(), "cache", added[0].BranchID); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ct.UpgradePrepare("churn", strings.Replace(upgSrc, "FORWARD(2)", "FORWARD(3)", 1)); err != nil {

@@ -7,7 +7,6 @@ import (
 	"p4runpro/internal/obs"
 	"p4runpro/internal/resource"
 	"p4runpro/internal/rmt"
-	"p4runpro/internal/traffic"
 )
 
 // initMetrics builds the controller's registry: latency histograms and
@@ -78,10 +77,6 @@ func (ct *Controller) initMetrics() {
 		reg.CounterFunc("p4runpro_rmt_verdicts_total", "Final packet dispositions by verdict.",
 			func() uint64 { return ct.SW.Metrics().Verdicts[v] }, obs.L("verdict", v.String()))
 	}
-	// Replay-engine telemetry (worker count, throughput) from the traffic
-	// package's process-wide atomics.
-	traffic.RegisterReplayMetrics(reg)
-
 	for g := rmt.Ingress; g <= rmt.Egress; g++ {
 		g := g
 		base := 0

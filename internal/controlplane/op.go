@@ -57,10 +57,10 @@ type op struct {
 // flight recorder. Without a journal no lock is taken and nothing is
 // written — the mutation paths are as cheap as before the journal existed.
 func (ct *Controller) do(ctx context.Context, o *op) (err error) {
-	ctx, sp, owned := ct.opSpan(ctx, o.records[0].Op.String())
+	ctx, sp, owned := trace.OpSpan(ctx, ct.tracer, "ct.", o.records[0].Op.String())
 	start := time.Now()
 	defer func() {
-		ct.flightOp(o, start, err, sp)
+		ct.flight.RecordOp(o.kind, o.subject, o.detail, start, err, sp)
 		if owned {
 			sp.End()
 		}
@@ -113,36 +113,6 @@ func (ct *Controller) applyLocked(ctx context.Context, sp *trace.Span, o *op) (c
 		}
 	}
 	return c, err
-}
-
-// opSpan resolves the span an operation's children attach to: the
-// context's current span when the caller is traced (the wire server's
-// srv.<verb> span, or a fleet fan-out span), else a fresh "ct.<verb>"
-// root from the controller's own tracer, else the nop span. owned reports
-// whether this call opened the span and must End it.
-func (ct *Controller) opSpan(ctx context.Context, verb string) (_ context.Context, sp *trace.Span, owned bool) {
-	if sp := trace.SpanFromContext(ctx); sp.Enabled() {
-		return ctx, sp, false
-	}
-	if ct.tracer.Enabled() {
-		ctx, sp := ct.tracer.Start(ctx, "ct."+verb)
-		return ctx, sp, true
-	}
-	return ctx, trace.Nop(), false
-}
-
-// flightOp records one completed operation in the flight recorder. Strings
-// are passed through as-is so recording allocates nothing beyond what the
-// op already holds.
-func (ct *Controller) flightOp(o *op, start time.Time, err error, sp *trace.Span) {
-	if ct.flight == nil {
-		return
-	}
-	ev := trace.Event{Kind: o.kind, Name: o.subject, Detail: o.detail, Dur: time.Since(start), Trace: sp.TraceID()}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	ct.flight.Record(ev)
 }
 
 // opFor rebuilds the operation a journal record describes. The results the

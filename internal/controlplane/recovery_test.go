@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -161,8 +162,7 @@ func runJournaled(t testing.TB, dir string, ops []journal.Record) []stateDigest 
 // for EVERY byte offset of the write-ahead log, recovering from the log
 // truncated at that offset yields a controller whose state equals the state
 // after some prefix of the applied operations — exactly the prefix of
-// complete records surviving the cut. (Same style as the trace-file
-// truncation test in internal/traffic/replay_test.go.)
+// complete records surviving the cut.
 func TestRecoveryAtEveryTruncationOffset(t *testing.T) {
 	base := t.TempDir()
 	ops := journaledOps()
@@ -270,7 +270,7 @@ func TestRecoveryAfterSnapshotCompaction(t *testing.T) {
 
 	// And the recovered controller keeps journaling: one more op survives
 	// another recovery.
-	if err := ct2.WriteMemory("cache", "mem1", 900, 7); err != nil {
+	if err := ct2.WriteMemory(context.Background(), "cache", "mem1", 900, 7); err != nil {
 		t.Fatal(err)
 	}
 	ct2.Journal().Close()
@@ -300,7 +300,7 @@ func TestJournalDisabledPathUnchanged(t *testing.T) {
 	if _, err := ct.Deploy(recCacheSrc); err != nil {
 		t.Fatal(err)
 	}
-	if err := ct.SetMulticastGroup(1, []int{2}); err != nil {
+	if err := ct.SetMulticastGroup(context.Background(), 1, []int{2}); err != nil {
 		t.Fatalf("unjournaled SetMulticastGroup: %v", err)
 	}
 	for jop, row := range replayRows {

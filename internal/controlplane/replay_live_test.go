@@ -1,7 +1,9 @@
 package controlplane
 
 import (
+	"context"
 	"reflect"
+	"sort"
 	"testing"
 
 	"p4runpro/internal/core"
@@ -45,21 +47,27 @@ var replayRows = map[journal.Op]replayRow{
 	},
 	journal.OpAddCases: {
 		setup: []func(*Controller) error{deployStep(recCacheSrc)},
-		live:  func(ct *Controller) error { _, _, err := ct.AddCases("cache", 4, recCaseSrc); return err },
+		live: func(ct *Controller) error {
+			_, _, err := ct.AddCases(context.Background(), "cache", 4, recCaseSrc)
+			return err
+		},
 	},
 	journal.OpRemoveCase: {
 		setup: []func(*Controller) error{deployStep(recCacheSrc),
-			func(ct *Controller) error { _, _, err := ct.AddCases("cache", 4, recCaseSrc); return err }},
-		live: func(ct *Controller) error { return ct.RemoveCase("cache", 3) },
+			func(ct *Controller) error {
+				_, _, err := ct.AddCases(context.Background(), "cache", 4, recCaseSrc)
+				return err
+			}},
+		live: func(ct *Controller) error { return ct.RemoveCase(context.Background(), "cache", 3) },
 	},
 	journal.OpMemWrite: {
 		setup: []func(*Controller) error{deployStep(recCacheSrc)},
-		live:  func(ct *Controller) error { return ct.WriteMemory("cache", "mem1", 512, 99) },
+		live:  func(ct *Controller) error { return ct.WriteMemory(context.Background(), "cache", "mem1", 512, 99) },
 	},
-	journal.OpMcastSet: {live: func(ct *Controller) error { return ct.SetMulticastGroup(7, []int{1, 2, 5}) }},
+	journal.OpMcastSet: {live: func(ct *Controller) error { return ct.SetMulticastGroup(context.Background(), 7, []int{1, 2, 5}) }},
 	journal.OpUpgradePrepare: {
 		setup: []func(*Controller) error{deployStep(upgRecV1Src),
-			func(ct *Controller) error { return ct.WriteMemory("upgrec", "tbl", 5, 41) }},
+			func(ct *Controller) error { return ct.WriteMemory(context.Background(), "upgrec", "tbl", 5, 41) }},
 		live: prepareStep,
 	},
 	journal.OpUpgradeCutover: {
@@ -73,7 +81,7 @@ var replayRows = map[journal.Op]replayRow{
 	},
 	journal.OpUpgradeAbort: {
 		setup: []func(*Controller) error{deployStep(upgRecV1Src), prepareStep},
-		live:  func(ct *Controller) error { _, err := ct.UpgradeAbort("upgrec"); return err },
+		live:  func(ct *Controller) error { _, err := ct.UpgradeAbort(context.Background(), "upgrec"); return err },
 	},
 	journal.OpDeployBatch: {live: func(ct *Controller) error {
 		outcomes, err := ct.DeployAll([]string{recCacheSrc, "program broken(", replayCounterSrc}, false)
@@ -100,11 +108,20 @@ type upgradeDigest struct {
 	MigratedWords          uint32
 }
 
-func upgradeDigests(sts []upgrade.Status) []upgradeDigest {
-	out := make([]upgradeDigest, 0, len(sts))
-	for _, st := range sts {
+// upgradeDigests digests every upgrade session of ct, sorted by program.
+func upgradeDigests(ct *Controller) []upgradeDigest {
+	ct.upMu.Lock()
+	sessions := make([]*upgrade.Session, 0, len(ct.upgrades))
+	for _, s := range ct.upgrades {
+		sessions = append(sessions, s)
+	}
+	ct.upMu.Unlock()
+	out := make([]upgradeDigest, 0, len(sessions))
+	for _, s := range sessions {
+		st := s.Status()
 		out = append(out, upgradeDigest{st.Program, st.V2Name, st.State, st.ActiveVersion, st.V1PID, st.V2PID, st.MigratedWords})
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Program < out[j].Program })
 	return out
 }
 
@@ -182,7 +199,7 @@ func TestReplayEqualsLive(t *testing.T) {
 			if a, b := tableEntries(live), tableEntries(replayed); a != b {
 				t.Errorf("switch holds %d entries live, %d replayed", a, b)
 			}
-			if a, b := upgradeDigests(live.Upgrades()), upgradeDigests(replayed.Upgrades()); !reflect.DeepEqual(a, b) {
+			if a, b := upgradeDigests(live), upgradeDigests(replayed); !reflect.DeepEqual(a, b) {
 				t.Errorf("upgrade status diverges:\n live:     %+v\n replayed: %+v", a, b)
 			}
 		})

@@ -64,7 +64,7 @@ func TestApplyWhileSyncing(t *testing.T) {
 	// behind the parked sync.
 	go func() { _, err := ct.Deploy(replayCounterSrc); done <- err }()
 	waitUntil(func() bool { return linked(ct, "counter") })
-	go func() { done <- ct.SetMulticastGroup(7, []int{1, 2, 5}) }()
+	go func() { done <- ct.SetMulticastGroup(context.Background(), 7, []int{1, 2, 5}) }()
 	waitUntil(func() bool { return len(ct.SW.MulticastGroup(7)) > 0 })
 	select {
 	case err := <-done:
@@ -136,7 +136,7 @@ func TestSyncFailurePoisons(t *testing.T) {
 	done := make(chan error, 2)
 	go func() { _, err := ct.Deploy(recCacheSrc); done <- err }()
 	waitUntil(func() bool { return pt.Hits() == 1 })
-	go func() { done <- ct.SetMulticastGroup(7, []int{1, 2, 5}) }()
+	go func() { done <- ct.SetMulticastGroup(context.Background(), 7, []int{1, 2, 5}) }()
 	waitUntil(func() bool { return len(ct.SW.MulticastGroup(7)) > 0 })
 	release(true)
 	for i := 0; i < 2; i++ {
@@ -148,7 +148,7 @@ func TestSyncFailurePoisons(t *testing.T) {
 		t.Fatalf("%d fsyncs, want 1: the group behind a failed sync must not be synced", n)
 	}
 	faults.DisarmAll()
-	if err := ct.WriteMemory("cache", "mem1", 1, 2); !errors.Is(err, ErrPoisoned) {
+	if err := ct.WriteMemory(context.Background(), "cache", "mem1", 1, 2); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("mutation on a poisoned controller: err = %v, want ErrPoisoned", err)
 	}
 	if err := ct.Snapshot(); !errors.Is(err, ErrPoisoned) {
@@ -173,7 +173,7 @@ func TestSyncFailurePoisons(t *testing.T) {
 	if got := rec.SW.MulticastGroup(7); len(got) > 0 {
 		t.Fatalf("restart holds the multicast group written behind the failed sync: %v", got)
 	}
-	if err := rec.WriteMemory("cache", "mem1", 1, 2); err != nil {
+	if err := rec.WriteMemory(context.Background(), "cache", "mem1", 1, 2); err != nil {
 		t.Fatalf("mutation after restart: %v", err)
 	}
 }
@@ -188,7 +188,7 @@ func TestOverlapFollowsMeasuredApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ct.Journal().Close()
-	if err := ct.SetMulticastGroup(1, []int{1}); err != nil {
+	if err := ct.SetMulticastGroup(context.Background(), 1, []int{1}); err != nil {
 		t.Fatal(err)
 	}
 	est := ct.Journal().SyncEstimate()

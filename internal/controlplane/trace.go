@@ -1,10 +1,10 @@
-// Tracing hooks for the control plane. Every mutating verb has a Ctx
-// variant whose operation (see do) attributes where its latency went —
-// lock wait, journal commit, apply — as child spans of the caller's span
-// (normally the wire server's srv.<verb> span), and records a
-// flight-recorder event. The non-ctx methods delegate with a background
-// context, so library users and crash replay pay only a few clock reads
-// when tracing is off.
+// Tracing hooks for the control plane. Every mutating verb takes a ctx
+// (or has a Ctx variant) whose operation (see do) attributes where its
+// latency went — lock wait, journal commit, apply — as child spans of the
+// caller's span (normally the wire server's srv.<verb> span), and records
+// a flight-recorder event. The remaining no-ctx methods delegate with a
+// background context, so library users and crash replay pay only a few
+// clock reads when tracing is off.
 package controlplane
 
 import "p4runpro/internal/obs/trace"

@@ -9,7 +9,6 @@ package controlplane
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"p4runpro/internal/faults"
@@ -145,12 +144,7 @@ func (ct *Controller) upgradeCommitOp(name string, out *upgrade.Status) *op {
 }
 
 // UpgradeAbort rolls the upgrade back to pure v1 and erases v2.
-func (ct *Controller) UpgradeAbort(name string) (upgrade.Status, error) {
-	return ct.UpgradeAbortCtx(context.Background(), name)
-}
-
-// UpgradeAbortCtx is UpgradeAbort under the trace carried by ctx.
-func (ct *Controller) UpgradeAbortCtx(ctx context.Context, name string) (st upgrade.Status, err error) {
+func (ct *Controller) UpgradeAbort(ctx context.Context, name string) (st upgrade.Status, err error) {
 	err = ct.do(ctx, ct.upgradeAbortOp(name, &st))
 	return st, err
 }
@@ -193,24 +187,4 @@ func (ct *Controller) UpgradeStatus(name string) (upgrade.Status, error) {
 		return upgrade.Status{}, err
 	}
 	return s.Status(), nil
-}
-
-// Upgrades lists every upgrade session, sorted by program name.
-func (ct *Controller) Upgrades() []upgrade.Status {
-	ct.upMu.Lock()
-	names := make([]string, 0, len(ct.upgrades))
-	for n := range ct.upgrades {
-		names = append(names, n)
-	}
-	sessions := make([]*upgrade.Session, 0, len(names))
-	sort.Strings(names)
-	for _, n := range names {
-		sessions = append(sessions, ct.upgrades[n])
-	}
-	ct.upMu.Unlock()
-	out := make([]upgrade.Status, 0, len(sessions))
-	for _, s := range sessions {
-		out = append(out, s.Status())
-	}
-	return out
 }

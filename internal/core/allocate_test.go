@@ -14,6 +14,7 @@ import (
 	"p4runpro/internal/faults"
 	"p4runpro/internal/lang"
 	"p4runpro/internal/obs"
+	"p4runpro/internal/pkt"
 	"p4runpro/internal/programs"
 	"p4runpro/internal/resource"
 	"p4runpro/internal/rmt"
@@ -224,8 +225,8 @@ func TestFullTableRefusedBeforeInstall(t *testing.T) {
 	}
 	// A UDP filter has one init entry per compatible parse path.
 	var full []string
-	for _, tbl := range pl.InitTables() {
-		if tbl.Free() == 0 {
+	for _, path := range pkt.ParsePaths {
+		if tbl, _ := pl.InitTable(path); tbl.Free() == 0 {
 			full = append(full, "table "+tbl.Name+" ")
 		}
 	}

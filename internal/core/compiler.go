@@ -562,6 +562,37 @@ func (c *Compiler) Linked(name string) (*LinkedProgram, bool) {
 	return lp, ok
 }
 
+// ProgramSummary is one linked program's listing row.
+type ProgramSummary struct {
+	Name      string
+	ProgramID uint16
+	Depths    int
+	Entries   int
+	MemWords  uint32
+	Passes    int
+}
+
+// Summaries lists the linked programs sorted by name. Each row is copied
+// under the compiler lock, which case updates, deferred init installs and
+// renames hold while they change a program's name and entry count.
+func (c *Compiler) Summaries() []ProgramSummary {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]ProgramSummary, 0, len(c.linked))
+	for _, lp := range c.linked {
+		out = append(out, ProgramSummary{
+			Name:      lp.Name,
+			ProgramID: lp.ProgramID,
+			Depths:    lp.TP.L(),
+			Entries:   lp.Stats.EntryCount,
+			MemWords:  lp.Stats.MemWords,
+			Passes:    lp.Alloc.MaxPass() + 1,
+		})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
 // Programs lists linked program names in sorted order.
 func (c *Compiler) Programs() []string {
 	c.mu.Lock()

@@ -189,7 +189,7 @@ func TestAllocationRespectsConstraints(t *testing.T) {
 			t.Errorf("depth %d logical %d not increasing after %d", pl.Depth, pl.Logical, prev)
 		}
 		prev = pl.Logical
-		if lp.TP.ForwardingAt(pl.Depth) && !c.Plane.IsIngressRPB(pl.RPB) {
+		if g, _, _ := c.Plane.RPBStage(pl.RPB); lp.TP.ForwardingAt(pl.Depth) && g != rmt.Ingress {
 			t.Errorf("forwarding depth %d placed in egress RPB %d", pl.Depth, pl.RPB)
 		}
 		if pl.Pass > c.Opt.MaxRecirc {

@@ -177,9 +177,6 @@ func (pl *Plane) RPBStage(id resource.RPBID) (rmt.Gress, int, error) {
 	return rmt.Egress, int(id) - pl.N - 1, nil
 }
 
-// IsIngressRPB reports whether the RPB can execute forwarding primitives.
-func (pl *Plane) IsIngressRPB(id resource.RPBID) bool { return int(id) <= pl.N }
-
 // InitTable returns the filtering table of one parsing path.
 func (pl *Plane) InitTable(path pkt.ParseBitmap) (*rmt.Table, error) {
 	t, ok := pl.initTables[path]
@@ -187,17 +184,6 @@ func (pl *Plane) InitTable(path pkt.ParseBitmap) (*rmt.Table, error) {
 		return nil, fmt.Errorf("dataplane: no init table for parse path %s", path)
 	}
 	return t, nil
-}
-
-// InitTables returns every parsing path's filtering table. Unlike RPB
-// tables, whose entries hit once per executed primitive, an init-table entry
-// hits exactly once per matched packet, on its first pass.
-func (pl *Plane) InitTables() []*rmt.Table {
-	out := make([]*rmt.Table, 0, len(pl.initTables))
-	for _, t := range pl.initTables {
-		out = append(out, t)
-	}
-	return out
 }
 
 // RecircTable returns the recirculation block's table.

@@ -73,8 +73,11 @@ func TestRPBStageMapping(t *testing.T) {
 	if _, _, err := pl.RPBStage(23); err == nil {
 		t.Error("RPB 23 accepted")
 	}
-	if !pl.IsIngressRPB(10) || pl.IsIngressRPB(11) {
-		t.Error("ingress boundary wrong")
+	if g10, _, _ := pl.RPBStage(10); g10 != rmt.Ingress {
+		t.Error("RPB 10 not in ingress")
+	}
+	if g11, _, _ := pl.RPBStage(11); g11 != rmt.Egress {
+		t.Error("RPB 11 not in egress")
 	}
 }
 

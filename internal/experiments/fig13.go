@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -183,10 +184,10 @@ func Figure13c(durationMs int) CaseStudyC {
 			panic(fmt.Sprintf("deploy lb: %v", err))
 		}
 		for i := uint32(0); i < buckets; i++ {
-			if err := ct.WriteMemory("lb", "dip_pool", i, dips[i%2]); err != nil {
+			if err := ct.WriteMemory(context.Background(), "lb", "dip_pool", i, dips[i%2]); err != nil {
 				panic(err)
 			}
-			if err := ct.WriteMemory("lb", "port_pool", i, i%2); err != nil {
+			if err := ct.WriteMemory(context.Background(), "lb", "port_pool", i, i%2); err != nil {
 				panic(err)
 			}
 		}

@@ -43,9 +43,12 @@ import (
 // resolves in microseconds.
 const DefaultTTL = 16
 
-// DefaultPortBase is the first port index the topology builders use for
-// fabric (inter-switch) links, leaving the low ports free for edge traffic.
-const DefaultPortBase = 48
+// PortBase is the first port index the topology builders use for fabric
+// (inter-switch) links, leaving the low ports free for edge traffic.
+const PortBase = 48
+
+// pathKeep bounds the ring of retained path traces.
+const pathKeep = 128
 
 // Endpoint names one side of a link: a node and a port on it.
 type Endpoint struct {
@@ -104,32 +107,21 @@ type Node struct {
 	consumed  atomic.Uint64 // packets reported to this node's CPU
 }
 
-// Options tunes a Fabric. The zero value is usable: TTL 16, port base 48,
-// path sampling disabled.
+// Options tunes a Fabric. The zero value is usable: TTL 16, path sampling
+// disabled.
 type Options struct {
 	// TTL is the hop budget assigned to packets entering at an edge: the
 	// number of link traversals each may make before being dropped as
 	// looped. Default DefaultTTL.
 	TTL int
-	// PortBase is the first port index the topology builders use for
-	// fabric links. Default DefaultPortBase.
-	PortBase int
 	// PathSampleEvery samples one in every N edge packets for stitched
 	// path tracing (a forced postcard at every hop). 0 disables.
 	PathSampleEvery int
-	// PathKeep bounds the ring of retained path traces. Default 128.
-	PathKeep int
 }
 
 func (o Options) withDefaults() Options {
 	if o.TTL <= 0 {
 		o.TTL = DefaultTTL
-	}
-	if o.PortBase <= 0 {
-		o.PortBase = DefaultPortBase
-	}
-	if o.PathKeep <= 0 {
-		o.PathKeep = 128
 	}
 	return o
 }
@@ -179,12 +171,6 @@ func New(opt Options) *Fabric {
 	return f
 }
 
-// Options returns the fabric's effective configuration.
-func (f *Fabric) Options() Options { return f.opt }
-
-// PortBase returns the first port index used for fabric links.
-func (f *Fabric) PortBase() int { return f.opt.PortBase }
-
 // Add registers a switch as a named fabric node.
 func (f *Fabric) Add(name string, sw *rmt.Switch) (*Node, error) {
 	if name == "" {
@@ -201,12 +187,6 @@ func (f *Fabric) Add(name string, sw *rmt.Switch) (*Node, error) {
 	f.order = append(f.order, name)
 	f.registerNodeMetrics(n)
 	return n, nil
-}
-
-// Node finds a node by name.
-func (f *Fabric) Node(name string) (*Node, bool) {
-	n, ok := f.nodes[name]
-	return n, ok
 }
 
 // Nodes returns the node names in registration order.
@@ -281,25 +261,6 @@ func (f *Fabric) Connect(a string, ap int, b string, bp int, latency time.Durati
 	}
 	_, err := f.ConnectOneWay(b, bp, a, ap, latency)
 	return err
-}
-
-// EdgeRx reports, per node, the packets received on edge ports (ports not
-// wired to a fabric link) — the signal the topology-aware placement policy
-// ranks members by: deploy the program where its traffic enters.
-func (f *Fabric) EdgeRx() map[string]uint64 {
-	out := make(map[string]uint64, len(f.nodes))
-	for name, n := range f.nodes {
-		cfg := n.SW.Config()
-		var sum uint64
-		for port := 0; port < cfg.Ports+8; port++ {
-			if n.link(port) != nil {
-				continue
-			}
-			sum += n.SW.RxStats(port).TxPackets
-		}
-		out[name] = sum
-	}
-	return out
 }
 
 // hop is one pending injection of the forwarding engine: a packet about to

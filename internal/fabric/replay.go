@@ -14,9 +14,6 @@ type ReplayOptions struct {
 	// frontier of this many packets, then the whole burst is driven hop by
 	// hop through the fabric (each hop a per-node InjectBatch). Default 256.
 	Batch int
-	// DefaultNode receives events whose Node is empty (single-feed traces
-	// generated without MergeFeeds). Defaults to the first registered node.
-	DefaultNode string
 }
 
 // NodeStats is the per-node accounting of one replay (or one Inject).
@@ -65,20 +62,18 @@ func (r *ReplayResult) PPS() float64 {
 // packet across however many switches its programs forward it through,
 // firing scheduled control-plane actions at their simulated times. Events
 // name their entry node (traffic.MergeFeeds stamps it); events with an
-// empty Node fall back to opts.DefaultNode. Edge injections are batched
-// (opts.Batch) so the bulk of the traffic rides the InjectBatch path at
-// every hop; scheduled actions are flush barriers — all packets
-// injected before the action finish their journeys before it runs.
+// empty Node (single-feed traces) enter at the first registered node. Edge
+// injections are batched (opts.Batch) so the bulk of the traffic rides the
+// InjectBatch path at every hop; scheduled actions are flush barriers — all
+// packets injected before the action finish their journeys before it runs.
 func (f *Fabric) Replay(tr *traffic.Trace, sched []traffic.Action, opts ReplayOptions) (*ReplayResult, error) {
 	if opts.Batch <= 0 {
 		opts.Batch = 256
 	}
-	if opts.DefaultNode == "" {
-		if len(f.order) == 0 {
-			return nil, fmt.Errorf("fabric: replay on empty fabric")
-		}
-		opts.DefaultNode = f.order[0]
+	if len(f.order) == 0 {
+		return nil, fmt.Errorf("fabric: replay on empty fabric")
 	}
+	defaultNode := f.order[0]
 	start := time.Now()
 	sort.SliceStable(sched, func(i, j int) bool { return sched[i].AtMs < sched[j].AtMs })
 
@@ -104,7 +99,7 @@ func (f *Fabric) Replay(tr *traffic.Trace, sched []traffic.Action, opts ReplayOp
 		}
 		name := ev.Node
 		if name == "" {
-			name = opts.DefaultNode
+			name = defaultNode
 		}
 		n, ok := f.nodes[name]
 		if !ok {

@@ -7,62 +7,22 @@ import (
 	"p4runpro/internal/rmt"
 )
 
-// Topology builders. All of them create the switches themselves (one
-// rmt.Switch per node, from the given config), register them as nodes, and
-// wire fabric links starting at Options.PortBase, leaving ports below the
-// base free for edge traffic. Port conventions:
+// Topology builder. WireLeafSpine creates the switches itself (one
+// rmt.Switch per node, from the given config), registers them as nodes, and
+// wires fabric links starting at PortBase, leaving ports below the base
+// free for edge traffic. Port conventions:
 //
-//	chain/ring:  port base+0 faces the previous node, base+1 the next
 //	leaf–spine:  leaf l's port base+s faces spine s;
 //	             spine s's port base+l faces leaf l
 //
-// The helpers ChainPrevPort/ChainNextPort/LeafUplinkPort/SpineDownlinkPort
-// name these conventions so callers never hard-code offsets.
-
-// ChainPrevPort is the port of a chain/ring node facing its predecessor.
-func (f *Fabric) ChainPrevPort() int { return f.opt.PortBase }
-
-// ChainNextPort is the port of a chain/ring node facing its successor.
-func (f *Fabric) ChainNextPort() int { return f.opt.PortBase + 1 }
+// LeafUplinkPort and SpineDownlinkPort name these conventions so callers
+// never hard-code offsets.
 
 // LeafUplinkPort is the leaf port facing the given spine.
-func (f *Fabric) LeafUplinkPort(spine int) int { return f.opt.PortBase + spine }
+func (f *Fabric) LeafUplinkPort(spine int) int { return PortBase + spine }
 
 // SpineDownlinkPort is the spine port facing the given leaf.
-func (f *Fabric) SpineDownlinkPort(leaf int) int { return f.opt.PortBase + leaf }
-
-// WireChain builds nodes named name0..name<n-1> from cfg and wires them in a
-// line: node i's next port to node i+1's prev port, full duplex.
-func (f *Fabric) WireChain(name string, n int, cfg rmt.Config, latency time.Duration) error {
-	if n < 2 {
-		return fmt.Errorf("fabric: chain needs >= 2 nodes, got %d", n)
-	}
-	if err := f.addSeries(name, n, cfg); err != nil {
-		return err
-	}
-	for i := 0; i+1 < n; i++ {
-		a := fmt.Sprintf("%s%d", name, i)
-		b := fmt.Sprintf("%s%d", name, i+1)
-		if err := f.Connect(a, f.ChainNextPort(), b, f.ChainPrevPort(), latency); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WireRing builds a chain and closes it: the last node's next port wires
-// back to the first node's prev port.
-func (f *Fabric) WireRing(name string, n int, cfg rmt.Config, latency time.Duration) error {
-	if n < 3 {
-		return fmt.Errorf("fabric: ring needs >= 3 nodes, got %d", n)
-	}
-	if err := f.WireChain(name, n, cfg, latency); err != nil {
-		return err
-	}
-	last := fmt.Sprintf("%s%d", name, n-1)
-	first := fmt.Sprintf("%s%d", name, 0)
-	return f.Connect(last, f.ChainNextPort(), first, f.ChainPrevPort(), latency)
-}
+func (f *Fabric) SpineDownlinkPort(leaf int) int { return PortBase + leaf }
 
 // WireLeafSpine builds leaves leaf0..leaf<L-1> and spines spine0..spine<S-1>
 // from cfg and wires every leaf to every spine (a full bipartite folded

@@ -73,15 +73,6 @@ type PathTrace struct {
 // Delivered reports whether the traced packet exited the fabric.
 func (t *PathTrace) Delivered() bool { return t.Status == statusDelivered }
 
-// Nodes returns the hop sequence as node names, in traversal order.
-func (t *PathTrace) Nodes() []string {
-	out := make([]string, len(t.Hops))
-	for i, h := range t.Hops {
-		out[i] = h.Node
-	}
-	return out
-}
-
 // String renders the trace compactly: "path 7 [delivered, 2 hops, 20µs]:
 // leaf0:1 -> spine0:48 -> leaf1:49 => port 2".
 func (t *PathTrace) String() string {
@@ -135,22 +126,12 @@ func (f *Fabric) samplePath(p *pkt.Packet) *PathTrace {
 	}
 	tr := &PathTrace{ID: f.pathID.Add(1), Flow: p.FiveTuple()}
 	f.traceMu.Lock()
-	if len(f.traces) < f.opt.PathKeep {
+	if len(f.traces) < pathKeep {
 		f.traces = append(f.traces, tr)
 	} else {
 		f.traces[f.traceNext] = tr
-		f.traceNext = (f.traceNext + 1) % f.opt.PathKeep
+		f.traceNext = (f.traceNext + 1) % pathKeep
 	}
 	f.traceMu.Unlock()
 	return tr
-}
-
-// Traces returns the retained stitched path traces, oldest first.
-func (f *Fabric) Traces() []*PathTrace {
-	f.traceMu.Lock()
-	defer f.traceMu.Unlock()
-	out := make([]*PathTrace, 0, len(f.traces))
-	out = append(out, f.traces[f.traceNext:]...)
-	out = append(out, f.traces[:f.traceNext]...)
-	return out
 }

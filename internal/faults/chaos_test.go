@@ -180,7 +180,7 @@ func TestChaosEveryPoint(t *testing.T) {
 					t.Fatalf("sync failure after apply did not poison: %v", err)
 				}
 				faults.DisarmAll()
-				if err := ct.WriteMemory("chaosa", "amem", 3, 77); !errors.Is(err, controlplane.ErrPoisoned) {
+				if err := ct.WriteMemory(context.Background(), "chaosa", "amem", 3, 77); !errors.Is(err, controlplane.ErrPoisoned) {
 					t.Fatalf("poisoned controller accepted a mutation: %v", err)
 				}
 				restarted := recoverController(t, dir)
@@ -274,7 +274,7 @@ func TestChaosUpgradePoints(t *testing.T) {
 			if _, err := ct.Deploy(chaosSrcA); err != nil {
 				t.Fatalf("pre-upgrade deploy: %v", err)
 			}
-			if err := ct.WriteMemory("chaosa", "amem", 3, 77); err != nil {
+			if err := ct.WriteMemory(context.Background(), "chaosa", "amem", 3, 77); err != nil {
 				t.Fatal(err)
 			}
 			baseProgs, baseUtil := digest(ct)
@@ -596,7 +596,7 @@ func TestChaosSeededJournalFaults(t *testing.T) {
 	pt.FailSeeded(42, 0.4, nil)
 	okN, failN := 0, 0
 	for i := 0; i < 48; i++ {
-		err := ct.WriteMemory("chaosa", "amem", uint32(i%128), uint32(i+1))
+		err := ct.WriteMemory(context.Background(), "chaosa", "amem", uint32(i%128), uint32(i+1))
 		if err != nil {
 			if !strings.Contains(err.Error(), "injected failure") {
 				t.Fatalf("write %d: unexpected error: %v", i, err)

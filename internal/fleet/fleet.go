@@ -69,10 +69,9 @@ type Options struct {
 	Policy Policy
 	// ProbeInterval is the health-check cadence for healthy members;
 	// failing members are re-probed on an exponential backoff from half
-	// this interval up to ProbeBackoffMax.
-	ProbeInterval   time.Duration
-	ProbeTimeout    time.Duration
-	ProbeBackoffMax time.Duration
+	// this interval up to eight times it.
+	ProbeInterval time.Duration
+	ProbeTimeout  time.Duration
 	// DownAfter is the consecutive-failure threshold for marking a member
 	// down (below it the member is suspect).
 	DownAfter int
@@ -92,9 +91,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 5 * time.Second
-	}
-	if o.ProbeBackoffMax <= 0 {
-		o.ProbeBackoffMax = 8 * o.ProbeInterval
 	}
 	if o.DownAfter <= 0 {
 		o.DownAfter = 3
@@ -168,10 +164,6 @@ func New(opt Options) *Fleet {
 	f.initMetrics()
 	return f
 }
-
-// Store exposes the desired-state store (read-mostly; mutate through
-// Deploy/Revoke).
-func (f *Fleet) Store() *Store { return f.store }
 
 // AddMember registers a member (Local or DialMember) under a unique name and
 // probes it once synchronously so placement has an initial utilization
@@ -304,7 +296,7 @@ func (f *Fleet) member(name string) (*member, bool) {
 // member's deploy become attributed child spans (plan.<member> and
 // fanout.<member>), and the placement lands in the flight recorder.
 func (f *Fleet) Deploy(ctx context.Context, source string, reps int) (res []wire.FleetDeployResult, err error) {
-	ctx, sp, owned := f.opSpan(ctx, "fleet.deploy")
+	ctx, sp, owned := trace.OpSpan(ctx, f.tracer, "fleet.", "deploy")
 	if owned {
 		defer sp.End()
 	}
@@ -320,7 +312,7 @@ func (f *Fleet) Deploy(ctx context.Context, source string, reps int) (res []wire
 		if len(res) > 0 {
 			unit = res[0].Unit
 		}
-		f.flightOp(trace.EvDeploy, unit, "placement", start, err, sp)
+		f.flight.RecordOp(trace.EvDeploy, unit, "placement", start, err, sp)
 	}()
 	names, err := programNames(source)
 	if err != nil {
@@ -479,7 +471,7 @@ func (f *Fleet) refreshUtil(ctx context.Context, names []string) {
 // by the reconcile orphan pass when it returns. Under the trace carried by
 // ctx, each member holding the unit gets one fan-out span.
 func (f *Fleet) Revoke(ctx context.Context, name string) (wire.FleetRevokeResult, error) {
-	ctx, sp, owned := f.opSpan(ctx, "fleet.revoke")
+	ctx, sp, owned := trace.OpSpan(ctx, f.tracer, "fleet.", "revoke")
 	if owned {
 		defer sp.End()
 	}
@@ -492,7 +484,7 @@ func (f *Fleet) Revoke(ctx context.Context, name string) (wire.FleetRevokeResult
 	if !ok {
 		f.m.cRevokeErr.Inc()
 		err := fmt.Errorf("fleet: no unit for %q", name)
-		f.flightOp(trace.EvRevoke, name, "", start, err, sp)
+		f.flight.RecordOp(trace.EvRevoke, name, "", start, err, sp)
 		return wire.FleetRevokeResult{}, err
 	}
 	f.store.Delete(u.Key)
@@ -501,7 +493,7 @@ func (f *Fleet) Revoke(ctx context.Context, name string) (wire.FleetRevokeResult
 		f.revokeUnitOn(trace.ContextWithSpan(ctx, msp), mn, u.Programs)
 		msp.End()
 	}
-	f.flightOp(trace.EvRevoke, u.Key, "", start, nil, sp)
+	f.flight.RecordOp(trace.EvRevoke, u.Key, "", start, nil, sp)
 	f.refreshUtil(ctx, u.Members)
 	f.m.cRevokeOK.Inc()
 	f.log.Infof("fleet: revoked %s from %v", u.Key, u.Members)
@@ -702,67 +694,6 @@ func (f *Fleet) MemRead(ctx context.Context, program, mem string, addr, count ui
 		return res, fmt.Errorf("fleet: no live replica for %q", program)
 	}
 	return res, nil
-}
-
-// MemWrite writes one bucket on every live replica. It succeeds when at
-// least one replica accepts the write (replicas hold independent state;
-// a replica that missed the write and later diverges is re-deployed, not
-// repaired, by reconciliation).
-func (f *Fleet) MemWrite(ctx context.Context, program, mem string, addr, value uint32) error {
-	return f.writeReplicas(program, mem, "write", func(m Member) error {
-		_, err := m.Do(ctx, wire.MethodMemWrite, wire.MemWriteParams{Program: program, Mem: mem, Addr: addr, Value: value}, nil)
-		return err
-	})
-}
-
-// MemWriteBatch writes many buckets of one program memory on every live
-// replica — one batched mem.writebatch call per replica, its pairs in one
-// binary frame. Like MemWrite it succeeds when at least one replica
-// accepts the whole batch.
-func (f *Fleet) MemWriteBatch(ctx context.Context, program, mem string, writes []wire.MemWriteEntry) error {
-	if len(writes) == 0 {
-		return nil
-	}
-	pairs := wire.EncodeWritePairs(writes)
-	return f.writeReplicas(program, mem, "batch write", func(m Member) error {
-		var out wire.MemWriteBatchResult
-		_, err := m.Do(ctx, wire.MethodMemWriteBatch,
-			wire.MemWriteBatchParams{Program: program, Mem: mem, Binary: true}, &out, pairs)
-		if err == nil && out.Written != len(writes) {
-			err = fmt.Errorf("wrote %d of %d buckets", out.Written, len(writes))
-		}
-		return err
-	})
-}
-
-// writeReplicas runs one memory write against every live replica of
-// program's unit, charging failures to the member that failed; the first
-// failure is reported only when no replica accepted the write.
-func (f *Fleet) writeReplicas(program, mem, what string, write func(Member) error) error {
-	u, ok := f.store.Resolve(program)
-	if !ok {
-		return fmt.Errorf("fleet: no unit for %q", program)
-	}
-	var wrote int
-	var firstErr error
-	for _, m := range f.liveMembers(u.Members) {
-		if err := write(m.b); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("fleet: %s %s/%s on %s: %w", what, program, mem, m.name, err)
-			}
-			f.noteFailure(m, err)
-			continue
-		}
-		f.noteSuccess(m, nil)
-		wrote++
-	}
-	if wrote == 0 {
-		if firstErr != nil {
-			return firstErr
-		}
-		return fmt.Errorf("fleet: no live replica for %q", program)
-	}
-	return nil
 }
 
 // String renders a one-line fleet summary.

@@ -120,7 +120,6 @@ func TestTopologyAwarePlacement(t *testing.T) {
 		t.Errorf("topology-aware without signal = %v", got)
 	}
 
-	// The fabric's EdgeRx plugs in directly as the traffic signal.
 	if (TopologyAware{}).Name() != "topology-aware" {
 		t.Error("policy name")
 	}
@@ -263,16 +262,6 @@ func TestMemReadAggregation(t *testing.T) {
 	}
 	if _, err := f.MemRead(ctx, "counter", "m", 0, 1, "median"); err == nil {
 		t.Error("bad aggregation accepted")
-	}
-	// Writes reach every replica.
-	if err := f.MemWrite(ctx, "counter", "m", 7, 99); err != nil {
-		t.Fatal(err)
-	}
-	for i, ct := range cts {
-		v, err := ct.ReadMemory("counter", "m", 7)
-		if err != nil || v != 99 {
-			t.Errorf("member %d bucket = %d, %v", i, v, err)
-		}
 	}
 }
 
@@ -677,58 +666,5 @@ func TestReconcileBatchesDeploys(t *testing.T) {
 	}
 	if got := spy.soloCalls.Load(); got != 0 {
 		t.Errorf("survivor saw %d single deploys, want 0", got)
-	}
-}
-
-// batchFailBackend is a member whose bulk write always fails.
-type batchFailBackend struct{ Member }
-
-func (b batchFailBackend) Do(ctx context.Context, method string, params, result any, frames ...[]byte) ([][]byte, error) {
-	if method == wire.MethodMemWriteBatch {
-		return nil, errFlaky
-	}
-	return b.Member.Do(ctx, method, params, result, frames...)
-}
-
-// TestFleetMemWriteBatch: the bulk write fans out to every live replica
-// and every bucket lands; a replica whose batch fails is charged the
-// failure without failing the call or disturbing the other replica.
-func TestFleetMemWriteBatch(t *testing.T) {
-	f := New(Options{Policy: ReplicateK{K: 3}})
-	cts := []*controlplane.Controller{newLocalMember(t), newLocalMember(t), newLocalMember(t)}
-	for i, ct := range cts[:2] {
-		if err := f.AddMember(memberName(i), Local(ct)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.AddMember("m3", batchFailBackend{Local(cts[2])}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Deploy(ctx, counterSrc, 0); err != nil {
-		t.Fatal(err)
-	}
-	writes := []wire.MemWriteEntry{{Addr: 1, Value: 11}, {Addr: 2, Value: 22}, {Addr: 250, Value: 33}}
-	if err := f.MemWriteBatch(ctx, "counter", "m", writes); err != nil {
-		t.Fatal(err)
-	}
-	for i, ct := range cts[:2] {
-		for _, w := range writes {
-			if v, err := ct.ReadMemory("counter", "m", w.Addr); err != nil || v != w.Value {
-				t.Errorf("member %d bucket %d = %d, %v (want %d)", i+1, w.Addr, v, err, w.Value)
-			}
-		}
-	}
-	if v, err := cts[2].ReadMemory("counter", "m", 1); err != nil || v != 0 {
-		t.Errorf("failing member bucket 1 = %d, %v (want untouched)", v, err)
-	}
-	m3, _ := f.member("m3")
-	f.mu.Lock()
-	fails, lastErr := m3.consecFails, m3.lastErr
-	f.mu.Unlock()
-	if fails != 1 || !errors.Is(lastErr, errFlaky) {
-		t.Errorf("batch failure not charged to m3: fails=%d err=%v", fails, lastErr)
-	}
-	if err := f.MemWriteBatch(ctx, "ghost", "m", writes); err == nil {
-		t.Error("write to unknown unit accepted")
 	}
 }

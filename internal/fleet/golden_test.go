@@ -77,8 +77,11 @@ func goldenFleetVerbs(t *testing.T, tcp bool) {
 	do("fleet.programs", wire.MethodFleetPrograms, "")
 	do("fleet.members", wire.MethodFleetMembers, "")
 	do("fleet.utilization", wire.MethodFleetUtilization, "")
-	if err := f.MemWrite(ctx, "counter", "m", 3, 21); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		m, _ := f.member(memberName(i))
+		if _, err := m.b.Do(ctx, wire.MethodMemWrite, wire.MemWriteParams{Program: "counter", Mem: "m", Addr: 3, Value: 21}, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	do("fleet.memread/sum", wire.MethodFleetMemRead, `{"program":"counter","mem":"m","addr":2,"count":3}`)
 	do("fleet.memread/max-default-count", wire.MethodFleetMemRead, `{"program":"counter","mem":"m","addr":3,"agg":"max"}`)

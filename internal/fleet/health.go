@@ -129,7 +129,7 @@ func (f *Fleet) noteSuccess(m *member, util []wire.UtilizationRow) {
 	wasDown := m.state == Down
 	if m.state != Healthy {
 		f.log.Infof("fleet: member %s healthy (was %s)", m.name, m.state)
-		f.flightEvent(trace.EvHealth, m.name, "healthy (was "+m.state.String()+")")
+		f.flight.Record(trace.Event{Kind: trace.EvHealth, Name: m.name, Detail: "healthy (was " + m.state.String() + ")"})
 	}
 	m.state = Healthy
 	m.consecFails = 0
@@ -149,7 +149,7 @@ func (f *Fleet) noteSuccess(m *member, util []wire.UtilizationRow) {
 // advances the state machine: healthy → suspect on the first failure,
 // suspect → down at the DownAfter threshold. Failing members are
 // re-probed on a jittered exponential backoff starting at half the probe
-// interval, capped at ProbeBackoffMax — the jitter (half the deterministic
+// interval, capped at eight intervals — the jitter (half the deterministic
 // delay plus a random half) de-synchronizes re-probes when many members
 // fail together, e.g. after a shared network partition. A down transition
 // kicks an immediate reconcile pass — that is the failover trigger.
@@ -158,12 +158,12 @@ func (f *Fleet) noteFailure(m *member, err error) {
 	m.consecFails++
 	m.lastErr = err
 	m.lastProbe = time.Now()
-	backoff := f.opt.ProbeInterval / 2
-	for i := 1; i < m.consecFails && backoff < f.opt.ProbeBackoffMax; i++ {
+	backoff, maxBackoff := f.opt.ProbeInterval/2, 8*f.opt.ProbeInterval
+	for i := 1; i < m.consecFails && backoff < maxBackoff; i++ {
 		backoff *= 2
 	}
-	if backoff > f.opt.ProbeBackoffMax {
-		backoff = f.opt.ProbeBackoffMax
+	if backoff > maxBackoff {
+		backoff = maxBackoff
 	}
 	if backoff > 1 {
 		backoff = backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
@@ -175,13 +175,13 @@ func (f *Fleet) noteFailure(m *member, err error) {
 		if m.state != Down {
 			wentDown = true
 			f.log.Errorf("fleet: member %s down after %d failures: %v", m.name, m.consecFails, err)
-			f.flightEvent(trace.EvHealth, m.name, "down: "+err.Error())
+			f.flight.Record(trace.Event{Kind: trace.EvHealth, Name: m.name, Detail: "down: " + err.Error()})
 		}
 		m.state = Down
 	default:
 		if m.state == Healthy {
 			f.log.Errorf("fleet: member %s suspect: %v", m.name, err)
-			f.flightEvent(trace.EvHealth, m.name, "suspect: "+err.Error())
+			f.flight.Record(trace.Event{Kind: trace.EvHealth, Name: m.name, Detail: "suspect: " + err.Error()})
 		}
 		if m.state != Down {
 			m.state = Suspect

@@ -60,7 +60,6 @@ func TestFleetFailoverOverWire(t *testing.T) {
 		Policy:            ReplicateK{K: 2},
 		ProbeInterval:     20 * time.Millisecond,
 		ProbeTimeout:      200 * time.Millisecond,
-		ProbeBackoffMax:   50 * time.Millisecond,
 		DownAfter:         2,
 		ReconcileInterval: 40 * time.Millisecond,
 	})

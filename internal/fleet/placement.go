@@ -94,7 +94,7 @@ func (r ReplicateK) Place(members []MemberView) []string {
 
 // TopologyAware places programs where their traffic enters the network: it
 // ranks members by descending observed edge traffic (packets
-// received on non-fabric ports, from a signal such as fabric.EdgeRx), so a
+// received on non-fabric ports, from a signal the caller supplies), so a
 // heavy-hitter or cache program lands on the leaf its flows arrive at
 // instead of a random member. Members the signal knows nothing about rank
 // last; ties (including an absent signal) defer to Base (Spread when nil).

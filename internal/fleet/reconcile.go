@@ -132,7 +132,7 @@ func (f *Fleet) Reconcile() {
 		if failedOver > 0 {
 			f.m.cFailovers.Add(uint64(failedOver))
 			f.log.Errorf("fleet: unit %s lost %d replica(s), re-placing", u.Key, failedOver)
-			f.flightEvent(trace.EvReconcile, u.Key, "lost "+strconv.Itoa(failedOver)+" replica(s)")
+			f.flight.Record(trace.Event{Kind: trace.EvReconcile, Name: u.Key, Detail: "lost " + strconv.Itoa(failedOver) + " replica(s)"})
 		}
 
 		// Repair divergence on members we could list: the partial copy is
@@ -202,7 +202,7 @@ func (f *Fleet) Reconcile() {
 			inUnit[name] = true
 			f.m.cReconcileAdoptions.Inc()
 			f.log.Infof("fleet: unit %s adopted intact copy on rejoined member %s", u.Key, name)
-			f.flightEvent(trace.EvReconcile, u.Key, "adopted intact copy on "+name)
+			f.flight.Record(trace.Event{Kind: trace.EvReconcile, Name: u.Key, Detail: "adopted intact copy on " + name})
 		}
 
 		// Top up to the replica target: claim the first ranked members
@@ -249,7 +249,7 @@ func (f *Fleet) Reconcile() {
 			if !it.repair {
 				placed = append(placed, it.member)
 				f.log.Infof("fleet: unit %s re-placed on %s", pl.u.Key, it.member)
-				f.flightEvent(trace.EvReconcile, pl.u.Key, "re-placed on "+it.member)
+				f.flight.Record(trace.Event{Kind: trace.EvReconcile, Name: pl.u.Key, Detail: "re-placed on " + it.member})
 			}
 		}
 		f.store.SetMembers(pl.u.Key, assigned)
@@ -268,7 +268,7 @@ func (f *Fleet) Reconcile() {
 			f.revokeUnitOn(ctx, name, []string{p})
 			f.m.cReconcileRevokes.Inc()
 			f.log.Infof("fleet: revoked orphan %s from %s", p, name)
-			f.flightEvent(trace.EvReconcile, p, "revoked orphan from "+name)
+			f.flight.Record(trace.Event{Kind: trace.EvReconcile, Name: p, Detail: "revoked orphan from " + name})
 		}
 	}
 	f.m.hReconcileNs.ObserveDuration(time.Since(start))

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"sort"
-	"time"
 
 	"p4runpro/internal/obs/trace"
 	"p4runpro/internal/wire"
@@ -21,42 +20,6 @@ import (
 func (f *Fleet) SetTracing(tr *trace.Tracer, fr *trace.FlightRecorder) {
 	f.tracer = tr
 	f.flight = fr
-}
-
-// opSpan resolves the span a fleet operation's children attach to — the
-// context's span (the wire server's srv.fleet.* span) when traced, else a
-// fresh root from the fleet's own tracer, else the nop span. owned
-// reports whether this call opened the span and must End it.
-func (f *Fleet) opSpan(ctx context.Context, verb string) (_ context.Context, sp *trace.Span, owned bool) {
-	if sp := trace.SpanFromContext(ctx); sp.Enabled() {
-		return ctx, sp, false
-	}
-	if f.tracer.Enabled() {
-		ctx, sp := f.tracer.Start(ctx, verb)
-		return ctx, sp, true
-	}
-	return ctx, trace.Nop(), false
-}
-
-// flightOp records one completed fleet operation in the flight recorder.
-func (f *Fleet) flightOp(kind, name, detail string, start time.Time, err error, sp *trace.Span) {
-	if f.flight == nil {
-		return
-	}
-	ev := trace.Event{Kind: kind, Name: name, Detail: detail, Dur: time.Since(start), Trace: sp.TraceID()}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	f.flight.Record(ev)
-}
-
-// flightEvent records an untimed fleet event (health transition,
-// reconcile decision).
-func (f *Fleet) flightEvent(kind, name, detail string) {
-	if f.flight == nil {
-		return
-	}
-	f.flight.Record(trace.Event{Kind: kind, Name: name, Detail: detail})
 }
 
 // Ops returns the fleet-merged trace listing: the traces p selects from

@@ -188,8 +188,8 @@ func (f *Fleet) Upgrade(ctx context.Context, name, v2src string, opt UpgradeOpti
 		f.m.cUpgRolledBack.Inc()
 		return res, fmt.Errorf("fleet: no member of %q accepted the v2 prepare", u.Key)
 	}
-	f.flightEvent(trace.EvUpgrade, u.Key,
-		"prepared v2 on "+strconv.Itoa(len(rollout))+"/"+strconv.Itoa(len(u.Members))+" member(s)")
+	f.flight.Record(trace.Event{Kind: trace.EvUpgrade, Name: u.Key,
+		Detail: "prepared v2 on " + strconv.Itoa(len(rollout)) + "/" + strconv.Itoa(len(u.Members)) + " member(s)"})
 
 	rollbackAll := func(reason string) wire.FleetUpgradeResult {
 		for _, um := range rollout {
@@ -197,7 +197,7 @@ func (f *Fleet) Upgrade(ctx context.Context, name, v2src string, opt UpgradeOpti
 		}
 		f.m.cUpgRolledBack.Inc()
 		f.log.Errorf("fleet: upgrade of %s rolled back: %s", u.Key, reason)
-		f.flightEvent(trace.EvUpgrade, u.Key, "rolled back: "+reason)
+		f.flight.Record(trace.Event{Kind: trace.EvUpgrade, Name: u.Key, Detail: "rolled back: " + reason})
 		res.RolledBack = true
 		res.Reason = reason
 		res.Committed = nil
@@ -266,8 +266,8 @@ func (f *Fleet) Upgrade(ctx context.Context, name, v2src string, opt UpgradeOpti
 		if len(live) == 0 {
 			continue
 		}
-		f.flightEvent(trace.EvCutover, u.Key,
-			"wave "+strconv.Itoa(res.Waves)+": "+strconv.Itoa(len(live))+" member(s) on v2")
+		f.flight.Record(trace.Event{Kind: trace.EvCutover, Name: u.Key,
+			Detail: "wave " + strconv.Itoa(res.Waves) + ": " + strconv.Itoa(len(live)) + " member(s) on v2"})
 
 		time.Sleep(opt.Soak)
 		// Sample every soaked member concurrently, then judge in member
@@ -343,8 +343,8 @@ func (f *Fleet) Upgrade(ctx context.Context, name, v2src string, opt UpgradeOpti
 	f.m.cUpgCommitted.Inc()
 	f.log.Infof("fleet: upgraded %s on %v in %d waves (%d pinned)",
 		u.Key, res.Committed, res.Waves, len(res.Pinned))
-	f.flightEvent(trace.EvUpgrade, u.Key,
-		"committed on "+strconv.Itoa(len(res.Committed))+" member(s), "+strconv.Itoa(len(res.Pinned))+" pinned")
+	f.flight.Record(trace.Event{Kind: trace.EvUpgrade, Name: u.Key,
+		Detail: "committed on " + strconv.Itoa(len(res.Committed)) + " member(s), " + strconv.Itoa(len(res.Pinned)) + " pinned"})
 	return res, nil
 }
 

@@ -79,9 +79,6 @@ func NewCRC16(p CRC16Params) *CRC16 {
 	return actual.(*CRC16)
 }
 
-// Params returns the algorithm parameters.
-func (c *CRC16) Params() CRC16Params { return c.params }
-
 // Sum computes the CRC of data.
 func (c *CRC16) Sum(data []byte) uint16 {
 	crc := c.params.Init

@@ -1,9 +1,6 @@
 package hashing
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Unit models one hardware hash unit: a fixed CRC algorithm with a fixed
 // native output width. The physical output width cannot change at runtime;
@@ -28,9 +25,6 @@ func NewUnit32(id int) *Unit {
 	return &Unit{ID: id, Width: 32, crc32: NewCRC32(), naming: "crc_32_ieee"}
 }
 
-// Algorithm returns the configured algorithm name.
-func (u *Unit) Algorithm() string { return u.naming }
-
 // Sum hashes data at the unit's native width.
 func (u *Unit) Sum(data []byte) uint32 {
 	if u.crc32 != nil {
@@ -52,18 +46,4 @@ func (u *Unit) SumWord(v uint32) uint32 {
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], v)
 	return u.Sum(b[:])
-}
-
-// MaskFor returns the mask selecting log2(size) low bits, for a virtual
-// memory block of the given power-of-two size. It panics if size is not a
-// power of two or exceeds the unit's output space; the compiler validates
-// sizes before reaching the data plane.
-func (u *Unit) MaskFor(size uint32) uint32 {
-	if size == 0 || size&(size-1) != 0 {
-		panic(fmt.Sprintf("hashing: virtual memory size %d is not a power of two", size))
-	}
-	if u.Width < 32 && uint64(size) > 1<<uint(u.Width) {
-		panic(fmt.Sprintf("hashing: size %d exceeds %d-bit hash output space", size, u.Width))
-	}
-	return size - 1
 }

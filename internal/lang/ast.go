@@ -41,7 +41,6 @@ type Filter struct {
 // Stmt is a program statement: either a primitive invocation or a BRANCH.
 type Stmt interface {
 	stmtNode()
-	Position() Pos
 }
 
 // Prim is a primitive invocation statement (and, after translation, a
@@ -66,9 +65,6 @@ type Prim struct {
 }
 
 func (*Prim) stmtNode() {}
-
-// Position implements Stmt.
-func (p *Prim) Position() Pos { return p.Pos }
 
 func (p *Prim) String() string {
 	var b strings.Builder

@@ -48,9 +48,3 @@ func (l *Logger) Errorf(format string, args ...any) {
 		l.out.Printf("error: "+format, args...)
 	}
 }
-
-// Infos returns how many informational messages were recorded.
-func (l *Logger) Infos() uint64 { return l.infos.Value() }
-
-// Errors returns how many error messages were recorded.
-func (l *Logger) Errors() uint64 { return l.errors.Value() }

@@ -128,15 +128,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
-// Mean returns the average observation, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
-
 // Quantile estimates the q-quantile (q in [0,1]) of the recorded
 // distribution, with relative error bounded by the bucket layout (~3% above
 // 64, exact below). An empty histogram reports 0. The scan is not atomic

@@ -73,6 +73,21 @@ func (r *FlightRecorder) Record(ev Event) {
 	r.mu.Unlock()
 }
 
+// RecordOp records one completed operation: its kind, subject and detail,
+// the time since start, the trace ID of sp, and err's text when it failed.
+// Strings are passed through as-is, so recording allocates nothing beyond
+// what the operation already holds. A nil recorder discards the event.
+func (r *FlightRecorder) RecordOp(kind, name, detail string, start time.Time, err error, sp *Span) {
+	if r == nil {
+		return
+	}
+	ev := Event{Kind: kind, Name: name, Detail: detail, Dur: time.Since(start), Trace: sp.TraceID()}
+	if err != nil {
+		ev.Err = err.Error()
+	}
+	r.Record(ev)
+}
+
 // Events returns the buffered events, oldest first.
 func (r *FlightRecorder) Events() []Event {
 	if r == nil {

@@ -170,9 +170,6 @@ type Node struct {
 	Children []*Node       `json:"children,omitempty"`
 }
 
-// Walk visits the tree depth-first, parents before children.
-func (n *Node) Walk(fn func(depth int, nd *Node)) { n.walk(0, fn) }
-
 func (n *Node) walk(depth int, fn func(int, *Node)) {
 	fn(depth, n)
 	for _, c := range n.Children {

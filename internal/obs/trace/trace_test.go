@@ -175,7 +175,7 @@ func TestRemoteJoinAndMerge(t *testing.T) {
 }
 
 func TestRingEvictionAndSlowExemplars(t *testing.T) {
-	tr := New(Options{Capacity: 4, SlowPerVerb: 2})
+	tr := New(Options{Capacity: 4})
 	tr.SetEnabled(true)
 	var slowest TraceID
 	for i := 0; i < 16; i++ {
@@ -190,8 +190,8 @@ func TestRingEvictionAndSlowExemplars(t *testing.T) {
 		t.Fatalf("ring should hold 4, got %d", got)
 	}
 	slow := tr.Slowest("deploy")
-	if len(slow) != 2 {
-		t.Fatalf("want 2 slow exemplars, got %d", len(slow))
+	if len(slow) != slowPerVerb {
+		t.Fatalf("want %d slow exemplars, got %d", slowPerVerb, len(slow))
 	}
 	if slow[0].ID != slowest {
 		t.Fatalf("slowest exemplar not retained: got %s want %s", slow[0].ID, slowest)
@@ -200,7 +200,7 @@ func TestRingEvictionAndSlowExemplars(t *testing.T) {
 	if _, ok := tr.Lookup(slowest); !ok {
 		t.Fatal("slow exemplar not findable by Lookup")
 	}
-	if len(tr.Slowest("")) != 2 {
+	if len(tr.Slowest("")) != slowPerVerb {
 		t.Fatal("all-verb slowest mismatch")
 	}
 }
@@ -225,7 +225,7 @@ func TestSubtreeExcludesSiblings(t *testing.T) {
 // against store eviction and readers; run under -race it is the
 // concurrency check for the tracer core.
 func TestConcurrentRecordingHammer(t *testing.T) {
-	tr := New(Options{Capacity: 8, SlowPerVerb: 2})
+	tr := New(Options{Capacity: 8})
 	tr.SetEnabled(true)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

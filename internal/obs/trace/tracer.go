@@ -12,10 +12,11 @@ import (
 type Options struct {
 	// Capacity bounds the ring of recent completed traces. Default 256.
 	Capacity int
-	// SlowPerVerb is how many slowest-trace exemplars to retain per root
-	// verb, independent of ring eviction. Default 4.
-	SlowPerVerb int
 }
+
+// slowPerVerb is how many slowest-trace exemplars a Tracer retains per root
+// verb, independent of ring eviction.
+const slowPerVerb = 4
 
 // Tracer creates spans and stores completed traces. It is safe for
 // concurrent use and disabled by default: a disabled Tracer (or a nil one)
@@ -28,9 +29,8 @@ type Tracer struct {
 	ring []atomic.Pointer[trace]
 	head atomic.Uint64
 
-	slowN  int
 	slowMu sync.Mutex
-	slow   map[string][]*trace // verb -> up to slowN slowest, unordered
+	slow   map[string][]*trace // verb -> up to slowPerVerb slowest, unordered
 }
 
 // New returns a disabled Tracer; call SetEnabled(true) to turn it on.
@@ -38,13 +38,9 @@ func New(opts Options) *Tracer {
 	if opts.Capacity <= 0 {
 		opts.Capacity = 256
 	}
-	if opts.SlowPerVerb <= 0 {
-		opts.SlowPerVerb = 4
-	}
 	return &Tracer{
-		ring:  make([]atomic.Pointer[trace], opts.Capacity),
-		slowN: opts.SlowPerVerb,
-		slow:  make(map[string][]*trace),
+		ring: make([]atomic.Pointer[trace], opts.Capacity),
+		slow: make(map[string][]*trace),
 	}
 }
 
@@ -113,7 +109,7 @@ func (t *Tracer) finish(tr *trace) {
 
 	t.slowMu.Lock()
 	set := t.slow[tr.verb]
-	if len(set) < t.slowN {
+	if len(set) < slowPerVerb {
 		t.slow[tr.verb] = append(set, tr)
 	} else {
 		min := 0
@@ -225,4 +221,21 @@ func (t *Tracer) Lookup(id TraceID) (TraceSnap, bool) {
 		return TraceSnap{}, false
 	}
 	return MergeSnaps(parts), true
+}
+
+// OpSpan resolves the span an operation's children attach to: the
+// context's current span when the caller is traced (a wire server's
+// srv.<verb> span, or a fleet fan-out span), else a fresh root named
+// prefix+verb from tr, else the nop span. The name is built only for a
+// fresh root. owned reports whether this call opened the span and must End
+// it.
+func OpSpan(ctx context.Context, tr *Tracer, prefix, verb string) (_ context.Context, sp *Span, owned bool) {
+	if sp := SpanFromContext(ctx); sp.Enabled() {
+		return ctx, sp, false
+	}
+	if tr.Enabled() {
+		ctx, sp := tr.Start(ctx, prefix+verb)
+		return ctx, sp, true
+	}
+	return ctx, nopSpan, false
 }

@@ -99,14 +99,3 @@ func (w *Window) Len() int {
 	defer w.mu.Unlock()
 	return w.n
 }
-
-// Last returns the newest sample's value, and whether any sample exists.
-func (w *Window) Last() (uint64, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.n == 0 {
-		return 0, false
-	}
-	newest := (w.head - 1 + len(w.v)) % len(w.v)
-	return w.v[newest], true
-}

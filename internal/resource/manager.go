@@ -9,7 +9,6 @@ package resource
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -89,9 +88,6 @@ func (m *Manager) rpb(id RPBID) (*rpbState, error) {
 	return m.rpbs[id-1], nil
 }
 
-// IsIngress reports whether an RPB is in the ingress pipeline.
-func (m *Manager) IsIngress(id RPBID) bool { return int(id) <= m.N }
-
 // FreeEntries returns the unreserved table entries of an RPB.
 func (m *Manager) FreeEntries(id RPBID) int {
 	m.mu.Lock()
@@ -101,17 +97,6 @@ func (m *Manager) FreeEntries(id RPBID) int {
 		return 0
 	}
 	return m.tableCap - st.entriesUsed
-}
-
-// UsedEntries returns the reserved table entries of an RPB.
-func (m *Manager) UsedEntries(id RPBID) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, err := m.rpb(id)
-	if err != nil {
-		return 0
-	}
-	return st.entriesUsed
 }
 
 // MaxContiguous returns the largest free memory partition of an RPB.
@@ -403,26 +388,6 @@ func (m *Manager) Release(name string, rpb RPBID, n int) error {
 	}
 	st.entriesUsed -= n
 	return nil
-}
-
-// Program looks up a linked program.
-func (m *Manager) Program(name string) (*ProgramAlloc, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	a, ok := m.programs[name]
-	return a, ok
-}
-
-// Programs lists linked program names in sorted order.
-func (m *Manager) Programs() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.programs))
-	for n := range m.programs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Rename re-keys a linked program's allocation — the commit step of a

@@ -1,6 +1,7 @@
 package rmt_test
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -29,7 +30,7 @@ func mixedController(t *testing.T) *controlplane.Controller {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ct.SetMulticastGroup(7, []int{4, 5, 6}); err != nil {
+	if err := ct.SetMulticastGroup(context.Background(), 7, []int{4, 5, 6}); err != nil {
 		t.Fatal(err)
 	}
 	hh, _ := programs.Get("hh")

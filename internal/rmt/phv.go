@@ -2,7 +2,6 @@ package rmt
 
 import (
 	"fmt"
-	"sort"
 
 	"p4runpro/internal/pkt"
 )
@@ -64,13 +63,6 @@ func (l *PHVLayout) Slot(name string) (Slot, bool) {
 	return Slot{f.index, widthMask(f.bits)}, ok
 }
 
-// Fields returns the defined field names in a stable order.
-func (l *PHVLayout) Fields() []string {
-	out := append([]string(nil), l.order...)
-	sort.Strings(out)
-	return out
-}
-
 // Metadata is the intrinsic metadata portion of the PHV: what the parser and
 // traffic manager populate and consume.
 type Metadata struct {
@@ -123,15 +115,6 @@ type PHV struct {
 	// the switch when the burst returns; a PHV made by NewPHV is in no
 	// burst, and what it tallies is never counted.
 	tally burstTally
-}
-
-// NewPHV wraps a parsed packet for one pipeline pass. A nil packet yields a
-// PHV with only metadata and scratch fields (used by tests and synthetic
-// probes).
-func NewPHV(layout *PHVLayout, p *pkt.Packet, ingressPort int) *PHV {
-	phv := &PHV{}
-	phv.reset(layout, p, ingressPort)
-	return phv
 }
 
 // reset rebinds a (possibly recycled) PHV to a new packet, zeroing every
@@ -211,25 +194,6 @@ func (p *PHV) touchMem(key int) bool {
 	p.memTouched = grown
 	p.memTouched[key] = true
 	return false
-}
-
-// Get reads a scratch field; unknown names panic because they indicate a
-// provisioning bug, not a runtime condition.
-func (p *PHV) Get(name string) uint32 {
-	f, ok := p.layout.fields[name]
-	if !ok {
-		panic(fmt.Sprintf("rmt: undefined phv field %q", name))
-	}
-	return p.vals[f.index] & widthMask(f.bits)
-}
-
-// Set writes a scratch field, truncating to the field width.
-func (p *PHV) Set(name string, v uint32) {
-	f, ok := p.layout.fields[name]
-	if !ok {
-		panic(fmt.Sprintf("rmt: undefined phv field %q", name))
-	}
-	p.vals[f.index] = v & widthMask(f.bits)
 }
 
 // Load reads a resolved field: Get without the name lookup. Writes mask to

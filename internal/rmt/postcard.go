@@ -55,28 +55,6 @@ type Postcard struct {
 	Truncated bool // hop list hit maxPostcardHops
 }
 
-// Owners returns the distinct programs whose entries this packet matched, in
-// first-hop order.
-func (p *Postcard) Owners() []string {
-	var out []string
-	for _, h := range p.Hops {
-		if h.Owner == "" {
-			continue
-		}
-		dup := false
-		for _, o := range out {
-			if o == h.Owner {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, h.Owner)
-		}
-	}
-	return out
-}
-
 // pathTrace is the pooled per-packet recording buffer attached to a sampled
 // packet's PHV. It is reused across samples; hops keeps its backing array.
 type pathTrace struct {

@@ -14,39 +14,69 @@ import (
 // link publishes a program's RPB tables before its init entry. The packet
 // reaches that stage after the insert, so it must hit the new entry: the
 // emptiness check reads the table's snapshot at the table's turn, never a
-// list of non-empty tables taken when the pass began.
+// list of non-empty tables taken when the pass began. The batch case makes
+// the mid-pass change one Table.Update (a delete plus an insert).
 func TestSkipSeesEntryInsertedMidPass(t *testing.T) {
-	sw := New(DefaultConfig())
-	wild := func(p *PHV) []uint32 { return p.KeyScratch(1) }
-	first, err := sw.AddTable("first", Ingress, 0, 4, 1, wild)
-	if err != nil {
-		t.Fatal(err)
-	}
-	later, err := sw.AddTable("later", Ingress, 3, 4, 1, wild)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := later.RegisterAction("fwd", 1, func(p *PHV, params []uint32) { p.Meta.EgressSpec = int(params[0]) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := first.RegisterAction("link", 1, func(*PHV, []uint32) {
-		if later.Len() == 0 {
-			if _, err := later.Insert([]TernaryKey{Wild()}, 0, "fwd", []uint32{7}, "p"); err != nil {
-				t.Error(err)
+	// run builds a switch whose first table's action changes the later
+	// table once, mid-pass, and injects one packet through it. seed gives
+	// the later table one entry (forward to 5) beforehand.
+	run := func(t *testing.T, seed bool, mutate func(later *Table, seeded EntryID) error) *Table {
+		sw := New(DefaultConfig())
+		wild := func(p *PHV) []uint32 { return p.KeyScratch(1) }
+		first, err := sw.AddTable("first", Ingress, 0, 4, 1, wild)
+		if err != nil {
+			t.Fatal(err)
+		}
+		later, err := sw.AddTable("later", Ingress, 3, 4, 1, wild)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := later.RegisterAction("fwd", 1, func(p *PHV, params []uint32) { p.Meta.EgressSpec = int(params[0]) }); err != nil {
+			t.Fatal(err)
+		}
+		var seeded EntryID
+		if seed {
+			if seeded, err = later.Insert([]TernaryKey{Wild()}, 0, "fwd", []uint32{5}, "p"); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}); err != nil {
-		t.Fatal(err)
+		done := false
+		if err := first.RegisterAction("link", 1, func(*PHV, []uint32) {
+			if !done {
+				done = true
+				if err := mutate(later, seeded); err != nil {
+					t.Error(err)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := first.Insert([]TernaryKey{Wild()}, 0, "link", nil, "p"); err != nil {
+			t.Fatal(err)
+		}
+		if r := sw.Inject(dstPkt(2), 1); r.Verdict != VerdictForwarded || r.OutPort != 7 {
+			t.Fatalf("packet that changed the later table mid-pass: %v port %d, want forwarded to 7", r.Verdict, r.OutPort)
+		}
+		if e := later.Entries(); len(e) != 1 || e[0].Hits() != 1 {
+			t.Fatalf("later table entries %v, want one entry with one hit", e)
+		}
+		return later
 	}
-	if _, err := first.Insert([]TernaryKey{Wild()}, 0, "link", nil, "p"); err != nil {
-		t.Fatal(err)
-	}
-	if r := sw.Inject(dstPkt(2), 1); r.Verdict != VerdictForwarded || r.OutPort != 7 {
-		t.Fatalf("packet that linked the later table mid-pass: %v port %d, want forwarded to 7", r.Verdict, r.OutPort)
-	}
-	if e := later.Entries(); len(e) != 1 || e[0].Hits() != 1 {
-		t.Fatalf("later table entries %v, want one entry with one hit", e)
-	}
+	t.Run("insert", func(t *testing.T) {
+		run(t, false, func(later *Table, _ EntryID) error {
+			_, err := later.Insert([]TernaryKey{Wild()}, 0, "fwd", []uint32{7}, "p")
+			return err
+		})
+	})
+	// One Update batch replaces the later table's only entry: the packet
+	// sees the batch whole, never the table emptied between its delete and
+	// its insert (which the skip would pass over).
+	t.Run("batch", func(t *testing.T) {
+		run(t, true, func(later *Table, seeded EntryID) error {
+			_, err := later.Update([]EntryID{seeded}, []EntrySpec{{Keys: []TernaryKey{Wild()}, Action: "fwd", Params: []uint32{7}}}, "p")
+			return err
+		})
+	})
 }
 
 // TestEmptyTableRunsDefault: an empty table with a default action can act,

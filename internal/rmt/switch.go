@@ -442,14 +442,6 @@ func (s *Switch) publishPlanLocked() {
 	s.plan.Store(next)
 }
 
-// Table finds a table by name.
-func (s *Switch) Table(name string) (*Table, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, ok := s.tables[name]
-	return t, ok
-}
-
 // Tables returns all tables (for accounting).
 func (s *Switch) Tables() []*Table {
 	s.mu.RLock()
@@ -689,16 +681,6 @@ func (s *Switch) PortStats(port int) PortCounters {
 	return s.ports[port].snapshot()
 }
 
-// RxStats returns the receive counters of a port (packets injected on it).
-// The fabric layer uses these for per-node tx/rx accounting and for the
-// topology-aware placement policy's edge-traffic estimate.
-func (s *Switch) RxStats(port int) PortCounters {
-	if port < 0 || port >= len(s.rx) {
-		return PortCounters{}
-	}
-	return s.rx[port].snapshot()
-}
-
 // RecircStats returns cumulative recirculated packets and bytes.
 func (s *Switch) RecircStats() (packets, bytes uint64) {
 	return s.recircPackets.Load(), s.recircBytes.Load()
@@ -716,17 +698,3 @@ func (s *Switch) DrainCPU() []*pkt.Packet {
 // SetQueueDepth sets the simulated traffic-manager queue occupancy exposed
 // to programs as meta.qdepth.
 func (s *Switch) SetQueueDepth(d uint32) { s.queueDepth.Store(d) }
-
-// ResetCounters zeroes all port counters (between experiment phases).
-func (s *Switch) ResetCounters() {
-	for i := range s.ports {
-		s.ports[i].pkts.Store(0)
-		s.ports[i].bytes.Store(0)
-	}
-	for i := range s.rx {
-		s.rx[i].pkts.Store(0)
-		s.rx[i].bytes.Store(0)
-	}
-	s.recircPackets.Store(0)
-	s.recircBytes.Store(0)
-}

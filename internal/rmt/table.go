@@ -29,12 +29,6 @@ type TernaryKey struct {
 // Exact builds a full-mask key.
 func Exact(v uint32) TernaryKey { return TernaryKey{Value: v, Mask: ^uint32(0)} }
 
-// Wild builds a zero-mask (always-matching) key.
-func Wild() TernaryKey { return TernaryKey{} }
-
-// Matches reports whether the extracted key value satisfies the ternary key.
-func (k TernaryKey) Matches(v uint32) bool { return v&k.Mask == k.Value&k.Mask }
-
 // ActionFunc executes a bound action against the PHV with entry parameters.
 type ActionFunc func(*PHV, []uint32)
 
@@ -725,22 +719,6 @@ func (t *Table) Reown(oldOwner, newOwner string) int {
 	return n
 }
 
-// Apply performs one match-action lookup for the packet and counts a hit on
-// the matched entry. It returns whether an entry (or the default action) was
-// executed. The match resolves against one immutable snapshot, so concurrent
-// updates can never expose a half-updated entry set.
-//
-// Only tests call Apply, on a table outside any switch. Its hit count is one
-// shared atomic add per packet, which the packet path must not pay: the
-// switch calls apply and tallies hits per burst (see burstTally).
-func (t *Table) Apply(p *PHV) bool {
-	e, ran := t.apply(p)
-	if e != nil {
-		atomic.AddUint64(&e.hits, 1)
-	}
-	return ran
-}
-
 // apply is Apply without the hit count: it returns the matched entry (nil on
 // a miss) and whether an action ran, and leaves counting to the caller.
 //
@@ -830,9 +808,6 @@ func (t *Table) Lookup(keyVals []uint32) *Entry {
 	return t.state.Load().lookup(keyVals)
 }
 
-// Len returns the installed entry count.
-func (t *Table) Len() int { return t.state.Load().count }
-
 // Capacity returns the entry capacity.
 func (t *Table) Capacity() int { return t.capacity }
 
@@ -879,3 +854,6 @@ func (t *Table) Entries() []*Entry {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
+
+// Len returns the installed entry count.
+func (t *Table) Len() int { return t.state.Load().count }

@@ -121,11 +121,6 @@ func (m *Model) Restrict(v Var, ok func(int) bool) {
 	m.domains[v] = kept
 }
 
-// Domain returns a copy of a variable's current domain.
-func (m *Model) Domain(v Var) []int {
-	return append([]int(nil), m.domains[v]...)
-}
-
 // Add registers a constraint.
 func (m *Model) Add(c Constraint) { m.cons = append(m.cons, c) }
 

@@ -31,20 +31,18 @@ import (
 type Options struct {
 	// Interval between sweeps; default 1s.
 	Interval time.Duration
-	// Window is the number of sweep samples retained per series; default 60
-	// (one minute of history at the default interval).
-	Window int
 }
 
 func (o Options) withDefaults() Options {
 	if o.Interval <= 0 {
 		o.Interval = time.Second
 	}
-	if o.Window <= 0 {
-		o.Window = 60
-	}
 	return o
 }
+
+// window is the number of sweep samples retained per series: one minute of
+// history at the default interval.
+const window = 60
 
 // pruneAfter is how many consecutive sweeps a program may be absent from the
 // controller's listing before its series is dropped (revoked programs
@@ -99,8 +97,8 @@ func New(ct *controlplane.Controller, opt Options) *Engine {
 		opt:        opt,
 		progs:      make(map[string]*programSeries),
 		registered: make(map[string]bool),
-		switchPkts: obs.NewWindow(opt.Window),
-		switchFwd:  obs.NewWindow(opt.Window),
+		switchPkts: obs.NewWindow(window),
+		switchFwd:  obs.NewWindow(window),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
@@ -117,9 +115,6 @@ func New(ct *controlplane.Controller, opt Options) *Engine {
 		"wall-clock nanoseconds per telemetry sweep")
 	return e
 }
-
-// Interval returns the configured sweep cadence.
-func (e *Engine) Interval() time.Duration { return e.opt.Interval }
 
 // Start launches the background sweeper. Stop it with Stop; starting a
 // stopped engine is not supported (create a new one).
@@ -176,8 +171,8 @@ func (e *Engine) Sweep() {
 		if s == nil {
 			s = &programSeries{
 				programID: pi.ProgramID,
-				pktHits:   obs.NewWindow(e.opt.Window),
-				mem:       obs.NewWindow(e.opt.Window),
+				pktHits:   obs.NewWindow(window),
+				mem:       obs.NewWindow(window),
 			}
 			e.progs[pi.Name] = s
 			if !e.registered[pi.Name] {

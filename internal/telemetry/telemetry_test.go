@@ -12,6 +12,7 @@ import (
 
 	"p4runpro/internal/controlplane"
 	"p4runpro/internal/core"
+	"p4runpro/internal/obs/trace"
 	"p4runpro/internal/pkt"
 	"p4runpro/internal/rmt"
 	"p4runpro/internal/wire"
@@ -451,7 +452,9 @@ func TestHTTPHandler(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	eng.Sweep()
 
-	ts := httptest.NewServer(Handler(ct.Obs, eng))
+	srv := wire.NewServer(ct, nil)
+	RegisterWire(srv, eng)
+	ts := httptest.NewServer(Handler(ct.Obs, srv))
 	defer ts.Close()
 
 	get := func(path string) (int, string, string) {
@@ -504,9 +507,9 @@ func TestHTTPHandler(t *testing.T) {
 		t.Fatalf("/telemetry filter response malformed: %s", body)
 	}
 
-	// Without an engine (the fleet daemon's registry-only endpoint),
-	// /telemetry is a 404 but /metrics still serves.
-	bare := httptest.NewServer(Handler(ct.Obs, nil))
+	// Without telemetry verbs (the fleet daemon's server), /telemetry is a
+	// 404 but /metrics still serves.
+	bare := httptest.NewServer(Handler(ct.Obs, wire.NewServer(ct, nil)))
 	defer bare.Close()
 	resp, err := bare.Client().Get(bare.URL + "/telemetry")
 	if err != nil {
@@ -523,5 +526,84 @@ func TestHTTPHandler(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("bare /metrics code = %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPRoutesAnswerThroughVerbs: every JSON route's body is its verb's
+// result, byte for byte, as the in-process verb table renders it.
+func TestHTTPRoutesAnswerThroughVerbs(t *testing.T) {
+	ct := newController(t)
+	tr, fr := trace.New(trace.Options{}), trace.NewFlightRecorder(64)
+	tr.SetEnabled(true)
+	ct.SetTracing(tr, fr)
+	ct.SW.EnablePostcards(1, 16)
+	srv := wire.NewServer(ct, nil)
+	srv.Tracer, srv.Flight = tr, fr
+	eng := New(ct, Options{Interval: time.Hour})
+	RegisterWire(srv, eng)
+	ctx := context.Background()
+	if _, err := srv.Do(ctx, wire.MethodDeploy, wire.DeployParams{Source: progA}, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.Sweep()
+	for i := 0; i < 5; i++ {
+		ct.SW.Inject(udpTo(pkt.IP(10, 1, 3, byte(i)), uint16(i)), 1)
+	}
+	time.Sleep(2 * time.Millisecond)
+	eng.Sweep()
+	ts := httptest.NewServer(Handler(ct.Obs, srv))
+	defer ts.Close()
+
+	verb := func(method string, params any) json.RawMessage {
+		t.Helper()
+		var raw json.RawMessage
+		if _, err := srv.Do(ctx, method, params, &raw); err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		return raw
+	}
+	encode := func(v any) string {
+		t.Helper()
+		var b strings.Builder
+		if err := json.NewEncoder(&b).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	var ops wire.OpsResult
+	if err := json.Unmarshal(verb(wire.MethodDebugOps, wire.OpsParams{}), &ops); err != nil || len(ops.Traces) == 0 {
+		t.Fatalf("debug.ops = %+v, %v; want the deploy's trace", ops, err)
+	}
+	id := ops.Traces[0].ID
+	for _, c := range []struct {
+		path string
+		want string
+	}{
+		{"/telemetry?owner=ta&limit=2", encode(struct {
+			Programs  json.RawMessage `json:"programs"`
+			Postcards json.RawMessage `json:"postcards"`
+		}{verb(wire.MethodTelemetryPrograms, nil), verb(wire.MethodTelemetryPostcards, wire.TelemetryPostcardsParams{Owner: "ta", Limit: 2})})},
+		{"/debug/traces", encode(verb(wire.MethodDebugOps, wire.OpsParams{}))},
+		{"/debug/traces?slow=1&verb=deploy&limit=1", encode(verb(wire.MethodDebugOps, wire.OpsParams{Slow: true, Verb: "deploy", Limit: 1}))},
+		{"/debug/traces?trace=" + id, encode(verb(wire.MethodDebugTrace, wire.TraceGetParams{ID: id}))},
+		{"/debug/flightrec", encode(verb(wire.MethodDebugFlightrec, nil))},
+	} {
+		resp, err := ts.Client().Get(ts.URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 || string(body) != c.want {
+			t.Errorf("GET %s: %d\n got: %s\nwant: %s", c.path, resp.StatusCode, body, c.want)
+		}
+	}
+	resp, err := ts.Client().Get(ts.URL + "/debug/traces?trace=nothex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 404 {
+		t.Errorf("bad trace id: code %d, want 404", resp.StatusCode)
 	}
 }

@@ -77,8 +77,8 @@ func (a *replayAcc) record(ev Event, r rmt.Result, bucketMs float64, buckets int
 }
 
 // replayBatchSize bounds one InjectBatch burst: large enough to amortize the
-// per-call overheads, small enough that worker progress ticks and
-// accumulator updates stay responsive.
+// per-call overheads, small enough that accumulator updates stay
+// responsive.
 const replayBatchSize = 64
 
 // ReplayParallel is the replay engine. It replays the trace through the
@@ -102,7 +102,6 @@ func ReplayParallel(tr *Trace, inj Injector, sched []Action, bucketMs float64, w
 	if workers < 1 {
 		workers = 1
 	}
-	beginReplay(workers)
 
 	sort.SliceStable(sched, func(i, j int) bool { return sched[i].AtMs < sched[j].AtMs })
 	durationMs := 0.0
@@ -161,9 +160,6 @@ func ReplayParallel(tr *Trace, inj Injector, sched []Action, bucketMs float64, w
 					inj.InjectBatch(buf[:n])
 					for k := 0; k < n; k++ {
 						acc.record(sh[i+k], buf[k].Res, bucketMs, buckets)
-						if acc.packets%replayTickEvery == 0 {
-							tickReplayWorker(w, acc.packets)
-						}
 					}
 					i += n
 				}
@@ -242,6 +238,5 @@ func ReplayParallel(tr *Trace, inj Injector, sched []Action, bucketMs float64, w
 	for _, s := range res.PerPort {
 		toMbps(s)
 	}
-	recordReplay(workers, res.Packets)
 	return res
 }

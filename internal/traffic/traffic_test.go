@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -244,93 +243,6 @@ func TestF1Score(t *testing.T) {
 	}
 	if got := F1(map[pkt.FiveTuple]bool{a: true}, nil); got != 0 {
 		t.Errorf("empty truth F1 = %f", got)
-	}
-}
-
-func TestTraceFileRoundTrip(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DurationMs = 300
-	tr := Generate(cfg)
-
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, tr); err != nil {
-		t.Fatalf("WriteTrace: %v", err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
-	}
-	if len(got.Events) != len(tr.Events) {
-		t.Fatalf("events = %d, want %d", len(got.Events), len(tr.Events))
-	}
-	for i := range tr.Events {
-		a, b := tr.Events[i], got.Events[i]
-		if a.Port != b.Port || a.Pkt.FiveTuple() != b.Pkt.FiveTuple() || a.Pkt.WireLen != b.Pkt.WireLen {
-			t.Fatalf("event %d differs: %+v vs %+v", i, a, b)
-		}
-		// Timestamps survive at microsecond resolution.
-		if d := a.AtMs - b.AtMs; d > 0.001 || d < -0.001 {
-			t.Fatalf("event %d timestamp drift %f", i, d)
-		}
-	}
-	if len(got.Counts) != len(tr.Counts) {
-		t.Errorf("flow counts = %d, want %d", len(got.Counts), len(tr.Counts))
-	}
-}
-
-func TestTraceFileValidation(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":            {},
-		"bad magic":        []byte("NOTATRACEFILE123"),
-		"truncated header": append(append([]byte{}, traceMagic[:]...), 0, 0),
-	}
-	for name, data := range cases {
-		if _, err := ReadTrace(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	// Truncated mid-event.
-	cfg := DefaultConfig()
-	cfg.DurationMs = 50
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, Generate(cfg)); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	if _, err := ReadTrace(bytes.NewReader(full[:len(full)-3])); err == nil {
-		t.Error("truncated trace accepted")
-	}
-	// Corrupted frame bytes fail the packet codec.
-	corrupt := append([]byte{}, full...)
-	corrupt[30] ^= 0xFF
-	if _, err := ReadTrace(bytes.NewReader(corrupt)); err == nil {
-		t.Log("single-byte corruption survived parsing (can be benign)")
-	}
-}
-
-// TestTraceFileReplayEquivalence: a replayed loaded trace produces the same
-// verdict tallies as the original.
-func TestTraceFileReplayEquivalence(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DurationMs = 400
-	tr := Generate(cfg)
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := Replay(tr, PerPacket((&fakeInjector{}).Inject), nil, 50)
-	r2 := Replay(loaded, PerPacket((&fakeInjector{}).Inject), nil, 50)
-	if r1.Packets != r2.Packets {
-		t.Fatalf("packets %d vs %d", r1.Packets, r2.Packets)
-	}
-	for v, n := range r1.Verdicts {
-		if r2.Verdicts[v] != n {
-			t.Errorf("verdict %v: %d vs %d", v, n, r2.Verdicts[v])
-		}
 	}
 }
 

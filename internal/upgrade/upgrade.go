@@ -313,9 +313,6 @@ func (s *Session) State() State {
 	return s.state
 }
 
-// Program returns the operator-visible program name under upgrade.
-func (s *Session) Program() string { return s.program }
-
 // Status snapshots the session, including its per-version packet counts —
 // the per-member health signal a fleet rollout windows over.
 func (s *Session) Status() Status {

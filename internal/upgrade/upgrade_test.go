@@ -6,6 +6,7 @@
 package upgrade_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -208,7 +209,7 @@ func TestUpgradeAbort(t *testing.T) {
 	}
 	injectN(t, ct, 5) // v2 traffic that the abort throws away
 
-	st, err := ct.UpgradeAbort("upg")
+	st, err := ct.UpgradeAbort(context.Background(), "upg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,8 @@ func TestCommitRetryAfterInsertFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	initEntries := func() (n int) {
-		for _, tbl := range ct.Plane.InitTables() {
+		for _, path := range pkt.ParsePaths {
+			tbl, _ := ct.Plane.InitTable(path)
 			n += tbl.Len()
 		}
 		return n
@@ -266,9 +268,9 @@ func TestCommitRetryAfterInsertFailure(t *testing.T) {
 	if n := initEntries(); n != paths {
 		t.Fatalf("init tables hold %d entries after the retried commit, want %d", n, paths)
 	}
-	for _, tbl := range ct.Plane.InitTables() {
-		if es := tbl.Entries(); len(es) > 1 {
-			t.Fatalf("%s holds %d entries, want at most 1", tbl.Name, len(es))
+	for _, path := range pkt.ParsePaths {
+		if tbl, _ := ct.Plane.InitTable(path); tbl.Len() > 1 {
+			t.Fatalf("%s holds %d entries, want at most 1", tbl.Name, tbl.Len())
 		}
 	}
 	injectN(t, ct, 3)
@@ -310,7 +312,7 @@ func TestUpgradeStateMachineGuards(t *testing.T) {
 	if _, err := ct.UpgradeCommit("upg"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ct.UpgradeAbort("upg"); err == nil {
+	if _, err := ct.UpgradeAbort(context.Background(), "upg"); err == nil {
 		t.Fatal("abort after commit accepted")
 	}
 	// A committed session is terminal: the renamed program can be upgraded
@@ -318,7 +320,7 @@ func TestUpgradeStateMachineGuards(t *testing.T) {
 	if _, err := ct.UpgradePrepare("upg", upgV2Src); err != nil {
 		t.Fatalf("upgrade after committed upgrade: %v", err)
 	}
-	if _, err := ct.UpgradeAbort("upg"); err != nil {
+	if _, err := ct.UpgradeAbort(context.Background(), "upg"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -354,8 +356,9 @@ func TestCutoverMidRecirculation(t *testing.T) {
 			}
 			ct.SW.EnablePostcards(1, 16)
 			flipped := false
+			recirc, _ := ct.SW.PHVLayout().Slot(dataplane.FieldRecirc)
 			ct.SW.SetRecircHook(func(p *rmt.PHV) {
-				p.Set(dataplane.FieldRecirc, p.Get(dataplane.FieldRecirc)+1)
+				p.Store(recirc, p.Load(recirc)+1)
 				if !flipped {
 					flipped = true
 					if _, err := ct.UpgradeCutover("upg", tc.after); err != nil {
@@ -375,7 +378,7 @@ func TestCutoverMidRecirculation(t *testing.T) {
 			}
 			for _, h := range pcs[0].Hops {
 				if h.Owner == tc.foreign {
-					t.Fatalf("straddling packet ran %s entries: owners %v", tc.foreign, pcs[0].Owners())
+					t.Fatalf("straddling packet ran %s entries: hops %+v", tc.foreign, pcs[0].Hops)
 				}
 			}
 			if r := ct.SW.Inject(pkt.NewUDP(upgFlow(7, 7), 64), 1); r.Verdict != rmt.VerdictForwarded || r.OutPort != tc.next {
@@ -477,8 +480,8 @@ func churnZeroMixedVersion(t *testing.T, v1src, v2src string) {
 			}
 		}
 		if hasV1 && hasV2 {
-			t.Fatalf("mixed-version packet: seq=%d flow=%+v owners=%v",
-				pc.Seq, pc.Flow, pc.Owners())
+			t.Fatalf("mixed-version packet: seq=%d flow=%+v hops=%+v",
+				pc.Seq, pc.Flow, pc.Hops)
 		}
 		if hasV1 {
 			sawV1++

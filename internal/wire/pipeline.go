@@ -50,10 +50,6 @@ type PendingCall struct {
 // the batch.
 func (pc *PendingCall) Err() error { return pc.err }
 
-// RespFrames returns the binary frames the server attached to this
-// operation's response (bulk reads).
-func (pc *PendingCall) RespFrames() [][]byte { return pc.resp }
-
 // Pipeline batches requests on one client connection. Queue operations
 // with Call/Enqueue, then Flush once; the pipeline is empty and
 // reusable afterwards. A Pipeline is not safe for concurrent use (use
@@ -66,9 +62,6 @@ type Pipeline struct {
 
 // Pipeline starts an empty request pipeline on c.
 func (c *Client) Pipeline() *Pipeline { return &Pipeline{c: c} }
-
-// Len reports how many operations are queued.
-func (p *Pipeline) Len() int { return len(p.calls) }
 
 // Call queues one operation. params is marshalled immediately; result,
 // when non-nil, is unmarshalled from the response during Flush. The

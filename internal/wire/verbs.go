@@ -78,7 +78,7 @@ var switchVerbs = map[string]func(*controlplane.Controller) handler{
 		return ct.ReadMemoryRange(p.Program, p.Mem, p.Addr, p.Count)
 	}),
 	MethodMemWrite: verb(func(ctx context.Context, ct *controlplane.Controller, p MemWriteParams) (bool, error) {
-		return true, ct.WriteMemoryCtx(ctx, p.Program, p.Mem, p.Addr, p.Value)
+		return true, ct.WriteMemory(ctx, p.Program, p.Mem, p.Addr, p.Value)
 	}),
 	MethodUtilization: verb(func(_ context.Context, ct *controlplane.Controller, _ struct{}) ([]UtilizationRow, error) {
 		return utilizationRows(ct.Utilization()), nil
@@ -103,7 +103,7 @@ var switchVerbs = map[string]func(*controlplane.Controller) handler{
 		return ct.String(), nil
 	}),
 	MethodAddCases: verb(func(ctx context.Context, ct *controlplane.Controller, p AddCasesParams) (AddCasesResult, error) {
-		added, delay, err := ct.AddCasesCtx(ctx, p.Program, p.BranchDepth, p.Source)
+		added, delay, err := ct.AddCases(ctx, p.Program, p.BranchDepth, p.Source)
 		out := AddCasesResult{UpdateDelay: delay}
 		for _, a := range added {
 			out.BranchIDs = append(out.BranchIDs, a.BranchID)
@@ -112,10 +112,10 @@ var switchVerbs = map[string]func(*controlplane.Controller) handler{
 		return out, err
 	}),
 	MethodRemoveCase: verb(func(ctx context.Context, ct *controlplane.Controller, p RemoveCaseParams) (bool, error) {
-		return true, ct.RemoveCaseCtx(ctx, p.Program, p.BranchID)
+		return true, ct.RemoveCase(ctx, p.Program, p.BranchID)
 	}),
 	MethodMcastSet: verb(func(ctx context.Context, ct *controlplane.Controller, p McastSetParams) (bool, error) {
-		return true, ct.SetMulticastGroupCtx(ctx, p.Group, p.Ports)
+		return true, ct.SetMulticastGroup(ctx, p.Group, p.Ports)
 	}),
 	MethodSnapshot: verb(func(_ context.Context, ct *controlplane.Controller, _ struct{}) (SnapshotResult, error) {
 		if err := ct.Snapshot(); err != nil {
@@ -137,7 +137,7 @@ var switchVerbs = map[string]func(*controlplane.Controller) handler{
 		return upgradeStatusResultOf(st, ct.SW), err
 	}),
 	MethodUpgradeAbort: verb(func(ctx context.Context, ct *controlplane.Controller, p UpgradeNameParams) (UpgradeStatusResult, error) {
-		st, err := ct.UpgradeAbortCtx(ctx, p.Program)
+		st, err := ct.UpgradeAbort(ctx, p.Program)
 		return upgradeStatusResultOf(st, ct.SW), err
 	}),
 	MethodUpgradeStatus: verb(func(_ context.Context, ct *controlplane.Controller, p UpgradeNameParams) (UpgradeStatusResult, error) {
