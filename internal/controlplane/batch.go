@@ -17,6 +17,7 @@ import (
 
 	"p4runpro/internal/journal"
 	"p4runpro/internal/obs/trace"
+	"p4runpro/internal/rmt"
 )
 
 // DeployOutcome is one source blob's result in a DeployAll: either the
@@ -98,19 +99,6 @@ type MemWrite struct {
 	Value uint32
 }
 
-// pokeTarget is one validated write, resolved to its physical array.
-type pokeTarget struct {
-	arr   memArray
-	paddr uint32
-	value uint32
-}
-
-// memArray is the Poke surface of a physical register array; declared
-// locally so validation can hold resolved arrays without re-asserting.
-type memArray interface {
-	Poke(addr, value uint32) error
-}
-
 // WriteMemoryBatch writes every (addr, value) bucket of one program
 // memory block under a single lock acquisition and a single journal
 // group. It is validate-then-apply: every address is translated first,
@@ -140,7 +128,8 @@ func (ct *Controller) WriteMemoryBatchCtx(ctx context.Context, program, mem stri
 // them and replay passes a record's vectors straight through.
 func (ct *Controller) memWriteBatchOp(program, mem string, addrs, vals []uint32, out *int) *op {
 	start := time.Now()
-	var targets []pokeTarget
+	var arr *rmt.RegisterArray
+	var paddrs []uint32
 	o := &op{kind: trace.EvMemWrite, subject: program,
 		detail: mem + ": " + strconv.Itoa(len(addrs)) + " writes"}
 	// At least one record even for an empty batch (only a hand-made
@@ -160,43 +149,49 @@ func (ct *Controller) memWriteBatchOp(program, mem string, addrs, vals []uint32,
 	// revoke cannot invalidate them between validation and apply. The
 	// batch counts as one memory operation whichever step ends it.
 	o.validate = func() (err error) {
-		if targets, err = ct.resolveWrites(program, mem, addrs, vals); err != nil {
+		if arr, paddrs, err = ct.resolveWrites(program, mem, addrs); err != nil {
 			observeOp(ct.mMemOpNs, ct.cMemOpOK, ct.cMemOpErr, start, err)
 		}
 		return err
 	}
 	o.apply = func(context.Context) (err error) {
-		*out, err = applyWrites(targets)
+		*out, err = applyWrites(arr, paddrs, vals)
 		observeOp(ct.mMemOpNs, ct.cMemOpOK, ct.cMemOpErr, start, err)
 		return err
 	}
 	return o
 }
 
-// resolveWrites translates every virtual address and resolves its
-// physical array, failing on the first bad write.
-func (ct *Controller) resolveWrites(program, mem string, addrs, vals []uint32) ([]pokeTarget, error) {
-	targets := make([]pokeTarget, 0, len(addrs))
-	for i, addr := range addrs {
-		rpb, paddr, err := ct.Compiler.Mgr.Translate(program, mem, addr)
-		if err != nil {
-			return nil, fmt.Errorf("mem.writebatch: write %d (addr %d): %w", i, addr, err)
-		}
-		arr, err := ct.Plane.Array(rpb)
-		if err != nil {
-			return nil, fmt.Errorf("mem.writebatch: write %d (addr %d): %w", i, addr, err)
-		}
-		targets = append(targets, pokeTarget{arr: arr, paddr: paddr, value: vals[i]})
+// resolveWrites looks the memory up once and translates every virtual
+// address against it, failing on the first bad write (a failed lookup
+// fails write 0).
+func (ct *Controller) resolveWrites(program, mem string, addrs []uint32) (*rmt.RegisterArray, []uint32, error) {
+	if len(addrs) == 0 {
+		return nil, nil, nil
 	}
-	return targets, nil
+	b, err := ct.Compiler.Memory(program, mem)
+	var arr *rmt.RegisterArray
+	if err == nil {
+		arr, err = ct.Plane.Array(b.RPB)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("mem.writebatch: write 0 (addr %d): %w", addrs[0], err)
+	}
+	paddrs := make([]uint32, len(addrs))
+	for i, addr := range addrs {
+		if paddrs[i], err = b.Translate(program, addr); err != nil {
+			return nil, nil, fmt.Errorf("mem.writebatch: write %d (addr %d): %w", i, addr, err)
+		}
+	}
+	return arr, paddrs, nil
 }
 
-// applyWrites pokes every validated target.
-func applyWrites(targets []pokeTarget) (int, error) {
-	for i, t := range targets {
-		if err := t.arr.Poke(t.paddr, t.value); err != nil {
+// applyWrites pokes each validated physical address of arr.
+func applyWrites(arr *rmt.RegisterArray, paddrs, vals []uint32) (int, error) {
+	for i, paddr := range paddrs {
+		if err := arr.Poke(paddr, vals[i]); err != nil {
 			return i, fmt.Errorf("mem.writebatch: write %d: %w", i, err)
 		}
 	}
-	return len(targets), nil
+	return len(paddrs), nil
 }

@@ -296,11 +296,7 @@ func (ct *Controller) memWriteOp(program, mem string, vaddr, value uint32) *op {
 		apply: func(context.Context) (err error) {
 			start := time.Now()
 			defer func() { observeOp(ct.mMemOpNs, ct.cMemOpOK, ct.cMemOpErr, start, err) }()
-			rpb, paddr, err := ct.Compiler.Mgr.Translate(program, mem, vaddr)
-			if err != nil {
-				return err
-			}
-			arr, err := ct.Plane.Array(rpb)
+			arr, paddr, err := ct.translate(program, mem, vaddr)
 			if err != nil {
 				return err
 			}
@@ -312,15 +308,26 @@ func (ct *Controller) memWriteOp(program, mem string, vaddr, value uint32) *op {
 func (ct *Controller) ReadMemory(program, mem string, vaddr uint32) (v uint32, err error) {
 	start := time.Now()
 	defer func() { observeOp(ct.mMemOpNs, ct.cMemOpOK, ct.cMemOpErr, start, err) }()
-	rpb, paddr, err := ct.Compiler.Mgr.Translate(program, mem, vaddr)
-	if err != nil {
-		return 0, err
-	}
-	arr, err := ct.Plane.Array(rpb)
+	arr, paddr, err := ct.translate(program, mem, vaddr)
 	if err != nil {
 		return 0, err
 	}
 	return arr.Peek(paddr)
+}
+
+// translate resolves a virtual address of a linked program's memory to its
+// physical register array and word offset.
+func (ct *Controller) translate(program, mem string, vaddr uint32) (*rmt.RegisterArray, uint32, error) {
+	b, err := ct.Compiler.Memory(program, mem)
+	if err != nil {
+		return nil, 0, err
+	}
+	paddr, err := b.Translate(program, vaddr)
+	if err != nil {
+		return nil, 0, err
+	}
+	arr, err := ct.Plane.Array(b.RPB)
+	return arr, paddr, err
 }
 
 // ReadMemoryRange snapshots [start, start+n) of a program's virtual memory,
@@ -331,15 +338,19 @@ func (ct *Controller) ReadMemoryRange(program, mem string, start, n uint32) (val
 	if n == 0 {
 		return []uint32{}, nil
 	}
-	rpb, paddr, err := ct.Compiler.Mgr.Translate(program, mem, start)
+	b, err := ct.Compiler.Memory(program, mem)
 	if err != nil {
 		return nil, err
 	}
-	// Validate the end of the range through translation too.
-	if _, _, err := ct.Compiler.Mgr.Translate(program, mem, start+n-1); err != nil {
+	// Translate both ends, so the whole range lies in the block.
+	paddr, err := b.Translate(program, start)
+	if err == nil {
+		_, err = b.Translate(program, start+n-1)
+	}
+	if err != nil {
 		return nil, err
 	}
-	arr, err := ct.Plane.Array(rpb)
+	arr, err := ct.Plane.Array(b.RPB)
 	if err != nil {
 		return nil, err
 	}

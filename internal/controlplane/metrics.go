@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"p4runpro/internal/obs"
-	"p4runpro/internal/resource"
 	"p4runpro/internal/rmt"
 )
 
@@ -54,12 +53,11 @@ func (ct *Controller) initMetrics() {
 	reg.Gauge("p4runpro_rpb_entries_capacity", "Entry capacity of each RPB.").Set(float64(cfg.TableCapacity))
 	reg.Gauge("p4runpro_rpb_memory_capacity_words", "Memory capacity of each RPB in 32-bit words.").Set(float64(cfg.MemoryWords))
 	for i := 1; i <= ct.Plane.M; i++ {
-		rpb := resource.RPBID(i)
 		lbl := obs.L("rpb", strconv.Itoa(i))
 		reg.GaugeFunc("p4runpro_rpb_entries_used", "Table entries reserved per RPB.",
-			func() float64 { return float64(cfg.TableCapacity - ct.Compiler.Mgr.FreeEntries(rpb)) }, lbl)
+			func() float64 { return float64(ct.Compiler.Mgr.Snapshot()[i-1].EntriesUsed) }, lbl)
 		reg.GaugeFunc("p4runpro_rpb_memory_used_words", "Memory words in use (allocated or locked) per RPB.",
-			func() float64 { return float64(cfg.MemoryWords) - float64(ct.Compiler.Mgr.FreeMemory(rpb)) }, lbl)
+			func() float64 { u := ct.Compiler.Mgr.Snapshot()[i-1]; return float64(u.MemCap - u.MemFree) }, lbl)
 	}
 
 	// Packet-path counters, read from the switch's atomics at scrape so the

@@ -253,7 +253,7 @@ func (c *Compiler) allocate(tp *lang.TProgram, observe bool) (*AllocResult, erro
 // analysis of allocation failures (ingress entries exhausted by forwarding
 // dependencies, memory fragmentation, or general entry pressure).
 func (c *Compiler) diagnose(tp *lang.TProgram) string {
-	m, n := c.Plane.M, c.Plane.N
+	snap := c.Mgr.Snapshot()
 	hasForwarding := false
 	for d := 1; d <= tp.L(); d++ {
 		if tp.ForwardingAt(d) {
@@ -263,22 +263,15 @@ func (c *Compiler) diagnose(tp *lang.TProgram) string {
 	}
 	if hasForwarding {
 		free := 0
-		for rpb := 1; rpb <= n; rpb++ {
-			free += c.Mgr.FreeEntries(resource.RPBID(rpb))
+		for _, u := range snap[:c.Plane.N] {
+			free += u.FreeEntries()
 		}
 		if free < tp.TotalEntries() {
 			return "ingress table entries exhausted (forwarding primitives cannot be placed)"
 		}
 	}
 	for _, md := range tp.Memories {
-		fits := false
-		for rpb := 1; rpb <= m; rpb++ {
-			if c.Mgr.CanAlloc(resource.RPBID(rpb), md.Size) {
-				fits = true
-				break
-			}
-		}
-		if !fits {
+		if !slices.ContainsFunc(snap, func(u resource.Utilization) bool { return u.MaxBlock >= md.Size }) {
 			return fmt.Sprintf("no RPB has %d contiguous free memory words for %q", md.Size, md.Name)
 		}
 	}

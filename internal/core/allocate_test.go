@@ -79,14 +79,17 @@ func TestAllocateSumsSharedSlot(t *testing.T) {
 	_, c := newStack(t)
 	cfg := rmt.DefaultConfig()
 	room := map[resource.RPBID]bool{1: true, 3: true, 5: true, 15: true}
-	filler := &resource.ProgramAlloc{Name: "filler", Entries: map[resource.RPBID]int{}}
+	var filler []resource.MemBlock
 	for rpb := resource.RPBID(1); int(rpb) <= c.Plane.M; rpb++ {
-		filler.Entries[rpb] = cfg.TableCapacity
+		n := cfg.TableCapacity
 		if room[rpb] {
-			filler.Entries[rpb]--
+			n--
+		}
+		if err := c.Mgr.Reserve(rpb, n); err != nil {
+			t.Fatal(err)
 		}
 		if rpb != 3 {
-			filler.Blocks = append(filler.Blocks, resource.MemBlock{Name: fmt.Sprint(rpb), RPB: rpb, Size: uint32(cfg.MemoryWords)})
+			filler = append(filler, resource.MemBlock{Name: fmt.Sprint(rpb), RPB: rpb, Size: uint32(cfg.MemoryWords)})
 		}
 	}
 	if err := c.Mgr.Commit(filler); err != nil {
@@ -134,6 +137,8 @@ func enumeratePlacement(c *Compiler, tp *lang.TProgram) []int {
 		words[first[md.Name]] += md.Size
 	}
 	obj := c.Opt.objective()
+	free := c.Mgr.Snapshot()
+	at := func(rpb resource.RPBID) resource.Utilization { return free[rpb-1] }
 	var best []int
 	bestF := math.Inf(1)
 	vals := make([]int, tp.L())
@@ -148,7 +153,7 @@ func enumeratePlacement(c *Compiler, tp *lang.TProgram) []int {
 				mem[rpb] += words[d+1]
 			}
 			for rpb := range entries {
-				if entries[rpb] > c.Mgr.FreeEntries(rpb) || mem[rpb] > c.Mgr.FreeMemory(rpb) {
+				if entries[rpb] > at(rpb).FreeEntries() || mem[rpb] > at(rpb).MemFree {
 					return
 				}
 			}
@@ -166,11 +171,11 @@ func enumeratePlacement(c *Compiler, tp *lang.TProgram) []int {
 	next:
 		for v := lo; v <= hi; v++ {
 			rpb, _ := logicalToPhysical(v, m)
-			if tp.EntriesAt(d) > c.Mgr.FreeEntries(rpb) || (tp.ForwardingAt(d) && int(rpb) > n) {
+			if tp.EntriesAt(d) > at(rpb).FreeEntries() || (tp.ForwardingAt(d) && int(rpb) > n) {
 				continue
 			}
 			for _, md := range tp.Memories {
-				if first[md.Name] == d && !c.Mgr.CanAlloc(rpb, md.Size) {
+				if first[md.Name] == d && at(rpb).MaxBlock < md.Size {
 					continue next
 				}
 			}

@@ -33,6 +33,9 @@ type Compiler struct {
 	// until then: an unobserved compiler records nothing).
 	met *compilerMetrics
 
+	// linked is the one record of what each program holds, by name. A nil
+	// value claims the name for a link between stage and registration, so
+	// concurrent links of one name get one winner.
 	mu     sync.Mutex
 	linked map[string]*LinkedProgram
 }
@@ -136,21 +139,19 @@ type LinkStats struct {
 	Trace *trace.Node
 }
 
-// LinkedProgram is a program currently resident on the data plane.
+// LinkedProgram is a program currently resident on the data plane: with its
+// memory shares and installed entries, it records everything the program
+// holds.
 type LinkedProgram struct {
 	Name      string
 	ProgramID uint16
 	TP        *lang.TProgram
 	Alloc     *AllocResult
-	// Resources is the primary (first-switch) allocation; chain
-	// deployments hold one allocation per switch in passAllocs.
-	Resources *resource.ProgramAlloc
 	Stats     LinkStats
 
-	passAllocs    []passAlloc
-	pidFrom       *resource.Manager // chain mode: the manager owning the ID
-	entries       []installedEntry
-	addedBranches []int // branch IDs added by incremental case updates
+	mems          []memShare       // one per switch holding memory of the program
+	entries       []installedEntry // RPB entries each reserve one entry of their RPB
+	addedBranches []int            // branch IDs added by incremental case updates
 
 	// deferredInit holds the initialization-block entries of a program
 	// linked with LinkProgramDeferredInit (a versioned upgrade's v2): the
@@ -159,24 +160,18 @@ type LinkedProgram struct {
 	deferredInit []plannedEntry
 }
 
-// passAlloc is one switch's share of a linked program.
-type passAlloc struct {
-	mgr   *resource.Manager
-	plane *dataplane.Plane
-	ra    *resource.ProgramAlloc
+// memShare is the memory one switch holds for a linked program.
+type memShare struct {
+	mgr    *resource.Manager
+	plane  *dataplane.Plane
+	blocks []resource.MemBlock
 }
 
 // Blocks returns the program's committed memory blocks keyed by name.
 func (lp *LinkedProgram) Blocks() map[string]resource.MemBlock {
 	out := make(map[string]resource.MemBlock)
-	if lp.passAllocs == nil && lp.Resources != nil {
-		for _, b := range lp.Resources.Blocks {
-			out[b.Name] = b
-		}
-		return out
-	}
-	for _, pa := range lp.passAllocs {
-		for _, b := range pa.ra.Blocks {
+	for _, s := range lp.mems {
+		for _, b := range s.blocks {
 			out[b.Name] = b
 		}
 	}
@@ -272,7 +267,7 @@ type stagedLink struct {
 	plan    []plannedEntry
 	span    *trace.Span
 	start   time.Time
-	release func() // returns every reservation
+	release func() // returns every reservation and the name
 }
 
 // linkOne is stage followed by install: the pre-install half Plan shares,
@@ -313,20 +308,23 @@ func (c *Compiler) linkOne(ctx context.Context, prog *lang.Program, mems []lang.
 	return lp, nil
 }
 
-// stage is the pre-install half of a link: refuse a linked name, translate,
-// allocate, reserve resources, plan every entry (deferInit moves the init
-// entries to lp.deferredInit) and check table room. held counts entries an
-// enclosing plan has already claimed per table; it is nil when linking and
-// non-nil when planning, which names the span "plan" instead of "link" and
-// records no phase or solver metric. On error the span has ended and nothing
-// stays reserved.
+// stage is the pre-install half of a link: claim the name, translate,
+// allocate, commit the memory, take a program ID, plan every entry (deferInit
+// moves the init entries to lp.deferredInit), reserve the RPB entries and
+// check table room. held counts entries an enclosing plan has already
+// claimed per table; it is nil when linking and non-nil when planning, which
+// names the span "plan" instead of "link" and records no phase or solver
+// metric. On error the span has ended and nothing stays reserved.
 func (c *Compiler) stage(ctx context.Context, prog *lang.Program, mems []lang.MemDecl, parseStart time.Time, parseTime time.Duration, deferInit bool, held map[*rmt.Table]int) (st *stagedLink, err error) {
 	c.mu.Lock()
-	if _, dup := c.linked[prog.Name]; dup {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("core: program %q already linked", prog.Name)
+	_, dup := c.linked[prog.Name]
+	if !dup {
+		c.linked[prog.Name] = nil
 	}
 	c.mu.Unlock()
+	if dup {
+		return nil, fmt.Errorf("core: program %q already linked", prog.Name)
+	}
 
 	name, observePhase := "plan", func(string, time.Duration) {}
 	if held == nil {
@@ -335,8 +333,11 @@ func (c *Compiler) stage(ctx context.Context, prog *lang.Program, mems []lang.Me
 	lstart := time.Now()
 	span := trace.StartChild(ctx, name)
 	span.SetTag("program", prog.Name)
+	lp := &LinkedProgram{Name: prog.Name, Stats: LinkStats{ParseTime: parseTime}}
+	var reserved []plannedEntry
 	defer func() {
 		if err != nil {
+			c.unstage(lp, reserved)
 			span.SetTag("err", err.Error())
 			span.End()
 		}
@@ -347,7 +348,7 @@ func (c *Compiler) stage(ctx context.Context, prog *lang.Program, mems []lang.Me
 		span.ChildAt(PhaseParse, parseStart, parseTime)
 	}
 	tstart := time.Now()
-	tp, err := lang.Translate(prog, mems)
+	lp.TP, err = lang.Translate(prog, mems)
 	tdur := time.Since(tstart)
 	span.ChildAt(PhaseTranslate, tstart, tdur)
 	observePhase(PhaseTranslate, tdur)
@@ -355,116 +356,46 @@ func (c *Compiler) stage(ctx context.Context, prog *lang.Program, mems []lang.Me
 		return nil, err
 	}
 	astart := time.Now()
-	alloc, err := c.allocate(tp, held == nil)
+	lp.Alloc, err = c.allocate(lp.TP, held == nil)
 	adur := time.Since(astart)
 	span.ChildAt(PhaseAllocate, astart, adur)
 	observePhase(PhaseAllocate, adur)
 	if err != nil {
 		return nil, err
 	}
-	// Reserve resources atomically: memory blocks placed in the RPB of
-	// their first access, entries aggregated per physical RPB, grouped by
-	// the switch (resource manager) hosting each pass.
-	firstAccess := tp.FirstAccessDepth()
-	rpbOf := make(map[int]resource.RPBID, tp.L())
-	passOf := make(map[int]int, tp.L())
-	for _, pl := range alloc.Placements {
-		rpbOf[pl.Depth] = pl.RPB
-		passOf[pl.Depth] = pl.Pass
-	}
-	groups := make(map[*resource.Manager]*passAlloc)
-	var order []*passAlloc
-	groupFor := func(pass int) *passAlloc {
-		mgr := c.mgrFor(pass)
-		if g, ok := groups[mgr]; ok {
-			return g
-		}
-		g := &passAlloc{
-			mgr:   mgr,
-			plane: c.planeFor(pass),
-			ra:    &resource.ProgramAlloc{Name: prog.Name, Entries: make(map[resource.RPBID]int)},
-		}
-		groups[mgr] = g
-		order = append(order, g)
-		return g
-	}
-	var memWords uint32
-	for _, md := range tp.Memories {
-		d := firstAccess[md.Name]
-		g := groupFor(passOf[d])
-		g.ra.Blocks = append(g.ra.Blocks, resource.MemBlock{
-			Name: md.Name,
-			RPB:  rpbOf[d],
-			Size: md.Size,
-		})
-		memWords += md.Size
-	}
-	for d := 1; d <= tp.L(); d++ {
-		if n := tp.EntriesAt(d); n > 0 {
-			groupFor(passOf[d]).ra.Entries[rpbOf[d]] += n
-		}
-	}
-	if len(order) == 0 {
-		order = append(order, groupFor(0))
-	}
+	lp.Stats.AllocTime, lp.Stats.Solver = lp.Alloc.Duration, lp.Alloc.Stats
 
-	// Chain mode: the first switch's manager owns the program-ID space.
-	var pidFrom *resource.Manager
-	if c.passTargets != nil {
-		pidFrom = c.mgrFor(0)
-		pid := pidFrom.AllocPID()
-		for _, g := range order {
-			g.ra.ProgramID = pid
+	// Commit each memory block in the RPB of its first access, one commit
+	// per switch hosting any, then take the program ID.
+	firstAccess := lp.TP.FirstAccessDepth()
+	var shares []memShare
+	for _, md := range lp.TP.Memories {
+		pl := lp.Alloc.Placements[firstAccess[md.Name]-1]
+		mgr := c.mgrFor(pl.Pass)
+		i := slices.IndexFunc(shares, func(s memShare) bool { return s.mgr == mgr })
+		if i < 0 {
+			i = len(shares)
+			shares = append(shares, memShare{mgr: mgr, plane: c.planeFor(pl.Pass)})
 		}
+		shares[i].blocks = append(shares[i].blocks, resource.MemBlock{Name: md.Name, RPB: pl.RPB, Size: md.Size})
+		lp.Stats.MemWords += md.Size
 	}
-	var committed []*passAlloc
-	rollbackGroups := func() {
-		for _, g := range committed {
-			if a, err := g.mgr.BeginRevoke(prog.Name); err == nil {
-				_ = g.mgr.FinishRevoke(a)
-			}
-		}
-		if pidFrom != nil {
-			pidFrom.FreePID(order[0].ra.ProgramID)
-		}
-	}
-	for _, g := range order {
-		if err := g.mgr.Commit(g.ra); err != nil {
-			rollbackGroups()
+	for _, s := range shares {
+		if err := s.mgr.Commit(s.blocks); err != nil {
 			return nil, &AllocError{Program: prog.Name, Reason: err.Error(), Err: err}
 		}
-		committed = append(committed, g)
+		lp.mems = append(lp.mems, s)
 	}
-	primary := order[0]
+	lp.ProgramID = c.Mgr.AllocPID()
 
-	lp := &LinkedProgram{
-		Name:      prog.Name,
-		ProgramID: primary.ra.ProgramID,
-		TP:        tp,
-		Alloc:     alloc,
-		Resources: primary.ra,
-		Stats: LinkStats{
-			ParseTime: parseTime,
-			AllocTime: alloc.Duration,
-			Solver:    alloc.Stats,
-			MemWords:  memWords,
-		},
-	}
-	for _, g := range order {
-		lp.passAllocs = append(lp.passAllocs, *g)
-	}
-	lp.pidFrom = pidFrom
-
-	plan, err := c.planEntries(tp, alloc, lp.ProgramID, lp.Blocks())
+	plan, err := c.planEntries(lp.TP, lp.Alloc, lp.ProgramID, lp.Blocks())
 	if err != nil {
-		rollbackGroups()
 		return nil, err
 	}
-	for _, pe := range plan {
-		if pe.kind != kindRPB {
-			primary.ra.ExtraTE++
-		}
+	if err := reserve(plan); err != nil {
+		return nil, &AllocError{Program: prog.Name, Reason: err.Error(), Err: err}
 	}
+	reserved = plan
 	if deferInit { // planEntries plans the init entries last
 		i := slices.IndexFunc(plan, func(pe plannedEntry) bool { return pe.kind == kindInit })
 		plan, lp.deferredInit = plan[:i], plan[i:]
@@ -473,10 +404,28 @@ func (c *Compiler) stage(ctx context.Context, prog *lang.Program, mems []lang.Me
 	// can still be full. Refuse such a plan before installing anything,
 	// rather than failing mid-install and unwinding.
 	if err := checkRoom(plan, held); err != nil {
-		rollbackGroups()
 		return nil, &AllocError{Program: prog.Name, Reason: err.Error(), Err: err}
 	}
-	return &stagedLink{lp: lp, plan: plan, span: span, start: lstart, release: rollbackGroups}, nil
+	return &stagedLink{lp: lp, plan: plan, span: span, start: lstart, release: func() { c.unstage(lp, reserved) }}, nil
+}
+
+// unstage returns what stage took for lp: the entries reserved for plan,
+// its committed memory (unused, so freed without a reset), its program ID
+// and its claim on the name.
+func (c *Compiler) unstage(lp *LinkedProgram, plan []plannedEntry) {
+	_ = release(plan)
+	for _, s := range lp.mems {
+		s.mgr.BeginRevoke(s.blocks)
+		_ = s.mgr.FinishRevoke(s.blocks)
+	}
+	if lp.ProgramID != 0 {
+		c.Mgr.FreePID(lp.ProgramID)
+	}
+	c.mu.Lock()
+	if c.linked[lp.Name] == nil {
+		delete(c.linked, lp.Name)
+	}
+	c.mu.Unlock()
 }
 
 // checkRoom reports the first table, in plan order, whose free room is less
@@ -510,12 +459,12 @@ type RevokeStats struct {
 // memory is locked, reset, and only then returned for reallocation.
 func (c *Compiler) Revoke(name string) (RevokeStats, error) {
 	c.mu.Lock()
-	lp, ok := c.linked[name]
-	if ok {
+	lp := c.linked[name]
+	if lp != nil {
 		delete(c.linked, name)
 	}
 	c.mu.Unlock()
-	if !ok {
+	if lp == nil {
 		return RevokeStats{}, fmt.Errorf("core: program %q not linked", name)
 	}
 
@@ -523,19 +472,15 @@ func (c *Compiler) Revoke(name string) (RevokeStats, error) {
 		return RevokeStats{}, err
 	}
 	st := RevokeStats{EntriesDeleted: len(lp.entries)}
+	if err := release(lp.entries); err != nil {
+		return st, err
+	}
 
 	// Lock, reset, and free memory on every switch holding a share.
-	passAllocs := lp.passAllocs
-	if passAllocs == nil {
-		passAllocs = []passAlloc{{mgr: c.Mgr, plane: c.Plane, ra: lp.Resources}}
-	}
-	for _, pa := range passAllocs {
-		ra, err := pa.mgr.BeginRevoke(name)
-		if err != nil {
-			return st, err
-		}
-		for _, b := range ra.Blocks {
-			arr, err := pa.plane.Array(b.RPB)
+	for _, s := range lp.mems {
+		s.mgr.BeginRevoke(s.blocks)
+		for _, b := range s.blocks {
+			arr, err := s.plane.Array(b.RPB)
 			if err != nil {
 				return st, err
 			}
@@ -544,13 +489,11 @@ func (c *Compiler) Revoke(name string) (RevokeStats, error) {
 			}
 			st.MemWordsReset += b.Size
 		}
-		if err := pa.mgr.FinishRevoke(ra); err != nil {
+		if err := s.mgr.FinishRevoke(s.blocks); err != nil {
 			return st, err
 		}
 	}
-	if lp.pidFrom != nil {
-		lp.pidFrom.FreePID(lp.ProgramID)
-	}
+	c.Mgr.FreePID(lp.ProgramID)
 	return st, nil
 }
 
@@ -558,8 +501,52 @@ func (c *Compiler) Revoke(name string) (RevokeStats, error) {
 func (c *Compiler) Linked(name string) (*LinkedProgram, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	lp, ok := c.linked[name]
-	return lp, ok
+	lp := c.linked[name]
+	return lp, lp != nil
+}
+
+// Memory returns the block behind a linked program's virtual memory on
+// this compiler's switch, for control-plane address translation
+// (MemBlock.Translate). The errors keep the resource manager's wording,
+// which clients see.
+func (c *Compiler) Memory(program, mem string) (resource.MemBlock, error) {
+	lp, ok := c.Linked(program)
+	if !ok {
+		return resource.MemBlock{}, fmt.Errorf("resource: program %q not linked", program)
+	}
+	for _, s := range lp.mems {
+		if s.mgr != c.Mgr {
+			continue
+		}
+		for _, b := range s.blocks {
+			if b.Name == mem {
+				return b, nil
+			}
+		}
+	}
+	return resource.MemBlock{}, fmt.Errorf("resource: program %q has no memory %q", program, mem)
+}
+
+// RPBEntries counts a linked program's installed entries per RPB of this
+// compiler's switch — the entries it holds reserved there. It is nil for
+// an unlinked program or one holding none.
+func (c *Compiler) RPBEntries(name string) map[int]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	lp := c.linked[name]
+	if lp == nil {
+		return nil
+	}
+	var out map[int]int
+	for _, e := range lp.entries {
+		if e.mgr == c.Mgr {
+			if out == nil {
+				out = make(map[int]int)
+			}
+			out[int(e.rpb)]++
+		}
+	}
+	return out
 }
 
 // ProgramSummary is one linked program's listing row.
@@ -580,6 +567,9 @@ func (c *Compiler) Summaries() []ProgramSummary {
 	defer c.mu.Unlock()
 	out := make([]ProgramSummary, 0, len(c.linked))
 	for _, lp := range c.linked {
+		if lp == nil {
+			continue
+		}
 		out = append(out, ProgramSummary{
 			Name:      lp.Name,
 			ProgramID: lp.ProgramID,
@@ -598,8 +588,10 @@ func (c *Compiler) Programs() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]string, 0, len(c.linked))
-	for n := range c.linked {
-		out = append(out, n)
+	for n, lp := range c.linked {
+		if lp != nil {
+			out = append(out, n)
+		}
 	}
 	sort.Strings(out)
 	return out

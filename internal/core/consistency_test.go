@@ -6,12 +6,12 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"p4runpro/internal/faults"
 	"p4runpro/internal/lang"
 	"p4runpro/internal/pkt"
 	"p4runpro/internal/programs"
-	"p4runpro/internal/resource"
 	"p4runpro/internal/rmt"
 )
 
@@ -45,31 +45,17 @@ func TestConsistentAddition(t *testing.T) {
 		return behaviourMix
 	}
 
-	// Plan as linkOne's stage does, so the batches can be applied one by one.
+	// Stage as linkOne does, so the batches can be applied one by one.
 	file, err := lang.ParseFile(cacheSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lang.Check(file); err != nil {
-		t.Fatal(err)
-	}
-	tp, err := lang.Translate(file.Programs[0], file.Memories)
+	st, err := c.stage(context.Background(), file.Programs[0], file.Memories, time.Time{}, 0, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc, err := c.Allocate(tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra := buildResourceAlloc(t, tp, alloc)
-	if err := c.Mgr.Commit(ra); err != nil {
-		t.Fatal(err)
-	}
-	lp := &LinkedProgram{Name: tp.Name, ProgramID: ra.ProgramID, TP: tp, Alloc: alloc, Resources: ra}
-	plan, err := c.planEntries(tp, alloc, ra.ProgramID, lp.Blocks())
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer st.release()
+	tp, plan := st.lp.TP, st.plan
 	if b := probe(); b != behaviourNone {
 		t.Fatalf("before install: behaviour %d, want none", b)
 	}
@@ -112,25 +98,6 @@ func pick[E any](entries []E, idx []int) []E {
 	return out
 }
 
-func buildResourceAlloc(t *testing.T, tp *lang.TProgram, alloc *AllocResult) *resource.ProgramAlloc {
-	t.Helper()
-	firstAccess := tp.FirstAccessDepth()
-	rpbOf := map[int]resource.RPBID{}
-	for _, pl := range alloc.Placements {
-		rpbOf[pl.Depth] = pl.RPB
-	}
-	ra := &resource.ProgramAlloc{Name: tp.Name, Entries: map[resource.RPBID]int{}}
-	for _, md := range tp.Memories {
-		ra.Blocks = append(ra.Blocks, resource.MemBlock{Name: md.Name, RPB: rpbOf[firstAccess[md.Name]], Size: md.Size})
-	}
-	for d := 1; d <= tp.L(); d++ {
-		if n := tp.EntriesAt(d); n > 0 {
-			ra.Entries[rpbOf[d]] += n
-		}
-	}
-	return ra
-}
-
 // TestConsistentDeletion retires a program the way Revoke does, one batch
 // of batches(entries, true) at a time, probing between batches: the program
 // answers completely until an initialization-block batch disables its ID,
@@ -166,13 +133,6 @@ func TestConsistentDeletion(t *testing.T) {
 	}
 	if !stopped {
 		t.Fatal("every batch retired, program still answers")
-	}
-	ra, err := c.Mgr.BeginRevoke("cache")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Mgr.FinishRevoke(ra); err != nil {
-		t.Fatal(err)
 	}
 }
 

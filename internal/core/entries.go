@@ -25,16 +25,22 @@ const (
 )
 
 // plannedEntry is one table entry the compiler will install for a program.
-// mgr and rpb name the RPB whose entry budget it reserves one entry of by
-// itself: a runtime-added case's entries do, while a linked program's are
-// reserved in aggregate (resource.ProgramAlloc) and leave them zero.
 type plannedEntry struct {
 	kind  entryKind
 	table *rmt.Table
 	rmt.EntrySpec
+	rpbSlot
+}
+
+// rpbSlot names the switch (by its resource manager) and RPB whose entry
+// budget an RPB-table entry reserves one entry of; entries of other tables
+// leave it zero.
+type rpbSlot struct {
 	mgr *resource.Manager
 	rpb resource.RPBID
 }
+
+func (s rpbSlot) slot() rpbSlot { return s }
 
 // installedEntry records an installed entry for its later deletion, with the
 // keys and priority it was installed under (dispatch entries copy them) and
@@ -46,9 +52,36 @@ type installedEntry struct {
 	id       rmt.EntryID
 	keys     []rmt.TernaryKey
 	priority int
-	mgr      *resource.Manager
-	rpb      resource.RPBID
-	branch   int
+	rpbSlot
+	branch int
+}
+
+// reserve claims the RPB entry each planned entry names, all or none.
+func reserve(plan []plannedEntry) error {
+	for i, pe := range plan {
+		if pe.mgr == nil {
+			continue
+		}
+		if err := pe.mgr.Reserve(pe.rpb, 1); err != nil {
+			_ = release(plan[:i])
+			return err
+		}
+	}
+	return nil
+}
+
+// release returns the RPB entry each entry reserved, planned or installed,
+// and reports the first failure.
+func release[E interface{ slot() rpbSlot }](entries []E) error {
+	var first error
+	for _, e := range entries {
+		if s := e.slot(); s.mgr != nil {
+			if err := s.mgr.Release(s.rpb, 1); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
 }
 
 // slotted is what batches groups entries by: their kind and table.
@@ -108,7 +141,7 @@ func install(owner string, plan []plannedEntry) ([]installedEntry, error) {
 		for i, j := range b {
 			pe := plan[j]
 			out = append(out, installedEntry{kind: pe.kind, table: pe.table, id: first + rmt.EntryID(i),
-				keys: pe.Keys, priority: pe.Priority, mgr: pe.mgr, rpb: pe.rpb})
+				keys: pe.Keys, priority: pe.Priority, rpbSlot: pe.rpbSlot})
 		}
 	}
 	return out, nil
@@ -184,9 +217,6 @@ const (
 	rpbKeyCount
 )
 
-// planEntries builds every table entry for a program after allocation and
-// memory commit. blocks maps virtual memory names to their committed
-// physical blocks (for offset-step bases and hash masks).
 // primActionParams resolves a translated primitive to its RPB action name
 // and entry parameters, using the program's committed memory blocks for
 // address-translation masks and offsets.
@@ -229,6 +259,9 @@ func (c *Compiler) primActionParams(prim *lang.Prim, blocks map[string]resource.
 	return action, params, nil
 }
 
+// planEntries builds every table entry for a program after allocation and
+// memory commit. blocks maps virtual memory names to their committed
+// physical blocks (for offset-step bases and hash masks).
 func (c *Compiler) planEntries(tp *lang.TProgram, alloc *AllocResult, pid uint16, blocks map[string]resource.MemBlock) ([]plannedEntry, error) {
 	var out []plannedEntry
 
@@ -239,6 +272,7 @@ func (c *Compiler) planEntries(tp *lang.TProgram, alloc *AllocResult, pid uint16
 		if err != nil {
 			return nil, err
 		}
+		slot := rpbSlot{c.mgrFor(pl.Pass), pl.RPB}
 		for _, it := range tp.Depths[pl.Depth-1].Items {
 			prim := it.Prim
 			if prim.Op == lang.OpNop {
@@ -261,7 +295,7 @@ func (c *Compiler) planEntries(tp *lang.TProgram, alloc *AllocResult, pid uint16
 						}
 						keys[idx] = rmt.TernaryKey{Value: cond.Value, Mask: cond.Mask}
 					}
-					out = append(out, plannedEntry{kind: kindRPB, table: tbl, EntrySpec: rmt.EntrySpec{
+					out = append(out, plannedEntry{kind: kindRPB, table: tbl, rpbSlot: slot, EntrySpec: rmt.EntrySpec{
 						Keys:     keys,
 						Priority: len(prim.Cases) - ci, // source order wins
 						Action:   "set_branch",
@@ -274,7 +308,7 @@ func (c *Compiler) planEntries(tp *lang.TProgram, alloc *AllocResult, pid uint16
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, plannedEntry{kind: kindRPB, table: tbl, EntrySpec: rmt.EntrySpec{
+			out = append(out, plannedEntry{kind: kindRPB, table: tbl, rpbSlot: slot, EntrySpec: rmt.EntrySpec{
 				Keys:   baseKeys(),
 				Action: action,
 				Params: params,

@@ -33,9 +33,7 @@ type AddedCase struct {
 // translation) to one of the branch's existing cases. It returns the new
 // branch IDs.
 func (c *Compiler) AddCases(name string, branchDepth int, src string) ([]AddedCase, error) {
-	c.mu.Lock()
-	lp, ok := c.linked[name]
-	c.mu.Unlock()
+	lp, ok := c.Linked(name)
 	if !ok {
 		return nil, fmt.Errorf("core: program %q not linked", name)
 	}
@@ -90,7 +88,7 @@ func (c *Compiler) AddCases(name string, branchDepth int, src string) ([]AddedCa
 			keys[rpbKeyProg] = rmt.Exact(uint32(lp.ProgramID))
 			keys[rpbKeyBranch] = rmt.Exact(uint32(newID))
 			keys[rpbKeyRecirc] = rmt.Exact(uint32(pl.Pass))
-			plan = append(plan, plannedEntry{kind: kindRPB, table: tbl, mgr: c.mgrFor(pl.Pass), rpb: pl.RPB,
+			plan = append(plan, plannedEntry{kind: kindRPB, table: tbl, rpbSlot: rpbSlot{c.mgrFor(pl.Pass), pl.RPB},
 				EntrySpec: rmt.EntrySpec{Keys: keys, Action: action, Params: params}})
 		}
 		condKeys := make([]rmt.TernaryKey, rpbKeyCount)
@@ -110,20 +108,17 @@ func (c *Compiler) AddCases(name string, branchDepth int, src string) ([]AddedCa
 		}
 		// Appended cases rank below the original ones (priority 0, stable
 		// insertion order among themselves).
-		plan = append(plan, plannedEntry{kind: kindCond, table: branchTbl, mgr: c.mgrFor(branchPlacement.Pass), rpb: branchPlacement.RPB,
+		plan = append(plan, plannedEntry{kind: kindCond, table: branchTbl, rpbSlot: rpbSlot{c.mgrFor(branchPlacement.Pass), branchPlacement.RPB},
 			EntrySpec: rmt.EntrySpec{Keys: condKeys, Action: "set_branch", Params: []uint32{uint32(newID)}}})
 
 		// Reserve an entry per planned entry, then install; undo both on
 		// any failure.
-		for i, pe := range plan {
-			if err := pe.mgr.Reserve(name, pe.rpb, 1); err != nil {
-				release(name, plan[:i])
-				return added, &AllocError{Program: name, Reason: err.Error(), Err: err}
-			}
+		if err := reserve(plan); err != nil {
+			return added, &AllocError{Program: name, Reason: err.Error(), Err: err}
 		}
 		installed, err := install(name, plan)
 		if err != nil {
-			release(name, plan)
+			_ = release(plan)
 			return added, &AllocError{Program: name, Reason: "incremental install failed: " + err.Error(), Err: err}
 		}
 		for i := range installed {
@@ -144,9 +139,9 @@ func (c *Compiler) AddCases(name string, branchDepth int, src string) ([]AddedCa
 // entries, releasing their reservations.
 func (c *Compiler) RemoveCase(name string, branchID int) error {
 	c.mu.Lock()
-	lp, ok := c.linked[name]
+	lp := c.linked[name]
 	var mine, rest []installedEntry
-	if ok {
+	if lp != nil {
 		for _, e := range lp.entries {
 			if e.branch == branchID {
 				mine = append(mine, e)
@@ -156,7 +151,7 @@ func (c *Compiler) RemoveCase(name string, branchID int) error {
 		}
 	}
 	c.mu.Unlock()
-	if !ok {
+	if lp == nil {
 		return fmt.Errorf("core: program %q not linked", name)
 	}
 	if len(mine) == 0 {
@@ -165,10 +160,8 @@ func (c *Compiler) RemoveCase(name string, branchID int) error {
 	if err := retire(mine); err != nil {
 		return err
 	}
-	for _, e := range mine {
-		if err := e.mgr.Release(name, e.rpb, 1); err != nil {
-			return err
-		}
+	if err := release(mine); err != nil {
+		return err
 	}
 	c.mu.Lock()
 	lp.entries = rest
@@ -181,13 +174,6 @@ func (c *Compiler) RemoveCase(name string, branchID int) error {
 	}
 	c.mu.Unlock()
 	return nil
-}
-
-// release returns the entry each planned entry reserved.
-func release(owner string, plan []plannedEntry) {
-	for _, pe := range plan {
-		_ = pe.mgr.Release(owner, pe.rpb, 1)
-	}
 }
 
 // nextBranchID picks the lowest unused branch ID of a program.

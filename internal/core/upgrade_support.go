@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"p4runpro/internal/resource"
 	"p4runpro/internal/rmt"
 )
 
@@ -66,9 +65,7 @@ func (c *Compiler) InstallAbove(name, owner, action string, params []uint32) (*I
 // filters. It returns how many entries were installed; a program with
 // nothing deferred is a no-op.
 func (c *Compiler) InstallDeferredInit(name string) (int, error) {
-	c.mu.Lock()
-	lp, ok := c.linked[name]
-	c.mu.Unlock()
+	lp, ok := c.Linked(name)
 	if !ok {
 		return 0, fmt.Errorf("core: program %q not linked", name)
 	}
@@ -100,11 +97,10 @@ func (c *Compiler) Hits(name string) (all, packets uint64) {
 func (c *Compiler) entriesOf(name string) ([]installedEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	lp, ok := c.linked[name]
-	if !ok {
-		return nil, false
+	if lp := c.linked[name]; lp != nil {
+		return lp.entries, true
 	}
-	return lp.entries, true
+	return nil, false
 }
 
 // hits sums the direct counters of entries: all of them, and the init
@@ -121,39 +117,20 @@ func hits(entries []installedEntry) (all, packets uint64) {
 }
 
 // Rename re-keys a linked program to a new operator-visible name: the
-// compiler's index, every resource manager holding a share, and every
-// installed table entry's owner move together. Entry owners feed postcards
-// and per-program hit counters, so the swap goes through Table.Reown's
-// copy-on-write republication. The rename is control-plane metadata only —
-// the program ID, and with it every data plane match, is untouched.
+// compiler's index and every installed table entry's owner move together.
+// Entry owners feed postcards and per-program hit counters, so the swap
+// goes through Table.Reown's copy-on-write republication. The rename is
+// control-plane metadata only — the program ID, and with it every data
+// plane match, is untouched.
 func (c *Compiler) Rename(oldName, newName string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	lp, ok := c.linked[oldName]
-	if !ok {
+	lp := c.linked[oldName]
+	if lp == nil {
 		return fmt.Errorf("core: program %q not linked", oldName)
 	}
 	if _, dup := c.linked[newName]; dup {
 		return fmt.Errorf("core: program %q already linked", newName)
-	}
-	passAllocs := lp.passAllocs
-	if passAllocs == nil {
-		passAllocs = []passAlloc{{mgr: c.Mgr}}
-	}
-	var done []*resource.Manager
-	seen := make(map[*resource.Manager]bool, len(passAllocs))
-	for _, pa := range passAllocs {
-		if seen[pa.mgr] {
-			continue
-		}
-		seen[pa.mgr] = true
-		if err := pa.mgr.Rename(oldName, newName); err != nil {
-			for _, m := range done {
-				_ = m.Rename(newName, oldName)
-			}
-			return err
-		}
-		done = append(done, pa.mgr)
 	}
 	for _, b := range batches(lp.entries, false) { // a table met again moves nothing
 		lp.entries[b[0]].table.Reown(oldName, newName)

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"math/rand"
-
 	"p4runpro/internal/baseline/activermt"
 	"p4runpro/internal/baseline/flymon"
 	"p4runpro/internal/programs"
@@ -31,8 +29,6 @@ func Table1(repeats int) ([]Table1Row, error) {
 	}
 	rows := make([]Table1Row, 0, 15)
 	ct := newController(defaultOptions())
-	rng := rand.New(rand.NewSource(42))
-	_ = rng
 	for _, spec := range programs.All() {
 		var totalMs float64
 		for r := 0; r < repeats; r++ {

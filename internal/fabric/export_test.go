@@ -13,16 +13,6 @@ func (f *Fabric) Node(name string) (*Node, bool) {
 	return n, ok
 }
 
-// Traces returns the retained stitched path traces, oldest first.
-func (f *Fabric) Traces() []*PathTrace {
-	f.traceMu.Lock()
-	defer f.traceMu.Unlock()
-	out := make([]*PathTrace, 0, len(f.traces))
-	out = append(out, f.traces[f.traceNext:]...)
-	out = append(out, f.traces[:f.traceNext]...)
-	return out
-}
-
 // Nodes returns the hop sequence as node names, in traversal order.
 func (t *PathTrace) Nodes() []string {
 	out := make([]string, len(t.Hops))

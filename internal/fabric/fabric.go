@@ -28,7 +28,6 @@ package fabric
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,9 +45,6 @@ const DefaultTTL = 16
 // PortBase is the first port index the topology builders use for fabric
 // (inter-switch) links, leaving the low ports free for edge traffic.
 const PortBase = 48
-
-// pathKeep bounds the ring of retained path traces.
-const pathKeep = 128
 
 // Endpoint names one side of a link: a node and a port on it.
 type Endpoint struct {
@@ -154,10 +150,6 @@ type Fabric struct {
 	// that finds it taken builds its own. Its buffers are zeroed as they are
 	// emptied, so it keeps no packet of a finished call reachable.
 	spare atomic.Pointer[engineScratch]
-
-	traceMu   sync.Mutex
-	traces    []*PathTrace // ring of the most recent stitched traces
-	traceNext int
 }
 
 // New creates an empty fabric.

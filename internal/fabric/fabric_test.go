@@ -249,10 +249,8 @@ func TestPathTraceStitching(t *testing.T) {
 	if tr.ExitPort != 2 {
 		t.Errorf("exit port %d, want 2", tr.ExitPort)
 	}
-	// The trace ring retains it.
-	traces := f.Traces()
-	if len(traces) != 1 || traces[0] != tr {
-		t.Fatalf("trace ring %v, want the one trace", traces)
+	if tr.ID != 1 {
+		t.Errorf("trace path id %d, want 1 (the fabric's first)", tr.ID)
 	}
 	if s := tr.String(); !strings.Contains(s, "p0:1 -> p1:") || !strings.Contains(s, "delivered") {
 		t.Errorf("trace string %q", s)

@@ -114,8 +114,7 @@ func (t *PathTrace) finish(status PathStatus) {
 }
 
 // samplePath decides, once per edge injection, whether this packet is path
-// traced (Options.PathSampleEvery); the returned trace is already published
-// into the fabric's trace ring so it is observable even mid-flight.
+// traced (Options.PathSampleEvery).
 func (f *Fabric) samplePath(p *pkt.Packet) *PathTrace {
 	n := f.opt.PathSampleEvery
 	if n <= 0 {
@@ -124,14 +123,5 @@ func (f *Fabric) samplePath(p *pkt.Packet) *PathTrace {
 	if f.pathSeq.Add(1)%uint64(n) != 1 && n != 1 {
 		return nil
 	}
-	tr := &PathTrace{ID: f.pathID.Add(1), Flow: p.FiveTuple()}
-	f.traceMu.Lock()
-	if len(f.traces) < pathKeep {
-		f.traces = append(f.traces, tr)
-	} else {
-		f.traces[f.traceNext] = tr
-		f.traceNext = (f.traceNext + 1) % pathKeep
-	}
-	f.traceMu.Unlock()
-	return tr
+	return &PathTrace{ID: f.pathID.Add(1), Flow: p.FiveTuple()}
 }

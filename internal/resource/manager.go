@@ -4,7 +4,9 @@
 // only continuous allocation (first-fit, power-of-two sizes), assigns
 // program IDs, locks and resets memory during program termination so stale
 // buckets are never handed to a new program, and performs virtual→physical
-// address translation for control-plane memory access.
+// address translation for control-plane memory access. It knows no program
+// names: the compiler's linked programs hold the blocks, entries and IDs
+// handed out here.
 package resource
 
 import (
@@ -22,19 +24,6 @@ type MemBlock struct {
 	RPB   RPBID
 	Start uint32 // physical word offset
 	Size  uint32 // words
-}
-
-// ProgramAlloc records everything a linked program holds.
-type ProgramAlloc struct {
-	Name      string
-	ProgramID uint16
-	Blocks    []MemBlock
-	Entries   map[RPBID]int // RPB table entries reserved
-	ExtraTE   int           // init-block filters + recirculation entries
-
-	// ownsPID records whether Commit allocated the program ID from this
-	// manager (chain deployments pre-assign a chain-wide ID instead).
-	ownsPID bool
 }
 
 // partition is a node of a per-RPB doubly-linked free list, kept sorted by
@@ -58,7 +47,6 @@ type Manager struct {
 
 	mu       sync.Mutex
 	rpbs     []*rpbState
-	programs map[string]*ProgramAlloc
 	nextPID  uint16
 	freePIDs []uint16
 }
@@ -70,7 +58,6 @@ func NewManager(m, n, tableCap, memWords int) *Manager {
 		M: m, N: n,
 		tableCap: tableCap,
 		memWords: uint32(memWords),
-		programs: make(map[string]*ProgramAlloc),
 		nextPID:  1,
 	}
 	for i := 0; i < m; i++ {
@@ -88,55 +75,10 @@ func (m *Manager) rpb(id RPBID) (*rpbState, error) {
 	return m.rpbs[id-1], nil
 }
 
-// FreeEntries returns the unreserved table entries of an RPB.
-func (m *Manager) FreeEntries(id RPBID) int {
+// Reserve claims n table entries of an RPB.
+func (m *Manager) Reserve(id RPBID, n int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st, err := m.rpb(id)
-	if err != nil {
-		return 0
-	}
-	return m.tableCap - st.entriesUsed
-}
-
-// MaxContiguous returns the largest free memory partition of an RPB.
-func (m *Manager) MaxContiguous(id RPBID) uint32 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, err := m.rpb(id)
-	if err != nil {
-		return 0
-	}
-	var best uint32
-	for p := st.freeHead; p != nil; p = p.next {
-		if p.size > best {
-			best = p.size
-		}
-	}
-	return best
-}
-
-// FreeMemory returns the total free (unallocated, unlocked) words of an RPB.
-func (m *Manager) FreeMemory(id RPBID) uint32 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, err := m.rpb(id)
-	if err != nil {
-		return 0
-	}
-	return m.freeWordsLocked(st)
-}
-
-func (m *Manager) freeWordsLocked(st *rpbState) uint32 {
-	var total uint32
-	for p := st.freeHead; p != nil; p = p.next {
-		total += p.size
-	}
-	return total
-}
-
-// reserveEntriesLocked reserves n table entries in an RPB.
-func (m *Manager) reserveEntriesLocked(id RPBID, n int) error {
 	st, err := m.rpb(id)
 	if err != nil {
 		return err
@@ -145,6 +87,21 @@ func (m *Manager) reserveEntriesLocked(id RPBID, n int) error {
 		return fmt.Errorf("resource: RPB %d: %d entries requested, %d free", id, n, m.tableCap-st.entriesUsed)
 	}
 	st.entriesUsed += n
+	return nil
+}
+
+// Release returns n table entries of an RPB.
+func (m *Manager) Release(id RPBID, n int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st, err := m.rpb(id)
+	if err != nil {
+		return err
+	}
+	if st.entriesUsed < n {
+		return fmt.Errorf("resource: RPB %d: %d entries released, %d reserved", id, n, st.entriesUsed)
+	}
+	st.entriesUsed -= n
 	return nil
 }
 
@@ -230,72 +187,30 @@ func (m *Manager) freeMemLocked(id RPBID, start, size uint32) error {
 	return nil
 }
 
-// CanAlloc reports whether size words fit contiguously in the RPB right now.
-func (m *Manager) CanAlloc(id RPBID, size uint32) bool {
-	return m.MaxContiguous(id) >= size
-}
-
-// Commit atomically registers a program's allocation: its memory blocks are
-// carved from the free lists and its entry counts reserved. On any failure
-// everything is rolled back and an error returned.
-func (m *Manager) Commit(alloc *ProgramAlloc) error {
+// Commit carves every block from its RPB's free list, first-fit, and fills
+// in its Start. On failure nothing stays carved.
+func (m *Manager) Commit(blocks []MemBlock) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, dup := m.programs[alloc.Name]; dup {
-		return fmt.Errorf("resource: program %q already linked", alloc.Name)
-	}
-	var doneBlocks []MemBlock
-	var doneEntries []RPBID
-	rollback := func() {
-		for _, b := range doneBlocks {
-			_ = m.freeMemLocked(b.RPB, b.Start, b.Size)
-		}
-		for i, id := range doneEntries {
-			st, _ := m.rpb(id)
-			st.entriesUsed -= alloc.Entries[doneEntries[i]]
-		}
-	}
-	for i := range alloc.Blocks {
-		b := &alloc.Blocks[i]
+	for i := range blocks {
+		b := &blocks[i]
 		start, err := m.allocMemLocked(b.RPB, b.Size)
 		if err != nil {
-			rollback()
+			for _, done := range blocks[:i] {
+				_ = m.freeMemLocked(done.RPB, done.Start, done.Size)
+			}
 			return err
 		}
 		b.Start = start
-		doneBlocks = append(doneBlocks, *b)
 	}
-	for id, n := range alloc.Entries {
-		if err := m.reserveEntriesLocked(id, n); err != nil {
-			rollback()
-			return err
-		}
-		doneEntries = append(doneEntries, id)
-	}
-	if alloc.ProgramID == 0 {
-		alloc.ProgramID = m.allocPIDLocked()
-		alloc.ownsPID = true
-	}
-	m.programs[alloc.Name] = alloc
 	return nil
 }
 
-// AllocPID reserves a program ID without committing an allocation — used
-// by chain deployments, where one manager owns the chain-wide ID space.
+// AllocPID hands out a program ID: the most recently freed one, else the
+// next never used.
 func (m *Manager) AllocPID() uint16 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.allocPIDLocked()
-}
-
-// FreePID returns an explicitly reserved program ID.
-func (m *Manager) FreePID(pid uint16) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.freePIDs = append(m.freePIDs, pid)
-}
-
-func (m *Manager) allocPIDLocked() uint16 {
 	if n := len(m.freePIDs); n > 0 {
 		pid := m.freePIDs[n-1]
 		m.freePIDs = m.freePIDs[:n-1]
@@ -306,38 +221,30 @@ func (m *Manager) allocPIDLocked() uint16 {
 	return pid
 }
 
-// BeginRevoke starts terminating a program: its entries are released
-// immediately, but its memory blocks are locked — unavailable for
-// reallocation — until the caller has reset them on the hardware and calls
-// FinishRevoke (paper §4.3: "the locked memory remains unavailable for
-// reallocation until the reset is complete").
-func (m *Manager) BeginRevoke(name string) (*ProgramAlloc, error) {
+// FreePID returns a program ID for reuse.
+func (m *Manager) FreePID(pid uint16) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	alloc, ok := m.programs[name]
-	if !ok {
-		return nil, fmt.Errorf("resource: program %q not linked", name)
-	}
-	for id, n := range alloc.Entries {
-		st, err := m.rpb(id)
-		if err != nil {
-			return nil, err
-		}
-		st.entriesUsed -= n
-	}
-	for _, b := range alloc.Blocks {
-		st, _ := m.rpb(b.RPB)
-		st.lockedWords += b.Size
-	}
-	delete(m.programs, name)
-	return alloc, nil
+	m.freePIDs = append(m.freePIDs, pid)
 }
 
-// FinishRevoke unlocks and frees the program's memory after reset.
-func (m *Manager) FinishRevoke(alloc *ProgramAlloc) error {
+// BeginRevoke locks committed blocks: they stay unavailable for
+// reallocation until the caller has reset them on the hardware and calls
+// FinishRevoke (paper §4.3: "the locked memory remains unavailable for
+// reallocation until the reset is complete").
+func (m *Manager) BeginRevoke(blocks []MemBlock) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, b := range alloc.Blocks {
+	for _, b := range blocks {
+		m.rpbs[b.RPB-1].lockedWords += b.Size
+	}
+}
+
+// FinishRevoke unlocks and frees blocks after their reset.
+func (m *Manager) FinishRevoke(blocks []MemBlock) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, b := range blocks {
 		st, err := m.rpb(b.RPB)
 		if err != nil {
 			return err
@@ -347,90 +254,21 @@ func (m *Manager) FinishRevoke(alloc *ProgramAlloc) error {
 			return err
 		}
 	}
-	if alloc.ownsPID {
-		m.freePIDs = append(m.freePIDs, alloc.ProgramID)
-	}
 	return nil
 }
 
-// Reserve adds n table entries in an RPB to a linked program's holdings —
-// the incremental-update path, where case blocks are added to a running
-// program.
-func (m *Manager) Reserve(name string, rpb RPBID, n int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	alloc, ok := m.programs[name]
-	if !ok {
-		return fmt.Errorf("resource: program %q not linked", name)
+// Translate maps a virtual address of the block, held by program, to its
+// physical word offset in b.RPB — the control-plane side of the paper's
+// address translation.
+func (b MemBlock) Translate(program string, vaddr uint32) (uint32, error) {
+	if vaddr >= b.Size {
+		return 0, fmt.Errorf("resource: %s/%s: virtual address %d out of [0,%d)", program, b.Name, vaddr, b.Size)
 	}
-	if err := m.reserveEntriesLocked(rpb, n); err != nil {
-		return err
-	}
-	alloc.Entries[rpb] += n
-	return nil
-}
-
-// Release returns n table entries in an RPB from a linked program.
-func (m *Manager) Release(name string, rpb RPBID, n int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	alloc, ok := m.programs[name]
-	if !ok {
-		return fmt.Errorf("resource: program %q not linked", name)
-	}
-	if alloc.Entries[rpb] < n {
-		return fmt.Errorf("resource: program %q holds %d entries in RPB %d, cannot release %d", name, alloc.Entries[rpb], rpb, n)
-	}
-	alloc.Entries[rpb] -= n
-	st, err := m.rpb(rpb)
-	if err != nil {
-		return err
-	}
-	st.entriesUsed -= n
-	return nil
-}
-
-// Rename re-keys a linked program's allocation — the commit step of a
-// versioned upgrade, where the surviving version takes over the
-// operator-visible name. It fails if old is unknown or new is taken.
-func (m *Manager) Rename(oldName, newName string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	alloc, ok := m.programs[oldName]
-	if !ok {
-		return fmt.Errorf("resource: program %q not linked", oldName)
-	}
-	if _, dup := m.programs[newName]; dup {
-		return fmt.Errorf("resource: program %q already linked", newName)
-	}
-	delete(m.programs, oldName)
-	alloc.Name = newName
-	m.programs[newName] = alloc
-	return nil
-}
-
-// Translate maps a program's virtual memory address to its physical RPB and
-// word offset — the control-plane side of the paper's address translation.
-func (m *Manager) Translate(program, mem string, vaddr uint32) (RPBID, uint32, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	alloc, ok := m.programs[program]
-	if !ok {
-		return 0, 0, fmt.Errorf("resource: program %q not linked", program)
-	}
-	for _, b := range alloc.Blocks {
-		if b.Name == mem {
-			if vaddr >= b.Size {
-				return 0, 0, fmt.Errorf("resource: %s/%s: virtual address %d out of [0,%d)", program, mem, vaddr, b.Size)
-			}
-			return b.RPB, b.Start + vaddr, nil
-		}
-	}
-	return 0, 0, fmt.Errorf("resource: program %q has no memory %q", program, mem)
+	return b.Start + vaddr, nil
 }
 
 // Utilization summarizes dynamic usage for the experiments and the free
-// resources the allocator reads.
+// resources the allocator reads; it is the one read of free space.
 type Utilization struct {
 	RPB         RPBID
 	EntriesUsed int

@@ -8,60 +8,69 @@ import (
 
 func newMgr() *Manager { return NewManager(22, 10, 2048, 65536) }
 
+// at returns one RPB's row of a fresh snapshot.
+func at(m *Manager, id RPBID) Utilization { return m.Snapshot()[id-1] }
+
+// revoke locks and frees blocks the way a program revoke does.
+func revoke(t *testing.T, m *Manager, blocks []MemBlock) {
+	t.Helper()
+	m.BeginRevoke(blocks)
+	if err := m.FinishRevoke(blocks); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEntriesAccounting(t *testing.T) {
 	m := newMgr()
-	if m.FreeEntries(1) != 2048 || m.UsedEntries(1) != 0 {
+	if at(m, 1).FreeEntries() != 2048 || at(m, 1).EntriesUsed != 0 {
 		t.Fatal("fresh manager not empty")
 	}
-	alloc := &ProgramAlloc{Name: "p1", Entries: map[RPBID]int{1: 100, 5: 50}}
-	if err := m.Commit(alloc); err != nil {
+	if err := m.Reserve(1, 100); err != nil {
 		t.Fatal(err)
 	}
-	if m.FreeEntries(1) != 1948 || m.FreeEntries(5) != 1998 {
-		t.Errorf("free = %d, %d", m.FreeEntries(1), m.FreeEntries(5))
-	}
-	if alloc.ProgramID == 0 {
-		t.Error("no program ID assigned")
-	}
-	ra, err := m.BeginRevoke("p1")
-	if err != nil {
+	if err := m.Reserve(5, 50); err != nil {
 		t.Fatal(err)
 	}
-	if m.FreeEntries(1) != 2048 {
-		t.Error("entries not released at BeginRevoke")
+	if at(m, 1).FreeEntries() != 1948 || at(m, 5).FreeEntries() != 1998 {
+		t.Errorf("free = %d, %d", at(m, 1).FreeEntries(), at(m, 5).FreeEntries())
 	}
-	if err := m.FinishRevoke(ra); err != nil {
+	if err := m.Release(5, 51); err == nil {
+		t.Error("released more entries than reserved")
+	}
+	if err := m.Release(1, 100); err != nil {
 		t.Fatal(err)
+	}
+	if at(m, 1).FreeEntries() != 2048 || at(m, 5).FreeEntries() != 1998 {
+		t.Error("release did not return exactly the released entries")
+	}
+	if err := m.Reserve(23, 1); err == nil {
+		t.Error("reserved in an RPB out of range")
 	}
 }
 
 func TestMemoryFirstFit(t *testing.T) {
 	m := newMgr()
-	a := &ProgramAlloc{Name: "a", Blocks: []MemBlock{{Name: "m", RPB: 3, Size: 1024}}, Entries: map[RPBID]int{}}
-	b := &ProgramAlloc{Name: "b", Blocks: []MemBlock{{Name: "m", RPB: 3, Size: 512}}, Entries: map[RPBID]int{}}
+	a := []MemBlock{{Name: "m", RPB: 3, Size: 1024}}
+	b := []MemBlock{{Name: "m", RPB: 3, Size: 512}}
 	if err := m.Commit(a); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Commit(b); err != nil {
 		t.Fatal(err)
 	}
-	if a.Blocks[0].Start != 0 || b.Blocks[0].Start != 1024 {
-		t.Errorf("starts = %d, %d (first-fit expected)", a.Blocks[0].Start, b.Blocks[0].Start)
+	if a[0].Start != 0 || b[0].Start != 1024 {
+		t.Errorf("starts = %d, %d (first-fit expected)", a[0].Start, b[0].Start)
 	}
-	if m.FreeMemory(3) != 65536-1536 {
-		t.Errorf("free = %d", m.FreeMemory(3))
+	if got := at(m, 3).MemFree; got != 65536-1536 {
+		t.Errorf("free = %d", got)
 	}
 }
 
 func TestMemoryCoalescing(t *testing.T) {
 	m := newMgr()
-	var allocs []*ProgramAlloc
+	var allocs [][]MemBlock
 	for i := 0; i < 4; i++ {
-		a := &ProgramAlloc{
-			Name:    string(rune('a' + i)),
-			Blocks:  []MemBlock{{Name: "m", RPB: 1, Size: 256}},
-			Entries: map[RPBID]int{},
-		}
+		a := []MemBlock{{Name: "m", RPB: 1, Size: 256}}
 		if err := m.Commit(a); err != nil {
 			t.Fatal(err)
 		}
@@ -69,79 +78,75 @@ func TestMemoryCoalescing(t *testing.T) {
 	}
 	// Free the middle two; the partitions must coalesce into one 512 run.
 	for _, i := range []int{1, 2} {
-		ra, err := m.BeginRevoke(allocs[i].Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.FinishRevoke(ra); err != nil {
-			t.Fatal(err)
-		}
+		revoke(t, m, allocs[i])
 	}
-	if got := m.MaxContiguous(1); got != 65536-1024+512 {
-		// Free space: tail (65536-1024) coalesced with nothing; the hole
-		// is 512. Max contiguous is the tail.
-		if got != 65536-1024 {
-			t.Errorf("MaxContiguous = %d", got)
-		}
+	if got := at(m, 1).MaxBlock; got != 65536-1024 {
+		// Free space: the tail (65536-1024) and the 512-word hole.
+		t.Errorf("MaxBlock = %d", got)
 	}
 	// A 512 block fits exactly into the coalesced hole (first-fit).
-	c := &ProgramAlloc{Name: "c", Blocks: []MemBlock{{Name: "m", RPB: 1, Size: 512}}, Entries: map[RPBID]int{}}
+	c := []MemBlock{{Name: "m", RPB: 1, Size: 512}}
 	if err := m.Commit(c); err != nil {
 		t.Fatal(err)
 	}
-	if c.Blocks[0].Start != 256 {
-		t.Errorf("hole not reused: start = %d", c.Blocks[0].Start)
+	if c[0].Start != 256 {
+		t.Errorf("hole not reused: start = %d", c[0].Start)
 	}
 }
 
 func TestPowerOfTwoOnly(t *testing.T) {
 	m := newMgr()
-	bad := &ProgramAlloc{Name: "x", Blocks: []MemBlock{{Name: "m", RPB: 1, Size: 1000}}, Entries: map[RPBID]int{}}
-	if err := m.Commit(bad); err == nil {
+	if err := m.Commit([]MemBlock{{Name: "m", RPB: 1, Size: 1000}}); err == nil {
 		t.Error("non-power-of-two size accepted")
 	}
-	if _, ok := m.Program("x"); ok {
-		t.Error("failed commit left residue")
-	}
-	if m.FreeMemory(1) != 65536 {
+	if at(m, 1).MemFree != 65536 {
 		t.Error("failed commit leaked memory")
 	}
 }
 
+// TestCommitRollbackOnEntryFailure: a commit whose later block does not fit
+// frees the blocks it already carved, and an entry reservation beyond an
+// RPB's capacity reserves nothing.
 func TestCommitRollbackOnEntryFailure(t *testing.T) {
 	m := NewManager(4, 2, 100, 4096)
-	a := &ProgramAlloc{
-		Name:    "big",
-		Blocks:  []MemBlock{{Name: "m1", RPB: 1, Size: 1024}, {Name: "m2", RPB: 2, Size: 1024}},
-		Entries: map[RPBID]int{1: 50, 2: 200}, // 200 > capacity 100
-	}
-	if err := m.Commit(a); err == nil {
+	big := []MemBlock{{Name: "m1", RPB: 1, Size: 1024}, {Name: "m2", RPB: 2, Size: 8192}}
+	if err := m.Commit(big); err == nil {
 		t.Fatal("infeasible commit succeeded")
 	}
+	if err := m.Reserve(2, 50); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Reserve(2, 51); err == nil {
+		t.Fatal("reservation beyond capacity succeeded")
+	}
 	for rpb := RPBID(1); rpb <= 4; rpb++ {
-		if m.FreeMemory(rpb) != 4096 || m.FreeEntries(rpb) != 100 {
-			t.Errorf("RPB %d not rolled back: mem %d entries %d", rpb, m.FreeMemory(rpb), m.FreeEntries(rpb))
+		want := 100
+		if rpb == 2 {
+			want = 50
+		}
+		if u := at(m, rpb); u.MemFree != 4096 || u.FreeEntries() != want {
+			t.Errorf("RPB %d not rolled back: mem %d entries %d", rpb, u.MemFree, u.FreeEntries())
 		}
 	}
 }
 
 func TestLockedMemoryUnavailable(t *testing.T) {
 	m := NewManager(2, 1, 100, 1024)
-	a := &ProgramAlloc{Name: "a", Blocks: []MemBlock{{Name: "m", RPB: 1, Size: 1024}}, Entries: map[RPBID]int{}}
+	a := []MemBlock{{Name: "m", RPB: 1, Size: 1024}}
 	if err := m.Commit(a); err != nil {
 		t.Fatal(err)
 	}
-	ra, err := m.BeginRevoke("a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	m.BeginRevoke(a)
 	// Between BeginRevoke and FinishRevoke the memory is locked: a new
 	// program must NOT get it.
-	b := &ProgramAlloc{Name: "b", Blocks: []MemBlock{{Name: "m", RPB: 1, Size: 1024}}, Entries: map[RPBID]int{}}
+	b := []MemBlock{{Name: "m", RPB: 1, Size: 1024}}
 	if err := m.Commit(b); err == nil {
 		t.Fatal("locked memory was reallocated before reset completed")
 	}
-	if err := m.FinishRevoke(ra); err != nil {
+	if u := at(m, 1); u.MemUsed != 0 || u.MemFree != 0 {
+		t.Errorf("locked block counted as used %d / free %d, want neither", u.MemUsed, u.MemFree)
+	}
+	if err := m.FinishRevoke(a); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Commit(b); err != nil {
@@ -149,73 +154,47 @@ func TestLockedMemoryUnavailable(t *testing.T) {
 	}
 }
 
+// TestProgramIDReuse: IDs are handed out in order, and a freed ID is
+// reused before a new one, the most recently freed first.
 func TestProgramIDReuse(t *testing.T) {
 	m := newMgr()
-	a := &ProgramAlloc{Name: "a", Entries: map[RPBID]int{}}
-	if err := m.Commit(a); err != nil {
-		t.Fatal(err)
+	a, b, c := m.AllocPID(), m.AllocPID(), m.AllocPID()
+	if a != 1 || b != 2 || c != 3 {
+		t.Fatalf("fresh IDs %d %d %d, want 1 2 3", a, b, c)
 	}
-	pid := a.ProgramID
-	ra, _ := m.BeginRevoke("a")
-	_ = m.FinishRevoke(ra)
-	b := &ProgramAlloc{Name: "b", Entries: map[RPBID]int{}}
-	if err := m.Commit(b); err != nil {
-		t.Fatal(err)
+	m.FreePID(a)
+	m.FreePID(b)
+	if got := m.AllocPID(); got != b {
+		t.Errorf("got %d, want the most recently freed %d", got, b)
 	}
-	if b.ProgramID != pid {
-		t.Errorf("freed PID %d not reused (got %d)", pid, b.ProgramID)
+	if got := m.AllocPID(); got != a {
+		t.Errorf("got %d, want freed %d", got, a)
 	}
-}
-
-func TestDuplicateProgramRejected(t *testing.T) {
-	m := newMgr()
-	if err := m.Commit(&ProgramAlloc{Name: "p", Entries: map[RPBID]int{}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Commit(&ProgramAlloc{Name: "p", Entries: map[RPBID]int{}}); err == nil {
-		t.Error("duplicate program accepted")
-	}
-	if got := m.Programs(); len(got) != 1 || got[0] != "p" {
-		t.Errorf("programs = %v", got)
+	if got := m.AllocPID(); got != 4 {
+		t.Errorf("got %d, want the next new ID 4", got)
 	}
 }
 
 func TestTranslate(t *testing.T) {
 	m := newMgr()
-	a := &ProgramAlloc{
-		Name:    "p",
-		Blocks:  []MemBlock{{Name: "pad", RPB: 2, Size: 256}, {Name: "m", RPB: 2, Size: 256}},
-		Entries: map[RPBID]int{},
-	}
-	if err := m.Commit(a); err != nil {
+	blocks := []MemBlock{{Name: "pad", RPB: 2, Size: 256}, {Name: "m", RPB: 2, Size: 256}}
+	if err := m.Commit(blocks); err != nil {
 		t.Fatal(err)
 	}
-	rpb, paddr, err := m.Translate("p", "m", 10)
-	if err != nil {
-		t.Fatal(err)
+	if paddr, err := blocks[1].Translate("p", 10); err != nil || paddr != 256+10 {
+		t.Errorf("translate = addr %d, %v", paddr, err)
 	}
-	if rpb != 2 || paddr != 256+10 {
-		t.Errorf("translate = RPB %d addr %d", rpb, paddr)
-	}
-	if _, _, err := m.Translate("p", "m", 256); err == nil {
-		t.Error("out-of-range vaddr accepted")
-	}
-	if _, _, err := m.Translate("p", "nope", 0); err == nil {
-		t.Error("unknown memory accepted")
-	}
-	if _, _, err := m.Translate("ghost", "m", 0); err == nil {
-		t.Error("unknown program accepted")
+	if _, err := blocks[1].Translate("p", 256); err == nil || err.Error() != "resource: p/m: virtual address 256 out of [0,256)" {
+		t.Errorf("out-of-range vaddr: %v", err)
 	}
 }
 
 func TestSnapshotAndUtilization(t *testing.T) {
 	m := newMgr()
-	a := &ProgramAlloc{
-		Name:    "p",
-		Blocks:  []MemBlock{{Name: "m", RPB: 4, Size: 1024}},
-		Entries: map[RPBID]int{4: 512},
+	if err := m.Commit([]MemBlock{{Name: "m", RPB: 4, Size: 1024}}); err != nil {
+		t.Fatal(err)
 	}
-	if err := m.Commit(a); err != nil {
+	if err := m.Reserve(4, 512); err != nil {
 		t.Fatal(err)
 	}
 	snap := m.Snapshot()
@@ -223,7 +202,7 @@ func TestSnapshotAndUtilization(t *testing.T) {
 		t.Fatalf("snapshot len %d", len(snap))
 	}
 	u := snap[3]
-	if u.RPB != 4 || u.EntriesUsed != 512 || u.MemUsed != 1024 {
+	if u.RPB != 4 || u.EntriesUsed != 512 || u.MemUsed != 1024 || u.MemCap-u.MemFree != 1024 {
 		t.Errorf("RPB4 = %+v", u)
 	}
 	mem, ent := m.TotalUtilization()
@@ -247,8 +226,8 @@ func TestAllocFreeProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := NewManager(4, 2, 1000, 8192)
 		type live struct {
-			name   string
-			blocks []MemBlock
+			blocks  []MemBlock
+			entries int
 		}
 		var alive []live
 		ranges := map[RPBID][][2]uint32{}
@@ -260,33 +239,35 @@ func TestAllocFreeProperty(t *testing.T) {
 			}
 			return false
 		}
+		free := func(l live) bool {
+			m.BeginRevoke(l.blocks)
+			blk := l.blocks[0]
+			return m.Release(blk.RPB, l.entries) == nil && m.FinishRevoke(l.blocks) == nil
+		}
 		for op := 0; op < 60; op++ {
 			if rng.Intn(3) != 0 || len(alive) == 0 {
-				name := string(rune('A'+op%26)) + string(rune('a'+op/26))
 				size := uint32(1) << (4 + rng.Intn(6)) // 16..512
 				rpb := RPBID(rng.Intn(4) + 1)
-				a := &ProgramAlloc{
-					Name:    name,
-					Blocks:  []MemBlock{{Name: "m", RPB: rpb, Size: size}},
-					Entries: map[RPBID]int{rpb: rng.Intn(50)},
-				}
-				if err := m.Commit(a); err != nil {
+				blocks := []MemBlock{{Name: "m", RPB: rpb, Size: size}}
+				if err := m.Commit(blocks); err != nil {
 					continue
 				}
-				blk := a.Blocks[0]
+				entries := rng.Intn(50)
+				if err := m.Reserve(rpb, entries); err != nil {
+					m.BeginRevoke(blocks)
+					_ = m.FinishRevoke(blocks)
+					continue
+				}
+				blk := blocks[0]
 				if overlaps(blk.RPB, blk.Start, blk.Size) {
 					t.Logf("overlap at %+v", blk)
 					return false
 				}
 				ranges[blk.RPB] = append(ranges[blk.RPB], [2]uint32{blk.Start, blk.Start + blk.Size})
-				alive = append(alive, live{name: name, blocks: a.Blocks})
+				alive = append(alive, live{blocks: blocks, entries: entries})
 			} else {
 				idx := rng.Intn(len(alive))
-				ra, err := m.BeginRevoke(alive[idx].name)
-				if err != nil {
-					return false
-				}
-				if err := m.FinishRevoke(ra); err != nil {
+				if !free(alive[idx]) {
 					return false
 				}
 				blk := alive[idx].blocks[0]
@@ -301,18 +282,13 @@ func TestAllocFreeProperty(t *testing.T) {
 			}
 		}
 		for _, l := range alive {
-			ra, err := m.BeginRevoke(l.name)
-			if err != nil {
-				return false
-			}
-			if err := m.FinishRevoke(ra); err != nil {
+			if !free(l) {
 				return false
 			}
 		}
-		for r := RPBID(1); r <= 4; r++ {
-			if m.FreeMemory(r) != 8192 || m.MaxContiguous(r) != 8192 || m.FreeEntries(r) != 1000 {
-				t.Logf("RPB %d not pristine: mem %d contig %d entries %d",
-					r, m.FreeMemory(r), m.MaxContiguous(r), m.FreeEntries(r))
+		for _, u := range m.Snapshot() {
+			if u.MemFree != 8192 || u.MaxBlock != 8192 || u.FreeEntries() != 1000 {
+				t.Logf("RPB %d not pristine: %+v", u.RPB, u)
 				return false
 			}
 		}

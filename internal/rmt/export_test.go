@@ -55,10 +55,6 @@ func (s *Switch) ResetCounters() {
 		s.ports[i].pkts.Store(0)
 		s.ports[i].bytes.Store(0)
 	}
-	for i := range s.rx {
-		s.rx[i].pkts.Store(0)
-		s.rx[i].bytes.Store(0)
-	}
 	s.recircPackets.Store(0)
 	s.recircBytes.Store(0)
 }
@@ -107,14 +103,4 @@ func (t *Table) Apply(p *PHV) bool {
 		atomic.AddUint64(&e.hits, 1)
 	}
 	return ran
-}
-
-// RxStats returns the receive counters of a port (packets injected on it).
-// The fabric layer uses these for per-node tx/rx accounting and for the
-// topology-aware placement policy's edge-traffic estimate.
-func (s *Switch) RxStats(port int) PortCounters {
-	if port < 0 || port >= len(s.rx) {
-		return PortCounters{}
-	}
-	return s.rx[port].snapshot()
 }

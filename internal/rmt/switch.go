@@ -139,7 +139,7 @@ func (c *portCounter) snapshot() PortCounters {
 // so every reader is exact once the bursts it cares about have returned.
 type burstTally struct {
 	hits                 []hitRun // one run per table, indexed by plan position
-	rx, tx               portRun
+	tx                   portRun
 	saluOps              uint64
 	recircs, recircBytes uint64 // the loopback port's traffic
 }
@@ -246,7 +246,6 @@ type Switch struct {
 	mcast   atomic.Pointer[map[int][]int]
 
 	ports   []portCounter
-	rx      []portCounter
 	cpu     []*pkt.Packet
 	cpuMu   sync.Mutex
 	cpuKeep int
@@ -288,7 +287,6 @@ func New(cfg Config) *Switch {
 		arrays:  make(map[stageKey]*RegisterArray),
 		hash:    make(map[stageKey][]*hashing.Unit),
 		ports:   make([]portCounter, cfg.Ports+8),
-		rx:      make([]portCounter, cfg.Ports+8),
 		cpuKeep: 1 << 16,
 	}
 	s.phvPool = &sync.Pool{New: func() any { return &PHV{} }}
@@ -585,7 +583,7 @@ type BatchItem struct {
 // MEMWRITE in the paper's cache program) behave as on hardware, where drops
 // are finalized at deparsing. One PHV is checked out of the pool for the
 // whole burst, and every counter the burst moves is tallied in it and
-// flushed once, when the burst returns: readers (Metrics, PortStats, RxStats,
+// flushed once, when the burst returns: readers (Metrics, PortStats,
 // Entry.Hits, Table.Hits) include a burst once InjectBatch has returned.
 //
 // InjectBatch is safe for concurrent use: each call owns its PHV, and
@@ -603,7 +601,6 @@ func (s *Switch) InjectBatch(items []BatchItem) {
 	for i := range items {
 		it := &items[i]
 		tr := s.tracePacket(it.PathID)
-		phv.tally.rx.add(s.rx, it.Port, it.Pkt.WireLen)
 		phv.reset(s.layout, it.Pkt, it.Port)
 		phv.Meta.TTL = it.TTL
 		phv.trace = tr
@@ -637,7 +634,6 @@ func (s *Switch) flush(t *burstTally) {
 	for i := range t.hits {
 		t.hits[i].flush()
 	}
-	t.rx.flush(s.rx)
 	t.tx.flush(s.ports)
 	if t.saluOps > 0 {
 		s.met.saluOps.Add(t.saluOps)

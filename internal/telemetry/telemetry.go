@@ -193,7 +193,7 @@ func (e *Engine) Sweep() {
 		s.hits = pi.Hits
 		s.memWords = pi.MemWords
 		s.entries = pi.Entries
-		s.rpbEntries = e.rpbEntries(pi.Name)
+		s.rpbEntries = e.ct.Compiler.RPBEntries(pi.Name)
 		s.missing = 0
 	}
 	for name, s := range e.progs {
@@ -214,20 +214,6 @@ func (e *Engine) Sweep() {
 
 	e.sweeps.Add(1)
 	e.sweepNs.Observe(uint64(time.Since(start)))
-}
-
-// rpbEntries reads a program's per-RPB entry reservations from its
-// allocation record.
-func (e *Engine) rpbEntries(name string) map[int]int {
-	lp, ok := e.ct.Compiler.Linked(name)
-	if !ok || lp.Resources == nil || len(lp.Resources.Entries) == 0 {
-		return nil
-	}
-	out := make(map[int]int, len(lp.Resources.Entries))
-	for id, n := range lp.Resources.Entries {
-		out[int(id)] = n
-	}
-	return out
 }
 
 // registerProgramGauges installs the per-program scrape-time gauges. Each

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
@@ -14,6 +15,8 @@ import (
 	"p4runpro/internal/core"
 	"p4runpro/internal/obs/trace"
 	"p4runpro/internal/pkt"
+	"p4runpro/internal/programs"
+	"p4runpro/internal/resource"
 	"p4runpro/internal/rmt"
 	"p4runpro/internal/wire"
 )
@@ -606,4 +609,74 @@ func TestHTTPRoutesAnswerThroughVerbs(t *testing.T) {
 	if resp.StatusCode != 404 {
 		t.Errorf("bad trace id: code %d, want 404", resp.StatusCode)
 	}
+}
+
+// TestSweepUnderCaseChurn reads what a sweep, a listing and a memory range
+// read see of a program (run it with -race) while cases are added to and
+// removed from it: every read goes through the compiler's one record of
+// the program, so none races the churn, and the per-RPB entry counts a
+// sweep reports at rest match the program's entries.
+func TestSweepUnderCaseChurn(t *testing.T) {
+	ct := newController(t)
+	spec, _ := programs.Get("cache")
+	deploy(t, ct, spec.DefaultSource())
+	eng := New(ct, Options{Interval: time.Hour})
+	ctx := context.Background()
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			eng.Sweep()
+			ct.Programs()
+			if _, err := ct.ReadMemoryRange("cache", "mem1", 0, 16); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 30; i++ {
+		added, _, err := ct.AddCases(ctx, "cache", 4, fmt.Sprintf(`
+case(<har, 1, 0xffffffff>, <sar, %d, 0xffffffff>, <mar, 0, 0xffffffff>) {
+    RETURN;
+    LOADI(mar, 42);
+    MEMREAD(mem1);
+    MODIFY(hdr.nc.value, sar);
+};`, 0x2000+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ct.RemoveCase(ctx, "cache", added[0].BranchID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-done
+
+	eng.Sweep()
+	rows := eng.Result().Rows
+	if len(rows) != 1 {
+		t.Fatalf("rows %+v, want cache's alone", rows)
+	}
+	total := 0
+	for _, n := range rows[0].RPBEntries {
+		total += n
+	}
+	if rpb := ct.Utilization(); total == 0 || total != sumEntries(rpb) {
+		t.Errorf("sweep counts %d RPB entries, the switch reserves %d", total, sumEntries(rpb))
+	}
+}
+
+func sumEntries(us []resource.Utilization) int {
+	n := 0
+	for _, u := range us {
+		n += u.EntriesUsed
+	}
+	return n
 }
