@@ -10,7 +10,7 @@ import (
 )
 
 // listenAndDial serves a member on an ephemeral port and returns a
-// fleet-tuned client to it; both close with t.
+// DialMember client to it; both close with t.
 func listenAndDial(t *testing.T, s *wire.Server) *wire.Client {
 	t.Helper()
 	addr, err := s.Listen("127.0.0.1:0")
@@ -18,11 +18,7 @@ func listenAndDial(t *testing.T, s *wire.Server) *wire.Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	c, err := wire.Dial(addr,
-		wire.WithDialTimeout(time.Second),
-		wire.WithCallTimeout(5*time.Second),
-		wire.WithRetry(2, 10*time.Millisecond),
-	)
+	c, err := DialMember(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

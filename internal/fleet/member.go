@@ -24,12 +24,12 @@ func Local(ct *controlplane.Controller) *wire.Server {
 }
 
 // DialMember connects to a member daemon with the client tuning the fleet
-// wants: bounded per-call deadlines (a hung member must not stall probes
-// or fan-outs) and reconnect-with-backoff retries for transient failures.
+// wants: bounded dial and per-call deadlines, so a hung member cannot
+// stall probes or fan-outs. A failed call is not re-sent; the health
+// checker and the reconcile loop repair what it left behind.
 func DialMember(addr string) (*wire.Client, error) {
 	return wire.Dial(addr,
 		wire.WithDialTimeout(2*time.Second),
 		wire.WithCallTimeout(5*time.Second),
-		wire.WithRetry(3, 50*time.Millisecond),
 	)
 }

@@ -4,19 +4,22 @@
 // member prepares v2 next to its running v1, canaries cut over first and
 // soak under live traffic, and the remaining members follow in bounded
 // waves only while the health gates hold. A gate regression rolls every
-// member back to v1; a member that cannot be reached stays pinned to v1
-// and is caught up by reconciliation once the unit's desired source has
-// advanced to v2.
+// member back to v1. A member that cannot be reached stays pinned to v1:
+// reconciliation sees a unit's program names, not their versions, so it
+// does not catch a pinned member up to v2.
 //
 // Within each phase the member RPCs fan out concurrently — prepares,
 // a wave's cutovers, its soak samples, and commits are independent per
 // member — so a phase costs one slowest-member round trip instead of the
 // sum over members. Ordering between phases (and the soak between a wave
-// and its judgment) is unchanged.
+// and its judgment) is unchanged. Each member RPC is sent once: a failed
+// call pins or rolls back, and the health checker and reconcile loop are
+// the repair.
 package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -27,8 +30,7 @@ import (
 )
 
 // UpgradeOptions tunes a rolling upgrade. The zero value is usable: one
-// canary, waves of one, a 250ms soak, no drop-rate or traffic-floor gate,
-// three tries per member RPC.
+// canary, waves of one, a 250ms soak, no drop-rate or traffic-floor gate.
 type UpgradeOptions struct {
 	// Canaries is the size of the first cutover wave; StageSize bounds
 	// each later wave.
@@ -43,10 +45,6 @@ type UpgradeOptions struct {
 	// then passes vacuously).
 	MaxDropRate float64
 	MinV2PPS    float64
-	// Retries and RetryBackoff govern each member-level upgrade RPC; a
-	// member still failing after Retries tries is pinned to v1, not fatal.
-	Retries      int
-	RetryBackoff time.Duration
 }
 
 func (o UpgradeOptions) withDefaults() UpgradeOptions {
@@ -59,12 +57,6 @@ func (o UpgradeOptions) withDefaults() UpgradeOptions {
 	if o.Soak <= 0 {
 		o.Soak = 250 * time.Millisecond
 	}
-	if o.Retries <= 0 {
-		o.Retries = 3
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 25 * time.Millisecond
-	}
 	return o
 }
 
@@ -75,21 +67,6 @@ type upgradeMember struct {
 	cutover  bool
 	before   wire.UpgradeStatusResult // health-window baseline sample
 	beforeAt time.Time
-}
-
-// retryUpgradeCall runs one member-level upgrade verb with bounded retries.
-func retryUpgradeCall(ctx context.Context, opt UpgradeOptions, m *member, method string, params any) (wire.UpgradeStatusResult, error) {
-	var st wire.UpgradeStatusResult
-	var err error
-	for i := 0; i < opt.Retries; i++ {
-		if i > 0 {
-			time.Sleep(opt.RetryBackoff)
-		}
-		if st, err = wire.Call[wire.UpgradeStatusResult](ctx, m.b, method, params); err == nil {
-			return st, nil
-		}
-	}
-	return st, err
 }
 
 // revertMember puts one member back on v1, best-effort: cut back over
@@ -111,11 +88,11 @@ func (f *Fleet) revertMember(ctx context.Context, m *member, program string, cut
 // other intent mutations wait until the upgrade commits or rolls back.
 //
 // The returned result is total: every member of the unit is either
-// committed to v2, pinned to v1 (unreachable or repeatedly failing — the
-// unit's desired source still advances, so reconciliation converges it
-// later), or rolled back to v1 together with the rest when a health gate
-// failed. Every member verb runs under ctx, so a traced rollout carries
-// its trace to the members.
+// committed to v2, pinned to v1 (down, or its call failed — the unit's
+// desired source still advances, but the member keeps v1 until
+// reconciliation learns to compare versions), or rolled back to v1
+// together with the rest when a health gate failed. Every member verb
+// runs under ctx, so a traced rollout carries its trace to the members.
 func (f *Fleet) Upgrade(ctx context.Context, name, v2src string, opt UpgradeOptions) (wire.FleetUpgradeResult, error) {
 	opt = opt.withDefaults()
 	f.intentMu.Lock()
@@ -165,10 +142,16 @@ func (f *Fleet) Upgrade(ctx context.Context, name, v2src string, opt UpgradeOpti
 			wg.Add(1)
 			go func(i int, mn string, m *member) {
 				defer wg.Done()
-				if _, err := retryUpgradeCall(ctx, opt, m, wire.MethodUpgradeStart,
+				if _, err := wire.Call[wire.UpgradeStatusResult](ctx, m.b, wire.MethodUpgradeStart,
 					wire.UpgradeStartParams{Program: program, Source: v2src}); err != nil {
 					f.log.Errorf("fleet: upgrade prepare %s on %s: %v", program, mn, err)
 					f.noteFailure(m, err)
+					// Without a server's answer the prepare may have run;
+					// abort it so no v2 session outlives the rollout.
+					var oe *wire.OpError
+					if !errors.As(err, &oe) {
+						f.revertMember(ctx, m, program, false)
+					}
 					return
 				}
 				slots[i] = &upgradeMember{m: m, prepared: true}
@@ -230,7 +213,7 @@ func (f *Fleet) Upgrade(ctx context.Context, name, v2src string, opt UpgradeOpti
 				wg.Add(1)
 				go func(i int, um *upgradeMember) {
 					defer wg.Done()
-					st, err := retryUpgradeCall(ctx, opt, um.m, wire.MethodUpgradeCutover,
+					st, err := wire.Call[wire.UpgradeStatusResult](ctx, um.m.b, wire.MethodUpgradeCutover,
 						wire.UpgradeCutoverParams{Program: program, Version: 2})
 					if err != nil {
 						// The member may or may not have flipped; force it back
@@ -279,7 +262,7 @@ func (f *Fleet) Upgrade(ctx context.Context, name, v2src string, opt UpgradeOpti
 			wg.Add(1)
 			go func(i int, um *upgradeMember) {
 				defer wg.Done()
-				afters[i], errs[i] = retryUpgradeCall(ctx, opt, um.m, wire.MethodUpgradeStatus,
+				afters[i], errs[i] = wire.Call[wire.UpgradeStatusResult](ctx, um.m.b, wire.MethodUpgradeStatus,
 					wire.UpgradeNameParams{Program: program})
 			}(i, um)
 		}
@@ -308,7 +291,7 @@ func (f *Fleet) Upgrade(ctx context.Context, name, v2src string, opt UpgradeOpti
 			wg.Add(1)
 			go func(i int, um *upgradeMember) {
 				defer wg.Done()
-				if _, err := retryUpgradeCall(ctx, opt, um.m, wire.MethodUpgradeCommit,
+				if _, err := wire.Call[wire.UpgradeStatusResult](ctx, um.m.b, wire.MethodUpgradeCommit,
 					wire.UpgradeNameParams{Program: program}); err != nil {
 					f.log.Errorf("fleet: commit %s on %s: %v", program, um.m.name, err)
 					f.revertMember(ctx, um.m, program, true)

@@ -171,9 +171,9 @@ func (b noUpgradeBackend) Do(ctx context.Context, method string, params, result 
 }
 
 // TestFleetUpgradePinsUnavailableMembers: a down member and a member that
-// cannot upgrade are pinned to v1; the reachable members still
-// commit, and the advanced desired source lets reconciliation converge the
-// pinned ones later.
+// cannot upgrade are pinned to v1; the reachable members still commit.
+// The pinned members keep v1 afterwards: reconciliation compares program
+// names, not versions, so it does not catch them up.
 func TestFleetUpgradePinsUnavailableMembers(t *testing.T) {
 	f, cts := testFleet(t, 3, Options{Policy: ReplicateK{K: 4}, DownAfter: 1})
 	legacy := newLocalMember(t)

@@ -36,7 +36,6 @@ func RegisterWire(s *wire.Server, f *Fleet) {
 			Canaries: p.Canaries, StageSize: p.StageSize,
 			Soak:        time.Duration(p.SoakMs) * time.Millisecond,
 			MaxDropRate: p.MaxDropRate, MinV2PPS: p.MinV2PPS,
-			Retries: p.Retries, RetryBackoff: time.Duration(p.RetryBackoffMs) * time.Millisecond,
 		})
 	})
 	wire.Handle(s, wire.MethodFleetMemRead, func(ctx context.Context, p wire.FleetMemReadParams) (wire.FleetMemReadResult, error) {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -20,7 +19,6 @@ type Client struct {
 	addr        string
 	dialTimeout time.Duration
 	callTimeout time.Duration
-	retry       RetryPolicy
 	tracer      *trace.Tracer
 
 	mu     sync.Mutex
@@ -29,53 +27,8 @@ type Client struct {
 	nextID int64
 }
 
-// RetryPolicy governs opt-in reconnect-and-retry of transport failures:
-// Attempts total tries per operation with exponential backoff from Base,
-// capped at Max, each sleep jittered ±25%. The zero value disables
-// retries.
-type RetryPolicy struct {
-	Attempts int
-	Base     time.Duration
-	Max      time.Duration
-}
-
-func (p RetryPolicy) enabled() bool { return p.Attempts > 1 }
-
-// backoff returns the jittered sleep before try i (1-based; try 1 never
-// sleeps).
-func (p RetryPolicy) backoff(i int) time.Duration {
-	if i <= 1 {
-		return 0
-	}
-	d := p.Base << uint(i-2)
-	if max := p.Max; max > 0 && d > max {
-		d = max
-	}
-	if d <= 0 {
-		return 0
-	}
-	jitter := 0.75 + 0.5*rand.Float64()
-	return time.Duration(float64(d) * jitter)
-}
-
 // ClientOption configures Dial.
 type ClientOption func(*Client)
-
-// WithRetry enables reconnect-and-retry for transient connection errors
-// (refused dials, resets, broken pipes), with exponential backoff plus
-// jitter between tries. Default base/max are 50ms/2s when zero. Retries
-// cover the initial dial and any call whose transport fails — a call that
-// reached the server may re-execute, so enable this only for idempotent
-// or monitoring traffic (the fleet health checker's use). Server-reported
-// errors are never retried.
-func WithRetry(attempts int, base time.Duration) ClientOption {
-	return func(c *Client) {
-		if base <= 0 {
-			base = 50 * time.Millisecond
-		}
-		c.retry = RetryPolicy{Attempts: attempts, Base: base, Max: 2 * time.Second}
-	}
-}
 
 // WithCallTimeout bounds each RPC round trip: the connection deadline is
 // armed before the request is written and cleared after the response is
@@ -103,18 +56,10 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	for _, o := range opts {
 		o(c)
 	}
-	attempts := 1
-	if c.retry.enabled() {
-		attempts = c.retry.Attempts
+	if err := c.connect(); err != nil {
+		return nil, err
 	}
-	var err error
-	for i := 1; i <= attempts; i++ {
-		time.Sleep(c.retry.backoff(i))
-		if err = c.connect(); err == nil {
-			return c, nil
-		}
-	}
-	return nil, err
+	return c, nil
 }
 
 // connect (re)establishes the TCP session. Caller must not hold c.mu when
@@ -146,36 +91,25 @@ func (c *Client) Close() error {
 // is marshalled into the request and the response's result unmarshalled
 // into result (nil to discard it); reqFrames travel as binary frames
 // behind the request line, and the frames the response carried are
-// returned. Transport failures reconnect and retry when a retry policy is
-// set; a server-reported *OpError never does.
+// returned. The request is written at most once. A transport failure
+// (refused dial, reset, lost response) comes back to the caller and drops
+// the connection, so the next call redials; a request whose response was
+// lost may have run, and only a later read can tell. A server-reported
+// *OpError keeps the connection.
 func (c *Client) Do(ctx context.Context, method string, params, result any, reqFrames ...[]byte) ([][]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	attempts := 1
-	if c.retry.enabled() {
-		attempts = c.retry.Attempts
-	}
-	var err error
-	for i := 1; i <= attempts; i++ {
-		time.Sleep(c.retry.backoff(i))
-		if c.conn == nil {
-			if err = c.connect(); err != nil {
-				continue
-			}
-		}
-		var retryable bool
-		var respFrames [][]byte
-		respFrames, retryable, err = c.roundTrip(ctx, method, params, result, reqFrames)
-		if err == nil {
-			return respFrames, nil
-		}
-		if !retryable {
+	if c.conn == nil {
+		if err := c.connect(); err != nil {
 			return nil, err
 		}
+	}
+	respFrames, broken, err := c.roundTrip(ctx, method, params, result, reqFrames)
+	if broken {
 		c.conn.Close()
 		c.conn = nil
 	}
-	return nil, err
+	return respFrames, err
 }
 
 // Doer is one round trip through the verb table: *Client over TCP, or
@@ -192,7 +126,7 @@ func Call[R any](ctx context.Context, c Doer, method string, params any) (R, err
 	return out, err
 }
 
-// startCallSpan opens the client-side span for one call attempt: a child
+// startCallSpan opens the client-side span for one call: a child
 // of ctx's span when one is present (fan-out from a traced server), else a
 // fresh root from the client's own tracer, else the nop span.
 func (c *Client) startCallSpan(ctx context.Context, method string) *trace.Span {
@@ -207,8 +141,8 @@ func (c *Client) startCallSpan(ctx context.Context, method string) *trace.Span {
 }
 
 // roundTrip writes one request (plus any binary frames) and reads its
-// response on the current connection. The bool reports whether the
-// failure was a transport error worth a reconnect. Server-side failures
+// response on the current connection. The bool reports a transport
+// failure, after which Do drops the connection. Server-side failures
 // come back as *OpError: the connection is still healthy and stays open.
 // A desynced stream (response id mismatch, corrupt frame) poisons the
 // connection so the next call redials.
@@ -247,10 +181,10 @@ func (c *Client) roundTrip(ctx context.Context, method string, params, result an
 		return nil, true, err
 	}
 	sp.ChildAt("wire.flush", wstart, time.Since(wstart))
-	resp, respFrames, retryable, err := c.readResponse()
+	resp, respFrames, broken, err := c.readResponse()
 	if err != nil {
 		sp.SetTag("err", err.Error())
-		return nil, retryable, err
+		return nil, broken, err
 	}
 	if resp.ID != req.ID {
 		// The stream is desynced — whatever follows belongs to some other
@@ -273,8 +207,8 @@ func (c *Client) roundTrip(ctx context.Context, method string, params, result an
 }
 
 // readResponse reads one response line plus its announced binary frames.
-// The bool classifies a failure as transport-level (retryable after a
-// reconnect) versus protocol-level.
+// The bool classifies a failure as transport-level (the connection is
+// dropped) versus protocol-level.
 func (c *Client) readResponse() (Response, [][]byte, bool, error) {
 	respLine, err := c.rd.ReadBytes('\n')
 	if err != nil {
@@ -291,7 +225,7 @@ func (c *Client) readResponse() (Response, [][]byte, bool, error) {
 	for i := 0; i < resp.Frames; i++ {
 		f, err := ReadFrame(c.rd, DefaultMaxFrameBytes)
 		if err != nil {
-			// Frame stream is unrecoverable mid-message; reconnect.
+			// Frame stream is unrecoverable mid-message; drop the connection.
 			return Response{}, nil, true, err
 		}
 		frames = append(frames, f)

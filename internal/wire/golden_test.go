@@ -200,7 +200,7 @@ func TestGoldenClientRequests(t *testing.T) {
 		{"UpgradeStatus", func() error { return do(bg, wire.MethodUpgradeStatus, wire.UpgradeNameParams{Program: "fwd"}) }},
 		{"FleetUpgrade", func() error {
 			return do(bg, wire.MethodFleetUpgrade, wire.FleetUpgradeParams{Name: "fwd", Source: goldenFwdV2, Canaries: 1,
-				StageSize: 2, SoakMs: 50, MaxDropRate: 0.5, MinV2PPS: 1.5, Retries: 2, RetryBackoffMs: 5})
+				StageSize: 2, SoakMs: 50, MaxDropRate: 0.5, MinV2PPS: 1.5})
 		}},
 		{"FleetDeploy", func() error {
 			return do(bg, wire.MethodFleetDeploy, wire.FleetDeployParams{Source: goldenCounter, Replicas: 2})

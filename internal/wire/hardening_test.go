@@ -98,9 +98,12 @@ func TestIdleConnectionStaysOpen(t *testing.T) {
 	}
 }
 
-func TestClientRetryReconnects(t *testing.T) {
+// TestClientRedialsAfterBounce: a client whose server went away and came
+// back on the same address loses at most one call, with a transport error,
+// and the next call redials and succeeds. Nothing is re-sent.
+func TestClientRedialsAfterBounce(t *testing.T) {
 	srv, addr := startServerTuned(t, DefaultMaxRequestBytes, time.Second)
-	c, err := Dial(addr, WithRetry(5, 10*time.Millisecond), WithCallTimeout(time.Second))
+	c, err := Dial(addr, WithCallTimeout(time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +111,8 @@ func TestClientRetryReconnects(t *testing.T) {
 	if _, err := c.Status(); err != nil {
 		t.Fatal(err)
 	}
-	// Bounce the server on the same address; the client's next call rides
-	// the retry loop through a reconnect.
+	// Bounce the server on the same address; the client's connection is
+	// now dead.
 	srv.Close()
 	ct, err := controlplane.New(rmt.DefaultConfig(), core.DefaultOptions())
 	if err != nil {
@@ -132,13 +135,22 @@ func TestClientRetryReconnects(t *testing.T) {
 	}
 	t.Cleanup(func() { srv2.Close() })
 	if _, err := c.Status(); err != nil {
-		t.Errorf("call after server bounce: %v", err)
+		var oe *OpError
+		if errors.As(err, &oe) {
+			t.Fatalf("first call after bounce: %v, want a transport error", err)
+		}
+		if _, err := c.Status(); err != nil {
+			t.Fatalf("second call after bounce: %v", err)
+		}
+	}
+	if got := srv2.cRequests.Value(); got != 1 {
+		t.Errorf("new server saw %v requests, want only the call that succeeded", got)
 	}
 }
 
 func TestServerErrorsAreNotRetried(t *testing.T) {
 	srv, addr := startServerTuned(t, DefaultMaxRequestBytes, time.Second)
-	c, err := Dial(addr, WithRetry(4, 5*time.Millisecond))
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,22 +185,6 @@ func TestHugeMemReadRefused(t *testing.T) {
 		}
 		if _, err := c.Status(); err != nil {
 			t.Fatalf("status after %s: %v", method, err)
-		}
-	}
-}
-
-func TestRetryBackoffBounds(t *testing.T) {
-	p := RetryPolicy{Attempts: 5, Base: 10 * time.Millisecond, Max: 40 * time.Millisecond}
-	for i := 2; i <= 5; i++ {
-		d := p.backoff(i)
-		// Jitter is 0.75x..1.25x around base<<(i-2), capped at Max.
-		want := p.Base << (i - 2)
-		if want > p.Max {
-			want = p.Max
-		}
-		lo, hi := want*3/4, want*5/4
-		if d < lo || d > hi {
-			t.Errorf("backoff(%d) = %v, want in [%v, %v]", i, d, lo, hi)
 		}
 	}
 }

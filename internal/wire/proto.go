@@ -251,15 +251,12 @@ type FleetUpgradeParams struct {
 	// disabled, and zero MinV2PPS disables the traffic floor.
 	MaxDropRate float64 `json:"max_drop_rate,omitempty"`
 	MinV2PPS    float64 `json:"min_v2_pps,omitempty"`
-	// Retries/RetryBackoffMs govern per-member retry of upgrade RPCs.
-	Retries        int   `json:"retries,omitempty"`
-	RetryBackoffMs int64 `json:"retry_backoff_ms,omitempty"`
 }
 
 // FleetUpgradeResult reports a finished rollout: every member either
-// committed to v2, stayed pinned to v1 (unreachable — reconciliation
-// re-deploys it from the updated unit source later), or — when RolledBack —
-// was rolled back to v1 because a health gate failed.
+// committed to v2, stayed pinned to v1 (down, or its call failed — it
+// keeps v1, since reconciliation does not compare versions), or — when
+// RolledBack — was rolled back to v1 because a health gate failed.
 type FleetUpgradeResult struct {
 	Unit       string   `json:"unit"`
 	Committed  []string `json:"committed,omitempty"`

@@ -19,7 +19,7 @@ import (
 
 // Fault-injection points (see internal/faults): chaos tests arm these to
 // prove a connection dying mid-request or mid-response never corrupts the
-// controller and the client's retry on a fresh connection succeeds.
+// controller and the client's next call, on a fresh connection, succeeds.
 var (
 	fpConnRead  = faults.Register("wire.conn.read")
 	fpConnWrite = faults.Register("wire.conn.write")
