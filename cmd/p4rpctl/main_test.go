@@ -89,7 +89,7 @@ func servers(t *testing.T) (single, fleetSrv *wire.Server) {
 		t.Fatal(err)
 	}
 	member.SetTracing(tr, fr)
-	f := fleet.New(fleet.Options{Policy: fleet.ReplicateK{K: 1}})
+	f := fleet.New(fleet.Options{Replicas: 1})
 	f.SetTracing(tr, fr)
 	if err := f.AddMember("m1", switchServer(member)); err != nil {
 		t.Fatal(err)

@@ -158,8 +158,8 @@ func main() {
 	var srv *wire.Server
 	if *fleetN > 0 {
 		f := fleet.New(fleet.Options{
-			Policy: fleet.ReplicateK{K: *replicas},
-			Logger: logger,
+			Replicas: *replicas,
+			Logger:   logger,
 		})
 		f.SetTracing(tracer, flight)
 		for i := 0; i < *fleetN; i++ {

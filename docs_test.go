@@ -258,23 +258,24 @@ var testOnlyAllowed = map[string]string{
 	"internal/fleet.Local":                        "README quickstart",
 	// Names other packages' tests need; an export_test.go reaches only its
 	// own package's tests.
-	"internal/rmt.Switch.MulticastGroup":   "controlplane and wire tests read replication lists back",
-	"internal/rmt.Table.SetDefault":        "fabric and root tests build hand tables with a miss action",
-	"internal/rmt.Switch.SetQueueDepth":    "controlplane tests set the queue occupancy a primitive reads",
-	"internal/obs/trace.ContextWithRemote": "the wire golden pins requests carrying a remote parent",
-	"internal/wire.WithTracer":             "the wire golden and fleet TCP trace tests dial with it",
+	"internal/rmt.Switch.MulticastGroup": "controlplane and wire tests read replication lists back",
+	"internal/rmt.Table.SetDefault":      "fabric and root tests build hand tables with a miss action",
+	"internal/rmt.Switch.SetQueueDepth":  "controlplane tests set the queue occupancy a primitive reads",
+	"internal/wire.WithTracer":           "the wire golden and fleet TCP trace tests dial with it",
 }
 
 // testOnlyPkgs are test-infrastructure packages: their exports exist for
 // tests.
 var testOnlyPkgs = map[string]bool{"internal/faults": true, "internal/wire/wiretest": true}
 
-// TestNoTestOnlyExports checks that every exported top-level function or
-// method declared in a non-test file outside bench/ is referenced from
-// some non-test file of the repository or of bench/: a name only tests
-// reach is dead code to the product. References are matched by name (a
-// selector x.Name for methods, pkg.Name or a bare name inside its own
-// directory for functions), so colliding names can still hide one.
+// TestNoTestOnlyExports checks that every exported top-level function,
+// method or type declared in a non-test file outside bench/ is referenced
+// from some non-test file of the repository or of bench/: a name only
+// tests reach is dead code to the product. References are matched by name
+// (a selector x.Name for methods, pkg.Name or a bare name inside its own
+// directory for functions and types; a type's own method receivers do not
+// count, and aliases are not checked), so colliding names can still hide
+// one.
 func TestNoTestOnlyExports(t *testing.T) {
 	type fn struct{ dir, recv, name, pos string }
 	var fns []fn
@@ -303,20 +304,35 @@ func TestNoTestOnlyExports(t *testing.T) {
 			bare[dir] = map[string]bool{}
 		}
 		declNames := map[*ast.Ident]bool{}
+		inBench := dir == "bench" || strings.HasPrefix(dir, "bench/")
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				declNames[d.Name] = true
+				recv := ""
+				if d.Recv != nil {
+					recv = typeName(d.Recv.List[0].Type)
+					ast.Inspect(d.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							declNames[id] = true
+						}
+						return true
+					})
+				}
+				if d.Name.IsExported() && !inBench {
+					fns = append(fns, fn{dir, recv, d.Name.Name, fset.Position(d.Pos()).String()})
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						declNames[ts.Name] = true
+						// An alias re-exports a type; it declares none.
+						if ts.Name.IsExported() && !ts.Assign.IsValid() && !inBench {
+							fns = append(fns, fn{dir, "", ts.Name.Name, fset.Position(ts.Pos()).String()})
+						}
+					}
+				}
 			}
-			declNames[fd.Name] = true
-			if !fd.Name.IsExported() || dir == "bench" || strings.HasPrefix(dir, "bench/") {
-				continue
-			}
-			recv := ""
-			if fd.Recv != nil {
-				recv = typeName(fd.Recv.List[0].Type)
-			}
-			fns = append(fns, fn{dir, recv, fd.Name.Name, fset.Position(fd.Pos()).String()})
 		}
 		sels := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {

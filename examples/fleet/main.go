@@ -32,7 +32,7 @@ func main() {
 	// Three member switches, each behind its own wire daemon — the same
 	// topology as three p4rpd processes on three switch CPUs.
 	f := fleet.New(fleet.Options{
-		Policy:            fleet.ReplicateK{K: 2},
+		Replicas:          2,
 		ProbeInterval:     50 * time.Millisecond,
 		ProbeTimeout:      time.Second,
 		DownAfter:         2,

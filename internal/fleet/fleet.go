@@ -8,16 +8,15 @@
 // verification concern fleet-wide).
 //
 // The Fleet holds a desired-state store of deployment units, ranks
-// members through pluggable policies (best-fit, spread, replicate-k)
-// scored by utilization headroom, and places a unit on the first ranked
-// members whose own deploy.plan says it links there — allocation stays
-// the member's decision, as in the paper (§4.3). It probes member health
-// with timeouts and backoff (healthy → suspect → down), and runs a
-// reconcile loop that re-deploys a down member's units to survivors and
-// reverses divergence between desired and actual state. Reads (programs,
-// utilization, memory) fan out to live members and fan in aggregated, so
-// single-member failures never fail a fleet API call while a replica
-// survives.
+// members by assigned units and utilization headroom, and places a unit
+// on the first ranked members whose own deploy.plan says it links there —
+// allocation stays the member's decision, as in the paper (§4.3). It
+// probes member health with timeouts and backoff (healthy → suspect →
+// down), and runs a reconcile loop that re-deploys a down member's units
+// to survivors and reverses divergence between desired and actual state.
+// Reads (programs, utilization, memory) fan out to live members and fan
+// in aggregated, so single-member failures never fail a fleet API call
+// while a replica survives.
 package fleet
 
 import (
@@ -60,13 +59,13 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// Options tunes a Fleet. The zero value is usable: spread placement,
-// single replica, 1s probes with 5s timeout, down after 3 consecutive
-// failures, 2s reconcile cadence.
+// Options tunes a Fleet. The zero value is usable: single replica, 1s
+// probes with 5s timeout, down after 3 consecutive failures, 2s reconcile
+// cadence.
 type Options struct {
-	// Policy ranks members for placement; a ReplicateK policy also sets
-	// the default replica count. Default Spread{}.
-	Policy Policy
+	// Replicas is how many members hold each unit when a deploy asks for
+	// no count of its own. Default 1.
+	Replicas int
 	// ProbeInterval is the health-check cadence for healthy members;
 	// failing members are re-probed on an exponential backoff from half
 	// this interval up to eight times it.
@@ -83,8 +82,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Policy == nil {
-		o.Policy = Spread{}
+	if o.Replicas <= 0 {
+		o.Replicas = 1
 	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = time.Second
@@ -283,10 +282,10 @@ func (f *Fleet) member(name string) (*member, bool) {
 	return m, ok
 }
 
-// Deploy places source on the fleet: rank healthy members by policy, ask
+// Deploy places source on the fleet: rank healthy members (see rank), ask
 // them in that order for a plan of source against their live state, and
-// deploy to the first k that can link it (k = replicas, or the policy's
-// default when 0). A member that still refuses the deploy gives its slot
+// deploy to the first k that can link it (k = reps, or Options.Replicas
+// when 0). A member that still refuses the deploy gives its slot
 // to the next ranked member. The unit is recorded in the desired-state
 // store with the first plan's entries and memory words. Partial placement
 // (fewer than k but at least one replica) succeeds; the reconcile loop
@@ -329,10 +328,10 @@ func (f *Fleet) Deploy(ctx context.Context, source string, reps int) (res []wire
 		}
 	}
 	if reps <= 0 {
-		reps = replicas(f.opt.Policy)
+		reps = f.opt.Replicas
 	}
 	key := UnitKey(names)
-	ranked := f.opt.Policy.Place(f.liveViews())
+	ranked := rank(f.liveViews())
 	placed, plan, refusal := f.place(ctx, source, ranked, nil, reps, func(m *member) error {
 		err := spanned(ctx, "fanout", m, wire.MethodDeploy, wire.DeployParams{Source: source}, nil)
 		if err != nil {
@@ -388,7 +387,7 @@ func programNames(source string) ([]string, error) {
 	return names, nil
 }
 
-// place walks ranked, the healthy members in policy order, skipping those
+// place walks ranked, the healthy members in rank order, skipping those
 // in skip, and asks each for a deploy.plan of source (one plan.<member>
 // span under ctx) until want of them have accepted it — and, when take is
 // given, have been taken by it too, so a member that refuses the deploy

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -62,66 +63,26 @@ func testFleet(t *testing.T, n int, opt Options) (*Fleet, []*controlplane.Contro
 
 func memberName(i int) string { return fmt.Sprintf("m%d", i+1) }
 
+// TestPlacementPolicies: the one placement rank puts the member with the
+// fewest assigned units first, then the one with the most headroom, and
+// breaks full ties by name.
 func TestPlacementPolicies(t *testing.T) {
 	views := []MemberView{
 		{Name: "a", Headroom: 0.1},
 		{Name: "b", Headroom: 0.9},
 		{Name: "c", Headroom: 0.5},
+		{Name: "d", Headroom: 0.5},
 	}
-
-	got := (BestFit{}).Place(views)
-	if got[0] != "a" || got[1] != "c" || got[2] != "b" {
-		t.Errorf("best-fit order = %v", got)
+	if got := rank(views); !reflect.DeepEqual(got, []string{"b", "c", "d", "a"}) {
+		t.Errorf("order by headroom = %v", got)
 	}
-
-	got = (Spread{}).Place(views)
-	if got[0] != "b" || got[1] != "c" || got[2] != "a" {
-		t.Errorf("spread order = %v", got)
+	views[1].Units = 3 // b: most headroom, but loaded
+	views[3].Units = 1
+	if got := rank(views); !reflect.DeepEqual(got, []string{"c", "a", "d", "b"}) {
+		t.Errorf("order by units, then headroom = %v", got)
 	}
-
-	// Spread prefers fewer assigned units before headroom.
-	views[2].Units = 0
-	views[1].Units = 3
-	got = (Spread{}).Place(views)
-	if got[0] != "c" {
-		t.Errorf("spread with units order = %v", got)
-	}
-
-	// ReplicateK defers to its base and reports its replica count.
-	rk := ReplicateK{K: 2}
-	if replicas(rk) != 2 || replicas(Spread{}) != 1 {
-		t.Error("replica defaults wrong")
-	}
-	if got = rk.Place(views); len(got) != 3 {
-		t.Fatalf("replicate-k place = %v", got)
-	}
-}
-
-func TestTopologyAwarePlacement(t *testing.T) {
-	views := []MemberView{
-		{Name: "leaf0", Headroom: 0.9},
-		{Name: "leaf1", Headroom: 0.9},
-		{Name: "spine0", Headroom: 0.9},
-	}
-
-	// The member seeing the most edge traffic wins, regardless of the base
-	// policy's alphabetical tie break.
-	ta := TopologyAware{Traffic: func() map[string]uint64 {
-		return map[string]uint64{"leaf0": 10, "leaf1": 5000, "spine0": 0}
-	}}
-	got := ta.Place(views)
-	if got[0] != "leaf1" || got[1] != "leaf0" || got[2] != "spine0" {
-		t.Errorf("topology-aware order = %v", got)
-	}
-
-	// No signal (nil func or empty map): pure base-policy order.
-	got = TopologyAware{}.Place(views)
-	if got[0] != "leaf0" || got[1] != "leaf1" || got[2] != "spine0" {
-		t.Errorf("topology-aware without signal = %v", got)
-	}
-
-	if (TopologyAware{}).Name() != "topology-aware" {
-		t.Error("policy name")
+	if views[0].Name != "a" || views[1].Name != "b" {
+		t.Error("rank reordered its input")
 	}
 }
 
@@ -158,7 +119,7 @@ func TestStore(t *testing.T) {
 }
 
 func TestDeployReplicationAndFanIn(t *testing.T) {
-	f, cts := testFleet(t, 3, Options{Policy: ReplicateK{K: 2}})
+	f, cts := testFleet(t, 3, Options{Replicas: 2})
 	res, err := f.Deploy(ctx, counterSrc, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +179,7 @@ func TestDeployReplicationAndFanIn(t *testing.T) {
 }
 
 func TestMemReadAggregation(t *testing.T) {
-	f, cts := testFleet(t, 2, Options{Policy: ReplicateK{K: 2}})
+	f, cts := testFleet(t, 2, Options{Replicas: 2})
 	if _, err := f.Deploy(ctx, counterSrc, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +243,7 @@ func (fb *flakyBackend) Do(ctx context.Context, method string, params, result an
 
 func TestHealthStateMachineAndFailover(t *testing.T) {
 	opt := Options{
-		Policy:        ReplicateK{K: 2},
+		Replicas:      2,
 		ProbeInterval: 10 * time.Millisecond,
 		ProbeTimeout:  100 * time.Millisecond,
 		DownAfter:     3,
@@ -398,7 +359,7 @@ func TestReconcileAdoptsRejoinedMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	flaky := &flakyBackend{Member: Local(ct1)}
-	f := New(Options{Policy: ReplicateK{K: 2}, DownAfter: 3})
+	f := New(Options{Replicas: 2, DownAfter: 3})
 	if err := f.AddMember("m1", flaky); err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +583,7 @@ func (b *batchSpyBackend) Do(ctx context.Context, method string, params, result 
 // the survivor ONE deploy.batch round trip carrying every re-placed unit,
 // not one Deploy per unit.
 func TestReconcileBatchesDeploys(t *testing.T) {
-	f := New(Options{Policy: ReplicateK{K: 1}, DownAfter: 1})
+	f := New(Options{Replicas: 1, DownAfter: 1})
 	flaky := &flakyBackend{Member: Local(newLocalMember(t))}
 	if err := f.AddMember("m1", flaky); err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ const goldenTraceHeader = "0123456789abcdef0123456789abcdef-fedcba9876543210"
 // tcp set the same servers listening on sockets the fleet dials.
 func goldenFleet(t *testing.T, tr *trace.Tracer, fr *trace.FlightRecorder, tcp bool) (*Fleet, *wiretest.Conn) {
 	t.Helper()
-	f := New(Options{Policy: ReplicateK{K: 2}})
+	f := New(Options{Replicas: 2})
 	f.SetTracing(tr, fr)
 	for i := 0; i < 2; i++ {
 		ct := newLocalMember(t)

@@ -53,7 +53,7 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 // zero failed requests, and the obs counters record the failover.
 func TestFleetFailoverOverWire(t *testing.T) {
 	f := New(Options{
-		Policy:            ReplicateK{K: 2},
+		Replicas:          2,
 		ProbeInterval:     20 * time.Millisecond,
 		ProbeTimeout:      200 * time.Millisecond,
 		DownAfter:         2,
@@ -152,7 +152,7 @@ func TestFleetFailoverOverWire(t *testing.T) {
 // fleet.* verbs: in-process members behind a bare wire server, a plain
 // client deploying, listing, reading aggregated memory, and revoking.
 func TestFleetServedOverWire(t *testing.T) {
-	f := New(Options{Policy: ReplicateK{K: 2}})
+	f := New(Options{Replicas: 2})
 	for i := 0; i < 3; i++ {
 		if err := f.AddMember(memberName(i), Local(newLocalMember(t))); err != nil {
 			t.Fatal(err)

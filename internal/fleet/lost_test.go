@@ -218,7 +218,7 @@ func (b *lostReplyBackend) Do(ctx context.Context, method string, params, result
 // is lost. The fleet places the unit elsewhere, and one reconcile pass
 // leaves the unit on exactly the members the store records.
 func TestLostDeployReconciles(t *testing.T) {
-	f := New(Options{Policy: ReplicateK{K: 1}})
+	f := New(Options{Replicas: 1})
 	lossy := &lostReplyBackend{Member: Local(newLocalMember(t)), method: wire.MethodDeploy}
 	if err := f.AddMember("m1", lossy); err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestLostDeployReconciles(t *testing.T) {
 // pinned, and its prepare is aborted, so no v2 session outlives the
 // rollout and the next upgrade commits on it.
 func TestLostPrepareAborted(t *testing.T) {
-	f, cts := testFleet(t, 1, Options{Policy: ReplicateK{K: 2}})
+	f, cts := testFleet(t, 1, Options{Replicas: 2})
 	ct := newLocalMember(t)
 	if err := f.AddMember("m2", &lostReplyBackend{Member: Local(ct), method: wire.MethodUpgradeStart}); err != nil {
 		t.Fatal(err)
@@ -284,5 +284,33 @@ func TestLostPrepareAborted(t *testing.T) {
 	}
 	if len(res.Pinned) != 0 || len(res.Committed) != 2 {
 		t.Fatalf("second upgrade = %+v, want both members committed", res)
+	}
+}
+
+// TestLostCommitCountsAsCommitted: the only member's upgrade.commit
+// applies and its response is lost. The member's session reads committed,
+// so the rollout counts it as committed rather than reverting and pinning
+// it, and the store advances to v2's source.
+func TestLostCommitCountsAsCommitted(t *testing.T) {
+	f := New(Options{})
+	ct := newLocalMember(t)
+	if err := f.AddMember("m1", &lostReplyBackend{Member: Local(ct), method: wire.MethodUpgradeCommit}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Deploy(ctx, counterSrc, 0); err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Upgrade(ctx, "counter", counterV2Src, UpgradeOptions{Soak: time.Millisecond})
+	if err != nil {
+		t.Fatalf("Upgrade: %v", err)
+	}
+	if !reflect.DeepEqual(res.Committed, []string{"m1"}) || len(res.Pinned) != 0 {
+		t.Fatalf("upgrade = %+v, want m1 committed and nothing pinned", res)
+	}
+	if st, err := ct.UpgradeStatus("counter"); err != nil || st.State != "committed" || st.ActiveVersion != 2 {
+		t.Fatalf("m1 session = %+v, %v; want committed on v2", st, err)
+	}
+	if u, _ := f.Store().Resolve("counter"); u.Source != counterV2Src {
+		t.Fatal("the store still holds v1's source")
 	}
 }

@@ -38,18 +38,23 @@ program %s(<hdr.ipv4.src, 10.%d.0.0, 0xffff0000>) {
 
 // TestPlacementSkipsFragmentedMember: m1 keeps half its memory free, but
 // in 32,768-word holes, one per RPB, so its aggregate headroom covers a
-// 65,536-word program that no RPB of it can hold. BestFit ranks m1 first
-// (least headroom). The fleet must learn from m1's own plan that the unit
-// does not link there: no deploy reaches m1, the unit lands on m2, and once
-// an empty m3 joins, one reconcile pass tops the unit up onto it.
+// 65,536-word program that no RPB of it can hold. m2 already holds a fleet
+// unit, so the rank puts m1 (no unit) first. The fleet must learn from
+// m1's own plan that the unit does not link there: no deploy reaches m1,
+// the unit lands on m2, and once an empty m3 joins, one reconcile pass
+// tops the unit up onto it.
 func TestPlacementSkipsFragmentedMember(t *testing.T) {
-	f := New(Options{Policy: ReplicateK{K: 2, Base: BestFit{}}})
+	f := New(Options{Replicas: 2})
 	ct1, ct2, ct3 := newLocalMember(t), newLocalMember(t), newLocalMember(t)
 	m1 := &deployCounter{Member: Local(ct1)}
-	for name, m := range map[string]Member{"m1": m1, "m2": Local(ct2)} {
-		if err := f.AddMember(name, m); err != nil {
-			t.Fatal(err)
-		}
+	if err := f.AddMember("m2", Local(ct2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Deploy(ctx, memSrc("small", 201, 256), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddMember("m1", m1); err != nil {
+		t.Fatal(err)
 	}
 
 	// Fill m1 with half-RPB programs until it refuses, then free one per RPB.
@@ -83,6 +88,9 @@ func TestPlacementSkipsFragmentedMember(t *testing.T) {
 		t.Fatalf("m1 not fragmented as intended: %d words free, largest hole %d", free, biggest)
 	}
 	f.refreshUtil(ctx, []string{"m1"})
+	if got := rank(f.liveViews()); got[0] != "m1" {
+		t.Fatalf("rank = %v, want the fragmented m1 first", got)
+	}
 
 	big := memSrc("big", 200, 2*half)
 	res, err := f.Deploy(ctx, big, 0)

@@ -49,7 +49,7 @@ type deployIntent struct {
 //  2. repair divergence on live assigned members (a unit partially or
 //     wholly missing is revoked clean and re-deployed from the stored
 //     source);
-//  3. top up units below their replica target on the first policy-ranked
+//  3. top up units below their replica target on the first ranked
 //     healthy members whose deploy.plan says the unit links there;
 //  4. revoke orphans — fleet-owned programs sitting on members the store
 //     no longer assigns (e.g. a revived member whose units failed over
@@ -114,9 +114,9 @@ func (f *Fleet) Reconcile() {
 		pending   []*deployIntent
 	}
 	var plans []unitPlan
-	// The policy's member order, taken once: nothing before the flush
-	// changes the store or the utilization views it ranks by.
-	ranked := f.opt.Policy.Place(f.liveViews())
+	// The member order, taken once: nothing before the flush changes the
+	// store or the utilization views it ranks by.
+	ranked := rank(f.liveViews())
 
 	for _, u := range f.store.List() {
 		assigned := make([]string, 0, len(u.Members))

@@ -26,7 +26,7 @@ func newEnabledTracer() *trace.Tracer {
 func TestDistributedTraceAcrossFleetTCP(t *testing.T) {
 	fleetTr := newEnabledTracer()
 	flight := trace.NewFlightRecorder(0)
-	f := New(Options{Policy: ReplicateK{K: 3}})
+	f := New(Options{Replicas: 3})
 	f.SetTracing(fleetTr, flight)
 
 	// Three journaled member daemons on real sockets, each with its own

@@ -280,7 +280,9 @@ func (f *Fleet) Upgrade(ctx context.Context, name, v2src string, opt UpgradeOpti
 
 	// Phase 3: every wave held — commit, fanned out concurrently. A member
 	// whose commit fails is rolled back individually and pinned; the rest
-	// proceed.
+	// proceed. A commit whose response was lost may have run: the member's
+	// session is read back, and one that reads committed counts as
+	// committed (it would refuse the revert anyway).
 	{
 		committed := make([]bool, len(rollout))
 		var wg sync.WaitGroup
@@ -294,6 +296,15 @@ func (f *Fleet) Upgrade(ctx context.Context, name, v2src string, opt UpgradeOpti
 				if _, err := wire.Call[wire.UpgradeStatusResult](ctx, um.m.b, wire.MethodUpgradeCommit,
 					wire.UpgradeNameParams{Program: program}); err != nil {
 					f.log.Errorf("fleet: commit %s on %s: %v", program, um.m.name, err)
+					var oe *wire.OpError
+					if !errors.As(err, &oe) {
+						st, serr := wire.Call[wire.UpgradeStatusResult](ctx, um.m.b, wire.MethodUpgradeStatus,
+							wire.UpgradeNameParams{Program: program})
+						if serr == nil && st.State == "committed" {
+							committed[i] = true
+							return
+						}
+					}
 					f.revertMember(ctx, um.m, program, true)
 					return
 				}

@@ -66,7 +66,7 @@ func pumpTraffic(cts []*controlplane.Controller) (stop func()) {
 // with both health gates armed; every member commits and the unit's desired
 // source advances to v2.
 func TestFleetUpgradeHealthyCommit(t *testing.T) {
-	f, cts := testFleet(t, 3, Options{Policy: ReplicateK{K: 3}})
+	f, cts := testFleet(t, 3, Options{Replicas: 3})
 	if _, err := f.Deploy(ctx, counterSrc, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestFleetUpgradeHealthyCommit(t *testing.T) {
 // canary's soak window blows the drop-rate gate and every member — cut over
 // or merely prepared — rolls back to v1 together.
 func TestFleetUpgradeRollbackOnDrops(t *testing.T) {
-	f, cts := testFleet(t, 3, Options{Policy: ReplicateK{K: 3}})
+	f, cts := testFleet(t, 3, Options{Replicas: 3})
 	if _, err := f.Deploy(ctx, counterSrc, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func (b noUpgradeBackend) Do(ctx context.Context, method string, params, result 
 // The pinned members keep v1 afterwards: reconciliation compares program
 // names, not versions, so it does not catch them up.
 func TestFleetUpgradePinsUnavailableMembers(t *testing.T) {
-	f, cts := testFleet(t, 3, Options{Policy: ReplicateK{K: 4}, DownAfter: 1})
+	f, cts := testFleet(t, 3, Options{Replicas: 4, DownAfter: 1})
 	legacy := newLocalMember(t)
 	if err := f.AddMember("m4", noUpgradeBackend{Local(legacy)}); err != nil {
 		t.Fatal(err)

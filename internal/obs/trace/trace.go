@@ -74,8 +74,7 @@ func ParseTraceID(s string) (TraceID, bool) {
 }
 
 // SpanContext identifies one span within one trace; it is what crosses
-// process boundaries (the "tr" field of the JSON-RPC envelope and the
-// optional trace header of binary frames).
+// process boundaries, as the "tr" field of the JSON-RPC envelope.
 type SpanContext struct {
 	TraceID TraceID
 	SpanID  SpanID
@@ -108,28 +107,6 @@ func ParseHeader(s string) (SpanContext, bool) {
 	}
 	sc.TraceID = tid
 	return sc, true
-}
-
-// BinaryLen is the length of a binary span context (frame trace header).
-const BinaryLen = 24
-
-// AppendBinary appends the 24-byte binary form: 16-byte trace ID then
-// 8-byte span ID.
-func (sc SpanContext) AppendBinary(dst []byte) []byte {
-	dst = append(dst, sc.TraceID[:]...)
-	return append(dst, sc.SpanID[:]...)
-}
-
-// ParseBinary decodes the 24-byte binary form; garbled input reports
-// ok=false, never an error.
-func ParseBinary(b []byte) (SpanContext, bool) {
-	var sc SpanContext
-	if len(b) != BinaryLen {
-		return sc, false
-	}
-	copy(sc.TraceID[:], b[:16])
-	copy(sc.SpanID[:], b[16:])
-	return sc, sc.Valid()
 }
 
 // Tag is one key=value attribution on a span, e.g. phase=lock-wait.
@@ -432,47 +409,21 @@ func (s *Span) Tree() *Node {
 
 type ctxKey struct{}
 
-type ctxVal struct {
-	span   *Span       // local parent, if any
-	remote SpanContext // remote parent, if no local span
-	tracer *Tracer
-}
-
 // ContextWithSpan returns a context carrying sp as the current span. The
 // nop span is not stored — the context comes back unchanged.
 func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
 	if !sp.Enabled() {
 		return ctx
 	}
-	return context.WithValue(ctx, ctxKey{}, ctxVal{span: sp, tracer: sp.t.tracer})
+	return context.WithValue(ctx, ctxKey{}, sp)
 }
 
 // SpanFromContext returns the current span, or the nop span.
 func SpanFromContext(ctx context.Context) *Span {
-	if v, ok := ctx.Value(ctxKey{}).(ctxVal); ok && v.span != nil {
-		return v.span
+	if sp, ok := ctx.Value(ctxKey{}).(*Span); ok {
+		return sp
 	}
 	return nopSpan
-}
-
-// ContextWithRemote returns a context carrying a remote parent span context
-// (parsed from the wire) to be adopted by the next Tracer.Start.
-func ContextWithRemote(ctx context.Context, sc SpanContext) context.Context {
-	if !sc.Valid() {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, ctxVal{remote: sc})
-}
-
-// HeaderFromContext returns the wire header for the current span, or "".
-func HeaderFromContext(ctx context.Context) string {
-	if v, ok := ctx.Value(ctxKey{}).(ctxVal); ok {
-		if v.span != nil {
-			return v.span.Header()
-		}
-		return v.remote.Header()
-	}
-	return ""
 }
 
 // StartChild starts a child of the context's current span, or returns the

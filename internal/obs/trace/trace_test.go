@@ -45,24 +45,6 @@ func TestParseHeaderGarbled(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	sc := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
-	b := sc.AppendBinary(nil)
-	if len(b) != BinaryLen {
-		t.Fatalf("binary len %d", len(b))
-	}
-	got, ok := ParseBinary(b)
-	if !ok || got != sc {
-		t.Fatalf("binary round trip: %+v ok=%v", got, ok)
-	}
-	if _, ok := ParseBinary(b[:10]); ok {
-		t.Fatal("short binary accepted")
-	}
-	if _, ok := ParseBinary(make([]byte, BinaryLen)); ok {
-		t.Fatal("zero binary accepted")
-	}
-}
-
 func TestDisabledTracerIsFree(t *testing.T) {
 	tr := New(Options{})
 	ctx := context.Background()
@@ -270,22 +252,21 @@ func TestConcurrentRecordingHammer(t *testing.T) {
 }
 
 func TestContextHelpers(t *testing.T) {
-	ctx := context.Background()
-	if HeaderFromContext(ctx) != "" {
-		t.Fatal("empty ctx produced header")
-	}
-	sc := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
-	rctx := ContextWithRemote(ctx, sc)
-	if HeaderFromContext(rctx) != sc.Header() {
-		t.Fatal("remote ctx header mismatch")
+	if SpanFromContext(context.Background()).Enabled() {
+		t.Fatal("bare ctx carries a span")
 	}
 	tr := New(Options{})
 	tr.SetEnabled(true)
-	_, sp := tr.Start(rctx, "srv")
-	if sp.TraceID() != sc.TraceID {
-		t.Fatal("Start did not adopt remote trace id")
+	ctx, parent := tr.Start(context.Background(), "srv")
+	if SpanFromContext(ctx) != parent {
+		t.Fatal("Start's context does not carry its span")
 	}
-	sp.End()
+	_, child := tr.Start(ctx, "child")
+	if child.TraceID() != parent.TraceID() {
+		t.Fatal("Start under a traced ctx began a fresh trace")
+	}
+	child.End()
+	parent.End()
 	if StartChild(context.Background(), "x").Enabled() {
 		t.Fatal("StartChild on bare ctx should be nop")
 	}

@@ -55,24 +55,17 @@ func (t *Tracer) SetEnabled(v bool) {
 // Enabled reports whether Start creates real spans.
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
 
-// Start begins a span named name. If ctx carries a local span the new span
-// is its child; if it carries a remote parent (from the wire) the span
-// joins that trace as a child of the remote span; otherwise a fresh root
-// trace begins. The returned context carries the new span. When the tracer
-// is disabled, ctx is returned unchanged with the nop span.
+// Start begins a span named name: a child of ctx's span when ctx carries
+// one, otherwise the root of a fresh trace. The returned context carries
+// the new span. When the tracer is disabled, ctx is returned unchanged
+// with the nop span.
 func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span) {
 	if !t.Enabled() {
 		return ctx, nopSpan
 	}
-	if v, ok := ctx.Value(ctxKey{}).(ctxVal); ok {
-		if v.span != nil && v.span.Enabled() {
-			sp := v.span.Child(name)
-			return ContextWithSpan(ctx, sp), sp
-		}
-		if v.remote.Valid() {
-			sp := t.root(name, v.remote)
-			return ContextWithSpan(ctx, sp), sp
-		}
+	if parent := SpanFromContext(ctx); parent.Enabled() {
+		sp := parent.Child(name)
+		return ContextWithSpan(ctx, sp), sp
 	}
 	sp := t.root(name, SpanContext{})
 	return ContextWithSpan(ctx, sp), sp

@@ -130,30 +130,3 @@ func (s SamePhysical) FeasibleAt(i int, vals []int, set []bool) bool {
 func (s SamePhysical) String() string {
 	return fmt.Sprintf("samephys(x%d,x%d,M=%d,R=%d)", int(s.I), int(s.J), s.M, s.R)
 }
-
-// SameValue forces two variables equal — used to co-locate primitives that
-// must share one RPB (e.g. aligned memory operations across branches at the
-// same depth are merged before model construction; this constraint covers
-// cases where two separate depths must coincide is not allowed by Chain, so
-// it is chiefly used in tests and alternative formulations).
-type SameValue struct {
-	I, J Var
-}
-
-// Feasible implements Constraint.
-func (s SameValue) Feasible(vals []int, set []bool) bool {
-	if !set[s.I] || !set[s.J] {
-		return true
-	}
-	return vals[s.I] == vals[s.J]
-}
-
-// FeasibleAt implements IncrementalConstraint.
-func (s SameValue) FeasibleAt(i int, vals []int, set []bool) bool {
-	if Var(i) != s.I && Var(i) != s.J {
-		return true
-	}
-	return s.Feasible(vals, set)
-}
-
-func (s SameValue) String() string { return fmt.Sprintf("eq(x%d,x%d)", int(s.I), int(s.J)) }

@@ -121,21 +121,6 @@ func TestSamePhysicalConstraint(t *testing.T) {
 	}
 }
 
-func TestSameValueConstraint(t *testing.T) {
-	model := NewModel()
-	a := model.IntVar("a", 1, 10)
-	b := model.IntVar("b", 1, 10)
-	model.Add(SameValue{I: a, J: b})
-	model.Add(Unary{V: a, Name: "ge5", OK: func(v int) bool { return v >= 5 }})
-	sol, _, err := model.Minimize(PureLast{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Values[0] != sol.Values[1] || sol.Values[0] < 5 {
-		t.Errorf("values = %v", sol.Values)
-	}
-}
-
 func TestInfeasible(t *testing.T) {
 	// Chain of 23 within 22 values.
 	model, _ := buildAllocModel(23, 22, 0)
@@ -285,7 +270,6 @@ func TestConstraintStrings(t *testing.T) {
 		Unary{V: 2, Name: "te"},
 		InWindow{V: 1, N: 10, M: 22},
 		SamePhysical{I: 0, J: 3, M: 22, R: 1},
-		SameValue{I: 0, J: 1},
 	} {
 		if c.String() == "" {
 			t.Errorf("%T has empty String", c)

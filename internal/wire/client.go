@@ -151,9 +151,6 @@ func (c *Client) roundTrip(ctx context.Context, method string, params, result an
 	defer sp.End()
 	c.nextID++
 	req := Request{ID: c.nextID, Method: method, Frames: len(reqFrames), Trace: sp.Header()}
-	if req.Trace == "" {
-		req.Trace = trace.HeaderFromContext(ctx)
-	}
 	if params != nil {
 		raw, err := json.Marshal(params)
 		if err != nil {
@@ -161,13 +158,9 @@ func (c *Client) roundTrip(ctx context.Context, method string, params, result an
 		}
 		req.Params = raw
 	}
-	buf, err := json.Marshal(&req)
+	buf, err := appendRequest(nil, &req, reqFrames)
 	if err != nil {
 		return nil, false, err
-	}
-	buf = append(buf, '\n')
-	for _, f := range reqFrames {
-		buf = AppendFrameT(buf, f, sp.Context())
 	}
 	if c.callTimeout > 0 {
 		if err := c.conn.SetDeadline(time.Now().Add(c.callTimeout)); err != nil {
@@ -182,28 +175,52 @@ func (c *Client) roundTrip(ctx context.Context, method string, params, result an
 	}
 	sp.ChildAt("wire.flush", wstart, time.Since(wstart))
 	resp, respFrames, broken, err := c.readResponse()
-	if err != nil {
-		sp.SetTag("err", err.Error())
-		return nil, broken, err
-	}
-	if resp.ID != req.ID {
+	if err == nil && resp.ID != req.ID {
 		// The stream is desynced — whatever follows belongs to some other
 		// exchange. Drop the connection so the next call starts clean.
-		c.conn.Close()
-		c.conn = nil
-		sp.SetTag("err", "response id mismatch")
-		return nil, false, fmt.Errorf("wire: response id %d for request %d", resp.ID, req.ID)
+		broken, err = true, fmt.Errorf("wire: response id %d for request %d", resp.ID, req.ID)
 	}
+	if err == nil {
+		respFrames, err = settle(method, resp, respFrames, result)
+	}
+	if err != nil {
+		sp.SetTag("err", err.Error())
+	}
+	return respFrames, broken, err
+}
+
+// appendRequest appends one request line and its binary frames to buf —
+// the encoding Do and Pipeline.Flush share.
+func appendRequest(buf []byte, req *Request, frames [][]byte) ([]byte, error) {
+	line, err := json.Marshal(req)
+	if err != nil {
+		return buf, err
+	}
+	if buf == nil {
+		buf = line // a lone request keeps the marshal buffer
+	} else {
+		buf = append(buf, line...)
+	}
+	buf = append(buf, '\n')
+	for _, f := range frames {
+		buf = AppendFrame(buf, f)
+	}
+	return buf, nil
+}
+
+// settle turns a matched response into the call's outcome: the server's
+// error as an *OpError, else the response frames with the result decoded
+// into result (nil discards it).
+func settle(method string, resp Response, frames [][]byte, result any) ([][]byte, error) {
 	if resp.Error != "" {
-		sp.SetTag("err", resp.Error)
-		return nil, false, &OpError{Method: method, Msg: resp.Error}
+		return nil, &OpError{Method: method, Msg: resp.Error}
 	}
 	if result != nil {
 		if err := json.Unmarshal(resp.Result, result); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
-	return respFrames, false, nil
+	return frames, nil
 }
 
 // readResponse reads one response line plus its announced binary frames.

@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-
-	"p4runpro/internal/obs/trace"
 )
 
 // Frame layout and limits.
@@ -34,12 +32,6 @@ const (
 	// MaxFramesPerMessage bounds how many frames one request or response
 	// may announce, so a malicious "frames" count cannot pin a connection.
 	MaxFramesPerMessage = 1 << 10
-	// frameTraced is the high bit of the length word: the framed body
-	// starts with a trace.BinaryLen-byte span context ahead of the payload,
-	// letting bulk transfers carry trace identity even when their JSON line
-	// is produced by a peer that dropped the "tr" field. The flag bit is
-	// safe because payload lengths are bounded far below 2^31.
-	frameTraced = 1 << 31
 )
 
 // Typed frame errors. ErrFrameTooLarge and ErrBadFrameCount are protocol
@@ -63,119 +55,56 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// AppendFrameT appends one framed payload carrying a trace header: the
-// framed body is the binary span context followed by the payload, with the
-// length word's frameTraced bit set. An invalid span context falls back to
-// a plain frame.
-func AppendFrameT(dst, payload []byte, sc trace.SpanContext) []byte {
-	if !sc.Valid() {
-		return AppendFrame(dst, payload)
-	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)+trace.BinaryLen)|frameTraced)
-	crc := crc32.Checksum(sc.AppendBinary(nil), frameCRC)
-	crc = crc32.Update(crc, frameCRC, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	dst = append(dst, hdr[:]...)
-	dst = sc.AppendBinary(dst)
-	return append(dst, payload...)
-}
-
 // ReadFrame reads one frame from r, rejecting payloads larger than max
-// (DefaultMaxFrameBytes when max <= 0) before reading them. A traced
-// frame's trace header is stripped and discarded.
+// (DefaultMaxFrameBytes when max <= 0) before reading them.
 func ReadFrame(r io.Reader, max int) ([]byte, error) {
-	payload, _, err := ReadFrameT(r, max)
-	return payload, err
-}
-
-// ReadFrameT reads one frame and its trace header, if present. A plain
-// frame (or a traced frame whose header is garbled) reports the zero span
-// context — never an error for that reason.
-func ReadFrameT(r io.Reader, max int) ([]byte, trace.SpanContext, error) {
 	if max <= 0 {
 		max = DefaultMaxFrameBytes
 	}
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, trace.SpanContext{}, err
+		return nil, err
 	}
-	word := binary.LittleEndian.Uint32(hdr[0:4])
-	traced := word&frameTraced != 0
-	n := word &^ uint32(frameTraced)
-	if int64(n) > int64(max)+bodyExtra(traced) {
-		return nil, trace.SpanContext{}, fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, n, max)
+	n := binary.LittleEndian.Uint32(hdr[0:4])
+	if int64(n) > int64(max) {
+		return nil, fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, n, max)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, trace.SpanContext{}, fmt.Errorf("%w: truncated payload: %v", ErrFrameCorrupt, err)
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, fmt.Errorf("%w: truncated payload: %v", ErrFrameCorrupt, err)
 	}
-	if crc32.Checksum(body, frameCRC) != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return nil, trace.SpanContext{}, fmt.Errorf("%w: CRC mismatch", ErrFrameCorrupt)
+	if crc32.Checksum(payload, frameCRC) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return nil, fmt.Errorf("%w: CRC mismatch", ErrFrameCorrupt)
 	}
-	return splitTraced(body, traced)
+	return payload, nil
 }
 
 // DecodeFrame decodes one frame from the head of b, returning the payload
 // and bytes consumed. io.EOF reports empty input; ErrFrameCorrupt a
 // truncated or CRC-failing frame; ErrFrameTooLarge an over-bound length.
-// This is the fuzz target's entry point (FuzzFrameDecode). A traced
-// frame's trace header is stripped; use DecodeFrameT to keep it.
+// This is the fuzz target's entry point (FuzzFrameDecode).
 func DecodeFrame(b []byte, max int) ([]byte, int, error) {
-	payload, _, n, err := DecodeFrameT(b, max)
-	return payload, n, err
-}
-
-// DecodeFrameT is DecodeFrame returning the frame's trace header as well
-// (the zero span context for plain or garbled-header frames).
-func DecodeFrameT(b []byte, max int) ([]byte, trace.SpanContext, int, error) {
 	if max <= 0 {
 		max = DefaultMaxFrameBytes
 	}
 	if len(b) == 0 {
-		return nil, trace.SpanContext{}, 0, io.EOF
+		return nil, 0, io.EOF
 	}
 	if len(b) < frameHeader {
-		return nil, trace.SpanContext{}, 0, fmt.Errorf("%w: short header", ErrFrameCorrupt)
+		return nil, 0, fmt.Errorf("%w: short header", ErrFrameCorrupt)
 	}
-	word := binary.LittleEndian.Uint32(b[0:4])
-	traced := word&frameTraced != 0
-	n := word &^ uint32(frameTraced)
-	if int64(n) > int64(max)+bodyExtra(traced) {
-		return nil, trace.SpanContext{}, 0, fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, n, max)
+	n := binary.LittleEndian.Uint32(b[0:4])
+	if int64(n) > int64(max) {
+		return nil, 0, fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, n, max)
 	}
 	if uint32(len(b)-frameHeader) < n {
-		return nil, trace.SpanContext{}, 0, fmt.Errorf("%w: truncated payload", ErrFrameCorrupt)
+		return nil, 0, fmt.Errorf("%w: truncated payload", ErrFrameCorrupt)
 	}
-	body := b[frameHeader : frameHeader+int(n)]
-	if crc32.Checksum(body, frameCRC) != binary.LittleEndian.Uint32(b[4:8]) {
-		return nil, trace.SpanContext{}, 0, fmt.Errorf("%w: CRC mismatch", ErrFrameCorrupt)
+	payload := b[frameHeader : frameHeader+int(n)]
+	if crc32.Checksum(payload, frameCRC) != binary.LittleEndian.Uint32(b[4:8]) {
+		return nil, 0, fmt.Errorf("%w: CRC mismatch", ErrFrameCorrupt)
 	}
-	payload, sc, err := splitTraced(body, traced)
-	return payload, sc, frameHeader + int(n), err
-}
-
-// bodyExtra is the length allowance the trace header adds to a traced
-// frame's body beyond the payload bound.
-func bodyExtra(traced bool) int64 {
-	if traced {
-		return trace.BinaryLen
-	}
-	return 0
-}
-
-// splitTraced strips the trace header off a traced frame body. A traced
-// frame too short to hold the header is corrupt (its length word lied);
-// a garbled-but-present header degrades to the zero span context.
-func splitTraced(body []byte, traced bool) ([]byte, trace.SpanContext, error) {
-	if !traced {
-		return body, trace.SpanContext{}, nil
-	}
-	if len(body) < trace.BinaryLen {
-		return nil, trace.SpanContext{}, fmt.Errorf("%w: traced frame shorter than trace header", ErrFrameCorrupt)
-	}
-	sc, _ := trace.ParseBinary(body[:trace.BinaryLen])
-	return body[trace.BinaryLen:], sc, nil
+	return payload, frameHeader + int(n), nil
 }
 
 // EncodeU32s packs values as little-endian uint32s — the payload format of
@@ -202,7 +131,7 @@ func DecodeU32s(payload []byte) ([]uint32, error) {
 }
 
 // EncodeWritePairs packs (addr, value) pairs as interleaved little-endian
-// uint32s — the payload format of a binary mem.writebatch.
+// uint32s — the payload format of mem.writebatch's one frame.
 func EncodeWritePairs(writes []MemWriteEntry) []byte {
 	out := make([]byte, 8*len(writes))
 	for i, w := range writes {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 )
@@ -70,6 +71,18 @@ func FuzzFrameDecode(f *testing.F) {
 	huge := make([]byte, frameHeader)
 	binary.LittleEndian.PutUint32(huge, 1<<31)
 	f.Add(huge)
+	// A length word with its high bit set and a CRC valid over the bytes
+	// that follow still announces a frame of over 2 GiB: refused before
+	// any payload byte is trusted.
+	body := append(bytes.Repeat([]byte{1}, 24), "hello"...)
+	flagged := make([]byte, frameHeader)
+	binary.LittleEndian.PutUint32(flagged, uint32(len(body))|1<<31)
+	binary.LittleEndian.PutUint32(flagged[4:], crc32.Checksum(body, frameCRC))
+	flagged = append(flagged, body...)
+	if _, _, err := DecodeFrame(flagged, 1<<20); !errors.Is(err, ErrFrameTooLarge) {
+		f.Fatalf("high-bit frame err = %v, want ErrFrameTooLarge", err)
+	}
+	f.Add(flagged)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		payload, n, err := DecodeFrame(b, 1<<20)

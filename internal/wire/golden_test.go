@@ -11,6 +11,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"p4runpro/internal/controlplane"
@@ -89,21 +90,13 @@ program huge(<hdr.ipv4.src, 14.0.0.0, 0xff000000>) {
 }
 `
 
-// fixedSC is the span context the traced captures carry.
-var fixedSC = func() trace.SpanContext {
-	sc, ok := trace.ParseHeader(fixedHeader)
-	if !ok {
-		panic("bad fixed header")
-	}
-	return sc
-}()
-
+// fixedHeader is the span context the traced captures carry.
 const fixedHeader = "0123456789abcdef0123456789abcdef-fedcba9876543210"
 
 // canonTraced rewrites a recorded request stream whose span identities are
-// random (a tracer-enabled client mints them per call) onto fixedSC, after
-// checking that every message's frames carry the same span context as its
-// "tr" field.
+// random (a call under a live span mints a child per call) onto
+// fixedHeader, after checking that every request line carries one. Frames
+// are copied as sent: trace identity rides only in the line.
 func canonTraced(t *testing.T, b []byte) []byte {
 	t.Helper()
 	var out []byte
@@ -118,20 +111,16 @@ func canonTraced(t *testing.T, b []byte) []byte {
 		if err := json.Unmarshal(line, &req); err != nil {
 			t.Fatalf("request line %q: %v", line, err)
 		}
-		sc, ok := trace.ParseHeader(req.Trace)
-		if !ok {
-			t.Fatalf("traced client sent no span context: %q", line)
+		if _, ok := trace.ParseHeader(req.Trace); !ok {
+			t.Fatalf("traced call sent no span context: %q", line)
 		}
 		out = append(out, bytes.Replace(line, []byte(req.Trace), []byte(fixedHeader), 1)...)
 		for f := 0; f < req.Frames; f++ {
-			payload, fsc, n, err := wire.DecodeFrameT(b, 0)
+			_, n, err := wire.DecodeFrame(b, 0)
 			if err != nil {
 				t.Fatalf("frame %d of %q: %v", f, line, err)
 			}
-			if fsc != sc {
-				t.Fatalf("frame %d of %q carries %v, line carries %v", f, line, fsc, sc)
-			}
-			out = wire.AppendFrameT(out, payload, fixedSC)
+			out = append(out, b[:n]...)
 			b = b[n:]
 		}
 	}
@@ -154,7 +143,12 @@ func TestGoldenClientRequests(t *testing.T) {
 	rec, c := dialRecorder(t)
 	writes := []wire.MemWriteEntry{{Addr: 1, Value: 10}, {Addr: 2, Value: 0xdeadbeef}, {Addr: 10, Value: 10}}
 	bg := context.Background()
-	remote := trace.ContextWithRemote(bg, fixedSC)
+	// A call under a caller's span (a traced server fanning out) joins
+	// that trace, though this client records no spans of its own.
+	callerTracer := trace.New(trace.Options{})
+	callerTracer.SetEnabled(true)
+	underCaller, caller := callerTracer.Start(bg, "test.caller")
+	defer caller.End()
 	// do makes one call whose result only the recorder sees.
 	do := func(ctx context.Context, method string, params any) error {
 		_, err := c.Do(ctx, method, params, nil)
@@ -167,7 +161,7 @@ func TestGoldenClientRequests(t *testing.T) {
 	}{
 		{"Deploy", func() error { _, err := c.Deploy(goldenCounter); return err }},
 		{"DeployCtx/untraced", func() error { return do(bg, wire.MethodDeploy, wire.DeployParams{Source: goldenCounter}) }},
-		{"DeployCtx/remote-parent", func() error { return do(remote, wire.MethodDeploy, wire.DeployParams{Source: goldenCounter}) }},
+		{"DeployCtx/caller-span", func() error { return do(underCaller, wire.MethodDeploy, wire.DeployParams{Source: goldenCounter}) }},
 		{"Revoke", func() error { _, err := c.Revoke("counter"); return err }},
 		{"Programs", func() error { return do(bg, wire.MethodPrograms, nil) }},
 		{"ReadMemory", func() error {
@@ -230,7 +224,7 @@ func TestGoldenClientRequests(t *testing.T) {
 			_, err := c.Do(context.Background(), "x.custom", map[string]int{"n": 1}, nil)
 			return err
 		}},
-		{"Do/remote-parent", func() error { _, err := c.Do(remote, "x.custom", nil, nil); return err }},
+		{"Do/caller-span", func() error { _, err := c.Do(underCaller, "x.custom", nil, nil); return err }},
 		{"DeployBatch", func() error { _, err := c.DeployBatch([]string{goldenCounter, goldenCache}, false); return err }},
 		{"DeployBatch/atomic", func() error { _, err := c.DeployBatch([]string{goldenCounter}, true); return err }},
 		{"WriteMemoryBatch", func() error { _, err := c.WriteMemoryBatch("counter", "m", writes); return err }},
@@ -239,12 +233,12 @@ func TestGoldenClientRequests(t *testing.T) {
 			p := c.Pipeline()
 			p.Call(wire.MethodStatus, nil, nil)
 			p.Call(wire.MethodRevoke, wire.RevokeParams{Name: "counter"}, nil)
-			p.Enqueue(remote, wire.MethodDeploy, wire.DeployParams{Source: goldenCounter}, nil, nil)
-			p.Enqueue(context.Background(), wire.MethodMemWriteBatch,
-				wire.MemWriteBatchParams{Program: "counter", Mem: "m", Binary: true}, nil,
+			p.Enqueue(bg, wire.MethodDeploy, wire.DeployParams{Source: goldenCounter}, nil, nil)
+			p.Enqueue(bg, wire.MethodMemWriteBatch,
+				wire.MemWriteBatchParams{Program: "counter", Mem: "m"}, nil,
 				[][]byte{wire.EncodeWritePairs(writes)})
-			p.Enqueue(remote, wire.MethodMemWriteBatch,
-				wire.MemWriteBatchParams{Program: "counter", Mem: "m", Binary: true}, nil,
+			p.Enqueue(bg, wire.MethodMemWriteBatch,
+				wire.MemWriteBatchParams{Program: "counter", Mem: "m"}, nil,
 				[][]byte{wire.EncodeWritePairs(writes[:1]), {}})
 			return p.Flush()
 		}},
@@ -253,11 +247,15 @@ func TestGoldenClientRequests(t *testing.T) {
 		if err := tc.call(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		cp.Add(tc.name, rec.Take())
+		got := rec.Take()
+		if strings.HasSuffix(tc.name, "/caller-span") {
+			got = canonTraced(t, got)
+		}
+		cp.Add(tc.name, got)
 	}
 
 	// A tracer-enabled client mints a span per call and stamps it into the
-	// line and into every frame.
+	// request line.
 	tr := trace.New(trace.Options{})
 	tr.SetEnabled(true)
 	trec, tc := dialRecorder(t, wire.WithTracer(tr))
@@ -276,7 +274,7 @@ func TestGoldenClientRequests(t *testing.T) {
 			p := tc.Pipeline()
 			p.Call(wire.MethodStatus, nil, nil)
 			p.Enqueue(parentCtx, wire.MethodMemWriteBatch,
-				wire.MemWriteBatchParams{Program: "counter", Mem: "m", Binary: true}, nil,
+				wire.MemWriteBatchParams{Program: "counter", Mem: "m"}, nil,
 				[][]byte{wire.EncodeWritePairs(writes)})
 			return p.Flush()
 		}},
@@ -348,12 +346,18 @@ func TestGoldenServerResponses(t *testing.T) {
 		id++
 		cp.Add(name, conn.Do(reqLine(id, method, params)))
 	}
-	raw := func(name, line string, framed ...[]byte) {
+	// framed sends one request whose payload rides in one binary frame.
+	framed := func(name, method string, params any, payload []byte) {
 		t.Helper()
-		cp.Add(name, conn.Do(line, framed...))
+		id++
+		line := mustJSON(&wire.Request{ID: int64(id), Method: method, Params: mustJSON(params), Frames: 1})
+		cp.Add(name, conn.Do(string(line), wire.AppendFrame(nil, payload)))
+	}
+	raw := func(name, line string) {
+		t.Helper()
+		cp.Add(name, conn.Do(line))
 	}
 	flow := pkt.FiveTuple{SrcIP: pkt.IP(10, 1, 2, 3), DstIP: 9, SrcPort: 1, DstPort: 2, Proto: pkt.ProtoUDP}
-	pairs := wire.EncodeWritePairs([]wire.MemWriteEntry{{Addr: 9, Value: 90}, {Addr: 10, Value: 100}})
 
 	do("status/empty", wire.MethodStatus, nil)
 	do("deploy", wire.MethodDeploy, wire.DeployParams{Source: goldenCounter})
@@ -367,15 +371,13 @@ func TestGoldenServerResponses(t *testing.T) {
 	do("mem.read/default-count", wire.MethodMemRead, wire.MemReadParams{Program: "counter", Mem: "m", Addr: 5})
 	do("mem.read/range", wire.MethodMemRead, wire.MemReadParams{Program: "counter", Mem: "m", Addr: 4, Count: 4})
 	do("mem.read/unknown-program", wire.MethodMemRead, wire.MemReadParams{Program: "ghost", Mem: "m"})
-	do("mem.writebatch/json", wire.MethodMemWriteBatch, wire.MemWriteBatchParams{Program: "counter", Mem: "m",
-		Writes: []wire.MemWriteEntry{{Addr: 7, Value: 70}, {Addr: 8, Value: 80}}})
-	raw("mem.writebatch/binary", `{"id":901,"method":"mem.writebatch","params":{"program":"counter","mem":"m","binary":true},"frames":1}`,
-		wire.AppendFrame(nil, pairs))
-	raw("mem.writebatch/binary-no-frame", `{"id":902,"method":"mem.writebatch","params":{"program":"counter","mem":"m","binary":true}}`)
-	do("mem.writebatch/bad-addr", wire.MethodMemWriteBatch, wire.MemWriteBatchParams{Program: "counter", Mem: "m",
-		Writes: []wire.MemWriteEntry{{Addr: 1, Value: 1}, {Addr: 4096, Value: 2}}})
-	do("mem.readstream", wire.MethodMemReadStream, wire.MemReadStreamParams{Program: "counter", Mem: "m", Addr: 4, Count: 8, ChunkWords: 3})
-	do("mem.readstream/too-many-chunks", wire.MethodMemReadStream, wire.MemReadStreamParams{Program: "counter", Mem: "m", Count: 256 << 10, ChunkWords: 1})
+	framed("mem.writebatch", wire.MethodMemWriteBatch, wire.MemWriteBatchParams{Program: "counter", Mem: "m"},
+		wire.EncodeWritePairs([]wire.MemWriteEntry{{Addr: 7, Value: 70}, {Addr: 8, Value: 80}}))
+	raw("mem.writebatch/no-frame", `{"id":902,"method":"mem.writebatch","params":{"program":"counter","mem":"m"}}`)
+	framed("mem.writebatch/bad-addr", wire.MethodMemWriteBatch, wire.MemWriteBatchParams{Program: "counter", Mem: "m"},
+		wire.EncodeWritePairs([]wire.MemWriteEntry{{Addr: 1, Value: 1}, {Addr: 4096, Value: 2}}))
+	do("mem.readstream", wire.MethodMemReadStream, wire.MemReadStreamParams{Program: "counter", Mem: "m", Addr: 4, Count: 8})
+	do("mem.readstream/too-many-chunks", wire.MethodMemReadStream, wire.MemReadStreamParams{Program: "counter", Mem: "m", Count: 1 << 25})
 	do("inject", wire.MethodInject, wire.InjectParams{FrameHex: hex.EncodeToString(pkt.NewUDP(flow, 100).Marshal()), Port: 4})
 	do("inject/bad-hex", wire.MethodInject, wire.InjectParams{FrameHex: "zz", Port: 4})
 	do("deploy/cache", wire.MethodDeploy, wire.DeployParams{Source: goldenCache})
@@ -449,11 +451,11 @@ func TestGoldenServerTraced(t *testing.T) {
 		fmt.Sprintf(`{"id":100,"method":"deploy","params":%s,"tr":%q}`, mustJSON(wire.DeployParams{Source: goldenFwdV1}), fixedHeader)))
 	do("deploy/parse-error", wire.MethodDeploy, wire.DeployParams{Source: "program broken("})
 	do("deploy.batch", wire.MethodDeployBatch, wire.DeployBatchParams{Sources: []string{goldenCounter, "program broken("}})
-	// The line lost its "tr" field; the frame's trace header still joins
-	// the caller's trace.
-	cp.Add("mem.writebatch/frame-carries-trace", conn.Do(
-		`{"id":101,"method":"mem.writebatch","params":{"program":"counter","mem":"m","binary":true},"frames":1}`,
-		wire.AppendFrameT(nil, wire.EncodeWritePairs([]wire.MemWriteEntry{{Addr: 3, Value: 30}}), fixedSC)))
+	// A bulk write joins the caller's trace through the line's "tr"; its
+	// frame carries only the pairs.
+	cp.Add("mem.writebatch/joins-caller-trace", conn.Do(
+		fmt.Sprintf(`{"id":101,"method":"mem.writebatch","params":{"program":"counter","mem":"m"},"frames":1,"tr":%q}`, fixedHeader),
+		wire.AppendFrame(nil, wire.EncodeWritePairs([]wire.MemWriteEntry{{Addr: 3, Value: 30}}))))
 	do("upgrade.start", wire.MethodUpgradeStart, wire.UpgradeStartParams{Program: "fwd", Source: goldenFwdV2})
 	do("upgrade.cutover", wire.MethodUpgradeCutover, wire.UpgradeCutoverParams{Program: "fwd", Version: 2})
 	do("upgrade.commit", wire.MethodUpgradeCommit, wire.UpgradeNameParams{Program: "fwd"})
@@ -461,7 +463,7 @@ func TestGoldenServerTraced(t *testing.T) {
 	do("revoke", wire.MethodRevoke, wire.RevokeParams{Name: "counter"})
 	do("revoke/again", wire.MethodRevoke, wire.RevokeParams{Name: "counter"})
 	do("programs", wire.MethodPrograms, nil)
-	do("debug.trace", wire.MethodDebugTrace, wire.TraceGetParams{ID: fixedSC.TraceID.String()})
+	do("debug.trace", wire.MethodDebugTrace, wire.TraceGetParams{ID: fixedHeader[:32]})
 	do("debug.ops", wire.MethodDebugOps, nil)
 	do("debug.ops/limit", wire.MethodDebugOps, wire.OpsParams{Limit: 2})
 	do("debug.flightrec", wire.MethodDebugFlightrec, nil)

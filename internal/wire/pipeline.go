@@ -143,15 +143,11 @@ func (p *Pipeline) Flush() error {
 		c.nextID++
 		pc.id = c.nextID
 		pc.sp = c.startCallSpan(pc.ctx, pc.Method)
-		line, err := json.Marshal(&Request{ID: pc.id, Method: pc.Method, Params: pc.params, Frames: len(pc.frames), Trace: pc.sp.Header()})
+		var err error
+		buf, err = appendRequest(buf, &Request{ID: pc.id, Method: pc.Method, Params: pc.params, Frames: len(pc.frames), Trace: pc.sp.Header()}, pc.frames)
 		if err != nil {
 			pc.sp.End()
 			return fail(err)
-		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
-		for _, f := range pc.frames {
-			buf = AppendFrameT(buf, f, pc.sp.Context())
 		}
 	}
 	endSpans := func() {
@@ -196,14 +192,7 @@ func (p *Pipeline) Flush() error {
 			flushErr = fmt.Errorf("wire: pipelined response id %d, want %d", resp.ID, pc.id)
 			break
 		}
-		if resp.Error != "" {
-			pc.err = &OpError{Method: pc.Method, Msg: resp.Error}
-		} else {
-			pc.resp = frames
-			if pc.result != nil {
-				pc.err = json.Unmarshal(resp.Result, pc.result)
-			}
-		}
+		pc.resp, pc.err = settle(pc.Method, resp, frames, pc.result)
 		// End the span as its response is matched: each pipelined
 		// operation's duration reflects when *its* answer arrived, even
 		// with many operations in flight.
@@ -244,13 +233,13 @@ func (c *Client) DeployBatch(sources []string, atomic bool) (DeployBatchResult, 
 func (c *Client) WriteMemoryBatch(program, mem string, writes []MemWriteEntry) (int, error) {
 	var out MemWriteBatchResult
 	_, err := c.Do(context.Background(), MethodMemWriteBatch,
-		MemWriteBatchParams{Program: program, Mem: mem, Binary: true}, &out, EncodeWritePairs(writes))
+		MemWriteBatchParams{Program: program, Mem: mem}, &out, EncodeWritePairs(writes))
 	return out.Written, err
 }
 
 // ReadMemoryBulk reads a large virtual memory range via mem.readstream:
-// the server answers with chunked binary frames which are reassembled
-// into one value slice.
+// the server answers with 64 KB binary frames which are reassembled into
+// one value slice.
 func (c *Client) ReadMemoryBulk(program, mem string, addr, count uint32) ([]uint32, error) {
 	var out MemReadStreamResult
 	frames, err := c.Do(context.Background(), MethodMemReadStream,

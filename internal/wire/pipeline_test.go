@@ -143,7 +143,7 @@ func TestReadMemoryBulkCountsFramesFirst(t *testing.T) {
 		if err != nil || json.Unmarshal(line, &req) != nil {
 			return
 		}
-		reply := fmt.Appendf(nil, `{"id":%d,"result":{"count":%d,"chunks":1,"chunk_words":3},"frames":1}`+"\n", req.ID, uint32(math.MaxUint32))
+		reply := fmt.Appendf(nil, `{"id":%d,"result":{"count":%d},"frames":1}`+"\n", req.ID, uint32(math.MaxUint32))
 		conn.Write(AppendFrame(reply, EncodeU32s([]uint32{1, 2, 3}))) //nolint:errcheck // the client reports what arrived
 	}()
 	c, err := Dial(ln.Addr().String())
@@ -197,8 +197,6 @@ func TestOutOfOrderResponseIDRejected(t *testing.T) {
 // read, and the rejection arrives as a server-reported op error.
 func TestOversizedFrameRejectedTyped(t *testing.T) {
 	// Direct decode surface first: the typed errors are programmatic.
-	// (The length word's high bit is the frameTraced flag, so the largest
-	// representable length is 2^31-1; 0x40000000 is over any sane bound.)
 	big := make([]byte, frameHeader)
 	big[3] = 0x40 // length 0x40000000
 	if _, _, err := DecodeFrame(big, 0); !errors.Is(err, ErrFrameTooLarge) {
@@ -208,9 +206,9 @@ func TestOversizedFrameRejectedTyped(t *testing.T) {
 		t.Fatalf("ReadFrame err = %v, want ErrFrameTooLarge", err)
 	}
 	flagged := make([]byte, frameHeader)
-	flagged[3] = 0x80 // frameTraced set, zero-length body: shorter than the trace header
-	if _, _, err := DecodeFrame(flagged, 0); !errors.Is(err, ErrFrameCorrupt) {
-		t.Fatalf("flagged-short decode err = %v, want ErrFrameCorrupt", err)
+	flagged[3] = 0x80 // high bit set: length 2^31
+	if _, _, err := DecodeFrame(flagged, 0); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("high-bit decode err = %v, want ErrFrameTooLarge", err)
 	}
 	corrupt := AppendFrame(nil, []byte("abc"))
 	corrupt[4] ^= 0xff // break the CRC
@@ -283,7 +281,7 @@ func TestServerReadDeadlineHalfWrittenPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	req := `{"id":7,"method":"mem.writebatch","params":{"program":"x","mem":"m","binary":true},"frames":1}` + "\n"
+	req := `{"id":7,"method":"mem.writebatch","params":{"program":"x","mem":"m"},"frames":1}` + "\n"
 	if _, err := conn2.Write([]byte(req + "\x08\x00")); err != nil { // 2 of 8 header bytes
 		t.Fatal(err)
 	}
@@ -306,7 +304,7 @@ func newTestController(t *testing.T) *controlplane.Controller {
 	return ct
 }
 
-// TestBatchVerbsRoundTrip drives deploy.batch, mem.writebatch (binary
+// TestBatchVerbsRoundTrip drives deploy.batch, mem.writebatch (one binary
 // frame) and mem.readstream end to end, including atomic unwind.
 func TestBatchVerbsRoundTrip(t *testing.T) {
 	_, c, ct := startServer(t)
@@ -344,7 +342,7 @@ func TestBatchVerbsRoundTrip(t *testing.T) {
 		t.Fatalf("atomic batch = %+v, %v", res, err)
 	}
 
-	// Binary bulk write, then bulk read-back.
+	// Framed bulk write, then bulk read-back.
 	writes := make([]MemWriteEntry, 300)
 	for i := range writes {
 		writes[i] = MemWriteEntry{Addr: uint32(i % 256), Value: uint32(i + 1)}
@@ -352,6 +350,13 @@ func TestBatchVerbsRoundTrip(t *testing.T) {
 	n, err := c.WriteMemoryBatch("counter", "m", writes)
 	if err != nil || n != 300 {
 		t.Fatalf("WriteMemoryBatch = %d, %v", n, err)
+	}
+	// The pairs ride only in the request's one frame: a request without
+	// it is refused.
+	var oe *OpError
+	_, err = c.Do(context.Background(), MethodMemWriteBatch, MemWriteBatchParams{Program: "counter", Mem: "m"}, nil)
+	if !errors.As(err, &oe) || !strings.Contains(oe.Msg, "wants 1 frame") {
+		t.Fatalf("frameless mem.writebatch err = %v, want the one-frame refusal", err)
 	}
 	vals, err := c.ReadMemoryBulk("counter", "m", 0, 256)
 	if err != nil {
@@ -370,41 +375,55 @@ func TestBatchVerbsRoundTrip(t *testing.T) {
 		}
 	}
 
-	// mem.readstream chunks: a small chunk size forces multiple frames.
+	// mem.readstream frames hold 16,384 words: a 20,000-word range takes
+	// two, and the client stitches them back in order.
+	if _, err := c.Deploy(bigMemWireSrc); err != nil {
+		t.Fatal(err)
+	}
+	marks := []MemWriteEntry{{Addr: 0, Value: 1}, {Addr: 16383, Value: 2}, {Addr: 16384, Value: 3}, {Addr: 19999, Value: 4}}
+	if _, err := c.WriteMemoryBatch("big", "big", marks); err != nil {
+		t.Fatal(err)
+	}
 	p := c.Pipeline()
 	var out MemReadStreamResult
-	pc := p.Call(MethodMemReadStream,
-		MemReadStreamParams{Program: "counter", Mem: "m", Count: 256, ChunkWords: 64}, &out)
+	pc := p.Call(MethodMemReadStream, MemReadStreamParams{Program: "big", Mem: "big", Count: 20000}, &out)
 	if err := p.Flush(); err != nil || pc.Err() != nil {
 		t.Fatalf("readstream flush: %v / %v", err, pc.Err())
 	}
-	if out.Chunks != 4 || len(pc.RespFrames()) != 4 {
-		t.Fatalf("chunks = %d, frames = %d, want 4", out.Chunks, len(pc.RespFrames()))
+	if frames := pc.RespFrames(); out.Count != 20000 || len(frames) != 2 || len(frames[0]) != 4*16384 {
+		t.Fatalf("count = %d, %d frames; want 20000 words in a 16384-word frame and its rest", out.Count, len(frames))
 	}
-	var streamed []uint32
-	for _, f := range pc.RespFrames() {
-		vs, err := DecodeU32s(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed = append(streamed, vs...)
+	big, err := c.ReadMemoryBulk("big", "big", 0, 20000)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for a := range vals {
-		if streamed[a] != vals[a] {
-			t.Fatalf("stream bucket %d = %d, want %d", a, streamed[a], vals[a])
+	for _, m := range marks {
+		if big[m.Addr] != m.Value {
+			t.Fatalf("stream bucket %d = %d, want %d", m.Addr, big[m.Addr], m.Value)
 		}
 	}
 
-	// A chunk size that would need too many frames is rejected typed.
-	pc = p.Call(MethodMemReadStream,
-		MemReadStreamParams{Program: "counter", Mem: "m", Count: 256, ChunkWords: 1}, nil)
+	// A range that needs more than MaxFramesPerMessage frames is refused
+	// before any word is read.
+	pc = p.Call(MethodMemReadStream, MemReadStreamParams{Program: "counter", Mem: "m", Count: 1 << 25}, nil)
 	if err := p.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	if pc.Err() != nil {
-		t.Fatalf("256 one-word frames should fit: %v", pc.Err())
+	if pc.Err() == nil || !strings.Contains(pc.Err().Error(), "frame count out of range") {
+		t.Fatalf("2^25-word range err = %v, want the frame-count refusal", pc.Err())
 	}
 }
+
+// bigMemWireSrc declares a memory block larger than one mem.readstream
+// frame.
+const bigMemWireSrc = `
+@ big 32768
+program big(<hdr.ipv4.src, 11.0.0.0, 0xff000000>) {
+    LOADI(sar, 1);
+    HASH_5_TUPLE_MEM(big);
+    MEMADD(big);
+}
+`
 
 // TestConcurrentPipelinedClients hammers one server with pipelined bursts
 // from many clients plus plain calls interleaved on a shared client — the
@@ -434,7 +453,7 @@ func TestConcurrentPipelinedClients(t *testing.T) {
 				var status string
 				a := p.Call(MethodStatus, nil, &status)
 				b := p.Enqueue(context.Background(), MethodMemWriteBatch,
-					MemWriteBatchParams{Program: "counter", Mem: "m", Binary: true},
+					MemWriteBatchParams{Program: "counter", Mem: "m"},
 					nil, [][]byte{EncodeWritePairs([]MemWriteEntry{{Addr: uint32(w), Value: uint32(i)}})})
 				var progs []ProgramInfo
 				d := p.Call(MethodPrograms, nil, &progs)

@@ -125,14 +125,11 @@ type MemWriteEntry struct {
 }
 
 // MemWriteBatchParams writes N buckets of one program's memory block in
-// a single journaled group. When Binary is set, Writes stays empty and
-// the (addr, value) pairs arrive as one trailing binary frame
-// (EncodeWritePairs layout) — the cheap encoding for large batches.
+// a single journaled group. The (addr, value) pairs arrive as the
+// request's one binary frame (EncodeWritePairs layout).
 type MemWriteBatchParams struct {
-	Program string          `json:"program"`
-	Mem     string          `json:"mem"`
-	Writes  []MemWriteEntry `json:"writes,omitempty"`
-	Binary  bool            `json:"binary,omitempty"`
+	Program string `json:"program"`
+	Mem     string `json:"mem"`
 }
 
 // MemWriteBatchResult reports how many buckets a mem.writebatch wrote.
@@ -141,23 +138,19 @@ type MemWriteBatchResult struct {
 }
 
 // MemReadStreamParams addresses a large virtual memory range to be
-// returned as chunked binary frames rather than one giant JSON array.
-// ChunkWords bounds one response frame (default 16384 words = 64KB).
+// returned as binary frames rather than one giant JSON array.
 type MemReadStreamParams struct {
-	Program    string `json:"program"`
-	Mem        string `json:"mem"`
-	Addr       uint32 `json:"addr"`
-	Count      uint32 `json:"count"`
-	ChunkWords uint32 `json:"chunk_words,omitempty"`
+	Program string `json:"program"`
+	Mem     string `json:"mem"`
+	Addr    uint32 `json:"addr"`
+	Count   uint32 `json:"count"`
 }
 
 // MemReadStreamResult describes the framed payload that follows the
-// response line: Chunks frames of up to ChunkWords little-endian uint32s
-// each, Count words in total.
+// response line: Count little-endian uint32s in 64 KB frames (16,384
+// words; the last may be shorter), which the line's "frames" counts.
 type MemReadStreamResult struct {
-	Count      uint32 `json:"count"`
-	Chunks     int    `json:"chunks"`
-	ChunkWords uint32 `json:"chunk_words"`
+	Count uint32 `json:"count"`
 }
 
 // Versioned-upgrade method names (single-switch daemon). start links v2

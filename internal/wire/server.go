@@ -320,7 +320,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// count or an oversized/corrupt frame gets a typed error
 			// response and closes the connection (the stream position past
 			// the violation is unknowable).
-			frames, fsc, ferr, fatal := s.readReqFrames(conn, br, req)
+			frames, ferr, fatal := s.readReqFrames(conn, br, req)
 			if ferr != nil {
 				resp.Error = ferr.Error()
 				s.cReqErrs.Inc()
@@ -331,7 +331,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				}
 				continue
 			}
-			ctx, sp := s.startRequestSpan(req, fsc, decodeStart)
+			ctx, sp := s.startRequestSpan(req, decodeStart)
 			result, rframes, err := s.dispatch(ctx, req, frames)
 			if err != nil {
 				resp.Error = err.Error()
@@ -374,48 +374,40 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // startRequestSpan opens the server-side span for one request, joined to
-// the caller's trace when the request line (or, failing that, the first
-// binary frame) carried a span context. A missing or garbled context
-// degrades to a fresh root trace — never an error.
-func (s *Server) startRequestSpan(req Request, fsc trace.SpanContext, decodeStart time.Time) (context.Context, *trace.Span) {
+// the caller's trace when the request line carried a span context. A
+// missing or garbled context degrades to a fresh root trace — never an
+// error.
+func (s *Server) startRequestSpan(req Request, decodeStart time.Time) (context.Context, *trace.Span) {
 	ctx := context.Background()
 	if !s.Tracer.Enabled() {
 		return ctx, trace.Nop()
 	}
-	sc, ok := trace.ParseHeader(req.Trace)
-	if !ok {
-		sc = fsc
-	}
+	sc, _ := trace.ParseHeader(req.Trace)
 	sp := s.Tracer.StartRemote(sc, "srv."+req.Method)
 	sp.ChildAt("srv.decode", decodeStart, time.Since(decodeStart))
 	return trace.ContextWithSpan(ctx, sp), sp
 }
 
-// readReqFrames reads the binary frames a parsed request announced,
-// returning the first frame's trace header (if any) so a request whose
-// JSON line lost the "tr" field can still join its caller's trace. The
+// readReqFrames reads the binary frames a parsed request announced. The
 // returned error is reported to the client; fatal additionally closes the
 // connection (frame-count violations and oversized/corrupt frames leave
 // the stream position unknowable).
-func (s *Server) readReqFrames(conn net.Conn, br *bufio.Reader, req Request) (frames [][]byte, fsc trace.SpanContext, err error, fatal bool) {
+func (s *Server) readReqFrames(conn net.Conn, br *bufio.Reader, req Request) (frames [][]byte, err error, fatal bool) {
 	if req.Frames == 0 {
-		return nil, trace.SpanContext{}, nil, false
+		return nil, nil, false
 	}
 	if req.Frames < 0 || req.Frames > MaxFramesPerMessage {
-		return nil, trace.SpanContext{}, fmt.Errorf("%w: %d", ErrBadFrameCount, req.Frames), true
+		return nil, fmt.Errorf("%w: %d", ErrBadFrameCount, req.Frames), true
 	}
 	for i := 0; i < req.Frames; i++ {
 		if err := conn.SetReadDeadline(time.Now().Add(s.ReadTimeout)); err != nil {
-			return nil, trace.SpanContext{}, err, true
+			return nil, err, true
 		}
-		f, sc, err := ReadFrameT(br, s.MaxRequestBytes)
+		f, err := ReadFrame(br, s.MaxRequestBytes)
 		if err != nil {
-			return nil, trace.SpanContext{}, err, true
-		}
-		if i == 0 {
-			fsc = sc
+			return nil, err, true
 		}
 		frames = append(frames, f)
 	}
-	return frames, fsc, nil, false
+	return frames, nil, false
 }

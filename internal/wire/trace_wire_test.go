@@ -8,9 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"strings"
 	"testing"
-	"time"
 
 	"p4runpro/internal/obs/trace"
 )
@@ -209,49 +207,4 @@ func hasTag(sp trace.SpanSnap, key string) bool {
 		}
 	}
 	return false
-}
-
-// TestTracedFrameCarriesContext: a bulk verb whose JSON line lost its "tr"
-// field still joins the caller's trace through the binary frame's trace
-// header (the frameTraced path).
-func TestTracedFrameCarriesContext(t *testing.T) {
-	srv, c, ct := startServer(t)
-	srv.Tracer = trace.New(trace.Options{})
-	srv.Tracer.SetEnabled(true)
-	if _, err := ct.Deploy(cacheWireSrc); err != nil {
-		t.Fatal(err)
-	}
-
-	sc := trace.SpanContext{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID()}
-	writes := []MemWriteEntry{{Addr: 0, Value: 7}}
-	// Hand-build the request: no "tr" on the line, context only in the frame.
-	conn, err := net.Dial("tcp", c.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	params, _ := json.Marshal(MemWriteBatchParams{Program: "cache", Mem: "mem1", Binary: true})
-	line, _ := json.Marshal(Request{ID: 1, Method: MethodMemWriteBatch, Params: params, Frames: 1})
-	buf := append(line, '\n')
-	buf = AppendFrameT(buf, EncodeWritePairs(writes), sc)
-	if _, err := conn.Write(buf); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := bufio.NewReader(conn).ReadBytes('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(raw), `"error"`) {
-		t.Fatalf("request failed: %s", raw)
-	}
-	deadline := time.Now().Add(time.Second)
-	for {
-		if _, ok := srv.Tracer.Lookup(sc.TraceID); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("frame trace header did not join trace %s", sc.TraceID)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 }

@@ -155,46 +155,36 @@ var switchVerbs = map[string]func(*controlplane.Controller) handler{
 		return deployBatchResultOf(outcomes), nil
 	}),
 	MethodMemWriteBatch: framedVerb(func(ctx context.Context, ct *controlplane.Controller, p MemWriteBatchParams, frames [][]byte) (MemWriteBatchResult, [][]byte, error) {
-		entries := p.Writes
-		if p.Binary {
-			if len(frames) != 1 {
-				return MemWriteBatchResult{}, nil, fmt.Errorf("mem.writebatch: binary mode wants 1 frame, got %d", len(frames))
-			}
-			var err error
-			if entries, err = DecodeWritePairs(frames[0]); err != nil {
-				return MemWriteBatchResult{}, nil, err
-			}
+		if len(frames) != 1 {
+			return MemWriteBatchResult{}, nil, fmt.Errorf("mem.writebatch: wants 1 frame of (addr, value) pairs, got %d", len(frames))
+		}
+		entries, err := DecodeWritePairs(frames[0])
+		if err != nil {
+			return MemWriteBatchResult{}, nil, err
 		}
 		n, err := ct.WriteMemoryBatchCtx(ctx, p.Program, p.Mem, memWrites(entries))
 		return MemWriteBatchResult{Written: n}, nil, err
 	}),
 	// mem.readstream snapshots a large memory range and chunks it into
-	// binary response frames.
+	// 64 KB binary response frames.
 	MethodMemReadStream: framedVerb(func(_ context.Context, ct *controlplane.Controller, p MemReadStreamParams, _ [][]byte) (MemReadStreamResult, [][]byte, error) {
+		const chunk = 16384
 		if p.Count == 0 {
 			p.Count = 1
 		}
-		chunk := p.ChunkWords
-		if chunk == 0 {
-			chunk = 16384 // 64KB frames
-		}
-		chunks := (uint64(p.Count) + uint64(chunk) - 1) / uint64(chunk)
+		chunks := (uint64(p.Count) + chunk - 1) / chunk
 		if chunks > MaxFramesPerMessage {
-			return MemReadStreamResult{}, nil, fmt.Errorf("%w: range needs %d frames (max %d; raise chunk_words)", ErrBadFrameCount, chunks, MaxFramesPerMessage)
+			return MemReadStreamResult{}, nil, fmt.Errorf("%w: range needs %d frames (max %d)", ErrBadFrameCount, chunks, MaxFramesPerMessage)
 		}
 		vals, err := ct.ReadMemoryRange(p.Program, p.Mem, p.Addr, p.Count)
 		if err != nil {
 			return MemReadStreamResult{}, nil, err
 		}
 		frames := make([][]byte, 0, chunks)
-		for off := 0; off < len(vals); off += int(chunk) {
-			end := off + int(chunk)
-			if end > len(vals) {
-				end = len(vals)
-			}
-			frames = append(frames, EncodeU32s(vals[off:end]))
+		for off := 0; off < len(vals); off += chunk {
+			frames = append(frames, EncodeU32s(vals[off:min(off+chunk, len(vals))]))
 		}
-		return MemReadStreamResult{Count: uint32(len(vals)), Chunks: len(frames), ChunkWords: chunk}, frames, nil
+		return MemReadStreamResult{Count: uint32(len(vals))}, frames, nil
 	}),
 }
 

@@ -509,9 +509,9 @@ func TestServerDoMatchesClient(t *testing.T) {
 		frames [][]byte
 	}{
 		{MethodPrograms, nil, nil},
-		{MethodMemWriteBatch, MemWriteBatchParams{Program: "counter", Mem: "m", Binary: true}, [][]byte{pairs}},
+		{MethodMemWriteBatch, MemWriteBatchParams{Program: "counter", Mem: "m"}, [][]byte{pairs}},
 		{MethodMemRead, MemReadParams{Program: "counter", Mem: "m", Addr: 0, Count: 4}, nil},
-		{MethodMemReadStream, MemReadStreamParams{Program: "counter", Mem: "m", Count: 256, ChunkWords: 100}, nil},
+		{MethodMemReadStream, MemReadStreamParams{Program: "counter", Mem: "m", Count: 256}, nil},
 		{MethodUpgradeStatus, UpgradeNameParams{Program: "counter"}, nil},
 		{MethodRevoke, RevokeParams{Name: "ghost"}, nil},
 		{"frobnicate", nil, nil},
