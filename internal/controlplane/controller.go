@@ -178,8 +178,8 @@ func (ct *Controller) Plan(ctx context.Context, src string) ([]*core.LinkedProgr
 	if jrn := ct.jrn; jrn != nil {
 		jrn.mu.Lock()
 		defer jrn.mu.Unlock()
-		if jrn.poisoned != nil {
-			return nil, jrn.poisoned
+		if err := ct.Poisoned(); err != nil {
+			return nil, err
 		}
 	}
 	return ct.Compiler.Plan(ctx, src)

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"p4runpro/internal/core"
@@ -65,7 +66,7 @@ type jstate struct {
 	// quiescent controller. It is released before the wait for durability.
 	mu        sync.Mutex
 	replaying bool
-	poisoned  error // set once a sync fails after apply (ErrPoisoned)
+	poisoned  atomic.Pointer[error] // set once a sync fails after apply (ErrPoisoned)
 	// applyEst is a moving average of apply time per operation kind, which
 	// decides whether an operation's fsync starts before its apply.
 	applyEst map[journal.Op]time.Duration
@@ -139,12 +140,21 @@ func (s *jstate) await(sp *trace.Span, c *journal.Commit) error {
 		return nil
 	}
 	err = fmt.Errorf("%w: %w", ErrPoisoned, err)
-	s.mu.Lock()
-	if s.poisoned == nil {
-		s.poisoned = err
-	}
-	s.mu.Unlock()
+	s.poisoned.CompareAndSwap(nil, &err)
 	return err
+}
+
+// Poisoned returns the error that poisoned the controller, or nil while no
+// journal sync has failed after its apply. It takes no lock, so the status
+// and utilization verbs, which a health check calls, can answer with it.
+func (ct *Controller) Poisoned() error {
+	if ct.jrn == nil {
+		return nil
+	}
+	if err := ct.jrn.poisoned.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
 func (s *jstate) trackDeploy(src string, reports []DeployReport) {
@@ -291,8 +301,8 @@ func (ct *Controller) Snapshot() error {
 	}
 	ct.jrn.mu.Lock()
 	defer ct.jrn.mu.Unlock()
-	if ct.jrn.poisoned != nil {
-		return ct.jrn.poisoned
+	if err := ct.Poisoned(); err != nil {
+		return err
 	}
 	recs, err := ct.snapshotRecords()
 	if err != nil {

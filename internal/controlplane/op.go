@@ -82,8 +82,8 @@ func (ct *Controller) applyLocked(ctx context.Context, sp *trace.Span, o *op) (c
 		jrn.mu.Lock()
 		defer jrn.mu.Unlock()
 		sp.ChildAt("lock.wait", lstart, time.Since(lstart))
-		if jrn.poisoned != nil {
-			return nil, jrn.poisoned
+		if err := ct.Poisoned(); err != nil {
+			return nil, err
 		}
 	}
 	if o.validate != nil {

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -77,12 +78,24 @@ func TestApplyWhileSyncing(t *testing.T) {
 	// the process's write buffer and die with it. A process crash therefore
 	// recovers the deploy alone, and a power loss, which may also drop the
 	// unsynced deploy record, recovers nothing: both are applied prefixes.
+	// The segment is preallocated, so the records are followed by zeros.
 	seg, err := os.ReadFile(filepath.Join(dir, "wal-00000001.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(seg)) != offsets[1] {
-		t.Fatalf("segment holds %d bytes at the crash, want the parked round's %d", len(seg), offsets[1])
+	valid := 0
+	for valid < len(seg) {
+		_, n, err := journal.DecodeFrame(seg[valid:])
+		if err != nil {
+			break
+		}
+		valid += n
+	}
+	if int64(valid) != offsets[1] {
+		t.Fatalf("segment holds %d bytes of records at the crash, want the parked round's %d", valid, offsets[1])
+	}
+	if rest := seg[valid:]; bytes.Count(rest, []byte{0}) != len(rest) {
+		t.Fatal("segment holds non-zero bytes after its records")
 	}
 	for k, want := range [][]string{nil, {"cache"}} {
 		crash := t.TempDir()

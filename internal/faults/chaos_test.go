@@ -183,6 +183,15 @@ func TestChaosEveryPoint(t *testing.T) {
 				if err := ct.WriteMemory(context.Background(), "chaosa", "amem", 3, 77); !errors.Is(err, controlplane.ErrPoisoned) {
 					t.Fatalf("poisoned controller accepted a mutation: %v", err)
 				}
+				// It stops claiming health: status and utilization (the
+				// fleet's health probe) answer with the poisoning.
+				if _, err := cl.Status(); err == nil || !strings.Contains(err.Error(), controlplane.ErrPoisoned.Error()) {
+					t.Fatalf("poisoned daemon answered status: err = %v", err)
+				}
+				if _, err := wire.Call[[]wire.UtilizationRow](context.Background(), cl, wire.MethodUtilization, nil); err == nil ||
+					!strings.Contains(err.Error(), controlplane.ErrPoisoned.Error()) {
+					t.Fatalf("poisoned daemon answered utilization: err = %v", err)
+				}
 				restarted := recoverController(t, dir)
 				if p, q := fmt.Sprint(digest(restarted)), fmt.Sprint(digest(ct)); p != q {
 					t.Fatalf("restart diverges from the applied state:\n got %s\nwant %s", p, q)

@@ -12,6 +12,7 @@ import (
 
 	"p4runpro/internal/controlplane"
 	"p4runpro/internal/core"
+	"p4runpro/internal/faults"
 	"p4runpro/internal/journal"
 	"p4runpro/internal/pkt"
 	"p4runpro/internal/rmt"
@@ -424,6 +425,53 @@ func TestReconcileAdoptsRejoinedMember(t *testing.T) {
 	}
 	if !strings.Contains(scrape, `p4runpro_fleet_reconcile_actions_total{action="revoke"} 0`) {
 		t.Error("adoption should not revoke the survivor")
+	}
+}
+
+// TestPoisonedMemberLeavesPlacement: a member whose journal sync failed
+// after an apply refuses every mutation, and its health probe now fails
+// too, so it goes Suspect, then Down, and placement passes it over.
+func TestPoisonedMemberLeavesPlacement(t *testing.T) {
+	ct1, err := controlplane.Recover(t.TempDir(), rmt.DefaultConfig(), core.DefaultOptions(),
+		journal.Options{Sync: journal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ct1.Journal().Close()
+	f := New(Options{Replicas: 1, DownAfter: 3})
+	for i, ct := range []*controlplane.Controller{ct1, newLocalMember(t), newLocalMember(t)} {
+		if err := f.AddMember(memberName(i), Local(ct)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m1, _ := f.member("m1")
+	f.probe(m1)
+	if got := f.stateOf(m1); got != Healthy {
+		t.Fatalf("state before the failed sync = %v", got)
+	}
+
+	// Only m1 has a journal, so only its sync fails.
+	sp, _ := faults.Lookup("journal.sync")
+	defer faults.DisarmAll()
+	sp.FailNth(1, nil)
+	if err := ct1.SetMulticastGroup(ctx, 1, []int{1}); !errors.Is(err, controlplane.ErrPoisoned) {
+		t.Fatalf("mutation under a failed sync: err = %v, want ErrPoisoned", err)
+	}
+	faults.DisarmAll()
+
+	for i, want := range []State{Suspect, Suspect, Down} {
+		f.probe(m1)
+		if got := f.stateOf(m1); got != want {
+			t.Fatalf("after %d probe(s) of the poisoned member: state = %v, want %v", i+1, got, want)
+		}
+	}
+	// Fresh identical members tie-break by name, so a healthy m1 would
+	// take the unit.
+	if _, err := f.Deploy(ctx, counterSrc, 0); err != nil {
+		t.Fatal(err)
+	}
+	if u, _ := f.store.Resolve("counter"); len(u.Members) != 1 || !u.hasMember("m2") {
+		t.Fatalf("unit placed on %v, want [m2]", u.Members)
 	}
 }
 

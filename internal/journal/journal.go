@@ -7,17 +7,23 @@
 //
 // On-disk layout (one directory per controller):
 //
-//	wal-00000001.log   append-only segments of framed records
+//	wal-00000001.log   segments of framed records, written in order
 //	snap-00000001.snap a snapshot superseding segments 1..N (same framing)
 //
 // Each record is framed as
 //
 //	[4B little-endian payload length][4B CRC32-Castagnoli of payload][payload]
 //
-// where the payload is the JSON encoding of Record. Opening the journal
-// detects a torn tail — a record cut short or corrupted by a crash mid-
-// write — and truncates the active segment at the first bad record; every
-// complete record before it replays. A snapshot is written to a temp file,
+// where the payload is the JSON encoding of Record. The active segment is
+// preallocated ahead of its last record in 4 MiB steps (on linux, with
+// fallocate), so an append neither allocates nor grows the file and a sync
+// round needs only fdatasync; an all-zero record header, the unwritten
+// rest of that space, ends the log. Opening the journal detects a torn tail
+// — a record cut short or corrupted by a crash mid-write — and cuts the
+// active segment at the first bad record or zero header, then preallocates
+// it again; every complete record before it replays, and nothing a crash
+// left beyond it ever does. Close cuts the segment to its records, so an
+// orderly shutdown leaves no preallocated zeros. A snapshot is written to a temp file,
 // fsynced, and atomically renamed, then a fresh segment is started and the
 // superseded segments are deleted (compaction); a crash anywhere in that
 // sequence leaves either the old segments or the committed snapshot
@@ -147,6 +153,10 @@ type Record struct {
 const (
 	headerBytes = 8       // 4B length + 4B CRC
 	MaxRecord   = 8 << 20 // one record's payload bound (a deploy source blob)
+
+	// preallocStep is how far at a time the active segment's
+	// preallocation grows ahead of its write position.
+	preallocStep = 4 << 20
 )
 
 // Typed decode errors. A torn record (cut short by a crash) and a corrupt
@@ -332,7 +342,8 @@ type Journal struct {
 	f      *os.File
 	w      *bufio.Writer
 	seq    uint64 // active segment sequence number
-	size   int64  // bytes in the active segment
+	size   int64  // bytes of records in the active segment
+	alloc  int64  // bytes preallocated in the active segment
 	closed bool
 	open   *group // SyncAlways writes not yet taken by a sync; nil if none
 	failed error  // the first failed sync; every later write and sync fails with it
@@ -415,7 +426,7 @@ func Open(dir string, opt Options) (*Journal, []Record, error) {
 
 	var replay []Record
 	if snapSeq > 0 {
-		recs, _, err := readSegment(filepath.Join(dir, snapName(snapSeq)), false)
+		recs, _, _, err := readSegment(filepath.Join(dir, snapName(snapSeq)), false)
 		if err != nil {
 			return nil, nil, fmt.Errorf("journal: snapshot %s: %w", snapName(snapSeq), err)
 		}
@@ -427,37 +438,44 @@ func Open(dir string, opt Options) (*Journal, []Record, error) {
 			live = append(live, s)
 		}
 	}
+	var end int64 // the active segment's valid bytes
 	for i, s := range live {
-		last := i == len(live)-1
-		recs, truncated, err := readSegment(filepath.Join(dir, segName(s)), last)
+		recs, segEnd, torn, err := readSegment(filepath.Join(dir, segName(s)), i == len(live)-1)
 		if err != nil {
 			return nil, nil, fmt.Errorf("journal: segment %s: %w", segName(s), err)
 		}
-		if truncated && j.met != nil {
+		if torn && j.met != nil {
 			j.met.cTruncations.Inc()
 		}
 		replay = append(replay, recs...)
+		end = segEnd
 	}
 
 	// Position the active segment: the highest live segment, or a fresh one
-	// after the snapshot when compaction deleted everything.
+	// after the snapshot when compaction deleted everything. Cutting it to
+	// its valid end drops a torn tail and anything a crash left beyond a
+	// zero gap, so a frame that was never acknowledged cannot replay once
+	// later appends fill the gap.
 	j.seq = snapSeq + 1
 	if n := len(live); n > 0 {
 		j.seq = live[n-1]
 	}
-	path := filepath.Join(dir, segName(j.seq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, segName(j.seq)), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
+	if err := f.Truncate(end); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("journal: truncate %s: %w", segName(j.seq), err)
+	}
+	if _, err := f.Seek(end, io.SeekStart); err != nil {
 		f.Close()
 		return nil, nil, err
 	}
 	j.f = f
 	j.w = bufio.NewWriterSize(f, 64<<10)
-	j.size = st.Size()
+	j.size = end
+	j.reserve(end)
 	if j.met != nil {
 		j.met.gSegmentBytes.Set(float64(j.size))
 		j.met.cReplayed.Add(uint64(len(replay)))
@@ -472,32 +490,106 @@ func Open(dir string, opt Options) (*Journal, []Record, error) {
 	return j, replay, nil
 }
 
-// readSegment scans one segment file. When truncateTail is set (the active
-// segment), a torn or corrupt record truncates the file at the last good
-// offset and scanning stops cleanly; otherwise the damage is returned as an
-// error.
-func readSegment(path string, truncateTail bool) (recs []Record, truncated bool, err error) {
-	b, err := os.ReadFile(path)
+// readSegment streams one segment file and returns its records and the
+// offset just past the last of them. The records end at EOF or at an
+// all-zero record header (whole, or cut short by EOF), where a preallocated
+// segment's unwritten space begins. On the active segment the scan stops
+// there without reading the zeros, and a torn or corrupt record ends it
+// too, reported as torn; on any other segment that damage is an error, and
+// so is data after the zeros.
+func readSegment(path string, active bool) (recs []Record, end int64, torn bool, err error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, false, err
+		return nil, 0, false, err
 	}
-	off := 0
+	defer f.Close()
+	r := bufio.NewReaderSize(f, 64<<10)
+	damaged := func(derr error) ([]Record, int64, bool, error) {
+		if !active {
+			return nil, 0, false, derr
+		}
+		return recs, end, true, nil
+	}
+	var frame []byte
 	for {
-		rec, n, err := DecodeFrame(b[off:])
-		if err == io.EOF {
-			return recs, false, nil
+		var hdr [headerBytes]byte
+		k, err := io.ReadFull(r, hdr[:])
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return nil, 0, false, err
+		}
+		if allZero(hdr[:k]) {
+			if !active {
+				zeros, err := zeroToEOF(r)
+				if err != nil {
+					return nil, 0, false, err
+				}
+				if !zeros {
+					return damaged(fmt.Errorf("%w: data after a zero gap", ErrCorrupt))
+				}
+			}
+			return recs, end, false, nil
+		}
+		n := binary.LittleEndian.Uint32(hdr[0:4])
+		switch {
+		case k < headerBytes:
+			return damaged(ErrTorn)
+		case n == 0 || n > MaxRecord:
+			return damaged(fmt.Errorf("%w: payload length %d", ErrCorrupt, n))
+		}
+		frame = append(append(frame[:0], hdr[:]...), make([]byte, n)...)
+		_, err = io.ReadFull(r, frame[headerBytes:])
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return damaged(ErrTorn)
 		}
 		if err != nil {
-			if !truncateTail {
-				return nil, false, err
-			}
-			if terr := os.Truncate(path, int64(off)); terr != nil {
-				return nil, false, fmt.Errorf("truncate torn tail: %w", terr)
-			}
-			return recs, true, nil
+			return nil, 0, false, err
+		}
+		rec, _, err := DecodeFrame(frame)
+		if err != nil {
+			return damaged(err)
 		}
 		recs = append(recs, rec)
-		off += n
+		end += int64(len(frame))
+	}
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// zeroToEOF reports whether the rest of r is zero bytes, reading it in
+// pieces.
+func zeroToEOF(r io.Reader) (bool, error) {
+	buf := make([]byte, 32<<10)
+	for {
+		k, err := r.Read(buf)
+		if !allZero(buf[:k]) {
+			return false, nil
+		}
+		if err == io.EOF {
+			return true, nil
+		}
+		if err != nil {
+			return false, err
+		}
+	}
+}
+
+// reserve preallocates the active segment past end in whole steps, unless
+// it already is. It is best effort: where preallocation fails, writes
+// extend the file as they land. Caller holds mu.
+func (j *Journal) reserve(end int64) {
+	if end <= j.alloc {
+		return
+	}
+	alloc := (end/preallocStep + 1) * preallocStep
+	if preallocate(j.f, alloc) == nil {
+		j.alloc = alloc
 	}
 }
 
@@ -549,6 +641,7 @@ func (j *Journal) Write(recs []Record) (*Commit, error) {
 	if j.failed != nil {
 		return nil, j.failed
 	}
+	j.reserve(j.size + int64(len(buf)))
 	if _, err := j.w.Write(buf); err != nil {
 		return nil, fmt.Errorf("journal: append: %w", err)
 	}
@@ -716,13 +809,14 @@ func (j *Journal) flushLocked() error {
 	return nil
 }
 
-// fsync makes the bytes written to f durable.
+// fsync makes the bytes written to f durable. The segment's preallocated
+// size does not change as records land in it, so a data sync suffices.
 func (j *Journal) fsync(f *os.File) error {
 	start := time.Now()
 	if err := fpSync.Check(); err != nil {
 		return fmt.Errorf("journal: sync: %w", err)
 	}
-	if err := f.Sync(); err != nil {
+	if err := datasync(f); err != nil {
 		return fmt.Errorf("journal: fsync: %w", err)
 	}
 	d := time.Since(start)
@@ -808,15 +902,17 @@ func (j *Journal) Compact(snapshot []Record) (err error) {
 	// The snapshot is committed; roll to a fresh segment and delete the
 	// superseded files. Failures past this point leave extra files that the
 	// next Open simply ignores (their seq <= the snapshot's).
-	nf, err := os.OpenFile(filepath.Join(j.dir, segName(coverSeq+1)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	nf, err := os.OpenFile(filepath.Join(j.dir, segName(coverSeq+1)), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
+	j.f.Truncate(j.size) // should its deletion fail, it holds no preallocated zeros
 	j.f.Close()
 	j.f = nf
 	j.w = bufio.NewWriterSize(nf, 64<<10)
 	j.seq = coverSeq + 1
-	j.size = 0
+	j.size, j.alloc = 0, 0
+	j.reserve(0)
 	for seq := coverSeq; seq >= 1; seq-- {
 		p := filepath.Join(j.dir, segName(seq))
 		if _, serr := os.Stat(p); serr != nil {
@@ -838,15 +934,17 @@ func (j *Journal) Compact(snapshot []Record) (err error) {
 	return nil
 }
 
-// SegmentBytes reports the active segment's size (tests, status lines).
+// SegmentBytes reports the bytes of records in the active segment, not
+// counting its preallocated space (tests, status lines).
 func (j *Journal) SegmentBytes() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.size
 }
 
-// Close flushes and fsyncs outstanding appends and closes the journal. An
-// orderly shutdown therefore never loses the sync-interval tail. Close is
+// Close flushes and fsyncs outstanding appends, cuts the active segment to
+// its records and closes the journal. An orderly shutdown therefore never
+// loses the sync-interval tail and leaves no preallocated space. Close is
 // idempotent.
 func (j *Journal) Close() error {
 	j.mu.Lock()
@@ -868,6 +966,9 @@ func (j *Journal) Close() error {
 	err := j.failed
 	if err == nil {
 		err = j.w.Flush()
+		if err == nil {
+			err = j.f.Truncate(j.size)
+		}
 		if serr := j.f.Sync(); serr != nil && err == nil {
 			err = serr
 		}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -203,11 +204,14 @@ func TestSyncIntervalFlushesOnCloseAndTick(t *testing.T) {
 	if err := j.Append(rec); err != nil {
 		t.Fatal(err)
 	}
-	// The background tick flushes without Close.
+	// The background tick flushes without Close. The segment is
+	// preallocated, so its size says nothing: wait for the record itself.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if st, err := os.Stat(filepath.Join(dir, segName(1))); err == nil && st.Size() > 0 {
-			break
+		if b, err := os.ReadFile(filepath.Join(dir, segName(1))); err == nil {
+			if got, _, err := DecodeFrame(b); err == nil && reflect.DeepEqual(got, rec) {
+				break
+			}
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("interval sync never flushed the segment")
@@ -388,5 +392,201 @@ func TestFaultPointsFireOnAppendAndSync(t *testing.T) {
 	}
 	if err := j2.Append(Record{Op: OpRevoke, Name: "z"}); err != nil {
 		t.Fatalf("append after reopen: %v", err)
+	}
+}
+
+// crashCopy copies the journal directory as a crash would leave it: the
+// files exactly as the open journal has written them, without its Close.
+func crashCopy(t *testing.T, dir string) string {
+	t.Helper()
+	crash := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crash, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return crash
+}
+
+// segmentSize is the length of a journal file on disk, preallocation
+// included.
+func segmentSize(t *testing.T, path string) int64 {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
+}
+
+// TestRecoveryPreallocatedCrashMidSegment crashes a journal whose active
+// segment is its records followed by preallocated zeros. Reopening replays
+// exactly the records, counts no torn tail, preallocates the segment again
+// and takes further appends; an orderly Close then leaves only records.
+func TestRecoveryPreallocatedCrashMidSegment(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	want := sampleRecords()
+	for _, rec := range want[:4] {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	valid := j.SegmentBytes()
+	crash := crashCopy(t, dir)
+	path := filepath.Join(crash, segName(1))
+	if runtime.GOOS != "linux" {
+		t.Skip("segments are preallocated on linux only")
+	}
+	if size := segmentSize(t, path); size <= valid {
+		t.Fatalf("segment is %d bytes for %d bytes of records, want it preallocated", size, valid)
+	}
+
+	reg := obs.NewRegistry()
+	j2, replay, err := Open(crash, Options{Sync: SyncAlways, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(replay, want[:4]) {
+		t.Fatalf("replay = %+v, want %+v", replay, want[:4])
+	}
+	if got := reg.Counter("p4runpro_journal_torn_truncations_total", "").Value(); got != 0 {
+		t.Fatalf("a zero tail counted as %d torn truncation(s)", got)
+	}
+	if got := j2.SegmentBytes(); got != valid {
+		t.Fatalf("SegmentBytes = %d after reopen, want the %d bytes of records", got, valid)
+	}
+	if size := segmentSize(t, path); size <= valid {
+		t.Fatalf("reopened segment is %d bytes, want it preallocated past its %d bytes of records", size, valid)
+	}
+	for _, rec := range want[4:] {
+		if err := j2.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end := j2.SegmentBytes()
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if size := segmentSize(t, path); size != end {
+		t.Fatalf("closed segment is %d bytes, want its %d bytes of records", size, end)
+	}
+	j3, replay, err := Open(crash, Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	if !reflect.DeepEqual(replay, want) {
+		t.Fatalf("replay after appends = %+v, want %+v", replay, want)
+	}
+}
+
+// TestRecoveryPreallocatedStaleFrameAfterGap: a crash can leave a frame
+// beyond a zero gap, written but never synced. Reopening stops at the gap,
+// and the frame must not come back when a later append fills the gap
+// exactly and the journal crashes again.
+func TestRecoveryPreallocatedStaleFrameAfterGap(t *testing.T) {
+	dir := t.TempDir()
+	recs := sampleRecords()
+	var seg []byte
+	for _, rec := range recs[:2] {
+		frame, err := EncodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg = append(seg, frame...)
+	}
+	next := Record{Op: OpRevoke, Name: "next"}
+	nextFrame, err := EncodeRecord(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := EncodeRecord(Record{Op: OpRevoke, Name: "stale"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg = append(seg, make([]byte, len(nextFrame))...)
+	seg = append(seg, stale...)
+	seg = append(seg, make([]byte, 4096)...)
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j, replay, err := Open(dir, Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if !reflect.DeepEqual(replay, recs[:2]) {
+		t.Fatalf("replay = %+v, want the two records before the gap", replay)
+	}
+	if err := j.Append(next); err != nil {
+		t.Fatal(err)
+	}
+	_, replay, err = Open(crashCopy(t, dir), Options{Sync: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(recs[:2:2], next); !reflect.DeepEqual(replay, want) {
+		t.Fatalf("replay after the second crash = %+v, want %+v", replay, want)
+	}
+}
+
+// TestRecoveryPreallocatedGapInOlderSegment: only the active segment may
+// end in a gap with data after it. A segment that a later one follows may
+// end in zeros, but data after them is corruption in the middle of the
+// history.
+func TestRecoveryPreallocatedGapInOlderSegment(t *testing.T) {
+	first, err := EncodeRecord(Record{Op: OpRevoke, Name: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := EncodeRecord(Record{Op: OpRevoke, Name: "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		tail []byte
+		ok   bool
+	}{
+		{"zero-tail", make([]byte, 100), true},
+		{"data-after-gap", append(make([]byte, 100), second...), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, segName(1)), append(first, tc.tail...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, segName(2)), second, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, replay, err := Open(dir, Options{Sync: SyncNone})
+			if !tc.ok {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("Open = %v, want ErrCorrupt", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			if len(replay) != 2 || replay[0].Name != "a" || replay[1].Name != "b" {
+				t.Fatalf("replay = %+v, want a then b", replay)
+			}
+		})
 	}
 }

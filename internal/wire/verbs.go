@@ -81,6 +81,9 @@ var switchVerbs = map[string]func(*controlplane.Controller) handler{
 		return true, ct.WriteMemory(ctx, p.Program, p.Mem, p.Addr, p.Value)
 	}),
 	MethodUtilization: verb(func(_ context.Context, ct *controlplane.Controller, _ struct{}) ([]UtilizationRow, error) {
+		if err := ct.Poisoned(); err != nil {
+			return nil, err
+		}
 		return utilizationRows(ct.Utilization()), nil
 	}),
 	MethodInject: verb(func(_ context.Context, ct *controlplane.Controller, p InjectParams) (InjectResult, error) {
@@ -100,6 +103,9 @@ var switchVerbs = map[string]func(*controlplane.Controller) handler{
 		return out, nil
 	}),
 	MethodStatus: verb(func(_ context.Context, ct *controlplane.Controller, _ struct{}) (string, error) {
+		if err := ct.Poisoned(); err != nil {
+			return "", err
+		}
 		return ct.String(), nil
 	}),
 	MethodAddCases: verb(func(ctx context.Context, ct *controlplane.Controller, p AddCasesParams) (AddCasesResult, error) {
